@@ -51,6 +51,7 @@ import numpy as np
 from ..baselines.dijkstra import dijkstra_from_labels
 from ..baselines.johnson import johnson_potential
 from ..graph.digraph import DiGraph
+from ..graph.transform import edge_subgraph_mask
 from ..observability.metrics import metric_inc
 from ..observability.profiler import profile_scope
 from ..observability.tracer import trace_span
@@ -246,7 +247,7 @@ def _elim_neg(g: DiGraph, wr: np.ndarray, wb: np.ndarray, psi: np.ndarray,
     if len(neg) == 0:
         return psi, None
     pos_keep = wcur >= 0
-    gpos = DiGraph(g.n, g.src[pos_keep], g.dst[pos_keep], wcur[pos_keep])
+    gpos = edge_subgraph_mask(g, pos_keep, weights=wcur)
     acc.charge_cost(model.pack(g.m))
     nsrc, ndst, nw = g.src[neg], g.dst[neg], wcur[neg]
     d = np.zeros(g.n, dtype=np.int64)

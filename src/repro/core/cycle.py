@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.digraph import DiGraph
-from ..graph.transform import Condensation
+from ..graph.transform import Condensation, edge_subgraph_mask
 from ..graph.validate import validate_negative_cycle
 from ..reach.multisource import bfs_parents, path_from_parents
 
@@ -53,8 +53,7 @@ def cycle_from_scc_negative_edge(g: DiGraph, w_red: np.ndarray,
     a, b = int(g.src[edge_id]), int(g.dst[edge_id])
     members = np.flatnonzero(comp == comp[a])
     keep = (w_red <= 0) & (comp[g.src] == comp[a]) & (comp[g.dst] == comp[a])
-    sub = DiGraph(g.n, g.src[keep], g.dst[keep],
-                  np.zeros(int(keep.sum()), dtype=np.int64))
+    sub = edge_subgraph_mask(g, keep, weights=np.zeros(g.m, dtype=np.int64))
     parent = bfs_parents(sub, b)
     path = path_from_parents(parent, b, a)
     if path is None:
@@ -91,8 +90,7 @@ def expand_contracted_cycle(g: DiGraph, w_red: np.ndarray,
     out: list[int] = []
     k = len(ccycle)
     zero_intra = (w_red == 0) & (cond.comp[g.src] == cond.comp[g.dst])
-    zsub = DiGraph(g.n, g.src[zero_intra], g.dst[zero_intra],
-                   np.zeros(int(zero_intra.sum()), dtype=np.int64))
+    zsub = edge_subgraph_mask(g, zero_intra, weights=w_red)
     for idx in range(k):
         e_in = hop_edges[idx - 1]        # edge entering component ccycle[idx]
         e_out = hop_edges[idx]           # edge leaving it

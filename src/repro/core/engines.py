@@ -174,6 +174,7 @@ class _PotentialEngine:
                            outcome="negative_cycle")
                 if acc is not None:
                     acc.charge_cost(local.snapshot())
+                    acc.merge_stages_from(local)
                 return SsspResult(source, None, None, None, list(cycle),
                                   ScalingStats(), local.snapshot(),
                                   certificate=cert)

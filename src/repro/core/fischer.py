@@ -39,6 +39,7 @@ import numpy as np
 from ..baselines.dijkstra import dijkstra_from_labels
 from ..baselines.johnson import johnson_potential
 from ..graph.digraph import DiGraph
+from ..graph.transform import edge_subgraph_mask
 from ..observability.metrics import metric_inc
 from ..observability.profiler import profile_scope
 from ..observability.tracer import trace_span
@@ -89,8 +90,7 @@ def fischer_potential(g: DiGraph, *, seed=0,
             return np.zeros(g.n, dtype=np.int64), None
         pos_keep = g.w >= 0
         local.charge_cost(model.pack(g.m))
-        gpos = DiGraph(g.n, g.src[pos_keep], g.dst[pos_keep],
-                       g.w[pos_keep])
+        gpos = edge_subgraph_mask(g, pos_keep)
         neg = np.flatnonzero(~pos_keep)
         nsrc, ndst, nw = g.src[neg], g.dst[neg], g.w[neg]
         d = np.zeros(g.n, dtype=np.int64)

@@ -29,7 +29,12 @@ from ..baselines.dijkstra import dijkstra
 from ..dag01.chain import recover_chain
 from ..dag01.peeling import dag01_limited_sssp
 from ..graph.digraph import DiGraph
-from ..graph.transform import Condensation, condense, leq_zero_subgraph
+from ..graph.transform import (
+    Condensation,
+    condense,
+    edge_subgraph_mask,
+    leq_zero_subgraph,
+)
 from ..limited.limited import limited_sssp
 from ..observability.tracer import trace_span
 from ..reach.scc import scc, scc_sequential
@@ -288,8 +293,7 @@ def _step3_cycle(g: DiGraph, w_red: np.ndarray, cond: Condensation,
         level_of = np.where(np.isfinite(dist_h), -dist_h, -1).astype(np.int64)
         intra_level = (cg.w == 0) & np.isfinite(dist_h[cg.src]) & \
             (level_of[cg.src] == level_of[cg.dst])
-        zsub = DiGraph(cg.n, cg.src[intra_level], cg.dst[intra_level],
-                       np.zeros(int(intra_level.sum()), dtype=np.int64))
+        zsub = edge_subgraph_mask(cg, intra_level)
         ccycle = cyclemod.chain_failure_contracted_cycle(
             cg, cg.w, chain, d_hat, parent_hat, s_hat, zsub, level_of)
         return cyclemod.expand_contracted_cycle(g, w_red, cond, ccycle)

@@ -182,6 +182,7 @@ def solve_sssp(g: DiGraph, source: int, *,
                        outcome="negative_cycle")
             if acc is not None:
                 acc.charge_cost(local.snapshot())
+                acc.merge_stages_from(local)
             return SsspResult(source, None, None, None, scal.negative_cycle,
                               scal.stats, local.snapshot(), certificate=cert)
 

@@ -51,6 +51,19 @@ def _as_int64(a, name: str, *, max_abs: int | None = None) -> np.ndarray:
     return out
 
 
+def _offsets(keys: np.ndarray, n: int) -> np.ndarray:
+    """CSR row offsets of the sorted vertex ids ``keys``."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=ptr[1:])
+    return ptr
+
+
+def _validated_weights(w) -> np.ndarray:
+    """Weights cast to int64 under the public constructor's checks
+    (integral, finite, magnitude at most :data:`MAX_ABS_WEIGHT`)."""
+    return _as_int64(w, "edge weights", max_abs=MAX_ABS_WEIGHT)
+
+
 class DiGraph:
     """An immutable weighted directed graph in CSR form.
 
@@ -79,27 +92,43 @@ class DiGraph:
             raise InputValidationError("vertex count must be nonnegative")
         src = _as_int64(src, "edge sources")
         dst = _as_int64(dst, "edge destinations")
-        w = _as_int64(w, "edge weights", max_abs=MAX_ABS_WEIGHT)
+        w = _validated_weights(w)
         if not (len(src) == len(dst) == len(w)):
             raise InputValidationError("edge arrays must have equal length")
         if len(src) and (src.min() < 0 or src.max() >= n
                          or dst.min() < 0 or dst.max() >= n):
             raise InputValidationError("edge endpoint out of range")
         order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
+        # reverse CSR order; lexsort keys: primary dst, secondary src
+        self._fill(n, src, dst, w[order], np.lexsort((src, dst)))
+
+    def _fill(self, n: int, src: np.ndarray, dst: np.ndarray,
+              w: np.ndarray, reids: np.ndarray) -> None:
         self.n = int(n)
         self.m = int(len(src))
-        self.src = src[order]
-        self.dst = dst[order]
-        self.w = w[order]
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.src, minlength=n), out=self.indptr[1:])
-        self.indices = self.dst
-        # reverse CSR; lexsort keys: primary dst, secondary src
-        reids = np.lexsort((self.src, self.dst))
+        self.src, self.dst, self.w = src, dst, w
+        self.indptr = _offsets(src, n)
+        self.indices = dst
         self.reids = reids
-        self.rindices = self.src[reids]
-        self.rindptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.dst, minlength=n), out=self.rindptr[1:])
+        self.rindices = src[reids]
+        self.rindptr = _offsets(dst, n)
+
+    @classmethod
+    def _from_sorted(cls, n: int, src: np.ndarray, dst: np.ndarray,
+                     w: np.ndarray, reids: np.ndarray) -> "DiGraph":
+        """Trusted constructor for graphs derived from a validated one.
+
+        ``src``/``dst``/``w`` are int64 edge arrays already sorted by
+        ``(src, dst)``, with endpoints in ``0 .. n-1`` and weights within
+        :data:`MAX_ABS_WEIGHT`; ``reids`` is the stable reverse order (edge
+        ids sorted by ``(dst, src)``, ties by edge id), taken from the
+        parent graph.  Skips the public constructor's cast, range check and
+        both lexsorts and yields exactly the arrays it would.
+        """
+        g = object.__new__(cls)
+        g._fill(n, src, dst, w, reids)
+        return g
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -119,7 +148,7 @@ class DiGraph:
 
     def with_weights(self, w: np.ndarray) -> "DiGraph":
         """Same topology, new weights (aligned with edge ids)."""
-        w = _as_int64(w, "edge weights", max_abs=MAX_ABS_WEIGHT)
+        w = _validated_weights(w)
         if len(w) != self.m:
             raise InputValidationError(
                 "weight array length must equal edge count")
@@ -186,7 +215,8 @@ class DiGraph:
 
         Returns ``(H, nodes_sorted)`` where ``H`` has ``len(nodes)`` vertices
         numbered by position in ``nodes_sorted`` (the sorted unique input).
-        Vectorised: membership mask + edge filtering + renumbering.
+        Vectorised: membership mask + edge filtering + renumbering; the
+        renumbering is monotone, so the kept edges stay sorted.
         """
         nodes = np.unique(np.asarray(nodes, dtype=np.int64))
         if len(nodes) and (nodes[0] < 0 or nodes[-1] >= self.n):
@@ -197,13 +227,31 @@ class DiGraph:
         keep = in_sub[self.src] & in_sub[self.dst]
         new_id = np.full(self.n, -1, dtype=np.int64)
         new_id[nodes] = np.arange(len(nodes), dtype=np.int64)
-        h = DiGraph(len(nodes), new_id[self.src[keep]],
-                    new_id[self.dst[keep]], self.w[keep])
+        h = DiGraph._from_sorted(len(nodes), new_id[self.src[keep]],
+                                 new_id[self.dst[keep]], self.w[keep],
+                                 self._kept_reids(keep))
         return h, nodes
 
+    def _kept_reids(self, keep: np.ndarray) -> np.ndarray:
+        """Reverse order of the subgraph keeping the edges ``keep``.
+
+        A subset of a sorted order stays sorted, so this is the kept part
+        of ``reids`` renumbered to the subgraph's edge ids.
+        """
+        new_eid = np.cumsum(keep) - 1
+        return new_eid[self.reids[keep[self.reids]]]
+
     def reversed(self) -> "DiGraph":
-        """The transpose graph."""
-        return DiGraph(self.n, self.dst, self.src, self.w)
+        """The transpose graph.
+
+        Its edges in id order are this graph's reverse order, so the
+        forward and reverse CSR swap and the new reverse order is the
+        inverse permutation of ``reids``.
+        """
+        inv = np.empty(self.m, dtype=np.int64)
+        inv[self.reids] = np.arange(self.m, dtype=np.int64)
+        return DiGraph._from_sorted(self.n, self.dst[self.reids],
+                                    self.rindices, self.w[self.reids], inv)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DiGraph(n={self.n}, m={self.m})"

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import DiGraph
+from ..resilience.errors import InputValidationError
+from .digraph import DiGraph, _validated_weights
 
 
 def reweight(g: DiGraph, price: np.ndarray) -> np.ndarray:
@@ -40,8 +41,6 @@ class Condensation:
         dropped.
     comp : np.ndarray
         Maps each original vertex to its component id.
-    members : list[np.ndarray]
-        ``members[c]`` is the array of original vertices in component ``c``.
     rep_eid : np.ndarray
         For each contracted edge id, one *original* edge id achieving the
         minimum weight — used to expand paths/cycles back to the original
@@ -50,7 +49,6 @@ class Condensation:
 
     graph: DiGraph
     comp: np.ndarray
-    members: list
     rep_eid: np.ndarray
 
     @property
@@ -64,7 +62,9 @@ def condense(g: DiGraph, comp: np.ndarray,
 
     ``weights`` overrides ``g.w`` (e.g. reduced weights) without copying the
     topology.  Fully vectorised: a lexsort groups parallel contracted edges
-    so the first edge of each group is the minimum-weight representative.
+    so the first edge of each group is the minimum-weight representative,
+    and leaves the contracted edges sorted by ``(src, dst)`` with no
+    parallel pair, so one stable argsort of the heads is the reverse order.
     """
     comp = np.asarray(comp, dtype=np.int64)
     if len(comp) != g.n:
@@ -90,33 +90,30 @@ def condense(g: DiGraph, comp: np.ndarray,
         first = np.r_[True, (csrc[1:] != csrc[:-1]) | (cdst[1:] != cdst[:-1])]
         csrc, cdst, wc = csrc[first], cdst[first], wc[first]
         orig_eids = orig_eids[first]
-
-    cg = DiGraph(nc, csrc, cdst, wc)
-    # DiGraph construction re-sorts by (src, dst); realign rep_eid with it.
-    if len(csrc):
-        resort = np.lexsort((cdst, csrc))
-        rep_eid = orig_eids[resort]
-    else:
-        rep_eid = np.empty(0, dtype=np.int64)
-
-    members_order = np.argsort(comp, kind="stable")
-    sorted_comp = comp[members_order]
-    members: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * nc
-    if len(sorted_comp):
-        bounds = np.flatnonzero(np.r_[True, sorted_comp[1:] != sorted_comp[:-1]])
-        for idx, start in enumerate(bounds):
-            stop = bounds[idx + 1] if idx + 1 < len(bounds) else len(sorted_comp)
-            members[int(sorted_comp[start])] = members_order[start:stop]
-    return Condensation(cg, comp, members, rep_eid)
+    if weights is not None:
+        wc = _validated_weights(wc)
+    cg = DiGraph._from_sorted(nc, csrc, cdst, wc,
+                              np.argsort(cdst, kind="stable"))
+    return Condensation(cg, comp, orig_eids)
 
 
-def edge_subgraph_mask(g: DiGraph, mask: np.ndarray) -> DiGraph:
+def edge_subgraph_mask(g: DiGraph, mask: np.ndarray,
+                       weights: np.ndarray | None = None) -> DiGraph:
     """Subgraph keeping only the edges selected by boolean ``mask`` (same
-    vertex set)."""
+    vertex set).  ``weights`` overrides ``g.w``, aligned with ``g``'s edge
+    ids like ``mask``; the kept edges keep ``g``'s relative order."""
     mask = np.asarray(mask, dtype=bool)
     if len(mask) != g.m:
-        raise ValueError("mask must align with edge ids")
-    return DiGraph(g.n, g.src[mask], g.dst[mask], g.w[mask])
+        raise InputValidationError("mask must align with edge ids")
+    if weights is None:
+        w = g.w[mask]
+    else:
+        weights = np.asarray(weights)
+        if len(weights) != g.m:
+            raise InputValidationError("weights must align with edge ids")
+        w = _validated_weights(weights[mask])
+    return DiGraph._from_sorted(g.n, g.src[mask], g.dst[mask], w,
+                                g._kept_reids(mask))
 
 
 def leq_zero_subgraph(g: DiGraph, weights: np.ndarray | None = None
@@ -128,9 +125,5 @@ def leq_zero_subgraph(g: DiGraph, weights: np.ndarray | None = None
     """
     w = g.w if weights is None else np.asarray(weights, dtype=np.int64)
     keep = w <= 0
-    eids = np.flatnonzero(keep)
-    src, dst, ww = g.src[eids], g.dst[eids], w[eids]
-    sub = DiGraph(g.n, src, dst, ww)
-    # realign eids with the subgraph's internal (src, dst) sort
-    resort = np.lexsort((dst, src))
-    return sub, eids[resort]
+    sub = edge_subgraph_mask(g, keep, None if weights is None else w)
+    return sub, np.flatnonzero(keep)

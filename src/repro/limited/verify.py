@@ -14,7 +14,7 @@ import numpy as np
 
 from ..graph.csr import out_edge_slots
 from ..graph.digraph import DiGraph
-from ..graph.transform import condense
+from ..graph.transform import condense, edge_subgraph_mask
 from ..reach.scc import scc
 from ..runtime.metrics import CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
@@ -25,8 +25,7 @@ def zero_cycle_condensation(g: DiGraph, weights: np.ndarray | None = None,
                             model: CostModel = DEFAULT_MODEL, seed=0):
     """Contract strongly connected components of the 0-weight subgraph."""
     w = g.w if weights is None else np.asarray(weights, dtype=np.int64)
-    zero_sub = DiGraph(g.n, g.src[w == 0], g.dst[w == 0],
-                       np.zeros(int((w == 0).sum()), dtype=np.int64))
+    zero_sub = edge_subgraph_mask(g, w == 0, weights=w)
     comp = scc(zero_sub, acc, model, seed=seed).comp
     return condense(g, comp, weights=w)
 
@@ -121,9 +120,7 @@ def shortest_path_tree(g: DiGraph, source: int, dist: np.ndarray,
         parent[g.dst[e]] = g.src[e]
         entry_vertex[c] = g.dst[e]
     # intra-component 0-weight BFS from the entry vertex
-    zero_mask = w == 0
-    zg = DiGraph(g.n, g.src[zero_mask], g.dst[zero_mask],
-                 np.zeros(int(zero_mask.sum()), dtype=np.int64))
+    zg = edge_subgraph_mask(g, w == 0, weights=w)
     roots = entry_vertex[entry_vertex >= 0]
     seen = np.zeros(g.n, dtype=bool)
     seen[roots] = True

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.digraph import DiGraph
+from ..graph.transform import edge_subgraph_mask
 from ..runtime.metrics import Cost, CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
 from ..runtime.rng import make_rng
@@ -28,6 +29,21 @@ class SccResult:
     comp: np.ndarray        # vertex -> component id (0..n_components-1)
     n_components: int
     cost: Cost
+
+
+def lex_rank(block: np.ndarray, fwd: np.ndarray,
+             bwd: np.ndarray) -> np.ndarray:
+    """Dense rank of the triples ``(block[i], fwd[i], bwd[i])`` in
+    lexicographic order: the inverse that ``np.unique`` returns for the
+    stacked columns with ``axis=1``, from one int64 lexsort instead of
+    ``np.unique``'s sort over a structured dtype."""
+    order = np.lexsort((bwd, fwd, block))
+    b, f, r = block[order], fwd[order], bwd[order]
+    step = np.zeros(len(order), dtype=np.int64)
+    step[1:] = (b[1:] != b[:-1]) | (f[1:] != f[:-1]) | (r[1:] != r[:-1])
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.cumsum(step)
+    return rank
 
 
 def scc(g: DiGraph, acc: CostAccumulator | None = None,
@@ -55,6 +71,7 @@ def scc(g: DiGraph, acc: CostAccumulator | None = None,
     next_id = 0
     block = np.zeros(g.n, dtype=np.int64)   # current block of each vertex
     live = np.ones(g.n, dtype=bool)
+    zero_w = np.zeros(g.m, dtype=np.int64)
     batch = 1
     while live.any():
         live_ids = np.flatnonzero(live)
@@ -65,8 +82,7 @@ def scc(g: DiGraph, acc: CostAccumulator | None = None,
         # their blocks
         keep = live[g.src] & live[g.dst] & (block[g.src] == block[g.dst])
         local.charge_cost(model.pack(g.m))
-        sub = DiGraph(g.n, g.src[keep], g.dst[keep],
-                      np.zeros(int(keep.sum()), dtype=np.int64))
+        sub = edge_subgraph_mask(g, keep, weights=zero_w)
         fwd = multisource_reachability_min(sub, centers, local, model).pi
         bwd = multisource_reachability_min(sub.reversed(), centers, local,
                                            model).pi
@@ -82,10 +98,8 @@ def scc(g: DiGraph, acc: CostAccumulator | None = None,
         # split survivors by (block, fwd winner, bwd winner)
         survivors = np.flatnonzero(live)
         if len(survivors):
-            key = np.stack([block[survivors], fwd[survivors],
-                            bwd[survivors]])
-            _, new_block = np.unique(key, axis=1, return_inverse=True)
-            block[survivors] = new_block
+            block[survivors] = lex_rank(block[survivors], fwd[survivors],
+                                        bwd[survivors])
             local.charge_cost(model.sort(len(survivors)))
         batch = min(batch * 2, max(int(live.sum()), 1))
     if acc is not None:

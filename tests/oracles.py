@@ -61,3 +61,17 @@ def nx_limited_sssp_oracle(g: DiGraph, source: int, limit: int) -> np.ndarray:
         if d <= limit:
             dist[v] = d
     return dist
+
+
+def assert_same_graph(got: DiGraph, want: DiGraph) -> None:
+    """``got`` and ``want`` agree in all ten slots: ``n``, ``m`` and every
+    array, dtype and shape included.  Fails at the first differing slot."""
+    for slot in DiGraph.__slots__:
+        a, b = getattr(got, slot), getattr(want, slot)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray) and a.dtype == b.dtype \
+                and a.shape == b.shape and (a == b).all(), \
+                f"slot {slot!r} differs: {a!r} != {b!r}"
+        else:
+            assert type(a) is type(b) and a == b, \
+                f"slot {slot!r} differs: {a!r} != {b!r}"

@@ -11,7 +11,9 @@ from repro.core import (
     one_reweighting,
     scaled_reweighting,
     solve_sssp,
+    solve_sssp_resilient,
 )
+from repro.core.engines import _PotentialEngine
 from repro.graph import (
     DiGraph,
     hidden_potential_graph,
@@ -196,6 +198,32 @@ class TestParallelSpecific:
         res = solve_sssp(g, 0, mode="parallel", assp_engine=engine)
         bf = bellman_ford(g, 0)
         np.testing.assert_array_equal(res.dist, bf.dist)
+
+    def test_cycle_answer_keeps_stage_buckets(self):
+        """A negative-cycle answer hands the caller its stage buckets
+        along with its cost, as a distance answer does."""
+        g, _ = planted_negative_cycle_graph(60, 240, 6, seed=3)
+        acc = CostAccumulator()
+        res = solve_sssp_resilient(g, 0, engine="goldberg_parallel",
+                                   acc=acc, seed=3)
+        assert res.has_negative_cycle
+        assert acc.work == res.cost.work
+        assert acc.stages["scc"].work > 0
+
+    def test_engine_cycle_answer_keeps_stage_buckets(self):
+        class StagedCycleEngine(_PotentialEngine):
+            name = "staged-cycle"
+
+            def _potential(self, g, *, seed, acc, model, token, backend):
+                with acc.stage("probe"):
+                    acc.charge(3.0)
+                return None, [0, 1]
+
+        g = DiGraph.from_edges(2, [(0, 1, -1), (1, 0, 0)])
+        acc = CostAccumulator()
+        res = StagedCycleEngine().solve(g, 0, acc=acc)
+        assert res.negative_cycle == [0, 1]
+        assert acc.stages["probe"].work == 3.0
 
     def test_modes_agree(self):
         for seed in range(5):

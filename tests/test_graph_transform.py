@@ -70,13 +70,6 @@ class TestCondense:
         assert g.w[eid] == 3
         assert (g.src[eid], g.dst[eid]) == (1, 2)
 
-    def test_members(self):
-        g = DiGraph.from_edges(4, [(0, 1, 1)])
-        c = condense(g, np.array([1, 0, 1, 2]))
-        assert sorted(c.members[1].tolist()) == [0, 2]
-        assert c.members[0].tolist() == [1]
-        assert c.members[2].tolist() == [3]
-
     def test_intra_component_edges_dropped(self):
         g = DiGraph.from_edges(2, [(0, 1, -1), (1, 0, 0)])
         c = condense(g, np.array([0, 0]))

@@ -14,6 +14,7 @@ from repro.reach import (
     scc,
     scc_sequential,
 )
+from repro.reach.scc import lex_rank
 from repro.runtime import CostAccumulator
 
 
@@ -177,6 +178,35 @@ class TestScc:
         acc = CostAccumulator()
         scc(g, acc)
         assert acc.work > 0 and acc.span_model > 0
+
+
+class TestLexRank:
+    """The SCC block split ranks ``(block, fwd, bwd)`` triples with one
+    int64 lexsort; ``np.unique`` over the stacked columns is the
+    reference."""
+
+    @given(st.integers(1, 40), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_unique_inverse(self, k, data):
+        col = st.lists(st.integers(-1, 3), min_size=k, max_size=k)
+        block, fwd, bwd = (np.array(data.draw(col), dtype=np.int64)
+                           for _ in range(3))
+        _, want = np.unique(np.stack([block, fwd, bwd]), axis=1,
+                            return_inverse=True)
+        got = lex_rank(block, fwd, bwd)
+        assert got.dtype == np.int64
+        assert got.tolist() == want.reshape(-1).tolist()
+
+    def test_duplicates_and_unreached(self):
+        block = np.array([1, 0, 1, 0, 1])
+        fwd = np.array([-1, 2, -1, 2, 4])
+        bwd = np.array([3, -1, 3, -1, -1])
+        # sorted distinct triples: (0, 2, -1), (1, -1, 3), (1, 4, -1)
+        assert lex_rank(block, fwd, bwd).tolist() == [1, 0, 1, 0, 2]
+
+    def test_empty(self):
+        z = np.empty(0, dtype=np.int64)
+        assert lex_rank(z, z, z).tolist() == []
 
 
 class TestSccSequentialOnly:
