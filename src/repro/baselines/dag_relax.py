@@ -9,11 +9,13 @@ used inside the baseline Goldberg solver (§5 Step 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import cast
 
 import numpy as np
 
-from ..graph.digraph import DiGraph
+from ..graph.digraph import DiGraph, _aligned_weights
 from ..graph.validate import topological_order
+from ..resilience.errors import InputValidationError
 from ..runtime.metrics import Cost, CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
 
@@ -27,31 +29,39 @@ class DagSsspResult:
 
 def dag_sssp(g: DiGraph, source: int, weights: np.ndarray | None = None,
              model: CostModel = DEFAULT_MODEL) -> DagSsspResult:
-    """Exact SSSP on a DAG (raises ``ValueError`` if ``g`` is cyclic)."""
+    """Exact SSSP on a DAG.
+
+    ``weights`` (aligned with ``g``'s edge ids) overrides ``g.w``.
+    Raises :class:`~repro.resilience.errors.InputValidationError` (a
+    ``ValueError``) on a bad source, on ``weights`` of the wrong length
+    or with fractional values, and when ``g`` is cyclic.
+    """
     if not (0 <= source < g.n):
-        raise ValueError("source out of range")
+        raise InputValidationError("source out of range")
     order = topological_order(g)
     if order is None:
-        raise ValueError("dag_sssp requires an acyclic graph")
-    w = (g.w if weights is None else np.asarray(weights, dtype=np.int64)
-         ).astype(np.float64)
+        raise InputValidationError("dag_sssp requires an acyclic graph")
+    w = _aligned_weights(g, weights)
     acc = CostAccumulator()
     acc.charge(g.n + g.m, g.n + g.m)  # sequential baseline cost
     dist = np.full(g.n, np.inf)
     parent = np.full(g.n, -1, dtype=np.int64)
     dist[source] = 0.0
-    indptr, indices = g.indptr, g.indices
+    # ``.data`` views index to plain Python numbers, as in ``dijkstra``
+    indptr, indices = g.indptr.data, g.indices.data
+    wf = cast("memoryview[float]", w.astype(np.float64).data)
+    dv = cast("memoryview[float]", dist.data)
+    pv = parent.data
     for u in order.tolist():  # repro: noqa[RS001] sequential baseline: acc.charge(n+m, n+m) above covers the full relaxation
-        du = dist[u]
+        du = dv[u]
         if du == np.inf:
             continue
-        lo, hi = int(indptr[u]), int(indptr[u + 1])
-        for slot in range(lo, hi):  # repro: noqa[RS001] edge scan, covered by the n+m pre-charge
-            v = int(indices[slot])
-            nd = du + w[slot]
-            if nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
+        for slot in range(indptr[u], indptr[u + 1]):  # repro: noqa[RS001] edge scan, covered by the n+m pre-charge
+            v = indices[slot]
+            nd = du + wf[slot]
+            if nd < dv[v]:
+                dv[v] = nd
+                pv[v] = u
     return DagSsspResult(dist, parent, acc.snapshot())
 
 

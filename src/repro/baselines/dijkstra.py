@@ -5,16 +5,24 @@ framework after reweighting (§5, charged at the parallel-Dijkstra model
 cost, work ``Õ(m)`` / span ``Õ(n)``); (2) the ``exact`` ASSSP engine; and
 (3) a test oracle.  Supports an optional distance ``limit`` for the
 distance-limited problems.
+
+The heap loops read the CSR arrays, and read and write ``dist`` and
+``parent``, through ``ndarray.data``: a ``memoryview`` of the array that
+copies nothing and whose items index to plain Python ints and floats,
+where indexing the array boxes a new numpy scalar on every access.
+(typeshed types memoryview items as ``int``; the ``cast`` on a float64
+view only tells the type checker otherwise.)
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import cast
 
 import numpy as np
 
-from ..graph.digraph import DiGraph
+from ..graph.digraph import DiGraph, _aligned_weights
 from ..resilience.errors import InputValidationError
 from ..runtime.metrics import Cost, CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
@@ -32,13 +40,15 @@ def dijkstra(g: DiGraph, source: int, weights: np.ndarray | None = None,
              model: CostModel = DEFAULT_MODEL) -> DijkstraResult:
     """Exact SSSP with nonnegative integer weights.
 
+    ``weights`` (aligned with ``g``'s edge ids) overrides ``g.w``.
     Raises :class:`~repro.resilience.errors.InputValidationError`
-    (a ``ValueError``) on a negative weight.  Vertices farther than
-    ``limit`` (if given) are reported as ``+inf``.
+    (a ``ValueError``) on a bad source, on ``weights`` of the wrong
+    length or with fractional values, and on a negative weight.
+    Vertices farther than ``limit`` (if given) are reported as ``+inf``.
     """
     if not (0 <= source < g.n):
         raise InputValidationError("source out of range")
-    w = g.w if weights is None else np.asarray(weights, dtype=np.int64)
+    w = _aligned_weights(g, weights)
     if g.m and w.min() < 0:
         raise InputValidationError("dijkstra requires nonnegative weights")
     acc = CostAccumulator()
@@ -47,29 +57,32 @@ def dijkstra(g: DiGraph, source: int, weights: np.ndarray | None = None,
     parent = np.full(g.n, -1, dtype=np.int64)
     dist[source] = 0.0
     heap: list[tuple[float, int]] = [(0.0, source)]
-    indptr, indices = g.indptr, g.indices
-    settled = np.zeros(g.n, dtype=bool)
+    heappush, heappop = heapq.heappush, heapq.heappop
+    indptr, indices = g.indptr.data, g.indices.data
+    wf = cast("memoryview[float]", w.astype(np.float64).data)
+    dv = cast("memoryview[float]", dist.data)
+    pv = parent.data
+    settled = bytearray(g.n)
     while heap:  # repro: noqa[RS001] heap loop covered by the up-front model.dijkstra(n, m) charge
-        d, u = heapq.heappop(heap)
+        d, u = heappop(heap)
         if settled[u]:
             continue
         if limit is not None and d > limit:
             # everything remaining is farther than the limit
-            dist[u] = np.inf
+            dv[u] = np.inf
             while heap:  # repro: noqa[RS001] limit drain, covered by the dijkstra charge
-                _, x = heapq.heappop(heap)
+                _, x = heappop(heap)
                 if not settled[x]:
-                    dist[x] = np.inf
+                    dv[x] = np.inf
             break
-        settled[u] = True
-        lo, hi = int(indptr[u]), int(indptr[u + 1])
-        for slot in range(lo, hi):  # repro: noqa[RS001] edge scan, covered by the dijkstra charge
-            v = int(indices[slot])
-            nd = d + float(w[slot])
-            if nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                heapq.heappush(heap, (nd, v))
+        settled[u] = 1
+        for slot in range(indptr[u], indptr[u + 1]):  # repro: noqa[RS001] edge scan, covered by the dijkstra charge
+            v = indices[slot]
+            nd = d + wf[slot]
+            if nd < dv[v]:
+                dv[v] = nd
+                pv[v] = u
+                heappush(heap, (nd, v))
     if limit is not None:
         beyond = dist > limit
         dist[beyond] = np.inf
@@ -89,27 +102,34 @@ def dijkstra_from_labels(g: DiGraph, labels: np.ndarray,
     the ``fischer_simple`` engine and by BNW's ``ElimNeg`` phase; one
     ``model.dijkstra(n, m)`` is charged per call.
 
-    Raises ``ValueError`` on a negative weight (callers pass the
-    nonnegative-edge subgraph).
+    Raises :class:`~repro.resilience.errors.InputValidationError` (a
+    ``ValueError``) when ``labels`` does not have one entry per vertex
+    and on a negative weight (callers pass the nonnegative-edge
+    subgraph).
     """
+    if len(labels) != g.n:
+        raise InputValidationError(
+            "dijkstra_from_labels needs one label per vertex")
     if g.m and int(g.w.min()) < 0:
         raise InputValidationError(
             "dijkstra_from_labels requires nonnegative weights")
     if acc is not None:
         acc.charge_cost(model.dijkstra(g.n, g.m))
     dist = np.asarray(labels, dtype=np.int64).astype(np.float64)
-    heap = [(float(dist[v]), v) for v in range(g.n)]
+    dv = cast("memoryview[float]", dist.data)
+    heap = list(zip(dv, range(g.n)))
     heapq.heapify(heap)
-    indptr, indices, w = g.indptr, g.indices, g.w
+    heappush, heappop = heapq.heappush, heapq.heappop
+    indptr, indices = g.indptr.data, g.indices.data
+    wf = cast("memoryview[float]", g.w.astype(np.float64).data)
     while heap:  # repro: noqa[RS001] heap loop covered by the up-front model.dijkstra charge
-        dv, u = heapq.heappop(heap)
-        if dv > dist[u]:
+        du, u = heappop(heap)
+        if du > dv[u]:
             continue
-        lo, hi = int(indptr[u]), int(indptr[u + 1])
-        for slot in range(lo, hi):  # repro: noqa[RS001] edge scan, covered by the dijkstra charge
-            x = int(indices[slot])
-            nd = dv + float(w[slot])
-            if nd < dist[x]:
-                dist[x] = nd
-                heapq.heappush(heap, (nd, x))
+        for slot in range(indptr[u], indptr[u + 1]):  # repro: noqa[RS001] edge scan, covered by the dijkstra charge
+            x = indices[slot]
+            nd = du + wf[slot]
+            if nd < dv[x]:
+                dv[x] = nd
+                heappush(heap, (nd, x))
     return dist.astype(np.int64)

@@ -163,32 +163,33 @@ def _ldd_clusters(g: DiGraph, wp: np.ndarray, diameter: int, rng,
     """
     cluster = np.full(g.n, -1, dtype=np.int64)
     acc.charge_cost(model.map(g.n))
-    indptr, indices = g.indptr, g.indices
+    # ``.data`` views index to plain Python ints, as in ``dijkstra``
+    cv = cluster.data
+    indptr, indices, wv = g.indptr.data, g.indices.data, wp.data
+    heappush, heappop = heapq.heappush, heapq.heappop
     next_id = 0
     scanned = 0
     for v0 in rng.permutation(g.n).tolist():  # repro: noqa[RS001] each vertex joins exactly one ball; the per-ball bfs_round charge below covers the scans
-        if cluster[v0] != -1:
+        if cv[v0] != -1:
             continue
         radius = int(min(rng.exponential(diameter), 4.0 * diameter)) + 1
         dist = {v0: 0}
         heap: list[tuple[int, int]] = [(0, v0)]
-        members = []
         while heap:  # repro: noqa[RS001] ball Dijkstra; edges scanned are tallied and charged as bfs_round after the ball closes
-            d, u = heapq.heappop(heap)
-            if cluster[u] != -1 or d > dist.get(u, -1):
+            d, u = heappop(heap)
+            if cv[u] != -1 or d > dist.get(u, -1):
                 continue
-            cluster[u] = next_id
-            members.append(u)
-            lo, hi = int(indptr[u]), int(indptr[u + 1])
+            cv[u] = next_id
+            lo, hi = indptr[u], indptr[u + 1]
             scanned += hi - lo
             for slot in range(lo, hi):  # repro: noqa[RS001] edge scan, covered by the tallied bfs_round charge
-                x = int(indices[slot])
-                if cluster[x] != -1:
+                x = indices[slot]
+                if cv[x] != -1:
                     continue
-                nd = d + int(wp[slot])
+                nd = d + wv[slot]
                 if nd <= radius and nd < dist.get(x, nd + 1):
                     dist[x] = nd
-                    heapq.heappush(heap, (nd, x))
+                    heappush(heap, (nd, x))
         acc.charge_cost(model.bfs_round(scanned, g.n))
         scanned = 0
         next_id += 1

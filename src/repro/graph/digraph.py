@@ -64,6 +64,19 @@ def _validated_weights(w) -> np.ndarray:
     return _as_int64(w, "edge weights", max_abs=MAX_ABS_WEIGHT)
 
 
+def _aligned_weights(g: DiGraph, weights) -> np.ndarray:
+    """``weights`` (``g.w`` when ``None``) as int64 aligned with ``g``'s
+    edge ids: the public constructor's integral cast and a length check,
+    without the :data:`MAX_ABS_WEIGHT` cap, which bounds input weights,
+    not the reduced weights a kernel is handed."""
+    if weights is None:
+        return g.w
+    w = _as_int64(weights, "weights")
+    if w.shape != (g.m,):
+        raise InputValidationError("weights must align with edge ids")
+    return w
+
+
 class DiGraph:
     """An immutable weighted directed graph in CSR form.
 

@@ -112,45 +112,47 @@ def scc_sequential(g: DiGraph) -> SccResult:
     n = g.n
     index = np.full(n, -1, dtype=np.int64)
     low = np.zeros(n, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
     comp = np.full(n, -1, dtype=np.int64)
+    # ``.data`` views index to plain Python ints, as in ``dijkstra``
+    iv, lv, cv = index.data, low.data, comp.data
+    on_stack = bytearray(n)
     stack: list[int] = []
     next_index = 0
     next_comp = 0
-    indptr, indices = g.indptr, g.indices
+    indptr, indices = g.indptr.data, g.indices.data
 
     for root in range(n):
-        if index[root] != -1:
+        if iv[root] != -1:
             continue
         # explicit DFS: (vertex, next out-slot to try)
-        work = [(root, int(indptr[root]))]
-        index[root] = low[root] = next_index
+        work = [(root, indptr[root])]
+        iv[root] = lv[root] = next_index
         next_index += 1
         stack.append(root)
-        on_stack[root] = True
+        on_stack[root] = 1
         while work:
             v, slot = work[-1]
             if slot < indptr[v + 1]:
                 work[-1] = (v, slot + 1)
-                u = int(indices[slot])
-                if index[u] == -1:
-                    index[u] = low[u] = next_index
+                u = indices[slot]
+                if iv[u] == -1:
+                    iv[u] = lv[u] = next_index
                     next_index += 1
                     stack.append(u)
-                    on_stack[u] = True
-                    work.append((u, int(indptr[u])))
+                    on_stack[u] = 1
+                    work.append((u, indptr[u]))
                 elif on_stack[u]:
-                    low[v] = min(low[v], index[u])
+                    lv[v] = min(lv[v], iv[u])
             else:
                 work.pop()
                 if work:
                     pv = work[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                if low[v] == index[v]:
+                    lv[pv] = min(lv[pv], lv[v])
+                if lv[v] == iv[v]:
                     while True:
                         u = stack.pop()
-                        on_stack[u] = False
-                        comp[u] = next_comp
+                        on_stack[u] = 0
+                        cv[u] = next_comp
                         if u == v:
                             break
                     next_comp += 1

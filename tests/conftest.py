@@ -5,6 +5,12 @@ networkx/scipy are used here (and only here) as independent oracles.
 
 from __future__ import annotations
 
+import copy
+import functools
+import importlib
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,11 +21,23 @@ def graph_from_triples(n, triples):
     return DiGraph.from_edges(n, triples)
 
 
+import oracles  # noqa: E402
 from oracles import assert_same_graph, nx_sssp_oracle  # noqa: E402,F401 (re-export)
 
-#: Test modules that re-check every trusted graph build, on top of the
-#: tests marked ``differential``.
+#: Test modules that run in re-check mode, on top of the tests marked
+#: ``differential``.
 RECHECKED_MODULES = frozenset({"test_golden_costs", "test_golden_traces"})
+
+#: The scalar kernels, as (module, name, numpy-indexed reference in
+#: ``tests/oracles.py``).
+KERNELS = (
+    ("repro.baselines.dijkstra", "dijkstra", oracles.dijkstra_reference),
+    ("repro.baselines.dijkstra", "dijkstra_from_labels",
+     oracles.dijkstra_from_labels_reference),
+    ("repro.baselines.dag_relax", "dag_sssp", oracles.dag_sssp_reference),
+    ("repro.reach.scc", "scc_sequential", oracles.scc_sequential_reference),
+    ("repro.core.bnw", "_ldd_clusters", oracles.ldd_clusters_reference),
+)
 
 
 def rechecked(build):
@@ -33,17 +51,71 @@ def rechecked(build):
     return checked
 
 
+def rechecked_kernel(kernel, reference):
+    """Wrap a scalar kernel so that every call also runs ``reference`` on
+    the same arguments and asserts equal results: arrays byte for byte,
+    the charges made on ``acc``, and the state ``rng`` is left in.  The
+    reference gets copies of ``acc`` and ``rng``, so the caller's objects
+    see the kernel's effects only."""
+    sig = inspect.signature(kernel)
+
+    @functools.wraps(kernel)
+    def checked(*args, **kwargs):
+        ref = sig.bind(*args, **kwargs)
+        acc, rng = ref.arguments.get("acc"), ref.arguments.get("rng")
+        if acc is not None:
+            ref.arguments["acc"] = copy.deepcopy(acc)
+        if rng is not None:
+            ref.arguments["rng"] = copy.deepcopy(rng)
+        got = kernel(*args, **kwargs)
+        want = reference(*ref.args, **ref.kwargs)
+        oracles.assert_same_result(got, want, kernel.__name__)
+        if acc is not None:
+            assert acc.snapshot() == ref.arguments["acc"].snapshot(), \
+                f"{kernel.__name__}: charges differ from the reference"
+        if rng is not None:
+            assert rng.bit_generator.state == \
+                ref.arguments["rng"].bit_generator.state, \
+                f"{kernel.__name__}: RNG state differs from the reference"
+        return got
+    return checked
+
+
+def swap_bindings(monkeypatch, old, new):
+    """Rebind every ``repro.*`` module attribute that is ``old`` to
+    ``new`` (callers import functions by name, so one function has many
+    bindings)."""
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is None or not (mod_name == "repro"
+                               or mod_name.startswith("repro.")):
+            continue
+        for attr, value in list(vars(mod).items()):
+            if value is old:
+                monkeypatch.setattr(mod, attr, new)
+
+
+def recheck_kernels(monkeypatch):
+    """Swap each of :data:`KERNELS`, at every binding, for its
+    :func:`rechecked_kernel`."""
+    for module_name, name, reference in KERNELS:
+        kernel = getattr(importlib.import_module(module_name), name)
+        swap_bindings(monkeypatch, kernel,
+                      rechecked_kernel(kernel, reference))
+
+
 @pytest.fixture(autouse=True)
-def recheck_trusted_graphs(request, monkeypatch):
-    """Re-check mode for ``DiGraph._from_sorted`` in the differential,
-    golden-cost and golden-trace tests: what the trusted path skips (the
-    cast, the range check, the sorts) is redone and compared on every
-    call."""
+def recheck_fast_paths(request, monkeypatch):
+    """Re-check mode in the differential, golden-cost and golden-trace
+    tests.  Every ``DiGraph._from_sorted`` build redoes what the trusted
+    path skips (the cast, the range check, the sorts) and compares; every
+    scalar-kernel call also runs the kernel's numpy-indexed reference and
+    compares."""
     module = request.module.__name__.rpartition(".")[2]
     if (request.node.get_closest_marker("differential") is not None
             or module in RECHECKED_MODULES):
         monkeypatch.setattr(DiGraph, "_from_sorted",
                             staticmethod(rechecked(DiGraph._from_sorted)))
+        recheck_kernels(monkeypatch)
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ from repro.baselines import (
     dijkstra,
     johnson_potential,
 )
+from repro.baselines.dijkstra import dijkstra_from_labels
 from repro.graph import (
     DiGraph,
     hidden_potential_graph,
@@ -21,6 +22,7 @@ from repro.graph import (
     random_digraph,
     validate_negative_cycle,
 )
+from repro.resilience.errors import InputValidationError
 from oracles import nx_sssp_oracle
 
 
@@ -140,6 +142,28 @@ class TestDijkstra:
         with pytest.raises(ValueError):
             dijkstra(DiGraph.from_edges(2, []), -1)
 
+    @pytest.mark.parametrize("weights", [[1, 2, 3], [1], [1.5, 2.0]],
+                             ids=["long", "short", "fractional"])
+    def test_rejects_bad_weights(self, weights):
+        g = DiGraph.from_edges(3, [(0, 1, 1), (1, 2, 2)])
+        with pytest.raises(InputValidationError, match="weights"):
+            dijkstra(g, 0, weights=np.array(weights))
+
+    def test_weights_override_is_not_capped(self):
+        # the 2^53 cap bounds input weights, not the reduced weights the
+        # certified tail hands over
+        g = DiGraph.from_edges(2, [(0, 1, 0)])
+        big = np.array([2 ** 60], dtype=np.int64)
+        assert dijkstra(g, 0, weights=big).dist[1] == float(2 ** 60)
+        assert dijkstra(g, 0, weights=big.astype(np.float64)).dist[1] \
+            == float(2 ** 60)
+
+    @pytest.mark.parametrize("n_labels", [2, 4])
+    def test_labels_must_match_vertex_count(self, n_labels):
+        g = DiGraph.from_edges(3, [(0, 1, 1), (1, 2, 2)])
+        with pytest.raises(InputValidationError, match="label"):
+            dijkstra_from_labels(g, np.zeros(n_labels, dtype=np.int64))
+
 
 class TestDagSssp:
     def test_negative_weights_on_dag(self):
@@ -150,8 +174,19 @@ class TestDagSssp:
 
     def test_rejects_cyclic(self):
         g = DiGraph.from_edges(2, [(0, 1, 1), (1, 0, 1)])
-        with pytest.raises(ValueError):
+        with pytest.raises(InputValidationError, match="acyclic"):
             dag_sssp(g, 0)
+
+    def test_source_out_of_range(self):
+        with pytest.raises(InputValidationError, match="source"):
+            dag_sssp(DiGraph.from_edges(2, []), 2)
+
+    @pytest.mark.parametrize("weights", [[1, 2, 3], [1], [1.5, 2.0]],
+                             ids=["long", "short", "fractional"])
+    def test_rejects_bad_weights(self, weights):
+        g = DiGraph.from_edges(3, [(0, 1, 1), (1, 2, 2)])
+        with pytest.raises(InputValidationError, match="weights"):
+            dag_sssp(g, 0, weights=np.array(weights))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_bellman_ford_on_dags(self, seed):
