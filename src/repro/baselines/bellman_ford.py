@@ -17,6 +17,7 @@ from ..graph.digraph import DiGraph
 from ..resilience.errors import InputValidationError, VerificationError
 from ..runtime.metrics import Cost, CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
+from ..runtime.primitives import unique_sorted
 
 
 @dataclass
@@ -103,7 +104,7 @@ def _extract_cycle(g: DiGraph, w: np.ndarray, dist: np.ndarray,
 
     du = dist[g.src]
     cand = du + w
-    relaxing = np.unique(g.dst[np.isfinite(cand) & (cand < dist[g.dst])])
+    relaxing = unique_sorted(g.dst[np.isfinite(cand) & (cand < dist[g.dst])])
     acc.charge(2 * g.n, 2 * g.n)  # sequential pointer walks
     stamp = np.full(g.n, -1, dtype=np.int64)
     for trial, v0 in enumerate(relaxing.tolist()):  # repro: noqa[RS001] pointer walks pre-charged: acc.charge(2n, 2n) above covers the stamped traversals

@@ -13,13 +13,14 @@ import numpy as np
 
 from ..graph.digraph import DiGraph
 from ..graph.transform import reweight
+from ..runtime.primitives import unique_sorted
 
 
 def negative_vertices(g: DiGraph, weights: np.ndarray | None = None
                       ) -> np.ndarray:
     """Vertices with an incoming negative edge (Goldberg's "improvable")."""
     w = g.w if weights is None else np.asarray(weights, dtype=np.int64)
-    return np.unique(g.dst[w < 0])
+    return unique_sorted(g.dst[w < 0])
 
 
 def count_negative_vertices(g: DiGraph,

@@ -31,6 +31,7 @@ from ..reach.multisource import multisource_reachability
 from ..resilience.errors import InputValidationError, VerificationError
 from ..runtime.metrics import Cost, CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
+from ..runtime.primitives import unique_sorted
 from ..runtime.pset import SetVector
 from ..runtime.rng import geometric_priorities, make_rng
 
@@ -96,7 +97,8 @@ def dag01_limited_sssp(g: DiGraph, source: int, limit: int, *,
         The distance limit ``L``: exact distances are produced for vertices
         with ``dist(s,v) ≥ −L``; farther vertices report ``−inf``.
     priorities : optional
-        Override the random priorities (ablation A1 uses this).
+        Override the random priorities (ablation A1 uses this): one per
+        vertex of ``g``, or :class:`InputValidationError`.
     validate : bool
         Check DAG-ness and the weight alphabet up front (costs O(n+m)).
     fault_plan : optional
@@ -113,6 +115,8 @@ def dag01_limited_sssp(g: DiGraph, source: int, limit: int, *,
         raise InputValidationError("source out of range")
     if limit < 0:
         raise InputValidationError("limit must be nonnegative")
+    if priorities is not None and len(priorities) != g.n:
+        raise InputValidationError("priorities must cover every vertex")
     if validate:
         if g.m and not np.isin(g.w, (0, -1)).all():
             raise InputValidationError("weights must be in {0, -1}")
@@ -145,9 +149,6 @@ def dag01_limited_sssp(g: DiGraph, source: int, limit: int, *,
             pri = geometric_priorities(sub.n, rng)
         else:
             pri = np.asarray(priorities, dtype=np.int64)[ids]
-            if len(pri) != sub.n:
-                raise InputValidationError(
-                    "priorities must cover every vertex")
         if fault_plan is not None:
             pri = fault_plan.perturb_priorities(pri)
         if sub.n and (pri.min() < 1 or pri.max() > sub.n):
@@ -231,7 +232,7 @@ def _peel(st: _State, source: int, limit: int) -> np.ndarray:
                 cand_heads = g.src[st.label_eid[candidates].clip(min=0)]
                 broken = (st.label_eid[candidates] != NO_EDGE) & \
                     in_f[cand_heads] & st.live[candidates]
-                invalid = np.unique(candidates[broken])
+                invalid = unique_sorted(candidates[broken])
             else:
                 invalid = candidates
             # invalidate labels of R
@@ -262,15 +263,21 @@ def _propagate(st: _State, vprime: np.ndarray) -> None:
     st.propagate_node_total += len(vprime)
     if len(vprime) == 0:
         return
+    in_vp = np.zeros(g.n, dtype=bool)
+    in_vp[vprime] = True
+    near = _in_edge_candidates(st, vprime, in_vp)
     newly_labeled: list[np.ndarray] = []
     cap = int(st.pri.max(initial=1))
     for p in range(cap, 0, -1):
         if len(vprime) == 0:
             break
-        labeled_this_iter = _nearby_labels(st, vprime, p)
-        sources = vprime[st.label_eid[vprime] != NO_EDGE]
-        acc.charge_cost(model.pack(len(vprime)))
-        if len(sources):
+        pack_vprime = model.pack(len(vprime))
+        # V' holds unlabeled vertices only, so when GetNearbyLabel labels
+        # none there are no sources and V' stays as it is
+        labeled_any = _nearby_labels(st, near, p)
+        acc.charge_cost(pack_vprime)
+        if labeled_any:
+            sources = vprime[st.label_eid[vprime] != NO_EDGE]
             sub, nodes = g.induced_subgraph(vprime)
             acc.charge_cost(model.pack(_incident_edges(g, vprime, acc, model)))
             st.reach_calls += 1
@@ -288,65 +295,88 @@ def _propagate(st: _State, vprime: np.ndarray) -> None:
             st.label_eid[global_v] = new_lab
             st.parent_eid[global_v] = new_lab
             acc.charge_cost(model.map(len(global_v)))
-        # remove newly labeled vertices from V'
-        still = st.label_eid[vprime] == NO_EDGE
-        newly_labeled.append(vprime[~still])
-        vprime = vprime[still]
-        acc.charge_cost(model.pack(len(still)))
+            # remove newly labeled vertices from V' and their in-edges
+            # from the table
+            still = st.label_eid[vprime] == NO_EDGE
+            newly_labeled.append(vprime[~still])
+            in_vp[newly_labeled[-1]] = False
+            vprime = vprime[still]
+            near = near[:, in_vp[near[_V]]]
+        acc.charge_cost(pack_vprime)
     # update SentLabel sets with all new label assignments, grouped by the
     # label head u (semisort idiom, §3.5)
     if newly_labeled:
         labeled = np.concatenate(newly_labeled)
-        if len(labeled):
-            heads = g.src[st.label_eid[labeled]]
-            acc.charge_cost(model.sort(len(labeled)))
-            order = np.argsort(heads, kind="stable")
-            heads_s, labeled_s = heads[order], labeled[order]
-            bounds = np.flatnonzero(
-                np.r_[True, heads_s[1:] != heads_s[:-1]])
-            for idx, start in enumerate(bounds):
-                stop = (bounds[idx + 1] if idx + 1 < len(bounds)
-                        else len(heads_s))
-                st.sent.add_batch(int(heads_s[start]),
-                                  labeled_s[start:stop], acc, model)
+        heads = g.src[st.label_eid[labeled]]
+        acc.charge_cost(model.sort(len(labeled)))
+        order = np.argsort(heads, kind="stable")
+        heads_s, labeled_s = heads[order], labeled[order]
+        bounds = ((heads_s[1:] != heads_s[:-1]).nonzero()[0] + 1).tolist()
+        for lo, hi in zip([0, *bounds], [*bounds, len(heads_s)]):
+            st.sent.add_batch(int(heads_s[lo]), labeled_s[lo:hi], acc, model)
 
 
-def _nearby_labels(st: _State, vprime: np.ndarray, p: int) -> None:
+# rows of the per-call in-edge table built by ``_in_edge_candidates``
+_V, _EID, _ULABEL, _APRI, _BPRI = range(5)
+
+
+def _in_edge_candidates(st: _State, vprime: np.ndarray,
+                        in_vp: np.ndarray) -> np.ndarray:
+    """The in-edges ``(u, v)`` of ``V'`` as a ``(5, k)`` int64 table in
+    reverse-CSR order: rows ``v``, edge id, ``u``'s label, and the
+    priority at which case A and case B of GetNearbyLabel fire on the
+    edge (0: never).
+
+    Both priorities are fixed for the whole Propagate call.  Liveness,
+    weights and priorities do not change during it.  Labels change only
+    inside ``V'``, and every vertex labeled at priority ``q`` gets a label
+    of priority ``q`` and leaves ``V'``, so at any later priority
+    ``p < q`` it can no more pass its label on (case B) than it could
+    while it was in ``V'``.  Case B is therefore decided by the labels
+    outside the initial ``V'``, which stay put.
+    """
+    g = st.g
+    slots = in_edge_slots(g, vprime)
+    eids = g.reids[slots]
+    u = g.src[eids]
+    live_u = st.live[u]
+    u_label = st.label_eid[u]
+    # case A: a live −1 edge (u, v) labels v with itself at priority(u)
+    a_pri = np.where(live_u & (g.w[eids] == -1), st.pri[u], 0)
+    # case B: a live labeled u outside V' passes its label on at the
+    # priority of the label's head
+    head_pri = st.pri[g.src[u_label.clip(min=0)]]
+    b_pri = np.where(live_u & ~in_vp[u] & (u_label != NO_EDGE), head_pri, 0)
+    return np.array((g.dst[eids], eids, u_label, a_pri, b_pri))
+
+
+def _nearby_labels(st: _State, near: np.ndarray, p: int) -> bool:
     """GetNearbyLabel for every ``v ∈ V'`` at priority ``p`` (vectorised).
 
+    ``near`` is the table of ``V'``'s in-edges from
+    :func:`_in_edge_candidates`, restricted to the current ``V'``.
     Case A: an incoming live edge ``(u, v)`` with weight −1 and
     ``priority(u) = p`` labels ``v`` with that edge.
     Case B: an incoming live neighbour ``u ∉ V'`` whose own label has
     priority ``p`` passes that label on.
+    Returns whether any vertex got a label.
     """
-    g, acc, model = st.g, st.acc, st.model
-    slots = in_edge_slots(g, vprime)
-    acc.charge_cost(model.map(len(slots)))
-    if len(slots) == 0:
-        return
-    eids = g.reids[slots]
-    u = g.src[eids]
-    v = g.dst[eids]
-    in_vp = np.zeros(g.n, dtype=bool)
-    in_vp[vprime] = True
-    live_u = st.live[u]
-    case_a = live_u & (g.w[eids] == -1) & (st.pri[u] == p)
-    u_label = st.label_eid[u]
-    head_pri = np.where(u_label != NO_EDGE, st.pri[g.src[u_label.clip(min=0)]], 0)
-    case_b = live_u & ~in_vp[u] & (u_label != NO_EDGE) & (head_pri == p)
-    # candidate label per qualifying edge slot
-    cand = np.where(case_a, eids, np.where(case_b, u_label, NO_EDGE))
-    hit = cand != NO_EDGE
+    acc, model = st.acc, st.model
+    acc.charge_cost(model.map(near.shape[1]))
+    case_a = near[_APRI] == p
+    hit = case_a | (near[_BPRI] == p)
     if not hit.any():
-        return
-    tv, tl = v[hit], cand[hit]
+        return False
+    # candidate label per qualifying edge slot
+    tv = near[_V, hit]
+    tl = np.where(case_a[hit], near[_EID, hit], near[_ULABEL, hit])
     old = st.label_eid[tv]
     st.label_eid[tv] = tl          # any one candidate per v (last wins)
-    applied = st.label_eid[tv] != old
+    new = st.label_eid[tv]
     # count distinct vertices whose label changed (dedupe repeated slots)
-    changed_v = np.unique(tv[applied & (old != st.label_eid[tv])])
-    st.label_changes[changed_v] += 1
-    st.parent_eid[tv] = st.label_eid[tv]
+    st.label_changes[unique_sorted(tv[new != old])] += 1
+    st.parent_eid[tv] = new
+    return True
 
 
 def _incident_edges(g: DiGraph, nodes: np.ndarray,

@@ -15,17 +15,20 @@ from .digraph import DiGraph
 def ranges_concat(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Concatenate the index ranges ``[lo_i, hi_i)``.
 
-    Vectorised as ``repeat(lo, counts) + local_offsets`` where the local
-    offsets are a global ``arange`` minus each range's start position.
+    Vectorised as ``arange(total)`` plus, repeated over each range, the
+    shift from the range's output position to ``lo_i``.  Ufunc and array
+    methods stand in for ``np.cumsum``/``np.repeat``, whose Python
+    wrappers cost more than the work on a small frontier.
     """
     lo = np.asarray(lo, dtype=np.int64)
-    hi = np.asarray(hi, dtype=np.int64)
-    counts = hi - lo
-    total = int(counts.sum())
+    counts = np.asarray(hi, dtype=np.int64) - lo
+    ends = np.add.accumulate(counts)
+    total = ends.item(-1) if len(ends) else 0
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    seg_starts = np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(lo, counts) + (np.arange(total, dtype=np.int64) - seg_starts)
+    out = (lo - (ends - counts)).repeat(counts)
+    out += np.arange(total, dtype=np.int64)
+    return out
 
 
 def out_edge_slots(g: DiGraph, frontier: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..resilience.errors import InputValidationError
+from ..runtime.primitives import unique_sorted
 
 # Weights are kept float64-exact and far from int64 overflow: bit scaling
 # doubles prices every scale and reduced weights add two price terms, so a
@@ -231,7 +232,7 @@ class DiGraph:
         Vectorised: membership mask + edge filtering + renumbering; the
         renumbering is monotone, so the kept edges stay sorted.
         """
-        nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+        nodes = unique_sorted(np.asarray(nodes, dtype=np.int64))
         if len(nodes) and (nodes[0] < 0 or nodes[-1] >= self.n):
             raise InputValidationError("node out of range")
         in_sub = np.zeros(self.n, dtype=bool)

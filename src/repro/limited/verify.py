@@ -18,6 +18,7 @@ from ..graph.transform import condense, edge_subgraph_mask
 from ..reach.scc import scc
 from ..runtime.metrics import CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
+from ..runtime.primitives import unique_sorted
 
 
 def zero_cycle_condensation(g: DiGraph, weights: np.ndarray | None = None,
@@ -137,7 +138,7 @@ def shortest_path_tree(g: DiGraph, source: int, dist: np.ndarray,
         newly = targets[new]
         parent[newly] = zg.src[slots][new]
         seen[newly] = True
-        frontier = np.unique(newly)
+        frontier = unique_sorted(newly)
     parent[~np.isfinite(d)] = -1
     parent[source] = -1
     return parent

@@ -23,10 +23,13 @@ from ..graph.csr import out_edge_slots
 from ..graph.digraph import DiGraph
 from ..observability.metrics import metric_inc
 from ..observability.tracer import trace_span
+from ..resilience.errors import InputValidationError
 from ..runtime.metrics import Cost, CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
+from ..runtime.primitives import unique_sorted
 
 NO_SOURCE = -1
+_UNLABELED = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -46,7 +49,7 @@ def multisource_reachability(g: DiGraph, sources: np.ndarray,
     ``sources`` may be empty (everything gets −1).  Ties are broken
     arbitrarily, as the contract allows ("just one source ... not all").
     """
-    sources = np.unique(np.asarray(sources, dtype=np.int64))
+    sources = unique_sorted(np.asarray(sources, dtype=np.int64))
     if len(sources) and (sources[0] < 0 or sources[-1] >= g.n):
         raise ValueError("source out of range")
     local = CostAccumulator()
@@ -72,7 +75,7 @@ def multisource_reachability(g: DiGraph, sources: np.ndarray,
             # forward any reaching source along the edge (last write wins —
             # any single source satisfies the contract)
             pi[newly] = pi[g.src[slots][undiscovered]]
-            frontier = np.unique(newly)
+            frontier = unique_sorted(newly)
             local.charge_cost(model.pack(len(targets)))
         if acc is not None:
             acc.charge(local.work,
@@ -87,7 +90,8 @@ def multisource_reachability(g: DiGraph, sources: np.ndarray,
 
 def multisource_reachability_min(g: DiGraph, sources: np.ndarray,
                                  acc: CostAccumulator | None = None,
-                                 model: CostModel = DEFAULT_MODEL
+                                 model: CostModel = DEFAULT_MODEL, *,
+                                 edge_mask: np.ndarray | None = None
                                  ) -> ReachResult:
     """Deterministic variant: ``pi[v]`` is the *minimum* source reaching
     ``v`` (−1 if none).
@@ -97,21 +101,38 @@ def multisource_reachability_min(g: DiGraph, sources: np.ndarray,
     determinism so that all members of one SCC receive identical
     forward/backward winners.  Costs are metered like the plain variant
     (measured rounds + the black-box model span).
+
+    ``edge_mask`` (boolean, aligned with ``g``'s edge ids) restricts the
+    search to the selected edges.  The call then returns, charges and
+    traces exactly what the same call on ``edge_subgraph_mask(g,
+    edge_mask)`` would: that subgraph keeps the selected edges in ``g``'s
+    order, so each round visits the same edges in the same order, and
+    the span records the kept edge count as ``m``.
     """
-    sources = np.unique(np.asarray(sources, dtype=np.int64))
+    if edge_mask is None:
+        m = g.m
+    else:
+        edge_mask = np.asarray(edge_mask, dtype=bool)
+        if edge_mask.shape != (g.m,):
+            raise InputValidationError("edge mask must align with edge ids")
+        m = int(np.count_nonzero(edge_mask))
+    sources = unique_sorted(np.asarray(sources, dtype=np.int64))
     if len(sources) and (sources[0] < 0 or sources[-1] >= g.n):
         raise ValueError("source out of range")
     local = CostAccumulator()
     with trace_span("reach", acc=acc if acc is not None else local,
-                    phase="reach", n=g.n, m=g.m, sources=len(sources),
+                    phase="reach", n=g.n, m=m, sources=len(sources),
                     variant="min") as rsp:
-        label = np.full(g.n, np.iinfo(np.int64).max, dtype=np.int64)
+        label = np.empty(g.n, dtype=np.int64)
+        label.fill(_UNLABELED)
         label[sources] = sources
         frontier = sources
         rounds = 0
         while len(frontier):
             rounds += 1
             slots = out_edge_slots(g, frontier)
+            if edge_mask is not None:
+                slots = slots[edge_mask[slots]]
             local.charge_cost(model.bfs_round(len(slots), g.n))
             if len(slots) == 0:
                 break
@@ -120,9 +141,10 @@ def multisource_reachability_min(g: DiGraph, sources: np.ndarray,
             old = label[targets]
             np.minimum.at(label, targets, cand)
             improved = label[targets] < old
-            frontier = np.unique(targets[improved])
+            frontier = unique_sorted(targets[improved])
             local.charge_cost(model.pack(len(targets)))
-        pi = np.where(label == np.iinfo(np.int64).max, NO_SOURCE, label)
+        pi = label
+        pi[pi == _UNLABELED] = NO_SOURCE
         if acc is not None:
             acc.charge(local.work, span=local.span,
                        span_model=model.oracle_span(g.n))
@@ -165,7 +187,7 @@ def bfs_parents(g: DiGraph, source: int,
         newly = targets[undiscovered]
         parent[newly] = g.src[slots][undiscovered]
         seen[newly] = True
-        frontier = np.unique(newly)
+        frontier = unique_sorted(newly)
     if acc is not None:
         acc.charge_cost(local.snapshot())
     return parent

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.digraph import DiGraph
-from ..graph.transform import edge_subgraph_mask
 from ..runtime.metrics import Cost, CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
 from ..runtime.rng import make_rng
@@ -31,18 +30,19 @@ class SccResult:
     cost: Cost
 
 
-def lex_rank(block: np.ndarray, fwd: np.ndarray,
-             bwd: np.ndarray) -> np.ndarray:
-    """Dense rank of the triples ``(block[i], fwd[i], bwd[i])`` in
-    lexicographic order: the inverse that ``np.unique`` returns for the
-    stacked columns with ``axis=1``, from one int64 lexsort instead of
-    ``np.unique``'s sort over a structured dtype."""
-    order = np.lexsort((bwd, fwd, block))
-    b, f, r = block[order], fwd[order], bwd[order]
+def lex_rank(*keys: np.ndarray) -> np.ndarray:
+    """Dense rank of the tuples ``(keys[0][i], keys[1][i], ...)`` in
+    lexicographic order: the inverse that ``np.unique`` returns for one key
+    with ``return_inverse=True``, or for the stacked keys with ``axis=1``,
+    from one int64 lexsort instead of ``np.unique``'s sort over a
+    structured dtype."""
+    order = np.lexsort(keys[::-1])
     step = np.zeros(len(order), dtype=np.int64)
-    step[1:] = (b[1:] != b[:-1]) | (f[1:] != f[:-1]) | (r[1:] != r[:-1])
+    for key in keys:
+        k = key[order]
+        step[1:] |= k[1:] != k[:-1]
     rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.cumsum(step)
+    rank[order] = np.add.accumulate(step)
     return rank
 
 
@@ -63,6 +63,10 @@ def scc(g: DiGraph, acc: CostAccumulator | None = None,
     polylogarithmic tail, each round costing two black-box calls over the
     whole live graph — work ``Õ(m)`` per round, one oracle span per round.
 
+    Both searches run on ``g`` and one transpose built per call, with the
+    round's edges selected by ``edge_mask=``.  The transpose's edge ``j``
+    is ``g``'s edge ``g.reids[j]``, so its mask is ``keep[g.reids]``.
+
     Component ids are arbitrary but contiguous.
     """
     rng = make_rng(seed)
@@ -71,10 +75,10 @@ def scc(g: DiGraph, acc: CostAccumulator | None = None,
     next_id = 0
     block = np.zeros(g.n, dtype=np.int64)   # current block of each vertex
     live = np.ones(g.n, dtype=bool)
-    zero_w = np.zeros(g.m, dtype=np.int64)
+    live_ids = np.arange(g.n, dtype=np.int64)
+    rg = g.reversed()
     batch = 1
-    while live.any():
-        live_ids = np.flatnonzero(live)
+    while len(live_ids):
         take = min(batch, len(live_ids))
         centers = rng.choice(live_ids, size=take, replace=False)
         local.charge_cost(model.map(len(live_ids)))
@@ -82,26 +86,26 @@ def scc(g: DiGraph, acc: CostAccumulator | None = None,
         # their blocks
         keep = live[g.src] & live[g.dst] & (block[g.src] == block[g.dst])
         local.charge_cost(model.pack(g.m))
-        sub = edge_subgraph_mask(g, keep, weights=zero_w)
-        fwd = multisource_reachability_min(sub, centers, local, model).pi
-        bwd = multisource_reachability_min(sub.reversed(), centers, local,
-                                           model).pi
+        fwd = multisource_reachability_min(g, centers, local, model,
+                                           edge_mask=keep).pi
+        bwd = multisource_reachability_min(rg, centers, local, model,
+                                           edge_mask=keep[g.reids]).pi
         local.charge_cost(model.map(g.n))
         done = live & (fwd >= 0) & (fwd == bwd)
         # finalise each self-min center's SCC with a fresh contiguous id
-        scc_ids = np.flatnonzero(done)
+        scc_ids = done.nonzero()[0]
         if len(scc_ids):
-            uniq, inv = np.unique(fwd[scc_ids], return_inverse=True)
+            inv = lex_rank(fwd[scc_ids])
             comp[scc_ids] = next_id + inv
-            next_id += len(uniq)
+            next_id += int(inv.max()) + 1
             live[scc_ids] = False
         # split survivors by (block, fwd winner, bwd winner)
-        survivors = np.flatnonzero(live)
-        if len(survivors):
-            block[survivors] = lex_rank(block[survivors], fwd[survivors],
-                                        bwd[survivors])
-            local.charge_cost(model.sort(len(survivors)))
-        batch = min(batch * 2, max(int(live.sum()), 1))
+        live_ids = live.nonzero()[0]
+        if len(live_ids):
+            block[live_ids] = lex_rank(block[live_ids], fwd[live_ids],
+                                       bwd[live_ids])
+            local.charge_cost(model.sort(len(live_ids)))
+        batch = min(batch * 2, max(len(live_ids), 1))
     if acc is not None:
         acc.charge_cost(local.snapshot())
     return SccResult(comp, next_id, local.snapshot())

@@ -6,7 +6,7 @@ See DESIGN.md ("Substitutions") for how it stands in for parallel hardware.
 
 from .metrics import Cost, CostAccumulator, ZERO
 from .model import CostModel, DEFAULT_MODEL, lg
-from .pset import SetVector, SortedIntSet
+from .pset import SetVector
 from .racecheck import (
     RaceChecker,
     RaceReport,
@@ -51,7 +51,6 @@ __all__ = [
     "DEFAULT_MODEL",
     "lg",
     "SetVector",
-    "SortedIntSet",
     "derive_seed",
     "geometric_priorities",
     "make_rng",

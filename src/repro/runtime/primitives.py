@@ -133,9 +133,29 @@ def flatten(arrays: Iterable[np.ndarray], acc: CostAccumulator,
     return np.concatenate(arrays)
 
 
+def unique_sorted(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a)`` for an integer array, by one sort and an adjacent
+    compare.
+
+    Same values and dtype as ``np.unique``, and always a new array.  Since
+    numpy 2.3 ``np.unique`` deduplicates integers through a hash table and
+    then sorts the result: with numpy 2.4 on an x86 Xeon that is 2.6x as
+    slow as this on 100 random int64s and 6-11x as slow on 1k-100k.
+    Uncharged: callers charge the step in their own model terms.
+    """
+    s = np.asarray(a).flatten()
+    s.sort()
+    if len(s) < 2:
+        return s
+    first = np.empty(len(s), dtype=bool)
+    first[0] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    return s[first]
+
+
 def dedupe(a: np.ndarray, acc: CostAccumulator,
            model: CostModel = DEFAULT_MODEL) -> np.ndarray:
     """Sorted unique elements of ``a`` (sort + adjacent-compare + pack)."""
     acc.charge_cost(model.sort(len(a)))
     acc.charge_cost(model.pack(len(a)))
-    return np.unique(a)
+    return unique_sorted(a)

@@ -15,90 +15,22 @@ import numpy as np
 
 from .metrics import CostAccumulator
 from .model import CostModel, DEFAULT_MODEL
+from .primitives import unique_sorted
 from .racecheck import race_read, race_write
 
-
-class SortedIntSet:
-    """An ordered set of int64 keys backed by a sorted numpy array."""
-
-    __slots__ = ("_data",)
-
-    def __init__(self, data: np.ndarray | None = None) -> None:
-        if data is None:
-            self._data = np.empty(0, dtype=np.int64)
-        else:
-            arr = np.asarray(data, dtype=np.int64)
-            self._data = np.unique(arr)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key: int) -> bool:
-        i = np.searchsorted(self._data, key)
-        return bool(i < len(self._data) and self._data[i] == key)
-
-    def merge(self, other: "SortedIntSet | np.ndarray",
-              acc: CostAccumulator | None = None,
-              model: CostModel = DEFAULT_MODEL) -> None:
-        """Union ``other`` into this set (in place)."""
-        race_write(self, label="SortedIntSet", site="pset.merge")
-        arr = other._data if isinstance(other, SortedIntSet) else \
-            np.unique(np.asarray(other, dtype=np.int64))
-        if acc is not None:
-            small, big = sorted((len(arr), len(self._data)))
-            acc.charge_cost(model.set_merge(small, big))
-        if len(arr) == 0:
-            return
-        if len(self._data) == 0:
-            self._data = arr.copy()
-            return
-        merged = np.union1d(self._data, arr)
-        self._data = merged
-
-    def enumerate(self, acc: CostAccumulator | None = None,
-                  model: CostModel = DEFAULT_MODEL) -> np.ndarray:
-        """All elements, ascending.  Returns a read-only view."""
-        race_read(self, label="SortedIntSet", site="pset.enumerate")
-        if acc is not None:
-            acc.charge_cost(model.set_enumerate(len(self._data)))
-        view = self._data.view()
-        view.flags.writeable = False
-        return view
-
-    def clear(self, acc: CostAccumulator | None = None,
-              model: CostModel = DEFAULT_MODEL) -> None:
-        race_write(self, label="SortedIntSet", site="pset.clear")
-        if acc is not None:
-            acc.charge_cost(model.set_enumerate(len(self._data)))
-        self._data = np.empty(0, dtype=np.int64)
-
-    def difference_update(self, other: np.ndarray,
-                          acc: CostAccumulator | None = None,
-                          model: CostModel = DEFAULT_MODEL) -> None:
-        """Remove the sorted keys in ``other`` from this set."""
-        race_write(self, label="SortedIntSet", site="pset.difference_update")
-        arr = np.asarray(other, dtype=np.int64)
-        if acc is not None:
-            small, big = sorted((len(arr), len(self._data)))
-            acc.charge_cost(model.set_merge(small, big))
-        if len(arr) == 0 or len(self._data) == 0:
-            return
-        mask = np.isin(self._data, arr, assume_unique=False)
-        self._data = self._data[~mask]
-
-    def to_list(self) -> list[int]:
-        return self._data.tolist()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SortedIntSet({self._data.tolist()!r})"
+_EMPTY = np.empty(0, dtype=np.int64)
+_EMPTY.flags.writeable = False
 
 
 class SetVector:
-    """A vector of :class:`SortedIntSet`, one per identifier (§4.3).
+    """A vector of ordered int64 sets, one per identifier (§4.3).
 
-    Supports the operations Lemma 14 relies on: O(#sets) initialisation,
-    batched adds, gathering the union of ``t`` identified sets into a flat
-    array with linear work, and emptying identified sets.
+    Each set is one sorted, duplicate-free int64 array; every empty set
+    shares one read-only empty array.  Supports the operations Lemma 14
+    relies on: O(#sets) initialisation, batched adds, gathering the union
+    of ``t`` identified sets into a flat array with linear work, and
+    emptying identified sets.  Each add charges one set merge and each
+    emptied set one enumeration, at the join-based tree costs.
     """
 
     __slots__ = ("_sets",)
@@ -108,7 +40,7 @@ class SetVector:
                  model: CostModel = DEFAULT_MODEL) -> None:
         if acc is not None:
             acc.charge_cost(model.map(n_sets))
-        self._sets: list[SortedIntSet] = [SortedIntSet() for _ in range(n_sets)]
+        self._sets: list[np.ndarray] = [_EMPTY] * n_sets
 
     def __len__(self) -> int:
         return len(self._sets)
@@ -116,7 +48,18 @@ class SetVector:
     def add_batch(self, ident: int, keys: np.ndarray,
                   acc: CostAccumulator | None = None,
                   model: CostModel = DEFAULT_MODEL) -> None:
-        self._sets[ident].merge(np.asarray(keys, dtype=np.int64), acc, model)
+        """Union ``keys`` into set ``ident``."""
+        race_write(self, ident, ident + 1, label="SetVector",
+                   site="pset.add_batch")
+        arr = unique_sorted(np.asarray(keys, dtype=np.int64))
+        cur = self._sets[ident]
+        if acc is not None:
+            small, big = sorted((len(arr), len(cur)))
+            acc.charge_cost(model.set_merge(small, big))
+        if len(arr) == 0:
+            return
+        self._sets[ident] = (unique_sorted(np.concatenate((cur, arr)))
+                             if len(cur) else arr)
 
     def size(self, ident: int) -> int:
         return len(self._sets[ident])
@@ -126,8 +69,9 @@ class SetVector:
                model: CostModel = DEFAULT_MODEL) -> np.ndarray:
         """Flat array of all elements across the identified sets."""
         race_read(self, label="SetVector", site="pset.gather")
-        parts = [self._sets[int(i)]._data for i in idents]
-        total = sum(len(p) for p in parts)
+        sets = self._sets
+        parts = [sets[i] for i in np.asarray(idents, dtype=np.int64).tolist()]
+        total = sum(map(len, parts))
         if acc is not None:
             acc.charge_cost(model.scan(len(parts)))
             acc.charge_cost(model.map(total))
@@ -138,6 +82,12 @@ class SetVector:
     def clear_many(self, idents: np.ndarray | list[int],
                    acc: CostAccumulator | None = None,
                    model: CostModel = DEFAULT_MODEL) -> None:
+        """Empty the identified sets, charging one enumeration per set."""
         race_write(self, label="SetVector", site="pset.clear_many")
-        for i in idents:
-            self._sets[int(i)].clear(acc, model)
+        sets = self._sets
+        empty_cost = model.set_enumerate(0)   # most sets are empty
+        for i in np.asarray(idents, dtype=np.int64).tolist():
+            if acc is not None:
+                k = len(sets[i])
+                acc.charge_cost(model.set_enumerate(k) if k else empty_cost)
+            sets[i] = _EMPTY

@@ -13,10 +13,11 @@ The probes cover each family of shared-memory use in the codebase:
   Bellman–Ford relaxation over a ``ForkJoinPool``): whole-``dist`` reads
   plus disjoint ``cand`` slice writes;
 * ``dag01`` / ``limited`` / ``solve`` — the paper's solvers, exercising
-  the annotated :class:`~repro.runtime.pset.SortedIntSet` /
-  :class:`~repro.runtime.pset.SetVector` operations along their real
-  call paths (all sequential in the fork tree, hence race-free by
-  construction — the probe proves the annotations agree);
+  the annotated :class:`~repro.runtime.pset.SetVector` operations (a
+  per-set slice write for each add, whole-vector accesses for gathers
+  and clears) along their real call paths (all sequential in the fork
+  tree, hence race-free by construction — the probe proves the
+  annotations agree);
 * ``racy-demo`` — a deliberately broken histogram kernel whose blocks
   all write the same bin array.  It is *excluded* from the default
   probe set and exists so tests (and ``--probe racy-demo``) can prove

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.graph import DiGraph
+from repro.observability import metering, tracing
 
 
 def graph_from_triples(n, triples):
@@ -28,8 +29,9 @@ from oracles import assert_same_graph, nx_sssp_oracle  # noqa: E402,F401 (re-exp
 #: ``differential``.
 RECHECKED_MODULES = frozenset({"test_golden_costs", "test_golden_traces"})
 
-#: The scalar kernels, as (module, name, numpy-indexed reference in
-#: ``tests/oracles.py``).
+#: The re-checked kernels, as (module, name, reference in
+#: ``tests/oracles.py``): the scalar kernels against their numpy-indexed
+#: loops, and the batched SCC against its per-round subgraph builds.
 KERNELS = (
     ("repro.baselines.dijkstra", "dijkstra", oracles.dijkstra_reference),
     ("repro.baselines.dijkstra", "dijkstra_from_labels",
@@ -37,6 +39,7 @@ KERNELS = (
     ("repro.baselines.dag_relax", "dag_sssp", oracles.dag_sssp_reference),
     ("repro.reach.scc", "scc_sequential", oracles.scc_sequential_reference),
     ("repro.core.bnw", "_ldd_clusters", oracles.ldd_clusters_reference),
+    ("repro.reach.scc", "scc", oracles.scc_reference),
 )
 
 
@@ -52,30 +55,37 @@ def rechecked(build):
 
 
 def rechecked_kernel(kernel, reference):
-    """Wrap a scalar kernel so that every call also runs ``reference`` on
-    the same arguments and asserts equal results: arrays byte for byte,
-    the charges made on ``acc``, and the state ``rng`` is left in.  The
-    reference gets copies of ``acc`` and ``rng``, so the caller's objects
-    see the kernel's effects only."""
+    """Wrap a kernel so that every call also runs ``reference`` on the
+    same arguments and asserts equal results: arrays byte for byte, the
+    charges made on ``acc``, and the state a generator passed as ``rng``
+    or ``seed`` is left in.  The reference gets copies of ``acc`` and the
+    generator, so the caller's objects see the kernel's effects only, and
+    runs with tracing and metering off, so the caller's trace and
+    metrics see the kernel's spans and counters only."""
     sig = inspect.signature(kernel)
 
     @functools.wraps(kernel)
     def checked(*args, **kwargs):
         ref = sig.bind(*args, **kwargs)
-        acc, rng = ref.arguments.get("acc"), ref.arguments.get("rng")
+        acc = ref.arguments.get("acc")
         if acc is not None:
             ref.arguments["acc"] = copy.deepcopy(acc)
-        if rng is not None:
-            ref.arguments["rng"] = copy.deepcopy(rng)
+        gens = {}
+        for name in ("rng", "seed"):
+            gen = ref.arguments.get(name)
+            if isinstance(gen, np.random.Generator):
+                gens[name] = gen
+                ref.arguments[name] = copy.deepcopy(gen)
         got = kernel(*args, **kwargs)
-        want = reference(*ref.args, **ref.kwargs)
+        with tracing(None), metering(None):
+            want = reference(*ref.args, **ref.kwargs)
         oracles.assert_same_result(got, want, kernel.__name__)
         if acc is not None:
             assert acc.snapshot() == ref.arguments["acc"].snapshot(), \
                 f"{kernel.__name__}: charges differ from the reference"
-        if rng is not None:
-            assert rng.bit_generator.state == \
-                ref.arguments["rng"].bit_generator.state, \
+        for name, gen in gens.items():
+            assert gen.bit_generator.state == \
+                ref.arguments[name].bit_generator.state, \
                 f"{kernel.__name__}: RNG state differs from the reference"
         return got
     return checked
@@ -108,8 +118,8 @@ def recheck_fast_paths(request, monkeypatch):
     """Re-check mode in the differential, golden-cost and golden-trace
     tests.  Every ``DiGraph._from_sorted`` build redoes what the trusted
     path skips (the cast, the range check, the sorts) and compares; every
-    scalar-kernel call also runs the kernel's numpy-indexed reference and
-    compares."""
+    call of a kernel in :data:`KERNELS` also runs the kernel's reference
+    and compares."""
     module = request.module.__name__.rpartition(".")[2]
     if (request.node.get_closest_marker("differential") is not None
             or module in RECHECKED_MODULES):

@@ -1,5 +1,6 @@
-"""Independent test oracles (networkx-backed; tests only), and the
-numpy-indexed references of the scalar kernels."""
+"""Independent test oracles (networkx-backed; tests only), the
+numpy-indexed references of the scalar kernels, and the previous forms
+of the SCC rounds, the SentLabel sets and Propagate."""
 
 from __future__ import annotations
 
@@ -10,12 +11,21 @@ import numpy as np
 
 from repro.baselines.dag_relax import DagSsspResult
 from repro.baselines.dijkstra import DijkstraResult
+from repro.dag01.peeling import NO_EDGE, _incident_edges, _State
 from repro.graph import DiGraph
+from repro.graph.csr import in_edge_slots
+from repro.graph.transform import edge_subgraph_mask
 from repro.graph.validate import topological_order
-from repro.reach.scc import SccResult
+from repro.reach.multisource import (
+    multisource_reachability,
+    multisource_reachability_min,
+)
+from repro.reach.scc import SccResult, lex_rank
 from repro.resilience.errors import InputValidationError
 from repro.runtime.metrics import Cost, CostAccumulator
 from repro.runtime.model import DEFAULT_MODEL, CostModel
+from repro.runtime.racecheck import race_read, race_write
+from repro.runtime.rng import make_rng
 
 
 def nx_sssp_oracle(g: DiGraph, source: int):
@@ -304,3 +314,234 @@ def ldd_clusters_reference(g: DiGraph, wp: np.ndarray, diameter: int, rng,
         scanned = 0
         next_id += 1
     return cluster
+
+
+# ---------------------------------------------------------------------------
+# Previous forms of code whose rewrite must not change a result, an RNG
+# draw or a charge: the batched SCC with one masked subgraph and its
+# transpose per round, the SortedIntSet-backed SetVector, and Propagate
+# with one in-edge gather per priority.
+# ---------------------------------------------------------------------------
+
+
+def scc_reference(g: DiGraph, acc: CostAccumulator | None = None,
+                  model: CostModel = DEFAULT_MODEL, seed=0) -> SccResult:
+    """Reference for :func:`repro.reach.scc.scc`: each round builds the
+    masked subgraph and its transpose."""
+    rng = make_rng(seed)
+    local = CostAccumulator()
+    comp = np.full(g.n, -1, dtype=np.int64)
+    next_id = 0
+    block = np.zeros(g.n, dtype=np.int64)   # current block of each vertex
+    live = np.ones(g.n, dtype=bool)
+    zero_w = np.zeros(g.m, dtype=np.int64)
+    batch = 1
+    while live.any():
+        live_ids = np.flatnonzero(live)
+        take = min(batch, len(live_ids))
+        centers = rng.choice(live_ids, size=take, replace=False)
+        local.charge_cost(model.map(len(live_ids)))
+        # restrict to intra-block live edges; center labels cannot escape
+        # their blocks
+        keep = live[g.src] & live[g.dst] & (block[g.src] == block[g.dst])
+        local.charge_cost(model.pack(g.m))
+        sub = edge_subgraph_mask(g, keep, weights=zero_w)
+        fwd = multisource_reachability_min(sub, centers, local, model).pi
+        bwd = multisource_reachability_min(sub.reversed(), centers, local,
+                                           model).pi
+        local.charge_cost(model.map(g.n))
+        done = live & (fwd >= 0) & (fwd == bwd)
+        # finalise each self-min center's SCC with a fresh contiguous id
+        scc_ids = np.flatnonzero(done)
+        if len(scc_ids):
+            uniq, inv = np.unique(fwd[scc_ids], return_inverse=True)
+            comp[scc_ids] = next_id + inv
+            next_id += len(uniq)
+            live[scc_ids] = False
+        # split survivors by (block, fwd winner, bwd winner)
+        survivors = np.flatnonzero(live)
+        if len(survivors):
+            block[survivors] = lex_rank(block[survivors], fwd[survivors],
+                                        bwd[survivors])
+            local.charge_cost(model.sort(len(survivors)))
+        batch = min(batch * 2, max(int(live.sum()), 1))
+    if acc is not None:
+        acc.charge_cost(local.snapshot())
+    return SccResult(comp, next_id, local.snapshot())
+
+
+class SortedIntSet:
+    """An ordered set of int64 keys backed by a sorted numpy array."""
+
+    __slots__ = ("_data",)
+
+    def __init__(self, data: np.ndarray | None = None) -> None:
+        if data is None:
+            self._data = np.empty(0, dtype=np.int64)
+        else:
+            arr = np.asarray(data, dtype=np.int64)
+            self._data = np.unique(arr)
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def merge(self, other: SortedIntSet | np.ndarray,
+              acc: CostAccumulator | None = None,
+              model: CostModel = DEFAULT_MODEL) -> None:
+        """Union ``other`` into this set (in place)."""
+        race_write(self, label="SortedIntSet", site="pset.merge")
+        arr = other._data if isinstance(other, SortedIntSet) else \
+            np.unique(np.asarray(other, dtype=np.int64))
+        if acc is not None:
+            small, big = sorted((len(arr), len(self._data)))
+            acc.charge_cost(model.set_merge(small, big))
+        if len(arr) == 0:
+            return
+        if len(self._data) == 0:
+            self._data = arr.copy()
+            return
+        merged = np.union1d(self._data, arr)
+        self._data = merged
+
+    def clear(self, acc: CostAccumulator | None = None,
+              model: CostModel = DEFAULT_MODEL) -> None:
+        race_write(self, label="SortedIntSet", site="pset.clear")
+        if acc is not None:
+            acc.charge_cost(model.set_enumerate(len(self._data)))
+        self._data = np.empty(0, dtype=np.int64)
+
+
+class SetVectorReference:
+    """Reference for :class:`repro.runtime.pset.SetVector`: one
+    :class:`SortedIntSet` per identifier."""
+
+    __slots__ = ("_sets",)
+
+    def __init__(self, n_sets: int,
+                 acc: CostAccumulator | None = None,
+                 model: CostModel = DEFAULT_MODEL) -> None:
+        if acc is not None:
+            acc.charge_cost(model.map(n_sets))
+        self._sets: list[SortedIntSet] = [SortedIntSet() for _ in range(n_sets)]
+
+    def __len__(self) -> int:
+        return len(self._sets)
+
+    def add_batch(self, ident: int, keys: np.ndarray,
+                  acc: CostAccumulator | None = None,
+                  model: CostModel = DEFAULT_MODEL) -> None:
+        self._sets[ident].merge(np.asarray(keys, dtype=np.int64), acc, model)
+
+    def size(self, ident: int) -> int:
+        return len(self._sets[ident])
+
+    def gather(self, idents: np.ndarray | list[int],
+               acc: CostAccumulator | None = None,
+               model: CostModel = DEFAULT_MODEL) -> np.ndarray:
+        """Flat array of all elements across the identified sets."""
+        race_read(self, label="SetVector", site="pset.gather")
+        parts = [self._sets[int(i)]._data for i in idents]
+        total = sum(len(p) for p in parts)
+        if acc is not None:
+            acc.charge_cost(model.scan(len(parts)))
+            acc.charge_cost(model.map(total))
+        if not parts:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate(parts)
+
+    def clear_many(self, idents: np.ndarray | list[int],
+                   acc: CostAccumulator | None = None,
+                   model: CostModel = DEFAULT_MODEL) -> None:
+        race_write(self, label="SetVector", site="pset.clear_many")
+        for i in idents:
+            self._sets[int(i)].clear(acc, model)
+
+
+def propagate_reference(st: _State, vprime: np.ndarray) -> None:
+    """Reference for :func:`repro.dag01.peeling._propagate`: one
+    GetNearbyLabel gather per priority."""
+    g, acc, model = st.g, st.acc, st.model
+    vprime = vprime[st.live[vprime]] if len(vprime) else vprime
+    st.propagate_calls += 1
+    st.propagate_node_total += len(vprime)
+    if len(vprime) == 0:
+        return
+    newly_labeled: list[np.ndarray] = []
+    cap = int(st.pri.max(initial=1))
+    for p in range(cap, 0, -1):
+        if len(vprime) == 0:
+            break
+        nearby_labels_reference(st, vprime, p)
+        sources = vprime[st.label_eid[vprime] != NO_EDGE]
+        acc.charge_cost(model.pack(len(vprime)))
+        if len(sources):
+            sub, nodes = g.induced_subgraph(vprime)
+            acc.charge_cost(model.pack(_incident_edges(g, vprime, acc, model)))
+            st.reach_calls += 1
+            st.reach_node_total += sub.n
+            local_sources = np.searchsorted(nodes, sources)
+            res = multisource_reachability(sub, local_sources, acc, model)
+            reached = np.flatnonzero(res.pi >= 0)
+            global_v = nodes[reached]
+            global_pi = nodes[res.pi[reached]]
+            # inherit the label of the reaching source (π of a source is
+            # itself, so already-labeled vertices keep their label)
+            new_lab = st.label_eid[global_pi]
+            changed = st.label_eid[global_v] != new_lab
+            st.label_changes[global_v[changed]] += 1
+            st.label_eid[global_v] = new_lab
+            st.parent_eid[global_v] = new_lab
+            acc.charge_cost(model.map(len(global_v)))
+        # remove newly labeled vertices from V'
+        still = st.label_eid[vprime] == NO_EDGE
+        newly_labeled.append(vprime[~still])
+        vprime = vprime[still]
+        acc.charge_cost(model.pack(len(still)))
+    # update SentLabel sets with all new label assignments, grouped by the
+    # label head u (semisort idiom, §3.5)
+    if newly_labeled:
+        labeled = np.concatenate(newly_labeled)
+        if len(labeled):
+            heads = g.src[st.label_eid[labeled]]
+            acc.charge_cost(model.sort(len(labeled)))
+            order = np.argsort(heads, kind="stable")
+            heads_s, labeled_s = heads[order], labeled[order]
+            bounds = np.flatnonzero(
+                np.r_[True, heads_s[1:] != heads_s[:-1]])
+            for idx, start in enumerate(bounds):
+                stop = (bounds[idx + 1] if idx + 1 < len(bounds)
+                        else len(heads_s))
+                st.sent.add_batch(int(heads_s[start]),
+                                  labeled_s[start:stop], acc, model)
+
+
+def nearby_labels_reference(st: _State, vprime: np.ndarray, p: int) -> None:
+    """Reference for GetNearbyLabel: gathers ``V'``'s in-edges afresh."""
+    g, acc, model = st.g, st.acc, st.model
+    slots = in_edge_slots(g, vprime)
+    acc.charge_cost(model.map(len(slots)))
+    if len(slots) == 0:
+        return
+    eids = g.reids[slots]
+    u = g.src[eids]
+    v = g.dst[eids]
+    in_vp = np.zeros(g.n, dtype=bool)
+    in_vp[vprime] = True
+    live_u = st.live[u]
+    case_a = live_u & (g.w[eids] == -1) & (st.pri[u] == p)
+    u_label = st.label_eid[u]
+    head_pri = np.where(u_label != NO_EDGE, st.pri[g.src[u_label.clip(min=0)]], 0)
+    case_b = live_u & ~in_vp[u] & (u_label != NO_EDGE) & (head_pri == p)
+    # candidate label per qualifying edge slot
+    cand = np.where(case_a, eids, np.where(case_b, u_label, NO_EDGE))
+    hit = cand != NO_EDGE
+    if not hit.any():
+        return
+    tv, tl = v[hit], cand[hit]
+    old = st.label_eid[tv]
+    st.label_eid[tv] = tl          # any one candidate per v (last wins)
+    applied = st.label_eid[tv] != old
+    # count distinct vertices whose label changed (dedupe repeated slots)
+    changed_v = np.unique(tv[applied & (old != st.label_eid[tv])])
+    st.label_changes[changed_v] += 1
+    st.parent_eid[tv] = st.label_eid[tv]

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.dag01.peeling as peeling
+from oracles import assert_same_result, propagate_reference
 from repro.baselines import dag_limited_sssp_reference
 from repro.dag01 import (
     NO_EDGE,
@@ -19,6 +21,8 @@ from repro.graph import (
     negative_chain_gadget,
     random_dag,
 )
+from repro.reach import reachable_mask
+from repro.resilience.errors import InputValidationError
 from repro.runtime import CostAccumulator
 
 
@@ -105,6 +109,18 @@ class TestValidation:
         g = DiGraph.from_edges(2, [(0, 1, 0)])
         with pytest.raises(ValueError, match="limit"):
             dag01_limited_sssp(g, 0, -1)
+
+    @pytest.mark.parametrize("extra", [2, -1], ids=["longer", "shorter"])
+    @pytest.mark.parametrize("tail", [False, True],
+                             ids=["all-reachable", "unreachable-tail"])
+    def test_rejects_priorities_of_wrong_length(self, extra, tail):
+        """One priority per vertex of ``g``, whether or not the vertices
+        the array misses or adds are reachable from the source."""
+        edges = [(0, 1, -1), (1, 2, 0)] + ([] if tail else [(2, 3, -1)])
+        g = DiGraph.from_edges(4, edges)
+        pri = np.ones(g.n + extra, dtype=np.int64)
+        with pytest.raises(InputValidationError, match="priorities"):
+            dag01_limited_sssp(g, 0, 2, priorities=pri)
 
     def test_validate_off_skips_checks(self):
         g = DiGraph.from_edges(2, [(0, 1, 0)])
@@ -259,3 +275,42 @@ class TestInstrumentation:
         res = dag01_limited_sssp(g, 0, 3)
         levels = res.level_sets(3)
         assert [lv.tolist() for lv in levels] == [[0], [1], [2], [3]]
+
+
+@st.composite
+def peeling_instances(draw):
+    """A {0, −1} DAG on 1..40 vertices, connected from vertex 0 or not,
+    with a limit and, half the time, priorities given in ``[1, k]`` for
+    the ``k`` vertices reachable from 0 (the §3.1 contract)."""
+    n = draw(st.integers(1, 40))
+    g = random_dag(n, draw(st.integers(0, 3 * n)),
+                   weight_probs=draw(st.sampled_from([None, (0.2, 0.8),
+                                                      (0.8, 0.2)])),
+                   seed=draw(st.integers(0, 2 ** 32 - 1)),
+                   connect_from_source=draw(st.sampled_from([0, None])))
+    k = int(reachable_mask(g, np.array([0])).sum())
+    pri = draw(st.none() | st.lists(st.integers(1, k), min_size=g.n,
+                                    max_size=g.n))
+    return (g, draw(st.integers(0, 8)), draw(st.integers(0, 2 ** 32 - 1)),
+            None if pri is None else np.array(pri, dtype=np.int64))
+
+
+@given(peeling_instances())
+@settings(max_examples=150, deadline=None)
+def test_propagate_matches_per_priority_reference(inst):
+    """Propagate with one in-edge gather per call returns the result and
+    makes the charges of the form with one gather per priority."""
+    g, limit, seed, pri = inst
+
+    def run():
+        acc = CostAccumulator()
+        res = dag01_limited_sssp(g, 0, limit, seed=seed, acc=acc,
+                                 priorities=pri)
+        return res, acc.snapshot()
+
+    got = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(peeling, "_propagate", propagate_reference)
+        want = run()
+    assert_same_result(got[0], want[0], "Dag01Result")
+    assert got[1] == want[1]

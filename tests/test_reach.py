@@ -1,21 +1,30 @@
 """Tests for multisource reachability and SCC."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import DiGraph, random_digraph
+import repro.core.improvement as improvement
+from conftest import recheck_kernels
+from oracles import assert_same_result
+from repro.graph import DiGraph, edge_subgraph_mask, random_digraph
+from repro.observability import Trace, Tracer, tracing
 from repro.reach import (
     bfs_parents,
     multisource_reachability,
+    multisource_reachability_min,
     path_from_parents,
     reachable_mask,
     scc,
     scc_sequential,
 )
 from repro.reach.scc import lex_rank
+from repro.resilience.errors import InputValidationError
 from repro.runtime import CostAccumulator
+from repro.runtime.model import DEFAULT_MODEL
 
 
 def naive_reachable(g: DiGraph, sources) -> np.ndarray:
@@ -93,6 +102,83 @@ class TestMultisourceReachability:
         res = multisource_reachability(g, sources)
         np.testing.assert_array_equal(res.pi >= 0,
                                       naive_reachable(g, sources))
+
+
+@st.composite
+def masked_instances(draw):
+    """A multigraph on 0..8 vertices (self-loops and parallel edges
+    included), an edge mask (random, all-True or all-False) and up to
+    four sources, repeats allowed."""
+    n = draw(st.integers(0, 8))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1), st.just(0)),
+                          max_size=24)) if n else []
+    g = DiGraph.from_edges(n, edges)
+    mask = draw(st.one_of(
+        st.lists(st.booleans(), min_size=g.m, max_size=g.m),
+        st.just([True] * g.m), st.just([False] * g.m)))
+    sources = draw(st.lists(st.integers(0, n - 1), max_size=4)) if n else []
+    return g, np.array(mask, dtype=bool), np.array(sources, dtype=np.int64)
+
+
+def traced_reach_min(g, sources, **kwargs):
+    """One ``multisource_reachability_min`` call with a fresh accumulator
+    under a fresh tracer: the result, the charges, and the reach span's
+    attrs, counters and cost deltas."""
+    acc, tracer = CostAccumulator(), Tracer()
+    with tracing(tracer):
+        res = multisource_reachability_min(g, sources, acc, **kwargs)
+    (span,) = Trace.from_tracer(tracer).spans
+    return res, acc.snapshot(), (span.name, span.attrs, span.counters,
+                                 span.work, span.span, span.span_model)
+
+
+class TestMaskedReachabilityMin:
+    """``edge_mask=`` returns, charges and traces what the same call on
+    ``edge_subgraph_mask(g, mask)`` does."""
+
+    @given(masked_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_subgraph(self, inst):
+        g, mask, sources = inst
+        sub = edge_subgraph_mask(g, mask)
+        got = traced_reach_min(g, sources, edge_mask=mask)
+        want = traced_reach_min(sub, sources)
+        for a, b, what in zip(got, want, ("result", "charges", "span")):
+            assert_same_result(a, b, what)
+
+    @given(masked_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_subgraph_on_transpose(self, inst):
+        """The transpose's mask is the forward mask read through
+        ``g.reids``: its edge ``j`` is ``g``'s edge ``g.reids[j]``."""
+        g, mask, sources = inst
+        got = traced_reach_min(g.reversed(), sources,
+                               edge_mask=mask[g.reids])
+        want = traced_reach_min(edge_subgraph_mask(g, mask).reversed(),
+                                sources)
+        for a, b, what in zip(got, want, ("result", "charges", "span")):
+            assert_same_result(a, b, what)
+
+    def test_all_false_reaches_sources_only(self):
+        g = DiGraph.from_edges(3, [(0, 1, 0), (1, 2, 0)])
+        res = multisource_reachability_min(
+            g, np.array([0]), edge_mask=np.zeros(g.m, dtype=bool))
+        assert res.pi.tolist() == [0, -1, -1] and res.rounds == 1
+
+    def test_empty_graph(self):
+        g = DiGraph.from_edges(0, [])
+        res = multisource_reachability_min(
+            g, np.array([], dtype=np.int64),
+            edge_mask=np.zeros(0, dtype=bool))
+        assert res.pi.tolist() == [] and res.rounds == 0
+
+    @pytest.mark.parametrize("length", [0, 1, 3])
+    def test_rejects_misaligned_mask(self, length):
+        g = DiGraph.from_edges(3, [(0, 1, 0), (1, 2, 0)])
+        with pytest.raises(InputValidationError, match="mask"):
+            multisource_reachability_min(g, np.array([0]),
+                                         edge_mask=np.ones(length, bool))
 
 
 class TestBfsParents:
@@ -180,10 +266,40 @@ class TestScc:
         assert acc.work > 0 and acc.span_model > 0
 
 
+def reuse_forward_mask(reach):
+    """A wrong reachability binding for ``scc``: every second call (the
+    backward search, on the transpose) runs with the mask of the call
+    before it (the forward search's), not with its transpose's."""
+    masks = []
+
+    def wrong(g, sources, acc=None, model=DEFAULT_MODEL, *, edge_mask=None):
+        if len(masks) % 2:
+            edge_mask = masks[-1]
+        masks.append(edge_mask)
+        return reach(g, sources, acc, model, edge_mask=edge_mask)
+    return wrong
+
+
+@pytest.mark.differential
+def test_recheck_mode_catches_a_wrong_scc(monkeypatch):
+    """An ``scc`` whose backward searches reuse the forward searches'
+    edge masks splits the SCC {1, 3, 4} here, and the re-check mode fails
+    it when a caller runs it."""
+    scc_module = importlib.import_module("repro.reach.scc")
+    monkeypatch.setattr(
+        scc_module, "multisource_reachability_min",
+        reuse_forward_mask(scc_module.multisource_reachability_min))
+    recheck_kernels(monkeypatch)
+    g = DiGraph.from_edges(6, [(0, 2, 4), (1, 2, 5), (1, 3, 9), (3, 4, 7),
+                               (4, 0, 4), (4, 1, 4), (5, 4, 4)])
+    with pytest.raises(AssertionError, match="scc"):
+        improvement.scc(g)
+
+
 class TestLexRank:
-    """The SCC block split ranks ``(block, fwd, bwd)`` triples with one
-    int64 lexsort; ``np.unique`` over the stacked columns is the
-    reference."""
+    """The SCC block split ranks ``(block, fwd, bwd)`` triples, and the
+    finalised components their ``fwd`` winners, with one int64 lexsort;
+    ``np.unique`` (over the stacked columns) is the reference."""
 
     @given(st.integers(1, 40), st.data())
     @settings(max_examples=80, deadline=None)
@@ -207,6 +323,15 @@ class TestLexRank:
     def test_empty(self):
         z = np.empty(0, dtype=np.int64)
         assert lex_rank(z, z, z).tolist() == []
+        assert lex_rank(z).tolist() == []
+
+    @given(st.lists(st.integers(-2, 5), max_size=40))
+    @settings(max_examples=80, deadline=None)
+    def test_one_key_matches_unique_inverse(self, xs):
+        x = np.array(xs, dtype=np.int64)
+        _, want = np.unique(x, return_inverse=True)
+        got = lex_rank(x)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
 
 
 class TestSccSequentialOnly:

@@ -19,6 +19,7 @@ from repro.runtime.primitives import (
     parallel_reduce_sum,
     parallel_sort,
     prefix_sum,
+    unique_sorted,
 )
 
 int_arrays = hnp.arrays(np.int64, st.integers(0, 200),
@@ -162,3 +163,43 @@ class TestFlattenDedupe:
     def test_dedupe(self):
         acc = CostAccumulator()
         assert dedupe(np.array([3, 1, 3, 2, 1]), acc).tolist() == [1, 2, 3]
+
+
+INT64 = np.iinfo(np.int64)
+extremes = st.sampled_from([INT64.min, INT64.min + 1, -1, 0, 1,
+                            INT64.max - 1, INT64.max])
+dedupe_inputs = st.one_of(
+    hnp.arrays(np.int64, st.integers(0, 60),
+               elements=st.one_of(st.integers(-5, 5), extremes,
+                                  st.integers(INT64.min, INT64.max))),
+    hnp.arrays(st.sampled_from([np.int32, np.uint8, np.uint64]),
+               st.integers(0, 30)),
+    hnp.arrays(np.int64, hnp.array_shapes(max_dims=2, max_side=5),
+               elements=st.integers(-3, 3)),
+)
+
+
+class TestUniqueSorted:
+    """``unique_sorted`` returns what ``np.unique`` returns, dtype
+    included, as a new array."""
+
+    @given(dedupe_inputs)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_np_unique(self, a):
+        before = a.copy()
+        got, want = unique_sorted(a), np.unique(a)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not np.shares_memory(got, a)
+        assert (a == before).all()
+
+    @pytest.mark.parametrize("a", [
+        np.empty(0, dtype=np.int64),
+        np.array([7]),
+        np.array([2, 2, 2]),
+        np.array([INT64.max, INT64.min, INT64.max, -1, INT64.min]),
+    ], ids=["empty", "one", "all-equal", "extremes"])
+    def test_edge_cases(self, a):
+        want = np.unique(a)
+        got = unique_sorted(a)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()

@@ -1,76 +1,13 @@
-"""Tests for parallel ordered sets and the vector-of-sets (§3.5, §4.3)."""
+"""Tests for the vector of ordered sets (§3.5, §4.3)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import CostAccumulator, SetVector, SortedIntSet
-
-
-class TestSortedIntSet:
-    def test_empty(self):
-        s = SortedIntSet()
-        assert len(s) == 0
-        assert 5 not in s
-
-    def test_init_dedupes_and_sorts(self):
-        s = SortedIntSet(np.array([3, 1, 3, 2]))
-        assert s.to_list() == [1, 2, 3]
-
-    def test_contains(self):
-        s = SortedIntSet(np.array([10, 20, 30]))
-        assert 20 in s and 15 not in s and 40 not in s
-
-    def test_merge_into_empty(self):
-        s = SortedIntSet()
-        s.merge(np.array([5, 1]))
-        assert s.to_list() == [1, 5]
-
-    def test_merge_empty_arg(self):
-        s = SortedIntSet(np.array([1]))
-        s.merge(np.array([], dtype=np.int64))
-        assert s.to_list() == [1]
-
-    def test_merge_overlapping(self):
-        s = SortedIntSet(np.array([1, 3]))
-        s.merge(SortedIntSet(np.array([2, 3, 4])))
-        assert s.to_list() == [1, 2, 3, 4]
-
-    def test_merge_charges_cost(self):
-        acc = CostAccumulator()
-        s = SortedIntSet(np.arange(100))
-        s.merge(np.arange(100, 110), acc)
-        assert acc.work > 0 and acc.span > 0
-
-    def test_enumerate_readonly(self):
-        s = SortedIntSet(np.array([1, 2]))
-        view = s.enumerate()
-        with pytest.raises(ValueError):
-            view[0] = 9
-
-    def test_clear(self):
-        s = SortedIntSet(np.array([1, 2]))
-        s.clear()
-        assert len(s) == 0
-
-    def test_difference_update(self):
-        s = SortedIntSet(np.array([1, 2, 3, 4]))
-        s.difference_update(np.array([2, 4, 9]))
-        assert s.to_list() == [1, 3]
-
-    def test_difference_update_empty(self):
-        s = SortedIntSet(np.array([1]))
-        s.difference_update(np.array([], dtype=np.int64))
-        assert s.to_list() == [1]
-
-    @given(st.lists(st.integers(0, 50), max_size=40),
-           st.lists(st.integers(0, 50), max_size=40))
-    @settings(max_examples=40, deadline=None)
-    def test_merge_equals_set_union(self, a, b):
-        s = SortedIntSet(np.array(a, dtype=np.int64))
-        s.merge(np.array(b, dtype=np.int64))
-        assert s.to_list() == sorted(set(a) | set(b))
+from oracles import SetVectorReference, assert_same_result
+from repro.runtime import CostAccumulator, SetVector
+from repro.runtime.model import DEFAULT_MODEL
 
 
 class TestSetVector:
@@ -109,3 +46,113 @@ class TestSetVector:
         vs.add_batch(0, np.arange(10), acc)
         vs.gather([0, 1], acc)
         assert acc.work >= 10
+
+    def test_add_batch_sorts_and_dedupes(self):
+        vs = SetVector(1)
+        vs.add_batch(0, np.array([3, 1, 3, 2]))
+        out = vs.gather([0])
+        assert out.tolist() == [1, 2, 3] and out.dtype == np.int64
+
+    def test_add_batch_into_empty(self):
+        vs = SetVector(2)
+        vs.add_batch(1, [5, 1])
+        assert vs.gather([1]).tolist() == [1, 5] and vs.size(0) == 0
+
+    def test_add_batch_empty_keys(self):
+        vs = SetVector(1)
+        vs.add_batch(0, np.array([1]))
+        vs.add_batch(0, np.array([], dtype=np.int64))
+        assert vs.gather([0]).tolist() == [1]
+
+    def test_add_batch_overlapping(self):
+        vs = SetVector(1)
+        vs.add_batch(0, np.array([1, 3]))
+        vs.add_batch(0, np.array([2, 3, 4]))
+        assert vs.gather([0]).tolist() == [1, 2, 3, 4]
+
+    def test_add_batch_charges_set_merge(self):
+        acc = CostAccumulator()
+        vs = SetVector(1)
+        vs.add_batch(0, np.arange(100))
+        vs.add_batch(0, np.arange(100, 110), acc)
+        assert acc.snapshot() == DEFAULT_MODEL.set_merge(10, 100)
+
+    def test_gather_returns_a_copy(self):
+        vs = SetVector(2)
+        keys = np.array([1, 2])
+        vs.add_batch(0, keys)
+        keys[0] = 9
+        vs.gather([0])[0] = 9
+        assert vs.gather([0]).tolist() == [1, 2]
+
+    def test_clear_many_empties_every_listed_set(self):
+        acc = CostAccumulator()
+        vs = SetVector(4)
+        for i in range(4):
+            vs.add_batch(i, np.arange(i + 1))
+        vs.clear_many(np.array([2, 0, 3]), acc)
+        assert [vs.size(i) for i in range(4)] == [0, 2, 0, 0]
+        want = CostAccumulator()
+        for k in (3, 1, 4):
+            want.charge_cost(DEFAULT_MODEL.set_enumerate(k))
+        assert acc.snapshot() == want.snapshot()
+
+    def test_clear_many_then_add(self):
+        vs = SetVector(1)
+        vs.add_batch(0, np.array([4, 2]))
+        vs.clear_many([0])
+        vs.add_batch(0, np.array([7]))
+        assert vs.gather([0]).tolist() == [7]
+
+    @given(st.lists(st.integers(0, 50), max_size=40),
+           st.lists(st.integers(0, 50), max_size=40))
+    @settings(max_examples=40, deadline=None)
+    def test_add_batch_equals_set_union(self, a, b):
+        vs = SetVector(1)
+        vs.add_batch(0, np.array(a, dtype=np.int64))
+        vs.add_batch(0, np.array(b, dtype=np.int64))
+        assert vs.gather([0]).tolist() == sorted(set(a) | set(b))
+
+
+N_SETS = 6
+idents = st.lists(st.integers(0, N_SETS - 1), max_size=8)
+keys = st.lists(st.integers(-3, 30), max_size=12)
+operations = st.lists(st.one_of(
+    st.tuples(st.just("add"), st.integers(0, N_SETS - 1), keys),
+    st.tuples(st.just("gather"), idents),
+    st.tuples(st.just("clear"), idents),
+    st.tuples(st.just("size"), st.integers(0, N_SETS - 1)),
+), max_size=30)
+
+
+@pytest.mark.parametrize("charged", [True, False], ids=["acc", "no-acc"])
+@given(ops=operations)
+@settings(max_examples=150, deadline=None)
+def test_set_vector_matches_sorted_int_set_reference(charged, ops):
+    """Any operation sequence gives the sizes, gathered arrays and charges
+    (work, span and span_model, bit for bit) of the SortedIntSet-backed
+    SetVector it replaces."""
+    acc, ref_acc = CostAccumulator(), CostAccumulator()
+    got_acc, want_acc = (acc, ref_acc) if charged else (None, None)
+    got, want = SetVector(N_SETS, got_acc), SetVectorReference(N_SETS,
+                                                               want_acc)
+    for op, *args in ops:
+        if op == "add":
+            ident, ks = args
+            arr = np.array(ks, dtype=np.int64)
+            got.add_batch(ident, arr, got_acc)
+            want.add_batch(ident, arr, want_acc)
+        elif op == "gather":
+            (ids,) = args
+            assert_same_result(got.gather(ids, got_acc),
+                               want.gather(ids, want_acc), "gather")
+        elif op == "clear":
+            (ids,) = args
+            got.clear_many(np.array(ids, dtype=np.int64), got_acc)
+            want.clear_many(np.array(ids, dtype=np.int64), want_acc)
+        else:
+            (ident,) = args
+            assert got.size(ident) == want.size(ident)
+        assert acc.snapshot() == ref_acc.snapshot()
+    assert [got.size(i) for i in range(N_SETS)] == \
+        [want.size(i) for i in range(N_SETS)]
