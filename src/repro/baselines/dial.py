@@ -1,10 +1,12 @@
-"""Dial's bucket-queue Dijkstra — the classic small-weight specialist.
+"""Dial's bucket-queue SSSP, served by the bucket-queue Dijkstra.
 
-For nonnegative integer weights bounded by ``C``, Dial's algorithm settles
-vertices from an array of ``C·n`` buckets in O(m + D) time where ``D`` is
-the largest finite distance.  It shines exactly in the distance-limited
-regime of §4 (``D ≤ L``), making it the natural sequential baseline for
-LimitedSP in the A2/E5 comparisons and a fast oracle for tests.
+Dial's algorithm settles vertices from an array of ``C·n`` buckets, one
+per possible distance, for nonnegative integer weights bounded by ``C``.
+:func:`dial_sssp` keeps its interface but runs
+:func:`~repro.baselines.dijkstra.dijkstra`, whose queue has a bucket only
+for each distance that occurs: a single edge of weight 2^40 costs what an
+edge of weight 1 costs, where an array of ``C·n`` buckets could not even
+be allocated.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from ..graph.digraph import DiGraph
 from ..runtime.metrics import Cost
+from .dijkstra import dijkstra
 
 
 @dataclass
@@ -26,42 +29,11 @@ class DialResult:
 
 def dial_sssp(g: DiGraph, source: int, limit: int | None = None,
               weights: np.ndarray | None = None) -> DialResult:
-    """Bucket-queue SSSP; vertices farther than ``limit`` report ``+inf``."""
-    if not (0 <= source < g.n):
-        raise ValueError("source out of range")
-    w = g.w if weights is None else np.asarray(weights, dtype=np.int64)
-    if g.m and w.min() < 0:
-        raise ValueError("dial_sssp requires nonnegative weights")
-    max_w = int(w.max()) if g.m else 0
-    horizon = limit if limit is not None else max_w * max(g.n - 1, 1)
-    horizon = int(horizon)
-    dist = np.full(g.n, np.inf)
-    parent = np.full(g.n, -1, dtype=np.int64)
-    dist[source] = 0.0
-    buckets: list[list[int]] = [[] for _ in range(horizon + 1)]
-    buckets[0].append(source)
-    settled = np.zeros(g.n, dtype=bool)
-    work = 0
-    indptr, indices = g.indptr, g.indices
-    for d in range(horizon + 1):
-        bucket = buckets[d]
-        while bucket:
-            u = bucket.pop()
-            work += 1
-            if settled[u] or dist[u] != d:
-                continue
-            settled[u] = True
-            lo, hi = int(indptr[u]), int(indptr[u + 1])
-            for slot in range(lo, hi):
-                v = int(indices[slot])
-                nd = d + int(w[slot])
-                if nd < dist[v] and nd <= horizon:
-                    dist[v] = float(nd)
-                    parent[v] = u
-                    buckets[nd].append(v)
-                work += 1
-    unreached = ~settled
-    dist[unreached] = np.inf
-    parent[unreached] = -1
-    return DialResult(dist, parent, Cost(work + horizon + 1,
-                                         work + horizon + 1))
+    """Bucket-queue SSSP; vertices farther than ``limit`` report ``+inf``.
+
+    :func:`~repro.baselines.dijkstra.dijkstra`'s result: its ``parent``
+    tie-break (smallest vertex id first) and its ``model.dijkstra(n, m)``
+    charge.
+    """
+    res = dijkstra(g, source, weights=weights, limit=limit)
+    return DialResult(res.dist, res.parent, res.cost)

@@ -23,6 +23,7 @@ from repro.graph import (
     validate_negative_cycle,
 )
 from repro.resilience.errors import InputValidationError
+from repro.runtime.metrics import Cost, CostAccumulator
 from oracles import nx_sssp_oracle
 
 
@@ -163,6 +164,28 @@ class TestDijkstra:
         g = DiGraph.from_edges(3, [(0, 1, 1), (1, 2, 2)])
         with pytest.raises(InputValidationError, match="label"):
             dijkstra_from_labels(g, np.zeros(n_labels, dtype=np.int64))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0.5],
+                             ids=["inf", "-inf", "nan", "fractional"])
+    def test_rejects_labels_that_are_not_integers(self, bad):
+        # an unchecked int64 cast turns inf and NaN into -2^63, which then
+        # reaches every vertex, and 0.5 into 0
+        g = DiGraph.from_edges(3, [(0, 1, 1), (1, 2, 2)])
+        acc = CostAccumulator()
+        with pytest.raises(InputValidationError, match="labels"):
+            dijkstra_from_labels(g, np.array([bad, 5.0, 5.0]), acc)
+        assert acc.snapshot() == Cost()
+
+    def test_accepts_integral_float_labels(self):
+        g = DiGraph.from_edges(3, [(0, 1, 1), (1, 2, 2)])
+        got = dijkstra_from_labels(g, np.array([0.0, 5.0, 5.0]))
+        assert got.dtype == np.int64 and got.tolist() == [0, 1, 3]
+
+    def test_rejects_nan_limit(self):
+        # a NaN limit compares false everywhere, so it would be ignored
+        g = DiGraph.from_edges(3, [(0, 1, 1), (1, 2, 2)])
+        with pytest.raises(InputValidationError, match="limit"):
+            dijkstra(g, 0, limit=float("nan"))
 
 
 class TestDagSssp:

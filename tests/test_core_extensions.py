@@ -169,6 +169,13 @@ class TestDial:
         g = DiGraph.from_edges(3, [(0, 1, 0), (1, 2, 0)])
         assert dial_sssp(g, 0).dist.tolist() == [0, 0, 0]
 
+    def test_huge_weight_needs_no_bucket_per_distance(self):
+        # an array of max_w·(n−1)+1 buckets would hold 2^41 lists here
+        g = DiGraph.from_edges(3, [(0, 1, 2 ** 40), (1, 2, 1)])
+        res = dial_sssp(g, 0)
+        assert res.dist.tolist() == [0, 2 ** 40, 2 ** 40 + 1]
+        assert res.parent.tolist() == [-1, 0, 1]
+
     @given(st.integers(0, 5000), st.integers(0, 10))
     @settings(max_examples=25, deadline=None)
     def test_property_limited(self, seed, limit):

@@ -6,12 +6,26 @@ references in ``tests/oracles.py`` are the same loops indexing the numpy
 arrays.  Distances must agree byte for byte and parents, component ids
 and cluster ids exactly, which pins heap tie-breaking among zero-weight
 paths, parallel edges and tied labels; ``_ldd_clusters`` must also leave
-its RNG in the same state.  The last test checks that the re-check mode
+its RNG in the same state.  The last tests check that the re-check mode
 of ``conftest.py`` fails a kernel that disagrees with its reference.
+
+``dijkstra`` keeps a bucket queue where its reference keeps a
+``(distance, vertex)`` tuple heap, so its tests also draw what makes
+buckets large and ties many (weights in ``{0, 1}``, parallel edges),
+weights whose float sums round past 2^53, and limits at every tentative
+distance.  They catch a bucket that pops vertex ids first in, first out,
+a same-distance relaxation queued in a fresh bucket instead of the one
+being drained, and ``<=`` in place of ``<``.  Setting every vertex still
+queued to ``+inf`` when the limit stops the loop, as the tuple heap's
+drain did, is an equivalent mutant: the final ``dist > limit`` mask
+already does it.
 """
 
 import copy
 import functools
+import heapq
+import importlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -76,6 +90,108 @@ def test_dijkstra_matches_reference(g, data):
     # limits below, at and above every attained distance
     limit = data.draw(st.none() | st.sampled_from(
         [d + step for d in attained for step in (-1, 0, 1)]))
+    assert_same_result(dijkstra(g, source, weights, limit),
+                       dijkstra_reference(g, source, weights, limit))
+
+
+def doubled(g):
+    """``g`` with every edge twice, at the same weight."""
+    return DiGraph(g.n, np.tile(g.src, 2), np.tile(g.dst, 2),
+                   np.tile(g.w, 2))
+
+
+def limits(g, source, weights):
+    """``limit``s below 0, fractional, above every distance, and at and
+    half a unit around every tentative distance: ``dist[u] + w(u, v)``
+    over the edges leaving a reached ``u``, summed in float64 as the
+    kernel sums them."""
+    full = dijkstra_reference(g, source, weights)
+    w = g.w if weights is None else weights
+    du = full.dist[g.src]
+    tentative = (du + w.astype(np.float64))[np.isfinite(du)].tolist()
+    return [-1, -0.5, 2.5, np.inf] + [
+        x + step for x in [0.0, *tentative] for step in (-0.5, 0, 0.5)]
+
+
+@SETTINGS
+@given(st.sampled_from([0, 1]).flatmap(lambda hi: graphs(max_w=hi)),
+       st.booleans(), st.data())
+def test_dijkstra_zero_one_weights_match_reference(g, parallel, data):
+    """All-zero and ``{0, 1}`` weights: large buckets, many ties."""
+    if parallel:
+        g = doubled(g)
+    source = data.draw(st.integers(0, g.n - 1))
+    weights = data.draw(edge_weights(g, 0, 1))
+    limit = data.draw(st.none() | st.sampled_from(limits(g, source, weights)))
+    assert_same_result(dijkstra(g, source, weights, limit),
+                       dijkstra_reference(g, source, weights, limit))
+
+
+#: Weights of 2^40 and more; paths over them sum past 2^53, where float64
+#: rounding can make ``d + w == d`` for ``w > 0``.
+BIG_WEIGHTS = (0, 1, 2 ** 40, 2 ** 40 + 1, 2 ** 52 + 1, 2 ** 53 - 1, 2 ** 53,
+               2 ** 62)
+
+
+@SETTINGS
+@given(graphs(), st.data())
+def test_dijkstra_big_weights_match_reference(g, data):
+    source = data.draw(st.integers(0, g.n - 1))
+    weights = np.array(data.draw(st.lists(st.sampled_from(BIG_WEIGHTS),
+                                          min_size=g.m, max_size=g.m)),
+                       dtype=np.int64)
+    limit = data.draw(st.none() | st.sampled_from(limits(g, source, weights)))
+    assert_same_result(dijkstra(g, source, weights, limit),
+                       dijkstra_reference(g, source, weights, limit))
+
+
+#: Bucket 0 holds 2 and 3; settling 2 queues 1 at the same distance
+#: (a zero-weight edge into a smaller id), and the tuple heap pops 1
+#: before 3, so 4 is reached through 1.
+ZERO_TIES_EDGES = [(0, 2, 0), (0, 3, 0), (2, 1, 0), (1, 4, 1), (3, 4, 1)]
+ZERO_TIES = DiGraph.from_edges(5, ZERO_TIES_EDGES)
+
+
+@st.composite
+def planted_ties(draw):
+    """A graph on 5..9 vertices with ``ZERO_TIES`` planted on five of
+    them in id order, plus up to 12 edges of weight 0 or 1, and the
+    image of ``ZERO_TIES``'s source.  (Random graphs this small rarely
+    queue a smaller id behind a larger one in the same bucket.)"""
+    n = draw(st.integers(5, 9))
+    ids = sorted(draw(st.lists(st.integers(0, n - 1), min_size=5,
+                               max_size=5, unique=True)))
+    end = st.integers(0, n - 1)
+    extra = draw(st.lists(st.tuples(end, end, st.integers(0, 1)),
+                          max_size=12))
+    edges = [(ids[u], ids[v], w) for u, v, w in ZERO_TIES_EDGES] + extra
+    return DiGraph.from_edges(n, edges), ids[0]
+
+
+@SETTINGS
+@given(planted_ties(), st.data())
+def test_dijkstra_planted_ties_match_reference(g_source, data):
+    g, source = g_source
+    limit = data.draw(st.none() | st.sampled_from(limits(g, source, None)))
+    assert_same_result(dijkstra(g, source, None, limit),
+                       dijkstra_reference(g, source, None, limit))
+
+
+@pytest.mark.parametrize("g, source, weights, limit", [
+    (ZERO_TIES, 0, None, None),
+    (DiGraph.from_edges(1, []), 0, None, None),
+    (DiGraph.from_edges(1, []), 0, None, -1),
+    (DiGraph.from_edges(3, []), 1, None, None),
+    (DiGraph.from_edges(4, [(0, 1, 3), (2, 3, 1)]), 0, None, None),
+    (DiGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)]), 0,
+     np.array([2 ** 53, 1]), None),
+    (DiGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)]), 0,
+     np.array([2 ** 53, 1]), 2.0 ** 53),
+    (DiGraph.from_edges(3, [(0, 1, 1), (0, 1, 1), (1, 2, 0)]), 0, None, 2.5),
+], ids=["zero-edge-into-smaller-id", "n1", "n1-negative-limit", "m0",
+        "unreachable", "sum-rounds-past-2^53", "limit-at-2^53",
+        "parallel-fractional-limit"])
+def test_dijkstra_edge_cases_match_reference(g, source, weights, limit):
     assert_same_result(dijkstra(g, source, weights, limit),
                        dijkstra_reference(g, source, weights, limit))
 
@@ -154,6 +270,20 @@ def extra_charge(kernel):
     return wrong
 
 
+def fifo_buckets():
+    """A ``heapq`` for a wrong ``dijkstra``: distances still pop smallest
+    first, but each bucket pops its vertex ids first in, first out."""
+    def heappush(heap, item):
+        if isinstance(item, int):
+            heap.append(item)
+        else:
+            heapq.heappush(heap, item)
+
+    def heappop(heap):
+        return heap.pop(0) if isinstance(heap[0], int) else heapq.heappop(heap)
+    return SimpleNamespace(heappush=heappush, heappop=heappop)
+
+
 G = DiGraph.from_edges(3, [(0, 1, 0), (1, 2, 1), (2, 0, 0), (0, 2, 1)])
 DAG = DiGraph.from_edges(3, [(0, 1, -1), (1, 2, 2), (0, 2, 1)])
 
@@ -182,3 +312,15 @@ def test_recheck_mode_catches_a_wrong_kernel(monkeypatch, caller, name,
     recheck_kernels(monkeypatch)
     with pytest.raises(AssertionError, match=name):
         call(getattr(caller, name))
+
+
+@pytest.mark.differential
+def test_recheck_mode_catches_a_fifo_bucket_dijkstra(monkeypatch):
+    """A ``dijkstra`` whose buckets pop vertex ids first in, first out
+    settles 3 before 1 on ``ZERO_TIES`` and reaches 4 through 3, and the
+    re-check mode fails it when a caller runs it."""
+    monkeypatch.setattr(importlib.import_module("repro.baselines.dijkstra"),
+                        "heapq", fifo_buckets())
+    recheck_kernels(monkeypatch)
+    with pytest.raises(AssertionError, match="dijkstra"):
+        sssp.dijkstra(ZERO_TIES, 0)
