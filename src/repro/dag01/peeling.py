@@ -278,15 +278,17 @@ def _propagate(st: _State, vprime: np.ndarray) -> None:
         acc.charge_cost(pack_vprime)
         if labeled_any:
             sources = vprime[st.label_eid[vprime] != NO_EDGE]
-            sub, nodes = g.induced_subgraph(vprime)
+            # the model charges building G[V'], which the reach restricted
+            # to V' (``within=``) stands in for
             acc.charge_cost(model.pack(_incident_edges(g, vprime, acc, model)))
             st.reach_calls += 1
-            st.reach_node_total += sub.n
-            local_sources = np.searchsorted(nodes, sources)
-            res = multisource_reachability(sub, local_sources, acc, model)
-            reached = np.flatnonzero(res.pi >= 0)
-            global_v = nodes[reached]
-            global_pi = nodes[res.pi[reached]]
+            st.reach_node_total += len(vprime)
+            res = multisource_reachability(g, sources, acc, model,
+                                           within=in_vp)
+            pi = res.pi[vprime]
+            reached = pi >= 0
+            global_v = vprime[reached]
+            global_pi = pi[reached]
             # inherit the label of the reaching source (π of a source is
             # itself, so already-labeled vertices keep their label)
             new_lab = st.label_eid[global_pi]

@@ -31,7 +31,8 @@ RECHECKED_MODULES = frozenset({"test_golden_costs", "test_golden_traces"})
 
 #: The re-checked kernels, as (module, name, reference in
 #: ``tests/oracles.py``): the scalar kernels against their numpy-indexed
-#: loops, and the batched SCC against its per-round subgraph builds.
+#: loops, the two reachability searches against their numpy rounds, and
+#: the batched SCC against its per-round subgraph builds.
 KERNELS = (
     ("repro.baselines.dijkstra", "dijkstra", oracles.dijkstra_reference),
     ("repro.baselines.dijkstra", "dijkstra_from_labels",
@@ -39,6 +40,10 @@ KERNELS = (
     ("repro.baselines.dag_relax", "dag_sssp", oracles.dag_sssp_reference),
     ("repro.reach.scc", "scc_sequential", oracles.scc_sequential_reference),
     ("repro.core.bnw", "_ldd_clusters", oracles.ldd_clusters_reference),
+    ("repro.reach.multisource", "multisource_reachability",
+     oracles.multisource_reachability_reference),
+    ("repro.reach.multisource", "multisource_reachability_min",
+     oracles.multisource_reachability_min_reference),
     ("repro.reach.scc", "scc", oracles.scc_reference),
 )
 

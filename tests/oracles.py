@@ -1,6 +1,7 @@
 """Independent test oracles (networkx-backed; tests only), the
 numpy-indexed references of the scalar kernels, and the previous forms
-of the SCC rounds, the SentLabel sets and Propagate."""
+of the reachability rounds, the SCC rounds, the SentLabel sets and
+Propagate."""
 
 from __future__ import annotations
 
@@ -13,10 +14,15 @@ from repro.baselines.dag_relax import DagSsspResult
 from repro.baselines.dijkstra import DijkstraResult
 from repro.dag01.peeling import NO_EDGE, _incident_edges, _State
 from repro.graph import DiGraph
-from repro.graph.csr import in_edge_slots
+from repro.graph.csr import in_edge_slots, out_edge_slots
 from repro.graph.transform import edge_subgraph_mask
 from repro.graph.validate import topological_order
+from repro.observability.metrics import metric_inc
+from repro.observability.tracer import trace_span
 from repro.reach.multisource import (
+    _UNLABELED,
+    NO_SOURCE,
+    ReachResult,
     multisource_reachability,
     multisource_reachability_min,
 )
@@ -24,6 +30,7 @@ from repro.reach.scc import SccResult, lex_rank
 from repro.resilience.errors import InputValidationError
 from repro.runtime.metrics import Cost, CostAccumulator
 from repro.runtime.model import DEFAULT_MODEL, CostModel
+from repro.runtime.primitives import unique_sorted
 from repro.runtime.racecheck import race_read, race_write
 from repro.runtime.rng import make_rng
 
@@ -318,10 +325,119 @@ def ldd_clusters_reference(g: DiGraph, wp: np.ndarray, diameter: int, rng,
 
 # ---------------------------------------------------------------------------
 # Previous forms of code whose rewrite must not change a result, an RNG
-# draw or a charge: the batched SCC with one masked subgraph and its
+# draw or a charge: multisource reachability with a numpy round whatever
+# the frontier's size, the batched SCC with one masked subgraph and its
 # transpose per round, the SortedIntSet-backed SetVector, and Propagate
 # with one in-edge gather per priority.
 # ---------------------------------------------------------------------------
+
+
+def multisource_reachability_reference(
+        g: DiGraph, sources: np.ndarray, acc: CostAccumulator | None = None,
+        model: CostModel = DEFAULT_MODEL, *,
+        within: np.ndarray | None = None) -> ReachResult:
+    """Reference for
+    :func:`repro.reach.multisource.multisource_reachability`: numpy
+    rounds only.  ``within=`` runs it on ``g.induced_subgraph`` and maps
+    ``pi`` back to ``g``'s ids, which is that keyword's contract."""
+    if within is not None:
+        sub, nodes = g.induced_subgraph(np.asarray(within).nonzero()[0])
+        res = multisource_reachability_reference(
+            sub, np.searchsorted(nodes, sources), acc, model)
+        pi = np.full(g.n, NO_SOURCE, dtype=np.int64)
+        reached = res.pi >= 0
+        pi[nodes[reached]] = nodes[res.pi[reached]]
+        return ReachResult(pi, res.rounds, res.cost)
+    sources = unique_sorted(np.asarray(sources, dtype=np.int64))
+    if len(sources) and (sources[0] < 0 or sources[-1] >= g.n):
+        raise ValueError("source out of range")
+    local = CostAccumulator()
+    # the span binds to the *caller's* accumulator and closes after the
+    # fold below, so its span_model delta is the substituted black-box
+    # bound (oracle_span), not the measured BFS rounds
+    with trace_span("reach", acc=acc if acc is not None else local,
+                    phase="reach", n=g.n, m=g.m,
+                    sources=len(sources)) as rsp:
+        pi = np.full(g.n, NO_SOURCE, dtype=np.int64)
+        pi[sources] = sources
+        frontier = sources
+        rounds = 0
+        while len(frontier):
+            rounds += 1
+            slots = out_edge_slots(g, frontier)
+            local.charge_cost(model.bfs_round(len(slots), g.n))
+            if len(slots) == 0:
+                break
+            targets = g.indices[slots]
+            undiscovered = pi[targets] == NO_SOURCE
+            newly = targets[undiscovered]
+            # forward any reaching source along the edge (last write wins —
+            # any single source satisfies the contract)
+            pi[newly] = pi[g.src[slots][undiscovered]]
+            frontier = unique_sorted(newly)
+            local.charge_cost(model.pack(len(targets)))
+        if acc is not None:
+            acc.charge(local.work,
+                       span=local.span,
+                       span_model=model.oracle_span(g.n))
+        rsp.count("rounds", rounds)
+        metric_inc("repro_reach_calls_total")
+        metric_inc("repro_reach_rounds_total", rounds)
+    return ReachResult(pi, rounds, Cost(local.work, local.span,
+                                        model.oracle_span(g.n)))
+
+
+def multisource_reachability_min_reference(
+        g: DiGraph, sources: np.ndarray, acc: CostAccumulator | None = None,
+        model: CostModel = DEFAULT_MODEL, *,
+        edge_mask: np.ndarray | None = None) -> ReachResult:
+    """Reference for
+    :func:`repro.reach.multisource.multisource_reachability_min`: numpy
+    rounds only."""
+    if edge_mask is None:
+        m = g.m
+    else:
+        edge_mask = np.asarray(edge_mask, dtype=bool)
+        if edge_mask.shape != (g.m,):
+            raise InputValidationError("edge mask must align with edge ids")
+        m = int(np.count_nonzero(edge_mask))
+    sources = unique_sorted(np.asarray(sources, dtype=np.int64))
+    if len(sources) and (sources[0] < 0 or sources[-1] >= g.n):
+        raise ValueError("source out of range")
+    local = CostAccumulator()
+    with trace_span("reach", acc=acc if acc is not None else local,
+                    phase="reach", n=g.n, m=m, sources=len(sources),
+                    variant="min") as rsp:
+        label = np.empty(g.n, dtype=np.int64)
+        label.fill(_UNLABELED)
+        label[sources] = sources
+        frontier = sources
+        rounds = 0
+        while len(frontier):
+            rounds += 1
+            slots = out_edge_slots(g, frontier)
+            if edge_mask is not None:
+                slots = slots[edge_mask[slots]]
+            local.charge_cost(model.bfs_round(len(slots), g.n))
+            if len(slots) == 0:
+                break
+            targets = g.indices[slots]
+            cand = label[g.src[slots]]
+            old = label[targets]
+            np.minimum.at(label, targets, cand)
+            improved = label[targets] < old
+            frontier = unique_sorted(targets[improved])
+            local.charge_cost(model.pack(len(targets)))
+        pi = label
+        pi[pi == _UNLABELED] = NO_SOURCE
+        if acc is not None:
+            acc.charge(local.work, span=local.span,
+                       span_model=model.oracle_span(g.n))
+        rsp.count("rounds", rounds)
+        metric_inc("repro_reach_calls_total")
+        metric_inc("repro_reach_rounds_total", rounds)
+    return ReachResult(pi, rounds, Cost(local.work, local.span,
+                                        model.oracle_span(g.n)))
 
 
 def scc_reference(g: DiGraph, acc: CostAccumulator | None = None,

@@ -21,6 +21,7 @@ from repro.graph import (
     negative_chain_gadget,
     random_dag,
 )
+from repro.observability import Trace, Tracer, tracing
 from repro.reach import reachable_mask
 from repro.resilience.errors import InputValidationError
 from repro.runtime import CostAccumulator
@@ -298,15 +299,22 @@ def peeling_instances(draw):
 @given(peeling_instances())
 @settings(max_examples=150, deadline=None)
 def test_propagate_matches_per_priority_reference(inst):
-    """Propagate with one in-edge gather per call returns the result and
-    makes the charges of the form with one gather per priority."""
+    """Propagate with one in-edge gather per call and its reach restricted
+    to V' by ``within=`` returns the result, makes the charges and traces
+    the reach spans (``n``, ``m``, ``sources``, ``rounds``) of the form
+    with one gather and one induced subgraph per priority."""
     g, limit, seed, pri = inst
 
     def run():
-        acc = CostAccumulator()
-        res = dag01_limited_sssp(g, 0, limit, seed=seed, acc=acc,
-                                 priorities=pri)
-        return res, acc.snapshot()
+        acc, tracer = CostAccumulator(), Tracer()
+        with tracing(tracer):
+            res = dag01_limited_sssp(g, 0, limit, seed=seed, acc=acc,
+                                     priorities=pri)
+        reach = [(sp.attrs["n"], sp.attrs["m"], sp.attrs["sources"],
+                  sp.counters["rounds"])
+                 for sp in Trace.from_tracer(tracer).spans
+                 if sp.name == "reach"]
+        return res, acc.snapshot(), reach
 
     got = run()
     with pytest.MonkeyPatch.context() as mp:
@@ -314,3 +322,4 @@ def test_propagate_matches_per_priority_reference(inst):
         want = run()
     assert_same_result(got[0], want[0], "Dag01Result")
     assert got[1] == want[1]
+    assert got[2] == want[2]

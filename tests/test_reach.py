@@ -1,6 +1,7 @@
 """Tests for multisource reachability and SCC."""
 
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from oracles import assert_same_result
 from repro.graph import DiGraph, edge_subgraph_mask, random_digraph
 from repro.observability import Trace, Tracer, tracing
 from repro.reach import (
+    NO_SOURCE,
     bfs_parents,
     multisource_reachability,
     multisource_reachability_min,
@@ -75,7 +77,7 @@ class TestMultisourceReachability:
                                       naive_reachable(g, sources))
 
     def test_source_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputValidationError):
             multisource_reachability(DiGraph.from_edges(2, []),
                                      np.array([5]))
 
@@ -104,6 +106,54 @@ class TestMultisourceReachability:
                                       naive_reachable(g, sources))
 
 
+CHAIN = DiGraph.from_edges(4, [(0, 1, 0), (1, 2, 0), (2, 3, 0)])
+
+
+def strict(call):
+    """Run ``call`` with warnings raised as errors (a NaN cast to int64
+    warns before it gives a wrong vertex id)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return call()
+
+
+#: Sources that are not vertex ids of ``CHAIN``.
+NOT_VERTEX_IDS = pytest.mark.parametrize(
+    "source", [1.5, np.nan, np.inf, -np.inf, 4, -1],
+    ids=["fractional", "nan", "inf", "-inf", "too-large", "negative"])
+BOTH_SEARCHES = pytest.mark.parametrize(
+    "search", [multisource_reachability, multisource_reachability_min],
+    ids=["plain", "min"])
+
+
+class TestSourceValidation:
+    """The searches cast ``sources``/``source`` as the public constructor
+    casts its arrays and raise :class:`InputValidationError` (a
+    ``ValueError``) for anything that is not a vertex id of ``g``."""
+
+    @BOTH_SEARCHES
+    @NOT_VERTEX_IDS
+    def test_rejects_sources_that_are_not_vertex_ids(self, search, source):
+        with pytest.raises(InputValidationError):
+            strict(lambda: search(CHAIN, np.array([0, source])))
+
+    @NOT_VERTEX_IDS
+    def test_bfs_parents_rejects_a_source_that_is_not_a_vertex_id(
+            self, source):
+        with pytest.raises(InputValidationError):
+            strict(lambda: bfs_parents(CHAIN, source))
+
+    def test_bfs_parents_casts_a_bool_source_to_an_id(self):
+        assert bfs_parents(CHAIN, True).tolist() == \
+            bfs_parents(CHAIN, 1).tolist() == [-1, -1, 1, 2]
+
+    @BOTH_SEARCHES
+    def test_accepts_integral_floats_and_bools(self, search):
+        want = search(CHAIN, np.array([1])).pi.tolist()
+        assert search(CHAIN, np.array([1.0])).pi.tolist() == want
+        assert search(CHAIN, np.array([True])).pi.tolist() == want
+
+
 @st.composite
 def masked_instances(draw):
     """A multigraph on 0..8 vertices (self-loops and parallel edges
@@ -121,13 +171,13 @@ def masked_instances(draw):
     return g, np.array(mask, dtype=bool), np.array(sources, dtype=np.int64)
 
 
-def traced_reach_min(g, sources, **kwargs):
-    """One ``multisource_reachability_min`` call with a fresh accumulator
-    under a fresh tracer: the result, the charges, and the reach span's
-    attrs, counters and cost deltas."""
+def traced_reach(search, g, sources, **kwargs):
+    """One ``search`` call with a fresh accumulator under a fresh tracer:
+    the result, the charges, and the reach span's attrs, counters and
+    cost deltas."""
     acc, tracer = CostAccumulator(), Tracer()
     with tracing(tracer):
-        res = multisource_reachability_min(g, sources, acc, **kwargs)
+        res = search(g, sources, acc, **kwargs)
     (span,) = Trace.from_tracer(tracer).spans
     return res, acc.snapshot(), (span.name, span.attrs, span.counters,
                                  span.work, span.span, span.span_model)
@@ -142,8 +192,9 @@ class TestMaskedReachabilityMin:
     def test_matches_subgraph(self, inst):
         g, mask, sources = inst
         sub = edge_subgraph_mask(g, mask)
-        got = traced_reach_min(g, sources, edge_mask=mask)
-        want = traced_reach_min(sub, sources)
+        got = traced_reach(multisource_reachability_min, g, sources,
+                           edge_mask=mask)
+        want = traced_reach(multisource_reachability_min, sub, sources)
         for a, b, what in zip(got, want, ("result", "charges", "span")):
             assert_same_result(a, b, what)
 
@@ -153,10 +204,10 @@ class TestMaskedReachabilityMin:
         """The transpose's mask is the forward mask read through
         ``g.reids``: its edge ``j`` is ``g``'s edge ``g.reids[j]``."""
         g, mask, sources = inst
-        got = traced_reach_min(g.reversed(), sources,
-                               edge_mask=mask[g.reids])
-        want = traced_reach_min(edge_subgraph_mask(g, mask).reversed(),
-                                sources)
+        got = traced_reach(multisource_reachability_min, g.reversed(),
+                           sources, edge_mask=mask[g.reids])
+        want = traced_reach(multisource_reachability_min,
+                            edge_subgraph_mask(g, mask).reversed(), sources)
         for a, b, what in zip(got, want, ("result", "charges", "span")):
             assert_same_result(a, b, what)
 
@@ -179,6 +230,68 @@ class TestMaskedReachabilityMin:
         with pytest.raises(InputValidationError, match="mask"):
             multisource_reachability_min(g, np.array([0]),
                                          edge_mask=np.ones(length, bool))
+
+
+@st.composite
+def within_instances(draw):
+    """A multigraph on 0..8 vertices (self-loops and parallel edges
+    included), a vertex mask (random, all-True or all-False) and up to
+    four sources inside it, repeats allowed."""
+    n = draw(st.integers(0, 8))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1), st.just(0)),
+                          max_size=24)) if n else []
+    within = np.array(draw(st.one_of(
+        st.lists(st.booleans(), min_size=n, max_size=n),
+        st.just([True] * n), st.just([False] * n))), dtype=bool)
+    inside = within.nonzero()[0].tolist()
+    sources = draw(st.lists(st.sampled_from(inside), max_size=4)) \
+        if inside else []
+    return (DiGraph.from_edges(n, edges), within,
+            np.array(sources, dtype=np.int64))
+
+
+class TestReachabilityWithin:
+    """``within=`` returns, in ``g``'s ids, and charges and traces what
+    the same call on ``g.induced_subgraph(within.nonzero()[0])`` does."""
+
+    @given(within_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_induced_subgraph(self, inst):
+        g, within, sources = inst
+        sub, nodes = g.induced_subgraph(within.nonzero()[0])
+        got = traced_reach(multisource_reachability, g, sources,
+                           within=within)
+        want = traced_reach(multisource_reachability, sub,
+                            np.searchsorted(nodes, sources))
+        pi = np.full(g.n, NO_SOURCE, dtype=np.int64)
+        reached = want[0].pi >= 0
+        pi[nodes[reached]] = nodes[want[0].pi[reached]]
+        want[0].pi = pi
+        for a, b, what in zip(got, want, ("result", "charges", "span")):
+            assert_same_result(a, b, what)
+
+    def test_stops_at_the_mask(self):
+        res = multisource_reachability(
+            CHAIN, np.array([0]), within=np.array([True, True, False, True]))
+        assert res.pi.tolist() == [0, 0, -1, -1] and res.rounds == 2
+
+    def test_all_false_without_sources(self):
+        res = multisource_reachability(CHAIN, np.array([], dtype=np.int64),
+                                       within=np.zeros(4, dtype=bool))
+        assert res.pi.tolist() == [-1] * 4 and res.rounds == 0
+
+    def test_rejects_a_source_outside_the_mask(self):
+        with pytest.raises(InputValidationError, match="within"):
+            multisource_reachability(
+                CHAIN, np.array([0, 2]),
+                within=np.array([True, True, False, True]))
+
+    @pytest.mark.parametrize("length", [0, 3, 5])
+    def test_rejects_misaligned_mask(self, length):
+        with pytest.raises(InputValidationError, match="mask"):
+            multisource_reachability(CHAIN, np.array([0]),
+                                     within=np.ones(length, bool))
 
 
 class TestBfsParents:
@@ -294,6 +407,30 @@ def test_recheck_mode_catches_a_wrong_scc(monkeypatch):
                                (4, 0, 4), (4, 1, 4), (5, 4, 4)])
     with pytest.raises(AssertionError, match="scc"):
         improvement.scc(g)
+
+
+def reversed_frontier(round_scalar):
+    """A wrong scalar round for ``multisource_reachability``: it visits
+    the frontier in reverse, so of two sources reaching a vertex in one
+    round the first one wins, not the last."""
+    def wrong(indptr, indices, pv, wv, frontier):
+        return round_scalar(indptr, indices, pv, wv, frontier[::-1])
+    return wrong
+
+
+@pytest.mark.differential
+def test_recheck_mode_catches_a_first_write_wins_reach(monkeypatch):
+    """Propagate labels 1 and 3 here, and both reach 2 in the first round
+    of its reach from {1, 3}; a scalar round where the first of them wins
+    fails the re-check mode when the peeling runs it."""
+    multisource = importlib.import_module("repro.reach.multisource")
+    monkeypatch.setattr(multisource, "_round_scalar",
+                        reversed_frontier(multisource._round_scalar))
+    recheck_kernels(monkeypatch)
+    g = DiGraph.from_edges(4, [(0, 1, -1), (0, 2, 0), (0, 3, -1), (1, 2, 0),
+                               (3, 2, 0)])
+    with pytest.raises(AssertionError, match="multisource_reachability"):
+        improvement.dag01_limited_sssp(g, 0, 3)
 
 
 class TestLexRank:

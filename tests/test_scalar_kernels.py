@@ -19,6 +19,15 @@ being drained, and ``<=`` in place of ``<``.  Setting every vertex still
 queued to ``+inf`` when the limit stops the loop, as the tuple heap's
 drain did, is an equivalent mutant: the final ``dist > limit`` mask
 already does it.
+
+``multisource_reachability`` and ``multisource_reachability_min`` run
+each BFS round as a scalar loop or as a numpy round, by the frontier's
+size against ``SCALAR_ROUND_MAX``; their tests patch that constant to 0
+and to 2^62 to force each form, and leave it as it is on graphs with a
+hub vertex whose slot count straddles it, and compare with the
+numpy-only references.  They catch labels read live instead of at round
+start and the first of two sources reaching a vertex in one round
+winning instead of the last.
 """
 
 import copy
@@ -36,6 +45,7 @@ import repro.core.bnw as bnw
 import repro.core.fischer as fischer
 import repro.core.improvement as improvement
 import repro.core.sssp as sssp
+import repro.reach.multisource as multisource
 from conftest import recheck_kernels, swap_bindings
 from oracles import (
     assert_same_result,
@@ -43,11 +53,14 @@ from oracles import (
     dijkstra_from_labels_reference,
     dijkstra_reference,
     ldd_clusters_reference,
+    multisource_reachability_min_reference,
+    multisource_reachability_reference,
     scc_sequential_reference,
 )
 from repro.baselines.dag_relax import dag_sssp
 from repro.baselines.dijkstra import dijkstra, dijkstra_from_labels
 from repro.graph import DiGraph
+from repro.reach import multisource_reachability, multisource_reachability_min
 from repro.reach.scc import scc_sequential
 from repro.runtime.metrics import CostAccumulator
 from repro.runtime.model import DEFAULT_MODEL
@@ -234,6 +247,117 @@ def test_ldd_clusters_match_reference(g, diameter, seed):
                                DEFAULT_MODEL))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert acc.snapshot() == ref_acc.snapshot()
+
+
+@st.composite
+def reach_instances(draw):
+    """A multigraph on 1..40 vertices with up to 80 edges (self-loops and
+    parallel edges common), up to six sources (none, or repeats), and
+    half the time a hub: one vertex with
+    ``SCALAR_ROUND_MAX`` ± 8 more out-edges, so that at the module's
+    constant a round whose frontier holds it runs as a numpy round while
+    the call's other rounds run as scalar loops."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(0, 80))
+    end = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(end, end, st.just(0)), min_size=m,
+                          max_size=m))
+    if draw(st.booleans()):
+        limit = multisource.SCALAR_ROUND_MAX
+        hub = draw(end)
+        edges += [(hub, v, 0) for v in draw(st.lists(
+            end, min_size=limit - 8, max_size=limit + 8))]
+    sources = draw(st.lists(end, max_size=6))
+    return DiGraph.from_edges(n, edges), np.array(sources, dtype=np.int64)
+
+
+#: ``SCALAR_ROUND_MAX`` patched to 0 (every round a numpy round), left at
+#: the module's value (both kinds, by frontier), and made huge (every
+#: round a scalar loop).
+ROUND_PATHS = pytest.mark.parametrize(
+    "limit", [0, None, 2 ** 62], ids=["numpy", "hybrid", "scalar"])
+
+
+def same_as_reference(kernel, reference, limit, g, sources, **kwargs):
+    """``kernel`` with ``SCALAR_ROUND_MAX`` at ``limit`` returns what the
+    numpy-round ``reference`` returns (``pi`` bytes, ``rounds``,
+    ``Cost``) and makes the same charges on a caller's accumulator that
+    already holds some."""
+    acc = CostAccumulator()
+    acc.charge(3, span=2)
+    ref_acc = copy.deepcopy(acc)
+    with pytest.MonkeyPatch.context() as mp:
+        if limit is not None:
+            mp.setattr(multisource, "SCALAR_ROUND_MAX", limit)
+        got = kernel(g, sources, acc, **kwargs)
+    assert_same_result(got, reference(g, sources, ref_acc, **kwargs))
+    assert acc.snapshot() == ref_acc.snapshot()
+
+
+@ROUND_PATHS
+@SETTINGS
+@given(reach_instances(), st.data())
+def test_multisource_reachability_matches_reference(limit, inst, data):
+    """Last write wins among the sources reaching a vertex in one round;
+    ``within=`` (holding every source) against the reference's
+    induced-subgraph call."""
+    g, sources = inst
+    within = data.draw(st.none() | st.lists(
+        st.booleans(), min_size=g.n, max_size=g.n).map(
+            lambda b: np.array(b, dtype=bool)))
+    if within is not None:
+        within[sources] = True
+    same_as_reference(multisource_reachability,
+                      multisource_reachability_reference, limit, g, sources,
+                      within=within)
+
+
+@ROUND_PATHS
+@SETTINGS
+@given(reach_instances(), st.data())
+def test_multisource_reachability_min_matches_reference(limit, inst, data):
+    """Labels read at round start, with and without an ``edge_mask``."""
+    g, sources = inst
+    edge_mask = data.draw(st.none() | st.lists(
+        st.booleans(), min_size=g.m, max_size=g.m).map(
+            lambda b: np.array(b, dtype=bool)))
+    same_as_reference(multisource_reachability_min,
+                      multisource_reachability_min_reference, limit, g,
+                      sources, edge_mask=edge_mask)
+
+
+#: A hub 0 with ``SCALAR_ROUND_MAX`` out-edges, to 1 and 2 in turn, and
+#: the path 1 -> 3 -> 4: from sources 0 and 4 the first round holds the
+#: hub (numpy), the later ones do not (scalar).
+HUB = DiGraph.from_edges(
+    5, [(0, 1 + i % 2, 0) for i in range(multisource.SCALAR_ROUND_MAX)]
+    + [(1, 3, 0), (3, 4, 0)])
+
+
+@pytest.mark.parametrize("kernel, reference, rounds", [
+    (multisource_reachability, multisource_reachability_reference,
+     ("_round", "_round_scalar")),
+    (multisource_reachability_min, multisource_reachability_min_reference,
+     ("_min_round", "_min_round_scalar")),
+], ids=["plain", "min"])
+def test_one_call_mixes_both_rounds(monkeypatch, kernel, reference, rounds):
+    """At the module's constant one call on ``HUB`` runs one numpy round
+    and then scalar rounds, and still returns and charges what the
+    reference does."""
+    calls = {}
+
+    def counted(name):
+        round_ = getattr(multisource, name)
+
+        def count(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return round_(*args)
+        return count
+
+    for name in rounds:
+        monkeypatch.setattr(multisource, name, counted(name))
+    same_as_reference(kernel, reference, None, HUB, np.array([0, 4]))
+    assert calls[rounds[0]] == 1 and calls[rounds[1]] >= 2
 
 
 def bump(field=None):
