@@ -168,7 +168,7 @@ def _relax_from(g: DiGraph, frontier: np.ndarray, wf: np.ndarray,
                 delta: int, acc: CostAccumulator,
                 model: CostModel) -> None:
     slots = out_edge_slots(g, frontier)
-    acc.charge_cost(model.bfs_round(len(slots), g.n))
+    acc.charge(*model.bfs_round_ws(len(slots), g.n))
     if len(slots) == 0:
         return
     keep = edge_mask[slots]

@@ -79,7 +79,7 @@ class HopsetAssp:
         hubs = np.flatnonzero(self._rng.random(n) < rate)
         if source not in hubs:
             hubs = np.unique(np.r_[hubs, source])
-        acc.charge_cost(model.map(n))
+        acc.charge(*model.map_ws(n))
 
         # β-hop-limited distances from every hub (rows of `dlim`); each
         # hub's Bellman-Ford runs logically in parallel with the others
@@ -97,10 +97,10 @@ class HopsetAssp:
         src_row = int(np.searchsorted(hubs, source))
         overlay = dlim[:, hubs]  # |H| x |H| limited distances
         d_hub = _overlay_dijkstra(overlay, src_row)
-        acc.charge_cost(model.dijkstra(len(hubs), len(hubs) ** 2))
+        acc.charge(*model.dijkstra_ws(len(hubs), len(hubs) ** 2))
 
         # combine: best hub relay, plus the direct <=β-hop estimate from s
-        acc.charge_cost(model.map(len(hubs) * n, per_item_work=1.0))
+        acc.charge(*model.map_ws(len(hubs) * n, per_item_work=1.0))
         with np.errstate(invalid="ignore"):
             relay = (d_hub[:, None] + dlim).min(axis=0)
         out = np.minimum(relay, dlim[src_row])
@@ -114,7 +114,7 @@ def _hop_limited_bf(g: DiGraph, source: int, wf: np.ndarray, hops: int,
     dist = np.full(g.n, np.inf)
     dist[source] = 0.0
     for _ in range(hops):
-        acc.charge_cost(model.bfs_round(g.m, g.n))
+        acc.charge(*model.bfs_round_ws(g.m, g.n))
         cand = dist[g.src] + wf
         new = dist.copy()
         np.minimum.at(new, g.dst, cand)

@@ -71,7 +71,7 @@ def _relax_round(g: DiGraph, w: np.ndarray, dist: np.ndarray,
                  parent: np.ndarray, acc: CostAccumulator,
                  model: CostModel) -> bool:
     """One Jacobi relaxation over all edges; True if any distance improved."""
-    acc.charge_cost(model.map(g.m))
+    acc.charge(*model.map_ws(g.m))
     if g.m == 0:
         return False
     du = dist[g.src]

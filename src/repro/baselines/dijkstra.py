@@ -70,7 +70,7 @@ def dijkstra(g: DiGraph, source: int, weights: np.ndarray | None = None,
     if g.m and w.min() < 0:
         raise InputValidationError("dijkstra requires nonnegative weights")
     acc = CostAccumulator()
-    acc.charge_cost(model.dijkstra(g.n, g.m))
+    acc.charge(*model.dijkstra_ws(g.n, g.m))
     dist = np.full(g.n, np.inf)
     parent = np.full(g.n, -1, dtype=np.int64)
     dist[source] = 0.0
@@ -139,7 +139,7 @@ def dijkstra_from_labels(g: DiGraph, labels: np.ndarray,
         raise InputValidationError(
             "dijkstra_from_labels requires nonnegative weights")
     if acc is not None:
-        acc.charge_cost(model.dijkstra(g.n, g.m))
+        acc.charge(*model.dijkstra_ws(g.n, g.m))
     dist = labels.astype(np.float64)
     dv = cast("memoryview[float]", dist.data)
     heap = list(zip(dv, range(g.n)))

@@ -326,7 +326,7 @@ def cmd_solve(args) -> int:
     if args.max_retries < 0:
         print("error: --max-retries must be >= 0", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    if args.deadline is not None and args.deadline < 0:
+    if args.deadline is not None and not args.deadline >= 0:
         print("error: --deadline must be >= 0 seconds", file=sys.stderr)
         return EXIT_INVALID_INPUT
     if args.resume and args.checkpoint is None:

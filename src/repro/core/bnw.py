@@ -74,7 +74,7 @@ def bnw_potential(g: DiGraph, *, seed=0, acc: CostAccumulator | None = None,
     local = CostAccumulator()
     try:
         w = g.w
-        local.charge_cost(model.map(max(g.n, 1)))
+        local.charge(*model.map_ws(max(g.n, 1)))
         if g.m == 0 or int(w.min()) >= 0:
             return np.zeros(g.n, dtype=np.int64), None
         rng = make_rng(seed)
@@ -121,7 +121,7 @@ def bnw_potential(g: DiGraph, *, seed=0, acc: CostAccumulator | None = None,
 
 def _reduced(g: DiGraph, w: np.ndarray, phi: np.ndarray,
              acc: CostAccumulator, model: CostModel) -> np.ndarray:
-    acc.charge_cost(model.map(g.m))
+    acc.charge(*model.map_ws(g.m))
     return w + phi[g.src] - phi[g.dst]
 
 
@@ -130,7 +130,7 @@ def _scale_down(g: DiGraph, wr: np.ndarray, target: int, rng,
                 ) -> tuple[np.ndarray, list[int] | None]:
     """One BNW ``ScaleDown``: a potential ``psi`` with
     ``wr + psi[u] − psi[v] ≥ −target`` everywhere, or a negative cycle."""
-    acc.charge_cost(model.map(g.m))
+    acc.charge(*model.map_ws(g.m))
     if g.m == 0 or int(wr.min()) >= -target:
         return np.zeros(g.n, dtype=np.int64), None
     # the scaled weights the phases operate on: shifting negative edges
@@ -162,7 +162,7 @@ def _ldd_clusters(g: DiGraph, wp: np.ndarray, diameter: int, rng,
     Dijkstra-style scan of each ball's edges.
     """
     cluster = np.full(g.n, -1, dtype=np.int64)
-    acc.charge_cost(model.map(g.n))
+    acc.charge(*model.map_ws(g.n))
     # ``.data`` views index to plain Python ints, as in ``dijkstra``
     cv = cluster.data
     indptr, indices, wv = g.indptr.data, g.indices.data, wp.data
@@ -190,7 +190,7 @@ def _ldd_clusters(g: DiGraph, wp: np.ndarray, diameter: int, rng,
                 if nd <= radius and nd < dist.get(x, nd + 1):
                     dist[x] = nd
                     heappush(heap, (nd, x))
-        acc.charge_cost(model.bfs_round(scanned, g.n))
+        acc.charge(*model.bfs_round_ws(scanned, g.n))
         scanned = 0
         next_id += 1
     return cluster
@@ -208,7 +208,7 @@ def _fix_clusters(g: DiGraph, wb: np.ndarray, cluster: np.ndarray,
     """
     psi = np.zeros(g.n, dtype=np.int64)
     internal = cluster[g.src] == cluster[g.dst]
-    acc.charge_cost(model.map(g.m))
+    acc.charge(*model.map_ws(g.m))
     bad = internal & (wb < 0)
     if not bad.any():
         return psi, None
@@ -217,7 +217,7 @@ def _fix_clusters(g: DiGraph, wb: np.ndarray, cluster: np.ndarray,
         keep = internal & (cluster[g.src] == cid)
         new_id = np.full(g.n, -1, dtype=np.int64)
         new_id[nodes] = np.arange(len(nodes), dtype=np.int64)
-        acc.charge_cost(model.pack(g.m))
+        acc.charge(*model.pack_ws(g.m))
         sub = DiGraph(len(nodes), new_id[g.src[keep]], new_id[g.dst[keep]],
                       wb[keep])
         pot = johnson_potential(sub)
@@ -243,13 +243,13 @@ def _elim_neg(g: DiGraph, wr: np.ndarray, wb: np.ndarray, psi: np.ndarray,
     produces.
     """
     wcur = wb + psi[g.src] - psi[g.dst]
-    acc.charge_cost(model.map(g.m))
+    acc.charge(*model.map_ws(g.m))
     neg = np.flatnonzero(wcur < 0)
     if len(neg) == 0:
         return psi, None
     pos_keep = wcur >= 0
     gpos = edge_subgraph_mask(g, pos_keep, weights=wcur)
-    acc.charge_cost(model.pack(g.m))
+    acc.charge(*model.pack_ws(g.m))
     nsrc, ndst, nw = g.src[neg], g.dst[neg], wcur[neg]
     d = np.zeros(g.n, dtype=np.int64)
     cap = min(len(neg), max(g.n - 1, 1)) + 1
@@ -260,7 +260,7 @@ def _elim_neg(g: DiGraph, wr: np.ndarray, wb: np.ndarray, psi: np.ndarray,
         rounds += 1
         d = dijkstra_from_labels(gpos, d, acc, model)
         cand = d[nsrc] + nw
-        acc.charge_cost(model.map(len(neg)))
+        acc.charge(*model.map_ws(len(neg)))
         improved = cand < d[ndst]
         if not improved.any():
             sp.count("elimneg_rounds", rounds)
@@ -269,7 +269,7 @@ def _elim_neg(g: DiGraph, wr: np.ndarray, wb: np.ndarray, psi: np.ndarray,
         # early exit: the ScaleDown goal is weaker than full feasibility
         total = psi + d
         wgoal = wr + total[g.src] - total[g.dst]
-        acc.charge_cost(model.map(g.m))
+        acc.charge(*model.map_ws(g.m))
         if int(wgoal.min()) >= -target:
             sp.count("elimneg_rounds", rounds)
             return total, None

@@ -203,7 +203,7 @@ class _PotentialEngine:
             else:
                 w_red = (g.w + price[g.src] - price[g.dst]
                          if g.m else g.w)
-            local.charge_cost(model.map(g.m))
+            local.charge(*model.map_ws(g.m))
             with local.stage("final-dijkstra"), \
                     trace_span("final-dijkstra", acc=local,
                                phase="solve") as dsp, \

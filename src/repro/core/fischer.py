@@ -85,11 +85,11 @@ def fischer_potential(g: DiGraph, *, seed=0,
     del seed  # deterministic; accepted for engine-interface uniformity
     local = CostAccumulator()
     try:
-        local.charge_cost(model.map(max(g.n, 1)))
+        local.charge(*model.map_ws(max(g.n, 1)))
         if g.m == 0 or int(g.w.min()) >= 0:
             return np.zeros(g.n, dtype=np.int64), None
         pos_keep = g.w >= 0
-        local.charge_cost(model.pack(g.m))
+        local.charge(*model.pack_ws(g.m))
         gpos = edge_subgraph_mask(g, pos_keep)
         neg = np.flatnonzero(~pos_keep)
         nsrc, ndst, nw = g.src[neg], g.dst[neg], g.w[neg]
@@ -109,7 +109,7 @@ def fischer_potential(g: DiGraph, *, seed=0,
                     cand = np.concatenate(parts)
                 else:
                     cand = d[nsrc] + nw
-                local.charge_cost(model.map(len(neg)))
+                local.charge(*model.map_ws(len(neg)))
                 if not (cand < d[ndst]).any():
                     sp.count("bfd_rounds", rounds)
                     metric_inc("repro_bfd_rounds_total", outcome="converged")

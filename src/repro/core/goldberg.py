@@ -98,7 +98,7 @@ def one_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
             if token is not None:
                 token.check("reweighting:iteration")
             w_red = w0 + price[g.src] - price[g.dst] if g.m else w0
-            local.charge_cost(model.map(g.m))
+            local.charge(*model.map_ws(g.m))
             k_now = count_negative_vertices(g, w_red)
             if k_now == 0:
                 break
@@ -112,7 +112,7 @@ def one_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
                                          retry_policy=retry_policy,
                                          guard=guard)
                 if out.price_delta is not None:
-                    local.charge_cost(model.map(g.m))
+                    local.charge(*model.map_ws(g.m))
                     if not is_valid_improvement(g, w_red, out.price_delta):
                         raise VerificationError(
                             "price delta violates the τ-improvement "
@@ -140,7 +140,7 @@ def one_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
                     return ReweightingResult(None, outcome.negative_cycle,
                                              stats, local.snapshot())
                 price = price + outcome.price_delta
-                local.charge_cost(model.map(g.n))
+                local.charge(*model.map_ws(g.n))
         else:
             raise RetryExhaustedError(
                 "1-reweighting exceeded its iteration budget — this "

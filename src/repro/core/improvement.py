@@ -217,7 +217,7 @@ def _step3_independent_set(g: DiGraph, cond: Condensation, cg: DiGraph,
                            ) -> ImprovementOutcome:
     """Improve the largest per-level independent set of negative vertices."""
     levels = (-dist_h[negs]).astype(np.int64)
-    acc.charge_cost(model.map(len(negs)))
+    acc.charge(*model.map_ws(len(negs)))
     counts = np.bincount(levels, minlength=L + 1)
     counts[0] = 0  # negative vertices never sit at level 0
     best = int(np.argmax(counts))
@@ -225,7 +225,7 @@ def _step3_independent_set(g: DiGraph, cond: Condensation, cg: DiGraph,
     # V^R = everything at level >= best (reachable from S_best in ≤0(cg))
     in_vr = dist_h <= -best
     price_cg = np.where(in_vr, -1, 0).astype(np.int64)
-    acc.charge_cost(model.map(cg.n))
+    acc.charge(*model.map_ws(cg.n))
     delta = lift_price_to_members(price_cg, cond.comp)
     return ImprovementOutcome(k=len(negs), method="independent-set",
                               price_delta=delta, improved=improved)
@@ -266,7 +266,7 @@ def _step3_chain(g: DiGraph, w_red: np.ndarray, cond: Condensation,
             d_hat, parent_hat = res.dist, res.parent
 
     price_cg = (d_hat[:cg.n] - L).astype(np.int64)
-    acc.charge_cost(model.map(cg.n))
+    acc.charge(*model.map_ws(cg.n))
 
     # Lemma 19: all chain v_i must be improved, else a negative cycle exists
     chain_v = np.array([v for _, v in chain], dtype=np.int64)
@@ -274,7 +274,7 @@ def _step3_chain(g: DiGraph, w_red: np.ndarray, cond: Condensation,
     in_chain_v = np.zeros(cg.n, dtype=bool)
     in_chain_v[chain_v] = True
     unimproved = (w_after < 0) & in_chain_v[cg.dst]
-    acc.charge_cost(model.map(cg.m))
+    acc.charge(*model.map_ws(cg.m))
     if not unimproved.any():
         delta = lift_price_to_members(price_cg, cond.comp)
         return ImprovementOutcome(k=k, method="chain", price_delta=delta,

@@ -203,7 +203,7 @@ def scaled_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
                     # effective weights at this scale: ceil(w/s) + price
                     # terms; the invariant guarantees they are >= -1
                     w_eff = _ceil_div(w, s) + price[g.src] - price[g.dst]
-                    local.charge_cost(model.map(g.m))
+                    local.charge(*model.map_ws(g.m))
                     res = one_reweighting(g, w_eff, mode=mode,
                                           assp_engine=assp_engine, eps=eps,
                                           seed=derive_seed(seed, scale_idx),

@@ -48,10 +48,10 @@ def dag01_limited_sssp_naive(g: DiGraph, source: int, limit: int, *,
             break
         rounds = i
         sub, nodes = g.induced_subgraph(live_nodes)
-        local.charge_cost(model.pack(g.m))
+        local.charge(*model.pack_ws(g.m))
         # negative vertices: heads of live −1 edges
         neg_targets = np.unique(sub.dst[sub.w == -1])
-        local.charge_cost(model.map(sub.m))
+        local.charge(*model.map_ws(sub.m))
         if len(neg_targets):
             res = multisource_reachability(sub, neg_targets, local, model)
             reach_calls += 1
@@ -63,7 +63,7 @@ def dag01_limited_sssp_naive(g: DiGraph, source: int, limit: int, *,
         peel = nodes[peel_local]
         dist[peel] = -i
         live[peel] = False
-        local.charge_cost(model.map(len(peel)))
+        local.charge(*model.map_ws(len(peel)))
     dist[live] = -np.inf  # beyond the limit
     dist[reach.pi < 0] = np.inf
     if acc is not None:

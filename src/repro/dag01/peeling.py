@@ -141,7 +141,7 @@ def dag01_limited_sssp(g: DiGraph, source: int, limit: int, *,
             sub_source = source
         else:
             sub, ids = g.induced_subgraph(reachable)
-            local.charge_cost(model.pack(g.m))
+            local.charge(*model.pack_ws(g.m))
             sub_source = int(np.searchsorted(ids, source))
 
         rng = make_rng(seed)
@@ -157,7 +157,7 @@ def dag01_limited_sssp(g: DiGraph, source: int, limit: int, *,
                 f"(range [{int(pri.min())}, {int(pri.max())}], "
                 f"need [1, {sub.n}])",
                 stage="dag01_peeling")
-        local.charge_cost(model.map(sub.n))
+        local.charge(*model.map_ws(sub.n))
 
         st = _State(
             g=sub,
@@ -215,7 +215,7 @@ def _peel(st: _State, source: int, limit: int) -> np.ndarray:
 
     _propagate(st, np.arange(g.n, dtype=np.int64))
     frontier = np.flatnonzero(st.label_eid == NO_EDGE)
-    acc.charge_cost(model.pack(g.n))
+    acc.charge(*model.pack_ws(g.n))
 
     for i in range(limit + 1):
         if len(frontier) == 0:
@@ -225,7 +225,7 @@ def _peel(st: _State, source: int, limit: int) -> np.ndarray:
             # R = ∪_{u∈F} SentLabel(u), filtered to labels broken by F
             candidates = st.sent.gather(frontier, acc, model)
             st.sent.clear_many(frontier, acc, model)
-            acc.charge_cost(model.map(len(candidates)))
+            acc.charge(*model.map_ws(len(candidates)))
             in_f = np.zeros(g.n, dtype=bool)
             in_f[frontier] = True
             if len(candidates):
@@ -240,14 +240,14 @@ def _peel(st: _State, source: int, limit: int) -> np.ndarray:
             # finalise the frontier at distance −i
             dist[frontier] = -i
             st.live[frontier] = False
-            acc.charge_cost(model.map(len(frontier)))
+            acc.charge(*model.map_ws(len(frontier)))
             rsp.count("finalized", len(frontier))
             rsp.count("invalidated", len(invalid))
             if i == limit:
                 break
             _propagate(st, invalid)
             frontier = invalid[st.label_eid[invalid] == NO_EDGE]
-            acc.charge_cost(model.pack(len(invalid)))
+            acc.charge(*model.pack_ws(len(invalid)))
     return dist
 
 
@@ -271,16 +271,17 @@ def _propagate(st: _State, vprime: np.ndarray) -> None:
     for p in range(cap, 0, -1):
         if len(vprime) == 0:
             break
-        pack_vprime = model.pack(len(vprime))
+        pack_w, pack_s = model.pack_ws(len(vprime))
         # V' holds unlabeled vertices only, so when GetNearbyLabel labels
         # none there are no sources and V' stays as it is
         labeled_any = _nearby_labels(st, near, p)
-        acc.charge_cost(pack_vprime)
+        acc.charge(pack_w, pack_s)
         if labeled_any:
             sources = vprime[st.label_eid[vprime] != NO_EDGE]
             # the model charges building G[V'], which the reach restricted
             # to V' (``within=``) stands in for
-            acc.charge_cost(model.pack(_incident_edges(g, vprime, acc, model)))
+            w, s = model.pack_ws(_incident_edges(g, vprime, acc, model))
+            acc.charge(w, s)
             st.reach_calls += 1
             st.reach_node_total += len(vprime)
             res = multisource_reachability(g, sources, acc, model,
@@ -296,7 +297,8 @@ def _propagate(st: _State, vprime: np.ndarray) -> None:
             st.label_changes[global_v[changed]] += 1
             st.label_eid[global_v] = new_lab
             st.parent_eid[global_v] = new_lab
-            acc.charge_cost(model.map(len(global_v)))
+            w, s = model.map_ws(len(global_v))
+            acc.charge(w, s)
             # remove newly labeled vertices from V' and their in-edges
             # from the table
             still = st.label_eid[vprime] == NO_EDGE
@@ -304,13 +306,13 @@ def _propagate(st: _State, vprime: np.ndarray) -> None:
             in_vp[newly_labeled[-1]] = False
             vprime = vprime[still]
             near = near[:, in_vp[near[_V]]]
-        acc.charge_cost(pack_vprime)
+        acc.charge(pack_w, pack_s)
     # update SentLabel sets with all new label assignments, grouped by the
     # label head u (semisort idiom, §3.5)
     if newly_labeled:
         labeled = np.concatenate(newly_labeled)
         heads = g.src[st.label_eid[labeled]]
-        acc.charge_cost(model.sort(len(labeled)))
+        acc.charge(*model.sort_ws(len(labeled)))
         order = np.argsort(heads, kind="stable")
         heads_s, labeled_s = heads[order], labeled[order]
         bounds = ((heads_s[1:] != heads_s[:-1]).nonzero()[0] + 1).tolist()
@@ -364,7 +366,7 @@ def _nearby_labels(st: _State, near: np.ndarray, p: int) -> bool:
     Returns whether any vertex got a label.
     """
     acc, model = st.acc, st.model
-    acc.charge_cost(model.map(near.shape[1]))
+    acc.charge(*model.map_ws(near.shape[1]))
     case_a = near[_APRI] == p
     hit = case_a | (near[_BPRI] == p)
     if not hit.any():

@@ -39,7 +39,7 @@ class IntervalTable:
         if len(vertices) == 0:
             return
         if acc is not None:
-            acc.charge_cost(model.map(len(vertices)))
+            acc.charge(*model.map_ws(len(vertices)))
         self.start[vertices] = start
         self.size[vertices] = size
         self.additions[vertices] += 1
@@ -93,7 +93,7 @@ class IntervalTable:
             self._buckets[key] = valid.tolist()
             out.extend(valid.tolist())
         if acc is not None:
-            acc.charge_cost(model.map(total))
+            acc.charge(*model.map_ws(total))
         return np.asarray(sorted(set(out)), dtype=np.int64)
 
     def members(self, start: int, size: int) -> np.ndarray:

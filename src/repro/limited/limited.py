@@ -152,7 +152,7 @@ def _limited_pass(g: DiGraph, source: int, limit: int, engine, eps: float,
     # initial 2-approximation assigns everything near enough to [0, 2D)
     d0 = engine(g, source, 1.0, acc, model)
     near = np.flatnonzero((d0 <= 2 * D) & (np.arange(g.n) != source))
-    acc.charge_cost(model.pack(g.n))
+    acc.charge(*model.pack_ws(g.n))
     table.assign(near, 0, 2 * D, acc, model)
 
     calls = 0
@@ -201,7 +201,7 @@ def _refine(g: DiGraph, source: int, d: int, size: int, dist: np.ndarray,
         dist[done] = float(d)
         finalized[done] = True
         table.remove(done)
-        acc.charge_cost(model.map(len(vprime)))
+        acc.charge(*model.map_ws(len(vprime)))
         rsp.count("finalized", len(done))
 
         # reassign only vertices whose interval is exactly [d, d+size)
@@ -240,11 +240,11 @@ def _run_assp_on_shifted(g: DiGraph, d: int, vprime: np.ndarray,
     engine cannot crash the build; verification owns correctness).
     """
     sub, nodes = g.induced_subgraph(vprime)
-    acc.charge_cost(model.pack(g.m))
+    acc.charge(*model.pack_ws(g.m))
     s_prime = sub.n
 
     slots = in_edge_slots(g, vprime)
-    acc.charge_cost(model.map(len(slots)))
+    acc.charge(*model.map_ws(len(slots)))
     eids = g.reids[slots]
     u = g.src[eids]
     v = g.dst[eids]

@@ -60,12 +60,12 @@ def verify_limited_distances(g: DiGraph, source: int, dist: np.ndarray,
     cd = np.empty(max(cond.n_components, 1))
     cd[comp] = d
     if acc is not None:
-        acc.charge_cost(model.map(g.n))
+        acc.charge(*model.map_ws(g.n))
     if g.n and not (cd[comp] == d).all():
         return False
     cg = cond.graph
     if acc is not None:
-        acc.charge_cost(model.map(cg.m))
+        acc.charge(*model.map_ws(cg.m))
     csrc = int(comp[source])
     du = cd[cg.src]
     dv = cd[cg.dst]
@@ -107,7 +107,7 @@ def shortest_path_tree(g: DiGraph, source: int, dist: np.ndarray,
         tight = (np.isfinite(d[g.src]) & (comp[g.src] != comp[g.dst])
                  & (d[g.src] + wf == d[g.dst]))
     if acc is not None:
-        acc.charge_cost(model.map(g.m))
+        acc.charge(*model.map_ws(g.m))
     # one tight entry edge per component (last write wins)
     entry_edge = np.full(cond.n_components, -1, dtype=np.int64)
     entry_edge[comp[g.dst[tight]]] = np.flatnonzero(tight)
@@ -129,7 +129,7 @@ def shortest_path_tree(g: DiGraph, source: int, dist: np.ndarray,
     while len(frontier):
         slots = out_edge_slots(zg, frontier)
         if acc is not None:
-            acc.charge_cost(model.bfs_round(len(slots), g.n))
+            acc.charge(*model.bfs_round_ws(len(slots), g.n))
         if len(slots) == 0:
             break
         targets = zg.indices[slots]

@@ -66,7 +66,7 @@ def weighted_bfs_limited(g: DiGraph, source: int, limit: int, *,
 
     def expand(frontier: np.ndarray, d0: int) -> None:
         slots = out_edge_slots(g, frontier)
-        local.charge_cost(model.bfs_round(len(slots), g.n))
+        local.charge(*model.bfs_round_ws(len(slots), g.n))
         if len(slots) == 0:
             return
         nd = d0 + w[slots]
@@ -91,7 +91,7 @@ def weighted_bfs_limited(g: DiGraph, source: int, limit: int, *,
         if entry is None:
             continue
         vs, ps = entry
-        local.charge_cost(model.pack(len(vs)))
+        local.charge(*model.pack_ws(len(vs)))
         new_mask = ~np.isfinite(dist[vs])
         vs, ps = vs[new_mask], ps[new_mask]
         if len(vs) == 0:

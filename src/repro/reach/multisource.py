@@ -120,19 +120,19 @@ def multisource_reachability(g: DiGraph, sources: np.ndarray,
                 k, frontier = _round(g, pi, within, frontier)
             else:
                 k, frontier = _round_scalar(indptr, indices, pv, wv, small)
-            local.charge_cost(model.bfs_round(k, n))
+            w, s = model.bfs_round_ws(k, n)
+            local.charge(w, s)
             if k == 0:
                 break
-            local.charge_cost(model.pack(k))
+            w, s = model.pack_ws(k)
+            local.charge(w, s)
+        span_model = model.oracle_span(n)
         if acc is not None:
-            acc.charge(local.work,
-                       span=local.span,
-                       span_model=model.oracle_span(n))
+            acc.charge(local.work, span=local.span, span_model=span_model)
         rsp.count("rounds", rounds)
         metric_inc("repro_reach_calls_total")
         metric_inc("repro_reach_rounds_total", rounds)
-    return ReachResult(pi, rounds, Cost(local.work, local.span,
-                                        model.oracle_span(n)))
+    return ReachResult(pi, rounds, Cost(local.work, local.span, span_model))
 
 
 def multisource_reachability_min(g: DiGraph, sources: np.ndarray,
@@ -184,20 +184,21 @@ def multisource_reachability_min(g: DiGraph, sources: np.ndarray,
             else:
                 k, frontier = _min_round_scalar(indptr, indices, lv, mv,
                                                 small)
-            local.charge_cost(model.bfs_round(k, g.n))
+            w, s = model.bfs_round_ws(k, g.n)
+            local.charge(w, s)
             if k == 0:
                 break
-            local.charge_cost(model.pack(k))
+            w, s = model.pack_ws(k)
+            local.charge(w, s)
         pi = label
         pi[pi == _UNLABELED] = NO_SOURCE
+        span_model = model.oracle_span(g.n)
         if acc is not None:
-            acc.charge(local.work, span=local.span,
-                       span_model=model.oracle_span(g.n))
+            acc.charge(local.work, span=local.span, span_model=span_model)
         rsp.count("rounds", rounds)
         metric_inc("repro_reach_calls_total")
         metric_inc("repro_reach_rounds_total", rounds)
-    return ReachResult(pi, rounds, Cost(local.work, local.span,
-                                        model.oracle_span(g.n)))
+    return ReachResult(pi, rounds, Cost(local.work, local.span, span_model))
 
 
 def _source_ids(sources, n: int) -> np.ndarray:
@@ -333,7 +334,7 @@ def bfs_parents(g: DiGraph, source: int,
     frontier = np.array([source], dtype=np.int64)
     while len(frontier):
         slots = out_edge_slots(g, frontier)
-        local.charge_cost(model.bfs_round(len(slots), g.n))
+        local.charge(*model.bfs_round_ws(len(slots), g.n))
         if len(slots) == 0:
             break
         targets = g.indices[slots]

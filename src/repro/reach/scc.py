@@ -81,16 +81,19 @@ def scc(g: DiGraph, acc: CostAccumulator | None = None,
     while len(live_ids):
         take = min(batch, len(live_ids))
         centers = rng.choice(live_ids, size=take, replace=False)
-        local.charge_cost(model.map(len(live_ids)))
+        w, s = model.map_ws(len(live_ids))
+        local.charge(w, s)
         # restrict to intra-block live edges; center labels cannot escape
         # their blocks
         keep = live[g.src] & live[g.dst] & (block[g.src] == block[g.dst])
-        local.charge_cost(model.pack(g.m))
+        w, s = model.pack_ws(g.m)
+        local.charge(w, s)
         fwd = multisource_reachability_min(g, centers, local, model,
                                            edge_mask=keep).pi
         bwd = multisource_reachability_min(rg, centers, local, model,
                                            edge_mask=keep[g.reids]).pi
-        local.charge_cost(model.map(g.n))
+        w, s = model.map_ws(g.n)
+        local.charge(w, s)
         done = live & (fwd >= 0) & (fwd == bwd)
         # finalise each self-min center's SCC with a fresh contiguous id
         scc_ids = done.nonzero()[0]
@@ -104,7 +107,8 @@ def scc(g: DiGraph, acc: CostAccumulator | None = None,
         if len(live_ids):
             block[live_ids] = lex_rank(block[live_ids], fwd[live_ids],
                                        bwd[live_ids])
-            local.charge_cost(model.sort(len(live_ids)))
+            w, s = model.sort_ws(len(live_ids))
+            local.charge(w, s)
         batch = min(batch * 2, max(len(live_ids), 1))
     if acc is not None:
         acc.charge_cost(local.snapshot())

@@ -77,7 +77,7 @@ def build_hub_shortcuts(g: DiGraph, n_hubs: int, *, seed=0,
     src = np.concatenate(srcs)
     dst = np.concatenate(dsts)
     added = len(src) - g.m
-    local.charge_cost(model.sort(len(src)))
+    local.charge(*model.sort_ws(len(src)))
     sg = DiGraph(g.n, src, dst, np.zeros(len(src), dtype=np.int64))
     if acc is not None:
         acc.charge_cost(local.snapshot())

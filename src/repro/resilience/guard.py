@@ -14,20 +14,27 @@ propagates straight to the graceful-degradation layer in
 from __future__ import annotations
 
 from ..runtime.metrics import Cost, CostAccumulator
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InputValidationError
 
 
 class BudgetGuard:
-    """Mutable budget state shared by every stage of one solve."""
+    """Mutable budget state shared by every stage of one solve.
+
+    A ceiling of ``None`` or ``inf`` means no limit.  A negative or NaN
+    ceiling raises :class:`InputValidationError` (a ``ValueError``): no
+    spend compares greater than NaN, so a NaN budget would never trip.
+    """
 
     __slots__ = ("max_work", "max_span", "spent_work", "spent_span")
 
     def __init__(self, max_work: float | None = None,
                  max_span: float | None = None) -> None:
-        if max_work is not None and max_work < 0:
-            raise ValueError("max_work must be nonnegative")
-        if max_span is not None and max_span < 0:
-            raise ValueError("max_span must be nonnegative")
+        if max_work is not None and not max_work >= 0:
+            raise InputValidationError(
+                f"max_work must be a nonnegative number, got {max_work}")
+        if max_span is not None and not max_span >= 0:
+            raise InputValidationError(
+                f"max_span must be a nonnegative number, got {max_span}")
         self.max_work = max_work
         self.max_span = max_span
         self.spent_work = 0.0

@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import math
 import threading
 import time
 from typing import Callable
 
-from .errors import CancelledError, DeadlineExceededError
+from .errors import CancelledError, DeadlineExceededError, InputValidationError
 
 
 class Deadline:
@@ -49,14 +50,22 @@ class Deadline:
     def __init__(self, expires_at: float,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.expires_at = float(expires_at)
+        if math.isnan(self.expires_at):
+            # no clock reading compares >= NaN: it would never expire
+            raise InputValidationError("deadline must not be NaN")
         self.clock = clock
 
     @classmethod
     def after(cls, seconds: float,
               clock: Callable[[], float] = time.monotonic) -> "Deadline":
-        """Deadline ``seconds`` from now on ``clock``."""
-        if seconds < 0:
-            raise ValueError("deadline must be nonnegative seconds away")
+        """Deadline ``seconds`` from now on ``clock`` (``inf``: never).
+
+        Negative or NaN ``seconds`` raise :class:`InputValidationError`
+        (a ``ValueError``).
+        """
+        if not seconds >= 0:
+            raise InputValidationError(
+                f"deadline must be nonnegative seconds away, got {seconds}")
         return cls(clock() + float(seconds), clock)
 
     def remaining(self) -> float:

@@ -15,6 +15,21 @@ Conventions
 * Black-box oracle spans use exponent 1/2 for the ``n^(1/2+o(1))`` bounds of
   Jambulapati et al. (reachability) and Cao et al. (ASSSP), times one ``lg``
   factor standing in for the ``o(1)``/polylog terms.
+
+Float forms
+-----------
+Each formula is written once, as a ``*_ws`` method returning the float pair
+``(work, span)``; the method of the plain name wraps that pair in a
+:class:`~repro.runtime.metrics.Cost`.  Every step charges the pair,
+``acc.charge(*model.pack_ws(k))``, which adds exactly the floats
+``acc.charge_cost(model.pack(k))`` adds, in the same order, without
+building a ``Cost`` (DESIGN.md, "Cost accounting").  The per-round loops
+of the reach searches, ``scc`` and Propagate unpack the pair first,
+``w, s = model.pack_ws(k)`` then ``acc.charge(w, s)``: a star call costs
+about 0.1 µs more per charge, and those loops make ~2.6k of a
+hidden-potential solve's ~5.9k charges.  The per-step formulas write
+``max(n, 1)`` as ``1 if n < 1 else n``, which returns the same object for
+every int, numpy integer, bool and float ``n`` without the builtin call.
 """
 
 from __future__ import annotations
@@ -44,50 +59,53 @@ class CostModel:
     # ------------------------------------------------------------------
     # Flat data-parallel primitives
     # ------------------------------------------------------------------
-    def map(self, n: int, per_item_work: float = 1.0) -> Cost:
+    def map_ws(self, n: int, per_item_work: float = 1.0
+               ) -> tuple[float, float]:
         """Parallel-for over ``n`` items: work ``O(n)``, span ``O(lg n)``."""
-        return Cost(max(n, 1) * per_item_work, lg(n))
+        return (1 if n < 1 else n) * per_item_work, lg(n)
 
-    def reduce(self, n: int) -> Cost:
+    def reduce_ws(self, n: int) -> tuple[float, float]:
         """Parallel reduction: work ``O(n)``, span ``O(lg n)``."""
-        return Cost(max(n, 1), lg(n))
+        return (1 if n < 1 else n), lg(n)
 
-    def scan(self, n: int) -> Cost:
+    def scan_ws(self, n: int) -> tuple[float, float]:
         """Parallel prefix sums: work ``O(n)``, span ``O(lg n)``."""
-        return Cost(max(n, 1), lg(n))
+        return (1 if n < 1 else n), lg(n)
 
-    def pack(self, n: int) -> Cost:
+    def pack_ws(self, n: int) -> tuple[float, float]:
         """Filter/compact ``n`` items (scan + scatter)."""
-        return Cost(2.0 * max(n, 1), 2.0 * lg(n))
+        return 2.0 * (1 if n < 1 else n), 2.0 * lg(n)
 
-    def sort(self, n: int) -> Cost:
+    def sort_ws(self, n: int) -> tuple[float, float]:
         """Parallel comparison sort: work ``O(n lg n)``, span ``O(lg^2 n)``."""
-        return Cost(max(n, 1) * lg(n), lg(n) ** 2)
+        lgn = lg(n)
+        return (1 if n < 1 else n) * lgn, lgn ** 2
 
-    def fork(self, k: int) -> Cost:
+    def fork_ws(self, k: int) -> tuple[float, float]:
         """Spawning ``k`` parallel branches (binary fork tree)."""
-        return Cost(max(k, 1), lg(k))
+        return (1 if k < 1 else k), lg(k)
 
     # ------------------------------------------------------------------
     # Parallel ordered sets (Blelloch, Ferizovic, Sun — "Just Join")
     # ------------------------------------------------------------------
-    def set_merge(self, m_small: int, n_big: int) -> Cost:
+    def set_merge_ws(self, m_small: int, n_big: int) -> tuple[float, float]:
         """Merging sets of sizes m <= n: work ``O(m lg(n/m + 1))``, span
         ``O(lg m · lg n)``."""
-        m = max(m_small, 1)
-        n = max(n_big, m)
-        return Cost(m * math.log2(n / m + 2.0), lg(m) * lg(n))
+        m = 1 if m_small < 1 else m_small
+        n = m if n_big < m else n_big
+        return m * math.log2(n / m + 2.0), lg(m) * lg(n)
 
-    def set_enumerate(self, n: int) -> Cost:
+    def set_enumerate_ws(self, n: int) -> tuple[float, float]:
         """Enumerating a size-``n`` set: work ``O(n)``, span ``O(lg n)``."""
-        return Cost(max(n, 1), lg(n))
+        return (1 if n < 1 else n), lg(n)
 
     # ------------------------------------------------------------------
     # Graph-search building blocks
     # ------------------------------------------------------------------
-    def bfs_round(self, frontier_edges: int, n: int) -> Cost:
+    def bfs_round_ws(self, frontier_edges: int, n: int
+                     ) -> tuple[float, float]:
         """One parallel BFS round touching ``frontier_edges`` edges."""
-        return Cost(max(frontier_edges, 1), lg(n))
+        return (1 if frontier_edges < 1 else frontier_edges), lg(n)
 
     def oracle_span(self, n_sub: int) -> float:
         """Span of one black-box reachability/ASSSP call on ``n_sub`` nodes:
@@ -103,11 +121,44 @@ class CostModel:
     # ------------------------------------------------------------------
     # Classic sequential-flavoured parallel algorithms
     # ------------------------------------------------------------------
-    def dijkstra(self, n: int, m: int) -> Cost:
+    def dijkstra_ws(self, n: int, m: int) -> tuple[float, float]:
         """Parallel Dijkstra [Brodal et al. / Driscoll et al.]:
         work ``Õ(m)``, span ``Õ(n)``."""
         sz = max(n + m, 1)
-        return Cost(sz * lg(sz), max(n, 1) * lg(n))
+        return sz * lg(sz), max(n, 1) * lg(n)
+
+    # ------------------------------------------------------------------
+    # The same formulas as Cost objects
+    # ------------------------------------------------------------------
+    def map(self, n: int, per_item_work: float = 1.0) -> Cost:
+        return Cost(*self.map_ws(n, per_item_work))
+
+    def reduce(self, n: int) -> Cost:
+        return Cost(*self.reduce_ws(n))
+
+    def scan(self, n: int) -> Cost:
+        return Cost(*self.scan_ws(n))
+
+    def pack(self, n: int) -> Cost:
+        return Cost(*self.pack_ws(n))
+
+    def sort(self, n: int) -> Cost:
+        return Cost(*self.sort_ws(n))
+
+    def fork(self, k: int) -> Cost:
+        return Cost(*self.fork_ws(k))
+
+    def set_merge(self, m_small: int, n_big: int) -> Cost:
+        return Cost(*self.set_merge_ws(m_small, n_big))
+
+    def set_enumerate(self, n: int) -> Cost:
+        return Cost(*self.set_enumerate_ws(n))
+
+    def bfs_round(self, frontier_edges: int, n: int) -> Cost:
+        return Cost(*self.bfs_round_ws(frontier_edges, n))
+
+    def dijkstra(self, n: int, m: int) -> Cost:
+        return Cost(*self.dijkstra_ws(n, m))
 
 
 DEFAULT_MODEL = CostModel()

@@ -34,7 +34,7 @@ def parallel_map(values: Sequence[T], fn: Callable[[T], U],
                  per_item_work: float = 1.0) -> list[U]:
     """Apply ``fn`` to every element (a parallel-for in the model)."""
     check_cancelled("primitives:parallel_map")
-    acc.charge_cost(model.map(len(values), per_item_work))
+    acc.charge(*model.map_ws(len(values), per_item_work))
     return [fn(v) for v in values]
 
 
@@ -42,7 +42,7 @@ def prefix_sum(a: np.ndarray, acc: CostAccumulator,
                model: CostModel = DEFAULT_MODEL) -> np.ndarray:
     """Exclusive prefix sums (parallel scan)."""
     check_cancelled("primitives:prefix_sum")
-    acc.charge_cost(model.scan(len(a)))
+    acc.charge(*model.scan_ws(len(a)))
     out = np.zeros(len(a) + 1, dtype=a.dtype if a.dtype.kind in "iu" else np.int64)
     np.cumsum(a, out=out[1:])
     return out
@@ -54,7 +54,7 @@ def pack(a: np.ndarray, mask: np.ndarray, acc: CostAccumulator,
     check_cancelled("primitives:pack")
     if len(a) != len(mask):
         raise ValueError("pack: array and mask lengths differ")
-    acc.charge_cost(model.pack(len(a)))
+    acc.charge(*model.pack_ws(len(a)))
     return a[mask]
 
 
@@ -62,7 +62,7 @@ def parallel_sort(a: np.ndarray, acc: CostAccumulator,
                   model: CostModel = DEFAULT_MODEL) -> np.ndarray:
     """Sorted copy of ``a`` (parallel comparison sort)."""
     check_cancelled("primitives:parallel_sort")
-    acc.charge_cost(model.sort(len(a)))
+    acc.charge(*model.sort_ws(len(a)))
     return np.sort(a, kind="stable")
 
 
@@ -70,7 +70,7 @@ def parallel_argsort(a: np.ndarray, acc: CostAccumulator,
                      model: CostModel = DEFAULT_MODEL) -> np.ndarray:
     """Stable argsort of ``a`` (parallel comparison sort)."""
     check_cancelled("primitives:parallel_argsort")
-    acc.charge_cost(model.sort(len(a)))
+    acc.charge(*model.sort_ws(len(a)))
     return np.argsort(a, kind="stable")
 
 
@@ -79,7 +79,7 @@ def parallel_reduce_max(a: np.ndarray, acc: CostAccumulator,
                         default: float = -np.inf) -> float:
     """Maximum of ``a`` (parallel reduction)."""
     check_cancelled("primitives:reduce_max")
-    acc.charge_cost(model.reduce(len(a)))
+    acc.charge(*model.reduce_ws(len(a)))
     if len(a) == 0:
         return default
     return a.max()
@@ -89,7 +89,7 @@ def parallel_reduce_sum(a: np.ndarray, acc: CostAccumulator,
                         model: CostModel = DEFAULT_MODEL) -> float:
     """Sum of ``a`` (parallel reduction)."""
     check_cancelled("primitives:reduce_sum")
-    acc.charge_cost(model.reduce(len(a)))
+    acc.charge(*model.reduce_ws(len(a)))
     return a.sum() if len(a) else 0
 
 
@@ -110,8 +110,8 @@ def group_by_key(keys: np.ndarray, values: np.ndarray, acc: CostAccumulator,
     sk = keys[order]
     sv = values[order]
     # boundary detection is a parallel map + pack
-    acc.charge_cost(model.map(len(sk)))
-    acc.charge_cost(model.pack(len(sk)))
+    acc.charge(*model.map_ws(len(sk)))
+    acc.charge(*model.pack_ws(len(sk)))
     bounds = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
     out: list[tuple[int, np.ndarray]] = []
     for idx, start in enumerate(bounds):  # repro: noqa[RS001] boundary split covered by the map+pack charges above
@@ -126,8 +126,8 @@ def flatten(arrays: Iterable[np.ndarray], acc: CostAccumulator,
     """Concatenate arrays using prefix sums to place segments (§3.5)."""
     arrays = [np.asarray(a, dtype=dtype) for a in arrays]
     total = sum(len(a) for a in arrays)
-    acc.charge_cost(model.scan(len(arrays)))
-    acc.charge_cost(model.map(total))
+    acc.charge(*model.scan_ws(len(arrays)))
+    acc.charge(*model.map_ws(total))
     if not arrays:
         return np.empty(0, dtype=dtype)
     return np.concatenate(arrays)
@@ -156,6 +156,6 @@ def unique_sorted(a: np.ndarray) -> np.ndarray:
 def dedupe(a: np.ndarray, acc: CostAccumulator,
            model: CostModel = DEFAULT_MODEL) -> np.ndarray:
     """Sorted unique elements of ``a`` (sort + adjacent-compare + pack)."""
-    acc.charge_cost(model.sort(len(a)))
-    acc.charge_cost(model.pack(len(a)))
+    acc.charge(*model.sort_ws(len(a)))
+    acc.charge(*model.pack_ws(len(a)))
     return unique_sorted(a)

@@ -39,7 +39,7 @@ class SetVector:
                  acc: CostAccumulator | None = None,
                  model: CostModel = DEFAULT_MODEL) -> None:
         if acc is not None:
-            acc.charge_cost(model.map(n_sets))
+            acc.charge(*model.map_ws(n_sets))
         self._sets: list[np.ndarray] = [_EMPTY] * n_sets
 
     def __len__(self) -> int:
@@ -55,7 +55,7 @@ class SetVector:
         cur = self._sets[ident]
         if acc is not None:
             small, big = sorted((len(arr), len(cur)))
-            acc.charge_cost(model.set_merge(small, big))
+            acc.charge(*model.set_merge_ws(small, big))
         if len(arr) == 0:
             return
         self._sets[ident] = (unique_sorted(np.concatenate((cur, arr)))
@@ -73,8 +73,8 @@ class SetVector:
         parts = [sets[i] for i in np.asarray(idents, dtype=np.int64).tolist()]
         total = sum(map(len, parts))
         if acc is not None:
-            acc.charge_cost(model.scan(len(parts)))
-            acc.charge_cost(model.map(total))
+            acc.charge(*model.scan_ws(len(parts)))
+            acc.charge(*model.map_ws(total))
         if not parts:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(parts)
@@ -85,9 +85,12 @@ class SetVector:
         """Empty the identified sets, charging one enumeration per set."""
         race_write(self, label="SetVector", site="pset.clear_many")
         sets = self._sets
-        empty_cost = model.set_enumerate(0)   # most sets are empty
+        empty_w, empty_s = model.set_enumerate_ws(0)   # most sets are empty
         for i in np.asarray(idents, dtype=np.int64).tolist():
             if acc is not None:
                 k = len(sets[i])
-                acc.charge_cost(model.set_enumerate(k) if k else empty_cost)
+                if k:
+                    acc.charge(*model.set_enumerate_ws(k))
+                else:
+                    acc.charge(empty_w, empty_s)
             sets[i] = _EMPTY

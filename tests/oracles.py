@@ -1,12 +1,13 @@
 """Independent test oracles (networkx-backed; tests only), the
 numpy-indexed references of the scalar kernels, and the previous forms
-of the reachability rounds, the SCC rounds, the SentLabel sets and
-Propagate."""
+of the reachability rounds, the SCC rounds, the SentLabel sets,
+Propagate and the cost accounting."""
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
+import math
 
 import numpy as np
 
@@ -661,3 +662,159 @@ def nearby_labels_reference(st: _State, vprime: np.ndarray, p: int) -> None:
     changed_v = np.unique(tv[applied & (old != st.label_eid[tv])])
     st.label_changes[changed_v] += 1
     st.parent_eid[tv] = st.label_eid[tv]
+
+
+# ---------------------------------------------------------------------------
+# The cost accounting before the float forms, verbatim: the frozen
+# dataclass ``Cost`` whose ``__post_init__`` resolved the ``span_model``
+# default, the ``CostModel`` formulas that built one ``Cost`` per call,
+# and the accumulator's ``charge_cost``.  Only names and line breaks
+# differ.
+# ``tests/test_cost_accounting.py`` checks each ``*_ws`` float form, the
+# ``Cost`` wrappers, charge sequences and the new ``Cost`` against them
+# bit for bit.  ``parallel_all`` keeps its builtin ``sum()``, which is
+# what made its work depend on the Python version.
+# ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class CostReference:
+    """An immutable (work, span) pair.
+
+    ``span_model`` defaults to ``span`` so ordinary primitives only quote one
+    number.  Costs compose sequentially with ``+`` (work adds, spans add) and
+    in parallel with ``|`` (work adds, spans max).
+    """
+
+    work: float = 0.0
+    span: float = 0.0
+    span_model: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.span_model is None:
+            object.__setattr__(self, "span_model", self.span)
+
+    def __add__(self, other: "CostReference") -> "CostReference":
+        if not isinstance(other, CostReference):
+            return NotImplemented
+        return CostReference(
+            self.work + other.work,
+            self.span + other.span,
+            self.span_model + other.span_model,
+        )
+
+    def __or__(self, other: "CostReference") -> "CostReference":
+        if not isinstance(other, CostReference):
+            return NotImplemented
+        return CostReference(
+            self.work + other.work,
+            max(self.span, other.span),
+            max(self.span_model, other.span_model),
+        )
+
+    def scaled(self, k: float) -> "CostReference":
+        """Sequential repetition: ``k`` rounds of this cost."""
+        return CostReference(self.work * k, self.span * k,
+                             self.span_model * k)
+
+    @staticmethod
+    def parallel_all(costs: "list[CostReference]") -> "CostReference":
+        """Compose ``costs`` as parallel siblings (work sums, span maxes)."""
+        work = sum(c.work for c in costs)
+        span = max((c.span for c in costs), default=0.0)
+        span_model = max((c.span_model for c in costs), default=0.0)
+        return CostReference(work, span, span_model)
+
+    @property
+    def parallelism(self) -> float:
+        """Work over span — the model's available speed-up."""
+        return self.work / self.span_model if self.span_model > 0 else float("inf")
+
+
+def lg_reference(n: float) -> float:
+    """Smoothed base-2 logarithm used in all span formulas."""
+    return math.log2(n + 2.0)
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class CostModelReference:
+    """The cost model's formulas, each building a :class:`CostReference`."""
+
+    reach_span_exponent: float = 0.5
+    polylog_span_factor: float = 1.0
+
+    def map(self, n: int, per_item_work: float = 1.0) -> CostReference:
+        """Parallel-for over ``n`` items: work ``O(n)``, span ``O(lg n)``."""
+        return CostReference(max(n, 1) * per_item_work, lg_reference(n))
+
+    def reduce(self, n: int) -> CostReference:
+        """Parallel reduction: work ``O(n)``, span ``O(lg n)``."""
+        return CostReference(max(n, 1), lg_reference(n))
+
+    def scan(self, n: int) -> CostReference:
+        """Parallel prefix sums: work ``O(n)``, span ``O(lg n)``."""
+        return CostReference(max(n, 1), lg_reference(n))
+
+    def pack(self, n: int) -> CostReference:
+        """Filter/compact ``n`` items (scan + scatter)."""
+        return CostReference(2.0 * max(n, 1), 2.0 * lg_reference(n))
+
+    def sort(self, n: int) -> CostReference:
+        """Parallel comparison sort: work ``O(n lg n)``, span ``O(lg^2 n)``."""
+        return CostReference(max(n, 1) * lg_reference(n),
+                             lg_reference(n) ** 2)
+
+    def fork(self, k: int) -> CostReference:
+        """Spawning ``k`` parallel branches (binary fork tree)."""
+        return CostReference(max(k, 1), lg_reference(k))
+
+    def set_merge(self, m_small: int, n_big: int) -> CostReference:
+        """Merging sets of sizes m <= n: work ``O(m lg(n/m + 1))``, span
+        ``O(lg m · lg n)``."""
+        m = max(m_small, 1)
+        n = max(n_big, m)
+        return CostReference(m * math.log2(n / m + 2.0),
+                             lg_reference(m) * lg_reference(n))
+
+    def set_enumerate(self, n: int) -> CostReference:
+        """Enumerating a size-``n`` set: work ``O(n)``, span ``O(lg n)``."""
+        return CostReference(max(n, 1), lg_reference(n))
+
+    def bfs_round(self, frontier_edges: int, n: int) -> CostReference:
+        """One parallel BFS round touching ``frontier_edges`` edges."""
+        return CostReference(max(frontier_edges, 1), lg_reference(n))
+
+    def oracle_span(self, n_sub: int) -> float:
+        """Span of one black-box reachability/ASSSP call on ``n_sub`` nodes:
+        ``n^(1/2+o(1))`` modelled as ``n^exp · polylog``."""
+        n = max(n_sub, 1)
+        return ((n ** self.reach_span_exponent) * lg_reference(n)
+                * self.polylog_span_factor)
+
+    def oracle_work(self, n_sub: int, m_sub: int) -> float:
+        """Work of one black-box call: ``Õ(m)``."""
+        sz = max(n_sub + m_sub, 1)
+        return sz * lg_reference(sz)
+
+    def dijkstra(self, n: int, m: int) -> CostReference:
+        """Parallel Dijkstra [Brodal et al. / Driscoll et al.]:
+        work ``Õ(m)``, span ``Õ(n)``."""
+        sz = max(n + m, 1)
+        return CostReference(sz * lg_reference(sz),
+                             max(n, 1) * lg_reference(n))
+
+
+class CostAccumulatorReference:
+    """The accumulator's running totals and its ``charge_cost``."""
+
+    __slots__ = ("work", "span", "span_model")
+
+    def __init__(self) -> None:
+        self.work = 0.0
+        self.span = 0.0
+        self.span_model = 0.0
+
+    def charge_cost(self, cost: CostReference) -> None:
+        self.work += cost.work
+        self.span += cost.span
+        self.span_model += cost.span_model

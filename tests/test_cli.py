@@ -100,6 +100,18 @@ class TestSolve:
         assert rc == 4
         assert "BudgetExceededError" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "-1"])
+    def test_bad_budget_exit_code(self, capsys, tmp_path, bad):
+        _, text, _ = run_cli(capsys, "generate", "hidden-potential",
+                             "--n", "15", "--m", "50")
+        p = tmp_path / "g.gr"
+        p.write_text(text)
+        rc, out, err = run_cli(capsys, "solve", str(p), "--max-work", bad,
+                               "--no-fallback")
+        assert rc == 2
+        assert "error:" in err and "max_work" in err
+        assert out == ""
+
     def test_budget_with_fallback_degrades(self, capsys, tmp_path):
         _, text, _ = run_cli(capsys, "generate", "hidden-potential",
                              "--n", "15", "--m", "50")
@@ -141,6 +153,13 @@ class TestPreemption:
         rc, _, err = run_cli(capsys, "solve", str(p), "--deadline", "-1")
         assert rc == 2
         assert "--deadline" in err
+
+    def test_nan_deadline_rejected(self, capsys, tmp_path):
+        p = self._graph_file(capsys, tmp_path)
+        rc, _, err = run_cli(capsys, "solve", str(p), "--deadline", "nan",
+                             "--no-fallback")
+        assert rc == 2
+        assert "error:" in err and "--deadline" in err
 
     def test_resume_requires_checkpoint(self, capsys, tmp_path):
         p = self._graph_file(capsys, tmp_path)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.extensions import all_pairs_shortest_paths
 from repro.core.sssp import solve_sssp
 from repro.graph.generators import hidden_potential_graph, random_digraph
 from repro.runtime.metrics import Cost
@@ -73,6 +74,17 @@ def test_golden_cost_pool_size_independent(case, monkeypatch):
     finally:
         executor._default_pool = None  # do not leak the 1-worker pool
     assert res.cost == par_cost
+
+
+def test_golden_apsp_cost():
+    """APSP folds one branch per source through ``join_parallel``.  Its
+    work adds the branch works left to right: Python 3.12's compensated
+    ``sum()`` would end in ``...16dcp+12`` instead of ``...16ddp+12``."""
+    res = all_pairs_shortest_paths(hidden_potential_graph(12, 48, seed=3),
+                                   seed=SEED)
+    assert res.cost.work.hex() == "0x1.d6c629d8f16ddp+12"
+    assert res.cost == Cost(7532.38521665867, 1410.7802774218096,
+                            1586.1116561471272)
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))

@@ -24,6 +24,7 @@ from repro import (
     CheckpointError,
     Deadline,
     DeadlineExceededError,
+    InputValidationError,
     solve_sssp,
     solve_sssp_resilient,
 )
@@ -78,6 +79,28 @@ class TestDeadline:
     def test_negative_after_rejected(self):
         with pytest.raises(ValueError):
             Deadline.after(-1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("-inf")])
+    def test_nan_or_negative_after_is_input_error(self, bad):
+        with pytest.raises(InputValidationError):
+            Deadline.after(bad)
+
+    def test_nan_expiry_rejected(self):
+        # a NaN deadline would never expire: no clock reading is >= NaN
+        with pytest.raises(InputValidationError):
+            Deadline(float("nan"))
+
+    def test_nan_deadline_rejected_by_solver(self):
+        g = generators.hidden_potential_graph(12, 30, seed=1)
+        with pytest.raises(InputValidationError):
+            solve_sssp_resilient(g, 0, deadline=float("nan"),
+                                 fallback=False)
+
+    def test_infinite_after_never_expires(self):
+        clock = ManualClock()
+        dl = Deadline.after(float("inf"), clock=clock)
+        clock.advance(1e9)
+        assert not dl.expired()
 
 
 class TestCancelToken:

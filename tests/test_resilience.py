@@ -320,6 +320,24 @@ class TestBudget:
         with pytest.raises(BudgetExceededError):
             solve_sssp_resilient(g, 0, max_span=0.5, fallback=False)
 
+    @pytest.mark.parametrize("field", ["max_work", "max_span"])
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("-inf")])
+    def test_nan_or_negative_ceiling_rejected(self, field, bad):
+        # no spend compares greater than NaN, so a NaN ceiling never trips
+        with pytest.raises(InputValidationError):
+            BudgetGuard(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["max_work", "max_span"])
+    def test_nan_budget_rejected_by_solver(self, g, field):
+        with pytest.raises(InputValidationError):
+            solve_sssp_resilient(g, 0, fallback=False,
+                                 **{field: float("nan")})
+
+    def test_infinite_ceiling_means_no_limit(self):
+        guard = BudgetGuard(max_work=float("inf"), max_span=float("inf"))
+        guard.debit(DEFAULT_MODEL.map(10 ** 12))
+        assert guard.remaining_work() == float("inf")
+
 
 # ---------------------------------------------------------------------------
 # negative-cycle surfacing

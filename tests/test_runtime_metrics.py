@@ -45,6 +45,11 @@ class TestCost:
         c = Cost.parallel_all([Cost(1, 1), Cost(2, 5), Cost(3, 2)])
         assert (c.work, c.span) == (6, 5)
 
+    def test_parallel_all_adds_work_left_to_right(self):
+        # the same interpreter-independent sum as join_parallel's
+        c = Cost.parallel_all([Cost(0.1, 0.0)] * 10)
+        assert c.work.hex() == "0x1.fffffffffffffp-1"
+
     def test_parallelism(self):
         assert Cost(100, 4).parallelism == 25
         assert Cost(100, 0).parallelism == math.inf
@@ -83,6 +88,16 @@ class TestCostAccumulator:
         with pytest.raises(ValueError):
             acc.charge(-1)
 
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_nan_charge_rejected(self, field):
+        # a NaN that got in would make every later total NaN
+        amounts = [1.0, 1.0, 1.0]
+        amounts[field] = math.nan
+        acc = CostAccumulator()
+        with pytest.raises(ValueError):
+            acc.charge(*amounts)
+        assert (acc.work, acc.span, acc.span_model) == (0.0, 0.0, 0.0)
+
     def test_charge_cost(self):
         acc = CostAccumulator()
         acc.charge_cost(Cost(3, 1, 2))
@@ -109,6 +124,17 @@ class TestCostAccumulator:
         acc = CostAccumulator()
         acc.join_parallel([], fork_span=2)
         assert acc.work == 0 and acc.span == 2
+
+    def test_join_parallel_adds_work_left_to_right(self):
+        # Python 3.11's sum() of ten 0.1s is 0x1.fffffffffffffp-1 and
+        # 3.12's compensated sum() is 1.0; model work must not depend on
+        # the interpreter, so the branches add left to right on both
+        acc = CostAccumulator()
+        branches = [acc.fork() for _ in range(10)]
+        for b in branches:
+            b.charge(0.1, 0.0)
+        acc.join_parallel(branches)
+        assert acc.work.hex() == "0x1.fffffffffffffp-1"
 
     def test_parallelism_property(self):
         acc = CostAccumulator()
