@@ -82,7 +82,7 @@ from .analysis import (
     run_sqrt_k_progress,
 )
 from .core import solve_sssp_resilient
-from .core.engines import ENGINE_TO_MODE, engine_names
+from .core.engines import engine_names
 from .graph import generators
 from .graph.io import DimacsError, dumps_dimacs, read_dimacs
 from .observability import MetricsRegistry, Tracer, metering, tracing, \
@@ -154,7 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--source", type=int, default=1,
                     help="1-based source vertex (default 1)")
     ps.add_argument("--mode", choices=("parallel", "sequential"),
-                    default="parallel")
+                    default="parallel",
+                    help="deprecated alias of --engine goldberg_parallel / "
+                         "goldberg_sequential")
     ps.add_argument("--engine", choices=engine_names(), default=None,
                     help="solver from the SSSP engine registry "
                          "(default: --mode picks the Goldberg engine); "
@@ -331,12 +333,6 @@ def cmd_solve(args) -> int:
         return EXIT_INVALID_INPUT
     if args.resume and args.checkpoint is None:
         print("error: --resume requires --checkpoint", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    if (args.engine is not None and args.engine not in ENGINE_TO_MODE
-            and (args.checkpoint is not None or args.resume)):
-        print(f"error: engine {args.engine!r} does not support "
-              "--checkpoint/--resume; use goldberg_parallel or "
-              "goldberg_sequential", file=sys.stderr)
         return EXIT_INVALID_INPUT
     if args.workers is not None and args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)

@@ -55,6 +55,7 @@ from ..graph.transform import edge_subgraph_mask
 from ..observability.metrics import metric_inc
 from ..observability.profiler import profile_scope
 from ..observability.tracer import trace_span
+from ..resilience.guard import Meter, current_guard
 from ..runtime.metrics import CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
 from ..runtime.rng import make_rng
@@ -72,6 +73,7 @@ def bnw_potential(g: DiGraph, *, seed=0, acc: CostAccumulator | None = None,
     negative total weight.  Deterministic given ``seed``.
     """
     local = CostAccumulator()
+    meter = Meter(current_guard(), local)
     try:
         w = g.w
         local.charge(*model.map_ws(max(g.n, 1)))
@@ -88,10 +90,11 @@ def bnw_potential(g: DiGraph, *, seed=0, acc: CostAccumulator | None = None,
             while True:
                 if token is not None:
                     token.check("bnw:scale")
+                meter.tick()
                 target = b // 2
                 wr = _reduced(g, w, phi, local, model)
                 psi, cycle = _scale_down(g, wr, target, rng, local, model,
-                                         token)
+                                         token, meter)
                 if cycle is not None:
                     sp.set(negative_cycle=True)
                     metric_inc("repro_bnw_scales_total", outcome="cycle")
@@ -126,7 +129,7 @@ def _reduced(g: DiGraph, w: np.ndarray, phi: np.ndarray,
 
 
 def _scale_down(g: DiGraph, wr: np.ndarray, target: int, rng,
-                acc: CostAccumulator, model: CostModel, token
+                acc: CostAccumulator, model: CostModel, token, meter: Meter
                 ) -> tuple[np.ndarray, list[int] | None]:
     """One BNW ``ScaleDown``: a potential ``psi`` with
     ``wr + psi[u] − psi[v] ≥ −target`` everywhere, or a negative cycle."""
@@ -146,7 +149,8 @@ def _scale_down(g: DiGraph, wr: np.ndarray, target: int, rng,
         psi, cycle = _fix_clusters(g, wb, cluster, acc, model)
         if cycle is not None:
             return psi, cycle
-        return _elim_neg(g, wr, wb, psi, target, acc, model, token, sp)
+        return _elim_neg(g, wr, wb, psi, target, acc, model, token, meter,
+                         sp)
 
 
 def _ldd_clusters(g: DiGraph, wp: np.ndarray, diameter: int, rng,
@@ -232,7 +236,7 @@ def _fix_clusters(g: DiGraph, wb: np.ndarray, cluster: np.ndarray,
 
 def _elim_neg(g: DiGraph, wr: np.ndarray, wb: np.ndarray, psi: np.ndarray,
               target: int, acc: CostAccumulator, model: CostModel, token,
-              sp) -> tuple[np.ndarray, list[int] | None]:
+              meter: Meter, sp) -> tuple[np.ndarray, list[int] | None]:
     """Phases 2+3: ``ElimNeg`` — the Dijkstra/Bellman–Ford hybrid.
 
     Runs on the cluster-fixed weights, where only boundary edges are
@@ -257,6 +261,7 @@ def _elim_neg(g: DiGraph, wr: np.ndarray, wb: np.ndarray, psi: np.ndarray,
     for _ in range(cap):  # repro: noqa[RS001] each BFD round charges its dijkstra + map cost inside
         if token is not None:
             token.check("bnw:elim-neg")
+        meter.tick()
         rounds += 1
         d = dijkstra_from_labels(gpos, d, acc, model)
         cand = d[nsrc] + nw

@@ -1,16 +1,13 @@
-"""Pluggable negative-weight SSSP engines — the top-level registry.
+"""Pluggable negative-weight SSSP engines and the certified tail they share.
 
-The paper's solver (``solve_sssp``: Goldberg bit scaling → feasible
-price function → Dijkstra on reduced weights) is one *engine* among
-several.  Each engine produces the same artefacts — exact integer
-distances or a verified negative-cycle certificate, with a feasible
-potential as the distance witness — by a different algorithmic route:
+The paper's solver (Theorem 17: Goldberg bit scaling → feasible price
+function → Dijkstra on reduced weights) is one *engine* among several.
+Each engine finds a feasible potential — or a negative cycle — by its own
+algorithmic route and hands it to the same tail:
 
-``goldberg_parallel``   the paper (Theorem 17): parallel Goldberg
-                        scaling.  Delegates to :func:`solve_sssp`
-                        with ``mode="parallel"``.
-``goldberg_sequential`` classic sequential Goldberg scaling baseline
-                        (``mode="sequential"``).
+``goldberg_parallel``   the paper (Theorem 17): parallel Goldberg bit
+                        scaling (:func:`repro.core.scaling.scaled_reweighting`).
+``goldberg_sequential`` classic sequential Goldberg scaling baseline.
 ``bnw_scaling``         Bernstein–Nanongkai–Wulff-Nilsen low-diameter-
                         decomposition scaling (:mod:`repro.core.bnw`).
 ``fischer_simple``      Fischer et al.'s Bellman–Ford/Dijkstra hybrid
@@ -31,37 +28,44 @@ All engines share one interface::
                        check_certificates=..., fault_plan=...,
                        token=..., backend=...)   # -> SsspResult
 
-and thread the same Cost accumulator, Certificate machinery, Tracer
-spans, metrics and execution backends as ``solve_sssp`` itself.  The
-``potential`` fault site (:mod:`repro.resilience.faults`) corrupts the
-computed potential *before* certificate verification, so injected
-faults surface as :class:`~repro.resilience.errors.VerificationError`
-and are healed by ``solve_sssp_resilient``'s retry loop for every
-engine alike.
+:func:`~repro.core.sssp.solve_sssp` and ``solve_sssp_resilient`` call it
+for every engine.  The tail threads the same Cost accumulator,
+Certificate machinery, Tracer spans, metrics, budget guard and execution
+backends through every engine.  The ``potential`` fault site
+(:mod:`repro.resilience.faults`) corrupts the computed potential *before*
+certificate verification, so injected faults surface as
+:class:`~repro.resilience.errors.VerificationError` and are healed by
+``solve_sssp_resilient``'s retry loop for every engine alike.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..baselines.dijkstra import dijkstra
 from ..graph.digraph import DiGraph
-from ..observability.metrics import metric_inc
+from ..graph.validate import check_source
+from ..observability.metrics import metric_inc, metric_observe
 from ..observability.profiler import profile_scope
 from ..observability.tracer import trace_span
+from ..observability.worker import worker_span
 from ..resilience.errors import (
     Certificate,
     InputValidationError,
     VerificationError,
 )
+from ..resilience.guard import current_guard
+from ..resilience.retry import SolveProvenance
 from ..runtime.backends import resolve_backend
-from ..runtime.metrics import CostAccumulator
+from ..runtime.metrics import Cost, CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
+from ..runtime.racecheck import race_read
 from ..runtime.registry import Registry
 from .bnw import bnw_potential
 from .fischer import fischer_potential
-from .scaling import ScalingStats
-from .sssp import SsspResult, _reduced_weights_block, solve_sssp
+from .scaling import ScalingStats, scaled_reweighting
 
 #: The negative-weight SSSP engine registry — same
 #: :class:`~repro.runtime.registry.Registry` machinery as the ASSSP
@@ -75,154 +79,236 @@ SSSP_ENGINES = Registry("SSSP engine")
 #: must reproduce bit-for-bit.
 REFERENCE_ENGINE = "goldberg_parallel"
 
-
-class _GoldbergEngine:
-    """Adapter presenting :func:`solve_sssp` through the engine
-    interface.  ``mode`` picks the parallel (the paper) or sequential
-    (baseline) Goldberg scaling path; everything else — certificates,
-    fault injection, checkpointing, backends — is ``solve_sssp``'s
-    own machinery, unchanged."""
-
-    #: the resilient solver recognises this and keeps using its
-    #: original ``solve_sssp`` code path (checkpoint support included)
-    delegates_to_solve_sssp = True
-    mode: str = "parallel"
-    name: str = "goldberg_parallel"
-
-    def solve(self, g: DiGraph, source: int, *, seed=0,
-              acc: CostAccumulator | None = None,
-              model: CostModel = DEFAULT_MODEL,
-              check_certificates: bool = True, fault_plan=None,
-              token=None, backend=None, **solve_kwargs) -> SsspResult:
-        res = solve_sssp(g, source, mode=self.mode, seed=seed, acc=acc,
-                         model=model,
-                         check_certificates=check_certificates,
-                         fault_plan=fault_plan, token=token,
-                         backend=backend, **solve_kwargs)
-        metric_inc("repro_engine_solves_total", engine=self.name,
-                   outcome=("negative_cycle" if res.has_negative_cycle
-                            else "distances"))
-        return res
+#: ``mode=`` is a deprecated alias of ``engine=``, kept for
+#: ``solve_sssp``, ``solve_sssp_resilient`` and the CLI's ``--mode``;
+#: these are the engine names the two modes map onto.
+MODE_TO_ENGINE = {"parallel": "goldberg_parallel",
+                  "sequential": "goldberg_sequential"}
+ENGINE_TO_MODE = {v: k for k, v in MODE_TO_ENGINE.items()}
 
 
-@SSSP_ENGINES.register("goldberg_parallel")
-class GoldbergParallelEngine(_GoldbergEngine):
-    """The source paper's engine: parallel Goldberg scaling."""
+def _reduced_weights_block(lo: int, hi: int, src: np.ndarray,
+                           dst: np.ndarray, w: np.ndarray,
+                           price: np.ndarray) -> np.ndarray:
+    """One block of the reduced-weight map ``w + p(src) − p(dst)`` — a
+    pure function of ``(lo, hi)``, so any backend (serial, thread,
+    process) may execute or re-execute it and the concatenation is
+    bit-identical to the whole-array expression."""
+    # shared-memory contract, checked by `repro check --race`: blocks
+    # read the whole price vector, slice-read the edge arrays, and
+    # write nothing shared (each returns a fresh reduced-weight array)
+    race_read(price, site="sssp.reduce:price")
+    race_read(src, lo, hi, site="sssp.reduce:src")
+    race_read(dst, lo, hi, site="sssp.reduce:dst")
+    race_read(w, lo, hi, site="sssp.reduce:w")
+    # worker_span: records on a process worker's shipped tracer; no-op
+    # in-process (a plain trace_span here would corrupt the thread
+    # pool's parent stack from a worker thread)
+    with worker_span("block-reduce", lo=lo, hi=hi) as wsp:
+        wsp.count("edges", hi - lo)
+        return w[lo:hi] + price[src[lo:hi]] - price[dst[lo:hi]]
 
-    mode = "parallel"
-    name = "goldberg_parallel"
 
+@dataclass
+class SsspResult:
+    """Distances from the source, or a negative-cycle certificate.
 
-@SSSP_ENGINES.register("goldberg_sequential")
-class GoldbergSequentialEngine(_GoldbergEngine):
-    """Sequential Goldberg scaling — the classic baseline."""
+    * No negative cycle: ``dist[v]`` is the exact distance (``+inf`` when
+      unreachable), ``parent`` a shortest-path tree, ``price`` the feasible
+      potential that certifies the distances.
+    * Negative cycle: ``negative_cycle`` is a vertex list whose closed walk
+      has negative weight; ``dist``/``parent``/``price`` are None.
 
-    mode = "sequential"
-    name = "goldberg_sequential"
+    ``certificate`` is the same witness in checkable form (re-validated
+    independently before the result is returned); ``provenance`` records
+    how a resilient solve got its answer (engine, attempt log, fault
+    summary, fallback reason) and is None for a plain engine solve.
+    ``stats`` is the Goldberg engines' per-scale telemetry (empty for the
+    other engines).
+    """
+
+    source: int
+    dist: np.ndarray | None
+    parent: np.ndarray | None
+    price: np.ndarray | None
+    negative_cycle: list[int] | None
+    stats: ScalingStats
+    cost: Cost
+    certificate: Certificate | None = None
+    provenance: SolveProvenance | None = None
+
+    @property
+    def has_negative_cycle(self) -> bool:
+        return self.negative_cycle is not None
 
 
 class _PotentialEngine:
-    """Shared harness for engines whose algorithmic content is "find a
-    feasible potential (or a negative cycle)".
+    """The certified tail every engine shares.
 
-    Subclasses implement :meth:`_potential`; this class owns the tail
-    that is deliberately *identical* to ``solve_sssp``'s — fault hook,
-    certificate verification, backend-mapped reduced weights, final
-    Dijkstra, integer map-back — because the identical tail is what
-    makes cross-engine distances bit-identical.
+    Subclasses implement :meth:`_potential`, the search for a feasible
+    potential or a negative cycle.  :meth:`solve` owns everything else,
+    once for all engines: the source check and the fault-plan install,
+    the ``solve`` span and the one ``potential`` fault hook, both
+    certificates, the final Dijkstra on backend-mapped reduced weights
+    with the integer map-back, the budget settle, the metrics, and the
+    fold into the caller's accumulator.  The identical tail is what makes
+    cross-engine distances bit-identical.
     """
 
-    delegates_to_solve_sssp = False
     name: str = "potential"
+    #: whether ``checkpoint_path``/``resume`` are honoured
+    checkpoints: bool = False
+    #: the deprecated ``mode=`` alias naming this engine, if any
+    mode: str | None = None
 
-    def _potential(self, g: DiGraph, *, seed, acc, model, token, backend
-                   ) -> tuple[np.ndarray | None, list[int] | None]:
+    def _potential(self, g: DiGraph, *, seed, acc, model, token, backend,
+                   fault_plan, **options
+                   ) -> tuple[np.ndarray | None, list[int] | None,
+                              ScalingStats | None]:
+        """``(price, None, stats)`` or ``(None, cycle, stats)``.
+
+        Charge ``acc``; at each loop head check ``token`` and tick a
+        :class:`~repro.resilience.guard.Meter` on the ambient budget
+        guard.  ``stats`` may be None; ``options`` are the keyword
+        arguments of :meth:`solve` beyond the common ones.
+        """
         raise NotImplementedError
 
     def solve(self, g: DiGraph, source: int, *, seed=0,
               acc: CostAccumulator | None = None,
               model: CostModel = DEFAULT_MODEL,
               check_certificates: bool = True, fault_plan=None,
-              token=None, backend=None) -> SsspResult:
+              token=None, backend=None, **options) -> SsspResult:
+        """Exact distances from ``source``, or a verified negative cycle.
+
+        ``options`` carry the Goldberg engines' own inputs
+        (``assp_engine``, ``eps``, ``retry_policy``, ``checkpoint_path``,
+        ``resume``, ``on_checkpoint``; see
+        :func:`~repro.core.sssp.solve_sssp`) to :meth:`_potential`.  A
+        checkpoint request to an engine without checkpoint support raises
+        :class:`~repro.resilience.errors.InputValidationError`.
+        """
         if isinstance(backend, str):
             with resolve_backend(backend) as be:
                 return self.solve(g, source, seed=seed, acc=acc,
                                   model=model,
                                   check_certificates=check_certificates,
                                   fault_plan=fault_plan, token=token,
-                                  backend=be)
-        if not (0 <= source < g.n):
-            raise InputValidationError("source out of range")
+                                  backend=be, **options)
+        source = check_source(g, source)
+        if not self.checkpoints and (
+                options.get("checkpoint_path") is not None
+                or options.get("resume")):
+            raise InputValidationError(
+                f"engine {self.name!r} does not support checkpointing; "
+                "use goldberg_parallel or goldberg_sequential")
         if (backend is not None and fault_plan is not None
                 and hasattr(backend, "install_fault_plan")):
             backend.install_fault_plan(fault_plan)
+        guard = current_guard()
+        mark = guard.mark() if guard is not None else None
         local = CostAccumulator()
         with trace_span("solve", acc=local, phase="solve",
                         engine=self.name, n=g.n, m=g.m, source=source,
                         seed=seed) as sp:
-            price, cycle = self._potential(g, seed=seed, acc=local,
-                                           model=model, token=token,
-                                           backend=backend)
+            price, cycle, stats = self._potential(
+                g, seed=seed, acc=local, model=model, token=token,
+                backend=backend, fault_plan=fault_plan, **options)
             if cycle is not None:
                 cert = Certificate("negative_cycle", cycle=list(cycle))
-                if check_certificates and not cert.verify(g):
-                    raise VerificationError(
-                        f"{self.name}: invalid cycle certificate",
-                        stage=f"engine:{self.name}")
-                sp.set(certificate=cert.kind, cycle_length=len(cycle))
-                metric_inc("repro_engine_solves_total", engine=self.name,
-                           outcome="negative_cycle")
-                if acc is not None:
-                    acc.charge_cost(local.snapshot())
-                    acc.merge_stages_from(local)
-                return SsspResult(source, None, None, None, list(cycle),
-                                  ScalingStats(), local.snapshot(),
-                                  certificate=cert)
-            if fault_plan is not None:
-                # the "potential" fault site attacks the witness before
-                # verification — corruption must be caught below, never
-                # silently change distances
-                price = fault_plan.corrupt_potential(g.src, g.dst, g.w,
-                                                     price)
-            cert = Certificate("price", price=price)
-            if check_certificates and not cert.verify(g):
-                raise VerificationError(
-                    f"{self.name}: infeasible price function",
-                    stage=f"engine:{self.name}")
-            sp.set(certificate=cert.kind)
-            if token is not None:
-                token.check(f"{self.name}:final-dijkstra")
-            if backend is not None and g.m:
-                # physical execution of the reduced-weight map moves to
-                # the backend; the model cost charged below is unchanged,
-                # keeping golden costs bit-exact across backends
-                parts = backend.map_blocks(
-                    g.m, _reduced_weights_block,
-                    (g.src, g.dst, g.w, price), token=token)
-                w_red = np.concatenate(parts)
+                failure = "invalid cycle certificate"
             else:
-                w_red = (g.w + price[g.src] - price[g.dst]
-                         if g.m else g.w)
-            local.charge(*model.map_ws(g.m))
-            with local.stage("final-dijkstra"), \
-                    trace_span("final-dijkstra", acc=local,
-                               phase="solve") as dsp, \
-                    profile_scope("final-dijkstra"):
-                dj = dijkstra(g, source, weights=w_red, model=model)
-                local.charge_cost(dj.cost)
-                dsp.count("settled", int(np.isfinite(dj.dist).sum()))
-            dist = dj.dist.copy()
-            finite = np.isfinite(dist)
-            # undo the reweighting: dist(s,v) = dist_red(s,v) + p(v) − p(s)
-            dist[finite] += price[np.flatnonzero(finite)] - price[source]
+                if fault_plan is not None:
+                    # the "potential" fault site attacks the witness
+                    # before verification — corruption must be caught
+                    # below, never silently change distances
+                    price = fault_plan.corrupt_potential(g.src, g.dst, g.w,
+                                                         price)
+                cert = Certificate("price", price=price)
+                failure = "infeasible price function"
+            if check_certificates and not cert.verify(g):
+                raise VerificationError(f"{self.name}: {failure}",
+                                        stage=f"engine:{self.name}")
+            sp.set(certificate=cert.kind)
+            dist = parent = None
+            if cycle is not None:
+                sp.set(cycle_length=len(cycle))
+            else:
+                if token is not None:
+                    token.check(f"{self.name}:final-dijkstra")
+                if guard is not None:
+                    guard.settle(mark, local)
+                dist, parent = _final_dijkstra(g, source, price, local,
+                                               model, token, backend)
+            if guard is not None:
+                guard.settle(mark, local)
+            outcome = "distances" if cycle is None else "negative_cycle"
             metric_inc("repro_engine_solves_total", engine=self.name,
-                       outcome="distances")
+                       outcome=outcome)
+            if self.mode is not None:
+                metric_inc("repro_solves_total", mode=self.mode,
+                           outcome=outcome)
+            metric_observe("repro_solve_work", local.work)
+            metric_observe("repro_solve_span_model", local.span_model)
             if acc is not None:
                 acc.charge_cost(local.snapshot())
                 acc.merge_stages_from(local)
-            return SsspResult(source, dist, dj.parent, price, None,
-                              ScalingStats(), local.snapshot(),
+            return SsspResult(source, dist, parent, price, cycle,
+                              stats or ScalingStats(), local.snapshot(),
                               certificate=cert)
+
+
+def _final_dijkstra(g: DiGraph, source: int, price: np.ndarray,
+                    acc: CostAccumulator, model: CostModel, token, backend
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Dijkstra on the reduced weights ``w + p(u) − p(v)``, with the
+    distances mapped back: ``dist(s,v) = dist_red(s,v) + p(v) − p(s)``."""
+    if backend is not None and g.m:
+        # physical execution of the reduced-weight map moves to the
+        # backend; the model cost charged below is unchanged, keeping
+        # golden costs bit-exact across backends
+        parts = backend.map_blocks(g.m, _reduced_weights_block,
+                                   (g.src, g.dst, g.w, price), token=token)
+        w_red = np.concatenate(parts)
+    else:
+        w_red = g.w + price[g.src] - price[g.dst] if g.m else g.w
+    acc.charge(*model.map_ws(g.m))
+    with acc.stage("final-dijkstra"), \
+            trace_span("final-dijkstra", acc=acc, phase="solve") as dsp, \
+            profile_scope("final-dijkstra"):
+        dj = dijkstra(g, source, weights=w_red, model=model)
+        acc.charge_cost(dj.cost)
+        dsp.count("settled", int(np.isfinite(dj.dist).sum()))
+    dist = dj.dist.copy()
+    finite = np.isfinite(dist)
+    dist[finite] += price[np.flatnonzero(finite)] - price[source]
+    return dist, dj.parent
+
+
+@SSSP_ENGINES.register("goldberg_parallel")
+class GoldbergParallelEngine(_PotentialEngine):
+    """The source paper's engine: parallel Goldberg bit scaling
+    (:func:`repro.core.scaling.scaled_reweighting`), with checkpointing."""
+
+    name = "goldberg_parallel"
+    mode = "parallel"
+    checkpoints = True
+
+    def _potential(self, g, *, seed, acc, model, token, backend,
+                   fault_plan, **options):
+        del backend  # the scaling loop runs on the default pool
+        scal = scaled_reweighting(g, mode=self.mode, seed=seed, acc=acc,
+                                  model=model, fault_plan=fault_plan,
+                                  token=token, **options)
+        return scal.price, scal.negative_cycle, scal.stats
+
+
+@SSSP_ENGINES.register("goldberg_sequential")
+class GoldbergSequentialEngine(GoldbergParallelEngine):
+    """Sequential Goldberg scaling — the classic baseline."""
+
+    name = "goldberg_sequential"
+    mode = "sequential"
 
 
 @SSSP_ENGINES.register("bnw_scaling")
@@ -232,10 +318,11 @@ class BnwScalingEngine(_PotentialEngine):
 
     name = "bnw_scaling"
 
-    def _potential(self, g, *, seed, acc, model, token, backend):
+    def _potential(self, g, *, seed, acc, model, token, backend,
+                   fault_plan, **options):
         del backend  # BNW's ball growing is inherently sequential here
-        return bnw_potential(g, seed=seed, acc=acc, model=model,
-                             token=token)
+        return (*bnw_potential(g, seed=seed, acc=acc, model=model,
+                               token=token), None)
 
 
 @SSSP_ENGINES.register("fischer_simple")
@@ -245,9 +332,10 @@ class FischerSimpleEngine(_PotentialEngine):
 
     name = "fischer_simple"
 
-    def _potential(self, g, *, seed, acc, model, token, backend):
-        return fischer_potential(g, seed=seed, acc=acc, model=model,
-                                 token=token, backend=backend)
+    def _potential(self, g, *, seed, acc, model, token, backend,
+                   fault_plan, **options):
+        return (*fischer_potential(g, seed=seed, acc=acc, model=model,
+                                   token=token, backend=backend), None)
 
 
 def engine_names() -> list[str]:
@@ -258,15 +346,22 @@ def engine_names() -> list[str]:
 def get_sssp_engine(name: str, **kwargs):
     """Engine factory: ``goldberg_parallel``, ``goldberg_sequential``,
     ``bnw_scaling``, ``fischer_simple`` (plus any test-registered
-    extras)."""
+    extras).  An unknown name raises
+    :class:`~repro.resilience.errors.InputValidationError`."""
     return SSSP_ENGINES.create(name, **kwargs)
 
 
-#: mode-string compatibility: ``solve_sssp(mode=...)`` predates the
-#: registry; these are the engine names the two modes map onto.
-MODE_TO_ENGINE = {"parallel": "goldberg_parallel",
-                  "sequential": "goldberg_sequential"}
-ENGINE_TO_MODE = {v: k for k, v in MODE_TO_ENGINE.items()}
+def resolve_engine(engine: str | None = None, mode: str = "parallel"):
+    """The engine ``engine=`` names or, without one, the Goldberg engine
+    of the deprecated ``mode=`` alias — the one place the two spellings
+    meet.  Unknown names raise
+    :class:`~repro.resilience.errors.InputValidationError` (a
+    ``ValueError``) before any work."""
+    if mode not in MODE_TO_ENGINE:
+        raise InputValidationError(
+            f"unknown mode {mode!r}; choose from {sorted(MODE_TO_ENGINE)}")
+    return get_sssp_engine(MODE_TO_ENGINE[mode] if engine is None
+                           else engine)
 
 
 __all__ = [
@@ -274,10 +369,12 @@ __all__ = [
     "REFERENCE_ENGINE",
     "MODE_TO_ENGINE",
     "ENGINE_TO_MODE",
+    "SsspResult",
     "GoldbergParallelEngine",
     "GoldbergSequentialEngine",
     "BnwScalingEngine",
     "FischerSimpleEngine",
     "engine_names",
     "get_sssp_engine",
+    "resolve_engine",
 ]

@@ -44,6 +44,7 @@ from ..observability.metrics import metric_inc
 from ..observability.profiler import profile_scope
 from ..observability.tracer import trace_span
 from ..observability.worker import worker_span
+from ..resilience.guard import Meter, current_guard
 from ..runtime.metrics import CostAccumulator
 from ..runtime.racecheck import race_read
 from ..runtime.model import CostModel, DEFAULT_MODEL
@@ -84,6 +85,7 @@ def fischer_potential(g: DiGraph, *, seed=0,
     """
     del seed  # deterministic; accepted for engine-interface uniformity
     local = CostAccumulator()
+    meter = Meter(current_guard(), local)
     try:
         local.charge(*model.map_ws(max(g.n, 1)))
         if g.m == 0 or int(g.w.min()) >= 0:
@@ -101,6 +103,7 @@ def fischer_potential(g: DiGraph, *, seed=0,
             for rounds in range(1, cap + 1):  # repro: noqa[RS001] each BFD round charges its dijkstra + map cost inside
                 if token is not None:
                     token.check("fischer:bfd-round")
+                meter.tick()
                 d = dijkstra_from_labels(gpos, d, local, model)
                 if backend is not None and len(neg):
                     parts = backend.map_blocks(

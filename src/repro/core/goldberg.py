@@ -20,7 +20,7 @@ from ..resilience.errors import (
     VerificationError,
 )
 from ..observability.tracer import trace_span
-from ..resilience.guard import Meter
+from ..resilience.guard import Meter, current_guard
 from ..resilience.retry import AttemptRecord, RetryPolicy
 from ..runtime.metrics import Cost, CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
@@ -64,7 +64,7 @@ def one_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
                     max_iterations: int | None = None,
                     fault_plan=None,
                     retry_policy: RetryPolicy | None = None,
-                    guard=None, token=None) -> ReweightingResult:
+                    token=None) -> ReweightingResult:
     """Solve the 1-reweighting problem (all weights ≥ −1).
 
     ``max_iterations`` is a safety valve (default ``4·(√n + 2)``, far above
@@ -76,7 +76,8 @@ def one_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
     (``core.price.is_valid_improvement``) before it is applied.  A delta
     that fails — possible with a faulty nested stage or an injected
     ``"price"`` fault — is retried with a fresh derived seed under
-    ``retry_policy``; ``guard`` is debited once per iteration.  ``token``
+    ``retry_policy``; the ambient budget guard is ticked once per
+    iteration (:func:`~repro.resilience.guard.current_guard`).  ``token``
     (:class:`~repro.resilience.preempt.CancelToken`) is checked at every
     iteration boundary, making long improvement loops preemptible between
     — never inside — verified price updates.
@@ -88,7 +89,7 @@ def one_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
         max_iterations = 4 * (int(np.sqrt(g.n)) + 2)
     policy = retry_policy or RetryPolicy(max_attempts=3)
     local = CostAccumulator()
-    meter = Meter(guard, local)
+    meter = Meter(current_guard(), local)
     price = np.zeros(g.n, dtype=np.int64)
     stats = ReweightingStats()
     attempt_log: list[AttemptRecord] = []
@@ -109,8 +110,7 @@ def one_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
                                          assp_engine=assp_engine, eps=eps,
                                          seed=aseed, acc=local, model=model,
                                          fault_plan=fault_plan,
-                                         retry_policy=retry_policy,
-                                         guard=guard)
+                                         retry_policy=retry_policy)
                 if out.price_delta is not None:
                     local.charge(*model.map_ws(g.m))
                     if not is_valid_improvement(g, w_red, out.price_delta):

@@ -72,8 +72,8 @@ def sqrt_k_improvement(g: DiGraph, w_red: np.ndarray, *,
                        acc: CostAccumulator | None = None,
                        model: CostModel = DEFAULT_MODEL,
                        fault_plan=None,
-                       retry_policy: RetryPolicy | None = None,
-                       guard=None) -> ImprovementOutcome:
+                       retry_policy: RetryPolicy | None = None
+                       ) -> ImprovementOutcome:
     """One √k-improvement on reduced weights ``w_red`` (all ≥ −1).
 
     ``mode="parallel"`` uses the paper's subroutines (§3 peeling, §4
@@ -85,7 +85,7 @@ def sqrt_k_improvement(g: DiGraph, w_red: np.ndarray, *,
     LimitedSP stages and can off-by-one the returned price delta (site
     ``"price"``); the caller (``one_reweighting``) owns the τ-improvement
     verification that catches it.  ``retry_policy`` governs the nested
-    verified stages; ``guard`` is debited by them.
+    verified stages.
     """
     if mode not in ("parallel", "sequential"):
         raise InputValidationError("mode must be 'parallel' or 'sequential'")
@@ -134,7 +134,7 @@ def sqrt_k_improvement(g: DiGraph, w_red: np.ndarray, *,
     if chain is not None:
         outcome = _step3_chain(g, w_red, cond, cg, chain, dist_h, k, L, mode,
                                assp_engine, eps, seed, local, model,
-                               fault_plan, retry_policy, guard)
+                               fault_plan, retry_policy)
     else:
         outcome = _step3_independent_set(g, cond, cg, negs, dist_h, L, local,
                                          model)
@@ -236,8 +236,8 @@ def _step3_chain(g: DiGraph, w_red: np.ndarray, cond: Condensation,
                  dist_h: np.ndarray, k: int, L: int, mode: str,
                  assp_engine, eps: float, seed,
                  acc: CostAccumulator, model: CostModel,
-                 fault_plan=None, retry_policy: RetryPolicy | None = None,
-                 guard=None) -> ImprovementOutcome:
+                 fault_plan=None, retry_policy: RetryPolicy | None = None
+                 ) -> ImprovementOutcome:
     """Eliminate the chain via the Ĝ reduction (§6.1 Step 3, App. A.1)."""
     s_hat = cg.n
     w_hat = np.maximum(cg.w, 0)
@@ -258,7 +258,7 @@ def _step3_chain(g: DiGraph, w_red: np.ndarray, cond: Condensation,
             res = limited_sssp(g_hat, s_hat, L, engine=assp_engine, eps=eps,
                                acc=acc, model=model, validate=False,
                                max_retries=50, retry_policy=retry_policy,
-                               fault_plan=fault_plan, guard=guard)
+                               fault_plan=fault_plan)
             d_hat, parent_hat = res.dist, res.parent
         else:
             res = dijkstra(g_hat, s_hat, limit=L, model=model)

@@ -119,15 +119,15 @@ def scaled_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
                        acc: CostAccumulator | None = None,
                        model: CostModel = DEFAULT_MODEL,
                        fault_plan=None, retry_policy=None,
-                       guard=None, token: CancelToken | None = None,
+                       token: CancelToken | None = None,
                        checkpoint_path=None, resume: bool = False,
                        on_checkpoint=None) -> ScalingResult:
     """Feasible price function for arbitrary integer weights, or a cycle.
 
     Resilience hooks thread down into every randomized stage; the
-    ``"potential"`` fault site corrupts the *final* returned price, which
-    only the independent feasibility check in ``core.sssp`` can catch —
-    proving that check is load-bearing.
+    ``"potential"`` fault site is applied to the returned price by the
+    engine tail (:mod:`repro.core.engines`), where only the independent
+    feasibility check can catch it.
 
     Preemption hooks: ``token`` is checked at every scale boundary (and
     ambiently inside the primitives below); ``checkpoint_path`` persists
@@ -144,8 +144,6 @@ def scaled_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
         token.check("scaling:entry")
     if g.m == 0 or w.min() >= 0:
         price = np.zeros(g.n, dtype=np.int64)
-        if fault_plan is not None:
-            price = fault_plan.corrupt_potential(g.src, g.dst, w, price)
         if acc is not None:
             acc.charge_cost(local.snapshot())
         return ScalingResult(price, None, stats, local.snapshot())
@@ -179,9 +177,6 @@ def scaled_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
                 # the final scale already completed: the stored potential
                 # is feasible for the exact weights; nothing left to solve
                 price = ck.price
-                if fault_plan is not None:
-                    price = fault_plan.corrupt_potential(g.src, g.dst, w,
-                                                         price)
                 if acc is not None:
                     acc.charge_cost(local.snapshot())
                     acc.merge_stages_from(local)
@@ -210,7 +205,7 @@ def scaled_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
                                           acc=local, model=model,
                                           fault_plan=fault_plan,
                                           retry_policy=retry_policy,
-                                          guard=guard, token=token)
+                                          token=token)
                     stats.scales.append(s)
                     stats.per_scale.append(res.stats)
                     ssp.set(iterations=res.stats.iterations,
@@ -253,8 +248,6 @@ def scaled_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
                 scale_idx += 1
         scsp.set(scales=len(stats.scales),
                  iterations=stats.total_iterations)
-    if fault_plan is not None:
-        price = fault_plan.corrupt_potential(g.src, g.dst, w, price)
     if acc is not None:
         acc.charge_cost(local.snapshot())
         acc.merge_stages_from(local)

@@ -4,7 +4,8 @@
 O(√n) rounds of √k-improvement) to a feasible price function, then Dijkstra
 on the reduced weights, mapping distances back through the prices.  If any
 stage certifies a negative cycle, the cycle (validated vertex list) is
-returned instead of distances.
+returned instead of distances.  It is a thin call into the Goldberg engine
+of :mod:`repro.core.engines`, whose tail every engine shares.
 
 ``solve_sssp_resilient`` wraps that in the full self-checking harness
 (DESIGN.md "Robustness & verification"): input validation, certified
@@ -17,12 +18,7 @@ re-checked :class:`~repro.resilience.errors.Certificate` to every result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from ..baselines.bellman_ford import bellman_ford
-from ..baselines.dijkstra import dijkstra
 from ..baselines.johnson import johnson_potential
 from ..graph.digraph import DiGraph
 from ..graph.validate import validate_graph
@@ -30,77 +26,22 @@ from ..resilience.errors import (
     BudgetExceededError,
     Certificate,
     DeadlineExceededError,
-    InputValidationError,
     NegativeCycleError,
     RetryExhaustedError,
     VerificationError,
     WorkerPoolError,
 )
-from ..observability.metrics import metric_inc, metric_observe
+from ..observability.metrics import metric_inc
 from ..observability.profiler import profile_scope
 from ..observability.tracer import trace_event, trace_span
-from ..observability.worker import worker_span
-from ..resilience.guard import BudgetGuard
+from ..resilience.guard import BudgetGuard, guard_scope
 from ..resilience.preempt import CancelToken, Deadline, cancel_scope, make_token
 from ..resilience.retry import AttemptRecord, RetryPolicy, SolveProvenance
 from ..runtime.backends import resolve_backend
-from ..runtime.metrics import Cost, CostAccumulator
-from ..runtime.racecheck import race_read
+from ..runtime.metrics import CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
-from .scaling import ScalingStats, scaled_reweighting
-
-
-def _reduced_weights_block(lo: int, hi: int, src: np.ndarray,
-                           dst: np.ndarray, w: np.ndarray,
-                           price: np.ndarray) -> np.ndarray:
-    """One block of the reduced-weight map ``w + p(src) − p(dst)`` — a
-    pure function of ``(lo, hi)``, so any backend (serial, thread,
-    process) may execute or re-execute it and the concatenation is
-    bit-identical to the whole-array expression."""
-    # shared-memory contract, checked by `repro check --race`: blocks
-    # read the whole price vector, slice-read the edge arrays, and
-    # write nothing shared (each returns a fresh reduced-weight array)
-    race_read(price, site="sssp.reduce:price")
-    race_read(src, lo, hi, site="sssp.reduce:src")
-    race_read(dst, lo, hi, site="sssp.reduce:dst")
-    race_read(w, lo, hi, site="sssp.reduce:w")
-    # worker_span: records on a process worker's shipped tracer; no-op
-    # in-process (a plain trace_span here would corrupt the thread
-    # pool's parent stack from a worker thread)
-    with worker_span("block-reduce", lo=lo, hi=hi) as wsp:
-        wsp.count("edges", hi - lo)
-        return w[lo:hi] + price[src[lo:hi]] - price[dst[lo:hi]]
-
-
-@dataclass
-class SsspResult:
-    """Distances from the source, or a negative-cycle certificate.
-
-    * No negative cycle: ``dist[v]`` is the exact distance (``+inf`` when
-      unreachable), ``parent`` a shortest-path tree, ``price`` the feasible
-      potential that certifies the distances.
-    * Negative cycle: ``negative_cycle`` is a vertex list whose closed walk
-      has negative weight; ``dist``/``parent``/``price`` are None.
-
-    ``certificate`` is the same witness in checkable form (re-validated
-    independently before the result is returned); ``provenance`` records
-    how a resilient solve got its answer (engine, attempt log, fault
-    summary, fallback reason) and is None for plain ``solve_sssp``.
-    """
-
-    source: int
-    dist: np.ndarray | None
-    parent: np.ndarray | None
-    price: np.ndarray | None
-    negative_cycle: list[int] | None
-    stats: ScalingStats
-    cost: Cost
-    certificate: Certificate | None = None
-    provenance: SolveProvenance | None = None
-
-    @property
-    def has_negative_cycle(self) -> bool:
-        return self.negative_cycle is not None
+from .engines import SsspResult, resolve_engine
+from .scaling import ScalingStats
 
 
 def solve_sssp(g: DiGraph, source: int, *,
@@ -115,10 +56,16 @@ def solve_sssp(g: DiGraph, source: int, *,
                on_checkpoint=None, backend=None) -> SsspResult:
     """Single-source shortest paths with integer (possibly negative) weights.
 
+    A thin call into the Goldberg engine ``mode`` names
+    (:mod:`repro.core.engines`), whose tail does the rest.
+
     Parameters
     ----------
     mode : "parallel" | "sequential"
-        Parallel Goldberg (the paper) vs sequential Goldberg (baseline).
+        Parallel Goldberg (the paper, engine ``goldberg_parallel``) vs
+        sequential Goldberg (the baseline, ``goldberg_sequential``).  A
+        deprecated alias of the engine names; anything else raises
+        :class:`~repro.resilience.errors.InputValidationError`.
     assp_engine, eps :
         The §4 ASSSP black box used inside chain elimination.
     check_certificates : bool
@@ -126,10 +73,15 @@ def solve_sssp(g: DiGraph, source: int, *,
         (cheap; on by default — the library never hands out an unchecked
         certificate).  A rejected certificate raises
         :class:`~repro.resilience.errors.VerificationError`.
-    fault_plan, retry_policy, guard :
+    fault_plan, retry_policy :
         Resilience hooks, threaded into every randomized stage; see
         :mod:`repro.resilience`.  ``solve_sssp_resilient`` owns the
         outermost retry/fallback loop around this function.
+    guard :
+        A :class:`~repro.resilience.guard.BudgetGuard`, installed as the
+        ambient budget for the solve: ticked once per improvement and
+        brought to the solve's exact cost before the final Dijkstra and
+        at the end.
     token, checkpoint_path, resume, on_checkpoint :
         Preemption hooks (see :mod:`repro.resilience.preempt` and
         :mod:`repro.resilience.checkpoint`): cooperative cancellation /
@@ -146,85 +98,14 @@ def solve_sssp(g: DiGraph, source: int, *,
         :class:`~repro.runtime.metrics.Cost` — are bit-identical to
         ``backend=None``.
     """
-    if isinstance(backend, str):
-        with resolve_backend(backend) as be:
-            return solve_sssp(
-                g, source, mode=mode, assp_engine=assp_engine, eps=eps,
-                seed=seed, acc=acc, model=model,
-                check_certificates=check_certificates,
-                fault_plan=fault_plan, retry_policy=retry_policy,
-                guard=guard, token=token, checkpoint_path=checkpoint_path,
-                resume=resume, on_checkpoint=on_checkpoint, backend=be)
-    if not (0 <= source < g.n):
-        raise InputValidationError("source out of range")
-    if (backend is not None and fault_plan is not None
-            and hasattr(backend, "install_fault_plan")):
-        backend.install_fault_plan(fault_plan)
-    local = CostAccumulator()
-    with trace_span("solve", acc=local, phase="solve", mode=mode,
-                    n=g.n, m=g.m, source=source, seed=seed) as sp:
-        scal = scaled_reweighting(g, mode=mode, assp_engine=assp_engine,
-                                  eps=eps, seed=seed, acc=local, model=model,
-                                  fault_plan=fault_plan,
-                                  retry_policy=retry_policy, guard=guard,
-                                  token=token, checkpoint_path=checkpoint_path,
-                                  resume=resume, on_checkpoint=on_checkpoint)
-        if scal.negative_cycle is not None:
-            cert = Certificate("negative_cycle",
-                               cycle=list(scal.negative_cycle))
-            if check_certificates and not cert.verify(g):
-                raise VerificationError(
-                    "internal error: invalid cycle certificate",
-                    stage="solve_sssp")
-            sp.set(certificate=cert.kind,
-                   cycle_length=len(scal.negative_cycle))
-            metric_inc("repro_solves_total", mode=mode,
-                       outcome="negative_cycle")
-            if acc is not None:
-                acc.charge_cost(local.snapshot())
-                acc.merge_stages_from(local)
-            return SsspResult(source, None, None, None, scal.negative_cycle,
-                              scal.stats, local.snapshot(), certificate=cert)
-
-        price = scal.price
-        cert = Certificate("price", price=price)
-        if check_certificates and not cert.verify(g):
-            raise VerificationError(
-                "internal error: infeasible price function",
-                stage="solve_sssp")
-        sp.set(certificate=cert.kind)
-        if token is not None:
-            token.check("sssp:final-dijkstra")
-        if backend is not None and g.m:
-            # physical execution of the reduced-weight map moves to the
-            # backend; the model cost charged below is unchanged, which is
-            # what keeps golden costs bit-exact across backends
-            parts = backend.map_blocks(
-                g.m, _reduced_weights_block, (g.src, g.dst, g.w, price),
-                token=token)
-            w_red = np.concatenate(parts)
-        else:
-            w_red = g.w + price[g.src] - price[g.dst] if g.m else g.w
-        local.charge(*model.map_ws(g.m))
-        with local.stage("final-dijkstra"), \
-                trace_span("final-dijkstra", acc=local,
-                           phase="solve") as dsp, \
-                profile_scope("final-dijkstra"):
-            dj = dijkstra(g, source, weights=w_red, model=model)
-            local.charge_cost(dj.cost)
-            dsp.count("settled", int(np.isfinite(dj.dist).sum()))
-        dist = dj.dist.copy()
-        finite = np.isfinite(dist)
-        # undo the reweighting: dist_w(s,v) = dist_red(s,v) + p(v) − p(s)
-        dist[finite] += price[np.flatnonzero(finite)] - price[source]
-        metric_inc("repro_solves_total", mode=mode, outcome="distances")
-        metric_observe("repro_solve_work", local.work)
-        metric_observe("repro_solve_span_model", local.span_model)
-        if acc is not None:
-            acc.charge_cost(local.snapshot())
-            acc.merge_stages_from(local)
-        return SsspResult(source, dist, dj.parent, price, None, scal.stats,
-                          local.snapshot(), certificate=cert)
+    engine = resolve_engine(mode=mode)
+    with guard_scope(guard):
+        return engine.solve(
+            g, source, seed=seed, acc=acc, model=model,
+            check_certificates=check_certificates, fault_plan=fault_plan,
+            token=token, backend=backend, assp_engine=assp_engine, eps=eps,
+            retry_policy=retry_policy, checkpoint_path=checkpoint_path,
+            resume=resume, on_checkpoint=on_checkpoint)
 
 
 def solve_sssp_resilient(g: DiGraph, source: int, *,
@@ -295,15 +176,18 @@ def solve_sssp_resilient(g: DiGraph, source: int, *,
 
     ``engine`` selects a solver from the registry in
     :mod:`repro.core.engines` (``goldberg_parallel``,
-    ``goldberg_sequential``, ``bnw_scaling``, ``fischer_simple``).  The
-    Goldberg names are synonyms for ``mode`` and keep every feature
-    above, including checkpointing.  Other engines run through the same
-    attempt loop — verified certificates, seed-escalating retries,
-    budget/deadline guards, fault injection at the ``potential`` site,
-    Bellman–Ford degradation — but do not support
-    ``checkpoint_path``/``resume`` (an
-    :class:`~repro.resilience.errors.InputValidationError`).
+    ``goldberg_sequential``, ``bnw_scaling``, ``fischer_simple``);
+    without it, the deprecated ``mode`` alias picks a Goldberg engine.
+    Unknown names raise
+    :class:`~repro.resilience.errors.InputValidationError` before any
+    work.  Every engine runs through the same attempt loop — verified
+    certificates, seed-escalating retries, budget guards ticked at its
+    loop heads, deadlines, fault injection at the ``potential`` site,
+    Bellman–Ford degradation.  Only the Goldberg engines support
+    ``checkpoint_path``/``resume``; the others raise
+    :class:`~repro.resilience.errors.InputValidationError`.
     """
+    eng = resolve_engine(engine, mode)
     if isinstance(backend, str):
         with resolve_backend(backend) as be:
             return solve_sssp_resilient(
@@ -315,25 +199,7 @@ def solve_sssp_resilient(g: DiGraph, source: int, *,
                 raise_on_cycle=raise_on_cycle, deadline=deadline,
                 token=token, checkpoint_path=checkpoint_path,
                 resume=resume, on_checkpoint=on_checkpoint, backend=be)
-    validate_graph(g, source)
-    engine_obj = None
-    engine_label = mode
-    if engine is not None:
-        # deferred import: repro.core.engines imports solve_sssp from here
-        from .engines import ENGINE_TO_MODE, get_sssp_engine
-
-        if engine in ENGINE_TO_MODE:
-            # Goldberg engines ARE solve_sssp; keep its native path so
-            # checkpointing and the assp_engine plumbing stay available
-            mode = ENGINE_TO_MODE[engine]
-            engine_label = engine
-        else:
-            engine_obj = get_sssp_engine(engine)
-            engine_label = engine
-            if checkpoint_path is not None or resume:
-                raise InputValidationError(
-                    f"engine {engine!r} does not support checkpointing; "
-                    "use goldberg_parallel or goldberg_sequential")
+    source = validate_graph(g, source)
     if max_retries is not None and retry_policy is None:
         retry_policy = RetryPolicy(max_attempts=max_retries + 1)
     policy = retry_policy or RetryPolicy(max_attempts=3)
@@ -347,63 +213,36 @@ def solve_sssp_resilient(g: DiGraph, source: int, *,
         aseed = policy.attempt_seed(seed, attempt)
         primary = attempt == 0
         try:
-            with cancel_scope(token), \
+            with cancel_scope(token), guard_scope(guard), \
                     trace_span("attempt", phase="resilience",
                                attempt=attempt, seed=aseed):
-                if engine_obj is not None:
-                    res = engine_obj.solve(
-                        g, source, seed=aseed, acc=acc, model=model,
-                        check_certificates=True, fault_plan=fault_plan,
-                        token=token, backend=backend)
-                    if guard is not None:
-                        # registry engines do not thread the guard through
-                        # their phases; enforce the budget on the whole
-                        # attempt's cost instead (raises BudgetExceededError)
-                        guard.debit(res.cost)
-                else:
-                    res = solve_sssp(
-                        g, source, mode=mode, assp_engine=assp_engine,
-                        eps=eps, seed=aseed, acc=acc, model=model,
-                        check_certificates=True, fault_plan=fault_plan,
-                        retry_policy=policy, guard=guard, token=token,
-                        checkpoint_path=checkpoint_path if primary else None,
-                        resume=resume and primary,
-                        on_checkpoint=on_checkpoint if primary else None,
-                        backend=backend)
-        except DeadlineExceededError as exc:
+                res = eng.solve(
+                    g, source, seed=aseed, acc=acc, model=model,
+                    check_certificates=True, fault_plan=fault_plan,
+                    token=token, backend=backend, assp_engine=assp_engine,
+                    eps=eps, retry_policy=policy,
+                    checkpoint_path=checkpoint_path if primary else None,
+                    resume=resume and primary,
+                    on_checkpoint=on_checkpoint if primary else None)
+        except (VerificationError, BudgetExceededError,
+                DeadlineExceededError, WorkerPoolError) as exc:
             attempts.append(AttemptRecord("solve_sssp", attempt, aseed,
                                           False,
                                           f"{type(exc).__name__}: {exc}"))
             failure = exc
-            break  # elapsed time is not refundable — no further attempts
-        except VerificationError as exc:
-            attempts.append(AttemptRecord("solve_sssp", attempt, aseed,
-                                          False,
-                                          f"{type(exc).__name__}: {exc}"))
-            failure = exc
+            if not isinstance(exc, VerificationError):
+                # elapsed time and spent work are not refundable, and a
+                # substrate that failed past every ladder rung fails the
+                # same way again: go straight to the in-process fallback
+                break
             trace_event("retry", stage="solve_sssp", attempt=attempt,
                         error=type(exc).__name__)
             metric_inc("repro_retries_total", stage="solve_sssp",
                        error=type(exc).__name__)
             continue
-        except BudgetExceededError as exc:
-            attempts.append(AttemptRecord("solve_sssp", attempt, aseed,
-                                          False,
-                                          f"{type(exc).__name__}: {exc}"))
-            failure = exc
-            break  # spent work is not refundable — no further attempts
-        except WorkerPoolError as exc:
-            # the execution substrate itself failed past every ladder
-            # rung — retrying on the same substrate cannot help, so break
-            # straight to the in-process fallback
-            attempts.append(AttemptRecord("solve_sssp", attempt, aseed,
-                                          False,
-                                          f"{type(exc).__name__}: {exc}"))
-            failure = exc
-            break
         attempts.append(AttemptRecord("solve_sssp", attempt, aseed, True))
         res.provenance = SolveProvenance(
-            engine=engine_label, attempts=attempts,
+            engine=eng.name, attempts=attempts,
             faults=fault_plan.summary() if fault_plan is not None else None)
         res.provenance.record_backend(backend)
         return _finish(g, res, raise_on_cycle)

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..resilience.errors import InputValidationError
 from .csr import ranges_concat as _ranges_concat
-from .digraph import DiGraph
+from .digraph import DiGraph, _as_int64
 
 # Bit scaling keeps |price| ≤ 2·n·max|w| and reduced weights add two price
 # terms to a weight, so this product bound keeps every int64 intermediate
@@ -40,19 +40,32 @@ def check_overflow_safety(g: DiGraph,
             "scaled/reduced weights; rescale the instance")
 
 
-def validate_graph(g: DiGraph, source: int | None = None,
-                   weights: np.ndarray | None = None) -> None:
+def check_source(g: DiGraph, source) -> int:
+    """``source`` as a Python int, checked like the public constructor's
+    vertex ids: integral floats and bools count as their int value;
+    fractional, NaN, ±inf, non-scalar and out-of-range values raise
+    :class:`InputValidationError`.  O(1): no whole-graph work."""
+    arr = _as_int64(source, "source")
+    if arr.ndim != 0 or not (0 <= arr < g.n):
+        raise InputValidationError(
+            f"source {source} out of range [0, {g.n})")
+    return int(arr)
+
+
+def validate_graph(g: DiGraph, source=None,
+                   weights: np.ndarray | None = None) -> int | None:
     """Full input validation for the public solver entry points.
 
     The :class:`DiGraph` constructor already guarantees well-formed CSR
     arrays and finite integral weights; this adds the solver-level
-    contract: in-range source and overflow-safe magnitudes.  Raises
-    :class:`InputValidationError` (a ``ValueError``) on violation.
+    contract: a valid source (:func:`check_source`) and overflow-safe
+    magnitudes.  Raises :class:`InputValidationError` (a ``ValueError``)
+    on violation; returns the source as a Python int (None without one).
     """
-    if source is not None and not (0 <= source < g.n):
-        raise InputValidationError(
-            f"source {source} out of range [0, {g.n})")
+    if source is not None:
+        source = check_source(g, source)
     check_overflow_safety(g, weights)
+    return source
 
 
 def is_feasible_price(g: DiGraph, price: np.ndarray,

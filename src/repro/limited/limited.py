@@ -36,7 +36,6 @@ from ..observability.metrics import metric_inc
 from ..observability.tracer import trace_span
 from ..resilience.errors import InputValidationError, RetryExhaustedError
 from ..resilience.errors import VerificationError  # noqa: F401 (re-export)
-from ..resilience.guard import Meter
 from ..resilience.retry import AttemptRecord, RetryPolicy
 from ..runtime.metrics import Cost, CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL, lg
@@ -70,7 +69,7 @@ def limited_sssp(g: DiGraph, source: int, limit: int, *,
                  model: CostModel = DEFAULT_MODEL,
                  max_retries: int = 5,
                  retry_policy: RetryPolicy | None = None,
-                 fault_plan=None, guard=None,
+                 fault_plan=None,
                  validate: bool = True) -> LimitedSpResult:
     """Exact distances to all vertices within ``limit`` of ``source``.
 
@@ -79,8 +78,7 @@ def limited_sssp(g: DiGraph, source: int, limit: int, *,
 
     Resilience hooks: ``retry_policy`` overrides ``max_retries``;
     ``fault_plan`` (site ``"assp"``) corrupts engine answers so tests can
-    prove the Lemma-10 verifier fires; ``guard`` is debited once per
-    verified attempt.  Exhausting the retry budget raises
+    prove the Lemma-10 verifier fires.  Exhausting the retry budget raises
     :class:`~repro.resilience.errors.RetryExhaustedError` (a
     ``VerificationError``) carrying the attempt log.
     """
@@ -99,7 +97,6 @@ def limited_sssp(g: DiGraph, source: int, limit: int, *,
     policy = retry_policy or RetryPolicy(max_attempts=max_retries + 1)
 
     local = CostAccumulator()
-    meter = Meter(guard, local)
     attempts: list[AttemptRecord] = []
     with trace_span("limited-sssp", acc=local, phase="limited",
                     n=g.n, m=g.m, limit=limit) as lsp:
@@ -108,7 +105,6 @@ def limited_sssp(g: DiGraph, source: int, limit: int, *,
                 g, source, limit, engine, eps, local, model)
             ok = verify_limited_distances(g, source, dist, limit,
                                           acc=local, model=model)
-            meter.tick()
             attempts.append(AttemptRecord(
                 "limited_sssp", attempt, 0, bool(ok),
                 None if ok else "Lemma-10 check failed"))

@@ -102,7 +102,8 @@ def progress_snapshot(registry: MetricsRegistry | None = None,
         out["scale"] = _gauge_value(state, "repro_scale_current")
         out["blocks_completed"] = _counter_total(
             state, "repro_blocks_completed_total")
-        out["solves_completed"] = _counter_total(state, "repro_solves_total")
+        out["solves_completed"] = _counter_total(
+            state, "repro_engine_solves_total")
     if backend is not None:
         live = getattr(backend, "live_status", None)
         if callable(live):

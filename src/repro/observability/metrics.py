@@ -54,8 +54,8 @@ DEFAULT_BUCKETS = (
 METRIC_CATALOG: dict[str, tuple[str, str]] = {
     # solver-level
     "repro_solves_total": ("counter", "Completed solves by mode"),
-    "repro_solve_work": ("gauge", "Model work of the last solve"),
-    "repro_solve_span_model": ("gauge", "Model span of the last solve"),
+    "repro_solve_work": ("histogram", "Model work per engine solve"),
+    "repro_solve_span_model": ("histogram", "Model span per engine solve"),
     "repro_fallbacks_total": ("counter", "Fallbacks to the exact baseline"),
     "repro_retries_total": ("counter", "Certified-retry attempts"),
     # pluggable SSSP engine registry

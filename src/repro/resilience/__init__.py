@@ -9,8 +9,9 @@ Four pieces (DESIGN.md "Robustness & verification"):
   can prove each verifier catches its fault class;
 * :mod:`~repro.resilience.retry` — :class:`RetryPolicy`, the certified
   retry loop with seed escalation and per-attempt telemetry;
-* :mod:`~repro.resilience.guard` — :class:`BudgetGuard` work/span ceilings
-  feeding the graceful Bellman–Ford degradation in
+* :mod:`~repro.resilience.guard` — :class:`BudgetGuard` work/span ceilings,
+  installed ambiently by :func:`guard_scope` and ticked at solver loop
+  heads, feeding the graceful Bellman–Ford degradation in
   :func:`repro.core.sssp.solve_sssp_resilient`;
 * :mod:`~repro.resilience.preempt` — :class:`Deadline` / :class:`CancelToken`
   cooperative preemption, checked at phase boundaries and inside
@@ -43,7 +44,7 @@ from .faults import (
     FaultSpec,
     WorkerFaults,
 )
-from .guard import BudgetGuard, Meter
+from .guard import BudgetGuard, Meter, current_guard, guard_scope
 from .preempt import (
     CancelToken,
     Deadline,
@@ -97,4 +98,6 @@ __all__ = [
     "SolveProvenance",
     "BudgetGuard",
     "Meter",
+    "current_guard",
+    "guard_scope",
 ]

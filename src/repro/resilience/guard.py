@@ -1,17 +1,23 @@
 """Work/span budget guards over the cost accumulator.
 
 A :class:`BudgetGuard` is a hard ceiling on the model work/span a solve
-may consume.  Stages *debit* it with the cost deltas they accumulate (the
-library's nested ``CostAccumulator`` locals only fold into their parent at
-stage boundaries, so the guard keeps its own global running total); the
-first debit that crosses a ceiling raises
-:class:`~repro.resilience.errors.BudgetExceededError`, which retry loops
-deliberately do not catch — spent work is not refundable, so the error
-propagates straight to the graceful-degradation layer in
-``core.sssp.solve_sssp_resilient``.
+may consume.  It is ambient, like the cancel token: :func:`guard_scope`
+installs it and :func:`current_guard` reads it.  Solver loops tick it at
+their loop heads, next to their cancel-token checks, through a
+:class:`Meter` that debits what its accumulator gained since the last
+tick — never more than the solve has charged so far.  The engine tail
+then settles it (:meth:`BudgetGuard.settle`) to the solve's exact cost
+before the final Dijkstra and at the end.  The first debit that crosses a
+ceiling raises :class:`~repro.resilience.errors.BudgetExceededError`,
+which retry loops deliberately do not catch — spent work is not
+refundable, so the error propagates straight to the graceful-degradation
+layer in ``core.sssp.solve_sssp_resilient``.
 """
 
 from __future__ import annotations
+
+import contextlib
+import contextvars
 
 from ..runtime.metrics import Cost, CostAccumulator
 from .errors import BudgetExceededError, InputValidationError
@@ -40,7 +46,7 @@ class BudgetGuard:
         self.spent_work = 0.0
         self.spent_span = 0.0
 
-    def debit(self, cost: Cost) -> None:
+    def debit(self, cost: Cost | CostAccumulator) -> None:
         """Charge ``cost`` against the budget; raise once it is breached."""
         self.spent_work += cost.work
         self.spent_span += cost.span_model
@@ -55,6 +61,19 @@ class BudgetGuard:
                 spent_work=self.spent_work, spent_span=self.spent_span,
                 max_work=self.max_work, max_span=self.max_span)
 
+    def mark(self) -> tuple[float, float]:
+        """The spend so far, for a later :meth:`settle`."""
+        return self.spent_work, self.spent_span
+
+    def settle(self, mark: tuple[float, float],
+               cost: Cost | CostAccumulator) -> None:
+        """Set the spend to ``mark`` plus ``cost``, replacing the ticks
+        debited since ``mark``; raise if that breaches a ceiling.  From a
+        fresh guard the spend becomes ``cost`` itself, so a ceiling equal
+        to a solve's cost never trips by rounding."""
+        self.spent_work, self.spent_span = mark
+        self.debit(cost)
+
     def remaining_work(self) -> float:
         if self.max_work is None:
             return float("inf")
@@ -68,10 +87,13 @@ class BudgetGuard:
 class Meter:
     """Incremental bridge from one :class:`CostAccumulator` to a guard.
 
-    Stages that loop call :meth:`tick` once per iteration; it debits only
-    the delta accumulated since the previous tick, so nested locals never
-    double-charge the guard.  A ``None`` guard makes every call a no-op,
-    keeping hook sites one-liners.
+    Stages that loop call :meth:`tick` at their loop heads; it debits
+    only the delta accumulated since the previous tick.  It does not know
+    about other accumulators: a nested local folds into its parent, so
+    Meters on both would debit the nested work twice.  Keep one Meter per
+    solve path — an inner loop passes its Meter down rather than building
+    a second one.  A ``None`` guard makes every call a no-op, keeping hook
+    sites one-liners.
     """
 
     __slots__ = ("guard", "acc", "_work", "_span", "_span_model")
@@ -94,3 +116,29 @@ class Meter:
         self._span = self.acc.span
         self._span_model = self.acc.span_model
         self.guard.debit(delta)
+
+
+_CURRENT_GUARD: contextvars.ContextVar[BudgetGuard | None] = (
+    contextvars.ContextVar("repro_budget_guard", default=None))
+
+
+def current_guard() -> BudgetGuard | None:
+    """The guard installed by the innermost :func:`guard_scope`, if any."""
+    return _CURRENT_GUARD.get()
+
+
+@contextlib.contextmanager
+def guard_scope(guard: BudgetGuard | None):
+    """Install ``guard`` as the ambient budget for the enclosed block.
+
+    ``None`` is accepted (and installs nothing), as in
+    :func:`~repro.resilience.preempt.cancel_scope`.
+    """
+    if guard is None:
+        yield None
+        return
+    handle = _CURRENT_GUARD.set(guard)
+    try:
+        yield guard
+    finally:
+        _CURRENT_GUARD.reset(handle)

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterator
 
+from ..resilience.errors import InputValidationError
+
 Factory = Callable[..., Any]
 
 
@@ -52,11 +54,13 @@ class Registry:
         return sorted(self._factories)
 
     def create(self, name: str, **kwargs: Any) -> Any:
-        """Instantiate the engine registered under ``name``."""
+        """Instantiate the engine registered under ``name``; an unknown
+        name raises :class:`~repro.resilience.errors.InputValidationError`
+        (a ``ValueError``)."""
         try:
             factory = self._factories[name]
         except KeyError:
-            raise ValueError(
+            raise InputValidationError(
                 f"unknown {self.kind} {name!r}; choose from "
                 f"{self.names()}") from None
         return factory(**kwargs)

@@ -167,6 +167,17 @@ class TestPreemption:
         assert rc == 2
         assert "--resume requires --checkpoint" in err
 
+    @pytest.mark.parametrize("engine", ["bnw_scaling", "fischer_simple"])
+    def test_checkpoint_with_engine_lacking_support_exit_code_2(
+            self, capsys, tmp_path, engine):
+        p = self._graph_file(capsys, tmp_path)
+        ck = tmp_path / "ck.bin"
+        rc, out, err = run_cli(capsys, "solve", str(p), "--engine", engine,
+                               "--checkpoint", str(ck))
+        assert rc == 2
+        assert "does not support checkpointing" in err and out == ""
+        assert not ck.exists()
+
     def test_checkpoint_then_resume_identical_output(self, capsys, tmp_path):
         p = self._graph_file(capsys, tmp_path)
         ck = tmp_path / "ck.bin"

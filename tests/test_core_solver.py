@@ -214,10 +214,11 @@ class TestParallelSpecific:
         class StagedCycleEngine(_PotentialEngine):
             name = "staged-cycle"
 
-            def _potential(self, g, *, seed, acc, model, token, backend):
+            def _potential(self, g, *, seed, acc, model, token, backend,
+                           fault_plan, **options):
                 with acc.stage("probe"):
                     acc.charge(3.0)
-                return None, [0, 1]
+                return None, [0, 1], None
 
         g = DiGraph.from_edges(2, [(0, 1, -1), (1, 0, 0)])
         acc = CostAccumulator()

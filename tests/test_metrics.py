@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.scaling import scaled_reweighting
-from repro.core.sssp import solve_sssp
+from repro.core.sssp import solve_sssp, solve_sssp_resilient
 from repro.graph.generators import hidden_potential_graph, random_digraph
 from repro.observability import (
     METRICS_SCHEMA,
@@ -32,6 +32,7 @@ from repro.observability import (
     tracing,
     write_metrics_json,
 )
+from repro.observability.http import progress_snapshot
 
 pytestmark = pytest.mark.observability
 
@@ -328,6 +329,22 @@ class TestSolverMetrics:
         g = hidden_potential_graph(16, 40, seed=1)
         solve_sssp(g, 0, seed=7)
         assert current_metrics() is None
+
+    @pytest.mark.parametrize("engine", ["goldberg_parallel",
+                                        "goldberg_sequential",
+                                        "bnw_scaling", "fischer_simple"])
+    def test_every_engine_counts_its_solve_once(self, engine):
+        g = hidden_potential_graph(40, 160, seed=1)
+        reg = MetricsRegistry()
+        with metering(reg):
+            res = solve_sssp_resilient(g, 0, engine=engine)
+        st = reg.state()
+        assert st["repro_engine_solves_total"]["samples"] == {
+            f"engine={engine},outcome=distances": 1.0}
+        assert progress_snapshot(reg)["solves_completed"] == 1.0
+        work = st["repro_solve_work"]["samples"][""]
+        assert work["count"] == 1 and work["sum"] == res.cost.work
+        assert st["repro_solve_span_model"]["samples"][""]["count"] == 1
 
 
 # ---------------------------------------------------------------------------

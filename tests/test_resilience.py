@@ -31,18 +31,22 @@ from repro import (
 from repro.baselines.bellman_ford import bellman_ford
 from repro.baselines.johnson import johnson_potential
 from repro.core import one_reweighting
+from repro.core.engines import get_sssp_engine
 from repro.dag01 import dag01_limited_sssp
 from repro.graph import generators
 from repro.graph.digraph import MAX_ABS_WEIGHT
 from repro.graph.validate import check_overflow_safety, validate_negative_cycle
 from repro.limited import limited_sssp
-from repro.resilience import FAULT_SITES, FaultSpec, Meter
+from repro.observability import Tracer, tracing
+from repro.resilience import FAULT_SITES, FaultSpec, Meter, guard_scope
 from repro.runtime.metrics import CostAccumulator
 from repro.runtime.model import DEFAULT_MODEL
 
 pytestmark = pytest.mark.resilience
 
 SITES = tuple(FAULT_SITES)
+ENGINES = ("goldberg_parallel", "goldberg_sequential", "bnw_scaling",
+           "fischer_simple")
 
 
 @pytest.fixture
@@ -287,15 +291,18 @@ class TestFaultDegraded:
 # ---------------------------------------------------------------------------
 
 class TestBudget:
-    def test_tiny_budget_falls_back(self, g):
-        res = solve_sssp_resilient(g, 0, max_work=1.0)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_tiny_budget_falls_back(self, g, engine):
+        res = solve_sssp_resilient(g, 0, engine=engine, max_work=1.0)
         assert res.provenance.used_fallback
         assert "BudgetExceededError" in res.provenance.fallback_reason
         assert np.array_equal(res.dist, bellman_ford(g, 0).dist)
 
-    def test_tiny_budget_no_fallback_raises(self, g):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_tiny_budget_no_fallback_raises(self, g, engine):
         with pytest.raises(BudgetExceededError) as ei:
-            solve_sssp_resilient(g, 0, max_work=1.0, fallback=False)
+            solve_sssp_resilient(g, 0, engine=engine, max_work=1.0,
+                                 fallback=False)
         assert ei.value.spent_work > ei.value.max_work == 1.0
 
     def test_ample_budget_is_invisible(self, g):
@@ -316,9 +323,11 @@ class TestBudget:
         with pytest.raises(BudgetExceededError):
             meter.tick()
 
-    def test_span_budget(self, g):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_span_budget(self, g, engine):
         with pytest.raises(BudgetExceededError):
-            solve_sssp_resilient(g, 0, max_span=0.5, fallback=False)
+            solve_sssp_resilient(g, 0, engine=engine, max_span=0.5,
+                                 fallback=False)
 
     @pytest.mark.parametrize("field", ["max_work", "max_span"])
     @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("-inf")])
@@ -337,6 +346,74 @@ class TestBudget:
         guard = BudgetGuard(max_work=float("inf"), max_span=float("inf"))
         guard.debit(DEFAULT_MODEL.map(10 ** 12))
         assert guard.remaining_work() == float("inf")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_tiny_budget_stops_mid_solve(self, engine):
+        """Every engine ticks the guard at its loop heads, so a tiny
+        budget stops it long before its final Dijkstra."""
+        g = generators.hidden_potential_graph(400, 1600, seed=3)
+        full = get_sssp_engine(engine).solve(g, 0).cost.work
+        tr = Tracer()
+        with tracing(tr), pytest.raises(BudgetExceededError) as ei:
+            solve_sssp_resilient(g, 0, engine=engine, max_work=1000,
+                                 fallback=False)
+        assert ei.value.spent_work < full
+        assert "final-dijkstra" not in {s.name for s in tr.spans}
+
+
+# the golden-cost instances: two feasible, one with a negative cycle
+BUDGET_GRAPHS = {
+    "hp16": lambda: generators.hidden_potential_graph(16, 40, seed=1),
+    "hp24": lambda: generators.hidden_potential_graph(24, 70, seed=2),
+    "rd20neg": lambda: generators.random_digraph(20, 50, min_w=-3,
+                                                 max_w=9, seed=5),
+}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("case", sorted(BUDGET_GRAPHS))
+class TestBudgetEndsAtTheCost:
+    """Ticks count only work already charged, once, and the tail
+    settles the guard to the solve's exact cost."""
+
+    def test_unlimited_guard_spends_exactly_the_cost(self, case, engine):
+        guard = BudgetGuard(max_work=float("inf"), max_span=float("inf"))
+        with guard_scope(guard):
+            res = get_sssp_engine(engine).solve(BUDGET_GRAPHS[case](), 0,
+                                                seed=7)
+        assert guard.spent_work == pytest.approx(res.cost.work, rel=1e-12)
+        assert guard.spent_span == pytest.approx(res.cost.span_model,
+                                                 rel=1e-12)
+
+    def test_ceiling_equal_to_the_cost_succeeds(self, case, engine):
+        g = BUDGET_GRAPHS[case]()
+        cost = get_sssp_engine(engine).solve(g, 0, seed=7).cost
+        res = solve_sssp_resilient(g, 0, engine=engine, seed=7,
+                                   max_work=cost.work,
+                                   max_span=cost.span_model, fallback=False)
+        assert not res.provenance.used_fallback
+        assert res.cost == cost
+
+    def test_ceiling_below_the_cost_raises(self, case, engine):
+        g = BUDGET_GRAPHS[case]()
+        work = get_sssp_engine(engine).solve(g, 0, seed=7).cost.work
+        with pytest.raises(BudgetExceededError):
+            solve_sssp_resilient(g, 0, engine=engine, seed=7,
+                                 max_work=np.nextafter(work, 0),
+                                 fallback=False)
+
+
+@pytest.mark.parametrize("mode", ["parallel", "sequential"])
+@pytest.mark.parametrize("n,m,seed", [(64, 256, 1), (250, 1000, 2),
+                                      (160, 640, 3), (24, 70, 2),
+                                      (16, 40, 1)])
+def test_solve_sssp_guard_spends_exactly_the_cost(mode, n, m, seed):
+    """``solve_sssp(guard=...)`` counts the chain-elimination work once
+    and the scale-level maps and the final Dijkstra at all."""
+    g = generators.hidden_potential_graph(n, m, seed=seed)
+    guard = BudgetGuard(max_work=float("inf"))
+    res = solve_sssp(g, 0, seed=7, mode=mode, guard=guard)
+    assert guard.spent_work == pytest.approx(res.cost.work, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

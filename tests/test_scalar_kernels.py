@@ -42,9 +42,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.bnw as bnw
+import repro.core.engines as engines
 import repro.core.fischer as fischer
 import repro.core.improvement as improvement
-import repro.core.sssp as sssp
 import repro.reach.multisource as multisource
 from conftest import recheck_kernels, swap_bindings
 from oracles import (
@@ -414,7 +414,7 @@ DAG = DiGraph.from_edges(3, [(0, 1, -1), (1, 2, 2), (0, 2, 1)])
 
 @pytest.mark.differential
 @pytest.mark.parametrize("caller, name, mutate, call", [
-    (sssp, "dijkstra", bump("parent"), lambda f: f(G, 0)),
+    (engines, "dijkstra", bump("parent"), lambda f: f(G, 0)),
     (fischer, "dijkstra_from_labels", bump(),
      lambda f: f(G, np.zeros(3, dtype=np.int64), CostAccumulator())),
     (fischer, "dijkstra_from_labels", extra_charge,
@@ -447,4 +447,4 @@ def test_recheck_mode_catches_a_fifo_bucket_dijkstra(monkeypatch):
                         "heapq", fifo_buckets())
     recheck_kernels(monkeypatch)
     with pytest.raises(AssertionError, match="dijkstra"):
-        sssp.dijkstra(ZERO_TIES, 0)
+        engines.dijkstra(ZERO_TIES, 0)
