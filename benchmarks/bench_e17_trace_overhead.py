@@ -3,8 +3,8 @@
 Every phase of the solver is instrumented with ``trace_span`` guards.
 Two claims to pin down:
 
-* **disabled** (no ambient tracer, the default): the guard is one module
-  global load plus a ``None`` test returning a shared no-op handle — the
+* **disabled** (no ambient tracer, the default): the guard is one
+  run-context read plus a ``None`` test returning a shared no-op handle — the
   instrumented solver must be indistinguishable from an uninstrumented
   one.  It is 0% by construction; the wall clock can only confirm it to
   within run-to-run noise, so the asserted bound equals the enabled
@@ -31,7 +31,7 @@ from repro.graph import bf_hard_graph
 from repro.observability import Tracer, tracing
 
 OVERHEAD_TARGET = 0.05   # enabled tracing: <5% of solve time
-# disabled tracing costs nothing by construction (one global load + None
+# disabled tracing costs nothing by construction (one context read + None
 # test); the wall clock can only bound it by the host's run-to-run noise,
 # which is a few percent here even interleaved and best-of-k
 DISABLED_TARGET = 0.05

@@ -5,7 +5,7 @@ boundaries (scales, retries, peel rounds, reach calls, refine calls,
 checkpoint bytes).  Mirroring E17's tracing claims:
 
 * **disabled** (no ambient registry, the default): each helper is one
-  module-global load plus a ``None`` test — 0% by construction, bounded
+  run-context read plus a ``None`` test — 0% by construction, bounded
   here only by run-to-run timer noise.
 * **enabled**: recording every metric (dict lookup + float add under a
   per-family lock) must stay under 5% of solve time; the calls sit at

@@ -8,7 +8,7 @@ background thread while the solve runs, plus (reported separately) the
 per-phase cProfile profiler.
 
 * **disabled** (the default): every guard — ``trace_span``,
-  ``metric_inc``, ``profile_scope`` — is one module-global load plus a
+  ``metric_inc``, ``profile_scope`` — is one run-context read plus a
   ``None`` test.  0% by construction; the re-measured plain path bounds
   it by run-to-run timer noise.
 * **telemetry enabled**: recording spans + metrics at phase boundaries

@@ -627,7 +627,7 @@ def run_telemetry_overhead(ns=(1024, 2048, 4096), repeats: int = 13,
 
     * ``plain`` — no ambient tracer/registry/profiler (the default);
     * ``disabled`` — re-measures the plain path: every telemetry guard
-      is one module-global load plus a ``None`` test, so this variant's
+      is one run-context read plus a ``None`` test, so this variant's
       delta is pure timer noise and bounds what the no-op guards could
       cost (0% by construction);
     * ``telemetry`` — ambient ``Tracer`` + ``MetricsRegistry`` with a
@@ -657,8 +657,9 @@ def run_telemetry_overhead(ns=(1024, 2048, 4096), repeats: int = 13,
     from ..observability.profiler import PhaseProfiler, profiling
 
     rows = []
-    # one server for the whole sweep: it resolves the *ambient* registry
-    # per scrape, so each telemetry run's fresh registry is what's served
+    # one server for the whole sweep, given each telemetry run's fresh
+    # registry and tracer before the run, so live scrapes read (and count
+    # repro_scrapes_total into) the registry the solve fills
     with TelemetryServer() as server:
         for n in ns:
             g = bf_hard_graph(n, 4 * n, potential_spread=8, seed=0)
@@ -676,7 +677,8 @@ def run_telemetry_overhead(ns=(1024, 2048, 4096), repeats: int = 13,
                             r.read()
 
                 th = threading.Thread(target=scrape, daemon=True)
-                with tracing(Tracer()), metering(MetricsRegistry()):
+                server.registry, server.tracer = MetricsRegistry(), Tracer()
+                with tracing(server.tracer), metering(server.registry):
                     th.start()
                     try:
                         solve_sssp(g, 0, seed=0, mode="sequential")

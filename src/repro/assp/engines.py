@@ -32,6 +32,7 @@ import numpy as np
 from ..baselines.dijkstra import dijkstra
 from ..graph.csr import out_edge_slots
 from ..graph.digraph import DiGraph
+from ..graph.validate import check_source
 from ..resilience.errors import InputValidationError
 from ..runtime.metrics import CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
@@ -119,8 +120,7 @@ class DeltaSteppingAssp:
 def _delta_stepping(g: DiGraph, source: int, w: np.ndarray,
                     delta: int | None, acc: CostAccumulator,
                     model: CostModel) -> np.ndarray:
-    if not (0 <= source < g.n):
-        raise InputValidationError("source out of range")
+    source = check_source(g, source)
     if delta is None:
         positive = w[w > 0]
         delta = int(positive.min()) if len(positive) else 1

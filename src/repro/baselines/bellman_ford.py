@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.digraph import DiGraph
-from ..resilience.errors import InputValidationError, VerificationError
+from ..graph.validate import check_source
+from ..resilience.errors import VerificationError
 from ..runtime.metrics import Cost, CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
 from ..runtime.primitives import unique_sorted
@@ -48,8 +49,7 @@ def bellman_ford(g: DiGraph, source: int, weights: np.ndarray | None = None,
     round ``n`` certifies a negative cycle *reachable from the source*,
     which is then extracted by walking predecessor pointers.
     """
-    if not (0 <= source < g.n):
-        raise InputValidationError("source out of range")
+    source = check_source(g, source)
     w = (g.w if weights is None else np.asarray(weights, dtype=np.int64)
          ).astype(np.float64)
     acc = CostAccumulator()

@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.digraph import DiGraph
+from ..graph.validate import check_source
 from ..runtime.executor import ForkJoinPool
 from ..runtime.racecheck import race_read, race_write
 from .bellman_ford import BellmanFordResult, bellman_ford
@@ -50,8 +51,7 @@ def bellman_ford_parallel(g: DiGraph, source: int, backend=None,
     :class:`~repro.runtime.backends.ExecutionBackend`, including a
     :class:`~repro.runtime.backends.DegradationLadder`).  ``backend=None``
     falls back to the sequential reference implementation."""
-    if not (0 <= source < g.n):
-        raise ValueError("source out of range")
+    source = check_source(g, source)
     if backend is None:
         return bellman_ford(g, source, weights)
     w = (g.w if weights is None else np.asarray(weights, dtype=np.int64)
@@ -90,8 +90,7 @@ def bellman_ford_threaded(g: DiGraph, source: int,
                           weights: np.ndarray | None = None,
                           grain: int = 4096) -> BellmanFordResult:
     """Same contract as :func:`repro.baselines.bellman_ford`."""
-    if not (0 <= source < g.n):
-        raise ValueError("source out of range")
+    source = check_source(g, source)
     if pool is None:
         return bellman_ford(g, source, weights)
     w = (g.w if weights is None else np.asarray(weights, dtype=np.int64)

@@ -14,7 +14,7 @@ from typing import cast
 import numpy as np
 
 from ..graph.digraph import DiGraph, _aligned_weights
-from ..graph.validate import topological_order
+from ..graph.validate import check_source, topological_order
 from ..resilience.errors import InputValidationError
 from ..runtime.metrics import Cost, CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
@@ -36,8 +36,7 @@ def dag_sssp(g: DiGraph, source: int, weights: np.ndarray | None = None,
     ``ValueError``) on a bad source, on ``weights`` of the wrong length
     or with fractional values, and when ``g`` is cyclic.
     """
-    if not (0 <= source < g.n):
-        raise InputValidationError("source out of range")
+    source = check_source(g, source)
     order = topological_order(g)
     if order is None:
         raise InputValidationError("dag_sssp requires an acyclic graph")

@@ -38,6 +38,7 @@ from typing import cast
 import numpy as np
 
 from ..graph.digraph import DiGraph, _aligned_weights, _as_int64
+from ..graph.validate import check_source
 from ..resilience.errors import InputValidationError
 from ..runtime.metrics import Cost, CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
@@ -62,8 +63,7 @@ def dijkstra(g: DiGraph, source: int, weights: np.ndarray | None = None,
     ``limit``.  Vertices farther than ``limit`` (if given) are reported
     as ``+inf``.
     """
-    if not (0 <= source < g.n):
-        raise InputValidationError("source out of range")
+    source = check_source(g, source)
     if limit is not None and limit != limit:
         raise InputValidationError("limit must not be NaN")
     w = _aligned_weights(g, weights)

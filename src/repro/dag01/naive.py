@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.digraph import DiGraph
+from ..graph.validate import check_source
 from ..reach.multisource import multisource_reachability
 from ..runtime.metrics import Cost, CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
@@ -33,8 +34,7 @@ def dag01_limited_sssp_naive(g: DiGraph, source: int, limit: int, *,
                              ) -> NaiveDag01Result:
     """Per-round full-reachability peeling (same output contract as
     :func:`repro.dag01.dag01_limited_sssp`, without parent edges)."""
-    if not (0 <= source < g.n):
-        raise ValueError("source out of range")
+    source = check_source(g, source)
     local = CostAccumulator()
     reach = multisource_reachability(g, np.array([source]), local, model)
     live = reach.pi >= 0

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..graph.csr import in_edge_slots
 from ..graph.digraph import DiGraph
-from ..graph.validate import is_dag
+from ..graph.validate import check_source, is_dag
 from ..observability.metrics import metric_inc
 from ..observability.tracer import trace_span
 from ..reach.multisource import multisource_reachability
@@ -111,8 +111,7 @@ def dag01_limited_sssp(g: DiGraph, source: int, limit: int, *,
     :class:`~repro.resilience.errors.VerificationError`, which the
     improvement layer heals by redrawing with a fresh seed.
     """
-    if not (0 <= source < g.n):
-        raise InputValidationError("source out of range")
+    source = check_source(g, source)
     if limit < 0:
         raise InputValidationError("limit must be nonnegative")
     if priorities is not None and len(priorities) != g.n:

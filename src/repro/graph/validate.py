@@ -44,7 +44,10 @@ def check_source(g: DiGraph, source) -> int:
     """``source`` as a Python int, checked like the public constructor's
     vertex ids: integral floats and bools count as their int value;
     fractional, NaN, ±inf, non-scalar and out-of-range values raise
-    :class:`InputValidationError`.  O(1): no whole-graph work."""
+    :class:`InputValidationError`.  O(1): no whole-graph work, and a
+    plain in-range ``int`` returns before any numpy call."""
+    if type(source) is int and 0 <= source < g.n:  # not bool: a subclass
+        return source
     arr = _as_int64(source, "source")
     if arr.ndim != 0 or not (0 <= arr < g.n):
         raise InputValidationError(

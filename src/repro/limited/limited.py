@@ -32,6 +32,7 @@ import numpy as np
 from ..assp.engines import ExactAssp, FaultInjectingAssp
 from ..graph.csr import in_edge_slots
 from ..graph.digraph import DiGraph
+from ..graph.validate import check_source
 from ..observability.metrics import metric_inc
 from ..observability.tracer import trace_span
 from ..resilience.errors import InputValidationError, RetryExhaustedError
@@ -82,8 +83,7 @@ def limited_sssp(g: DiGraph, source: int, limit: int, *,
     :class:`~repro.resilience.errors.RetryExhaustedError` (a
     ``VerificationError``) carrying the attempt log.
     """
-    if not (0 <= source < g.n):
-        raise InputValidationError("source out of range")
+    source = check_source(g, source)
     if limit < 0:
         raise InputValidationError("limit must be nonnegative")
     if not (0 < eps < 0.25):

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..graph.csr import out_edge_slots
 from ..graph.digraph import DiGraph
+from ..graph.validate import check_source
 from ..runtime.metrics import Cost, CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
 
@@ -46,8 +47,7 @@ def weighted_bfs_limited(g: DiGraph, source: int, limit: int, *,
     every edge is scanned exactly once (when its tail settles); span is
     ``O(limit · log n)``.
     """
-    if not (0 <= source < g.n):
-        raise ValueError("source out of range")
+    source = check_source(g, source)
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     w = g.w if weights is None else np.asarray(weights, dtype=np.int64)

@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .tracer import Span, TraceEvent, Tracer
+from .tracer import Span, TraceEvent, Tracer, root_totals
 
 TRACE_FORMAT_VERSION = 1
 
@@ -103,9 +103,7 @@ class Trace:
 
     def totals(self) -> tuple[float, float, float]:
         """(work, span, span_model) summed over root spans."""
-        rs = self.roots()
-        return (sum(s.work for s in rs), sum(s.span for s in rs),
-                sum(s.span_model for s in rs))
+        return root_totals(self.spans)
 
 
 def _span_record(s: Span) -> dict:

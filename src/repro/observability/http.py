@@ -122,7 +122,7 @@ class _Handler(BaseHTTPRequestHandler):
         path = self.path.split("?", 1)[0]
         owner = self.owner
         if path == "/metrics":
-            reg = owner.resolve_registry()
+            reg = owner.registry
             text = reg.to_prometheus() if reg is not None else ""
             if reg is not None:
                 reg.inc("repro_scrapes_total", 1.0,
@@ -138,7 +138,7 @@ class _Handler(BaseHTTPRequestHandler):
             doc = progress_snapshot(owner.registry, owner.tracer,
                                     owner.backend,
                                     uptime_s=round(owner.uptime(), 3))
-            reg = owner.resolve_registry()
+            reg = owner.registry
             if reg is not None:
                 reg.inc("repro_scrapes_total", 1.0,
                         help="Telemetry HTTP requests served by endpoint",
@@ -172,10 +172,11 @@ class TelemetryServer:
     """Serve ``/metrics`` + ``/healthz`` + ``/progress`` from a daemon
     thread for the duration of a solve.
 
-    ``registry``/``tracer`` left None resolve to the *ambient*
-    installations at request time, so the server can be started before
-    ``metering``/``tracing`` are entered.  Usable as a context manager;
-    :meth:`stop` is idempotent.
+    It serves the ``registry`` and ``tracer`` it is given — a plane left
+    None is served empty — and nothing else: its request threads run
+    outside the solve's run context.  Both attributes may be reassigned
+    between solves.  Usable as a context manager; :meth:`stop` is
+    idempotent.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None,
@@ -191,10 +192,6 @@ class TelemetryServer:
         self._t0 = time.monotonic()
 
     # -- wiring ---------------------------------------------------------
-
-    def resolve_registry(self) -> MetricsRegistry | None:
-        return (self.registry if self.registry is not None
-                else current_metrics())
 
     def uptime(self) -> float:
         return time.monotonic() - self._t0

@@ -14,11 +14,12 @@ roundtrip) and the Prometheus text exposition format
 
 Unification with the tracer
 ---------------------------
-Installation mirrors the ambient tracer exactly: :func:`metering` installs
-a registry as the module-global active registry, and the guarded helpers
-(:func:`metric_inc`, :func:`metric_set`, :func:`metric_observe`) are one
-global load plus a ``None`` test when no registry is installed — the same
-zero-cost-when-off contract as :func:`~repro.observability.tracer.trace_span`.
+Installation mirrors the ambient tracer exactly: :func:`metering` sets the
+registry field of the run context (:mod:`repro.runcontext`), and the
+guarded helpers (:func:`metric_inc`, :func:`metric_set`,
+:func:`metric_observe`) are one context read plus a ``None`` test when no
+registry is installed — the same zero-cost-when-off contract as
+:func:`~repro.observability.tracer.trace_span`.
 The two layers compose: when both a tracer *and* a registry are active,
 every closing span also bumps the registry (span counts per name/phase, a
 wall-seconds histogram, model work/span counters, and each span counter as
@@ -36,6 +37,8 @@ import json
 import math
 import threading
 from pathlib import Path
+
+from ..runcontext import current_context, run_scope
 
 METRICS_SCHEMA_VERSION = 1
 METRICS_SCHEMA = f"repro-metrics/{METRICS_SCHEMA_VERSION}"
@@ -665,51 +668,30 @@ def load_metrics_json(path) -> MetricsRegistry:
 
 
 # ---------------------------------------------------------------------------
-# ambient registry (module-global, mirrors the ambient tracer)
+# ambient registry (a field of the run context, like the ambient tracer)
 # ---------------------------------------------------------------------------
-
-_ACTIVE: MetricsRegistry | None = None
-
 
 def current_metrics() -> MetricsRegistry | None:
     """The ambient registry installed by :func:`metering`, or None."""
-    return _ACTIVE
+    return current_context().metrics
 
 
-class metering:
-    """Context manager installing ``registry`` as the ambient registry.
-
-    Nestable; the previous registry (usually None) is restored on exit —
-    the exact analogue of :class:`~repro.observability.tracer.tracing`.
-    """
-
-    __slots__ = ("registry", "_prev")
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-
-    def __enter__(self) -> MetricsRegistry:
-        global _ACTIVE
-        self._prev = _ACTIVE
-        _ACTIVE = self.registry
-        return self.registry
-
-    def __exit__(self, *exc) -> bool:
-        global _ACTIVE
-        _ACTIVE = self._prev
-        return False
+def metering(registry: MetricsRegistry | None) -> run_scope:
+    """Install ``registry`` as the ambient registry for the enclosed
+    block (``None`` masks the outer one); yields ``registry``."""
+    return run_scope(metrics=registry)
 
 
 def metric_inc(name: str, amount: float = 1.0, /, **labels) -> None:
     """Bump counter ``name`` on the ambient registry (no-op when off)."""
-    reg = _ACTIVE
+    reg = current_context().metrics
     if reg is not None:
         reg.inc(name, amount, **labels)
 
 
 def metric_set(name: str, value: float, /, **labels) -> None:
     """Set gauge ``name`` on the ambient registry (no-op when off)."""
-    reg = _ACTIVE
+    reg = current_context().metrics
     if reg is not None:
         reg.set(name, value, **labels)
 
@@ -717,6 +699,6 @@ def metric_set(name: str, value: float, /, **labels) -> None:
 def metric_observe(name: str, value: float, /, **labels) -> None:
     """Observe into histogram ``name`` on the ambient registry (no-op
     when off)."""
-    reg = _ACTIVE
+    reg = current_context().metrics
     if reg is not None:
         reg.observe(name, value, **labels)

@@ -5,10 +5,10 @@ Python functions burn it* — per top-level algorithm phase, which is the
 granularity the CSR-kernel speed work needs ("what dominates
 ``final-dijkstra`` at scale 12?").
 
-Ambient installation mirrors the tracer exactly: :class:`profiling`
-installs a :class:`PhaseProfiler` as the module-global active profiler,
-and :func:`profile_scope` is one global load plus an ``is None`` test
-when profiling is off — the same zero-cost-when-off contract as
+Ambient installation mirrors the tracer exactly: :func:`profiling` sets
+the profiler field of the run context (:mod:`repro.runcontext`), and
+:func:`profile_scope` is one context read plus an ``is None`` test when
+profiling is off — the same zero-cost-when-off contract as
 :func:`~repro.observability.tracer.trace_span`, so the guards can sit on
 hot phase boundaries permanently.
 
@@ -36,6 +36,7 @@ import time
 from pathlib import Path
 from typing import Any
 
+from ..runcontext import current_context, run_scope
 from .metrics import metric_inc
 
 PROFILE_SCHEMA_VERSION = 1
@@ -198,38 +199,18 @@ def load_profile_json(path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# ambient profiler (module-global, mirrors tracer/metrics exactly)
+# ambient profiler (a field of the run context, like tracer and metrics)
 # ---------------------------------------------------------------------------
 
-_ACTIVE: PhaseProfiler | None = None
-
-
 def current_profiler() -> PhaseProfiler | None:
-    """The ambient profiler installed by :class:`profiling`, or None."""
-    return _ACTIVE
+    """The ambient profiler installed by :func:`profiling`, or None."""
+    return current_context().profiler
 
 
-class profiling:
-    """Context manager installing ``profiler`` as the ambient profiler.
-
-    Nestable; the previous profiler (usually None) is restored on exit.
-    """
-
-    __slots__ = ("profiler", "_prev")
-
-    def __init__(self, profiler: PhaseProfiler) -> None:
-        self.profiler = profiler
-
-    def __enter__(self) -> PhaseProfiler:
-        global _ACTIVE
-        self._prev = _ACTIVE
-        _ACTIVE = self.profiler
-        return self.profiler
-
-    def __exit__(self, *exc: Any) -> bool:
-        global _ACTIVE
-        _ACTIVE = self._prev
-        return False
+def profiling(profiler: PhaseProfiler | None) -> run_scope:
+    """Install ``profiler`` as the ambient profiler for the enclosed
+    block (``None`` masks the outer one); yields ``profiler``."""
+    return run_scope(profiler=profiler)
 
 
 class _ProfileScope:
@@ -263,8 +244,8 @@ NOOP_PROFILE_SCOPE = _NoopScope()
 
 def profile_scope(name: str):
     """Profile a phase on the ambient profiler — a shared no-op when
-    profiling is off, so the guard costs one None-test when disabled."""
-    prof = _ACTIVE
+    profiling is off, so the guard costs one context read when disabled."""
+    prof = current_context().profiler
     if prof is None:
         return NOOP_PROFILE_SCOPE
     return _ProfileScope(prof, name)

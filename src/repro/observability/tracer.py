@@ -34,11 +34,11 @@ the sums of its children's, computed as they close.
 
 Zero cost when disabled
 -----------------------
-Tracing is ambient: :func:`trace_span` / :func:`trace_event` consult a
-module-level active tracer and return a shared no-op handle when none is
-installed — one global load and an ``is None`` test per instrumentation
-site, no allocation beyond the call itself.  Install a tracer for a region
-with :func:`tracing`.
+Tracing is ambient: :func:`trace_span` / :func:`trace_event` read the
+tracer field of the run context (:mod:`repro.runcontext`) and return a
+shared no-op handle when none is installed — one context read and an
+``is None`` test per instrumentation site, no allocation beyond the call
+itself.  Install a tracer for a region with :func:`tracing`.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from ..runcontext import current_context, run_scope
 from ..runtime.metrics import CostAccumulator
 from .metrics import MetricsRegistry, current_metrics
 
@@ -168,6 +169,20 @@ class _NoopSpan:
 
 
 NOOP_SPAN = _NoopSpan()
+
+
+def root_totals(spans: list[Span]) -> tuple[float, float, float]:
+    """(work, span, span_model) of the root spans among ``spans``, added
+    left to right like
+    :meth:`~repro.runtime.metrics.CostAccumulator.join_parallel` — not
+    ``sum()``, whose float result differs between Python 3.11 and 3.12."""
+    work = span = span_model = 0.0
+    for s in spans:
+        if s.parent is None:
+            work += s.work
+            span += s.span
+            span_model += s.span_model
+    return work, span, span_model
 
 
 class Tracer:
@@ -375,9 +390,7 @@ class Tracer:
 
     def totals(self) -> tuple[float, float, float]:
         """(work, span, span_model) summed over root spans."""
-        rs = self.roots()
-        return (sum(s.work for s in rs), sum(s.span for s in rs),
-                sum(s.span_model for s in rs))
+        return root_totals(self.spans)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Tracer(spans={len(self.spans)}, events={len(self.events)}, "
@@ -385,45 +398,25 @@ class Tracer:
 
 
 # ---------------------------------------------------------------------------
-# ambient tracer (module-global for a cheap disabled path)
+# ambient tracer (a field of the run context)
 # ---------------------------------------------------------------------------
-
-_ACTIVE: Tracer | None = None
-
 
 def current_tracer() -> Tracer | None:
     """The ambient tracer installed by :func:`tracing`, or None."""
-    return _ACTIVE
+    return current_context().tracer
 
 
-class tracing:
-    """Context manager installing ``tracer`` as the ambient tracer.
-
-    Nestable; the previous tracer (usually None) is restored on exit.
-    """
-
-    __slots__ = ("tracer", "_prev")
-
-    def __init__(self, tracer: Tracer) -> None:
-        self.tracer = tracer
-
-    def __enter__(self) -> Tracer:
-        global _ACTIVE
-        self._prev = _ACTIVE
-        _ACTIVE = self.tracer
-        return self.tracer
-
-    def __exit__(self, *exc) -> bool:
-        global _ACTIVE
-        _ACTIVE = self._prev
-        return False
+def tracing(tracer: Tracer | None) -> run_scope:
+    """Install ``tracer`` as the ambient tracer for the enclosed block
+    (``None`` masks the outer one); yields ``tracer``."""
+    return run_scope(tracer=tracer)
 
 
 def trace_span(name: str, acc: CostAccumulator | None = None,
                phase: str = "", **attrs):
     """Open a span on the ambient tracer — a shared no-op when tracing is
-    off, so instrumentation sites cost one None-test when disabled."""
-    tr = _ACTIVE
+    off, so instrumentation sites cost one context read when disabled."""
+    tr = current_context().tracer
     if tr is None:
         return NOOP_SPAN
     return tr.span(name, acc=acc, phase=phase, **attrs)
@@ -431,6 +424,6 @@ def trace_span(name: str, acc: CostAccumulator | None = None,
 
 def trace_event(name: str, **attrs) -> None:
     """Record an instant event on the ambient tracer (no-op when off)."""
-    tr = _ACTIVE
+    tr = current_context().tracer
     if tr is not None:
         tr.event(name, **attrs)

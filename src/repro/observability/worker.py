@@ -7,11 +7,12 @@ instrumentation used to be invisible — block spans were reconstructed in
 the parent as zero-length markers.  This module closes the gap:
 
 * the **worker side** wraps each block execution in a
-  :class:`WorkerSession` — a *fresh* ambient tracer and metrics registry
-  installed for exactly one ``(block, attempt)``, masking anything
-  inherited from the fork snapshot.  On exit the session packs the closed
-  spans, events, metric deltas, and wall/CPU time into a picklable
-  :class:`WorkerTelemetry` that rides the existing result message;
+  :class:`WorkerSession` — a *fresh* run context holding its own tracer
+  and metrics registry for exactly one ``(block, attempt)``, masking
+  anything inherited from the fork snapshot.  On exit the session packs
+  the closed spans, events, metric deltas, and wall/CPU time into a
+  picklable :class:`WorkerTelemetry` that rides the existing result
+  message;
 * the **parent side** (:func:`record_shipped_block`) turns an accepted
   result's telemetry into a ``map-blocks-block`` span with the *real*
   in-worker duration, splices the worker's spans under it
@@ -39,16 +40,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from .metrics import MetricsRegistry, current_metrics, metering, metric_inc
-from .tracer import (
-    NOOP_SPAN,
-    Span,
-    TraceEvent,
-    Tracer,
-    current_tracer,
-    tracing,
-    trace_span,
-)
+from ..runcontext import EMPTY_CONTEXT, current_context, run_scope
+from .metrics import MetricsRegistry, current_metrics, metric_inc
+from .tracer import NOOP_SPAN, Span, TraceEvent, Tracer, current_tracer
 
 __all__ = [
     "MAX_SHIPPED_SPANS",
@@ -86,14 +80,10 @@ class WorkerTelemetry:
     dropped_spans: int = 0
 
 
-# True exactly while a WorkerSession is installed in *this* process —
-# the worker_span guard's one-global-load test
-_IN_SESSION = False
-
-
 def in_worker_session() -> bool:
-    """Whether a :class:`WorkerSession` is active in this process."""
-    return _IN_SESSION
+    """Whether a :class:`WorkerSession` with telemetry on is the current
+    run context."""
+    return current_context().in_session
 
 
 def worker_span(name: str, phase: str = "worker", **attrs):
@@ -105,32 +95,33 @@ def worker_span(name: str, phase: str = "worker", **attrs):
     in the parent, under the thread pool, or with telemetry off it is
     the shared no-op handle — same zero-cost-when-off contract.
     """
-    if not _IN_SESSION:
+    ctx = current_context()
+    if not ctx.in_session or ctx.tracer is None:
         return NOOP_SPAN
-    return trace_span(name, phase=phase, **attrs)
+    return ctx.tracer.span(name, phase=phase, **attrs)
 
 
 def worker_event(name: str, **attrs) -> None:
     """Record an instant event on the worker session's tracer (no-op
     outside a session)."""
-    if not _IN_SESSION:
-        return
-    tr = current_tracer()
-    if tr is not None:
-        tr.event(name, **attrs)
+    ctx = current_context()
+    if ctx.in_session and ctx.tracer is not None:
+        ctx.tracer.event(name, **attrs)
 
 
-class WorkerSession:
+class WorkerSession(run_scope):
     """Ambient telemetry for one ``(block, attempt)`` inside a worker.
 
-    Always installed around the block body — even with both planes off —
-    because installing ``None`` masks any tracer/registry the fork
-    snapshot inherited from the parent (recording into those would be
-    silent loss at best, a fork-poisoned lock at worst).
+    A fresh run context for the block: the session's own tracer and
+    registry (``None`` for a plane that is off) and nothing else.  It is
+    entered around the block body even with both planes off, because the
+    fresh context masks whatever the worker inherited from the fork
+    snapshot (recording into those would be silent loss at best, a
+    fork-poisoned lock at worst).
     """
 
     __slots__ = ("_tracer", "_registry", "_max_spans", "_t0", "_c0",
-                 "_tr_ctx", "_mt_ctx", "_telemetry")
+                 "_telemetry")
 
     def __init__(self, flags: tuple[bool, bool] | None, *,
                  max_spans: int = MAX_SHIPPED_SPANS) -> None:
@@ -138,32 +129,24 @@ class WorkerSession:
                                                                     False)
         self._tracer = Tracer() if want_trace else None
         self._registry = MetricsRegistry() if want_metrics else None
+        # every field given, so the block's context is a fresh one
+        super().__init__(**EMPTY_CONTEXT._replace(
+            tracer=self._tracer, metrics=self._registry,
+            in_session=want_trace or want_metrics)._asdict())
         self._max_spans = max_spans
         self._t0 = self._c0 = 0.0
-        self._tr_ctx: Any = None
-        self._mt_ctx: Any = None
         self._telemetry: WorkerTelemetry | None = None
 
     def __enter__(self) -> "WorkerSession":
-        global _IN_SESSION
-        # manual enters, paired unconditionally in __exit__: a with-block
-        # cannot span two methods of a context manager
-        self._tr_ctx = tracing(self._tracer)  # type: ignore[arg-type]  # repro: noqa[RS005] paired with unconditional __exit__ below
-        self._tr_ctx.__enter__()
-        self._mt_ctx = metering(self._registry)  # type: ignore[arg-type]  # repro: noqa[RS005] paired with unconditional __exit__ below
-        self._mt_ctx.__enter__()
-        _IN_SESSION = self._tracer is not None or self._registry is not None
+        super().__enter__()
         self._t0 = time.perf_counter()
         self._c0 = time.thread_time()
         return self
 
     def __exit__(self, *exc: Any) -> bool:
-        global _IN_SESSION
         wall = time.perf_counter() - self._t0
         cpu = time.thread_time() - self._c0
-        _IN_SESSION = False
-        self._mt_ctx.__exit__(*exc)
-        self._tr_ctx.__exit__(*exc)
+        super().__exit__(*exc)
         if self._tracer is None and self._registry is None:
             return False
         spans: list[Span] = []

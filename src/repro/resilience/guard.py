@@ -1,13 +1,14 @@
 """Work/span budget guards over the cost accumulator.
 
 A :class:`BudgetGuard` is a hard ceiling on the model work/span a solve
-may consume.  It is ambient, like the cancel token: :func:`guard_scope`
-installs it and :func:`current_guard` reads it.  Solver loops tick it at
-their loop heads, next to their cancel-token checks, through a
-:class:`Meter` that debits what its accumulator gained since the last
-tick — never more than the solve has charged so far.  The engine tail
-then settles it (:meth:`BudgetGuard.settle`) to the solve's exact cost
-before the final Dijkstra and at the end.  The first debit that crosses a
+may consume.  It is ambient, like the cancel token — the guard field of
+the run context: :func:`guard_scope` installs it and :func:`current_guard`
+reads it.  Solver loops tick it at their loop heads, next to their
+cancel-token checks, through a :class:`Meter` that debits what its
+accumulator gained since the last tick — never more than the solve has
+charged so far.  The engine tail then settles it
+(:meth:`BudgetGuard.settle`) to the solve's exact cost before the final
+Dijkstra and at the end.  The first debit that crosses a
 ceiling raises :class:`~repro.resilience.errors.BudgetExceededError`,
 which retry loops deliberately do not catch — spent work is not
 refundable, so the error propagates straight to the graceful-degradation
@@ -16,9 +17,9 @@ layer in ``core.sssp.solve_sssp_resilient``.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
+from contextlib import AbstractContextManager, nullcontext
 
+from ..runcontext import current_context, run_scope
 from ..runtime.metrics import Cost, CostAccumulator
 from .errors import BudgetExceededError, InputValidationError
 
@@ -118,27 +119,13 @@ class Meter:
         self.guard.debit(delta)
 
 
-_CURRENT_GUARD: contextvars.ContextVar[BudgetGuard | None] = (
-    contextvars.ContextVar("repro_budget_guard", default=None))
-
-
 def current_guard() -> BudgetGuard | None:
     """The guard installed by the innermost :func:`guard_scope`, if any."""
-    return _CURRENT_GUARD.get()
+    return current_context().guard
 
 
-@contextlib.contextmanager
-def guard_scope(guard: BudgetGuard | None):
-    """Install ``guard`` as the ambient budget for the enclosed block.
-
-    ``None`` is accepted (and installs nothing), as in
-    :func:`~repro.resilience.preempt.cancel_scope`.
-    """
-    if guard is None:
-        yield None
-        return
-    handle = _CURRENT_GUARD.set(guard)
-    try:
-        yield guard
-    finally:
-        _CURRENT_GUARD.reset(handle)
+def guard_scope(guard: BudgetGuard | None) -> AbstractContextManager:
+    """Install ``guard`` as the ambient budget for the enclosed block;
+    yields ``guard``.  ``None`` keeps the outer guard, as in
+    :func:`~repro.resilience.preempt.cancel_scope`."""
+    return nullcontext() if guard is None else run_scope(guard=guard)

@@ -19,21 +19,22 @@ asynchronously: state is always consistent when the exception fires,
 which is what makes phase-level checkpoints (:mod:`.checkpoint`) safe to
 write right before each check.
 
-The module is import-light by design (stdlib + :mod:`.errors` only) so
-the runtime layer can import it without cycles.  ``current_token`` /
-``cancel_scope`` give deep primitives access to the active token without
+The module is import-light by design (stdlib, :mod:`.errors` and
+:mod:`repro.runcontext` only) so the runtime layer can import it without
+cycles.  ``current_token`` / ``cancel_scope`` give deep primitives access
+to the active token — the token field of the run context — without
 threading a parameter through every call signature.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 import threading
 import time
+from contextlib import AbstractContextManager, nullcontext
 from typing import Callable
 
+from ..runcontext import current_context, run_scope
 from .errors import CancelledError, DeadlineExceededError, InputValidationError
 
 
@@ -144,37 +145,23 @@ class CancelToken:
 # algorithm signature growing a ``token=`` parameter
 # ---------------------------------------------------------------------------
 
-_CURRENT_TOKEN: contextvars.ContextVar[CancelToken | None] = (
-    contextvars.ContextVar("repro_cancel_token", default=None))
-
-
 def current_token() -> CancelToken | None:
     """The token installed by the innermost :func:`cancel_scope`, if any."""
-    return _CURRENT_TOKEN.get()
+    return current_context().token
 
 
 def check_cancelled(where: str | None = None) -> None:
     """Check the ambient token (cheap no-op when none is installed)."""
-    tok = _CURRENT_TOKEN.get()
+    tok = current_context().token
     if tok is not None:
         tok.check(where)
 
 
-@contextlib.contextmanager
-def cancel_scope(token: CancelToken | None):
-    """Install ``token`` as the ambient token for the enclosed block.
-
-    ``None`` is accepted (and installs nothing) so call sites stay
-    one-liners: ``with cancel_scope(token): ...``.
-    """
-    if token is None:
-        yield None
-        return
-    handle = _CURRENT_TOKEN.set(token)
-    try:
-        yield token
-    finally:
-        _CURRENT_TOKEN.reset(handle)
+def cancel_scope(token: CancelToken | None) -> AbstractContextManager:
+    """Install ``token`` as the ambient token for the enclosed block;
+    yields ``token``.  ``None`` keeps the outer token, so call sites stay
+    one-liners: ``with cancel_scope(token): ...``."""
+    return nullcontext() if token is None else run_scope(token=token)
 
 
 def make_token(deadline: "Deadline | float | None" = None,

@@ -189,10 +189,11 @@ def _worker_main(wid: int, conn: Any, heartbeat_interval: float) -> None:
     ship_flags` — when set, the block runs inside a fresh
     :class:`~repro.observability.worker.WorkerSession` whose packed
     spans/metric deltas ride the ``ok`` result (and whose progress
-    snapshot rides every heartbeat).  The session is installed even when
-    ``telem`` is None: a forked worker inherits the parent's ambient
-    tracer/registry as dead fork-snapshot copies, and the session masks
-    them so in-worker instrumentation can never record into lost memory.
+    snapshot rides every heartbeat).  The session is entered even when
+    ``telem`` is None: it sets a fresh run context, so in-worker
+    instrumentation can never record into a dead fork-snapshot copy of
+    the parent's tracer or registry.  The deadline token goes on top of
+    that context.
 
     Injected systemic faults (:class:`~repro.resilience.faults.
     WorkerFaults`) fire *here*, inside the worker process, exactly as a
@@ -233,7 +234,7 @@ def _worker_main(wid: int, conn: Any, heartbeat_interval: float) -> None:
                 # checks inside fn observe a local token bound to it
                 token = CancelToken(Deadline.after(max(remaining, 0.0)))
             try:
-                with cancel_scope(token), sess:
+                with sess, cancel_scope(token):
                     value = fn(lo, hi, *args)
                 box["msg"] = ("ok", wid, epoch, bid, attempt, value,
                               sess.collect())

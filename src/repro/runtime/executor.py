@@ -23,6 +23,11 @@ Two failure channels are handled explicitly:
   body; a cancelled loop stops dispatching, drains in-flight blocks, and
   raises :class:`~repro.resilience.errors.CancelledError` — never killing
   a thread mid-write.
+
+Each block runs in its own :func:`contextvars.copy_context` of the
+submitting thread, so a block sees the run context
+(:mod:`repro.runcontext`) it would see on the serial backend: the
+tracer, registry, cancel token, budget guard and race checker.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from contextvars import copy_context
+from functools import partial
 from typing import Any, Callable
 
 from ..observability.metrics import metric_inc
@@ -39,6 +46,13 @@ from .racecheck import RaceChecker, current_race_checker
 
 # fn(lo, hi, *args) -> a picklable result for the block; see map_blocks
 BlockFn = Callable[..., Any]
+
+
+def _in_copied_context(fn: Callable[..., Any]) -> Callable[..., Any]:
+    """``fn`` bound to a copy of the calling thread's run context — one
+    copy per submitted block, because a context cannot be entered by two
+    threads at once."""
+    return partial(copy_context().run, fn)
 
 
 def checked_map_blocks(checker: RaceChecker, n: int, fn: BlockFn,
@@ -178,8 +192,8 @@ class ForkJoinPool:
             for lo in range(0, n, step):
                 if token is not None and token.cancelled:
                     break  # stop dispatching; drain blocks in flight
-                futures.append(
-                    self._pool.submit(run_block, lo, min(lo + step, n)))
+                futures.append(self._pool.submit(
+                    _in_copied_context(run_block), lo, min(lo + step, n)))
             psp.count("blocks_run", len(futures))
 
             self._join_or_raise(futures)
@@ -266,8 +280,8 @@ class ForkJoinPool:
             for lo in range(0, n, step):
                 if token is not None and token.cancelled:
                     break  # stop dispatching; drain blocks in flight
-                futures.append(
-                    self._pool.submit(run_block, lo, min(lo + step, n)))
+                futures.append(self._pool.submit(
+                    _in_copied_context(run_block), lo, min(lo + step, n)))
             psp.count("blocks_run", len(futures))
             self._join_or_raise(futures)
             if token is not None:

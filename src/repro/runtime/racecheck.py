@@ -38,6 +38,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from ..runcontext import current_context, run_scope
+
 # One fork step: (region id, block id).  A task's path is the tuple of
 # steps from the root to its block — the series-parallel coordinates.
 Step = tuple[int, int]
@@ -132,9 +134,8 @@ def _divergence(a: Path, b: Path) -> Step | None:
 class RaceChecker:
     """Records fork-tree-tagged accesses and reports logical races.
 
-    Thread-safe: the executor may run tagged blocks on worker threads;
-    each thread carries its own path stack (inherited from the step the
-    fork handed it), and the access log is guarded by a lock.
+    Thread-safe: each thread carries its own path stack, and the access
+    log is guarded by a lock.
     """
 
     def __init__(self, max_findings: int = 64) -> None:
@@ -155,14 +156,12 @@ class RaceChecker:
         return getattr(self._tls, "path", ())
 
     @contextmanager
-    def task(self, region: int, block: int,
-             parent_path: Path | None = None) -> Iterator[None]:
-        """Run a block body at fork-tree position ``parent + (region,
-        block)``.  ``parent_path`` must be passed when the body executes
-        on a worker thread (thread-locals don't cross the submit)."""
-        base = self.current_path() if parent_path is None else parent_path
-        prev = getattr(self._tls, "path", ())
-        self._tls.path = base + ((region, block),)
+    def task(self, region: int, block: int) -> Iterator[None]:
+        """Run a block body at fork-tree position ``current + (region,
+        block)`` — on the thread that opened the region, as every
+        backend's checked loop does."""
+        prev = self.current_path()
+        self._tls.path = prev + ((region, block),)
         try:
             yield
         finally:
@@ -242,48 +241,25 @@ class RaceChecker:
             return len(self._accesses)
 
 
-# -- ambient installation (mirrors tracing/metering/cancel_scope) -------
-
-class _Active(threading.local):
-    checker: "RaceChecker | None" = None
-
-
-_ACTIVE = _Active()
-# the installing thread publishes here too, so pool worker threads (which
-# have fresh thread-locals) still see the checker
-_GLOBAL: list["RaceChecker | None"] = [None]
-
+# -- ambient installation (a field of the run context) -----------------
 
 def current_race_checker() -> RaceChecker | None:
     """The ambient checker, or None (the common, zero-cost case)."""
-    c = _ACTIVE.checker
-    if c is not None:
-        return c
-    return _GLOBAL[0]
+    return current_context().race_checker
 
 
-@contextmanager
-def race_checking(checker: RaceChecker | None = None
-                  ) -> Iterator[RaceChecker]:
+def race_checking(checker: RaceChecker | None = None) -> run_scope:
     """Install ``checker`` (a fresh one by default) as the ambient race
-    checker for the dynamic extent of the block."""
-    if checker is None:
-        checker = RaceChecker()
-    prev_local, prev_global = _ACTIVE.checker, _GLOBAL[0]
-    _ACTIVE.checker = checker
-    _GLOBAL[0] = checker
-    try:
-        yield checker
-    finally:
-        _ACTIVE.checker = prev_local
-        _GLOBAL[0] = prev_global
+    checker for the dynamic extent of the block; yields the checker."""
+    return run_scope(race_checker=checker if checker is not None
+                     else RaceChecker())
 
 
 def race_read(obj: Any, lo: int | None = None, hi: int | None = None,
               *, label: str | None = None, site: str = "") -> None:
     """Record a shared read of ``obj`` (slice ``[lo:hi]``, or the whole
     object).  No-op unless a checker is installed."""
-    checker = current_race_checker()
+    checker = current_context().race_checker
     if checker is not None:
         checker.record(obj, READ, lo, hi, label, site)
 
@@ -292,7 +268,7 @@ def race_write(obj: Any, lo: int | None = None, hi: int | None = None,
                *, label: str | None = None, site: str = "") -> None:
     """Record a shared write to ``obj``.  No-op unless a checker is
     installed."""
-    checker = current_race_checker()
+    checker = current_context().race_checker
     if checker is not None:
         checker.record(obj, WRITE, lo, hi, label, site)
 

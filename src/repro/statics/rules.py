@@ -51,7 +51,8 @@ ORDERED_ITER_CONSUMERS = frozenset({
 })
 
 CONTEXT_FACTORY_CALLS = frozenset({
-    "trace_span", "tracing", "metering", "cancel_scope", "race_checking",
+    "trace_span", "worker_span", "profile_scope", "run_scope", "tracing",
+    "metering", "profiling", "cancel_scope", "guard_scope", "race_checking",
 })
 
 SET_METHODS = frozenset({"union", "intersection", "difference",
@@ -408,10 +409,12 @@ class RS004UnorderedIteration(Rule):
 class RS005ContextLeak(Rule):
     meta = RuleMeta(
         "RS005", "context-manager factory used outside `with`",
-        "trace_span/tracing/metering/cancel_scope/race_checking return "
-        "context managers; calling one without `with` leaks the span/"
-        "registry/scope on an exception path (the span never closes, the "
-        "ambient state never restores).")
+        "The span guards (trace_span/worker_span/profile_scope) and the "
+        "run-context scopes (run_scope and its spellings tracing/metering/"
+        "profiling/cancel_scope/guard_scope/race_checking) return context "
+        "managers; calling one without `with` leaks the span/scope on an "
+        "exception path (the span never closes, the ambient state never "
+        "restores).")
 
     def check(self, ctx: ModuleContext) -> Iterable[Finding]:
         for node in ast.walk(ctx.tree):

@@ -3,6 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.assp.engines import DeltaSteppingAssp
+from repro.baselines import (
+    bellman_ford,
+    bellman_ford_parallel,
+    bellman_ford_threaded,
+    dag_sssp,
+    dijkstra,
+)
+from repro.dag01 import dag01_limited_sssp
+from repro.dag01.naive import dag01_limited_sssp_naive
 from repro.graph import (
     DiGraph,
     check_distances,
@@ -13,6 +23,11 @@ from repro.graph import (
     topological_order,
     validate_negative_cycle,
 )
+from repro.graph.generators import random_dag, random_digraph
+from repro.limited import limited_sssp
+from repro.limited.weighted_bfs import weighted_bfs_limited
+from repro.resilience.errors import InputValidationError
+from repro.runtime import SerialBackend
 
 
 class TestFeasiblePrice:
@@ -133,3 +148,48 @@ class TestCheckDistances:
     def test_negative_weights_supported(self):
         g = DiGraph.from_edges(3, [(0, 1, 5), (1, 2, -3), (0, 2, 3)])
         assert check_distances(g, 0, np.array([0.0, 5.0, 2.0]))
+
+
+NONNEG = random_digraph(20, 60, min_w=0, max_w=5, seed=1)
+POSITIVE = random_digraph(20, 60, min_w=1, max_w=5, seed=1)
+DAG01 = random_dag(20, 60, seed=1)
+
+# entry point -> (graph, call returning the distance array)
+SOURCE_ENTRY_POINTS = {
+    "bellman_ford": (NONNEG, lambda g, s: bellman_ford(g, s).dist),
+    "bellman_ford_parallel": (NONNEG, lambda g, s: bellman_ford_parallel(
+        g, s, backend=SerialBackend(grain=8), grain=8).dist),
+    "bellman_ford_threaded": (NONNEG, lambda g, s: bellman_ford_threaded(
+        g, s, pool=SerialBackend(grain=8), grain=8).dist),
+    "dijkstra": (NONNEG, lambda g, s: dijkstra(g, s).dist),
+    "dag_sssp": (DAG01, lambda g, s: dag_sssp(g, s).dist),
+    "limited_sssp": (NONNEG, lambda g, s: limited_sssp(g, s, 6).dist),
+    "DeltaSteppingAssp": (NONNEG,
+                          lambda g, s: DeltaSteppingAssp()(g, s, 0.0)),
+    "weighted_bfs_limited": (POSITIVE,
+                             lambda g, s: weighted_bfs_limited(g, s, 6).dist),
+    "dag01_limited_sssp": (DAG01,
+                           lambda g, s: dag01_limited_sssp(g, s, 3).dist),
+    "dag01_limited_sssp_naive": (
+        DAG01, lambda g, s: dag01_limited_sssp_naive(g, s, 3).dist),
+}
+
+
+class TestLibrarySourceCheck:
+    """Every library entry point reads its source like ``solve_sssp``:
+    integral floats and bools are their int value; fractional, NaN and
+    out-of-range sources raise before any numpy indexing."""
+
+    @pytest.mark.parametrize("source", [1.5, 2.0, True, float("nan"), -1,
+                                        "n"])
+    @pytest.mark.parametrize("entry", sorted(SOURCE_ENTRY_POINTS))
+    def test_source_is_checked(self, entry, source):
+        g, call = SOURCE_ENTRY_POINTS[entry]
+        if source == "n":
+            source = g.n
+        if source in (2.0, True):
+            np.testing.assert_array_equal(call(g, source),
+                                          call(g, int(source)))
+        else:
+            with pytest.raises(InputValidationError, match="source"):
+                call(g, source)

@@ -215,6 +215,19 @@ def test_trace_totals_bitmatch_meter_on_random_graphs(seed):
             assert sum(k.span_model for k in kids) <= s.span_model + 1e-9
 
 
+def test_totals_add_root_spans_left_to_right():
+    # sum() is compensated from Python 3.12 and would give exactly 1.0;
+    # left-to-right addition gives the same answer on every interpreter
+    tr = Tracer()
+    for _ in range(10):
+        acc = CostAccumulator()
+        with tr.span("root", acc=acc):
+            acc.charge(0.1)
+    want = float.fromhex("0x1.fffffffffffffp-1")
+    assert tr.totals() == (want, want, want)
+    assert Trace.from_tracer(tr).totals() == (want, want, want)
+
+
 def test_trace_structure_matches_scaling_stats_and_certificate():
     g = hidden_potential_graph(60, 240, seed=11)
     res, acc, tr = _solve_traced(g, 11)

@@ -174,6 +174,13 @@ class TestRS005:
         src = "def make():\n    return trace_span('phase')\n"
         assert findings_of(src, "RS005") == []
 
+    @pytest.mark.parametrize("call", [
+        "profiling(p)", "profile_scope('x')", "guard_scope(g)",
+        "worker_span('x')", "run_scope(tracer=t)"])
+    def test_fires_on_every_scope_factory(self, call):
+        src = f"def f(p, g, t):\n    cm = {call}\n    work()\n"
+        assert len(findings_of(src, "RS005")) == 1
+
 
 class TestRS006:
     def test_fires_on_list_default(self):

@@ -441,7 +441,7 @@ class TestPhaseProfiler:
         assert "final-dijkstra" in prof.phases()
 
     def test_profiler_overhead_is_zero_by_construction_when_off(self):
-        # the off-path guard is one global load + None test: assert the
+        # the off-path guard is one context read + None test: assert the
         # fast path returns the shared singleton, not a new object
         a = profile_scope("x")
         b = profile_scope("y")
