@@ -79,12 +79,29 @@ def trace_cost_breakdown(trace) -> list[Row]:
 
 def trace_phase_table(trace) -> list[Row]:
     """Aggregate every span name into one row: count, work, span deltas,
-    wall time, and share of total work — the full per-phase breakdown."""
+    wall time, share of total work, share of the root spans' wall time
+    (``wall_share``) and wall nanoseconds per unit of model work
+    (``ns_per_work``, left out when the work is 0) — the full per-phase
+    breakdown.  A last ``unattributed`` row holds the root spans' wall
+    time outside their direct children: glue no child span covers.
+
+    Walls are inclusive, so a phase's ``wall_share`` counts its child
+    phases too; ``ns_per_work`` is what separates Python overhead from
+    algorithmic cost, phase by phase.
+    """
     trace = _as_trace(trace)
     total, _, _ = trace.totals()
+    roots = trace.roots()
+    root_ids = {s.sid for s in roots}
+    root_wall = 0.0
+    for s in roots:
+        root_wall += s.wall
+    child_wall = 0.0
     agg: dict[str, dict] = {}
     order: list[str] = []
     for s in sorted(trace.spans, key=lambda s: s.start_seq):
+        if s.parent in root_ids:
+            child_wall += s.wall
         a = agg.get(s.name)
         if a is None:
             a = agg[s.name] = {"count": 0, "work": 0.0, "span": 0.0,
@@ -95,13 +112,23 @@ def trace_phase_table(trace) -> list[Row]:
         a["span"] += s.span
         a["span_model"] += s.span_model
         a["wall_s"] += s.wall
+
+    def wall_share(wall: float) -> float:
+        return wall / root_wall if root_wall else 0.0
+
     rows = []
     for name in order:
         a = agg[name]
-        rows.append(Row(
-            params={"phase": name},
-            values={**a,
-                    "work_share": (a["work"] / total) if total else 0.0}))
+        values = {**a, "work_share": (a["work"] / total) if total else 0.0,
+                  "wall_share": wall_share(a["wall_s"])}
+        if a["work"]:
+            values["ns_per_work"] = a["wall_s"] * 1e9 / a["work"]
+        rows.append(Row(params={"phase": name}, values=values))
+    if roots:
+        rest = root_wall - child_wall
+        rows.append(Row(params={"phase": "unattributed"},
+                        values={"wall_s": rest,
+                                "wall_share": wall_share(rest)}))
     return rows
 
 

@@ -168,10 +168,8 @@ def _find_chain_or_levels(cg: DiGraph, L: int, mode: str, seed,
     """
     sub_cg, _ = leq_zero_subgraph(cg)
     s_star = cg.n
-    src = np.r_[sub_cg.src, np.full(cg.n, s_star, dtype=np.int64)]
-    dst = np.r_[sub_cg.dst, np.arange(cg.n, dtype=np.int64)]
-    w = np.r_[sub_cg.w, np.zeros(cg.n, dtype=np.int64)]
-    h = DiGraph(cg.n + 1, src, dst, w)
+    h = sub_cg._with_source(np.arange(cg.n, dtype=np.int64),
+                            np.zeros(cg.n, dtype=np.int64))
 
     if mode == "parallel":
         policy = retry_policy or RetryPolicy(max_attempts=3)

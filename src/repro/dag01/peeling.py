@@ -31,7 +31,7 @@ from ..reach.multisource import multisource_reachability
 from ..resilience.errors import InputValidationError, VerificationError
 from ..runtime.metrics import Cost, CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
-from ..runtime.primitives import unique_sorted
+from ..runtime.primitives import stable_argsort, unique_sorted
 from ..runtime.pset import SetVector
 from ..runtime.rng import geometric_priorities, make_rng
 
@@ -312,7 +312,7 @@ def _propagate(st: _State, vprime: np.ndarray) -> None:
         labeled = np.concatenate(newly_labeled)
         heads = g.src[st.label_eid[labeled]]
         acc.charge(*model.sort_ws(len(labeled)))
-        order = np.argsort(heads, kind="stable")
+        order = stable_argsort(heads, g.n)
         heads_s, labeled_s = heads[order], labeled[order]
         bounds = ((heads_s[1:] != heads_s[:-1]).nonzero()[0] + 1).tolist()
         for lo, hi in zip([0, *bounds], [*bounds, len(heads_s)]):

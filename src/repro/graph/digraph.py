@@ -78,6 +78,15 @@ def _aligned_weights(g: DiGraph, weights) -> np.ndarray:
     return w
 
 
+def _per_vertex(g: DiGraph, values, name: str) -> np.ndarray:
+    """``values`` as int64 with one entry per vertex of ``g``: the public
+    constructor's integral cast and a length check."""
+    a = _as_int64(values, name)
+    if a.shape != (g.n,):
+        raise InputValidationError(f"{name} must have one entry per vertex")
+    return a
+
+
 class DiGraph:
     """An immutable weighted directed graph in CSR form.
 
@@ -143,6 +152,29 @@ class DiGraph:
         g = object.__new__(cls)
         g._fill(n, src, dst, w, reids)
         return g
+
+    def _with_source(self, targets: np.ndarray, w) -> "DiGraph":
+        """This graph plus a supersource: vertex ``n`` with one edge to
+        each of ``targets`` (sorted, distinct vertex ids), weighted ``w``.
+
+        ``w`` gets the public constructor's cast and magnitude cap.  The
+        new edges come after every old one in ``(src, dst)`` order, since
+        ``n`` is the largest id, so the forward order is the
+        concatenation.  In the reverse order each old slot moves up by
+        the number of targets below its head, and the new edge into a
+        target lands right after that target's old in-edges.
+        """
+        n, m, k = self.n, self.m, len(targets)
+        w = _validated_weights(w)
+        new = np.arange(k, dtype=np.int64)
+        reids = np.empty(m + k, dtype=np.int64)
+        heads = self.dst[self.reids]
+        reids[np.arange(m) + targets.searchsorted(heads)] = self.reids
+        reids[self.rindptr[targets + 1] + new] = m + new
+        return DiGraph._from_sorted(
+            n + 1, np.concatenate((self.src, np.full(k, n, dtype=np.int64))),
+            np.concatenate((self.dst, targets)),
+            np.concatenate((self.w, w)), reids)
 
     # ------------------------------------------------------------------
     # Construction helpers

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..resilience.errors import InputValidationError
-from .digraph import DiGraph, _validated_weights
+from ..runtime.primitives import stable_argsort
+from .digraph import DiGraph, _aligned_weights, _per_vertex, _validated_weights
 
 
 def reweight(g: DiGraph, price: np.ndarray) -> np.ndarray:
@@ -23,9 +24,7 @@ def reweight(g: DiGraph, price: np.ndarray) -> np.ndarray:
     Johnson-style reweighting: around any cycle the price terms telescope,
     so cycle weights — in particular negative cycles — are invariant.
     """
-    price = np.asarray(price, dtype=np.int64)
-    if len(price) != g.n:
-        raise ValueError("price function must have one entry per vertex")
+    price = _per_vertex(g, price, "price function")
     return g.w + price[g.src] - price[g.dst]
 
 
@@ -61,39 +60,44 @@ def condense(g: DiGraph, comp: np.ndarray,
     """Contract each component of ``comp`` to a single vertex.
 
     ``weights`` overrides ``g.w`` (e.g. reduced weights) without copying the
-    topology.  Fully vectorised: a lexsort groups parallel contracted edges
-    so the first edge of each group is the minimum-weight representative,
-    and leaves the contracted edges sorted by ``(src, dst)`` with no
-    parallel pair, so one stable argsort of the heads is the reverse order.
+    topology.  Fully vectorised: one stable argsort of the pair key
+    ``csrc·nc + cdst`` groups parallel contracted edges in edge-id order
+    and leaves the groups sorted by ``(src, dst)``; each group keeps its
+    first minimum-weight edge, as ``lexsort((w, cdst, csrc))`` followed by
+    "first of each group" would.  The contracted edges have no parallel
+    pair, so one stable argsort of the heads is the reverse order.
     """
-    comp = np.asarray(comp, dtype=np.int64)
-    if len(comp) != g.n:
-        raise ValueError("component labels must cover every vertex")
-    w = g.w if weights is None else np.asarray(weights, dtype=np.int64)
-    if len(w) != g.m:
-        raise ValueError("weights must align with edge ids")
+    comp = _per_vertex(g, comp, "component labels")
+    w = _aligned_weights(g, weights)
     nc = int(comp.max()) + 1 if g.n else 0
     if g.n and comp.min() < 0:
-        raise ValueError("component ids must be nonnegative")
+        raise InputValidationError("component ids must be nonnegative")
 
     csrc = comp[g.src]
     cdst = comp[g.dst]
     cross = csrc != cdst
     csrc, cdst = csrc[cross], cdst[cross]
     wc = w[cross]
-    orig_eids = np.flatnonzero(cross)
+    orig_eids = cross.nonzero()[0]
 
     if len(csrc):
-        order = np.lexsort((wc, cdst, csrc))
-        csrc, cdst, wc = csrc[order], cdst[order], wc[order]
-        orig_eids = orig_eids[order]
-        first = np.r_[True, (csrc[1:] != csrc[:-1]) | (cdst[1:] != cdst[:-1])]
-        csrc, cdst, wc = csrc[first], cdst[first], wc[first]
-        orig_eids = orig_eids[first]
+        pair = csrc * nc + cdst
+        order = stable_argsort(pair, nc * nc)
+        pair, wc = pair[order], wc[order]
+        first = np.empty(len(pair), dtype=bool)
+        first[0] = True
+        np.not_equal(pair[1:], pair[:-1], out=first[1:])
+        starts = first.nonzero()[0]
+        wmin = np.minimum.reduceat(wc, starts)
+        # the first sorted position of each group whose weight is its minimum
+        group = np.add.accumulate(first, dtype=np.int64) - 1
+        at_min = np.where(wc == wmin[group], np.arange(len(wc)), len(wc))
+        pick = order[np.minimum.reduceat(at_min, starts)]
+        csrc, cdst, wc = csrc[pick], cdst[pick], wmin
+        orig_eids = orig_eids[pick]
     if weights is not None:
         wc = _validated_weights(wc)
-    cg = DiGraph._from_sorted(nc, csrc, cdst, wc,
-                              np.argsort(cdst, kind="stable"))
+    cg = DiGraph._from_sorted(nc, csrc, cdst, wc, stable_argsort(cdst, nc))
     return Condensation(cg, comp, orig_eids)
 
 
@@ -123,7 +127,7 @@ def leq_zero_subgraph(g: DiGraph, weights: np.ndarray | None = None
     Returns the subgraph and the original edge ids of its edges (aligned
     with the subgraph's edge ids).
     """
-    w = g.w if weights is None else np.asarray(weights, dtype=np.int64)
+    w = _aligned_weights(g, weights)
     keep = w <= 0
     sub = edge_subgraph_mask(g, keep, None if weights is None else w)
     return sub, np.flatnonzero(keep)

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..resilience.errors import InputValidationError
 from .csr import ranges_concat as _ranges_concat
-from .digraph import DiGraph, _as_int64
+from .digraph import DiGraph, _aligned_weights, _as_int64, _per_vertex
 
 # Bit scaling keeps |price| ≤ 2·n·max|w| and reduced weights add two price
 # terms to a weight, so this product bound keeps every int64 intermediate
@@ -30,7 +30,7 @@ def check_overflow_safety(g: DiGraph,
     values; this whole-instance check bounds the *products* the scaling
     loop actually forms (prices grow like ``n · max|w|`` across scales).
     """
-    w = g.w if weights is None else np.asarray(weights, dtype=np.int64)
+    w = _aligned_weights(g, weights)
     if len(w) == 0:
         return
     max_abs = int(np.abs(w).max())
@@ -74,11 +74,8 @@ def validate_graph(g: DiGraph, source=None,
 def is_feasible_price(g: DiGraph, price: np.ndarray,
                       weights: np.ndarray | None = None) -> bool:
     """True iff all reduced weights ``w + p(u) − p(v)`` are nonnegative."""
-    w = g.w if weights is None else np.asarray(weights, dtype=np.int64)
-    price = np.asarray(price, dtype=np.int64)
-    if len(price) != g.n:
-        raise InputValidationError(
-            "price function must have one entry per vertex")
+    w = _aligned_weights(g, weights)
+    price = _per_vertex(g, price, "price function")
     if g.m == 0:
         return True
     reduced = w + price[g.src] - price[g.dst]
@@ -88,10 +85,11 @@ def is_feasible_price(g: DiGraph, price: np.ndarray,
 def min_reduced_weight(g: DiGraph, price: np.ndarray,
                        weights: np.ndarray | None = None) -> int:
     """Minimum reduced weight (≥ -1 required by the 1-reweighting problem)."""
-    w = g.w if weights is None else np.asarray(weights, dtype=np.int64)
+    w = _aligned_weights(g, weights)
+    price = _per_vertex(g, price, "price function")
     if g.m == 0:
         return 0
-    return int((w + np.asarray(price)[g.src] - np.asarray(price)[g.dst]).min())
+    return int((w + price[g.src] - price[g.dst]).min())
 
 
 def cycle_weight(g: DiGraph, cycle: list[int] | np.ndarray,
@@ -99,12 +97,14 @@ def cycle_weight(g: DiGraph, cycle: list[int] | np.ndarray,
     """Total weight of the closed walk ``cycle`` (vertex list, first != last
     repeated implicitly).  Uses the minimum-weight parallel edge on each hop.
 
-    Raises ``ValueError`` if a hop has no edge.
+    Raises :class:`InputValidationError` (a ``ValueError``) if a hop has
+    no edge, or if ``weights`` are not integral values aligned with the
+    edge ids.
     """
     cyc = [int(v) for v in cycle]
     if len(cyc) == 0:
         raise InputValidationError("empty cycle")
-    w = g.w if weights is None else np.asarray(weights, dtype=np.int64)
+    w = _aligned_weights(g, weights)
     total = 0
     for i, u in enumerate(cyc):
         v = cyc[(i + 1) % len(cyc)]

@@ -254,10 +254,7 @@ def _run_assp_on_shifted(g: DiGraph, d: int, vprime: np.ndarray,
     entry_targets = np.flatnonzero(has_entry)
     ew = np.maximum(entry_w[entry_targets], 0.0).astype(np.int64)
 
-    src = np.r_[sub.src, np.full(len(entry_targets), s_prime, dtype=np.int64)]
-    dst = np.r_[sub.dst, entry_targets]
-    w = np.r_[sub.w, ew]
-    gp = DiGraph(sub.n + 1, src, dst, w)
+    gp = sub._with_source(entry_targets, ew)
     d_prime = engine(gp, s_prime, eps, acc, model)
     # gp's first sub.n vertices are exactly vprime, in sorted order
     return d_prime[:sub.n]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import out_edge_slots
-from ..graph.digraph import DiGraph
+from ..graph.digraph import DiGraph, _aligned_weights
 from ..graph.transform import condense, edge_subgraph_mask
 from ..reach.scc import scc
 from ..runtime.metrics import CostAccumulator
@@ -25,7 +25,7 @@ def zero_cycle_condensation(g: DiGraph, weights: np.ndarray | None = None,
                             acc: CostAccumulator | None = None,
                             model: CostModel = DEFAULT_MODEL, seed=0):
     """Contract strongly connected components of the 0-weight subgraph."""
-    w = g.w if weights is None else np.asarray(weights, dtype=np.int64)
+    w = _aligned_weights(g, weights)
     zero_sub = edge_subgraph_mask(g, w == 0, weights=w)
     comp = scc(zero_sub, acc, model, seed=seed).comp
     return condense(g, comp, weights=w)
@@ -47,7 +47,7 @@ def verify_limited_distances(g: DiGraph, source: int, dist: np.ndarray,
     * no in-edge can improve a value to ``≤ limit``;
     * every finite non-source value is attained by an incoming edge.
     """
-    w = g.w if weights is None else np.asarray(weights, dtype=np.int64)
+    w = _aligned_weights(g, weights)
     d = np.asarray(dist, dtype=np.float64)
     if d[source] != 0:
         return False
@@ -97,7 +97,7 @@ def shortest_path_tree(g: DiGraph, source: int, dist: np.ndarray,
     0-weight edges hangs the remaining members below the entry vertex.
     Vertices with non-finite distance (or the source) get parent −1.
     """
-    w = g.w if weights is None else np.asarray(weights, dtype=np.int64)
+    w = _aligned_weights(g, weights)
     d = np.asarray(dist, dtype=np.float64)
     parent = np.full(g.n, -1, dtype=np.int64)
     cond = zero_cycle_condensation(g, w, acc, model)

@@ -164,7 +164,17 @@ def multisource_reachability_min(g: DiGraph, sources: np.ndarray,
         if edge_mask.shape != (g.m,):
             raise InputValidationError("edge mask must align with edge ids")
         m = int(np.count_nonzero(edge_mask))
-    sources = _source_ids(sources, g.n)
+    return _min_search(g, _source_ids(sources, g.n), acc, model, edge_mask, m)
+
+
+def _min_search(g: DiGraph, sources: np.ndarray,
+                acc: CostAccumulator | None, model: CostModel,
+                edge_mask: np.ndarray | None, m: int) -> ReachResult:
+    """The search of :func:`multisource_reachability_min` on checked
+    arguments: ``sources`` sorted, distinct int64 vertex ids;
+    ``edge_mask`` ``None`` or a boolean array aligned with ``g``'s edge
+    ids; ``m`` the edge count it selects (``g.m`` without one).  ``scc``
+    calls it directly, as its centers and masks are built checked."""
     local = CostAccumulator()
     with trace_span("reach", acc=acc if acc is not None else local,
                     phase="reach", n=g.n, m=m, sources=len(sources),

@@ -20,7 +20,7 @@ from ..graph.digraph import DiGraph
 from ..runtime.metrics import Cost, CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
 from ..runtime.rng import make_rng
-from .multisource import multisource_reachability_min
+from .multisource import _min_search
 
 
 @dataclass
@@ -28,22 +28,6 @@ class SccResult:
     comp: np.ndarray        # vertex -> component id (0..n_components-1)
     n_components: int
     cost: Cost
-
-
-def lex_rank(*keys: np.ndarray) -> np.ndarray:
-    """Dense rank of the tuples ``(keys[0][i], keys[1][i], ...)`` in
-    lexicographic order: the inverse that ``np.unique`` returns for one key
-    with ``return_inverse=True``, or for the stacked keys with ``axis=1``,
-    from one int64 lexsort instead of ``np.unique``'s sort over a
-    structured dtype."""
-    order = np.lexsort(keys[::-1])
-    step = np.zeros(len(order), dtype=np.int64)
-    for key in keys:
-        k = key[order]
-        step[1:] |= k[1:] != k[:-1]
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.add.accumulate(step)
-    return rank
 
 
 def scc(g: DiGraph, acc: CostAccumulator | None = None,
@@ -66,21 +50,30 @@ def scc(g: DiGraph, acc: CostAccumulator | None = None,
     Both searches run on ``g`` and one transpose built per call, with the
     round's edges selected by ``edge_mask=``.  The transpose's edge ``j``
     is ``g``'s edge ``g.reids[j]``, so its mask is ``keep[g.reids]``.
+    They enter the search behind :func:`multisource_reachability_min`'s
+    checks: the centers are distinct live ids, sorted here, and the
+    masks are built here, so one edge count serves both.
 
-    Component ids are arbitrary but contiguous.
+    Component ids are arbitrary but contiguous: each round numbers its
+    finalised components in the order of their forward winners.  Block
+    ids only ever meet in equality tests, so a round re-ranks the
+    survivors by one injective key per ``(block, fwd, bwd)`` class
+    (:func:`_split_key`).
     """
     rng = make_rng(seed)
     local = CostAccumulator()
-    comp = np.full(g.n, -1, dtype=np.int64)
+    n = g.n
+    comp = np.full(n, -1, dtype=np.int64)
     next_id = 0
-    block = np.zeros(g.n, dtype=np.int64)   # current block of each vertex
-    live = np.ones(g.n, dtype=bool)
-    live_ids = np.arange(g.n, dtype=np.int64)
+    block = np.zeros(n, dtype=np.int64)   # current block of each vertex
+    live = np.ones(n, dtype=bool)
+    live_ids = np.arange(n, dtype=np.int64)
     rg = g.reversed()
     batch = 1
     while len(live_ids):
         take = min(batch, len(live_ids))
         centers = rng.choice(live_ids, size=take, replace=False)
+        centers.sort()
         w, s = model.map_ws(len(live_ids))
         local.charge(w, s)
         # restrict to intra-block live edges; center labels cannot escape
@@ -88,31 +81,60 @@ def scc(g: DiGraph, acc: CostAccumulator | None = None,
         keep = live[g.src] & live[g.dst] & (block[g.src] == block[g.dst])
         w, s = model.pack_ws(g.m)
         local.charge(w, s)
-        fwd = multisource_reachability_min(g, centers, local, model,
-                                           edge_mask=keep).pi
-        bwd = multisource_reachability_min(rg, centers, local, model,
-                                           edge_mask=keep[g.reids]).pi
-        w, s = model.map_ws(g.n)
+        m = int(np.count_nonzero(keep))
+        fwd = _min_search(g, centers, local, model, keep, m).pi
+        bwd = _min_search(rg, centers, local, model, keep[g.reids], m).pi
+        w, s = model.map_ws(n)
         local.charge(w, s)
         done = live & (fwd >= 0) & (fwd == bwd)
-        # finalise each self-min center's SCC with a fresh contiguous id
+        # finalise each self-min center's SCC with a fresh contiguous id:
+        # the dense rank of its forward winner
         scc_ids = done.nonzero()[0]
         if len(scc_ids):
-            inv = lex_rank(fwd[scc_ids])
+            inv = _dense_rank(fwd[scc_ids])
             comp[scc_ids] = next_id + inv
             next_id += int(inv.max()) + 1
             live[scc_ids] = False
         # split survivors by (block, fwd winner, bwd winner)
         live_ids = live.nonzero()[0]
         if len(live_ids):
-            block[live_ids] = lex_rank(block[live_ids], fwd[live_ids],
-                                       bwd[live_ids])
+            block[live_ids] = _dense_rank(_split_key(
+                n, block[live_ids], fwd[live_ids], bwd[live_ids]))
             w, s = model.sort_ws(len(live_ids))
             local.charge(w, s)
         batch = min(batch * 2, max(len(live_ids), 1))
     if acc is not None:
         acc.charge_cost(local.snapshot())
     return SccResult(comp, next_id, local.snapshot())
+
+
+def _split_key(n: int, block: np.ndarray, fwd: np.ndarray, bwd: np.ndarray
+               ) -> np.ndarray:
+    """One int64 per ``(block, fwd, bwd)`` triple, equal exactly when the
+    triples are equal, for winners in ``-1 .. n-1`` and blocks in
+    ``0 .. n-1``.
+
+    A winner is a center of its vertex's block (labels never leave a
+    block), so it names the block: ``fwd·(n+1) + bwd + 1`` when ``fwd``
+    is set, ``(n+1)² + bwd`` when only ``bwd`` is, and ``(n+1)² + n +
+    block`` when neither is.  The three ranges are disjoint.
+    """
+    n1 = n + 1
+    return np.where(fwd >= 0, fwd * n1 + bwd + 1,
+                    n1 * n1 + np.where(bwd >= 0, bwd, n + block))
+
+
+def _dense_rank(key: np.ndarray) -> np.ndarray:
+    """Dense rank of each key among the distinct keys, from one default
+    (unstable) argsort: equal keys get equal ranks whatever their order."""
+    order = key.argsort()
+    k = key[order]
+    step = np.empty(len(k), dtype=bool)
+    step[0] = False
+    np.not_equal(k[1:], k[:-1], out=step[1:])
+    rank = np.empty(len(k), dtype=np.int64)
+    rank[order] = np.add.accumulate(step, dtype=np.int64)
+    return rank
 
 
 def scc_sequential(g: DiGraph) -> SccResult:

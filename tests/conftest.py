@@ -31,8 +31,9 @@ RECHECKED_MODULES = frozenset({"test_golden_costs", "test_golden_traces"})
 
 #: The re-checked kernels, as (module, name, reference in
 #: ``tests/oracles.py``): the scalar kernels against their numpy-indexed
-#: loops, the two reachability searches against their numpy rounds, and
-#: the batched SCC against its per-round subgraph builds.
+#: loops, the two reachability searches against their numpy rounds, the
+#: batched SCC against its per-round subgraph builds, and ``condense``
+#: against its lexsort form.
 KERNELS = (
     ("repro.baselines.dijkstra", "dijkstra", oracles.dijkstra_reference),
     ("repro.baselines.dijkstra", "dijkstra_from_labels",
@@ -45,6 +46,7 @@ KERNELS = (
     ("repro.reach.multisource", "multisource_reachability_min",
      oracles.multisource_reachability_min_reference),
     ("repro.reach.scc", "scc", oracles.scc_reference),
+    ("repro.graph.transform", "condense", oracles.condense_reference),
 )
 
 

@@ -1,7 +1,7 @@
 """Independent test oracles (networkx-backed; tests only), the
 numpy-indexed references of the scalar kernels, and the previous forms
-of the reachability rounds, the SCC rounds, the SentLabel sets,
-Propagate and the cost accounting."""
+of the reachability rounds, the SCC rounds and their ranks,
+``condense``, the SentLabel sets, Propagate and the cost accounting."""
 
 from __future__ import annotations
 
@@ -16,7 +16,8 @@ from repro.baselines.dijkstra import DijkstraResult
 from repro.dag01.peeling import NO_EDGE, _incident_edges, _State
 from repro.graph import DiGraph
 from repro.graph.csr import in_edge_slots, out_edge_slots
-from repro.graph.transform import edge_subgraph_mask
+from repro.graph.digraph import _aligned_weights, _per_vertex, _validated_weights
+from repro.graph.transform import Condensation, edge_subgraph_mask
 from repro.graph.validate import topological_order
 from repro.observability.metrics import metric_inc
 from repro.observability.tracer import trace_span
@@ -27,7 +28,7 @@ from repro.reach.multisource import (
     multisource_reachability,
     multisource_reachability_min,
 )
-from repro.reach.scc import SccResult, lex_rank
+from repro.reach.scc import SccResult
 from repro.resilience.errors import InputValidationError
 from repro.runtime.metrics import Cost, CostAccumulator
 from repro.runtime.model import DEFAULT_MODEL, CostModel
@@ -115,6 +116,11 @@ def assert_same_result(got, want, what: str = "result") -> None:
         assert isinstance(got, np.ndarray) and got.dtype == want.dtype \
             and got.shape == want.shape and got.tobytes() == want.tobytes(), \
             f"{what} differs: {got!r} != {want!r}"
+    elif isinstance(want, DiGraph):
+        assert isinstance(got, DiGraph), f"{what} differs in type"
+        for slot in DiGraph.__slots__:
+            assert_same_result(getattr(got, slot), getattr(want, slot),
+                               f"{what}.{slot}")
     elif dataclasses.is_dataclass(want) and not isinstance(want, type):
         assert type(got) is type(want), f"{what} differs in type"
         for f in dataclasses.fields(want):
@@ -439,6 +445,53 @@ def multisource_reachability_min_reference(
         metric_inc("repro_reach_rounds_total", rounds)
     return ReachResult(pi, rounds, Cost(local.work, local.span,
                                         model.oracle_span(g.n)))
+
+
+def condense_reference(g: DiGraph, comp: np.ndarray,
+                       weights: np.ndarray | None = None) -> Condensation:
+    """Reference for :func:`repro.graph.transform.condense`: one
+    three-key lexsort groups the cross edges by ``(csrc, cdst)`` with the
+    minimum weight first (ties by edge id), and the first edge of each
+    group is kept."""
+    comp = _per_vertex(g, comp, "component labels")
+    w = _aligned_weights(g, weights)
+    nc = int(comp.max()) + 1 if g.n else 0
+    if g.n and comp.min() < 0:
+        raise InputValidationError("component ids must be nonnegative")
+    csrc = comp[g.src]
+    cdst = comp[g.dst]
+    cross = csrc != cdst
+    csrc, cdst = csrc[cross], cdst[cross]
+    wc = w[cross]
+    orig_eids = np.flatnonzero(cross)
+    if len(csrc):
+        order = np.lexsort((wc, cdst, csrc))
+        csrc, cdst, wc = csrc[order], cdst[order], wc[order]
+        orig_eids = orig_eids[order]
+        first = np.r_[True, (csrc[1:] != csrc[:-1]) | (cdst[1:] != cdst[:-1])]
+        csrc, cdst, wc = csrc[first], cdst[first], wc[first]
+        orig_eids = orig_eids[first]
+    if weights is not None:
+        wc = _validated_weights(wc)
+    cg = DiGraph._from_sorted(nc, csrc, cdst, wc,
+                              np.argsort(cdst, kind="stable"))
+    return Condensation(cg, comp, orig_eids)
+
+
+def lex_rank(*keys: np.ndarray) -> np.ndarray:
+    """Dense rank of the tuples ``(keys[0][i], keys[1][i], ...)`` in
+    lexicographic order: the inverse that ``np.unique`` returns for one key
+    with ``return_inverse=True``, or for the stacked keys with ``axis=1``,
+    from one int64 lexsort.  ``scc`` ranked its block splits this way
+    before it ranked one injective key (``repro.reach.scc._split_key``)."""
+    order = np.lexsort(keys[::-1])
+    step = np.zeros(len(order), dtype=np.int64)
+    for key in keys:
+        k = key[order]
+        step[1:] |= k[1:] != k[:-1]
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.add.accumulate(step)
+    return rank
 
 
 def scc_reference(g: DiGraph, acc: CostAccumulator | None = None,

@@ -1,20 +1,25 @@
 """Derived graphs equal the public constructor's build, slot for slot.
 
 ``reversed``, ``induced_subgraph``, ``edge_subgraph_mask``,
-``leq_zero_subgraph`` and ``condense`` build through the trusted
-``DiGraph._from_sorted``, which skips validation and both sorts.  Each is
-compared here against ``DiGraph(n, src, dst, w)`` on the same edges, in
-all ten slots, so a wrong order or a wrong reverse permutation fails at
-the first array that differs.
+``leq_zero_subgraph``, ``condense`` and ``_with_source`` build through the
+trusted ``DiGraph._from_sorted``, which skips validation and both sorts.
+Each is compared here against ``DiGraph(n, src, dst, w)`` on the same
+edges, in all ten slots, so a wrong order or a wrong reverse permutation
+fails at the first array that differs.
 """
+
+import functools
+import importlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_same_graph
+from conftest import recheck_kernels, swap_bindings
+from oracles import assert_same_graph, assert_same_result, condense_reference
 from repro.graph import DiGraph, condense, edge_subgraph_mask, leq_zero_subgraph
+from repro.graph.transform import Condensation
 from repro.resilience.errors import InputValidationError
 
 
@@ -26,6 +31,18 @@ def graphs(draw):
     m = draw(st.integers(0, 20)) if n else 0
     end = st.integers(0, max(n - 1, 0))
     edges = draw(st.lists(st.tuples(end, end, st.integers(-3, 3)),
+                          min_size=m, max_size=m))
+    return DiGraph.from_edges(n, edges)
+
+
+@st.composite
+def tied_graphs(draw):
+    """Multigraphs whose weights are -1 or 0, so parallel edges often tie
+    at their minimum."""
+    n = draw(st.integers(0, 5))
+    m = draw(st.integers(0, 24)) if n else 0
+    end = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(end, end, st.integers(-1, 0)),
                           min_size=m, max_size=m))
     return DiGraph.from_edges(n, edges)
 
@@ -134,6 +151,110 @@ def test_derived_graphs_edge_cases(n, edges):
         check_condense(g, np.zeros(n, dtype=np.int64), weights)
         check_condense(g, np.array([1, 0, 1]), weights)
         check_condense(g, np.arange(n), weights)
+
+
+@given(st.one_of(graphs(), tied_graphs()), st.data())
+@settings(max_examples=200, deadline=None)
+def test_condense_matches_lexsort_reference(g, data):
+    """One stable pair-key sort plus two ``reduceat``s keeps what the
+    three-key lexsort kept, ``rep_eid`` included, on random labels, one
+    component and every vertex on its own."""
+    kind = data.draw(st.sampled_from(["random", "one", "identity"]))
+    if kind == "random" and g.n:
+        comp = np.array(data.draw(st.lists(st.integers(0, g.n - 1),
+                                           min_size=g.n, max_size=g.n)),
+                        dtype=np.int64)
+    elif kind == "one":
+        comp = np.zeros(g.n, dtype=np.int64)
+    else:
+        comp = np.arange(g.n, dtype=np.int64)
+    weights = np.array(data.draw(st.lists(st.integers(-2, 1), min_size=g.m,
+                                          max_size=g.m)), dtype=np.int64)
+    for w in (None, weights):
+        assert_same_result(condense(g, comp, weights=w),
+                           condense_reference(g, comp, weights=w), "condense")
+
+
+def check_with_source(g, targets, w):
+    targets = np.array(targets, dtype=np.int64)
+    h = g._with_source(targets, w)
+    k = len(targets)
+    assert_same_graph(h, DiGraph(g.n + 1,
+                                 np.r_[g.src, np.full(k, g.n, dtype=np.int64)],
+                                 np.r_[g.dst, targets],
+                                 np.r_[g.w, np.asarray(w, dtype=np.int64)]))
+
+
+@given(graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_with_source_matches_public_build(g, data):
+    kind = data.draw(st.sampled_from(["none", "all", "some"]))
+    if kind == "none":
+        targets = []
+    elif kind == "all":
+        targets = list(range(g.n))
+    else:
+        targets = sorted(data.draw(st.sets(st.integers(0, max(g.n - 1, 0)),
+                                           max_size=g.n)))
+    w = data.draw(st.lists(st.integers(-3, 3), min_size=len(targets),
+                           max_size=len(targets)))
+    check_with_source(g, targets, np.array(w, dtype=np.int64))
+
+
+@pytest.mark.parametrize("n, edges, targets", [
+    (0, [], []),
+    (3, [], [0, 1, 2]),
+    (3, [(0, 0, -1), (0, 0, -1), (0, 1, 2), (0, 1, -2), (2, 1, 0),
+         (1, 2, 0), (2, 2, 5), (0, 1, 2)], [1]),
+    (3, [(0, 0, -1), (0, 1, 2), (2, 1, 0), (1, 2, 0)], [0, 2]),
+], ids=["n0", "m0-all", "loops-and-parallel", "gaps"])
+def test_with_source_edge_cases(n, edges, targets):
+    g = DiGraph.from_edges(n, edges)
+    check_with_source(g, targets, np.arange(len(targets), dtype=np.int64))
+
+
+def test_with_source_checks_weights_like_the_public_build():
+    """Entry weights get the public constructor's cast and cap."""
+    g = DiGraph.from_edges(2, [(0, 1, 1)])
+    targets = np.array([0, 1], dtype=np.int64)
+    assert g._with_source(targets, np.array([1.0, 2.0])).w.tolist() == \
+        [1, 1, 2]
+    for bad in ([2 ** 60, 0], [0.5, 0.0], [np.nan, 0.0]):
+        with pytest.raises(InputValidationError):
+            g._with_source(targets, np.array(bad))
+
+
+def last_min_condense(condense):
+    """A wrong ``condense``: each contracted edge's representative is the
+    *last* original edge of its group at the minimum weight."""
+    @functools.wraps(condense)
+    def wrong(g, comp, weights=None):
+        c = condense(g, comp, weights)
+        w = g.w if weights is None else np.asarray(weights, dtype=np.int64)
+        rep = c.rep_eid.copy()
+        for i, e in enumerate(c.rep_eid.tolist()):
+            tie = ((comp[g.src] == comp[g.src[e]])
+                   & (comp[g.dst] == comp[g.dst[e]]) & (w == w[e]))
+            rep[i] = tie.nonzero()[0][-1]
+        return Condensation(c.graph, c.comp, rep)
+    return wrong
+
+
+@pytest.mark.differential
+def test_recheck_mode_catches_a_last_minimum_condense(monkeypatch):
+    """Edges 1 and 2 contract to the same pair at the same weight; a
+    ``condense`` that keeps edge 2 instead of edge 1 fails the re-check
+    mode when a caller runs it."""
+    transform = importlib.import_module("repro.graph.transform")
+    swap_bindings(monkeypatch, transform.condense,
+                  last_min_condense(transform.condense))
+    recheck_kernels(monkeypatch)
+    g = DiGraph.from_edges(4, [(0, 1, 0), (0, 2, -1), (1, 2, -1),
+                               (2, 3, 0)])
+    comp = np.array([0, 0, 1, 2])
+    improvement = importlib.import_module("repro.core.improvement")
+    with pytest.raises(AssertionError, match="condense"):
+        improvement.condense(g, comp)
 
 
 def test_caller_weights_keep_magnitude_check():

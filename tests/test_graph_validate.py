@@ -13,19 +13,30 @@ from repro.baselines import (
 )
 from repro.dag01 import dag01_limited_sssp
 from repro.dag01.naive import dag01_limited_sssp_naive
+from oracles import assert_same_result
 from repro.graph import (
     DiGraph,
     check_distances,
+    condense,
     cycle_weight,
     is_dag,
     is_feasible_price,
+    leq_zero_subgraph,
     min_reduced_weight,
+    reweight,
     topological_order,
     validate_negative_cycle,
 )
 from repro.graph.generators import random_dag, random_digraph
-from repro.limited import limited_sssp
+from repro.graph.validate import check_overflow_safety
+from repro.limited import (
+    limited_sssp,
+    shortest_path_tree,
+    verify_limited_distances,
+    zero_cycle_condensation,
+)
 from repro.limited.weighted_bfs import weighted_bfs_limited
+from repro.resilience import Certificate
 from repro.resilience.errors import InputValidationError
 from repro.runtime import SerialBackend
 
@@ -193,3 +204,99 @@ class TestLibrarySourceCheck:
         else:
             with pytest.raises(InputValidationError, match="source"):
                 call(g, source)
+
+
+# the triangle 0 -> 1 -> 2 -> 0; edge ids 0, 1, 2 in that order
+TRIANGLE = DiGraph.from_edges(3, [(0, 1, 1), (1, 2, 1), (2, 0, 0)])
+DIST = np.array([0.0, 1.0, 2.0])
+
+# entry point -> (what the array is aligned with, call on the array); the
+# base arrays are VERTEX_BASE and EDGE_BASE
+VERTEX_BASE = np.array([0, 1, 1], dtype=np.int64)
+EDGE_BASE = np.array([1, 1, 0], dtype=np.int64)
+ARRAY_ENTRY_POINTS = {
+    "check_overflow_safety": (
+        "edge", lambda a: check_overflow_safety(TRIANGLE, a)),
+    "is_feasible_price": ("vertex", lambda a: is_feasible_price(TRIANGLE, a)),
+    "is_feasible_price-weights": (
+        "edge", lambda a: is_feasible_price(TRIANGLE, VERTEX_BASE, a)),
+    "min_reduced_weight": (
+        "vertex", lambda a: min_reduced_weight(TRIANGLE, a)),
+    "min_reduced_weight-weights": (
+        "edge", lambda a: min_reduced_weight(TRIANGLE, VERTEX_BASE, a)),
+    "cycle_weight": ("edge", lambda a: cycle_weight(TRIANGLE, [0, 1, 2], a)),
+    "reweight": ("vertex", lambda a: reweight(TRIANGLE, a)),
+    "condense-comp": ("vertex", lambda a: condense(TRIANGLE, a)),
+    "condense-weights": (
+        "edge", lambda a: condense(TRIANGLE, VERTEX_BASE, weights=a)),
+    "leq_zero_subgraph": (
+        "edge", lambda a: leq_zero_subgraph(TRIANGLE, a)[0]),
+    "zero_cycle_condensation": (
+        "edge", lambda a: zero_cycle_condensation(TRIANGLE, a)),
+    "verify_limited_distances": (
+        "edge", lambda a: verify_limited_distances(TRIANGLE, 0, DIST, 5, a)),
+    "shortest_path_tree": (
+        "edge", lambda a: shortest_path_tree(TRIANGLE, 0, DIST, a)),
+    "Certificate.verify": (
+        "vertex", lambda a: Certificate("price", price=a).verify(TRIANGLE)),
+}
+
+
+def bad_array(base, kind):
+    a = base.astype(np.float64)
+    if kind == "fractional":
+        return a + 0.5
+    if kind == "nan":
+        a[0] = np.nan
+    elif kind == "inf":
+        a[0] = np.inf
+    else:  # "short"
+        return base[:-1]
+    return a
+
+
+class TestCallerArraysAreCast:
+    """Certificate checkers and transforms read caller-supplied prices,
+    weights and labels like the public constructor reads edge arrays:
+    integral floats and bools count as their int values, and fractional,
+    NaN, infinite or misaligned arrays raise instead of being truncated
+    toward zero."""
+
+    @pytest.mark.parametrize("kind", ["fractional", "nan", "inf", "short"])
+    @pytest.mark.parametrize("entry", sorted(ARRAY_ENTRY_POINTS))
+    def test_bad_array_raises(self, entry, kind):
+        aligned, call = ARRAY_ENTRY_POINTS[entry]
+        base = VERTEX_BASE if aligned == "vertex" else EDGE_BASE
+        with pytest.raises(InputValidationError):
+            call(bad_array(base, kind))
+
+    @pytest.mark.parametrize("entry", sorted(ARRAY_ENTRY_POINTS))
+    def test_integral_floats_and_bools_count_as_ints(self, entry):
+        aligned, call = ARRAY_ENTRY_POINTS[entry]
+        base = VERTEX_BASE if aligned == "vertex" else EDGE_BASE
+        want = call(base)
+        assert_same_result(call(base.astype(np.float64)), want, entry)
+        assert_same_result(call(base.astype(bool)), want, entry)
+
+    def test_fractional_price_is_not_a_certificate(self):
+        g = DiGraph.from_edges(2, [(0, 1, -1)])
+        # truncated to [1, 0] it would pass; the reduced weight is -0.4
+        with pytest.raises(InputValidationError, match="integral"):
+            Certificate("price", price=np.array([1.5, 0.9])).verify(g)
+
+    def test_fractional_weights_do_not_make_a_negative_cycle(self):
+        # the cycle weighs +0.8; truncated toward zero it weighed -1
+        g3 = DiGraph.from_edges(3, [(0, 1, 0), (1, 2, 0), (2, 0, 0)])
+        assert not validate_negative_cycle(g3, [0, 1, 2],
+                                           weights=[0.9, 0.9, -1.0])
+        with pytest.raises(InputValidationError, match="integral"):
+            cycle_weight(g3, [0, 1, 2], weights=[0.9, 0.9, -1.0])
+
+    def test_fractional_weights_are_not_condensed_to_zero(self):
+        g3 = DiGraph.from_edges(3, [(0, 1, 0), (1, 2, 0), (2, 0, 0)])
+        with pytest.raises(InputValidationError, match="integral"):
+            condense(g3, np.arange(3), weights=[0.5, 0.7, -0.9])
+
+    def test_nan_price_names_the_problem(self):
+        with pytest.raises(InputValidationError, match="finite"):
+            is_feasible_price(TRIANGLE, np.array([0.0, np.nan, 0.0]))

@@ -52,6 +52,7 @@ from repro.observability import (
     write_jsonl,
     write_trace,
 )
+from repro.observability.tracer import Span
 from repro.runtime.metrics import CostAccumulator
 
 pytestmark = pytest.mark.observability
@@ -287,6 +288,34 @@ def test_trace_cost_breakdown_regenerates_a4_row(tmp_path):
         (total - staged) / total)
     phases = trace_phase_table(path)
     assert {r.params["phase"] for r in phases} >= {"solve", "scale"}
+
+
+def test_trace_phase_table_wall_columns():
+    """Known walls: two roots of 10 s each; under the first, ``scc``
+    (3 s, holding a 1 s ``reach``) and ``dag01`` (3 s, no work)."""
+    def span(sid, parent, name, t0, t1, work):
+        return Span(sid=sid, parent=parent, name=name, phase="test",
+                    start_seq=sid, t_start=t0, t_end=t1, closed_seq=sid,
+                    work=work)
+    trace = Trace(spans=[span(0, None, "solve", 0.0, 10.0, 100.0),
+                         span(1, 0, "scc", 1.0, 4.0, 30.0),
+                         span(2, 1, "reach", 1.5, 2.5, 10.0),
+                         span(3, 0, "dag01", 5.0, 8.0, 0.0),
+                         span(4, None, "solve", 20.0, 30.0, 100.0)])
+    rows = {r.params["phase"]: r.values for r in trace_phase_table(trace)}
+    assert list(rows) == ["solve", "scc", "reach", "dag01", "unattributed"]
+    assert rows["solve"]["wall_share"] == pytest.approx(1.0)
+    assert rows["solve"]["ns_per_work"] == pytest.approx(20e9 / 200)
+    assert rows["scc"]["wall_share"] == pytest.approx(3 / 20)
+    assert rows["scc"]["ns_per_work"] == pytest.approx(3e9 / 30)
+    assert rows["reach"]["wall_share"] == pytest.approx(1 / 20)
+    assert rows["reach"]["ns_per_work"] == pytest.approx(1e9 / 10)
+    assert rows["dag01"]["wall_share"] == pytest.approx(3 / 20)
+    assert "ns_per_work" not in rows["dag01"]
+    # root wall minus the direct children's (scc and dag01, not reach)
+    assert rows["unattributed"] == {"wall_s": pytest.approx(14.0),
+                                    "wall_share": pytest.approx(14 / 20)}
+    assert trace_phase_table(Trace()) == []
 
 
 def test_resilient_solve_traces_attempts_and_fallback():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import repro.core.improvement as improvement
 from conftest import recheck_kernels
-from oracles import assert_same_result
+from oracles import assert_same_result, lex_rank
 from repro.graph import DiGraph, edge_subgraph_mask, random_digraph
 from repro.observability import Trace, Tracer, tracing
 from repro.reach import (
@@ -23,10 +23,9 @@ from repro.reach import (
     scc,
     scc_sequential,
 )
-from repro.reach.scc import lex_rank
+from repro.reach.scc import _dense_rank, _split_key
 from repro.resilience.errors import InputValidationError
 from repro.runtime import CostAccumulator
-from repro.runtime.model import DEFAULT_MODEL
 
 
 def naive_reachable(g: DiGraph, sources) -> np.ndarray:
@@ -379,17 +378,17 @@ class TestScc:
         assert acc.work > 0 and acc.span_model > 0
 
 
-def reuse_forward_mask(reach):
-    """A wrong reachability binding for ``scc``: every second call (the
+def reuse_forward_mask(search):
+    """A wrong search binding for ``scc``: every second call (the
     backward search, on the transpose) runs with the mask of the call
     before it (the forward search's), not with its transpose's."""
     masks = []
 
-    def wrong(g, sources, acc=None, model=DEFAULT_MODEL, *, edge_mask=None):
+    def wrong(g, sources, acc, model, edge_mask, m):
         if len(masks) % 2:
             edge_mask = masks[-1]
         masks.append(edge_mask)
-        return reach(g, sources, acc, model, edge_mask=edge_mask)
+        return search(g, sources, acc, model, edge_mask, m)
     return wrong
 
 
@@ -399,9 +398,8 @@ def test_recheck_mode_catches_a_wrong_scc(monkeypatch):
     edge masks splits the SCC {1, 3, 4} here, and the re-check mode fails
     it when a caller runs it."""
     scc_module = importlib.import_module("repro.reach.scc")
-    monkeypatch.setattr(
-        scc_module, "multisource_reachability_min",
-        reuse_forward_mask(scc_module.multisource_reachability_min))
+    monkeypatch.setattr(scc_module, "_min_search",
+                        reuse_forward_mask(scc_module._min_search))
     recheck_kernels(monkeypatch)
     g = DiGraph.from_edges(6, [(0, 2, 4), (1, 2, 5), (1, 3, 9), (3, 4, 7),
                                (4, 0, 4), (4, 1, 4), (5, 4, 4)])
@@ -468,6 +466,40 @@ class TestLexRank:
         x = np.array(xs, dtype=np.int64)
         _, want = np.unique(x, return_inverse=True)
         got = lex_rank(x)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+
+class TestSplitKey:
+    """``scc`` splits its blocks by the dense rank of one injective key.
+    Where every set winner is a member of its vertex's block, as in
+    ``scc``, that is the partition ``lex_rank`` of the triples gives."""
+
+    @given(st.integers(1, 30), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_partition_as_lex_rank(self, n, data):
+        block = np.array(data.draw(st.lists(st.integers(0, n - 1),
+                                            min_size=n, max_size=n)),
+                         dtype=np.int64)
+        members = {b: [-1, *np.flatnonzero(block == b).tolist()]
+                   for b in set(block.tolist())}
+        fwd, bwd = (np.array([data.draw(st.sampled_from(members[b]))
+                              for b in block.tolist()], dtype=np.int64)
+                    for _ in range(2))
+        got = _dense_rank(_split_key(n, block, fwd, bwd))
+        want = lex_rank(block, fwd, bwd)
+        assert got.dtype == np.int64
+        assert sorted(set(got.tolist())) == list(range(len(set(got.tolist()))))
+        assert ((got[:, None] == got[None, :]) ==
+                (want[:, None] == want[None, :])).all()
+
+    @given(st.lists(st.integers(-2, 5), min_size=1, max_size=40))
+    @settings(max_examples=80, deadline=None)
+    def test_component_ids_are_the_unique_inverse(self, xs):
+        """``scc`` numbers finalised components by ``_dense_rank`` of
+        their forward winners: the ids ``lex_rank`` of one key gave."""
+        x = np.array(xs, dtype=np.int64)
+        _, want = np.unique(x, return_inverse=True)
+        got = _dense_rank(x)
         assert got.dtype == np.int64 and got.tolist() == want.tolist()
 
 

@@ -19,6 +19,7 @@ from repro.runtime.primitives import (
     parallel_reduce_sum,
     parallel_sort,
     prefix_sum,
+    stable_argsort,
     unique_sorted,
 )
 
@@ -203,3 +204,36 @@ class TestUniqueSorted:
         want = np.unique(a)
         got = unique_sorted(a)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+class TestStableArgsort:
+    """``stable_argsort`` returns ``np.argsort(keys, kind="stable")``:
+    ties keep their positions, on the one-key path and on the fallback
+    that a bound of ``2**63 // len + 1`` forces."""
+
+    @staticmethod
+    def check(keys, bound):
+        got = stable_argsort(keys, bound)
+        want = np.argsort(keys, kind="stable")
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    @given(st.lists(st.integers(0, 3), max_size=300), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_heavy_ties(self, xs, fallback):
+        keys = np.array(xs, dtype=np.int64)
+        bound = 2 ** 63 // max(len(keys), 1) + 1 if fallback else 4
+        self.check(keys, bound)
+
+    @given(st.integers(1, 300), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_keys_at_the_largest_one_key_bound(self, k, data):
+        """The combined key reaches ``bound * len - 1`` without
+        overflowing."""
+        bound = (2 ** 63 - 1) // k
+        xs = data.draw(st.lists(st.sampled_from([0, 1, bound - 2, bound - 1]),
+                                min_size=k, max_size=k))
+        self.check(np.array(xs, dtype=np.int64), bound)
+
+    def test_empty_and_one(self):
+        self.check(np.empty(0, dtype=np.int64), 1)
+        self.check(np.array([5], dtype=np.int64), 6)
