@@ -4,8 +4,8 @@ from .bellman_ford import (
     BellmanFordResult,
     bellman_ford,
     bellman_ford_distance_only,
+    bellman_ford_parallel,
 )
-from .bellman_ford_threaded import bellman_ford_parallel, bellman_ford_threaded
 from .dag_relax import DagSsspResult, dag_limited_sssp_reference, dag_sssp
 from .dial import DialResult, dial_sssp
 from .dijkstra import DijkstraResult, dijkstra
@@ -15,7 +15,6 @@ __all__ = [
     "BellmanFordResult",
     "bellman_ford",
     "bellman_ford_distance_only",
-    "bellman_ford_threaded",
     "bellman_ford_parallel",
     "DialResult",
     "dial_sssp",

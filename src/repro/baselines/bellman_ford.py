@@ -5,20 +5,34 @@ Vectorised Jacobi-style rounds (`numpy.minimum.at` over all edges at once)
 ``O(mn)`` and span ``O(n log n)``; the cost accumulator charges that model.
 Also provides negative-cycle extraction, used as the library's independent
 cycle oracle.
+
+:func:`bellman_ford_parallel` runs the same rounds with the relaxation map
+(``cand = dist[src] + w`` over all edges) on an execution backend's
+``map_blocks``.  Its block function is a pure function of ``(lo, hi)``,
+so the same code runs on the serial, thread, or fault-tolerant process
+backend (:mod:`repro.runtime.backends`): a process worker dying mid-round
+re-executes only its block, and the answer is bit-identical to
+:func:`bellman_ford`'s.  Under CPython's GIL the thread backend speeds up
+only when numpy releases the GIL, and the process backend pays pickling
+per dispatch; both exist to demonstrate and test the fork-join structure
+and its fault tolerance, not to win benchmarks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from ..graph.digraph import DiGraph
+from ..graph.digraph import DiGraph, _aligned_weights
 from ..graph.validate import check_source
 from ..resilience.errors import VerificationError
+from ..runtime.backends import resolve_backend
 from ..runtime.metrics import Cost, CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
 from ..runtime.primitives import unique_sorted
+from ..runtime.racecheck import race_read
 
 
 @dataclass
@@ -47,11 +61,55 @@ def bellman_ford(g: DiGraph, source: int, weights: np.ndarray | None = None,
 
     Runs at most ``n`` relaxation rounds with early exit; a relaxation in
     round ``n`` certifies a negative cycle *reachable from the source*,
-    which is then extracted by walking predecessor pointers.
+    which is then extracted by walking predecessor pointers.  ``weights``
+    (default ``g.w``) must be integral and aligned with the edge ids.
     """
     source = check_source(g, source)
-    w = (g.w if weights is None else np.asarray(weights, dtype=np.int64)
-         ).astype(np.float64)
+    w = _aligned_weights(g, weights).astype(np.float64)
+    return _bellman_ford(g, source, w, model)
+
+
+def bellman_ford_parallel(g: DiGraph, source: int, backend=None,
+                          weights: np.ndarray | None = None,
+                          grain: int = 4096) -> BellmanFordResult:
+    """:func:`bellman_ford`, relaxing edges through ``backend.map_blocks``
+    (any :class:`~repro.runtime.backends.ExecutionBackend`, including a
+    :class:`~repro.runtime.backends.DegradationLadder`, or a backend name,
+    whose ladder lives for this call).  ``backend=None`` relaxes in
+    process; anything without ``map_blocks`` and ``shutdown`` raises
+    :class:`~repro.resilience.errors.InputValidationError` before any
+    work."""
+    source = check_source(g, source)
+    if isinstance(backend, str):
+        with resolve_backend(backend) as be:
+            return bellman_ford_parallel(g, source, be, weights, grain)
+    backend = resolve_backend(backend)
+    w = _aligned_weights(g, weights).astype(np.float64)
+    if backend is None:
+        return _bellman_ford(g, source, w, DEFAULT_MODEL)
+
+    def relax(dist: np.ndarray) -> np.ndarray:
+        return np.concatenate(backend.map_blocks(
+            g.m, _relax_block, (g.src, w, dist), grain=grain))
+
+    return _bellman_ford(g, source, w, DEFAULT_MODEL, relax)
+
+
+def _relax_block(lo: int, hi: int, src: np.ndarray, w: np.ndarray,
+                 dist: np.ndarray) -> np.ndarray:
+    """One relaxation block: pure function of ``(lo, hi)`` and the
+    (read-only) arrays — the ``map_blocks`` contract that makes process
+    re-dispatch idempotent."""
+    race_read(dist, site="bf.relax:dist")
+    race_read(src, lo, hi, site="bf.relax:src")
+    race_read(w, lo, hi, site="bf.relax:w")
+    return dist[src[lo:hi]] + w[lo:hi]
+
+
+def _bellman_ford(g: DiGraph, source: int, w: np.ndarray,
+                  model: CostModel,
+                  relax: Callable[[np.ndarray], np.ndarray] | None = None
+                  ) -> BellmanFordResult:
     acc = CostAccumulator()
     dist = np.full(g.n, np.inf)
     dist[source] = 0.0
@@ -59,7 +117,7 @@ def bellman_ford(g: DiGraph, source: int, weights: np.ndarray | None = None,
     rounds = 0
     changed = True
     while changed and rounds < g.n:
-        changed = _relax_round(g, w, dist, parent, acc, model)
+        changed = _relax_round(g, w, dist, parent, acc, model, relax)
         rounds += 1
     cycle = None
     if changed:  # still relaxing after n rounds: negative cycle
@@ -69,13 +127,18 @@ def bellman_ford(g: DiGraph, source: int, weights: np.ndarray | None = None,
 
 def _relax_round(g: DiGraph, w: np.ndarray, dist: np.ndarray,
                  parent: np.ndarray, acc: CostAccumulator,
-                 model: CostModel) -> bool:
-    """One Jacobi relaxation over all edges; True if any distance improved."""
+                 model: CostModel,
+                 relax: Callable[[np.ndarray], np.ndarray] | None = None
+                 ) -> bool:
+    """One Jacobi relaxation over all edges; True if any distance improved.
+
+    ``relax(dist)``, when given, computes the candidates ``dist[src] + w``
+    (on a backend); the min-merge and the parent update stay here.
+    """
     acc.charge(*model.map_ws(g.m))
     if g.m == 0:
         return False
-    du = dist[g.src]
-    cand = du + w
+    cand = dist[g.src] + w if relax is None else relax(dist)
     new_dist = dist.copy()
     np.minimum.at(new_dist, g.dst, cand)
     improved_v = new_dist < dist
@@ -176,8 +239,8 @@ def bellman_ford_distance_only(g: DiGraph, source: int,
 
     Handy oracle for hop-limited / distance-limited comparisons in tests.
     """
-    w = (g.w if weights is None else np.asarray(weights, dtype=np.int64)
-         ).astype(np.float64)
+    source = check_source(g, source)
+    w = _aligned_weights(g, weights).astype(np.float64)
     dist = np.full(g.n, np.inf)
     dist[source] = 0.0
     parent = np.full(g.n, -1, dtype=np.int64)

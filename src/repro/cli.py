@@ -61,6 +61,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import pathlib
 import shutil
 import signal
@@ -337,8 +338,8 @@ def cmd_solve(args) -> int:
     if args.workers is not None and args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    if args.liveness_timeout <= 0:
-        print("error: --liveness-timeout must be > 0 seconds",
+    if not 0 < args.liveness_timeout < math.inf:
+        print("error: --liveness-timeout must be finite and > 0 seconds",
               file=sys.stderr)
         return EXIT_INVALID_INPUT
     if args.metrics_port is not None \

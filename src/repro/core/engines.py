@@ -186,7 +186,9 @@ class _PotentialEngine:
         ``resume``, ``on_checkpoint``; see
         :func:`~repro.core.sssp.solve_sssp`) to :meth:`_potential`.  A
         checkpoint request to an engine without checkpoint support raises
-        :class:`~repro.resilience.errors.InputValidationError`.
+        :class:`~repro.resilience.errors.InputValidationError`, and so
+        does a ``backend`` that is neither a name nor an object with
+        ``map_blocks`` and ``shutdown``, before any work.
         """
         if isinstance(backend, str):
             with resolve_backend(backend) as be:
@@ -195,6 +197,7 @@ class _PotentialEngine:
                                   check_certificates=check_certificates,
                                   fault_plan=fault_plan, token=token,
                                   backend=be, **options)
+        backend = resolve_backend(backend)
         source = check_source(g, source)
         if not self.checkpoints and (
                 options.get("checkpoint_path") is not None
@@ -296,7 +299,7 @@ class GoldbergParallelEngine(_PotentialEngine):
 
     def _potential(self, g, *, seed, acc, model, token, backend,
                    fault_plan, **options):
-        del backend  # the scaling loop runs on the default pool
+        del backend  # scaling runs in process; only the tail's map uses it
         scal = scaled_reweighting(g, mode=self.mode, seed=seed, acc=acc,
                                   model=model, fault_plan=fault_plan,
                                   token=token, **options)

@@ -28,7 +28,7 @@ from ..baselines.dag_relax import dag_sssp
 from ..baselines.dijkstra import dijkstra
 from ..dag01.chain import recover_chain
 from ..dag01.peeling import dag01_limited_sssp
-from ..graph.digraph import DiGraph
+from ..graph.digraph import DiGraph, _aligned_weights
 from ..graph.transform import (
     Condensation,
     condense,
@@ -89,7 +89,7 @@ def sqrt_k_improvement(g: DiGraph, w_red: np.ndarray, *,
     """
     if mode not in ("parallel", "sequential"):
         raise InputValidationError("mode must be 'parallel' or 'sequential'")
-    w_red = np.asarray(w_red, dtype=np.int64)
+    w_red = _aligned_weights(g, w_red)
     if g.m and w_red.min() < -1:
         raise InputValidationError(
             "1-reweighting requires reduced weights >= -1")

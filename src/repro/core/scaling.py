@@ -16,7 +16,7 @@ cost, and telemetry are serialized atomically after every scale
 (:mod:`repro.resilience.checkpoint`), and a cooperative ``token``
 (:mod:`repro.resilience.preempt`) is honoured at every scale boundary —
 plus, via the ambient cancel scope, inside the runtime primitives and
-``parallel_for`` grain loops underneath.  ``resume=True`` loads the
+the backends' ``map_blocks`` calls underneath.  ``resume=True`` loads the
 checkpoint, re-validates its potential with the PR-1
 :class:`~repro.resilience.errors.Certificate` machinery against the
 completed scale's ceiling weights, and continues bit-identically with the

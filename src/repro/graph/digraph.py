@@ -264,7 +264,7 @@ class DiGraph:
         Vectorised: membership mask + edge filtering + renumbering; the
         renumbering is monotone, so the kept edges stay sorted.
         """
-        nodes = unique_sorted(np.asarray(nodes, dtype=np.int64))
+        nodes = unique_sorted(_as_int64(nodes, "nodes"))
         if len(nodes) and (nodes[0] < 0 or nodes[-1] >= self.n):
             raise InputValidationError("node out of range")
         in_sub = np.zeros(self.n, dtype=bool)

@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .digraph import DiGraph
+from .digraph import DiGraph, _aligned_weights
 
 
 class DimacsError(ValueError):
@@ -125,7 +125,7 @@ def graph_digest(g: DiGraph, weights: np.ndarray | None = None,
     ``extra`` mixes in solver parameters so checkpoint fingerprints bind
     the answer-determining configuration, not just the graph.
     """
-    w = g.w if weights is None else np.asarray(weights, dtype=np.int64)
+    w = _aligned_weights(g, weights)
     h = hashlib.sha256()
     h.update(b"repro-digraph-v1\0")
     h.update(struct.pack("<qq", g.n, g.m))

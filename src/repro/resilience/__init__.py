@@ -14,8 +14,8 @@ Four pieces (DESIGN.md "Robustness & verification"):
   heads, feeding the graceful Bellman–Ford degradation in
   :func:`repro.core.sssp.solve_sssp_resilient`;
 * :mod:`~repro.resilience.preempt` — :class:`Deadline` / :class:`CancelToken`
-  cooperative preemption, checked at phase boundaries and inside
-  ``parallel_for`` grain loops;
+  cooperative preemption, checked at phase boundaries and inside the
+  backends' ``map_blocks`` calls;
 * :mod:`~repro.resilience.checkpoint` — atomic, hash-stamped phase-level
   checkpoints of the scaling loop (:class:`ScaleCheckpoint`), re-validated
   with the :class:`Certificate` machinery on resume.

@@ -9,7 +9,8 @@ mid-write:
   clock, so tests can step time deterministically;
 * :class:`CancelToken` — a thread-safe flag checked cooperatively at
   phase boundaries (scale levels, reweighting iterations) and inside
-  :meth:`~repro.runtime.executor.ForkJoinPool.parallel_for` grain loops.
+  every backend's :meth:`~repro.runtime.executor.BlockPool.map_blocks`
+  (at entry, before each block, and at the join).
 
 A check point calls :meth:`CancelToken.check`, which raises
 :class:`~repro.resilience.errors.DeadlineExceededError` when the token's

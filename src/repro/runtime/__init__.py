@@ -16,7 +16,7 @@ from .racecheck import (
     race_write,
 )
 from .rng import derive_seed, geometric_priorities, make_rng, priority_cap
-from .executor import ForkJoinPool, default_pool
+from .executor import ForkJoinPool
 from .backends import (
     BACKEND_NAMES,
     DegradationLadder,
@@ -56,6 +56,5 @@ __all__ = [
     "make_rng",
     "priority_cap",
     "ForkJoinPool",
-    "default_pool",
     "primitives",
 ]

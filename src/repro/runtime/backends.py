@@ -36,14 +36,18 @@ rung.  The serial rung cannot fail structurally, so a laddered call either
 returns correct results or propagates the body's own exception — the
 execution layer never crashes a solve.
 
-Under an active :class:`~repro.runtime.racecheck.RaceChecker` every
-backend routes through the same sequential logical-block partition
+Every backend shares one front, :class:`~repro.runtime.executor.BlockPool`:
+the shut-down check, the cancel token, the empty range and the inline
+one-block path exist once.  Under an active
+:class:`~repro.runtime.racecheck.RaceChecker` that front routes every
+backend through the same sequential logical-block partition
 (:func:`~repro.runtime.executor.checked_map_blocks`), so race findings are
 independent of both pool size and backend choice.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import pickle
@@ -56,7 +60,7 @@ from multiprocessing import connection
 from typing import Any, Protocol, runtime_checkable
 
 from ..observability.metrics import metric_inc
-from ..observability.tracer import current_tracer, trace_event, trace_span
+from ..observability.tracer import current_tracer, trace_event
 from ..observability.worker import (
     WorkerSession,
     record_shipped_block,
@@ -68,10 +72,8 @@ from ..resilience.preempt import (
     CancelToken,
     Deadline,
     cancel_scope,
-    current_token,
 )
-from .executor import BlockFn, ForkJoinPool, checked_map_blocks
-from .racecheck import current_race_checker
+from .executor import BlockFn, BlockPool, ForkJoinPool
 
 BACKEND_NAMES = ("serial", "thread", "process")
 
@@ -82,14 +84,10 @@ class ExecutionBackend(Protocol):
 
     name: str
     n_workers: int
-    supports_shared_memory: bool
 
     def map_blocks(self, n: int, fn: BlockFn, args: tuple = (), *,
                    grain: int | None = None,
                    token: CancelToken | None = None) -> list: ...
-
-    def parallel_for(self, n, body, grain: int = 1024,
-                     token: CancelToken | None = None) -> None: ...
 
     def shutdown(self) -> None: ...
 
@@ -290,7 +288,7 @@ class _Task:
         self.first_dispatch: float | None = None
 
 
-class ProcessForkJoinPool:
+class ProcessForkJoinPool(BlockPool):
     """A multiprocessing fork-join pool that survives its own workers.
 
     Each worker owns a private duplex pipe (no shared queue locks — a
@@ -314,10 +312,14 @@ class ProcessForkJoinPool:
     degradation ladder can demote.  All telemetry (spawns, losses,
     re-dispatches) lands in the ambient metrics registry and in
     :attr:`worker_losses` for provenance.
+
+    The timing settings must be finite: ``heartbeat_interval``,
+    ``liveness_timeout`` and ``straggler_factor`` above 0, the backoff
+    pair at least 0.  A NaN timeout would make every liveness comparison
+    false and leave a wedged worker wedged.
     """
 
     name = "process"
-    supports_shared_memory = False
 
     def __init__(self, n_workers: int | None = None, *,
                  grain: int = 1024,
@@ -333,8 +335,17 @@ class ProcessForkJoinPool:
             n_workers = min(8, os.cpu_count() or 1)
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if liveness_timeout <= 0:
-            raise ValueError("liveness_timeout must be > 0")
+        for name, value in (("heartbeat_interval", heartbeat_interval),
+                            ("liveness_timeout", liveness_timeout),
+                            ("straggler_factor", straggler_factor)):
+            if not 0 < value < math.inf:
+                raise InputValidationError(
+                    f"{name} must be finite and > 0, got {value!r}")
+        for name, value in (("backoff_base", backoff_base),
+                            ("backoff_cap", backoff_cap)):
+            if not 0 <= value < math.inf:
+                raise InputValidationError(
+                    f"{name} must be finite and >= 0, got {value!r}")
         if max_dispatches < 1:
             raise ValueError("max_dispatches must be >= 1")
         self.n_workers = n_workers
@@ -444,43 +455,12 @@ class ProcessForkJoinPool:
 
     # -- the fault-tolerant map ----------------------------------------
 
-    def map_blocks(self, n: int, fn: BlockFn, args: tuple = (), *,
-                   grain: int | None = None,
-                   token: CancelToken | None = None) -> list:
-        if self._closed:
-            raise RuntimeError("map_blocks on a shut-down "
-                               "ProcessForkJoinPool")
-        if token is None:
-            token = current_token()
-        if token is not None:
-            token.check("map_blocks")
-        if n <= 0:
-            return []
-        g = self.grain if grain is None else grain
-        checker = current_race_checker()
-        if checker is not None:
-            # logical blocks, sequential, in-process: findings are
-            # backend- and pool-size-independent by construction
-            return checked_map_blocks(checker, n, fn, args, g, token)
-        blocks = min(max(1, n // g), 4 * self.n_workers)
-        if blocks <= 1:
-            with trace_span("map-blocks", phase="runtime", n=n,
-                            blocks=1, workers=1,
-                            backend=self.name) as psp:
-                psp.count("blocks_run", 1)
-                out = [fn(0, n, *args)]
-            metric_inc("repro_blocks_completed_total", backend=self.name)
-            if token is not None:
-                token.check("map_blocks:join")
-            return out
-        step = (n + blocks - 1) // blocks
-        tasks = [_Task(bid, lo, min(lo + step, n))
-                 for bid, lo in enumerate(range(0, n, step))]
-        with trace_span("map-blocks", phase="runtime", n=n,
-                        blocks=len(tasks), workers=self.n_workers,
-                        backend=self.name) as psp:
-            results = self._drive(tasks, fn, args, token, psp)
-            psp.count("blocks_run", len(tasks))
+    def _map_many(self, bounds: list[tuple[int, int]], fn: BlockFn,
+                  args: tuple, token: CancelToken | None,
+                  psp: Any) -> list:
+        tasks = [_Task(bid, lo, hi) for bid, (lo, hi) in enumerate(bounds)]
+        results = self._drive(tasks, fn, args, token, psp)
+        psp.count("blocks_run", len(tasks))
         return [results[t.bid] for t in tasks]
 
     def _drive(self, tasks: list[_Task], fn: BlockFn, args: tuple,
@@ -732,31 +712,6 @@ class ProcessForkJoinPool:
                         backend=self.name,
                         losses=self.worker_losses[losses_before:])
 
-    # -- shared-memory loops are not portable to processes --------------
-
-    def parallel_for(self, n, body, grain: int = 1024,
-                     token: CancelToken | None = None) -> None:
-        """Shared-memory bodies cannot cross a process boundary.
-
-        Under a race checker the call still runs (sequentially, on the
-        logical blocks — in-process, so closures are fine).  Otherwise
-        it raises :class:`WorkerPoolError`, which a
-        :class:`DegradationLadder` routes to its first shared-memory
-        rung.
-        """
-        checker = current_race_checker()
-        if checker is not None:
-            pool = SerialBackend(grain=grain)
-            try:
-                pool.parallel_for(n, body, grain=grain, token=token)
-            finally:
-                pool.shutdown()
-            return
-        raise WorkerPoolError(
-            "process backend cannot execute shared-memory parallel_for "
-            "bodies; use map_blocks or a thread/serial rung",
-            backend=self.name)
-
     # -- lifecycle ------------------------------------------------------
 
     def shutdown(self) -> None:
@@ -790,12 +745,6 @@ class ProcessForkJoinPool:
                 pass
         self._workers.clear()
 
-    def __enter__(self) -> "ProcessForkJoinPool":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.shutdown()
-
 
 # ---------------------------------------------------------------------------
 # the graceful-degradation ladder
@@ -811,8 +760,6 @@ class DegradationLadder:
     are permanent for the ladder's lifetime and recorded (with worker
     losses) for :class:`~repro.resilience.retry.SolveProvenance`.
     """
-
-    supports_shared_memory = True
 
     def __init__(self, rungs: list[tuple[str, Any]]) -> None:
         if not rungs:
@@ -851,16 +798,15 @@ class DegradationLadder:
     def n_workers(self) -> int:
         return self._instance().n_workers
 
-    def _instance(self, rung: int | None = None) -> Any:
-        i = self._rung if rung is None else rung
-        be = self._instances.get(i)
+    def _instance(self) -> Any:
+        be = self._instances.get(self._rung)
         if be is None:
-            factory = self._rungs[i][1]
+            factory = self._rungs[self._rung][1]
             be = factory() if callable(factory) else factory
             if self._fault_plan is not None and hasattr(
                     be, "install_fault_plan"):
                 be.install_fault_plan(self._fault_plan)
-            self._instances[i] = be
+            self._instances[self._rung] = be
         return be
 
     def install_fault_plan(self, plan: Any) -> None:
@@ -896,18 +842,6 @@ class DegradationLadder:
                 if self._rung >= len(self._rungs) - 1:
                     raise
                 self._demote(f"{type(exc).__name__}: {exc}")
-
-    def parallel_for(self, n, body, grain: int = 1024,
-                     token: CancelToken | None = None) -> None:
-        """Dispatch to the first rung at or below the current one that
-        supports shared memory (capability routing, not a demotion)."""
-        for rung in range(self._rung, len(self._rungs)):
-            be = self._instance(rung)
-            if getattr(be, "supports_shared_memory", False):
-                be.parallel_for(n, body, grain=grain, token=token)
-                return
-        raise WorkerPoolError("no shared-memory rung available",
-                              backend=self.name)
 
     def live_status(self) -> dict[str, Any]:
         """Current rung's worker liveness (``/progress``), without
@@ -952,14 +886,24 @@ def resolve_backend(spec: Any, *, n_workers: int | None = None,
     """Normalise the public ``backend=`` argument.
 
     ``None`` stays ``None`` (classic in-process execution); a string
-    becomes the standard :class:`DegradationLadder` for that rung; any
-    :class:`ExecutionBackend` instance passes through unchanged.
+    becomes the standard :class:`DegradationLadder` for that rung; an
+    object with a callable ``map_blocks`` and ``shutdown`` passes through
+    unchanged, and anything else raises
+    :class:`~repro.resilience.errors.InputValidationError`.  The check
+    reads attributes instead of ``isinstance(spec, ExecutionBackend)``,
+    which would evaluate a ladder's ``n_workers`` and start its first
+    rung.
     """
     if spec is None:
         return None
     if isinstance(spec, str):
         return DegradationLadder.for_backend(spec, n_workers=n_workers,
                                              **process_opts)
+    if not (callable(getattr(spec, "map_blocks", None))
+            and callable(getattr(spec, "shutdown", None))):
+        raise InputValidationError(
+            f"backend must be a backend name or an object with map_blocks "
+            f"and shutdown, got {type(spec).__name__}")
     return spec
 
 

@@ -1,31 +1,36 @@
-"""Optional real-thread execution of parallel-for bodies.
+"""Fork–join execution of pure block functions.
 
 The library's algorithms are written against the cost-model primitives and
 run sequentially by default (correct and fast under CPython's GIL on a
-single-core host).  This module provides a small fork-join executor so the
-same parallel-for *structure* can be demonstrated on real threads — useful on
-free-threaded builds or when bodies release the GIL (numpy kernels).
+single-core host).  Work reaches a real execution backend through one
+contract, ``map_blocks(n, fn, args)``: ``fn(lo, hi, *args)`` is a
+deterministic function of its block of ``range(n)`` and returns that
+block's result, so any backend may run, duplicate or re-run blocks and
+the per-block results stay bit-identical.
 
-The executor is deliberately simple: a persistent thread pool plus a
-``parallel_for`` that block-partitions an index range, mirroring the static
-scheduling idiom of the HPC guides.  Determinism is preserved because bodies
-write to disjoint slices.
+:class:`BlockPool` is that contract's front, shared by every backend: the
+shut-down check, the cancel token, the empty range, the race-checker
+route and the inline one-block path.  A backend supplies only
+:meth:`BlockPool._map_many`, the dispatch of two or more blocks.
+:class:`ForkJoinPool` dispatches them to a persistent thread pool — useful
+on free-threaded builds or when blocks release the GIL (numpy kernels);
+the process pool lives in :mod:`repro.runtime.backends`.
 
 Two failure channels are handled explicitly:
 
-* a worker exception cancels every block not yet started, drains the ones
-  already running, and re-raises the first failure (in block-submission
-  order) — later blocks never keep computing behind a doomed loop;
+* a block exception cancels every block not yet started, drains the ones
+  already running, and re-raises the first failure (in block order) —
+  later blocks never keep computing behind a doomed call;
 * a cooperative :class:`~repro.resilience.preempt.CancelToken` (passed
   explicitly or installed ambiently via
-  :func:`~repro.resilience.preempt.cancel_scope`) is honoured at loop
-  entry, before each block is dispatched, and at the start of each block's
-  body; a cancelled loop stops dispatching, drains in-flight blocks, and
-  raises :class:`~repro.resilience.errors.CancelledError` — never killing
-  a thread mid-write.
+  :func:`~repro.resilience.preempt.cancel_scope`) is honoured at entry,
+  before each block is dispatched, at the start of each block, and at
+  the join; a cancelled call stops dispatching, drains in-flight blocks,
+  and raises :class:`~repro.resilience.errors.CancelledError` — never
+  killing a thread mid-write.
 
-Each block runs in its own :func:`contextvars.copy_context` of the
-submitting thread, so a block sees the run context
+Each thread-pool block runs in its own :func:`contextvars.copy_context`
+of the submitting thread, so a block sees the run context
 (:mod:`repro.runcontext`) it would see on the serial backend: the
 tracer, registry, cancel token, budget guard and race checker.
 """
@@ -37,7 +42,7 @@ import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextvars import copy_context
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, TypeVar
 
 from ..observability.metrics import metric_inc
 from ..observability.tracer import current_tracer, trace_span
@@ -46,6 +51,7 @@ from .racecheck import RaceChecker, current_race_checker
 
 # fn(lo, hi, *args) -> a picklable result for the block; see map_blocks
 BlockFn = Callable[..., Any]
+_Pool = TypeVar("_Pool", bound="BlockPool")
 
 
 def _in_copied_context(fn: Callable[..., Any]) -> Callable[..., Any]:
@@ -58,10 +64,10 @@ def _in_copied_context(fn: Callable[..., Any]) -> Callable[..., Any]:
 def checked_map_blocks(checker: RaceChecker, n: int, fn: BlockFn,
                        args: tuple, grain: int,
                        token: CancelToken | None) -> list:
-    """Shadow-memory path shared by every backend's ``map_blocks``: run
-    the checker's *logical* blocks sequentially under fork-tree task
-    tags, so findings are identical for serial, thread, and process
-    backends at any worker count."""
+    """Shadow-memory path of every backend's ``map_blocks``: run the
+    checker's *logical* blocks sequentially under fork-tree task tags,
+    so findings are identical for serial, thread, and process backends
+    at any worker count."""
     region = checker.open_region()
     blocks = checker.blocks_for(n, grain)
     step = (n + blocks - 1) // blocks
@@ -79,18 +85,96 @@ def checked_map_blocks(checker: RaceChecker, n: int, fn: BlockFn,
     return out
 
 
-class ForkJoinPool:
-    """A tiny fork-join pool for block-partitioned parallel loops.
+class BlockPool:
+    """The ``map_blocks`` front every execution backend shares.
 
-    Doubles as the ``thread`` rung of the execution-backend ladder (see
-    :mod:`repro.runtime.backends`): it satisfies the
-    :class:`~repro.runtime.backends.ExecutionBackend` protocol with both
-    the shared-memory :meth:`parallel_for` and the pure-function
-    :meth:`map_blocks` contracts.
+    Subclasses set ``name``, ``n_workers``, ``grain`` and ``_closed``
+    and implement :meth:`_map_many` and :meth:`shutdown`; everything else
+    about a call — its checks, its race-checker route and its inline
+    path — lives here, once.
     """
 
+    name: str
+    n_workers: int
+    grain: int
+    _closed: bool
+
+    def _inline(self, blocks: int) -> bool:
+        """Whether a call planned as ``blocks`` blocks runs as one
+        in-process block."""
+        return blocks <= 1
+
+    def map_blocks(self, n: int, fn: BlockFn, args: tuple = (), *,
+                   grain: int | None = None,
+                   token: CancelToken | None = None) -> list:
+        """Run ``fn(lo, hi, *args)`` over a block partition of
+        ``range(n)`` and return the per-block results in block order.
+
+        ``fn`` must be a deterministic function of ``(lo, hi, *args)``
+        with no shared-memory writes, so any backend (serial, thread,
+        process) may execute, duplicate, or re-execute blocks and the
+        concatenated results stay bit-identical.  ``token`` defaults to
+        the ambient :func:`~repro.resilience.preempt.current_token`.
+        """
+        if self._closed:
+            raise RuntimeError(
+                f"map_blocks on a shut-down {type(self).__name__}")
+        if token is None:
+            token = current_token()
+        if token is not None:
+            token.check("map_blocks")
+        if n <= 0:
+            return []
+        g = self.grain if grain is None else grain
+        checker = current_race_checker()
+        if checker is not None:
+            # logical blocks, sequential, in-process: findings do not
+            # depend on the backend or its pool size
+            return checked_map_blocks(checker, n, fn, args, g, token)
+        # a few blocks per worker (not one): stragglers rebalance, and a
+        # failure or cancellation can cancel a queued tail
+        blocks = min(max(1, n // g), 4 * self.n_workers)
+        if self._inline(blocks):
+            with trace_span("map-blocks", phase="runtime", n=n,
+                            blocks=1, workers=1,
+                            backend=self.name) as psp:
+                psp.count("blocks_run", 1)
+                out = [fn(0, n, *args)]
+            metric_inc("repro_blocks_completed_total", backend=self.name)
+        else:
+            step = (n + blocks - 1) // blocks
+            bounds = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+            with trace_span("map-blocks", phase="runtime", n=n,
+                            blocks=len(bounds), workers=self.n_workers,
+                            backend=self.name) as psp:
+                out = self._map_many(bounds, fn, args, token, psp)
+        if token is not None:
+            token.check("map_blocks:join")
+        return out
+
+    def _map_many(self, bounds: list[tuple[int, int]], fn: BlockFn,
+                  args: tuple, token: CancelToken | None,
+                  psp: Any) -> list:
+        """Results of ``fn`` on each ``(lo, hi)`` of ``bounds``, in
+        order, dispatched inside the call's ``map-blocks`` span
+        ``psp``."""
+        raise NotImplementedError
+
+    def __enter__(self: _Pool) -> _Pool:
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.shutdown()
+
+    def shutdown(self) -> None:
+        raise NotImplementedError
+
+
+class ForkJoinPool(BlockPool):
+    """A tiny fork-join thread pool: the ``thread`` rung of the
+    execution-backend ladder (see :mod:`repro.runtime.backends`)."""
+
     name = "thread"
-    supports_shared_memory = True
 
     def __init__(self, n_workers: int | None = None, *,
                  grain: int = 1024) -> None:
@@ -106,106 +190,51 @@ class ForkJoinPool:
         self._closed = False
         self._lock = threading.Lock()
 
-    def parallel_for(self, n: int, body: Callable[[int, int], None],
-                     grain: int = 1024,
-                     token: CancelToken | None = None) -> None:
-        """Run ``body(lo, hi)`` over a block partition of ``range(n)``.
+    def _inline(self, blocks: int) -> bool:
+        return blocks <= 1 or self._pool is None
 
-        Blocks are disjoint, so bodies may write to disjoint output slices
-        without synchronisation.  Falls back to one sequential call when the
-        range is small or the pool has a single worker.
+    def _map_many(self, bounds: list[tuple[int, int]], fn: BlockFn,
+                  args: tuple, token: CancelToken | None,
+                  psp: Any) -> list:
+        assert self._pool is not None
 
-        ``token`` (defaulting to the ambient
-        :func:`~repro.resilience.preempt.current_token`) makes the loop
-        preemptible: cancellation observed before/under dispatch stops new
-        blocks, already-running blocks drain, and
-        :class:`~repro.resilience.errors.CancelledError` is raised after
-        the join.  On a worker exception, pending blocks are cancelled and
-        the first exception (in submission order) is re-raised once every
-        started block has finished.
-        """
-        if self._closed:
-            raise RuntimeError("parallel_for on a shut-down ForkJoinPool")
-        if token is None:
-            token = current_token()
-        if token is not None:
-            token.check("parallel_for")
-        if n <= 0:
-            return
-        checker = current_race_checker()
-        if checker is not None:
-            # Shadow-memory mode: partition into the checker's *logical*
-            # blocks (a function of the loop, not of pool size) and run
-            # them sequentially under fork-tree task tags — logical races
-            # are detected identically at 1, 2, or 8 workers, and no
-            # physical schedule can hide one.
-            region = checker.open_region()
-            blocks = checker.blocks_for(n, grain)
-            step = (n + blocks - 1) // blocks
-            with trace_span("parallel-for", phase="runtime", n=n,
-                            blocks=blocks, workers=self.n_workers) as psp:
-                nrun = 0
-                for bi, lo in enumerate(range(0, n, step)):
-                    if token is not None:
-                        token.check("parallel_for:block")
-                    with checker.task(region, bi):
-                        body(lo, min(lo + step, n))
-                    nrun += 1
-                psp.count("blocks_run", nrun)
-                if token is not None:
-                    token.check("parallel_for:join")
-            return
-        if self._pool is None or n <= grain:
-            with trace_span("parallel-for", phase="runtime", n=n,
-                            blocks=1, workers=1) as psp:
-                psp.count("blocks_run", 1)
-                body(0, n)
-            return
-        # a few blocks per worker (not one): stragglers rebalance, and a
-        # failure or cancellation can actually cancel a queued tail
-        blocks = min(max(1, n // grain), 4 * self.n_workers)
-        step = (n + blocks - 1) // blocks
-
-        if token is None:
-            run_block = body
-        else:
-            def run_block(lo: int, hi: int) -> None:
-                token.check("parallel_for:block")
-                body(lo, hi)
-
-        with trace_span("parallel-for", phase="runtime", n=n, blocks=blocks,
-                        workers=self.n_workers) as psp:
-            tracer = current_tracer()
-            if tracer is not None:
-                # worker threads record detached block spans under the
-                # dispatch span (they must not touch the main parent stack)
-                dispatch_sid = psp.span.sid
-                inner_block = run_block
-
-                def run_block(lo: int, hi: int) -> None:
-                    with tracer.span("parallel-for-block",
-                                     parent=dispatch_sid, detached=True,
-                                     phase="runtime", lo=lo, hi=hi):
-                        inner_block(lo, hi)
-
-            futures = []
-            for lo in range(0, n, step):
-                if token is not None and token.cancelled:
-                    break  # stop dispatching; drain blocks in flight
-                futures.append(self._pool.submit(
-                    _in_copied_context(run_block), lo, min(lo + step, n)))
-            psp.count("blocks_run", len(futures))
-
-            self._join_or_raise(futures)
+        def run_block(lo: int, hi: int):
             if token is not None:
-                token.check("parallel_for:join")
+                token.check("map_blocks:block")
+            return fn(lo, hi, *args)
+
+        tracer = current_tracer()
+        if tracer is not None:
+            # worker threads record detached block spans under the
+            # dispatch span (they must not touch the main parent stack)
+            dispatch_sid = psp.span.sid
+            inner_block = run_block
+
+            def run_block(lo: int, hi: int):
+                with tracer.span("map-blocks-block",
+                                 parent=dispatch_sid, detached=True,
+                                 phase="runtime", lo=lo, hi=hi,
+                                 backend=self.name):
+                    return inner_block(lo, hi)
+
+        futures = []
+        for lo, hi in bounds:
+            if token is not None and token.cancelled:
+                break  # stop dispatching; drain blocks in flight
+            futures.append(self._pool.submit(
+                _in_copied_context(run_block), lo, hi))
+        psp.count("blocks_run", len(futures))
+        self._join_or_raise(futures)
+        metric_inc("repro_blocks_completed_total", len(futures),
+                   backend=self.name)
+        return [f.result() for f in futures]
 
     @staticmethod
     def _join_or_raise(futures) -> None:
         """Join every started block; on failure cancel the queued tail,
         drain, and re-raise the first failure in submission order *with
         the worker's original traceback* — the frame inside the block
-        body must stay visible to the caller's except/debugger."""
+        function must stay visible to the caller's except/debugger."""
         done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
         failed = any(not f.cancelled() and f.exception() is not None
                      for f in done)
@@ -218,79 +247,6 @@ class ForkJoinPool:
                 exc = f.exception()
                 raise exc.with_traceback(exc.__traceback__)
 
-    def map_blocks(self, n: int, fn: BlockFn, args: tuple = (), *,
-                   grain: int | None = None,
-                   token: CancelToken | None = None) -> list:
-        """Run ``fn(lo, hi, *args)`` over a block partition of
-        ``range(n)`` and return the per-block results in block order.
-
-        This is the *pure-function* sibling of :meth:`parallel_for` and
-        the portable backend contract: ``fn`` must be a deterministic
-        function of ``(lo, hi, *args)`` with no shared-memory writes, so
-        any backend (serial, thread, process) may execute, duplicate, or
-        re-execute blocks and the concatenated results stay
-        bit-identical.  Cancellation and failure semantics match
-        :meth:`parallel_for`.
-        """
-        if self._closed:
-            raise RuntimeError("map_blocks on a shut-down ForkJoinPool")
-        if token is None:
-            token = current_token()
-        if token is not None:
-            token.check("map_blocks")
-        if n <= 0:
-            return []
-        g = self.grain if grain is None else grain
-        checker = current_race_checker()
-        if checker is not None:
-            return checked_map_blocks(checker, n, fn, args, g, token)
-        if self._pool is None or n <= g:
-            with trace_span("map-blocks", phase="runtime", n=n,
-                            blocks=1, workers=1,
-                            backend=self.name) as psp:
-                psp.count("blocks_run", 1)
-                out = [fn(0, n, *args)]
-            metric_inc("repro_blocks_completed_total", backend=self.name)
-            if token is not None:
-                token.check("map_blocks:join")
-            return out
-        blocks = min(max(1, n // g), 4 * self.n_workers)
-        step = (n + blocks - 1) // blocks
-
-        def run_block(lo: int, hi: int):
-            if token is not None:
-                token.check("map_blocks:block")
-            return fn(lo, hi, *args)
-
-        with trace_span("map-blocks", phase="runtime", n=n, blocks=blocks,
-                        workers=self.n_workers, backend=self.name) as psp:
-            tracer = current_tracer()
-            if tracer is not None:
-                dispatch_sid = psp.span.sid
-                inner_block = run_block
-
-                def run_block(lo: int, hi: int):
-                    with tracer.span("map-blocks-block",
-                                     parent=dispatch_sid, detached=True,
-                                     phase="runtime", lo=lo, hi=hi,
-                                     backend=self.name):
-                        return inner_block(lo, hi)
-
-            futures = []
-            for lo in range(0, n, step):
-                if token is not None and token.cancelled:
-                    break  # stop dispatching; drain blocks in flight
-                futures.append(self._pool.submit(
-                    _in_copied_context(run_block), lo, min(lo + step, n)))
-            psp.count("blocks_run", len(futures))
-            self._join_or_raise(futures)
-            if token is not None:
-                token.check("map_blocks:join")
-            out = [f.result() for f in futures]
-            metric_inc("repro_blocks_completed_total", len(futures),
-                       backend=self.name)
-            return out
-
     def shutdown(self) -> None:
         """Release the worker threads; idempotent (extra calls are no-ops)."""
         with self._lock:
@@ -300,28 +256,3 @@ class ForkJoinPool:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
-
-    def __enter__(self) -> "ForkJoinPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-
-_default_pool: ForkJoinPool | None = None
-_default_lock = threading.Lock()
-
-
-def default_pool() -> ForkJoinPool:
-    """Process-wide lazily created pool (size = CPU count, capped at 8).
-
-    A shut-down default pool is replaced by a fresh one on the next call:
-    ``shutdown()`` (direct, or via the context manager) must never leave
-    the module-global permanently broken for later ``parallel_for``
-    users.
-    """
-    global _default_pool
-    with _default_lock:
-        if _default_pool is None or _default_pool._closed:
-            _default_pool = ForkJoinPool()
-        return _default_pool

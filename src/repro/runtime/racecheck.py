@@ -1,7 +1,7 @@
 """Shadow-memory race checking for fork–join parallel loops.
 
-The solvers' parallel structure is fork–join: every
-:meth:`~repro.runtime.executor.ForkJoinPool.parallel_for` opens a
+The solvers' parallel structure is fork–join: every backend's
+:meth:`~repro.runtime.executor.BlockPool.map_blocks` call opens a
 *region*, partitions its index range into *blocks*, and joins before
 returning.  Two accesses can race only when they happen in
 logically-parallel sibling blocks of the same region — the classic
@@ -12,12 +12,13 @@ on the physical thread schedule.
 When a :class:`RaceChecker` is installed (via :func:`race_checking`),
 instrumented code records its shared-memory accesses through the ambient
 guards :func:`race_read` / :func:`race_write` — zero-cost no-ops when no
-checker is active, mirroring ``trace_span``/``metric_inc``.  The
-:class:`~repro.runtime.executor.ForkJoinPool` tags every block body with
-its ``(region, block)`` coordinates, *including on the sequential
-fallback path*: under a checker the loop always partitions into the same
-logical blocks regardless of pool size, so ``repro check --race`` finds
-the same races at 1, 2, or 8 workers.  (This is the Cilk
+checker is active, mirroring ``trace_span``/``metric_inc``.  Under a
+checker, ``map_blocks`` on every backend (serial, thread, process) runs
+:func:`~repro.runtime.executor.checked_map_blocks`: it partitions the
+range into the same *logical* blocks regardless of backend and pool
+size, runs them in process, and tags each with its ``(region, block)``
+coordinates, so ``repro check --race`` finds the same races at 1, 2, or
+8 workers.  (This is the Cilk
 "Nondeterminator" insight: detect *logical* races by replaying the
 fork tree, don't hope the scheduler exhibits them.)
 
@@ -79,7 +80,7 @@ def logically_parallel(a: Path, b: Path) -> bool:
     Walk the common prefix; at the first divergence the tasks are
     parallel iff they sit in different blocks of the *same* region
     (sibling branches of one fork).  Different regions at the same
-    depth are two sequential ``parallel_for`` calls; a full prefix
+    depth are two sequential ``map_blocks`` calls; a full prefix
     means ancestor/descendant.  Identical paths are the same task.
     """
     for (ra, ba), (rb, bb) in zip(a, b):
@@ -145,7 +146,7 @@ class RaceChecker:
         self._lock = threading.Lock()
         self._tls = threading.local()
 
-    # -- fork-tree bookkeeping (driven by ForkJoinPool) ----------------
+    # -- fork-tree bookkeeping (driven by checked_map_blocks) -----------
 
     def open_region(self) -> int:
         with self._lock:

@@ -10,12 +10,13 @@ clause of the platform contract PR 7 made every engine sign:
   picklable *by reference*: a module-level function, with task args
   free of locks, pools, tracers, and ``self``;
 * **RS012** — block bodies must be pure over their ``[lo, hi)`` slice:
-  every shared write is either structurally disjoint (indexed by the
-  block bounds alone) or carries a ``race_write`` annotation tied to
-  those bounds.  This is the static counterpart of
-  :mod:`repro.runtime.racecheck` — the cross-validation harness in
-  :mod:`repro.statics.flow.crossval` proves it a superset of the
-  dynamic probes;
+  every shared write (to a closure variable, a global, or one of the
+  args after ``(lo, hi)``, which every block shares) is either
+  structurally disjoint (indexed by the block bounds alone) or carries a
+  ``race_write`` annotation tied to those bounds.  This is the static
+  counterpart of :mod:`repro.runtime.racecheck` — the cross-validation
+  harness in :mod:`repro.statics.flow.crossval` proves it a superset of
+  the dynamic probes;
 * **RS013** — every factory registered in an ``*_ENGINES`` registry
   must reach a :class:`~repro.runtime.metrics.CostAccumulator` charge;
   ``solve``-style engines must additionally reach a ``trace_span`` and
@@ -85,12 +86,10 @@ MUTATING_METHODS = frozenset({
 
 @dataclass
 class TaskSite:
-    """One ``pool.map_blocks(n, fn, args)`` / ``pool.parallel_for(n,
-    body)`` call site."""
+    """One ``pool.map_blocks(n, fn, args)`` call site."""
 
     syms: ModuleSymbols
     call: ast.Call
-    kind: str                   # "map_blocks" | "parallel_for"
     fn_node: ast.expr
     args_node: ast.expr | None
 
@@ -103,11 +102,7 @@ def _task_sites(project: ProjectContext) -> Iterator[TaskSite]:
                 continue
             if node.func.attr == "map_blocks" and len(node.args) >= 2:
                 args_node = node.args[2] if len(node.args) >= 3 else None
-                yield TaskSite(syms, node, "map_blocks",
-                               node.args[1], args_node)
-            elif node.func.attr == "parallel_for" and len(node.args) >= 2:
-                yield TaskSite(syms, node, "parallel_for",
-                               node.args[1], None)
+                yield TaskSite(syms, node, node.args[1], args_node)
 
 
 def _thread_targets(project: ProjectContext
@@ -251,8 +246,6 @@ class RS011TaskPickleSafety(FlowRule):
 
     def check_project(self, project: ProjectContext) -> Iterable[Finding]:
         for site in _task_sites(project):
-            if site.kind != "map_blocks":
-                continue
             yield from self._check_site(project, site)
         for syms, call, leaf, target in _thread_targets(project):
             if leaf != "Process":
@@ -399,8 +392,9 @@ class _Annotation:
 class RS012BlockPurity(FlowRule):
     meta = RuleMeta(
         "RS012", "block body writes shared state outside its slice",
-        "map_blocks/parallel_for bodies run concurrently over disjoint "
-        "[lo, hi) blocks: any write to shared state must either be "
+        "map_blocks tasks run concurrently over disjoint [lo, hi) "
+        "blocks, and every block gets the same args: any write to "
+        "shared state (args included) must either be "
         "structurally confined to the block bounds or carry a "
         "race_write annotation tied to them. This is the static "
         "counterpart of the runtime shadow-memory checker — the "
@@ -435,7 +429,9 @@ class RS012BlockPurity(FlowRule):
                     syms: ModuleSymbols | None) -> Iterator[Finding]:
         params = _param_names(body)
         block_params = params[:2] if len(params) >= 2 else params
-        locals_ = self._locals(body)
+        # the parameters after (lo, hi) are map_blocks' args: every
+        # block receives the same objects, so they are shared
+        locals_ = self._locals(body, block_params)
         shared_ok = set(locals_) | set(block_params)
         if syms is not None:
             # import aliases are modules, not shared mutable state:
@@ -483,8 +479,8 @@ class RS012BlockPurity(FlowRule):
                 "across sibling blocks")
 
     @staticmethod
-    def _locals(body: ast.FunctionDef) -> set[str]:
-        out: set[str] = set(_param_names(body))
+    def _locals(body: ast.FunctionDef, block_params: list[str]) -> set[str]:
+        out: set[str] = set(block_params)
         shared_decls: set[str] = set()
         for node in _own_scope(body):
             if isinstance(node, (ast.Nonlocal, ast.Global)):

@@ -13,7 +13,7 @@ a charge is a ``.charge``/``.charge_cost`` call or a charging primitive
 from ``runtime/primitives.py``; a span is ``trace_span``/``worker_span``
 (or a ``tracer.span``/``add_closed_span`` attribute call); a cancel
 check is ``check_cancelled``, ``<token>.check(...)``, or dispatching
-through ``map_blocks``/``parallel_for`` (both check internally).
+through ``map_blocks`` (which checks internally).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ CHARGE_ATTRS = frozenset({"charge", "charge_cost", "count"})
 SPAN_NAMES = frozenset({"trace_span", "worker_span"})
 SPAN_ATTRS = frozenset({"span", "add_closed_span"})
 CANCEL_CHECK_NAMES = frozenset({"check_cancelled"})
-CANCEL_DISPATCH_ATTRS = frozenset({"map_blocks", "parallel_for"})
+CANCEL_DISPATCH_ATTRS = frozenset({"map_blocks"})
 
 
 @dataclass

@@ -3,26 +3,27 @@
 ``repro check --race`` drives each probe in :data:`RACE_PROBES` under a
 fresh :class:`~repro.runtime.racecheck.RaceChecker` at every requested
 pool size (default 1, 2, 8).  Because the checker partitions every
-``parallel_for`` into the same *logical* blocks regardless of worker
+``map_blocks`` call into the same *logical* blocks regardless of worker
 count, a probe that is clean at one size is clean at all — running the
 sizes anyway is the belt-and-braces proof the acceptance gate asks for.
 
 The probes cover each family of shared-memory use in the codebase:
 
-* ``bf-threaded`` — the one genuinely threaded kernel (block-partitioned
-  Bellman–Ford relaxation over a ``ForkJoinPool``): whole-``dist`` reads
-  plus disjoint ``cand`` slice writes;
+* ``bf-process`` / ``bnw-scaling`` / ``fischer-simple`` — the block
+  functions shipped to backends (Bellman–Ford relaxation, Fischer's
+  negative-edge relaxation, the certified tail's reduced-weight map):
+  whole-array reads plus disjoint slice reads;
 * ``dag01`` / ``limited`` / ``solve`` — the paper's solvers, exercising
   the annotated :class:`~repro.runtime.pset.SetVector` operations (a
   per-set slice write for each add, whole-vector accesses for gathers
   and clears) along their real call paths (all sequential in the fork
   tree, hence race-free by construction — the probe proves the
   annotations agree);
-* ``racy-demo`` — a deliberately broken histogram kernel whose blocks
-  all write the same bin array.  It is *excluded* from the default
-  probe set and exists so tests (and ``--probe racy-demo``) can prove
-  the checker actually fires: it must report write–write conflicts at
-  every pool size.
+* ``racy-demo`` — a deliberately broken histogram task whose blocks
+  all write the same bin array, passed to them through ``map_blocks``'s
+  args.  It is *excluded* from the default probe set and exists so
+  tests (and ``--probe racy-demo``) can prove the checker actually
+  fires: it must report write–write conflicts at every pool size.
 """
 
 from __future__ import annotations
@@ -52,29 +53,14 @@ def _probe(name: str, *, hidden: bool = False
     return register
 
 
-@_probe("bf-threaded")
-def _probe_bf_threaded(pool: ForkJoinPool) -> None:
-    from ..baselines.bellman_ford import bellman_ford
-    from ..baselines.bellman_ford_threaded import bellman_ford_threaded
-    from ..graph.generators import bf_hard_graph
-
-    g = bf_hard_graph(120, 240, seed=7)
-    res = bellman_ford_threaded(g, 0, pool=pool, grain=64)
-    ref = bellman_ford(g, 0)
-    if not np.allclose(res.dist, ref.dist):
-        raise AssertionError("bf-threaded probe: wrong distances")
-
-
 @_probe("bf-process")
 def _probe_bf_process(pool: ForkJoinPool) -> None:
     """The backend-portable relaxation under the checker: every backend's
     ``map_blocks`` routes through the same sequential logical-block
     partition when a checker is active (no worker processes are spawned),
     so the findings are backend- and pool-size-independent — this probe
-    proves the process backend's block functions carry the same clean
-    annotations as the threaded kernel."""
-    from ..baselines.bellman_ford import bellman_ford
-    from ..baselines.bellman_ford_threaded import bellman_ford_parallel
+    proves the relaxation block carries clean annotations."""
+    from ..baselines.bellman_ford import bellman_ford, bellman_ford_parallel
     from ..graph.generators import bf_hard_graph
     from ..runtime.backends import ProcessForkJoinPool
 
@@ -94,8 +80,8 @@ def _probe_bnw_scaling(pool: ForkJoinPool) -> None:
     """The BNW engine end-to-end under the checker: its potential search
     is sequential in the fork tree, but the engine's final
     reduced-weight map runs as backend-portable blocks — the probe
-    proves those blocks (whole-array reads, disjoint slice writes) carry
-    clean annotations, and that the distances match the exact
+    proves those blocks (whole-array and disjoint slice reads, no
+    shared writes) carry clean annotations, and that the distances match the exact
     baseline."""
     from ..baselines.bellman_ford import bellman_ford
     from ..core.engines import get_sssp_engine
@@ -166,19 +152,21 @@ def _probe_solve(pool: ForkJoinPool) -> None:
         raise AssertionError("solve probe: unexpected negative cycle")
 
 
+def _racy_histogram_block(lo: int, hi: int, data: np.ndarray,
+                          hist: np.ndarray) -> None:
+    """Deliberately racy: every block writes the whole bin array."""
+    race_read(data, lo, hi, site="racy.histogram:data")
+    # the bug: blocks share the bins with no reduction step
+    race_write(hist, 0, 16, site="racy.histogram:bins")  # repro: noqa[RS012] deliberately racy fixture — RS012 must see this overlap (the cross-validation harness asserts it does), but the probe exists to prove the *dynamic* checker fires
+    np.add.at(hist, data[lo:hi], 1)
+
+
 @_probe("racy-demo", hidden=True)
 def _probe_racy_demo(pool: ForkJoinPool) -> None:
-    """Deliberately racy: every block writes the whole bin array."""
     data = (np.arange(4096, dtype=np.int64) * 31) % 16
     hist = np.zeros(16, dtype=np.int64)
-
-    def body(lo: int, hi: int) -> None:
-        race_read(data, lo, hi, site="racy.histogram:data")
-        # the bug: blocks share the bins with no reduction step
-        race_write(hist, 0, 16, site="racy.histogram:bins")  # repro: noqa[RS012] deliberately racy fixture — RS012 must see this overlap (the cross-validation harness asserts it does), but the probe exists to prove the *dynamic* checker fires
-        np.add.at(hist, data[lo:hi], 1)
-
-    pool.parallel_for(len(data), body, grain=1024)
+    pool.map_blocks(len(data), _racy_histogram_block, (data, hist),
+                    grain=1024)
 
 
 def probe_names(include_hidden: bool = False) -> list[str]:

@@ -9,20 +9,21 @@ tenths of a second.
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.baselines.bellman_ford import bellman_ford
-from repro.baselines.bellman_ford_threaded import bellman_ford_parallel
+from repro.baselines.bellman_ford import bellman_ford, bellman_ford_parallel
 from repro.core.sssp import solve_sssp, solve_sssp_resilient
 from repro.graph.generators import bf_hard_graph, hidden_potential_graph
 from repro.observability.metrics import MetricsRegistry, metering
 from repro.resilience.errors import (
     CancelledError,
     DeadlineExceededError,
+    InputValidationError,
     WorkerPoolError,
 )
 from repro.resilience.faults import (
@@ -35,6 +36,7 @@ from repro.resilience.preempt import CancelToken, Deadline, check_cancelled
 from repro.runtime.backends import (
     BACKEND_NAMES,
     DegradationLadder,
+    ExecutionBackend,
     ProcessForkJoinPool,
     RemoteTraceback,
     SerialBackend,
@@ -74,6 +76,10 @@ def _slow(lo, hi, seconds):
     return lo
 
 
+def _pid(lo, hi):
+    return os.getpid()
+
+
 ARR = np.arange(100)
 
 
@@ -94,21 +100,30 @@ class TestProtocol:
     def test_backend_names(self):
         assert BACKEND_NAMES == ("serial", "thread", "process")
 
-    @pytest.mark.parametrize("make,name,shared", [
+    @pytest.mark.parametrize("make,name,in_process", [
         (SerialBackend, "serial", True),
         (ForkJoinPool, "thread", True),
         (lambda: ProcessForkJoinPool(1), "process", False),
     ])
-    def test_backend_surface(self, make, name, shared):
+    def test_backend_surface(self, make, name, in_process):
         be = make()
         try:
             assert be.name == name
-            assert be.supports_shared_memory is shared
             assert be.n_workers >= 1
-            for attr in ("map_blocks", "parallel_for", "shutdown"):
+            for attr in ("map_blocks", "shutdown"):
                 assert callable(getattr(be, attr))
+            assert not hasattr(be, "parallel_for")
+            # the process rung runs a multi-block call in its workers
+            pids = set(be.map_blocks(64, _pid, grain=8))
+            assert (pids == {os.getpid()}) is in_process
         finally:
             be.shutdown()
+
+    def test_protocol_declares_one_loop_contract(self):
+        members = {k for k in vars(ExecutionBackend)
+                   if not k.startswith("_")} | set(
+            ExecutionBackend.__annotations__)
+        assert members == {"name", "n_workers", "map_blocks", "shutdown"}
 
     def test_resolve_backend(self):
         assert resolve_backend(None) is None
@@ -121,12 +136,50 @@ class TestProtocol:
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("gpu")
 
+    @pytest.mark.parametrize("spec", [42, object(), b"serial"])
+    def test_resolve_backend_rejects_non_backends(self, spec):
+        with pytest.raises(InputValidationError, match="map_blocks"):
+            resolve_backend(spec)
+
+    def test_resolve_backend_passes_a_ladder_without_starting_it(self):
+        lad = DegradationLadder.for_backend("process", n_workers=2)
+        assert resolve_backend(lad) is lad
+        assert lad._instances == {}  # no rung was built
+        lad.shutdown()
+
     def test_shutdown_idempotent_and_closed_raises(self):
         p = fast_pool()
         p.shutdown()
         p.shutdown()
         with pytest.raises(RuntimeError, match="shut-down"):
             p.map_blocks(10, _ident)
+
+
+class TestTimingSettings:
+    """A NaN liveness timeout makes every liveness comparison false, so a
+    wedged worker is never reaped: the pool refuses non-finite
+    timings."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["heartbeat_interval",
+                                      "liveness_timeout",
+                                      "straggler_factor"])
+    def test_positive_settings_must_be_finite_and_positive(self, name,
+                                                           value):
+        with pytest.raises(InputValidationError, match=name):
+            ProcessForkJoinPool(1, **{name: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf"), -0.5])
+    @pytest.mark.parametrize("name", ["backoff_base", "backoff_cap"])
+    def test_backoff_settings_must_be_finite_and_nonnegative(self, name,
+                                                             value):
+        with pytest.raises(InputValidationError, match=name):
+            ProcessForkJoinPool(1, **{name: value})
+
+    def test_zero_backoff_is_accepted(self):
+        ProcessForkJoinPool(1, backoff_base=0.0, backoff_cap=0.0).shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -372,22 +425,6 @@ class TestLadder:
         assert "repro_worker_losses_total" in fams
         assert "repro_workers_spawned_total" in fams
 
-    def test_parallel_for_routes_to_shared_memory_rung(self):
-        # capability dispatch, not a failure: no demotion is recorded
-        hits = []
-        lad = DegradationLadder.for_backend("process", n_workers=2)
-        with lad:
-            lad.parallel_for(10, lambda lo, hi: hits.append((lo, hi)),
-                             grain=100)
-        assert hits == [(0, 10)]
-        assert lad.demotions == []
-        assert lad.name == "process"  # still on the top rung
-
-    def test_process_parallel_for_alone_raises(self):
-        with fast_pool() as p:
-            with pytest.raises(WorkerPoolError, match="shared-memory"):
-                p.parallel_for(10, lambda lo, hi: None)
-
     def test_thread_ladder_ends_serial(self):
         lad = DegradationLadder.for_backend("thread", n_workers=2)
         with lad:
@@ -398,7 +435,6 @@ class TestLadder:
         class Broken:
             name = "broken"
             n_workers = 1
-            supports_shared_memory = False
 
             def map_blocks(self, *a, **kw):
                 raise WorkerPoolError("always broken", backend="broken")
@@ -457,6 +493,26 @@ class TestSolverIntegration:
                 be.shutdown()
             assert np.array_equal(res.dist, ref.dist)
 
+    @pytest.mark.parametrize("backend", [42, object()])
+    def test_non_backend_rejected_before_any_work(self, backend,
+                                                  monkeypatch):
+        from repro.core.engines import GoldbergParallelEngine
+
+        searched = []
+        monkeypatch.setattr(GoldbergParallelEngine, "_potential",
+                            lambda self, g, **kw: searched.append(g))
+        g = hidden_potential_graph(16, 40, seed=1)
+        with pytest.raises(InputValidationError, match="map_blocks"):
+            solve_sssp_resilient(g, 0, seed=7, backend=backend)
+        assert searched == []  # the potential search never started
+        with pytest.raises(InputValidationError, match="map_blocks"):
+            bellman_ford_parallel(g, 0, backend=backend)
+
+    def test_bellman_ford_parallel_accepts_a_backend_name(self):
+        g = bf_hard_graph(30, 70, seed=2)
+        res = bellman_ford_parallel(g, 0, backend="thread", grain=8)
+        assert np.array_equal(res.dist, bellman_ford(g, 0).dist)
+
     def test_solve_sssp_backend_string_owns_lifecycle(self):
         g = hidden_potential_graph(16, 40, seed=1)
         base = solve_sssp(g, 0, seed=7)
@@ -482,7 +538,6 @@ class TestSolverIntegration:
         class Broken:
             name = "broken"
             n_workers = 1
-            supports_shared_memory = False
 
             def map_blocks(self, *a, **kw):
                 raise WorkerPoolError("substrate gone", backend="broken")
@@ -505,7 +560,6 @@ class TestSolverIntegration:
         class Broken:
             name = "broken"
             n_workers = 1
-            supports_shared_memory = False
 
             def map_blocks(self, *a, **kw):
                 raise WorkerPoolError("substrate gone", backend="broken")

@@ -330,7 +330,7 @@ class TestCheck:
 
     def test_race_clean_probe_exits_0(self, capsys):
         rc, out, _ = run_cli(capsys, "check", "--race",
-                             "--probe", "bf-threaded", "--pool-sizes", "1")
+                             "--probe", "bf-process", "--pool-sizes", "1")
         assert rc == 0
         assert "OK" in out
 
@@ -402,6 +402,15 @@ class TestBackendFlag:
         p = self._graph(capsys, tmp_path)
         rc, _, err = run_cli(capsys, "solve", str(p), "--backend",
                              "process", "--liveness-timeout", "-1")
+        assert rc == 2
+        assert "liveness" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_liveness_timeout_must_be_finite(self, capsys, tmp_path, value):
+        # a NaN timeout never fires, so a hung worker would hang the solve
+        p = self._graph(capsys, tmp_path)
+        rc, _, err = run_cli(capsys, "solve", str(p), "--backend",
+                             "process", "--liveness-timeout", value)
         assert rc == 2
         assert "liveness" in err
 

@@ -1,5 +1,5 @@
 """Tests for the extension APIs (APSP, DAG longest paths, difference
-constraints) and the extra baselines (Dial, threaded Bellman–Ford)."""
+constraints) and the extra baselines (Dial, Bellman–Ford on threads)."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import (
     bellman_ford,
-    bellman_ford_threaded,
+    bellman_ford_parallel,
     dial_sssp,
     dijkstra,
 )
@@ -186,22 +186,27 @@ class TestDial:
 
 
 class TestThreadedBellmanFord:
+    """``bellman_ford_parallel`` on the thread backend."""
+
     def test_matches_reference_without_pool(self):
         g = hidden_potential_graph(25, 100, seed=4)
-        a = bellman_ford_threaded(g, 0)
+        a = bellman_ford_parallel(g, 0)
         b = bellman_ford(g, 0)
         np.testing.assert_array_equal(a.dist, b.dist)
 
     def test_matches_reference_with_pool(self):
         g = hidden_potential_graph(40, 200, seed=5)
         with ForkJoinPool(n_workers=3) as pool:
-            a = bellman_ford_threaded(g, 0, pool=pool, grain=32)
+            a = bellman_ford_parallel(g, 0, backend=pool, grain=32)
         b = bellman_ford(g, 0)
         np.testing.assert_array_equal(a.dist, b.dist)
+        np.testing.assert_array_equal(a.parent, b.parent)
+        assert (a.rounds, a.cost) == (b.rounds, b.cost)
 
     def test_negative_cycle_delegates(self):
         g = DiGraph.from_edges(3, [(0, 1, 1), (1, 2, -3), (2, 1, 1)])
         with ForkJoinPool(n_workers=2) as pool:
-            res = bellman_ford_threaded(g, 0, pool=pool, grain=1)
+            res = bellman_ford_parallel(g, 0, backend=pool, grain=1)
         assert res.has_negative_cycle
         assert validate_negative_cycle(g, res.negative_cycle)
+        assert res.negative_cycle == bellman_ford(g, 0).negative_cycle

@@ -3,9 +3,10 @@
 Three canned graphs, each solved with a fixed seed, whose exact
 ``Cost(work, span, span_model)`` triples are embedded as literals.  Model
 costs are pure functions of (graph, seed) — independent of host, wall
-clock, and worker-pool size (verified below by forcing a one-worker
-pool) — so these are equality assertions, not tolerances: any change to
-cost accounting or solver control flow shows up as a precise diff.
+clock, and worker-pool size (verified below on a one-worker and a
+four-worker pool) — so these are equality assertions, not tolerances:
+any change to cost accounting or solver control flow shows up as a
+precise diff.
 
 Complements ``test_golden_traces.py`` (which pins the *structural*
 skeleton and integer counters but deliberately not floating-point
@@ -61,19 +62,17 @@ def test_golden_cost(case, mode):
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_golden_cost_pool_size_independent(case, monkeypatch):
-    """The parallel-mode model cost must not depend on the host's CPU
-    count — that is what makes cross-machine bit-exact gating sound."""
-    import repro.runtime.executor as executor
+def test_golden_cost_pool_size_independent(case):
+    """The parallel-mode model cost must not depend on the worker pool's
+    size — that is what makes cross-machine bit-exact gating sound."""
+    from repro.runtime.executor import ForkJoinPool
 
     make, _, par_cost, _ = GOLDEN[case]
-    monkeypatch.setattr(executor.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(executor, "_default_pool", None)
-    try:
-        res = solve_sssp(make(), 0, seed=SEED, mode="parallel")
-    finally:
-        executor._default_pool = None  # do not leak the 1-worker pool
-    assert res.cost == par_cost
+    for pool in (ForkJoinPool(1), ForkJoinPool(4, grain=8)):
+        with pool:
+            res = solve_sssp(make(), 0, seed=SEED, mode="parallel",
+                             backend=pool)
+        assert res.cost == par_cost
 
 
 def test_golden_apsp_cost():

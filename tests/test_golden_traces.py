@@ -217,12 +217,7 @@ def test_golden_counters(case):
 def test_golden_span_name_histogram(case):
     spec = GOLDEN[case]
     trace, _ = _solve_traced(spec["make"]())
-    hist = _name_histogram(trace)
-    # parallel-for spans come from the runtime layer and scale with the
-    # worker pool, not the algorithm; everything else must match exactly
-    hist = {k: v for k, v in hist.items()
-            if not k.startswith("parallel-for")}
-    assert hist == spec["names"]
+    assert _name_histogram(trace) == spec["names"]
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
@@ -242,7 +237,7 @@ def test_golden_traces_are_deterministic(case):
 def test_golden_skeleton_survives_process_backend_with_shipped_spans():
     """Solving over the process pool splices in-worker spans into the
     trace but must not perturb the golden structural skeleton — shipped
-    spans are runtime-layer additions, like parallel-for spans."""
+    spans are runtime-layer additions."""
     from repro.runtime.backends import ProcessForkJoinPool
 
     spec = GOLDEN["hp16"]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import DiGraph
+from repro.resilience.errors import InputValidationError
 
 
 def small_graph():
@@ -135,6 +136,21 @@ class TestDerived:
         g = small_graph()
         h, nodes = g.induced_subgraph([1, 1, 0])
         assert h.n == 2 and nodes.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("nodes", [[0.5, 1.7], [0.0, np.nan],
+                                       [0.0, np.inf]])
+    def test_induced_subgraph_rejects_non_integral_ids(self, nodes):
+        # truncated toward zero, [0.5, 1.7] became nodes [0, 1]
+        g = DiGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
+        with pytest.raises(InputValidationError, match="nodes"):
+            g.induced_subgraph(nodes)
+
+    def test_induced_subgraph_reads_integral_floats_as_ints(self):
+        g = small_graph()
+        h, nodes = g.induced_subgraph([0.0, 1.0, 3.0])
+        want, want_nodes = g.induced_subgraph([0, 1, 3])
+        assert nodes.tolist() == want_nodes.tolist()
+        assert list(h.edges()) == list(want.edges())
 
 
 @given(st.integers(2, 20), st.lists(

@@ -6,11 +6,12 @@ import pytest
 from repro.assp.engines import DeltaSteppingAssp
 from repro.baselines import (
     bellman_ford,
+    bellman_ford_distance_only,
     bellman_ford_parallel,
-    bellman_ford_threaded,
     dag_sssp,
     dijkstra,
 )
+from repro.core import sqrt_k_improvement
 from repro.dag01 import dag01_limited_sssp
 from repro.dag01.naive import dag01_limited_sssp_naive
 from oracles import assert_same_result
@@ -28,6 +29,7 @@ from repro.graph import (
     validate_negative_cycle,
 )
 from repro.graph.generators import random_dag, random_digraph
+from repro.graph.io import graph_digest
 from repro.graph.validate import check_overflow_safety
 from repro.limited import (
     limited_sssp,
@@ -38,7 +40,7 @@ from repro.limited import (
 from repro.limited.weighted_bfs import weighted_bfs_limited
 from repro.resilience import Certificate
 from repro.resilience.errors import InputValidationError
-from repro.runtime import SerialBackend
+from repro.runtime import ForkJoinPool, SerialBackend
 
 
 class TestFeasiblePrice:
@@ -161,6 +163,11 @@ class TestCheckDistances:
         assert check_distances(g, 0, np.array([0.0, 5.0, 2.0]))
 
 
+def _bellman_ford_on_threads(g, source):
+    with ForkJoinPool(2, grain=8) as pool:
+        return bellman_ford_parallel(g, source, backend=pool, grain=8).dist
+
+
 NONNEG = random_digraph(20, 60, min_w=0, max_w=5, seed=1)
 POSITIVE = random_digraph(20, 60, min_w=1, max_w=5, seed=1)
 DAG01 = random_dag(20, 60, seed=1)
@@ -170,8 +177,10 @@ SOURCE_ENTRY_POINTS = {
     "bellman_ford": (NONNEG, lambda g, s: bellman_ford(g, s).dist),
     "bellman_ford_parallel": (NONNEG, lambda g, s: bellman_ford_parallel(
         g, s, backend=SerialBackend(grain=8), grain=8).dist),
-    "bellman_ford_threaded": (NONNEG, lambda g, s: bellman_ford_threaded(
-        g, s, pool=SerialBackend(grain=8), grain=8).dist),
+    # bellman_ford_parallel on the thread backend
+    "bellman_ford_threaded": (NONNEG, _bellman_ford_on_threads),
+    "bellman_ford_distance_only": (
+        NONNEG, lambda g, s: bellman_ford_distance_only(g, s)),
     "dijkstra": (NONNEG, lambda g, s: dijkstra(g, s).dist),
     "dag_sssp": (DAG01, lambda g, s: dag_sssp(g, s).dist),
     "limited_sssp": (NONNEG, lambda g, s: limited_sssp(g, s, 6).dist),
@@ -239,6 +248,17 @@ ARRAY_ENTRY_POINTS = {
         "edge", lambda a: shortest_path_tree(TRIANGLE, 0, DIST, a)),
     "Certificate.verify": (
         "vertex", lambda a: Certificate("price", price=a).verify(TRIANGLE)),
+    "bellman_ford-weights": (
+        "edge", lambda a: bellman_ford(TRIANGLE, 0, weights=a)),
+    "bellman_ford_parallel-weights": (
+        "edge", lambda a: bellman_ford_parallel(
+            TRIANGLE, 0, backend=SerialBackend(grain=1), weights=a,
+            grain=1)),
+    "bellman_ford_distance_only-weights": (
+        "edge", lambda a: bellman_ford_distance_only(TRIANGLE, 0,
+                                                     weights=a)),
+    "graph_digest-weights": ("edge", lambda a: graph_digest(TRIANGLE, a)),
+    "sqrt_k_improvement": ("edge", lambda a: sqrt_k_improvement(TRIANGLE, a)),
 }
 
 
@@ -250,6 +270,8 @@ def bad_array(base, kind):
         a[0] = np.nan
     elif kind == "inf":
         a[0] = np.inf
+    elif kind == "-inf":
+        a[0] = -np.inf
     else:  # "short"
         return base[:-1]
     return a
@@ -262,7 +284,8 @@ class TestCallerArraysAreCast:
     NaN, infinite or misaligned arrays raise instead of being truncated
     toward zero."""
 
-    @pytest.mark.parametrize("kind", ["fractional", "nan", "inf", "short"])
+    @pytest.mark.parametrize("kind", ["fractional", "nan", "inf", "-inf",
+                                      "short"])
     @pytest.mark.parametrize("entry", sorted(ARRAY_ENTRY_POINTS))
     def test_bad_array_raises(self, entry, kind):
         aligned, call = ARRAY_ENTRY_POINTS[entry]
@@ -277,6 +300,34 @@ class TestCallerArraysAreCast:
         want = call(base)
         assert_same_result(call(base.astype(np.float64)), want, entry)
         assert_same_result(call(base.astype(bool)), want, entry)
+
+    @pytest.mark.parametrize("weights", [[-0.9, 0.5], [5], [1, 1, 1]])
+    @pytest.mark.parametrize("call", [
+        lambda g, w: bellman_ford(g, 0, weights=w),
+        lambda g, w: bellman_ford_parallel(g, 0, backend=SerialBackend(),
+                                           weights=w),
+        lambda g, w: bellman_ford_distance_only(g, 0, weights=w)],
+        ids=["bellman_ford", "bellman_ford_parallel",
+             "bellman_ford_distance_only"])
+    def test_bellman_ford_weights_are_neither_truncated_nor_broadcast(
+            self, call, weights):
+        # on the path 0 -> 1 -> 2, [-0.9, 0.5] truncated to distances
+        # [0, 0, 0] and [5] was broadcast to every edge
+        path = DiGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
+        with pytest.raises(InputValidationError, match="weights"):
+            call(path, weights)
+
+    def test_fractional_weights_do_not_hide_a_negative_reduced_weight(self):
+        # truncated toward zero, [-0.9, 0.9] was [0, 0]: k = 0, no change
+        g = DiGraph.from_edges(2, [(0, 1, -1), (1, 0, 1)])
+        with pytest.raises(InputValidationError, match="integral"):
+            sqrt_k_improvement(g, [-0.9, 0.9])
+
+    def test_fractional_weights_do_not_share_a_digest(self):
+        g = DiGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
+        with pytest.raises(InputValidationError, match="integral"):
+            graph_digest(g, weights=[1.7, 1.2])
+        assert graph_digest(g, weights=[1.0, 1.0]) == graph_digest(g)
 
     def test_fractional_price_is_not_a_certificate(self):
         g = DiGraph.from_edges(2, [(0, 1, -1)])

@@ -324,7 +324,7 @@ class TestScopeSemantics:
 # one mechanism: no module globals, thread-locals or other ContextVars
 # ---------------------------------------------------------------------------
 
-ALLOWED_GLOBALS = {("runtime/executor.py", "_default_pool")}
+ALLOWED_GLOBALS: set[tuple[str, str]] = set()
 RUN_CONTEXT_MODULE = "runcontext.py"
 
 

@@ -1,4 +1,4 @@
-"""Tests for the optional fork-join thread executor."""
+"""Tests for the fork-join thread executor's ``map_blocks``."""
 
 import threading
 import time
@@ -8,40 +8,41 @@ import pytest
 
 from repro.resilience import CancelToken, Deadline, cancel_scope
 from repro.resilience.errors import CancelledError, DeadlineExceededError
-from repro.runtime import ForkJoinPool, default_pool
+from repro.runtime import ForkJoinPool
+
+
+def _bounds(lo, hi):
+    return (lo, hi)
 
 
 class TestForkJoinPool:
     def test_sequential_fallback(self):
-        out = np.zeros(10)
+        ident = threading.get_ident()
         with ForkJoinPool(n_workers=1) as pool:
-            pool.parallel_for(10, lambda lo, hi: out.__setitem__(
-                slice(lo, hi), np.arange(lo, hi)))
-        np.testing.assert_array_equal(out, np.arange(10))
+            out = pool.map_blocks(10_000, lambda lo, hi: (
+                threading.get_ident(), np.arange(lo, hi)), grain=10)
+        # one worker: the whole range is one block on the caller's thread
+        assert len(out) == 1 and out[0][0] == ident
+        np.testing.assert_array_equal(out[0][1], np.arange(10_000))
 
     def test_threaded_blocks_disjoint(self):
         n = 50_000
-        out = np.zeros(n, dtype=np.int64)
-
-        def body(lo, hi):
-            out[lo:hi] = np.arange(lo, hi)
-
         with ForkJoinPool(n_workers=4) as pool:
-            pool.parallel_for(n, body, grain=1000)
-        np.testing.assert_array_equal(out, np.arange(n))
+            out = pool.map_blocks(n, _bounds, grain=1000)
+        assert len(out) > 1
+        assert out[0][0] == 0 and out[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(out, out[1:]))
 
     def test_empty_range(self):
         called = []
         with ForkJoinPool(n_workers=2) as pool:
-            pool.parallel_for(0, lambda lo, hi: called.append((lo, hi)))
+            assert pool.map_blocks(
+                0, lambda lo, hi: called.append((lo, hi))) == []
         assert called == []
 
     def test_small_range_single_call(self):
-        calls = []
         with ForkJoinPool(n_workers=4) as pool:
-            pool.parallel_for(10, lambda lo, hi: calls.append((lo, hi)),
-                              grain=1024)
-        assert calls == [(0, 10)]
+            assert pool.map_blocks(10, _bounds, grain=1024) == [(0, 10)]
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
@@ -53,10 +54,7 @@ class TestForkJoinPool:
 
         with ForkJoinPool(n_workers=2) as pool:
             with pytest.raises(RuntimeError):
-                pool.parallel_for(10_000, body, grain=10)
-
-    def test_default_pool_singleton(self):
-        assert default_pool() is default_pool()
+                pool.map_blocks(10_000, body, grain=10)
 
 
 class TestErrorHandling:
@@ -76,7 +74,7 @@ class TestErrorHandling:
 
         with ForkJoinPool(n_workers=2) as pool:
             with pytest.raises(ValueError, match="block-0"):
-                pool.parallel_for(2_000, body, grain=10)
+                pool.map_blocks(2_000, body, grain=10)
 
     def test_failure_cancels_not_yet_started_blocks(self):
         ran = []
@@ -98,7 +96,7 @@ class TestErrorHandling:
             t = threading.Timer(0.1, release.set)
             t.start()
             with pytest.raises(RuntimeError, match="early failure"):
-                pool.parallel_for(8_000, body, grain=10)
+                pool.map_blocks(8_000, body, grain=10)
             t.join()
             # the queued tail was cancelled: of the 7 non-failing blocks,
             # only the ones a worker had already picked up (at most one
@@ -112,17 +110,12 @@ class TestErrorHandling:
         pool.shutdown()
         pool.shutdown()  # second call is a no-op, not an error
 
-    def test_parallel_for_after_shutdown_raises(self):
-        pool = ForkJoinPool(n_workers=2)
-        pool.shutdown()
-        with pytest.raises(RuntimeError, match="shut-down"):
-            pool.parallel_for(10, lambda lo, hi: None)
-
     def test_context_manager_shuts_down(self):
         with ForkJoinPool(n_workers=2) as pool:
             pass
-        with pytest.raises(RuntimeError):
-            pool.parallel_for(10, lambda lo, hi: None)
+        assert pool._pool is None  # the worker threads were released
+        with pytest.raises(RuntimeError, match="shut-down"):
+            pool.map_blocks(10, lambda lo, hi: None)
 
 
 class TestCancellation:
@@ -134,16 +127,16 @@ class TestCancellation:
         calls = []
         with ForkJoinPool(n_workers=2) as pool:
             with pytest.raises(CancelledError):
-                pool.parallel_for(10_000, lambda lo, hi: calls.append(lo),
-                                  grain=10, token=tok)
+                pool.map_blocks(10_000, lambda lo, hi: calls.append(lo),
+                                grain=10, token=tok)
         assert calls == []
 
     def test_expired_deadline_raises_deadline_error(self):
         tok = CancelToken(Deadline(0.0, clock=lambda: 1.0))
         with ForkJoinPool(n_workers=2) as pool:
             with pytest.raises(DeadlineExceededError):
-                pool.parallel_for(10_000, lambda lo, hi: None,
-                                  grain=10, token=tok)
+                pool.map_blocks(10_000, lambda lo, hi: None,
+                                grain=10, token=tok)
 
     def test_cancel_stops_dispatch_and_raises_after_drain(self, monkeypatch):
         tok = CancelToken()
@@ -161,9 +154,9 @@ class TestCancellation:
         monkeypatch.setattr(pool._pool, "submit", counting_submit)
         try:
             with pytest.raises(CancelledError):
-                # 2 workers and tiny grain would normally dispatch 2 blocks
-                pool.parallel_for(4_000, lambda lo, hi: None, grain=10,
-                                  token=tok)
+                # 2 workers and tiny grain would normally dispatch 8 blocks
+                pool.map_blocks(4_000, lambda lo, hi: None, grain=10,
+                                token=tok)
             assert len(submitted) == 1  # dispatch stopped at the cancel
         finally:
             pool.shutdown()
@@ -178,7 +171,7 @@ class TestCancellation:
 
         with ForkJoinPool(n_workers=2) as pool:
             with pytest.raises(CancelledError):
-                pool.parallel_for(4_000, body, grain=10, token=tok)
+                pool.map_blocks(4_000, body, grain=10, token=tok)
         assert done  # blocks that started drained cleanly
 
     def test_ambient_token_via_cancel_scope(self):
@@ -187,32 +180,8 @@ class TestCancellation:
         with ForkJoinPool(n_workers=2) as pool:
             with cancel_scope(tok):
                 with pytest.raises(CancelledError):
-                    pool.parallel_for(10_000, lambda lo, hi: None, grain=10)
-            pool.parallel_for(100, lambda lo, hi: None)  # scope popped
-
-
-class TestDefaultPoolRecovery:
-    """Satellite: ``shutdown()`` on the default pool must not leave the
-    module-global permanently broken — the next caller gets a fresh one."""
-
-    def test_default_pool_recreated_after_shutdown(self):
-        first = default_pool()
-        first.shutdown()
-        second = default_pool()
-        assert second is not first
-        assert not second._closed
-        # and it actually works
-        hits = []
-        second.parallel_for(10, lambda lo, hi: hits.append((lo, hi)),
-                            grain=100)
-        assert hits == [(0, 10)]
-
-    def test_default_pool_survives_context_manager_exit(self):
-        with default_pool():
-            pass  # __exit__ shut it down
-        pool = default_pool()
-        assert not pool._closed
-        assert pool is default_pool()  # and it is a stable singleton again
+                    pool.map_blocks(10_000, lambda lo, hi: None, grain=10)
+            pool.map_blocks(100, lambda lo, hi: None)  # scope popped
 
 
 class TestTracebackPreservation:
@@ -227,7 +196,7 @@ class TestTracebackPreservation:
 
         with ForkJoinPool(n_workers=2) as pool:
             with pytest.raises(ValueError, match="kaboom") as ei:
-                pool.parallel_for(4_000, exploding_block_body, grain=10)
+                pool.map_blocks(4_000, exploding_block_body, grain=10)
         frames = traceback.format_exception(
             ei.type, ei.value, ei.value.__traceback__)
         text = "".join(frames)
@@ -288,4 +257,4 @@ class TestMapBlocksThreaded:
     def test_thread_backend_surface(self):
         with ForkJoinPool(n_workers=2) as pool:
             assert pool.name == "thread"
-            assert pool.supports_shared_memory is True
+            assert pool.n_workers == 2

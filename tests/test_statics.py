@@ -289,7 +289,26 @@ RS012_POS_SHARED = """
 def run(pool, hist):
     def body(lo, hi):
         hist[0] += 1
-    pool.parallel_for(100, body)
+    pool.map_blocks(100, body)
+"""
+
+# the same write through the task's args: every block gets the same hist
+RS012_POS_ARGS = """
+def task(lo, hi, hist):
+    hist[0] += 1
+
+def run(pool, hist):
+    pool.map_blocks(100, task, (hist,))
+"""
+
+RS012_NEG_ARGS = """
+def task(lo, hi, data, out):
+    out[lo:hi] = data[lo:hi] * 2
+    scratch = data[lo:hi].copy()
+    scratch[0] = 0
+
+def run(pool, data, out):
+    pool.map_blocks(len(data), task, (data, out))
 """
 
 RS012_POS_OVERLAP = """
@@ -300,7 +319,7 @@ def run(pool, data, hist):
     def body(lo, hi):
         race_write(hist, 0, 16, site="demo:bins")
         np.add.at(hist, data[lo:hi], 1)
-    pool.parallel_for(len(data), body)
+    pool.map_blocks(len(data), body)
 """
 
 RS012_NEG = """
@@ -311,7 +330,7 @@ def run(pool, data, out):
         race_read(data, lo, hi, site="sq:data")
         race_write(out, lo, hi, site="sq:out")
         out[lo:hi] = data[lo:hi] * 2
-    pool.parallel_for(len(data), body)
+    pool.map_blocks(len(data), body)
 """
 
 RS013_POS = """
@@ -424,6 +443,13 @@ class TestRS012:
 
     def test_quiet_on_disjoint_annotated_blocks(self):
         assert findings_of(RS012_NEG, "RS012") == []
+
+    def test_fires_on_shared_write_through_task_args(self):
+        findings = findings_of(RS012_POS_ARGS, "RS012")
+        assert any("`hist`" in f.message for f in findings)
+
+    def test_quiet_on_disjoint_writes_through_task_args(self):
+        assert findings_of(RS012_NEG_ARGS, "RS012") == []
 
 
 class TestRS013:
@@ -699,7 +725,7 @@ def racy_histogram(pool):
         race_write(hist, 0, 16, site="hist:bins")
         np.add.at(hist, data[lo:hi], 1)
 
-    pool.parallel_for(len(data), body, grain=1024)
+    pool.map_blocks(len(data), body, grain=1024)
 
 
 def disjoint_square(pool):
@@ -711,7 +737,7 @@ def disjoint_square(pool):
         race_write(out, lo, hi, site="sq:out")
         np.multiply(data[lo:hi], data[lo:hi], out=out[lo:hi])
 
-    pool.parallel_for(len(data), body, grain=1024)
+    pool.map_blocks(len(data), body, grain=1024)
     assert (out == data * data).all()
 
 
@@ -744,9 +770,9 @@ class TestExecutorIntegration:
         race_write(object())
 
     def test_checker_does_not_change_results(self):
-        from repro.baselines.bellman_ford import bellman_ford
-        from repro.baselines.bellman_ford_threaded import (
-            bellman_ford_threaded,
+        from repro.baselines.bellman_ford import (
+            bellman_ford,
+            bellman_ford_parallel,
         )
         from repro.graph.generators import bf_hard_graph
 
@@ -754,7 +780,7 @@ class TestExecutorIntegration:
         ref = bellman_ford(g, 0)
         with ForkJoinPool(2) as pool:
             with race_checking():
-                res = bellman_ford_threaded(g, 0, pool=pool, grain=32)
+                res = bellman_ford_parallel(g, 0, backend=pool, grain=32)
         assert np.allclose(res.dist, ref.dist)
 
 
@@ -802,7 +828,7 @@ class TestRealPackage:
         # pickle hazards and no unannotated shared writes
         targets = [REPO / "src/repro/core/fischer.py",
                    REPO / "src/repro/observability/worker.py",
-                   REPO / "src/repro/baselines/bellman_ford_threaded.py"]
+                   REPO / "src/repro/baselines/bellman_ford.py"]
         report = lint_paths(targets, rules=rules_by_id(["RS011", "RS012"]),
                             relative_to=REPO)
         assert report.findings == [], report.render()
