@@ -1,6 +1,7 @@
 """Work-span study: reproduce the paper's headline shapes at demo scale.
 
-Prints four small tables (fuller versions live in benchmarks/):
+Prints four small tables (`python -m repro bench run e1 e4 e9 e10` runs
+the full sweeps and judges their claims):
 
 * E1 — §3 peeling work is near-linear in m,
 * E4 — peeling beats the naive per-round reachability baseline,
@@ -10,9 +11,8 @@ Prints four small tables (fuller versions live in benchmarks/):
 Run:  python examples/workspan_study.py        (~1 minute)
 """
 
-from repro.analysis import (
-    fit_exponent,
-    print_table,
+from repro.analysis import fit_exponent, print_table
+from repro.analysis.experiments import (
     run_dag01_work_scaling,
     run_goldberg_vs_bellman_ford,
     run_peeling_vs_naive,

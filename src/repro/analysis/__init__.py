@@ -1,4 +1,6 @@
-"""Experiment harness, table rendering, and benchmark-record pipeline."""
+"""The experiment registry (:mod:`.benchruns`, runners in
+:mod:`.experiments`), table rendering, and the benchmark-record
+pipeline."""
 
 from .benchgate import (
     GateConfig,
@@ -31,28 +33,7 @@ from .benchruns import (
     run_benches,
     run_spec,
 )
-from .experiments import (
-    Row,
-    fit_exponent,
-    run_dag01_span_scaling,
-    run_dag01_work_scaling,
-    run_goldberg_vs_bellman_ford,
-    run_interval_reassignments,
-    run_label_changes,
-    run_limited_work_span,
-    run_negative_cycle_detection,
-    run_peeling_vs_naive,
-    run_reweighting_iterations,
-    run_scaling_in_n,
-    run_span_parallelism,
-    run_sqrt_k_progress,
-    run_verification_retry,
-    run_fault_injection_sweep,
-    run_cost_breakdown,
-    run_family_robustness,
-    run_backend_scaling,
-    run_engine_shootout,
-)
+from .experiments import Row, fit_exponent
 from .report import generate_report, write_report
 from .tracetables import (
     run_trace_cost_breakdown,
@@ -91,24 +72,6 @@ __all__ = [
     "fit_exponent",
     "render_table",
     "print_table",
-    "run_dag01_work_scaling",
-    "run_dag01_span_scaling",
-    "run_label_changes",
-    "run_peeling_vs_naive",
-    "run_limited_work_span",
-    "run_interval_reassignments",
-    "run_sqrt_k_progress",
-    "run_reweighting_iterations",
-    "run_goldberg_vs_bellman_ford",
-    "run_span_parallelism",
-    "run_scaling_in_n",
-    "run_negative_cycle_detection",
-    "run_verification_retry",
-    "run_fault_injection_sweep",
-    "run_cost_breakdown",
-    "run_family_robustness",
-    "run_backend_scaling",
-    "run_engine_shootout",
     "generate_report",
     "write_report",
     "trace_cost_breakdown",

@@ -1,13 +1,14 @@
 """Schema-versioned, machine-readable benchmark records.
 
-Every ``bench_*`` script (via :func:`benchmarks._bench_utils.save_table`)
-emits a ``BENCH_<id>.json`` next to its human-readable ``.txt`` table.  The
-JSON record keeps the *raw, full-precision* rows — model work/span numbers
-are deterministic given the seed, so the regression gate
-(:mod:`repro.analysis.benchgate`) can demand bit-exact equality on them —
-plus optional raw wall-clock samples and an environment fingerprint
-(host/python/numpy/commit/seed context) so a human reading a diff can tell
-"different machine" from "different algorithm".
+Every experiment ``repro bench run`` executes (via
+:func:`repro.analysis.benchruns.run_benches`) emits a ``BENCH_<id>.json``
+next to its human-readable ``<id>.txt`` table.  The JSON record keeps the
+*raw, full-precision* rows — model work/span numbers are deterministic
+given the seed, so the regression gate (:mod:`repro.analysis.benchgate`)
+can demand bit-exact equality on them — plus optional raw wall-clock
+samples and an environment fingerprint (host/python/numpy/commit/seed
+context) so a human reading a diff can tell "different machine" from
+"different algorithm".
 
 A consolidated ``BENCH_summary.json`` indexes every record in a results
 directory; ``repro bench`` consumes these files for ``run``, ``compare``
@@ -106,7 +107,7 @@ def bench_record(bench_id: str, title: str, rows, *,
     ``{"params": ..., "values": ...}`` dicts).  ``wallclock`` maps a
     measurement name to its *raw* timing samples in seconds — keep every
     sample, the gate runs its statistics on them.  ``meta`` is free-form
-    provenance (seeds, sweep kwargs, pytest-benchmark stats).
+    provenance (sweep kwargs, runner time, the judged claim).
     """
     out_rows = []
     for r in rows:

@@ -1,26 +1,36 @@
-"""Registry of runnable experiments shared by the report and the bench CLI.
+"""The experiment registry: every claim of EXPERIMENTS.md, defined once.
 
-One table maps an experiment id (``E1`` … ``A4``) to its runner, its full
-and ``--fast`` parameter sweeps, and the ``bench_id`` used for artefacts
-(``benchmarks/results/<bench_id>.txt`` and ``BENCH_<bench_id>.json``).
-``repro report`` renders every entry to markdown; ``repro bench run``
-executes a selection and emits the machine-readable records the regression
-gate (:mod:`repro.analysis.benchgate`) consumes.
+Each :class:`BenchSpec` holds an experiment's runner (in
+:mod:`repro.analysis.experiments`), its full and ``--fast`` sweeps, the
+stem of its artefacts (``<bench_id>.txt``, ``BENCH_<bench_id>.json``) and
+its claim: a function of the rows yielding one ``(held, check)`` pair per
+asserted bound.  ``repro bench run`` and ``repro report`` run specs,
+tier-1 judges the claims that read no wall clock, and the regression gate
+(:mod:`repro.analysis.benchgate`) consumes the records.  Claims are the
+paper's shapes at full size (E4's and E9's crossovers do not exist at
+``--fast`` sizes), so fast sweeps are never judged.
 """
 
 from __future__ import annotations
 
+import math
+import pathlib
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import experiments as ex
 from .benchjson import bench_record, write_bench_json, write_bench_summary
+from .experiments import Row, fit_exponent
+from .tables import render_table
+
+Claim = Callable[[list[Row]], Iterable[tuple[bool, str]]]
 
 
 @dataclass(frozen=True)
 class BenchSpec:
-    """One experiment: how to run it and where its artefacts live."""
+    """One experiment: how to run it, what it claims, and where its
+    artefacts live."""
 
     exp_id: str       # "E1" — id used in EXPERIMENTS.md / the report
     bench_id: str     # "e01_dag01_work" — artefact stem
@@ -28,6 +38,7 @@ class BenchSpec:
     runner: Callable
     full_kwargs: dict
     fast_kwargs: dict
+    claim: Claim
     # runners that accept ``raw_out`` can ship raw wall-clock samples
     # into the record's ``wallclock`` section, where the statistical
     # gate (gate_config.json) judges them instead of bit-exact compare
@@ -39,97 +50,354 @@ class BenchSpec:
         return self.exp_id.lower()
 
 
+def _col(rows: list[Row], key: str) -> list:
+    return [r.flat()[key] for r in rows]
+
+
+def _all(rows: list[Row], key: str, what: str) -> tuple[bool, str]:
+    return all(_col(rows, key)), f"every row {what} ({key})"
+
+
+def _exponent(rows, x: str, y: str, lo: float,
+              hi: float = math.inf) -> tuple[bool, str]:
+    exp = fit_exponent(_col(rows, x), _col(rows, y))
+    bound = f"in ({lo}, {hi})" if hi < math.inf else f"> {lo}"
+    return lo < exp < hi, f"fitted exponent of {y} in {x} {exp:.2f} {bound}"
+
+
+def _overhead(rows, column: str, bound: float) -> tuple[bool, str]:
+    """The time-weighted overhead over all rows, from ``plain_s`` and a
+    per-row percentage, against ``bound``: the sub-second instances carry
+    ±5% best-of-k noise individually, while the aggregate is dominated by
+    the largest (best signal-to-noise) solve."""
+    agg = sum(r.values["plain_s"] * r.values[column] / 100.0
+              for r in rows) / sum(_col(rows, "plain_s"))
+    return agg < bound, (f"aggregate {column.removesuffix('_pct')} "
+                         f"overhead {100 * agg:+.2f}% < {bound:.0%}")
+
+
+def _claim_e1(rows):
+    yield _exponent(rows, "m", "work", 0.8, 1.45)
+
+
+def _claim_e2(rows):
+    yield _exponent(rows, "L", "span_model", 0.25, 0.9)
+
+
+def _claim_e3(rows):
+    worst = max(_col(rows, "ratio_max_over_log2sq"))
+    yield worst < 4.0, f"max label changes / lg²n {worst:.2f} < 4"
+    yield min(_col(rows, "label_changes_max")) >= 1, \
+        "some vertex changes its label on every row"
+
+
+def _claim_e4(rows):
+    ratio = _col(rows, "work_ratio_naive_over_peeling")
+    last = rows[-1].flat()
+    yield ratio[-1] > ratio[0], \
+        f"naive/peeling work ratio grows: {ratio[0]:.2f} -> {ratio[-1]:.2f}"
+    yield ratio[-1] > 1.5, f"ratio {ratio[-1]:.2f} > 1.5 at L={last['L']}"
+    # reachability volume: the quantity Lemma 7 actually bounds
+    yield last["peeling_reach_nodes"] * 5 < last["naive_reach_nodes"], \
+        f"peeling reach nodes x5 < naive's at L={last['L']}"
+
+
+def _claim_e5(rows):
+    yield min(_col(rows, "work")) > 0, "every row has work > 0"
+    yield _exponent(rows, "m", "work", 0.7, 1.5)
+
+
+def _claim_e6(rows):
+    worst = max(_col(rows, "ratio_max_over_log2sq"))
+    yield worst < 3.0, f"max interval additions / lg²D {worst:.2f} < 3"
+    yield min(_col(rows, "additions_max")) >= 1, \
+        "some vertex joins an interval on every row"
+
+
+def _claim_e7(rows):
+    yield _all(rows, "meets_bound", "eliminates >= isqrt(k) negatives")
+    chain = [r.flat() for r in rows if r.params["gadget"] == "chain"]
+    yield bool(chain) and all(r["eliminated"] == math.isqrt(r["k"])
+                              for r in chain), \
+        "the chain gadget eliminates exactly isqrt(k)"
+
+
+def _claim_e8(rows):
+    yield all(r["iterations"] <= 4 * math.sqrt(max(r["K"], 1)) + 4
+              for r in map(Row.flat, rows)), "iterations <= 4√K + 4"
+
+
+def _claim_e9(rows):
+    ratio = _col(rows, "work_ratio_bf_over_goldberg")
+    yield _exponent(rows, "n", "work_ratio_bf_over_goldberg", 0.3, 0.9)
+    yield ratio[-1] > ratio[0], \
+        f"BF/Goldberg work ratio grows: {ratio[0]:.2f} -> {ratio[-1]:.2f}"
+    yield ratio[-1] > 1.5, \
+        f"ratio {ratio[-1]:.2f} > 1.5 at n={rows[-1].params['n']}"
+
+
+def _claim_e10(rows):
+    yield min(_col(rows, "parallelism")) > 1, "every row has parallelism > 1"
+    last = rows[-1].values["parallelism_over_m_quarter"]
+    yield last > 0.5, f"largest row's parallelism / m^(1/4) {last:.2f} > 0.5"
+    yield _exponent(rows, "m", "parallelism", 0.15)
+
+
+def _claim_e11(rows):
+    yield all(r.values["scales"] <= r.values["log2_N"] + 2 for r in rows), \
+        "scales <= lg N + 2 on every row"
+    s = _col(rows, "scales")
+    yield s == sorted(s) and s[-1] > s[0], f"scales increase with N: {s}"
+
+
+def _claim_e12(rows):
+    yield _all(rows, "detected", "detects the planted cycle")
+    yield _all(rows, "certificate_valid", "certifies it")
+
+
+def _claim_e13(rows):
+    yield _all(rows, "correct", "is exact")
+    yield rows[0].values["retries"] == 0, "the exact path never retries"
+    yield rows[-1].values["engine_failures"] >= 1, \
+        "the top failure rate injects a failure"
+    yield max(_col(rows[1:], "retries")) >= 1, "an injected row retries"
+
+
+def _claim_e13b(rows):
+    yield _all(rows, "correct", "is exact")
+    first, last = rows[0].flat(), rows[-1].flat()
+    yield first["faults_fired"] == first["fallbacks"] == 0, \
+        "a clean run injects nothing and never degrades"
+    # faults on every call cannot be healed by retrying: every graph
+    # degrades to the Bellman-Ford fallback (and is still right)
+    yield last["fallbacks"] == last["graphs"], \
+        f"rate {last['fault_rate']} degrades all {last['graphs']} graphs"
+    fired = _col(rows, "faults_fired")
+    yield fired == sorted(fired), f"faults fired grow with the rate: {fired}"
+
+
+_E14_REPEATS = 7  # >= the gate's min_samples: the record is usable
+
+
+def _claim_e14(rows):
+    yield set(_col(rows, "samples")) == {_E14_REPEATS}, \
+        f"every solver has {_E14_REPEATS} samples"
+    yield min(_col(rows, "best_s")) > 0, "every sample is positive"
+
+
+def _claim_e15(rows):
+    yield _all(rows, "correct", "matches Bellman-Ford")
+    by = {r.params["family"]: r.values["bf_rounds"] for r in rows}
+    yield by["bf-hard"] == max(by.values()), \
+        "Bellman-Ford needs the most rounds on bf-hard"
+
+
+def _claim_e16(rows):
+    pcts = _col(rows, "overhead_pct")
+    yield max(pcts) / 100 < 0.05, f"checkpoint overhead < 5%: {pcts}"
+    yield min(_col(rows, "saves")) >= 1, "every solve writes a checkpoint"
+    yield _all(rows, "done", "ends in a checkpoint marked done")
+    # O(log N) fixed-size writes: the share shrinks as the solve grows
+    yield pcts[-1] <= pcts[0], "the overhead share shrinks with n"
+
+
+def _claim_e17(rows):
+    yield min(_col(rows, "spans")) > 0, "every solve records spans"
+    yield _overhead(rows, "enabled_pct", 0.05)
+    # 0% by construction (one context read + None test); the wall clock
+    # can only bound it by the host's run-to-run noise
+    yield _overhead(rows, "disabled_pct", 0.05)
+
+
+def _claim_e18(rows):
+    yield min(_col(rows, "metric_families")) > 0, \
+        "every solve records metrics"
+    yield _overhead(rows, "enabled_pct", 0.05)
+    yield _overhead(rows, "disabled_pct", 0.05)
+
+
+def _claim_e19(rows):
+    yield set(_col(rows, "backend")) == {"serial", "thread", "process"}, \
+        "serial, thread and process rows"
+    yield _all(rows, "identical", "is bit-identical across backends")
+    # any backend slower than 5x serial is broken
+    speedup = _col(rows, "speedup_vs_serial")
+    yield min(speedup) > 0.2, f"speedup vs serial > 0.2: {speedup}"
+
+
+def _claim_e20(rows):
+    yield {"goldberg_parallel", "goldberg_sequential", "bnw_scaling",
+           "fischer_simple"} <= set(_col(rows, "engine")), \
+        "all four registered engines ran"
+    yield _all(rows, "agrees", "agrees with the reference engine")
+    cycle = [r.values["outcome"] for r in rows
+             if r.params["family"] == "planted-cycle"]
+    yield bool(cycle) and set(cycle) == {"negative_cycle"}, \
+        "every engine certifies the planted cycle"
+
+
+def _claim_e21(rows):
+    for key in ("metric_families", "spans_closed", "profiled_phases"):
+        yield min(_col(rows, key)) > 0, f"every row has {key} > 0"
+    yield _overhead(rows, "telemetry_pct", 0.05)
+    yield _overhead(rows, "disabled_pct", 0.05)
+    # cProfile prices every Python call: a sanity ceiling, well under 2x
+    yield _overhead(rows, "profiler_pct", 1.00)
+
+
+def _claim_a1(rows):
+    yield _all(rows, "correct", "matches the DAG reference")
+    # the geometric scheme stays within its Corollary-6 bound
+    geo = next(r.flat() for r in rows if r.params["priorities"] == "geometric")
+    bound = 4 * math.log2(geo["n"] + 2) ** 2
+    yield geo["label_changes_max"] <= bound, \
+        f"geometric max label changes <= 4 lg²(n+2) = {bound:.1f}"
+
+
+def _claim_a2(rows):
+    yield _all(rows, "correct", "matches Dijkstra")
+    yield all(r.values["retries"] == 0 for r in rows
+              if r.params["engine"] in ("exact", "perturbed",
+                                        "delta-stepping")), \
+        "only the flaky engine retries"
+
+
+def _claim_a3(rows):
+    yield _all(rows, "correct", "matches Dijkstra")
+    yield min(_col(rows, "overhead_factor")) > 3, \
+        "weighted BFS is >3x cheaper when zeros are absent"
+
+
+def _claim_a4(rows):
+    for r in rows:
+        shares = [v for k, v in r.values.items() if k.endswith("_share")]
+        yield abs(sum(shares) - 1.0) < 1e-6, \
+            f"n={r.params['n']}: stage shares sum to 1"
+        # Step 2 (peeling) and Step 1 (SCC) should be visible costs
+        yield min(r.values.get("dag01_share", 0),
+                  r.values.get("scc_share", 0)) > 0.02, \
+            f"n={r.params['n']}: dag01 and scc shares > 2%"
+
+
+def _claim_a5(rows):
+    yield _all(rows, "correct", "keeps reachability")
+    rounds, edges = _col(rows, "bfs_rounds"), _col(rows, "added_edges")
+    n = rows[0].params["n"]
+    yield rounds[0] >= n - 1, f"the bare path takes >= {n - 1} BFS rounds"
+    yield rounds[-1] < rounds[0] / 20, \
+        f"the span side collapses: {rounds[0]} -> {rounds[-1]} rounds"
+    yield edges == sorted(edges), "the work side grows with the hub count"
+
+
 BENCH_RUNS: list[BenchSpec] = [
-    BenchSpec("E1", "e01_dag01_work",
-              "§3 peeling work vs m (Õ(m), Thm 8)",
+    BenchSpec("E1", "e01_dag01_work", "§3 peeling work vs m (Õ(m), Thm 8)",
               ex.run_dag01_work_scaling,
               dict(sizes=(200, 400, 800, 1600, 3200)),
-              dict(sizes=(150, 300, 600))),
+              dict(sizes=(150, 300, 600)), _claim_e1),
     BenchSpec("E2", "e02_dag01_span",
               "§3 peeling span vs L (√L·n^(1/2+o(1)), Thm 8)",
               ex.run_dag01_span_scaling,
               dict(layers_list=(4, 8, 16, 32, 64), width=40),
-              dict(layers_list=(4, 8, 16), width=20)),
+              dict(layers_list=(4, 8, 16), width=20), _claim_e2),
     BenchSpec("E3", "e03_label_changes",
               "label changes per vertex (O(log² n), Cor 6)",
-              ex.run_label_changes,
-              dict(sizes=(100, 400, 1600, 6400)),
-              dict(sizes=(100, 400))),
+              ex.run_label_changes, dict(sizes=(100, 400, 1600, 6400)),
+              dict(sizes=(100, 400)), _claim_e3),
     BenchSpec("E4", "e04_peeling_vs_naive",
               "peeling vs naive per-round reachability (§3.1)",
-              ex.run_peeling_vs_naive,
-              dict(depths=(10, 30, 90, 270)),
-              dict(depths=(10, 40))),
-    BenchSpec("E5", "e05_limited_work_span",
-              "§4 LimitedSP work/span (Thm 15)",
-              ex.run_limited_work_span,
-              dict(sizes=(200, 400, 800, 1600)),
-              dict(sizes=(150, 300))),
+              ex.run_peeling_vs_naive, dict(depths=(10, 30, 90, 270)),
+              dict(depths=(10, 40)), _claim_e4),
+    BenchSpec("E5", "e05_limited_work_span", "§4 LimitedSP work/span (Thm 15)",
+              ex.run_limited_work_span, dict(sizes=(200, 400, 800, 1600)),
+              dict(sizes=(150, 300)), _claim_e5),
     BenchSpec("E6", "e06_interval_reassignments",
               "interval additions per vertex (O(lg² D), Lem 13)",
-              ex.run_interval_reassignments,
-              dict(limits=(4, 16, 64, 256)),
-              dict(limits=(4, 32), n=120)),
+              ex.run_interval_reassignments, dict(limits=(4, 16, 64, 256)),
+              dict(limits=(4, 32), n=120), _claim_e6),
     BenchSpec("E7", "e07_sqrt_k_improvement",
-              "√k-improvement progress (Thm 16)",
-              ex.run_sqrt_k_progress,
-              dict(ks=(9, 25, 100, 400, 1600)),
-              dict(ks=(9, 64))),
+              "√k-improvement progress (Thm 16)", ex.run_sqrt_k_progress,
+              dict(ks=(9, 25, 100, 400, 1600)), dict(ks=(9, 64)), _claim_e7),
     BenchSpec("E8", "e08_reweighting_iterations",
               "1-reweighting iterations (O(√K), Alg 4)",
-              ex.run_reweighting_iterations,
-              dict(sizes=(50, 200, 800, 3200)),
-              dict(sizes=(50, 200))),
+              ex.run_reweighting_iterations, dict(sizes=(50, 200, 800, 3200)),
+              dict(sizes=(50, 200)), _claim_e8),
     BenchSpec("E9", "e09_goldberg_vs_bellman_ford",
               "parallel Goldberg vs Bellman–Ford (Thm 17)",
               ex.run_goldberg_vs_bellman_ford,
-              dict(sizes=(128, 256, 512, 1024, 2048)),
-              dict(sizes=(96, 192, 384))),
-    BenchSpec("E10", "e10_span_parallelism",
-              "span & parallelism (Thm 17)",
-              ex.run_span_parallelism,
-              dict(sizes=(64, 128, 256, 512, 1024)),
-              dict(sizes=(64, 128))),
-    BenchSpec("E11", "e11_scaling_in_N",
-              "scaling rounds vs N (§5)",
-              ex.run_scaling_in_n,
-              dict(spreads=(2, 8, 32, 128, 512, 2048)),
-              dict(spreads=(2, 32), n=60)),
+              dict(sizes=(128, 256, 512, 1024, 2048, 4096)),
+              dict(sizes=(96, 192, 384)), _claim_e9),
+    BenchSpec("E10", "e10_span_parallelism", "span & parallelism (Thm 17)",
+              ex.run_span_parallelism, dict(sizes=(64, 128, 256, 512, 1024)),
+              dict(sizes=(64, 128)), _claim_e10),
+    BenchSpec("E11", "e11_scaling_in_N", "scaling rounds vs N (§5)",
+              ex.run_scaling_in_n, dict(spreads=(2, 8, 32, 128, 512, 2048)),
+              dict(spreads=(2, 32), n=60), _claim_e11),
     BenchSpec("E12", "e12_negative_cycles",
               "negative-cycle detection (Thm 17, A.2)",
-              ex.run_negative_cycle_detection,
-              dict(sizes=(50, 100, 200, 400)),
-              dict(sizes=(40, 80))),
+              ex.run_negative_cycle_detection, dict(sizes=(50, 100, 200, 400)),
+              dict(sizes=(40, 80)), _claim_e12),
     BenchSpec("E13", "e13_verification_retry",
               "verification & retry under failure injection (§4.2)",
-              ex.run_verification_retry,
-              dict(p_fails=(0.0, 0.05, 0.15, 0.3)),
-              dict(p_fails=(0.0, 0.1), rows_cols=(6, 6), limit=12)),
+              ex.run_verification_retry, dict(p_fails=(0.0, 0.05, 0.15, 0.3)),
+              dict(p_fails=(0.0, 0.1), rows_cols=(6, 6), limit=12),
+              _claim_e13),
+    BenchSpec("E13b", "e13b_fault_injection_sweep",
+              "fault-rate sweep: retries heal, fallback catches the rest",
+              ex.run_fault_injection_sweep, dict(rates=(0.0, 0.1, 0.3, 1.0)),
+              dict(rates=(0.0, 1.0), graphs=2), _claim_e13b),
+    BenchSpec("E14", "e14_wallclock",
+              "wall clock per solver (single core, interleaved)",
+              ex.run_wallclock, dict(n=300, repeats=_E14_REPEATS),
+              dict(n=100, repeats=5), _claim_e14, raw_samples=True),
     BenchSpec("E15", "e15_family_robustness",
-              "robustness across graph families",
-              ex.run_family_robustness, dict(n=400), dict(n=150)),
+              "robustness across graph families", ex.run_family_robustness,
+              dict(n=400), dict(n=150), _claim_e15),
+    BenchSpec("E16", "e16_checkpoint_overhead",
+              "per-scale checkpoint cost on the E09 family (<5%)",
+              ex.run_checkpoint_overhead,
+              dict(ns=(512, 1024, 2048), repeats=3),
+              dict(ns=(256,), repeats=1), _claim_e16),
+    BenchSpec("E17", "e17_trace_overhead",
+              "tracing overhead on the E09 family (enabled <5%)",
+              ex.run_trace_overhead, dict(ns=(512, 1024, 2048), repeats=13),
+              dict(ns=(256,), repeats=3), _claim_e17),
+    BenchSpec("E18", "e18_metrics_overhead",
+              "metrics overhead on the E09 family (enabled <5%)",
+              ex.run_metrics_overhead, dict(ns=(512, 1024, 2048), repeats=13),
+              dict(ns=(256,), repeats=3), _claim_e18, raw_samples=True),
     BenchSpec("E19", "e19_backend_scaling",
               "map_blocks throughput by execution backend",
-              ex.run_backend_scaling,
-              dict(n=400_000, n_workers=2, repeats=7),
-              dict(n=60_000, n_workers=2, repeats=3),
+              ex.run_backend_scaling, dict(n=400_000, n_workers=2, repeats=7),
+              dict(n=60_000, n_workers=2, repeats=3), _claim_e19,
               raw_samples=True),
     BenchSpec("E20", "e20_engine_shootout",
               "SSSP engine registry shootout (bit-identical distances)",
-              ex.run_engine_shootout,
-              dict(n=300, repeats=3),
-              dict(n=120, repeats=2),
-              raw_samples=True),
+              ex.run_engine_shootout, dict(n=300, repeats=3),
+              dict(n=120, repeats=2), _claim_e20, raw_samples=True),
     BenchSpec("E21", "e21_telemetry_overhead",
               "worker-telemetry pipeline overhead (live scrape + profiler)",
               ex.run_telemetry_overhead,
               dict(ns=(1024, 2048, 4096), repeats=13),
-              dict(ns=(512, 1024), repeats=5),
-              raw_samples=True),
-    BenchSpec("A4", "a4_cost_breakdown",
-              "per-stage work breakdown",
-              ex.run_cost_breakdown, dict(sizes=(128, 512)),
-              dict(sizes=(96,))),
+              dict(ns=(512, 1024), repeats=5), _claim_e21, raw_samples=True),
+    BenchSpec("A1", "a1_priority_ablation",
+              "priority-scheme ablation (§3.1 design choice)",
+              ex.run_priority_ablation, dict(layers=16, width=20),
+              dict(layers=8, width=10), _claim_a1),
+    BenchSpec("A2", "a2_assp_engines", "ASSSP engine ablation in LimitedSP",
+              ex.run_assp_engine_ablation, dict(n=200, m=1000, limit=14),
+              dict(n=80, m=400, limit=8), _claim_a2),
+    BenchSpec("A3", "a3_weighted_bfs",
+              "LimitedSP vs weighted BFS (positive weights)",
+              ex.run_weighted_bfs_ablation, dict(sizes=(200, 800)),
+              dict(sizes=(100,)), _claim_a3),
+    BenchSpec("A4", "a4_cost_breakdown", "per-stage work breakdown",
+              ex.run_cost_breakdown, dict(sizes=(128, 512)), dict(sizes=(96,)),
+              _claim_a4),
+    BenchSpec("A5", "a5_shortcut_tradeoff",
+              "hub shortcuts: BFS rounds vs added edges on a path",
+              ex.run_shortcut_tradeoff,
+              dict(n=2000, hub_counts=(2, 8, 32, 128)),
+              dict(n=300, hub_counts=(2, 8)), _claim_a5),
 ]
 
 BENCH_RUNS_BY_CLI_ID = {spec.cli_id: spec for spec in BENCH_RUNS}
@@ -157,38 +425,45 @@ def resolve_specs(ids) -> list[BenchSpec]:
     return specs
 
 
-def run_spec(spec: BenchSpec, *, fast: bool = False) -> tuple[dict, float]:
-    """Execute one experiment; return its bench record and the elapsed
-    wall-clock seconds (runner time is provenance, not a gated value)."""
+def run_spec(spec: BenchSpec, *, fast: bool = False) -> tuple[dict, str]:
+    """Execute one experiment; return its bench record and its text: the
+    table and the claim's verdict, judged on a full sweep only (the
+    record carries it in ``meta["claim"]``)."""
     kwargs = dict(spec.fast_kwargs if fast else spec.full_kwargs)
     raw: dict | None = {} if spec.raw_samples else None
-    if raw is not None:
-        kwargs["raw_out"] = raw
     t0 = time.perf_counter()
-    rows = spec.runner(**kwargs)
-    elapsed = time.perf_counter() - t0
-    record = bench_record(
-        spec.bench_id, spec.title, rows, wallclock=raw or None,
-        meta={"exp_id": spec.exp_id, "mode": "fast" if fast else "full",
-              "kwargs": {k: v for k, v in kwargs.items()
-                         if k != "raw_out"},
-              "runner_seconds": elapsed})
-    return record, elapsed
+    rows = (spec.runner(**kwargs) if raw is None
+            else spec.runner(**kwargs, raw_out=raw))
+    meta = {"exp_id": spec.exp_id, "mode": "fast" if fast else "full",
+            "kwargs": kwargs, "runner_seconds": time.perf_counter() - t0}
+    verdict = ["claim not judged on a --fast sweep"]
+    if not fast:
+        checks = [(bool(held), check) for held, check in spec.claim(rows)]
+        meta["claim"] = [{"held": held, "check": check}
+                         for held, check in checks]
+        verdict = [f"claim {'PASS' if held else 'FAIL'}: {check}"
+                   for held, check in checks]
+    record = bench_record(spec.bench_id, spec.title, rows,
+                          wallclock=raw or None, meta=meta)
+    table = render_table(rows, f"{spec.exp_id} — {spec.title}")
+    return record, "\n".join([table, *verdict])
 
 
 def run_benches(ids, results_dir, *, fast: bool = False,
                 progress=None) -> list[dict]:
-    """Run a selection of experiments, persisting ``BENCH_<id>.json`` per
-    experiment plus a refreshed ``BENCH_summary.json``."""
-    specs = resolve_specs(ids)
+    """Run a selection of experiments, persisting ``<bench_id>.txt`` and
+    ``BENCH_<bench_id>.json`` per experiment plus a refreshed
+    ``BENCH_summary.json``."""
+    results_dir = pathlib.Path(results_dir)
     records = []
-    for spec in specs:
-        record, elapsed = run_spec(spec, fast=fast)
+    for spec in resolve_specs(ids):
+        record, text = run_spec(spec, fast=fast)
         path = write_bench_json(record, results_dir)
+        (results_dir / f"{spec.bench_id}.txt").write_text(text + "\n")
         if progress is not None:
-            progress(f"{spec.exp_id:>4} {spec.bench_id:<28} "
-                     f"{len(record['rows'])} rows in {elapsed:.1f}s "
-                     f"-> {path}")
+            progress(f"{text}\n{spec.exp_id:>4} {spec.bench_id:<28} "
+                     f"{len(record['rows'])} rows in "
+                     f"{record['meta']['runner_seconds']:.1f}s -> {path}\n")
         records.append(record)
     write_bench_summary(results_dir)
     return records

@@ -1,12 +1,9 @@
-"""Experiment harness: parameter sweeps producing table rows.
+"""Experiment runners: parameter sweeps producing table rows.
 
-Each benchmark in ``benchmarks/`` calls one of the runners here; the runner
-executes the algorithms with cost accounting and returns a list of
-:class:`Row` objects, which :mod:`repro.analysis.tables` renders in the
-rows-and-series style of EXPERIMENTS.md.  Keeping the measurement logic in
-the library (rather than the bench scripts) makes every experiment callable
-from tests, so the *shapes* the paper claims are asserted in CI, not only
-eyeballed.
+Each experiment of EXPERIMENTS.md is one runner here, registered with its
+sweeps and its claim in :mod:`repro.analysis.benchruns`.  A runner returns
+:class:`Row` objects; its correctness checks are columns (``correct``,
+``agrees``, ``identical``) that the claims require.
 """
 
 from __future__ import annotations
@@ -14,11 +11,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from ..assp.engines import get_engine
 from ..baselines.bellman_ford import bellman_ford
+from ..core.engines import get_sssp_engine
 from ..core.sssp import solve_sssp
 from ..dag01.naive import dag01_limited_sssp_naive
 from ..dag01.peeling import dag01_limited_sssp
@@ -54,6 +53,20 @@ def fit_exponent(xs, ys) -> float:
     if mask.sum() < 2:
         raise ValueError("need at least two positive points")
     return float(np.polyfit(np.log(xs[mask]), np.log(ys[mask]), 1)[0])
+
+
+def _interleaved_samples(fns, repeats: int) -> list[list[float]]:
+    """Wall-clock samples of each of ``fns``, run round-robin ``repeats``
+    times.  Back-to-back blocks of one variant drift 10–20% on a shared
+    host (frequency scaling, allocator state); round-robin puts every
+    variant through the same drift."""
+    samples: list[list[float]] = [[] for _ in fns]
+    for _ in range(repeats):
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            samples[i].append(time.perf_counter() - t0)
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +453,106 @@ def run_cost_breakdown(sizes=(128, 512), avg_degree=4, seed=0) -> list[Row]:
     return rows
 
 
+def run_priority_ablation(layers=16, width=20, seed=3) -> list[Row]:
+    """A1: §3.1's geometric priorities vs constant and uniform-random
+    ones at ``L = layers``: same distances, different label changes."""
+    from ..baselines.dag_relax import dag_limited_sssp_reference
+    from ..runtime.rng import make_rng, priority_cap
+
+    g = layered_dag(layers, width, p_negative=0.6, seed=seed)
+    expected = dag_limited_sssp_reference(g, 0, layers)
+    rng = make_rng(seed)
+    variants = {
+        "geometric": None,  # the algorithm draws its own
+        "constant": np.ones(g.n, dtype=np.int64),
+        "uniform": rng.integers(1, priority_cap(g.n) + 1, size=g.n),
+    }
+    rows = []
+    for name, pri in variants.items():
+        res = dag01_limited_sssp(g, 0, layers, seed=seed, priorities=pri)
+        rows.append(Row(
+            params={"priorities": name, "n": g.n},
+            values={"work": res.cost.work,
+                    "label_changes_total": int(res.label_changes.sum()),
+                    "label_changes_max": int(res.label_changes.max()),
+                    "reach_nodes": res.reach_node_total,
+                    "correct": bool(np.array_equal(res.dist, expected))}))
+    return rows
+
+
+def run_assp_engine_ablation(n=200, m=1000, limit=14, seed=5) -> list[Row]:
+    """A2: the ASSSP engine inside §4 LimitedSP — exact, perturbed,
+    Δ-stepping and flaky — against Dijkstra's limited distances."""
+    from ..baselines.dijkstra import dijkstra
+
+    g = zero_heavy_digraph(n, m, p_zero=0.4, seed=seed)
+    expected = dijkstra(g, 0, limit=limit).dist
+    rows = []
+    for name in ("exact", "perturbed", "delta-stepping", "flaky"):
+        engine = (get_engine(name, seed=seed)
+                  if name in ("perturbed", "flaky") else get_engine(name))
+        res = limited_sssp(g, 0, limit, engine=engine, max_retries=500)
+        rows.append(Row(
+            params={"engine": name},
+            values={"work": res.cost.work,
+                    "span_model": res.cost.span_model,
+                    "refine_calls": res.refine_calls,
+                    "retries": res.retries,
+                    "correct": bool(np.array_equal(res.dist, expected))}))
+    return rows
+
+
+def run_weighted_bfs_ablation(sizes=(200, 800), limit=12,
+                              seed=1) -> list[Row]:
+    """A3: LimitedSP vs weighted BFS (O(m + L) work, §1.2) on strictly
+    positive weights."""
+    from ..baselines.dijkstra import dijkstra
+    from ..graph.generators import random_digraph
+    from ..limited.weighted_bfs import weighted_bfs_limited
+
+    rows = []
+    for n in sizes:
+        g = random_digraph(n, 5 * n, min_w=1, max_w=5, seed=seed)
+        expected = dijkstra(g, 0, limit=limit).dist
+        wbfs = weighted_bfs_limited(g, 0, limit)
+        lsp = limited_sssp(g, 0, limit)
+        rows.append(Row(
+            params={"n": n, "m": g.m, "L": limit},
+            values={"weighted_bfs_work": wbfs.cost.work,
+                    "limited_sp_work": lsp.cost.work,
+                    "overhead_factor":
+                        lsp.cost.work / max(wbfs.cost.work, 1),
+                    "correct": bool(np.array_equal(wbfs.dist, expected)
+                                    and np.array_equal(lsp.dist, expected))}))
+    return rows
+
+
+def run_shortcut_tradeoff(n=2000, hub_counts=(2, 8, 32, 128),
+                          seed=0) -> list[Row]:
+    """A5: hub shortcuts on an n-vertex path: BFS rounds (span side)
+    against added edges (work side), reachability unchanged."""
+    from ..graph.digraph import DiGraph
+    from ..reach.multisource import multisource_reachability
+    from ..reach.shortcuts import build_hub_shortcuts
+
+    g = DiGraph.from_edges(n, [(i, i + 1, 0) for i in range(n - 1)])
+    base = multisource_reachability(g, np.array([0]))
+    rows = [Row(params={"n": n, "hubs": 0},
+                values={"bfs_rounds": base.rounds, "added_edges": 0,
+                        "total_edges": g.m, "correct": True})]
+    for hubs in hub_counts:
+        sc = build_hub_shortcuts(g, hubs, seed=seed)
+        res = multisource_reachability(sc.graph, np.array([0]))
+        rows.append(Row(
+            params={"n": n, "hubs": hubs},
+            values={"bfs_rounds": res.rounds,
+                    "added_edges": sc.added_edges,
+                    "total_edges": sc.graph.m,
+                    "correct": bool(np.array_equal(res.pi >= 0,
+                                                   base.pi >= 0))}))
+    return rows
+
+
 def run_family_robustness(n: int = 400, seed=0) -> list[Row]:
     """E15: the solver on five structurally different graph families.
 
@@ -481,6 +594,97 @@ def run_family_robustness(n: int = 400, seed=0) -> list[Row]:
     return rows
 
 
+def run_wallclock(n: int = 300, repeats: int = 7, seed=0,
+                  raw_out: dict | None = None) -> list[Row]:
+    """E14: wall clock of every solver on one shared workload; the raw
+    interleaved samples land in ``raw_out`` for the statistical gate."""
+    from ..assp.engines import DeltaSteppingAssp, ExactAssp
+    from ..baselines.dijkstra import dijkstra
+    from ..baselines.johnson import johnson_potential
+
+    g_neg = hidden_potential_graph(n, 4 * n, potential_spread=24, seed=seed)
+    g_nonneg = zero_heavy_digraph(n, 5 * n, p_zero=0.4, seed=seed)
+    parallel = get_sssp_engine("goldberg_parallel")
+    sequential = get_sssp_engine("goldberg_sequential")
+    workloads = [
+        ("goldberg_parallel", g_neg, lambda: parallel.solve(g_neg, 0, seed=seed)),
+        ("goldberg_sequential", g_neg, lambda: sequential.solve(g_neg, 0, seed=seed)),
+        ("bellman_ford", g_neg, lambda: bellman_ford(g_neg, 0)),
+        ("johnson", g_neg, lambda: johnson_potential(g_neg)),
+        ("dijkstra", g_nonneg, lambda: dijkstra(g_nonneg, 0)),
+        ("limited_exact", g_nonneg,
+         lambda: limited_sssp(g_nonneg, 0, 12, engine=ExactAssp())),
+        ("limited_delta_stepping", g_nonneg,
+         lambda: limited_sssp(g_nonneg, 0, 12, engine=DeltaSteppingAssp())),
+    ]
+    for _, _, fn in workloads:
+        fn()  # warm-up outside the measured rounds
+    samples = _interleaved_samples([fn for _, _, fn in workloads], repeats)
+    rows = [
+        Row(params={"solver": name,
+                    "graph": "neg" if g is g_neg else "nonneg",
+                    "n": g.n, "m": g.m},
+            values={"best_s": round(min(s), 4),
+                    "median_s": round(sorted(s)[len(s) // 2], 4),
+                    "samples": len(s)})
+        for (name, g, _), s in zip(workloads, samples)]
+    if raw_out is not None:
+        raw_out.update(zip((name for name, _, _ in workloads), samples))
+    return rows
+
+
+def run_checkpoint_overhead(ns=(512, 1024, 2048),
+                            repeats: int = 3) -> list[Row]:
+    """E16: the cost of one hash-stamped checkpoint per scale level on
+    the E09 family, measured directly (solver noise swamps a difference
+    of two solve times): the ``on_checkpoint`` hook re-times each
+    checkpoint's fsync'd atomic write to a scratch path, best of
+    ``repeats``, and the fingerprint hash is timed standalone."""
+    import pathlib
+    import tempfile
+
+    from ..graph.generators import bf_hard_graph
+    from ..resilience.checkpoint import (
+        checkpoint_fingerprint,
+        load_checkpoint,
+        save_checkpoint,
+    )
+
+    def best_seconds(fn):
+        return min(_interleaved_samples([fn], repeats)[0])
+
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in ns:
+            g = bf_hard_graph(n, 4 * n, potential_spread=8, seed=0)
+            ck, scratch = (pathlib.Path(tmp) / f"e16_{n}.{ext}"
+                           for ext in ("bin", "scratch"))
+
+            solve_sssp(g, 0, seed=0)  # import/cache warm-up
+            plain = best_seconds(lambda g=g: solve_sssp(g, 0, seed=0))
+            fp = best_seconds(
+                lambda g=g: checkpoint_fingerprint(g, g.w, mode="parallel",
+                                                   eps=0.25, seed=0))
+            saves: list[float] = []
+
+            def timed_resave(checkpoint, scratch=scratch, saves=saves):
+                saves.append(best_seconds(
+                    lambda: save_checkpoint(str(scratch), checkpoint)))
+
+            solve_sssp(g, 0, seed=0, checkpoint_path=str(ck),
+                       on_checkpoint=timed_resave)
+            added = fp + sum(saves)
+            rows.append(Row(
+                params={"n": n, "m": g.m},
+                values={"plain_s": round(plain, 4),
+                        "saves": len(saves),
+                        "save_ms_total": round(1e3 * sum(saves), 3),
+                        "ck_bytes": ck.stat().st_size,
+                        "done": load_checkpoint(str(ck)).done,
+                        "overhead_pct": round(100 * added / plain, 3)}))
+    return rows
+
+
 def _python_burn_block(lo: int, hi: int, weight: int) -> int:
     """A deliberately GIL-bound kernel: pure-Python arithmetic, no numpy.
 
@@ -494,8 +698,7 @@ def _python_burn_block(lo: int, hi: int, weight: int) -> int:
     return acc
 
 
-def run_backend_scaling(n: int = 200_000, n_workers: int = 2,
-                        repeats: int = 5, grain: int | None = None,
+def run_backend_scaling(n: int = 200_000, n_workers: int = 2, repeats: int = 5,
                         raw_out: dict | None = None) -> list[Row]:
     """E19: ``map_blocks`` throughput across the execution backends.
 
@@ -511,7 +714,7 @@ def run_backend_scaling(n: int = 200_000, n_workers: int = 2,
     from ..runtime.backends import ProcessForkJoinPool, SerialBackend
     from ..runtime.executor import ForkJoinPool
 
-    g = grain if grain is not None else max(1, n // (4 * n_workers))
+    g = max(1, n // (4 * n_workers))
     backends = [
         ("serial", SerialBackend(grain=g)),
         ("thread", ForkJoinPool(n_workers, grain=g)),
@@ -519,15 +722,12 @@ def run_backend_scaling(n: int = 200_000, n_workers: int = 2,
     ]
     rows = []
     try:
-        outputs = {}
+        outputs: dict[str, list] = {}
         samples: dict[str, list[float]] = {}
         for name, be in backends:
-            be.map_blocks(n, _python_burn_block, (3,))  # warm the pool
-            samples[name] = []
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                outputs[name] = be.map_blocks(n, _python_burn_block, (3,))
-                samples[name].append(time.perf_counter() - t0)
+            run = partial(be.map_blocks, n, _python_burn_block, (3,))
+            outputs[name] = run()  # warms the pool
+            samples[name] = _interleaved_samples([run], repeats)[0]
         # thread and process share worker count + grain, hence the same
         # partition: their block lists must match exactly.  The serial
         # rung runs inline as one block, so compare its (associative,
@@ -617,111 +817,127 @@ def run_engine_shootout(n: int = 300, seed=0, repeats: int = 3,
     return rows
 
 
-def run_telemetry_overhead(ns=(1024, 2048, 4096), repeats: int = 13,
-                           scrape_interval: float = 0.1,
-                           raw_out: dict | None = None) -> list[Row]:
-    """E21: what the full worker-telemetry pipeline costs when it is on.
-
-    Four variants per instance, interleaved round-robin and scored
-    best-of-``repeats`` (the E17/E18 methodology):
-
-    * ``plain`` — no ambient tracer/registry/profiler (the default);
-    * ``disabled`` — re-measures the plain path: every telemetry guard
-      is one run-context read plus a ``None`` test, so this variant's
-      delta is pure timer noise and bounds what the no-op guards could
-      cost (0% by construction);
-    * ``telemetry`` — ambient ``Tracer`` + ``MetricsRegistry`` with a
-      live :class:`~repro.observability.http.TelemetryServer` scraped
-      from a background thread every ``scrape_interval`` seconds (100ms
-      — still ~50x more aggressive than a production Prometheus scrape
-      loop; the scraper waits out the first interval so a run shorter
-      than it prices the guards and the idle server, which is the
-      steady-state cost model) — the full live-exposition pipeline,
-      gated under 5%;
-    * ``profiler`` — per-phase cProfile capture.  Reported, not gated
-      under 5%: cProfile's per-call hook prices every Python call, so
-      its cost tracks call count, not phase-boundary count.
-
-    The deterministic columns (metric families, spans closed, profiled
-    phases) come from separate clean captures, off the clock and without
-    the live server, so the nondeterministic scrape counter cannot leak
-    into bit-exact comparisons.  Raw per-round samples for the largest
-    instance land in ``raw_out`` (when given) for the statistical gate.
-    """
-    import threading
-    import urllib.request
+def _overhead_sweep(ns, repeats: int, variants: dict, capture,
+                    raw_out: dict | None) -> list[Row]:
+    """E17, E18 and E21's method: per instance of the E09 family,
+    best-of-``repeats`` interleaved wall clock of the plain sequential
+    solve, of ``disabled`` (a re-measure of it: its delta is timer noise
+    and bounds what the no-op guards could cost) and of each of
+    ``variants`` (name → context-manager factory around the solve), plus
+    ``capture(eng, g)``'s deterministic columns from clean runs.  Raw
+    samples of the largest instance land in ``raw_out`` when given."""
+    from contextlib import nullcontext
 
     from ..graph.generators import bf_hard_graph
+
+    eng = get_sssp_engine("goldberg_sequential")
+    rows = []
+    for n in ns:
+        g = bf_hard_graph(n, 4 * n, potential_spread=8, seed=0)
+
+        def run(scope=nullcontext, g=g):
+            with scope():
+                eng.solve(g, 0, seed=0)
+
+        run()  # import/cache warm-up before the first sample
+        samples = _interleaved_samples(
+            [run, run, *(partial(run, s) for s in variants.values())],
+            repeats)
+        plain, *rest = (min(s) for s in samples)
+        rows.append(Row(
+            params={"n": n, "m": g.m},
+            values={"plain_s": round(plain, 4),
+                    **{f"{name}_pct": round(100 * (t - plain) / plain, 3)
+                       for name, t in zip(["disabled", *variants], rest)},
+                    **capture(eng, g)}))
+        if raw_out is not None and n == max(ns):
+            raw_out.update(plain=samples[0], **dict(zip(variants, samples[2:])))
+    return rows
+
+
+def run_trace_overhead(ns=(512, 1024, 2048), repeats: int = 13) -> list[Row]:
+    """E17: an ambient ``Tracer`` (``enabled``); spans per solve."""
+    from ..observability import Tracer, tracing
+
+    def capture(eng, g):
+        tr = Tracer()
+        with tracing(tr):
+            eng.solve(g, 0, seed=0)
+        return {"spans": len(tr.spans)}
+
+    return _overhead_sweep(ns, repeats, {"enabled": lambda: tracing(Tracer())},
+                           capture, None)
+
+
+def run_metrics_overhead(ns=(512, 1024, 2048), repeats: int = 13,
+                         raw_out: dict | None = None) -> list[Row]:
+    """E18: an ambient ``MetricsRegistry`` (``enabled``); the metric
+    families a solve records."""
+    from ..observability import MetricsRegistry, metering
+
+    def capture(eng, g):
+        reg = MetricsRegistry()
+        with metering(reg):
+            eng.solve(g, 0, seed=0)
+        return {"metric_families": len(reg.state())}
+
+    return _overhead_sweep(
+        ns, repeats, {"enabled": lambda: metering(MetricsRegistry())},
+        capture, raw_out)
+
+
+def run_telemetry_overhead(ns=(1024, 2048, 4096), repeats: int = 13,
+                           raw_out: dict | None = None) -> list[Row]:
+    """E21: ``telemetry`` is an ambient ``Tracer`` and ``MetricsRegistry``
+    with a live :class:`~repro.observability.http.TelemetryServer`
+    scraped every 100 ms (~50x a production scrape loop; the first scrape
+    waits one interval), ``profiler`` per-phase cProfile capture.  The
+    deterministic columns come from captures without the live server, so
+    its scrape counter cannot leak into bit-exact comparisons."""
+    import threading
+    import urllib.request
+    from contextlib import contextmanager
+
     from ..observability import MetricsRegistry, Tracer, metering, tracing
     from ..observability.http import TelemetryServer
     from ..observability.profiler import PhaseProfiler, profiling
 
-    rows = []
     # one server for the whole sweep, given each telemetry run's fresh
     # registry and tracer before the run, so live scrapes read (and count
     # repro_scrapes_total into) the registry the solve fills
     with TelemetryServer() as server:
-        for n in ns:
-            g = bf_hard_graph(n, 4 * n, potential_spread=8, seed=0)
 
-            def plain_run(g=g):
-                solve_sssp(g, 0, seed=0, mode="sequential")
+        @contextmanager
+        def live_telemetry():
+            stop = threading.Event()
 
-            def telemetry_run(g=g):
-                stop = threading.Event()
+            def scrape():
+                url = server.url("/metrics")
+                while not stop.wait(0.1):
+                    with urllib.request.urlopen(url, timeout=5) as r:
+                        r.read()
 
-                def scrape():
-                    url = server.url("/metrics")
-                    while not stop.wait(scrape_interval):
-                        with urllib.request.urlopen(url, timeout=5) as r:
-                            r.read()
+            th = threading.Thread(target=scrape, daemon=True)
+            server.registry, server.tracer = MetricsRegistry(), Tracer()
+            with tracing(server.tracer), metering(server.registry):
+                th.start()
+                try:
+                    yield
+                finally:
+                    stop.set()
+                    th.join()
 
-                th = threading.Thread(target=scrape, daemon=True)
-                server.registry, server.tracer = MetricsRegistry(), Tracer()
-                with tracing(server.tracer), metering(server.registry):
-                    th.start()
-                    try:
-                        solve_sssp(g, 0, seed=0, mode="sequential")
-                    finally:
-                        stop.set()
-                        th.join()
-
-            def profiler_run(g=g):
-                with profiling(PhaseProfiler()):
-                    solve_sssp(g, 0, seed=0, mode="sequential")
-
-            plain_run()  # import/cache warm-up before the first sample
-            fns = [plain_run, plain_run, telemetry_run, profiler_run]
-            samples: list[list[float]] = [[] for _ in fns]
-            for _ in range(repeats):
-                for i, fn in enumerate(fns):
-                    t0 = time.perf_counter()
-                    fn()
-                    samples[i].append(time.perf_counter() - t0)
-            plain, disabled, telem, prof_t = (min(s) for s in samples)
-
-            reg = MetricsRegistry()
-            tr = Tracer()
-            prof = PhaseProfiler()
+        def capture(eng, g):
+            reg, tr, prof = MetricsRegistry(), Tracer(), PhaseProfiler()
             with tracing(tr), metering(reg):
-                solve_sssp(g, 0, seed=0, mode="sequential")
+                eng.solve(g, 0, seed=0)
             with profiling(prof):
-                solve_sssp(g, 0, seed=0, mode="sequential")
+                eng.solve(g, 0, seed=0)
+            return {"metric_families": len(reg.state()),
+                    "spans_closed": tr.cursor(),
+                    "profiled_phases": len(prof.to_json()["phases"])}
 
-            rows.append(Row(
-                params={"n": n, "m": g.m},
-                values={"plain_s": round(plain, 4),
-                        "disabled_pct": round(
-                            100 * (disabled - plain) / plain, 3),
-                        "telemetry_pct": round(
-                            100 * (telem - plain) / plain, 3),
-                        "profiler_pct": round(
-                            100 * (prof_t - plain) / plain, 3),
-                        "metric_families": len(reg.state()),
-                        "spans_closed": tr.cursor(),
-                        "profiled_phases": len(prof.to_json()["phases"])}))
-            if raw_out is not None and n == max(ns):
-                raw_out.update({"plain": samples[0],
-                                "telemetry": samples[2],
-                                "profiler": samples[3]})
-    return rows
+        return _overhead_sweep(
+            ns, repeats, {"telemetry": live_telemetry,
+                          "profiler": lambda: profiling(PhaseProfiler())},
+            capture, raw_out)

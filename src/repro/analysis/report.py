@@ -1,18 +1,19 @@
 """One-command reproduction report.
 
-``python -m repro report`` reruns every experiment in EXPERIMENTS.md with
-the current library and writes one self-contained markdown file — the
-artefact a reviewer can diff against the committed EXPERIMENTS.md to check
-the claims still hold on their machine.  ``--fast`` shrinks the sweeps to
-finish in well under a minute.
+``python -m repro report`` reruns every experiment of the registry
+(:mod:`repro.analysis.benchruns`) with the current library and writes one
+self-contained markdown file — each table with its claim's verdict, the
+artefact a reviewer can diff against the committed EXPERIMENTS.md to
+check the claims still hold on their machine.  ``--fast`` shrinks the
+sweeps to finish in seconds and leaves the claims unjudged.
 """
 
 from __future__ import annotations
 
+import pathlib
 import time
 
-from .benchruns import BENCH_RUNS
-from .tables import render_table
+from .benchruns import BENCH_RUNS, run_spec
 
 
 def generate_report(fast: bool = False) -> str:
@@ -28,26 +29,16 @@ def generate_report(fast: bool = False) -> str:
     ]
     t_total = time.perf_counter()
     for spec in BENCH_RUNS:
-        t0 = time.perf_counter()
-        rows = spec.runner(**(spec.fast_kwargs if fast
-                              else spec.full_kwargs))
-        elapsed = time.perf_counter() - t0
-        lines.append(f"## {spec.exp_id} — {spec.title}")
-        lines.append("")
-        lines.append("```")
-        lines.append(render_table(rows))
-        lines.append("```")
-        lines.append(f"_{len(rows)} rows in {elapsed:.1f}s_")
-        lines.append("")
-    lines.append(
-        f"_Total: {time.perf_counter() - t_total:.1f}s, "
-        f"{len(BENCH_RUNS)} experiments._")
-    lines.append("")
+        record, text = run_spec(spec, fast=fast)
+        title, _, body = text.partition("\n")
+        lines += [f"## {title}", "", "```", body, "```",
+                  f"_{len(record['rows'])} rows in "
+                  f"{record['meta']['runner_seconds']:.1f}s_", ""]
+    lines += [f"_Total: {time.perf_counter() - t_total:.1f}s, "
+              f"{len(BENCH_RUNS)} experiments._", ""]
     return "\n".join(lines)
 
 
 def write_report(path: str, fast: bool = False) -> str:
-    text = generate_report(fast=fast)
-    with open(path, "w") as f:
-        f.write(text)
+    pathlib.Path(path).write_text(generate_report(fast=fast))
     return path

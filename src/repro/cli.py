@@ -11,14 +11,16 @@ Subcommands
               ``fischer_simple`` — all of which print bit-identical
               distances on the same input.
 ``generate``  synthesise a benchmark workload as DIMACS text.
-``bench``     run experiments / gate against baselines.  ``bench e9``
-              prints one table (legacy); ``bench run`` executes a
-              selection and writes ``BENCH_<id>.json`` records;
-              ``bench compare BASE CAND`` gates a candidate results
-              directory against a baseline (bit-exact on deterministic
-              model costs, Mann–Whitney + bootstrap CI on wall-clock;
-              exits 1 on regression); ``bench baseline`` snapshots
-              records into ``benchmarks/baselines/``.
+``bench``     run experiments / gate against baselines.  ``bench run``
+              executes a selection of the registry in
+              :mod:`repro.analysis.benchruns`, writes ``<id>.txt`` and
+              ``BENCH_<id>.json`` records and judges each claim on a
+              full sweep (exits 1 when one fails); ``bench compare BASE
+              CAND`` gates a candidate results directory against a
+              baseline (bit-exact on deterministic model costs,
+              Mann–Whitney + bootstrap CI on wall-clock; exits 1 on
+              regression); ``bench baseline`` snapshots records into
+              ``benchmarks/baselines/``.
 ``trace``     per-phase cost breakdown of a ``solve --trace`` JSONL file
               (plus the per-worker block table when the trace has one,
               and ``--profile DIR`` for profiler hot paths).
@@ -52,7 +54,7 @@ Examples::
     python -m repro solve g.gr --deadline 30 --checkpoint ck.bin
     python -m repro solve g.gr --checkpoint ck.bin --resume
     python -m repro solve g.gr --trace t.jsonl && python -m repro trace t.jsonl
-    python -m repro bench e9
+    python -m repro bench run e9
     python -m repro bench run fast --fast
     python -m repro bench compare benchmarks/baselines benchmarks/results
     python -m repro bench baseline fast --fast
@@ -70,18 +72,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .analysis import (
-    print_table,
-    run_dag01_work_scaling,
-    run_goldberg_vs_bellman_ford,
-    run_label_changes,
-    run_limited_work_span,
-    run_peeling_vs_naive,
-    run_reweighting_iterations,
-    run_scaling_in_n,
-    run_span_parallelism,
-    run_sqrt_k_progress,
-)
+from .analysis import print_table
 from .core import solve_sssp_resilient
 from .core.engines import engine_names
 from .graph import generators
@@ -100,7 +91,7 @@ from .resilience import (
 from .runtime import BACKEND_NAMES, DegradationLadder
 
 EXIT_OK = 0
-EXIT_REGRESSION = 1       # `bench compare` found a regression
+EXIT_REGRESSION = 1       # `bench compare` regression, `bench run` failed claim
 EXIT_INVALID_INPUT = 2
 EXIT_NEGATIVE_CYCLE = 3
 EXIT_EXHAUSTED = 4
@@ -112,8 +103,6 @@ DEFAULT_STATICS_BASELINE = pathlib.Path("statics_baseline.json")
 DEFAULT_RESULTS_DIR = pathlib.Path("benchmarks") / "results"
 DEFAULT_BASELINE_DIR = pathlib.Path("benchmarks") / "baselines"
 DEFAULT_GATE_CONFIG = pathlib.Path("benchmarks") / "gate_config.json"
-
-_BENCH_ACTIONS = ("run", "compare", "baseline")
 
 _GENERATORS = {
     "hidden-potential": lambda a: generators.hidden_potential_graph(
@@ -128,18 +117,6 @@ _GENERATORS = {
         a.n, a.m, seed=a.seed),
     "planted-cycle": lambda a: generators.planted_negative_cycle_graph(
         a.n, a.m, max(2, a.spread), seed=a.seed)[0],
-}
-
-_BENCHES = {
-    "e1": run_dag01_work_scaling,
-    "e3": run_label_changes,
-    "e4": run_peeling_vs_naive,
-    "e5": run_limited_work_span,
-    "e7": run_sqrt_k_progress,
-    "e8": run_reweighting_iterations,
-    "e9": run_goldberg_vs_bellman_ford,
-    "e10": run_span_parallelism,
-    "e11": run_scaling_in_n,
 }
 
 
@@ -223,14 +200,62 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser(
         "bench",
         help="run experiments / regression-gate against baselines")
-    pb.add_argument("experiment",
-                    choices=sorted(_BENCHES) + list(_BENCH_ACTIONS),
-                    metavar="{" + ",".join(sorted(_BENCHES))
-                    + ",run,compare,baseline}",
-                    help="a legacy single-table experiment id, or one of "
-                         "the pipeline actions run/compare/baseline")
-    pb.add_argument("rest", nargs=argparse.REMAINDER,
-                    help="action arguments (see `repro bench run --help`)")
+    bench = pb.add_subparsers(dest="action", required=True)
+    pr = bench.add_parser(
+        "run", help="run experiments and judge their claims",
+        description="Run experiments, write <id>.txt and BENCH_<id>.json "
+                    "records, and judge each claim on a full sweep.  "
+                    "Exits 1 when a claim fails.")
+    pr.add_argument("ids", nargs="*", default=["all"],
+                    help="experiment ids (e1 e13b a5 ...), 'all', or 'fast' "
+                         "(the CI gate subset); default all")
+    pr.add_argument("--fast", action="store_true",
+                    help="shrunken parameter sweeps (not judged: the "
+                         "claims hold at full size)")
+    pr.add_argument("--results-dir", default=str(DEFAULT_RESULTS_DIR),
+                    help=f"output directory (default {DEFAULT_RESULTS_DIR})")
+    pr.add_argument("--metrics-port", type=int, default=None, metavar="PORT",
+                    help="serve live telemetry on 127.0.0.1:PORT while the "
+                         "experiments run (0 picks a free port)")
+    pc = bench.add_parser(
+        "compare", help="gate a candidate results directory",
+        description="Gate a candidate results directory against a "
+                    "baseline: bit-exact on deterministic model costs, "
+                    "Mann-Whitney + bootstrap CI on raw wall-clock "
+                    "samples.  Exits 1 on regression.")
+    pc.add_argument("baseline", help="directory of baseline BENCH_*.json")
+    pc.add_argument("candidate", help="directory of candidate BENCH_*.json")
+    pc.add_argument("--config", default=None,
+                    help="gate config JSON (default "
+                         f"{DEFAULT_GATE_CONFIG} when present)")
+    pc.add_argument("--wallclock", action=argparse.BooleanOptionalAction,
+                    default=True,
+                    help="--no-wallclock skips timing statistics (for "
+                         "cross-machine comparisons, e.g. CI vs committed "
+                         "baselines)")
+    pc.add_argument("--allow-missing", action="store_true",
+                    help="a baseline with no candidate record is skipped "
+                         "instead of failing")
+    pc.add_argument("--seed", type=int, default=0,
+                    help="bootstrap RNG seed (default 0)")
+    pbl = bench.add_parser(
+        "baseline", help="snapshot records into the baseline directory",
+        description="Snapshot BENCH_<id>.json records into the committed "
+                    "baseline directory (reruns the experiments first "
+                    "unless --no-run)")
+    pbl.add_argument("ids", nargs="*", default=["all"],
+                     help="experiment ids, 'all', or 'fast'; default all")
+    pbl.add_argument("--fast", action="store_true",
+                     help="shrunken parameter sweeps")
+    pbl.add_argument("--results-dir", default=str(DEFAULT_RESULTS_DIR),
+                     help=f"source directory (default {DEFAULT_RESULTS_DIR})")
+    pbl.add_argument("--baseline-dir", default=str(DEFAULT_BASELINE_DIR),
+                     help="snapshot destination "
+                          f"(default {DEFAULT_BASELINE_DIR})")
+    pbl.add_argument("--run", action=argparse.BooleanOptionalAction,
+                     default=True,
+                     help="--no-run snapshots existing records without "
+                          "rerunning")
 
     pp = sub.add_parser(
         "profile",
@@ -472,74 +497,9 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _bench_run_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro bench run",
-        description="Run experiments and write BENCH_<id>.json records")
-    p.add_argument("ids", nargs="*", default=["all"],
-                   help="experiment ids (e1 e5 ...), 'all', or 'fast' "
-                        "(the CI gate subset); default all")
-    p.add_argument("--fast", action="store_true",
-                   help="shrunken parameter sweeps")
-    p.add_argument("--results-dir", default=str(DEFAULT_RESULTS_DIR),
-                   help=f"output directory (default {DEFAULT_RESULTS_DIR})")
-    p.add_argument("--metrics-port", type=int, default=None, metavar="PORT",
-                   help="serve live telemetry on 127.0.0.1:PORT while the "
-                        "experiments run (0 picks a free port)")
-    return p
-
-
-def _bench_compare_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro bench compare",
-        description="Gate a candidate results directory against a "
-                    "baseline: bit-exact on deterministic model costs, "
-                    "Mann-Whitney + bootstrap CI on raw wall-clock "
-                    "samples.  Exits 1 on regression.")
-    p.add_argument("baseline", help="directory of baseline BENCH_*.json")
-    p.add_argument("candidate", help="directory of candidate BENCH_*.json")
-    p.add_argument("--config", default=None,
-                   help="gate config JSON (default "
-                        f"{DEFAULT_GATE_CONFIG} when present)")
-    p.add_argument("--wallclock", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="--no-wallclock skips timing statistics (for "
-                        "cross-machine comparisons, e.g. CI vs committed "
-                        "baselines)")
-    p.add_argument("--allow-missing", action="store_true",
-                   help="a baseline with no candidate record is skipped "
-                        "instead of failing")
-    p.add_argument("--seed", type=int, default=0,
-                   help="bootstrap RNG seed (default 0)")
-    return p
-
-
-def _bench_baseline_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro bench baseline",
-        description="Snapshot BENCH_<id>.json records into the committed "
-                    "baseline directory (reruns the experiments first "
-                    "unless --no-run)")
-    p.add_argument("ids", nargs="*", default=["all"],
-                   help="experiment ids, 'all', or 'fast'; default all")
-    p.add_argument("--fast", action="store_true",
-                   help="shrunken parameter sweeps")
-    p.add_argument("--results-dir", default=str(DEFAULT_RESULTS_DIR),
-                   help=f"source directory (default {DEFAULT_RESULTS_DIR})")
-    p.add_argument("--baseline-dir", default=str(DEFAULT_BASELINE_DIR),
-                   help="snapshot destination "
-                        f"(default {DEFAULT_BASELINE_DIR})")
-    p.add_argument("--run", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="--no-run snapshots existing records without "
-                        "rerunning")
-    return p
-
-
-def _cmd_bench_run(argv) -> int:
+def _cmd_bench_run(args) -> int:
     from .analysis.benchruns import run_benches
 
-    args = _bench_run_parser().parse_args(argv)
     registry = server = None
     if args.metrics_port is not None:
         if not (0 <= args.metrics_port <= 65535):
@@ -557,8 +517,8 @@ def _cmd_bench_run(argv) -> int:
     try:
         with (metering(registry) if registry is not None
               else nullcontext()):
-            run_benches(args.ids, args.results_dir, fast=args.fast,
-                        progress=print)
+            records = run_benches(args.ids, args.results_dir,
+                                  fast=args.fast, progress=print)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
@@ -566,13 +526,17 @@ def _cmd_bench_run(argv) -> int:
         if server is not None:
             server.stop()
     print(f"wrote records to {args.results_dir}")
+    failed = [r["meta"]["exp_id"] for r in records
+              if not all(c["held"] for c in r["meta"].get("claim", ()))]
+    if failed:
+        print(f"claims FAILED: {', '.join(failed)}", file=sys.stderr)
+        return EXIT_REGRESSION
     return EXIT_OK
 
 
-def _cmd_bench_compare(argv) -> int:
+def _cmd_bench_compare(args) -> int:
     from .analysis.benchgate import GateConfig, compare_dirs, render_report
 
-    args = _bench_compare_parser().parse_args(argv)
     config_path = args.config
     if config_path is None and DEFAULT_GATE_CONFIG.is_file():
         config_path = DEFAULT_GATE_CONFIG
@@ -592,11 +556,10 @@ def _cmd_bench_compare(argv) -> int:
     return EXIT_OK if report.ok else EXIT_REGRESSION
 
 
-def _cmd_bench_baseline(argv) -> int:
+def _cmd_bench_baseline(args) -> int:
     from .analysis.benchjson import list_bench_json, write_bench_summary
     from .analysis.benchruns import resolve_specs, run_benches
 
-    args = _bench_baseline_parser().parse_args(argv)
     try:
         specs = resolve_specs(args.ids)
         if args.run:
@@ -625,18 +588,9 @@ def _cmd_bench_baseline(argv) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.experiment in _BENCH_ACTIONS:
-        handler = {"run": _cmd_bench_run,
-                   "compare": _cmd_bench_compare,
-                   "baseline": _cmd_bench_baseline}[args.experiment]
-        return handler(args.rest)
-    if args.rest:
-        print(f"error: unexpected arguments {args.rest} after "
-              f"{args.experiment!r}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    rows = _BENCHES[args.experiment]()
-    print_table(rows, f"experiment {args.experiment}")
-    return 0
+    return {"run": _cmd_bench_run,
+            "compare": _cmd_bench_compare,
+            "baseline": _cmd_bench_baseline}[args.action](args)
 
 
 def cmd_trace(args) -> int:

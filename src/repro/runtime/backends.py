@@ -73,7 +73,7 @@ from ..resilience.preempt import (
     Deadline,
     cancel_scope,
 )
-from .executor import BlockFn, BlockPool, ForkJoinPool
+from .executor import BlockFn, BlockPool, ForkJoinPool, check_count
 
 BACKEND_NAMES = ("serial", "thread", "process")
 
@@ -316,7 +316,9 @@ class ProcessForkJoinPool(BlockPool):
     The timing settings must be finite: ``heartbeat_interval``,
     ``liveness_timeout`` and ``straggler_factor`` above 0, the backoff
     pair at least 0.  A NaN timeout would make every liveness comparison
-    false and leave a wedged worker wedged.
+    false and leave a wedged worker wedged.  The counts must be
+    integers: ``n_workers``, ``grain`` and ``max_dispatches`` at least
+    1, ``max_worker_losses`` at least 0.
     """
 
     name = "process"
@@ -333,8 +335,6 @@ class ProcessForkJoinPool(BlockPool):
                  mp_context: Any = None) -> None:
         if n_workers is None:
             n_workers = min(8, os.cpu_count() or 1)
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
         for name, value in (("heartbeat_interval", heartbeat_interval),
                             ("liveness_timeout", liveness_timeout),
                             ("straggler_factor", straggler_factor)):
@@ -346,18 +346,17 @@ class ProcessForkJoinPool(BlockPool):
             if not 0 <= value < math.inf:
                 raise InputValidationError(
                     f"{name} must be finite and >= 0, got {value!r}")
-        if max_dispatches < 1:
-            raise ValueError("max_dispatches must be >= 1")
-        self.n_workers = n_workers
-        self.grain = grain
+        self.n_workers = check_count("n_workers", n_workers, 1)
+        self.grain = check_count("grain", grain, 1)
+        self.max_dispatches = check_count("max_dispatches", max_dispatches, 1)
         self.heartbeat_interval = heartbeat_interval
         self.liveness_timeout = liveness_timeout
         self.straggler_factor = straggler_factor
-        self.max_dispatches = max_dispatches
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        self.max_worker_losses = (4 * n_workers + 8 if max_worker_losses
-                                  is None else max_worker_losses)
+        self.max_worker_losses = (
+            4 * self.n_workers + 8 if max_worker_losses is None
+            else check_count("max_worker_losses", max_worker_losses, 0))
         if mp_context is None:
             methods = multiprocessing.get_all_start_methods()
             mp_context = multiprocessing.get_context(

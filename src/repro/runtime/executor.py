@@ -37,6 +37,7 @@ tracer, registry, cancel token, budget guard and race checker.
 
 from __future__ import annotations
 
+import numbers
 import os
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
@@ -46,6 +47,7 @@ from typing import Any, Callable, TypeVar
 
 from ..observability.metrics import metric_inc
 from ..observability.tracer import current_tracer, trace_span
+from ..resilience.errors import InputValidationError
 from ..resilience.preempt import CancelToken, current_token
 from .racecheck import RaceChecker, current_race_checker
 
@@ -59,6 +61,17 @@ def _in_copied_context(fn: Callable[..., Any]) -> Callable[..., Any]:
     copy per submitted block, because a context cannot be entered by two
     threads at once."""
     return partial(copy_context().run, fn)
+
+
+def check_count(name: str, value: Any, minimum: int) -> int:
+    """``value`` as an ``int``, or :class:`InputValidationError` unless it
+    is an integer (not a bool) of at least ``minimum``: a zero grain would
+    divide by zero, a negative one run one inline block."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise InputValidationError(
+            f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def checked_map_blocks(checker: RaceChecker, n: int, fn: BlockFn,
@@ -119,13 +132,13 @@ class BlockPool:
         if self._closed:
             raise RuntimeError(
                 f"map_blocks on a shut-down {type(self).__name__}")
+        g = self.grain if grain is None else check_count("grain", grain, 1)
         if token is None:
             token = current_token()
         if token is not None:
             token.check("map_blocks")
         if n <= 0:
             return []
-        g = self.grain if grain is None else grain
         checker = current_race_checker()
         if checker is not None:
             # logical blocks, sequential, in-process: findings do not
@@ -180,10 +193,8 @@ class ForkJoinPool(BlockPool):
                  grain: int = 1024) -> None:
         if n_workers is None:
             n_workers = min(8, os.cpu_count() or 1)
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.n_workers = n_workers
-        self.grain = grain
+        self.n_workers = check_count("n_workers", n_workers, 1)
+        self.grain = check_count("grain", grain, 1)
         self._pool: ThreadPoolExecutor | None = (
             ThreadPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
         )

@@ -1,31 +1,13 @@
-"""Tests for the experiment harness and table rendering.
+"""Tests for the experiment harness's helpers and table rendering.
 
-Also hosts fast versions of the benchmark shape assertions so the paper's
-claims stay covered by plain `pytest tests/` runs.
+The experiments' claims are judged at full size in
+``tests/test_claims.py``.
 """
-
-import math
 
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    Row,
-    fit_exponent,
-    render_table,
-    run_dag01_work_scaling,
-    run_goldberg_vs_bellman_ford,
-    run_interval_reassignments,
-    run_label_changes,
-    run_limited_work_span,
-    run_negative_cycle_detection,
-    run_peeling_vs_naive,
-    run_reweighting_iterations,
-    run_scaling_in_n,
-    run_span_parallelism,
-    run_sqrt_k_progress,
-    run_verification_retry,
-)
+from repro.analysis import Row, fit_exponent, render_table
 
 
 class TestFitExponent:
@@ -76,65 +58,3 @@ class TestRenderTable:
         text = render_table(rows)
         assert "1.23e+07" in text and "1.2e-05" in text
 
-
-class TestRunnersSmall:
-    """Small-parameter runs of every experiment: structure + claim shape."""
-
-    def test_e1_shape(self):
-        rows = run_dag01_work_scaling(sizes=(150, 300, 600))
-        exp = fit_exponent([r.params["m"] for r in rows],
-                           [r.values["work"] for r in rows])
-        assert 0.7 < exp < 1.6
-
-    def test_e3_bound(self):
-        rows = run_label_changes(sizes=(100, 400))
-        assert all(r.values["ratio_max_over_log2sq"] < 4 for r in rows)
-
-    def test_e4_trend(self):
-        rows = run_peeling_vs_naive(depths=(10, 80))
-        assert rows[-1].values["work_ratio_naive_over_peeling"] > \
-            rows[0].values["work_ratio_naive_over_peeling"]
-
-    def test_e5_rows(self):
-        rows = run_limited_work_span(sizes=(100, 200))
-        assert all(r.values["work"] > 0 for r in rows)
-
-    def test_e6_bound(self):
-        rows = run_interval_reassignments(limits=(4, 32), n=120)
-        assert all(r.values["ratio_max_over_log2sq"] < 3 for r in rows)
-
-    def test_e7_bound(self):
-        rows = run_sqrt_k_progress(ks=(9, 64))
-        assert all(r.values["meets_bound"] for r in rows)
-        chain_rows = [r for r in rows if r.params["gadget"] == "chain"]
-        assert all(r.values["eliminated"] == math.isqrt(r.params["k"])
-                   for r in chain_rows)
-
-    def test_e8_bound(self):
-        rows = run_reweighting_iterations(sizes=(60, 240))
-        for r in rows:
-            assert r.values["iterations"] <= \
-                4 * math.sqrt(max(r.params["K"], 1)) + 4
-
-    def test_e9_correctness_and_growth(self):
-        rows = run_goldberg_vs_bellman_ford(sizes=(96, 384))
-        ratios = [r.values["work_ratio_bf_over_goldberg"] for r in rows]
-        assert ratios[1] > ratios[0]
-
-    def test_e10_positive_parallelism(self):
-        rows = run_span_parallelism(sizes=(64, 128))
-        assert all(r.values["parallelism"] > 1 for r in rows)
-
-    def test_e11_scales(self):
-        rows = run_scaling_in_n(spreads=(2, 32), n=60)
-        assert rows[1].values["scales"] > rows[0].values["scales"]
-
-    def test_e12_all_detected(self):
-        rows = run_negative_cycle_detection(sizes=(40, 80))
-        assert all(r.values["detected"] and r.values["certificate_valid"]
-                   for r in rows)
-
-    def test_e13_correct_under_injection(self):
-        rows = run_verification_retry(p_fails=(0.0, 0.1), rows_cols=(6, 6),
-                                      limit=12)
-        assert all(r.values["correct"] for r in rows)

@@ -182,6 +182,48 @@ class TestTimingSettings:
         ProcessForkJoinPool(1, backoff_base=0.0, backoff_cap=0.0).shutdown()
 
 
+_POOLS = {"serial": lambda **kw: SerialBackend(**kw),
+          "thread": lambda **kw: ForkJoinPool(2, **kw),
+          "process": lambda **kw: ProcessForkJoinPool(1, **kw)}
+
+
+class TestCountSettings:
+    """A zero grain divides by zero and a negative one silently runs one
+    inline block; a negative loss budget fails every multi-block call
+    with no worker lost.  Every pool refuses such counts up front."""
+
+    @pytest.mark.parametrize("grain", [0, -3, True, 2.5])
+    @pytest.mark.parametrize("pool", sorted(_POOLS))
+    def test_grain_is_an_int_of_at_least_one(self, pool, grain):
+        with pytest.raises(InputValidationError, match="grain"):
+            _POOLS[pool](grain=grain)
+        with _POOLS[pool](grain=4) as be:
+            for n in (0, 10):
+                with pytest.raises(InputValidationError, match="grain"):
+                    be.map_blocks(n, _ident, grain=grain)
+
+    def test_numpy_integer_grain_is_accepted(self):
+        with ForkJoinPool(2, grain=np.int64(4)) as be:
+            assert be.map_blocks(10, _ident, grain=np.int64(5)) == [
+                list(range(5)), list(range(5, 10))]
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda: ForkJoinPool(0), "n_workers"),
+        (lambda: ProcessForkJoinPool(0), "n_workers"),
+        (lambda: ProcessForkJoinPool(1, max_dispatches=0), "max_dispatches"),
+        (lambda: ProcessForkJoinPool(1, max_worker_losses=-1, grain=8),
+         "max_worker_losses"),
+        (lambda: ProcessForkJoinPool(1, max_worker_losses=0.5),
+         "max_worker_losses"),
+    ])
+    def test_counts_raise_input_validation_error(self, make, name):
+        with pytest.raises(InputValidationError, match=name):
+            make()
+
+    def test_zero_worker_losses_is_accepted(self):
+        ProcessForkJoinPool(1, max_worker_losses=0).shutdown()
+
+
 # ---------------------------------------------------------------------------
 # plain execution
 # ---------------------------------------------------------------------------

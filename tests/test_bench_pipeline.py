@@ -3,13 +3,14 @@
 Covers the three layers ISSUE 4's tentpole stacks up:
 
 * record layer — every emitted ``BENCH_<id>.json`` is schema-valid, the
-  validator rejects malformed documents, and ``save_table`` (the helper
-  every ``bench_*`` script goes through) writes txt + json + summary;
+  validator rejects malformed documents, and ``run_benches`` (the one
+  runner behind ``repro bench run``) writes txt + json + summary;
 * gate layer — identical runs compare clean, an injected model-work
   regression is caught bit-exactly, and the wall-clock statistics
   (Mann–Whitney + bootstrap CI) separate real slowdowns from noise;
 * CLI layer — ``repro bench run/compare/baseline`` wire it together with
-  the documented exit codes (0 clean, 1 regression, 2 bad input).
+  the documented exit codes (0 clean, 1 regression or failed claim, 2 bad
+  input).
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ from repro.analysis.benchjson import (
 )
 from repro.analysis.benchruns import (
     BENCH_RUNS,
+    BENCH_RUNS_BY_CLI_ID,
     FAST_GATE_IDS,
+    BenchSpec,
     resolve_specs,
     run_benches,
 )
@@ -59,6 +62,19 @@ def _rows(work=100.0, t=0.01):
 def _record(bench_id="e99_demo", work=100.0, t=0.01, wallclock=None):
     return bench_record(bench_id, "demo experiment", _rows(work, t),
                         wallclock=wallclock)
+
+
+def _plant(monkeypatch, *, held=True):
+    """Register experiment ``z1``: raw samples, a claim that may fail."""
+    def runner(work, raw_out):
+        raw_out["t"] = [0.1] * 5
+        return _rows(work)
+
+    spec = BenchSpec("Z1", "z1_planted", "planted experiment", runner,
+                     dict(work=100.0), dict(work=1.0),
+                     lambda rows: [(held, "the planted claim")],
+                     raw_samples=True)
+    monkeypatch.setitem(BENCH_RUNS_BY_CLI_ID, "z1", spec)
 
 
 # ---------------------------------------------------------------------------
@@ -128,22 +144,18 @@ class TestRecordSchema:
         # the summary itself is not indexed as a record
         assert spath not in list_bench_json(tmp_path)
 
-    def test_save_table_emits_txt_json_and_summary(self, tmp_path,
-                                                   monkeypatch, capsys):
-        import pathlib
-        import sys
-        bench_dir = str(pathlib.Path(__file__).parent.parent / "benchmarks")
-        if bench_dir not in sys.path:
-            monkeypatch.syspath_prepend(bench_dir)
-        import _bench_utils
-        monkeypatch.setattr(_bench_utils, "RESULTS_DIR",
-                            tmp_path / "deep" / "results")
-        _bench_utils.save_table(_rows(), "e99_demo", "demo table",
-                                wallclock={"t": [0.1] * 5})
+    def test_run_benches_emits_txt_json_and_summary(self, tmp_path,
+                                                    monkeypatch):
+        _plant(monkeypatch)
         out_dir = tmp_path / "deep" / "results"  # parents created (mkdir -p)
-        assert (out_dir / "e99_demo.txt").exists()
-        rec = load_bench_json(out_dir / "BENCH_e99_demo.json")
+        run_benches(["z1"], out_dir)
+        text = (out_dir / "z1_planted.txt").read_text()
+        assert "Z1 — planted experiment" in text
+        assert "claim PASS: the planted claim" in text
+        rec = load_bench_json(out_dir / "BENCH_z1_planted.json")
         assert rec["wallclock"]["t"] == [0.1] * 5
+        assert rec["meta"]["claim"] == [{"held": True,
+                                         "check": "the planted claim"}]
         assert (out_dir / "BENCH_summary.json").exists()
 
 
@@ -388,10 +400,18 @@ class TestBenchCli:
         assert rc == 2
         assert "unknown experiment" in err
 
-    def test_legacy_bench_rejects_trailing_args(self, capsys):
-        rc, _, err = self._run(capsys, "bench", "e7", "extra")
-        assert rc == 2
-        assert "unexpected arguments" in err
+    def test_failing_claim_exits_one(self, capsys, tmp_path, monkeypatch):
+        _plant(monkeypatch, held=False)
+        rc, out, err = self._run(capsys, "bench", "run", "z1",
+                                 "--results-dir", str(tmp_path))
+        assert rc == 1
+        assert "claim FAIL: the planted claim" in out
+        assert "claims FAILED: Z1" in err
+        # a fast sweep is not judged, so it cannot fail
+        rc, out, _ = self._run(capsys, "bench", "run", "z1", "--fast",
+                               "--results-dir", str(tmp_path))
+        assert rc == 0
+        assert "claim not judged" in out
 
 
 class TestCommittedBaselines:

@@ -212,10 +212,13 @@ class TestPreemption:
 
 
 class TestBench:
-    def test_e7_runs(self, capsys):
-        rc, out, _ = run_cli(capsys, "bench", "e7")
+    def test_e7_runs(self, capsys, tmp_path):
+        rc, out, _ = run_cli(capsys, "bench", "run", "e7",
+                             "--results-dir", str(tmp_path))
         assert rc == 0
         assert "eliminated" in out
+        assert "claim PASS" in out
+        assert (tmp_path / "e07_sqrt_k_improvement.txt").exists()
 
     def test_run_writes_records(self, capsys, tmp_path):
         rc, out, _ = run_cli(capsys, "bench", "run", "e1", "--fast",
@@ -242,16 +245,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "nope"])
 
-    def test_bench_actions_take_remainder(self):
+    def test_bench_actions_parse_their_arguments(self):
         args = build_parser().parse_args(
             ["bench", "run", "e1", "e5", "--fast"])
-        assert args.experiment == "run"
-        assert args.rest == ["e1", "e5", "--fast"]
-
-    def test_legacy_bench_still_parses(self):
-        args = build_parser().parse_args(["bench", "e9"])
-        assert args.experiment == "e9"
-        assert args.rest == []
+        assert args.action == "run"
+        assert (args.ids, args.fast) == (["e1", "e5"], True)
 
 
 class TestReport:

@@ -83,6 +83,10 @@ class TestSqrtKImprovement:
         assert out.chain_length == 4  # ceil(sqrt(16))
         assert is_valid_improvement(g, g.w, out.price_delta, tau=4)
 
+    def test_long_chain_improves_sqrt_k(self, mode):
+        g = negative_chain_gadget(100, tail=2, seed=0)
+        assert sqrt_k_improvement(g, g.w, mode=mode).improved >= 10
+
     def test_detects_pure_negative_cycle(self, mode):
         g = DiGraph.from_edges(3, [(0, 1, -1), (1, 2, 0), (2, 0, 0)])
         out = sqrt_k_improvement(g, g.w, mode=mode)

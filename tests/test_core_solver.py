@@ -20,6 +20,7 @@ from repro.graph import (
     is_feasible_price,
     negative_chain_gadget,
     planted_negative_cycle_graph,
+    random_dag,
     random_digraph,
     scale_weights,
     validate_negative_cycle,
@@ -70,6 +71,11 @@ class TestOneReweighting:
         g = DiGraph.from_edges(2, [(0, 1, -2)])
         with pytest.raises(ValueError):
             one_reweighting(g, mode=mode)
+
+    def test_mid_size_random_dag_is_feasible(self, mode):
+        g = random_dag(300, 1500, weights=(0, -1, 1, 2),
+                       weight_probs=(0.3, 0.3, 0.2, 0.2), seed=0)
+        assert one_reweighting(g, mode=mode, seed=0).feasible
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_instances(self, mode, seed):

@@ -271,6 +271,10 @@ class TestInstrumentation:
         res = dag01_limited_sssp(g, 0, 10)
         assert res.rounds == 5
 
+    def test_deep_layered_instance_takes_many_rounds(self):
+        g = layered_dag(40, 12, p_negative=0.9, seed=1)
+        assert dag01_limited_sssp(g, 0, 40, seed=1).rounds > 10
+
     def test_level_sets(self):
         g = negative_chain_gadget(3)
         res = dag01_limited_sssp(g, 0, 3)

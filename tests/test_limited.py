@@ -148,6 +148,12 @@ class TestLimitedExactEngine:
         g = grid_graph(6, 6, min_w=0, max_w=2, seed=1)
         assert_limited_correct(g, 0, 9)
 
+    @pytest.mark.parametrize("engine, limit", [
+        (ExactAssp(), 17), (ExactAssp(), 12), (DeltaSteppingAssp(), 12)])
+    def test_mid_size_zero_heavy_is_verified(self, engine, limit):
+        g = zero_heavy_digraph(300, 1500, p_zero=0.4, seed=0)
+        assert limited_sssp(g, 0, limit, engine=engine).verified
+
     @given(st.integers(0, 50_000), st.integers(0, 12))
     @settings(max_examples=25, deadline=None)
     def test_property_random(self, seed, limit):
