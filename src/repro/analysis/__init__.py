@@ -36,7 +36,6 @@ from .benchruns import (
 from .experiments import Row, fit_exponent
 from .report import generate_report, write_report
 from .tracetables import (
-    run_trace_cost_breakdown,
     trace_cost_breakdown,
     trace_phase_table,
 )
@@ -76,5 +75,4 @@ __all__ = [
     "write_report",
     "trace_cost_breakdown",
     "trace_phase_table",
-    "run_trace_cost_breakdown",
 ]

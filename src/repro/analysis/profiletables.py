@@ -21,7 +21,6 @@ from ..observability.profiler import PhaseProfiler, load_profile_json
 __all__ = [
     "profile_phase_table",
     "profile_hot_table",
-    "run_profile_tables",
 ]
 
 
@@ -69,10 +68,3 @@ def profile_hot_table(profile, top: int | None = None) -> list[Row]:
                         "tottime_s": f.get("tottime_s", 0.0),
                         "cumtime_s": f.get("cumtime_s", 0.0)}))
     return rows
-
-
-def run_profile_tables(path, top: int | None = 10) -> list[Row]:
-    """CLI entry point: phase table plus the hot-path table for a
-    ``profile.json`` written by ``repro profile --output DIR``."""
-    doc = _as_doc(path)
-    return profile_phase_table(doc) + profile_hot_table(doc, top)

@@ -35,7 +35,6 @@ __all__ = [
     "trace_cost_breakdown",
     "trace_phase_table",
     "trace_worker_table",
-    "run_trace_cost_breakdown",
 ]
 
 
@@ -173,10 +172,3 @@ def trace_worker_table(trace) -> list[Row]:
         a["spans_shipped"] += int(s.attrs.get("spans_shipped", 0))
     return [Row(params={"backend": b, "worker": w}, values=dict(agg[b, w]))
             for b, w in sorted(order)]
-
-
-def run_trace_cost_breakdown(path) -> list[Row]:
-    """CLI entry point: A4 breakdown plus the per-phase table for a trace
-    file written by ``repro solve ... --trace PATH``."""
-    trace = _as_trace(path)
-    return trace_cost_breakdown(trace) + trace_phase_table(trace)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.digraph import DiGraph
+from ..graph.digraph import DiGraph, _aligned_weights
 from ..runtime.metrics import Cost
 from .bellman_ford import bellman_ford
 
@@ -29,7 +29,7 @@ class PotentialResult:
 def johnson_potential(g: DiGraph, weights: np.ndarray | None = None
                       ) -> PotentialResult:
     """Feasible potential for ``g`` or a negative cycle."""
-    w = g.w if weights is None else np.asarray(weights, dtype=np.int64)
+    w = _aligned_weights(g, weights)
     # augmented graph: virtual source n with 0-weight edge to every vertex
     src = np.r_[g.src, np.full(g.n, g.n, dtype=np.int64)]
     dst = np.r_[g.dst, np.arange(g.n, dtype=np.int64)]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..graph.digraph import DiGraph
+from ..graph.digraph import DiGraph, _aligned_weights
 from ..resilience.errors import (
     InputValidationError,
     RetryExhaustedError,
@@ -82,7 +82,7 @@ def one_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
     iteration boundary, making long improvement loops preemptible between
     — never inside — verified price updates.
     """
-    w0 = (g.w if weights is None else np.asarray(weights, dtype=np.int64))
+    w0 = _aligned_weights(g, weights)
     if g.m and w0.min() < -1:
         raise InputValidationError("1-reweighting requires weights >= -1")
     if max_iterations is None:

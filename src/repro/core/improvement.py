@@ -101,10 +101,12 @@ def sqrt_k_improvement(g: DiGraph, w_red: np.ndarray, *,
             trace_span("scc", acc=local, phase="improvement",
                        n=sub0.n, m=sub0.m, mode=mode) as ssp:
         if mode == "parallel":
-            comp = scc(sub0, local, model, seed=seed).comp
+            sres = scc(sub0, local, model, seed=seed)
         else:
-            comp = scc_sequential(sub0).comp
-        ssp.set(components=int(comp.max()) + 1 if len(comp) else 0)
+            sres = scc_sequential(sub0)
+        comp = sres.comp
+        ssp.set(components=sres.n_components, trimmed=sres.trimmed,
+                trim_passes=sres.trim_passes)
     neg_intra = np.flatnonzero((w_red < 0) & (comp[g.src] == comp[g.dst]))
     if len(neg_intra):
         cycle = _step1_cycle(g, w_red, comp, int(neg_intra[0]))

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph.digraph import DiGraph
+from ..graph.digraph import DiGraph, _aligned_weights, _as_int64
 from ..graph.transform import reweight
+from ..resilience.errors import InputValidationError
 from ..runtime.primitives import unique_sorted
 
 
 def negative_vertices(g: DiGraph, weights: np.ndarray | None = None
                       ) -> np.ndarray:
     """Vertices with an incoming negative edge (Goldberg's "improvable")."""
-    w = g.w if weights is None else np.asarray(weights, dtype=np.int64)
+    w = _aligned_weights(g, weights)
     return unique_sorted(g.dst[w < 0])
 
 
@@ -38,7 +39,7 @@ def is_valid_improvement(g: DiGraph, w_before: np.ndarray,
     3. *progress* — at least ``tau`` negative vertices are eliminated
        (skipped if ``tau`` is None).
     """
-    w_before = np.asarray(w_before, dtype=np.int64)
+    w_before = _aligned_weights(g, w_before)
     w_after = reweight(g.with_weights(w_before), price_delta)
     if g.m:
         if w_after.min() < -1:
@@ -59,4 +60,9 @@ def lift_price_to_members(price_contracted: np.ndarray,
                           comp: np.ndarray) -> np.ndarray:
     """Extend a contracted-graph price to original vertices (Alg. 4 L12-14):
     every member of a component inherits its component's price."""
-    return np.asarray(price_contracted, dtype=np.int64)[comp]
+    price = _as_int64(price_contracted, "contracted price")
+    comp = _as_int64(comp, "component ids")
+    if len(comp) and (comp.min() < 0 or comp.max() >= len(price)):
+        raise InputValidationError(
+            "component ids must index the contracted price")
+    return price[comp]

@@ -5,7 +5,9 @@ reachability (with logarithmic overhead).  We implement the batched
 block-partition form of that reduction (see :func:`scc`): doubling batches
 of random centers classify vertices by deterministic min-label forward and
 backward reachability, finalising whole SCCs and splitting the remaining
-blocks, in ``O(log n)`` reachability rounds with high probability.
+blocks, in ``O(log n)`` reachability rounds with high probability.  Trim
+passes run first and finalise every vertex with no live in-edge or no
+live out-edge, so the rounds run only on what can lie on a cycle.
 
 A sequential Tarjan implementation is provided as an independent oracle.
 """
@@ -28,6 +30,8 @@ class SccResult:
     comp: np.ndarray        # vertex -> component id (0..n_components-1)
     n_components: int
     cost: Cost
+    trimmed: int            # vertices the trim passes finalised
+    trim_passes: int        # trim passes run
 
 
 def scc(g: DiGraph, acc: CostAccumulator | None = None,
@@ -54,21 +58,30 @@ def scc(g: DiGraph, acc: CostAccumulator | None = None,
     checks: the centers are distinct live ids, sorted here, and the
     masks are built here, so one edge count serves both.
 
-    Component ids are arbitrary but contiguous: each round numbers its
-    finalised components in the order of their forward winners.  Block
-    ids only ever meet in equality tests, so a round re-ranks the
+    The rounds run only on the vertices :func:`_trim` leaves live.  A
+    graph with few cycles is mostly trimmed, so it pays for at most
+    ``⌈lg n⌉`` passes over its edges, not for ``lg n`` doubling rounds
+    over all ``n`` vertices; the transpose is built and centers are drawn
+    only when some vertex survives.
+
+    Component ids are contiguous.  The ``t`` trimmed vertices get
+    ``0 .. t-1`` in vertex-id order; from ``t`` on, each round numbers
+    its finalised components in the order of their forward winners.
+    Block ids only ever meet in equality tests, so a round re-ranks the
     survivors by one injective key per ``(block, fwd, bwd)`` class
     (:func:`_split_key`).
     """
     rng = make_rng(seed)
     local = CostAccumulator()
     n = g.n
+    live, passes = _trim(g, local, model)
     comp = np.full(n, -1, dtype=np.int64)
-    next_id = 0
+    cut = (~live).nonzero()[0]
+    comp[cut] = np.arange(len(cut), dtype=np.int64)
+    next_id = trimmed = len(cut)
     block = np.zeros(n, dtype=np.int64)   # current block of each vertex
-    live = np.ones(n, dtype=bool)
-    live_ids = np.arange(n, dtype=np.int64)
-    rg = g.reversed()
+    live_ids = live.nonzero()[0]
+    rg = g.reversed() if len(live_ids) else None
     batch = 1
     while len(live_ids):
         take = min(batch, len(live_ids))
@@ -105,7 +118,52 @@ def scc(g: DiGraph, acc: CostAccumulator | None = None,
         batch = min(batch * 2, max(len(live_ids), 1))
     if acc is not None:
         acc.charge_cost(local.snapshot())
-    return SccResult(comp, next_id, local.snapshot())
+    return SccResult(comp, next_id, local.snapshot(), trimmed, passes)
+
+
+def _trim(g: DiGraph, local: CostAccumulator, model: CostModel
+          ) -> tuple[np.ndarray, int]:
+    """The vertices the trim passes leave live, as a mask, and the number
+    of passes run.
+
+    A live vertex with no live in-edge or no live out-edge lies on no
+    cycle of the live graph, so it is an SCC by itself (McLendon et al.,
+    JPDC 2005).  One pass masks the live edges (``pack(m)``), scatters
+    has-live-in and has-live-out flags (``map(n)``) and cuts the live
+    vertices missing either (``pack(n)``): ``O(m)`` work and ``O(log n)``
+    span.  Passes stop at the first one that cuts nothing, when no vertex
+    is left live, or after ``⌈lg n⌉`` of them (one when ``n < 2``), so
+    the trim adds at most ``O(m log n)`` work and ``O(log² n)`` span.  A
+    vertex whose only live edge is a self-loop stays live; the rounds
+    finalise it as a singleton.
+    """
+    n = g.n
+    cap = max((n - 1).bit_length(), 1)    # ⌈lg n⌉
+    live = np.ones(n, dtype=bool)
+    has_in = np.empty(n, dtype=bool)
+    has_out = np.empty(n, dtype=bool)
+    left = n
+    passes = 0
+    while left and passes < cap:
+        passes += 1
+        e = live[g.src] & live[g.dst]
+        w, s = model.pack_ws(g.m)
+        local.charge(w, s)
+        has_in.fill(False)
+        has_out.fill(False)
+        has_in[g.dst[e]] = True
+        has_out[g.src[e]] = True
+        w, s = model.map_ws(n)
+        local.charge(w, s)
+        cut = live & ~(has_in & has_out)
+        w, s = model.pack_ws(n)
+        local.charge(w, s)
+        k = int(np.count_nonzero(cut))
+        if not k:
+            break
+        live[cut] = False
+        left -= k
+    return live, passes
 
 
 def _split_key(n: int, block: np.ndarray, fwd: np.ndarray, bwd: np.ndarray
@@ -186,4 +244,5 @@ def scc_sequential(g: DiGraph) -> SccResult:
                         if u == v:
                             break
                     next_comp += 1
-    return SccResult(comp, next_comp, Cost(n + g.m, n + g.m))
+    return SccResult(comp, next_comp, Cost(n + g.m, n + g.m),
+                     trimmed=0, trim_passes=0)

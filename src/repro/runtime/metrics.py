@@ -103,8 +103,12 @@ class Cost:
 
     @property
     def parallelism(self) -> float:
-        """Work over span — the model's available speed-up."""
-        return self.work / self.span_model if self.span_model > 0 else float("inf")
+        """Work over span — the model's available speed-up.  Divided as
+        Python floats: numpy scalars warn on overflow where a Python
+        float quietly gives ``inf``."""
+        if self.span_model > 0:
+            return float(self.work) / float(self.span_model)
+        return float("inf")
 
 
 ZERO = Cost(0.0, 0.0)
@@ -199,7 +203,7 @@ class CostAccumulator:
 
     @property
     def parallelism(self) -> float:
-        return self.work / self.span_model if self.span_model > 0 else float("inf")
+        return self.snapshot().parallelism
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CostAccumulator(work={self.work:.3g}, span={self.span:.3g}, "

@@ -289,7 +289,8 @@ def scc_sequential_reference(g: DiGraph) -> SccResult:
                         if u == v:
                             break
                     next_comp += 1
-    return SccResult(comp, next_comp, Cost(n + g.m, n + g.m))
+    return SccResult(comp, next_comp, Cost(n + g.m, n + g.m),
+                     trimmed=0, trim_passes=0)
 
 
 def ldd_clusters_reference(g: DiGraph, wp: np.ndarray, diameter: int, rng,
@@ -496,15 +497,34 @@ def lex_rank(*keys: np.ndarray) -> np.ndarray:
 
 def scc_reference(g: DiGraph, acc: CostAccumulator | None = None,
                   model: CostModel = DEFAULT_MODEL, seed=0) -> SccResult:
-    """Reference for :func:`repro.reach.scc.scc`: each round builds the
-    masked subgraph and its transpose."""
+    """Reference for :func:`repro.reach.scc.scc`: each trim pass builds
+    the live-edge subgraph and reads its degrees, and each round builds
+    the masked subgraph and its transpose."""
     rng = make_rng(seed)
     local = CostAccumulator()
-    comp = np.full(g.n, -1, dtype=np.int64)
-    next_id = 0
-    block = np.zeros(g.n, dtype=np.int64)   # current block of each vertex
     live = np.ones(g.n, dtype=bool)
     zero_w = np.zeros(g.m, dtype=np.int64)
+    cap = 1 if g.n < 2 else math.ceil(math.log2(g.n))
+    passes = 0
+    while live.any() and passes < cap:
+        passes += 1
+        e = live[g.src] & live[g.dst]
+        local.charge_cost(model.pack(g.m))
+        sub = DiGraph(g.n, g.src[e], g.dst[e], zero_w[e])
+        has_out = np.diff(sub.indptr) > 0
+        has_in = np.diff(sub.rindptr) > 0
+        local.charge_cost(model.map(g.n))
+        cut = live & ~(has_in & has_out)
+        local.charge_cost(model.pack(g.n))
+        if not cut.any():
+            break
+        live[cut] = False
+    # trimmed vertices are singletons numbered in vertex-id order
+    trimmed = np.flatnonzero(~live)
+    comp = np.full(g.n, -1, dtype=np.int64)
+    comp[trimmed] = np.arange(len(trimmed))
+    next_id = len(trimmed)
+    block = np.zeros(g.n, dtype=np.int64)   # current block of each vertex
     batch = 1
     while live.any():
         live_ids = np.flatnonzero(live)
@@ -537,7 +557,7 @@ def scc_reference(g: DiGraph, acc: CostAccumulator | None = None,
         batch = min(batch * 2, max(int(live.sum()), 1))
     if acc is not None:
         acc.charge_cost(local.snapshot())
-    return SccResult(comp, next_id, local.snapshot())
+    return SccResult(comp, next_id, local.snapshot(), len(trimmed), passes)
 
 
 class SortedIntSet:
@@ -780,8 +800,12 @@ class CostReference:
 
     @property
     def parallelism(self) -> float:
-        """Work over span — the model's available speed-up."""
-        return self.work / self.span_model if self.span_model > 0 else float("inf")
+        """Work over span — the model's available speed-up.  Divided as
+        Python floats: numpy scalars warn on overflow where a Python
+        float quietly gives ``inf``."""
+        if self.span_model > 0:
+            return float(self.work) / float(self.span_model)
+        return float("inf")
 
 
 def lg_reference(n: float) -> float:

@@ -17,6 +17,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -248,3 +249,12 @@ class TestCostObject:
         assert_same_cost(na.scaled(k), oa.scaled(k))
         if not math.isnan(oa.parallelism):
             assert same(na.parallelism, oa.parallelism)
+
+    @pytest.mark.parametrize("cls", [Cost, CostReference])
+    def test_parallelism_overflows_to_inf_quietly(self, cls):
+        """A subnormal span makes the quotient overflow: ``inf``, with no
+        numpy ``RuntimeWarning`` on numpy-scalar fields."""
+        c = cls(np.float64(1.0), np.float64(1.0), np.float64(5e-324))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert c.parallelism == math.inf

@@ -95,12 +95,12 @@ GOLDEN = {
             ("final-dijkstra",),
         ],
         counters={
-            "reach.rounds": 132,
+            "reach.rounds": 26,
             "dag01-peeling.label_changes": 25,
             "dag01-peeling.propagate_calls": 15,
             "dag01-peeling.propagate_nodes": 109,
-            "dag01-peeling.reach_calls": 7,
-            "dag01-peeling.reach_nodes": 115,
+            "dag01-peeling.reach_calls": 8,
+            "dag01-peeling.reach_nodes": 127,
             "peel-round.finalized": 84,
             "peel-round.invalidated": 25,
             "limited-sssp.refine_calls": 3,
@@ -112,7 +112,7 @@ GOLDEN = {
         },
         names={
             "solve": 1, "scaling": 1, "scale": 5, "reweighting": 5,
-            "reweighting-iteration": 5, "scc": 5, "reach": 82, "dag01": 5,
+            "reweighting-iteration": 5, "scc": 5, "reach": 15, "dag01": 5,
             "dag01-peeling": 5, "peel-round": 11, "chain-elimination": 1,
             "limited-sssp": 1, "refine": 3, "final-dijkstra": 1,
         },
@@ -156,12 +156,12 @@ GOLDEN = {
             ("final-dijkstra",),
         ],
         counters={
-            "reach.rounds": 451,
+            "reach.rounds": 49,
             "dag01-peeling.label_changes": 53,
             "dag01-peeling.propagate_calls": 29,
             "dag01-peeling.propagate_nodes": 278,
             "dag01-peeling.reach_calls": 20,
-            "dag01-peeling.reach_nodes": 433,
+            "dag01-peeling.reach_nodes": 414,
             "peel-round.finalized": 225,
             "peel-round.invalidated": 53,
             "limited-sssp.refine_calls": 16,
@@ -173,7 +173,7 @@ GOLDEN = {
         },
         names={
             "solve": 1, "scaling": 1, "scale": 5, "reweighting": 5,
-            "reweighting-iteration": 9, "scc": 9, "reach": 227, "dag01": 9,
+            "reweighting-iteration": 9, "scc": 9, "reach": 29, "dag01": 9,
             "dag01-peeling": 9, "peel-round": 24, "chain-elimination": 4,
             "limited-sssp": 4, "refine": 16, "final-dijkstra": 1,
         },
@@ -189,10 +189,10 @@ GOLDEN = {
             ("scale", ("scale", 2)),
             ("reweighting-iteration", ("iteration", 0)),
         ],
-        counters={"reach.rounds": 18},
+        counters={"reach.rounds": 4},
         names={
             "solve": 1, "scaling": 1, "scale": 2, "reweighting": 2,
-            "reweighting-iteration": 1, "scc": 1, "reach": 10,
+            "reweighting-iteration": 1, "scc": 1, "reach": 2,
         },
     ),
 }

@@ -10,8 +10,15 @@ from repro.baselines import (
     bellman_ford_parallel,
     dag_sssp,
     dijkstra,
+    johnson_potential,
 )
-from repro.core import sqrt_k_improvement
+from repro.core import (
+    is_valid_improvement,
+    lift_price_to_members,
+    negative_vertices,
+    one_reweighting,
+    sqrt_k_improvement,
+)
 from repro.dag01 import dag01_limited_sssp
 from repro.dag01.naive import dag01_limited_sssp_naive
 from oracles import assert_same_result
@@ -259,6 +266,15 @@ ARRAY_ENTRY_POINTS = {
                                                      weights=a)),
     "graph_digest-weights": ("edge", lambda a: graph_digest(TRIANGLE, a)),
     "sqrt_k_improvement": ("edge", lambda a: sqrt_k_improvement(TRIANGLE, a)),
+    "negative_vertices": ("edge", lambda a: negative_vertices(TRIANGLE, a)),
+    "one_reweighting": ("edge", lambda a: one_reweighting(TRIANGLE, a)),
+    "johnson_potential-weights": (
+        "edge", lambda a: johnson_potential(TRIANGLE, weights=a)),
+    "is_valid_improvement": (
+        "edge", lambda a: is_valid_improvement(TRIANGLE, a, VERTEX_BASE)),
+    # the price of a condensation with one component per vertex
+    "lift_price_to_members": (
+        "vertex", lambda a: lift_price_to_members(a, np.arange(3))),
 }
 
 
@@ -316,6 +332,32 @@ class TestCallerArraysAreCast:
         path = DiGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
         with pytest.raises(InputValidationError, match="weights"):
             call(path, weights)
+
+    @pytest.mark.parametrize("call", [
+        negative_vertices,
+        one_reweighting,
+        lambda g, w: johnson_potential(g, weights=w),
+        lambda g, w: is_valid_improvement(g, w, np.zeros(3, dtype=np.int64)),
+    ], ids=["negative_vertices", "one_reweighting", "johnson_potential",
+            "is_valid_improvement"])
+    def test_improvement_path_weights_are_not_truncated(self, call):
+        # on the path 0 -> 1 -> 2, [-0.9, 0.5] truncated to [0, 0]: no
+        # negative vertex, a zero price and a zero potential
+        path = DiGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
+        with pytest.raises(InputValidationError, match="integral"):
+            call(path, [-0.9, 0.5])
+
+    def test_fractional_contracted_price_is_not_truncated(self):
+        # truncated toward zero, [0.5, -1.7] lifted to [0, -1, -1]
+        with pytest.raises(InputValidationError, match="integral"):
+            lift_price_to_members([0.5, -1.7], np.array([0, 1, 1]))
+
+    def test_component_ids_must_index_the_contracted_price(self):
+        for comp in ([0, 1, 2], [0, -1, 1]):
+            with pytest.raises(InputValidationError, match="component ids"):
+                lift_price_to_members([4, 5], np.array(comp))
+        assert lift_price_to_members([4, 5], np.array([1, 0, 1])).tolist() \
+            == [5, 4, 5]
 
     def test_fractional_weights_do_not_hide_a_negative_reduced_weight(self):
         # truncated toward zero, [-0.9, 0.9] was [0, 0]: k = 0, no change

@@ -1,6 +1,7 @@
 """Tests for multisource reachability and SCC."""
 
 import importlib
+import math
 import warnings
 
 import numpy as np
@@ -25,7 +26,7 @@ from repro.reach import (
 )
 from repro.reach.scc import _dense_rank, _split_key
 from repro.resilience.errors import InputValidationError
-from repro.runtime import CostAccumulator
+from repro.runtime import DEFAULT_MODEL, CostAccumulator
 
 
 def naive_reachable(g: DiGraph, sources) -> np.ndarray:
@@ -376,6 +377,157 @@ class TestScc:
         acc = CostAccumulator()
         scc(g, acc)
         assert acc.work > 0 and acc.span_model > 0
+
+
+def trim_by_hand(n, edges):
+    """The trim passes in plain Python: the vertices they cut and the
+    number of passes run."""
+    cap = 1 if n < 2 else math.ceil(math.log2(n))
+    live = set(range(n))
+    passes = 0
+    while live and passes < cap:
+        passes += 1
+        inner = [(u, v) for u, v, _ in edges if u in live and v in live]
+        has_in = {v for _, v in inner}
+        has_out = {u for u, _ in inner}
+        cut = {v for v in live if v not in has_in or v not in has_out}
+        if not cut:
+            break
+        live -= cut
+    return sorted(set(range(n)) - live), passes
+
+
+@st.composite
+def trim_instances(draw):
+    """A multigraph on 0..30 vertices (self-loops and parallel edges
+    included), optionally with a path through every vertex in a random
+    order, which is longer than the pass cap from 7 vertices on."""
+    n = draw(st.integers(0, 30))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1), st.just(0)),
+                          max_size=2 * n)) if n else []
+    if n and draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        edges += [(u, v, 0) for u, v in zip(order, order[1:])]
+    return n, edges
+
+
+class TestSccTrim:
+    """``scc`` first trims every vertex with no live in-edge or no live
+    out-edge, for at most ``⌈lg n⌉`` passes, and numbers the trimmed
+    vertices ``0 .. t-1`` in vertex-id order."""
+
+    def check(self, n, edges, seed=0):
+        g = DiGraph.from_edges(n, edges)
+        res = scc(g, seed=seed)
+        seq = scc_sequential(g)
+        # the same partition as Tarjan's, with contiguous ids
+        pairs = {(int(a), int(b)) for a, b in zip(res.comp, seq.comp)}
+        assert len(pairs) == res.n_components == seq.n_components
+        assert sorted(set(res.comp.tolist())) == list(range(res.n_components))
+        cut, passes = trim_by_hand(n, edges)
+        assert res.trim_passes == passes <= max(1, math.ceil(math.log2(n or 1)))
+        assert res.trimmed == len(cut)
+        assert res.comp[cut].tolist() == list(range(len(cut)))
+        return res
+
+    @given(trim_instances(), st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_partition_and_trim_match_by_hand(self, instance, seed):
+        self.check(*instance, seed=seed)
+
+    def test_empty_and_single_vertex(self):
+        res = self.check(0, [])
+        assert (res.trimmed, res.trim_passes, res.n_components) == (0, 0, 0)
+        res = self.check(1, [])
+        assert (res.trimmed, res.trim_passes, res.n_components) == (1, 1, 1)
+
+    def test_self_loop_is_not_trimmed(self):
+        # 2 has no out-edge, then 1 none left; 0 keeps its self-loop and
+        # the rounds finalise it after the trimmed ids
+        res = self.check(3, [(0, 0, 0), (0, 1, 0), (1, 2, 0)])
+        assert (res.trimmed, res.trim_passes) == (2, 2)
+        assert res.comp.tolist() == [2, 0, 1]
+
+    def test_a_path_longer_than_the_cap_reaches_the_rounds(self):
+        # each pass cuts the two ends of what is left: 5 passes cut 10 of
+        # the 20 vertices, and the rounds finalise the other 10
+        n = 20
+        res = self.check(n, [(i, i + 1, 0) for i in range(n - 1)])
+        assert (res.trimmed, res.trim_passes, res.n_components) == (10, 5, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_one_cycle_through_every_vertex_cuts_nothing(self, n):
+        res = self.check(n, [(i, (i + 1) % n, 0) for i in range(n)])
+        assert (res.trimmed, res.trim_passes, res.n_components) == (0, 1, 1)
+
+    @given(st.integers(2, 30), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_two_layer_dag_is_cut_in_one_pass(self, n, data):
+        # every edge goes from the low half to the high half, so each
+        # vertex lacks in-edges or out-edges: no center is ever drawn
+        h = n // 2
+        edges = data.draw(st.lists(st.tuples(st.integers(0, h - 1),
+                                             st.integers(h, n - 1),
+                                             st.just(0))))
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        g = DiGraph.from_edges(n, edges)
+        res = scc(g, seed=rng)
+        assert (res.trimmed, res.trim_passes) == (n, 1)
+        assert res.comp.tolist() == list(range(n))
+        assert rng.bit_generator.state == state
+
+    def test_trim_is_charged_per_pass(self):
+        # the path 0 -> 1 -> 2 -> 3: two passes cut everything, each one
+        # charged pack(m) + map(n) + pack(n), and no round runs
+        g = DiGraph.from_edges(4, [(0, 1, 0), (1, 2, 0), (2, 3, 0)])
+        res = scc(g)
+        assert (res.trimmed, res.trim_passes) == (4, 2)
+        want = CostAccumulator()
+        for _ in range(2):
+            want.charge_cost(DEFAULT_MODEL.pack(3))
+            want.charge_cost(DEFAULT_MODEL.map(4))
+            want.charge_cost(DEFAULT_MODEL.pack(4))
+        assert res.cost == want.snapshot()
+
+
+def stale_edge_mask(g, local, model):
+    """A wrong trim for ``scc``: every pass reuses the first pass's
+    live-edge mask, so a cut never takes an edge away from the next
+    pass."""
+    n = g.n
+    live = np.ones(n, dtype=bool)
+    e = np.ones(g.m, dtype=bool)
+    passes = 0
+    while live.any() and passes < max((n - 1).bit_length(), 1):
+        passes += 1
+        local.charge(*model.pack_ws(g.m))
+        has_in = np.zeros(n, dtype=bool)
+        has_out = np.zeros(n, dtype=bool)
+        has_in[g.dst[e]] = True
+        has_out[g.src[e]] = True
+        local.charge(*model.map_ws(n))
+        cut = live & ~(has_in & has_out)
+        local.charge(*model.pack_ws(n))
+        if not cut.any():
+            break
+        live[cut] = False
+    return live, passes
+
+
+@pytest.mark.differential
+def test_recheck_mode_catches_a_wrong_trim(monkeypatch):
+    """On the path 0 -> ... -> 5 the trim cuts {0, 5}, then {1, 4}, then
+    {2, 3}.  A trim whose passes reuse the first live-edge mask stops
+    after cutting {0, 5}; the rounds still find the right partition, but
+    the re-check mode fails the ids, counts and charges."""
+    scc_module = importlib.import_module("repro.reach.scc")
+    monkeypatch.setattr(scc_module, "_trim", stale_edge_mask)
+    recheck_kernels(monkeypatch)
+    g = DiGraph.from_edges(6, [(i, i + 1, 0) for i in range(5)])
+    with pytest.raises(AssertionError, match="scc"):
+        improvement.scc(g)
 
 
 def reuse_forward_mask(search):

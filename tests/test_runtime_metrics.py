@@ -1,7 +1,9 @@
 """Unit tests for the work-span accounting objects."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from repro.runtime import Cost, CostAccumulator
@@ -140,3 +142,10 @@ class TestCostAccumulator:
         acc = CostAccumulator()
         acc.charge(100, span=5, span_model=10)
         assert acc.parallelism == 10
+
+    def test_parallelism_overflows_to_inf_quietly(self):
+        acc = CostAccumulator()
+        acc.charge(np.float64(1.0), span=np.float64(5e-324))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert acc.parallelism == math.inf
