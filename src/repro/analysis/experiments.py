@@ -29,6 +29,7 @@ from ..graph.generators import (
     zero_heavy_digraph,
 )
 from ..limited.limited import limited_sssp
+from ..resilience.retry import RetryPolicy
 from ..runtime.metrics import Cost
 from ..runtime.rng import derive_seed
 
@@ -369,7 +370,8 @@ def run_verification_retry(p_fails=(0.0, 0.05, 0.15, 0.3), rows_cols=(9, 9),
     expected = dijkstra(g, 0, limit=limit).dist
     for p in p_fails:
         engine = get_engine("flaky", p_fail=p, seed=seed)
-        res = limited_sssp(g, 0, limit, engine=engine, max_retries=2000)
+        res = limited_sssp(g, 0, limit, engine=engine,
+                           retry_policy=RetryPolicy(max_attempts=2001))
         np.testing.assert_array_equal(res.dist, expected)
         rows.append(Row(
             params={"n": g.n, "m": g.m, "p_fail": p},
@@ -395,7 +397,7 @@ def run_fault_injection_sweep(rates=(0.0, 0.1, 0.3, 1.0), n=60, m=200,
     from ..baselines.johnson import johnson_potential
     from ..core.sssp import solve_sssp_resilient
     from ..graph.validate import validate_negative_cycle
-    from ..resilience import FaultPlan, RetryPolicy
+    from ..resilience import FaultPlan
 
     rows = []
     for rate in rates:
@@ -491,7 +493,8 @@ def run_assp_engine_ablation(n=200, m=1000, limit=14, seed=5) -> list[Row]:
     for name in ("exact", "perturbed", "delta-stepping", "flaky"):
         engine = (get_engine(name, seed=seed)
                   if name in ("perturbed", "flaky") else get_engine(name))
-        res = limited_sssp(g, 0, limit, engine=engine, max_retries=500)
+        res = limited_sssp(g, 0, limit, engine=engine,
+                           retry_policy=RetryPolicy(max_attempts=501))
         rows.append(Row(
             params={"engine": name},
             values={"work": res.cost.work,

@@ -7,7 +7,6 @@ from .bellman_ford import (
     bellman_ford_parallel,
 )
 from .dag_relax import DagSsspResult, dag_limited_sssp_reference, dag_sssp
-from .dial import DialResult, dial_sssp
 from .dijkstra import DijkstraResult, dijkstra
 from .johnson import PotentialResult, johnson_potential
 
@@ -16,8 +15,6 @@ __all__ = [
     "bellman_ford",
     "bellman_ford_distance_only",
     "bellman_ford_parallel",
-    "DialResult",
-    "dial_sssp",
     "DagSsspResult",
     "dag_sssp",
     "dag_limited_sssp_reference",

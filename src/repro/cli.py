@@ -6,10 +6,9 @@ Subcommands
               (prints distances or a negative-cycle certificate).
               ``--engine`` picks the solver from the registry in
               :mod:`repro.core.engines` — ``goldberg_parallel`` (the
-              paper, default via ``--mode parallel``),
-              ``goldberg_sequential``, ``bnw_scaling``,
-              ``fischer_simple`` — all of which print bit-identical
-              distances on the same input.
+              paper, the default), ``goldberg_sequential``,
+              ``bnw_scaling``, ``fischer_simple`` — all of which print
+              bit-identical distances on the same input.
 ``generate``  synthesise a benchmark workload as DIMACS text.
 ``bench``     run experiments / gate against baselines.  ``bench run``
               executes a selection of the registry in
@@ -74,7 +73,7 @@ import numpy as np
 
 from .analysis import print_table
 from .core import solve_sssp_resilient
-from .core.engines import engine_names
+from .core.engines import REFERENCE_ENGINE, engine_names
 from .graph import generators
 from .graph.io import DimacsError, dumps_dimacs, read_dimacs
 from .observability import MetricsRegistry, Tracer, metering, tracing, \
@@ -86,6 +85,7 @@ from .resilience import (
     CheckpointError,
     InputValidationError,
     RetryExhaustedError,
+    RetryPolicy,
     WorkerPoolError,
 )
 from .runtime import BACKEND_NAMES, DegradationLadder
@@ -131,13 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("graph", help="DIMACS .gr file (or - for stdin)")
     ps.add_argument("--source", type=int, default=1,
                     help="1-based source vertex (default 1)")
-    ps.add_argument("--mode", choices=("parallel", "sequential"),
-                    default="parallel",
-                    help="deprecated alias of --engine goldberg_parallel / "
-                         "goldberg_sequential")
-    ps.add_argument("--engine", choices=engine_names(), default=None,
+    ps.add_argument("--engine", choices=engine_names(),
+                    default=REFERENCE_ENGINE,
                     help="solver from the SSSP engine registry "
-                         "(default: --mode picks the Goldberg engine); "
+                         f"(default {REFERENCE_ENGINE}); "
                          "all engines print bit-identical distances; "
                          "only the goldberg_* engines support "
                          "--checkpoint/--resume")
@@ -264,10 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("graph", help="DIMACS .gr file (or - for stdin)")
     pp.add_argument("--source", type=int, default=1,
                     help="1-based source vertex (default 1)")
-    pp.add_argument("--mode", choices=("parallel", "sequential"),
-                    default="parallel")
-    pp.add_argument("--engine", choices=engine_names(), default=None,
-                    help="solver engine (overrides --mode)")
+    pp.add_argument("--engine", choices=engine_names(),
+                    default=REFERENCE_ENGINE,
+                    help=f"solver engine (default {REFERENCE_ENGINE})")
     pp.add_argument("--seed", type=int, default=0)
     pp.add_argument("--backend", choices=BACKEND_NAMES, default=None,
                     help="execution backend for the block maps")
@@ -296,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser(
         "check",
-        help="static determinism lint (RS001-RS010), interprocedural "
-             "flow analysis (RS011-RS015), and fork-join race check; "
-             "exits 6 on findings")
+        help="static determinism lint (RS001-RS005, RS007-RS010), "
+             "interprocedural flow analysis (RS011-RS015), and "
+             "fork-join race check; exits 6 on findings")
     pc.add_argument("--lint", action="store_true",
                     help="run only the per-module static rules")
     pc.add_argument("--flow", action="store_true",
@@ -394,9 +390,7 @@ def cmd_solve(args) -> int:
     tracer = None
     if args.trace is not None:
         tracer = Tracer(graph=str(args.graph), source=args.source,
-                        mode=args.mode, seed=args.seed,
-                        **({"engine": args.engine}
-                           if args.engine is not None else {}))
+                        engine=args.engine, seed=args.seed)
     registry = server = None
     if args.metrics_port is not None:
         registry = MetricsRegistry()
@@ -415,9 +409,9 @@ def cmd_solve(args) -> int:
                 (metering(registry) if registry is not None
                  else nullcontext()):
             res = solve_sssp_resilient(
-                g, source, mode=args.mode, engine=args.engine,
-                seed=args.seed,
-                max_retries=args.max_retries, max_work=args.max_work,
+                g, source, engine=args.engine, seed=args.seed,
+                retry_policy=RetryPolicy(max_attempts=args.max_retries + 1),
+                max_work=args.max_work,
                 fallback=args.fallback, deadline=args.deadline, token=token,
                 checkpoint_path=args.checkpoint, resume=args.resume,
                 backend=backend)
@@ -659,8 +653,8 @@ def cmd_profile(args) -> int:
     try:
         with profiling(profiler):
             res = solve_sssp_resilient(
-                g, source, mode=args.mode, engine=args.engine,
-                seed=args.seed, backend=backend)
+                g, source, engine=args.engine, seed=args.seed,
+                backend=backend)
     except InputValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

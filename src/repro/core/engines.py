@@ -25,8 +25,8 @@ All engines share one interface::
 
     engine = get_sssp_engine(name)
     res = engine.solve(g, source, seed=..., acc=..., model=...,
-                       check_certificates=..., fault_plan=...,
-                       token=..., backend=...)   # -> SsspResult
+                       fault_plan=..., token=...,
+                       backend=...)   # -> SsspResult
 
 :func:`~repro.core.sssp.solve_sssp` and ``solve_sssp_resilient`` call it
 for every engine.  The tail threads the same Cost accumulator,
@@ -72,19 +72,10 @@ from .scaling import ScalingStats, scaled_reweighting
 #: oracle registry in :mod:`repro.assp.engines`.
 SSSP_ENGINES = Registry("SSSP engine")
 
-#: Engine names accepted everywhere a ``mode`` used to be the only
-#: choice (CLI ``--engine``, the resilient solver, the differential
-#: harness).  ``goldberg_parallel`` is the reference engine: the
-#: differential harness treats its output as the baseline the others
-#: must reproduce bit-for-bit.
+#: The default of every ``engine=`` (the solvers, APSP, the CLI's
+#: ``--engine``): the paper's engine.  The differential harness treats
+#: its output as the baseline the others must reproduce bit-for-bit.
 REFERENCE_ENGINE = "goldberg_parallel"
-
-#: ``mode=`` is a deprecated alias of ``engine=``, kept for
-#: ``solve_sssp``, ``solve_sssp_resilient`` and the CLI's ``--mode``;
-#: these are the engine names the two modes map onto.
-MODE_TO_ENGINE = {"parallel": "goldberg_parallel",
-                  "sequential": "goldberg_sequential"}
-ENGINE_TO_MODE = {v: k for k, v in MODE_TO_ENGINE.items()}
 
 
 def _reduced_weights_block(lo: int, hi: int, src: np.ndarray,
@@ -158,8 +149,6 @@ class _PotentialEngine:
     name: str = "potential"
     #: whether ``checkpoint_path``/``resume`` are honoured
     checkpoints: bool = False
-    #: the deprecated ``mode=`` alias naming this engine, if any
-    mode: str | None = None
 
     def _potential(self, g: DiGraph, *, seed, acc, model, token, backend,
                    fault_plan, **options
@@ -176,15 +165,16 @@ class _PotentialEngine:
 
     def solve(self, g: DiGraph, source: int, *, seed=0,
               acc: CostAccumulator | None = None,
-              model: CostModel = DEFAULT_MODEL,
-              check_certificates: bool = True, fault_plan=None,
+              model: CostModel = DEFAULT_MODEL, fault_plan=None,
               token=None, backend=None, **options) -> SsspResult:
         """Exact distances from ``source``, or a verified negative cycle.
 
         ``options`` carry the Goldberg engines' own inputs
         (``assp_engine``, ``eps``, ``retry_policy``, ``checkpoint_path``,
         ``resume``, ``on_checkpoint``; see
-        :func:`~repro.core.sssp.solve_sssp`) to :meth:`_potential`.  A
+        :func:`~repro.core.sssp.solve_sssp`) to :meth:`_potential`.  The
+        certificate is always verified; a rejected one raises
+        :class:`~repro.resilience.errors.VerificationError`.  A
         checkpoint request to an engine without checkpoint support raises
         :class:`~repro.resilience.errors.InputValidationError`, and so
         does a ``backend`` that is neither a name nor an object with
@@ -193,10 +183,8 @@ class _PotentialEngine:
         if isinstance(backend, str):
             with resolve_backend(backend) as be:
                 return self.solve(g, source, seed=seed, acc=acc,
-                                  model=model,
-                                  check_certificates=check_certificates,
-                                  fault_plan=fault_plan, token=token,
-                                  backend=be, **options)
+                                  model=model, fault_plan=fault_plan,
+                                  token=token, backend=be, **options)
         backend = resolve_backend(backend)
         source = check_source(g, source)
         if not self.checkpoints and (
@@ -229,7 +217,7 @@ class _PotentialEngine:
                                                          price)
                 cert = Certificate("price", price=price)
                 failure = "infeasible price function"
-            if check_certificates and not cert.verify(g):
+            if not cert.verify(g):
                 raise VerificationError(f"{self.name}: {failure}",
                                         stage=f"engine:{self.name}")
             sp.set(certificate=cert.kind)
@@ -248,9 +236,6 @@ class _PotentialEngine:
             outcome = "distances" if cycle is None else "negative_cycle"
             metric_inc("repro_engine_solves_total", engine=self.name,
                        outcome=outcome)
-            if self.mode is not None:
-                metric_inc("repro_solves_total", mode=self.mode,
-                           outcome=outcome)
             metric_observe("repro_solve_work", local.work)
             metric_observe("repro_solve_span_model", local.span_model)
             if acc is not None:
@@ -294,6 +279,8 @@ class GoldbergParallelEngine(_PotentialEngine):
     (:func:`repro.core.scaling.scaled_reweighting`), with checkpointing."""
 
     name = "goldberg_parallel"
+    #: the subroutine set :func:`~repro.core.scaling.scaled_reweighting`
+    #: runs (the paper's parallel ones, or Goldberg's sequential ones)
     mode = "parallel"
     checkpoints = True
 
@@ -354,24 +341,9 @@ def get_sssp_engine(name: str, **kwargs):
     return SSSP_ENGINES.create(name, **kwargs)
 
 
-def resolve_engine(engine: str | None = None, mode: str = "parallel"):
-    """The engine ``engine=`` names or, without one, the Goldberg engine
-    of the deprecated ``mode=`` alias — the one place the two spellings
-    meet.  Unknown names raise
-    :class:`~repro.resilience.errors.InputValidationError` (a
-    ``ValueError``) before any work."""
-    if mode not in MODE_TO_ENGINE:
-        raise InputValidationError(
-            f"unknown mode {mode!r}; choose from {sorted(MODE_TO_ENGINE)}")
-    return get_sssp_engine(MODE_TO_ENGINE[mode] if engine is None
-                           else engine)
-
-
 __all__ = [
     "SSSP_ENGINES",
     "REFERENCE_ENGINE",
-    "MODE_TO_ENGINE",
-    "ENGINE_TO_MODE",
     "SsspResult",
     "GoldbergParallelEngine",
     "GoldbergSequentialEngine",
@@ -379,5 +351,4 @@ __all__ = [
     "FischerSimpleEngine",
     "engine_names",
     "get_sssp_engine",
-    "resolve_engine",
 ]

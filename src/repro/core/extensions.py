@@ -3,9 +3,10 @@
 These are the natural downstream uses the paper's introduction motivates:
 
 * **All-pairs shortest paths** (Johnson's schema with the parallel
-  reweighting): one feasible-price computation via the scaling solver, then
-  an independent (hence parallel) Dijkstra per source — work
-  ``Õ(m√n log N + n·m)``, span one Dijkstra beyond the reweighting.
+  reweighting): one feasible-price computation by an SSSP engine (the
+  paper's scaling solver by default), then an independent (hence
+  parallel) Dijkstra per source — work ``Õ(m√n log N + n·m)``, span one
+  Dijkstra beyond the reweighting.
 * **Single-source longest paths on DAGs** — the paper notes (§1.3) that the
   ``{0,−1}`` distance-limited problem *is* single-source longest paths with
   ``{0,1}`` weights on DAGs; we expose that equivalence directly.
@@ -22,10 +23,11 @@ import numpy as np
 
 from ..baselines.dijkstra import dijkstra
 from ..dag01.peeling import Dag01Result, dag01_limited_sssp
-from ..graph.digraph import DiGraph
+from ..graph.digraph import DiGraph, _as_int64
+from ..resilience.errors import InputValidationError
 from ..runtime.metrics import Cost, CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
-from .scaling import scaled_reweighting
+from .engines import REFERENCE_ENGINE, get_sssp_engine
 
 
 @dataclass
@@ -46,31 +48,43 @@ class ApspResult:
         return self.negative_cycle is not None
 
 
-def all_pairs_shortest_paths(g: DiGraph, *, mode: str = "parallel",
+def _engine_potential(g: DiGraph, engine: str, seed, acc, model):
+    """``(price, cycle)`` from the named engine's potential search,
+    without the certified tail's final Dijkstra."""
+    price, cycle, _ = get_sssp_engine(engine)._potential(
+        g, seed=seed, acc=acc, model=model, token=None, backend=None,
+        fault_plan=None)
+    return price, cycle
+
+
+def all_pairs_shortest_paths(g: DiGraph, *, engine: str = REFERENCE_ENGINE,
                              seed=0,
                              acc: CostAccumulator | None = None,
                              model: CostModel = DEFAULT_MODEL,
                              sources: np.ndarray | None = None
                              ) -> ApspResult:
-    """Johnson-style APSP using the parallel Goldberg reweighting.
+    """Johnson-style APSP on the potential of the SSSP engine ``engine``.
 
-    ``sources`` restricts the output to a subset of rows (many-to-all).
-    The per-source Dijkstras are independent, so they compose in parallel:
+    ``sources`` restricts the output to a subset of rows (many-to-all);
+    they are checked before any work, like a solver's source.  The
+    per-source Dijkstras are independent, so they compose in parallel:
     work sums, span maxes (plus a forking term).
     """
-    local = CostAccumulator()
-    scal = scaled_reweighting(g, mode=mode, seed=seed, acc=local,
-                              model=model)
-    if scal.negative_cycle is not None:
-        if acc is not None:
-            acc.charge_cost(local.snapshot())
-        return ApspResult(None, None, scal.negative_cycle, local.snapshot())
-    price = scal.price
-    w_red = g.w + price[g.src] - price[g.dst] if g.m else g.w
     if sources is None:
         sources = np.arange(g.n, dtype=np.int64)
     else:
-        sources = np.asarray(sources, dtype=np.int64)
+        sources = _as_int64(sources, "sources")
+        if sources.ndim != 1 or (sources.size and not (
+                0 <= sources.min() and sources.max() < g.n)):
+            raise InputValidationError(
+                f"sources must be a list of vertex ids in [0, {g.n})")
+    local = CostAccumulator()
+    price, cycle = _engine_potential(g, engine, seed, local, model)
+    if cycle is not None:
+        if acc is not None:
+            acc.charge_cost(local.snapshot())
+        return ApspResult(None, None, cycle, local.snapshot())
+    w_red = g.w + price[g.src] - price[g.dst] if g.m else g.w
     out = np.full((len(sources), g.n), np.inf)
     branches = []
     for row, s in enumerate(sources.tolist()):
@@ -135,8 +149,8 @@ class DifferenceConstraintsResult:
 
 def solve_difference_constraints(n_vars: int,
                                  constraints: list[tuple[int, int, int]],
-                                 *, mode: str = "parallel", seed=0
-                                 ) -> DifferenceConstraintsResult:
+                                 *, engine: str = REFERENCE_ENGINE,
+                                 seed=0) -> DifferenceConstraintsResult:
     """Solve ``x[j] − x[i] ≤ c`` for each ``(i, j, c)`` (CLRS §24.4).
 
     Returns the componentwise-*maximum* nonpositive solution (distances
@@ -148,7 +162,7 @@ def solve_difference_constraints(n_vars: int,
     edges = [(i, j, c) for i, j, c in constraints]
     edges += [(origin, v, 0) for v in range(n_vars)]
     g = DiGraph.from_edges(n_vars + 1, edges)
-    res = solve_sssp(g, origin, mode=mode, seed=seed)
+    res = solve_sssp(g, origin, engine=engine, seed=seed)
     if res.has_negative_cycle:
         cyc = [v for v in res.negative_cycle if v != origin]
         return DifferenceConstraintsResult(None, cyc, res.cost)
@@ -156,12 +170,11 @@ def solve_difference_constraints(n_vars: int,
         res.dist[:n_vars].astype(np.int64), None, res.cost)
 
 
-def find_negative_cycle(g: DiGraph, *, mode: str = "parallel", seed=0
-                        ) -> list[int] | None:
+def find_negative_cycle(g: DiGraph, *, engine: str = REFERENCE_ENGINE,
+                        seed=0) -> list[int] | None:
     """A validated negative cycle of ``g``, or None if none exists.
 
-    Thin wrapper over the scaling solver for callers who only need the
-    detection/certificate half of Theorem 17.
+    Thin wrapper over the engine's potential search for callers who only
+    need the detection/certificate half of Theorem 17.
     """
-    res = scaled_reweighting(g, mode=mode, seed=seed)
-    return res.negative_cycle
+    return _engine_potential(g, engine, seed, None, DEFAULT_MODEL)[1]

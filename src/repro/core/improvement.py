@@ -255,10 +255,10 @@ def _step3_chain(g: DiGraph, w_red: np.ndarray, cond: Condensation,
         if mode == "parallel":
             # generous retry budget: a whp-style engine fails a full pass
             # only rarely, but failure injection can need many attempts
+            policy = retry_policy or RetryPolicy(max_attempts=51)
             res = limited_sssp(g_hat, s_hat, L, engine=assp_engine, eps=eps,
                                acc=acc, model=model, validate=False,
-                               max_retries=50, retry_policy=retry_policy,
-                               fault_plan=fault_plan)
+                               retry_policy=policy, fault_plan=fault_plan)
             d_hat, parent_hat = res.dist, res.parent
         else:
             res = dijkstra(g_hat, s_hat, limit=L, model=model)

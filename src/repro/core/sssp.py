@@ -4,8 +4,9 @@
 O(√n) rounds of √k-improvement) to a feasible price function, then Dijkstra
 on the reduced weights, mapping distances back through the prices.  If any
 stage certifies a negative cycle, the cycle (validated vertex list) is
-returned instead of distances.  It is a thin call into the Goldberg engine
-of :mod:`repro.core.engines`, whose tail every engine shares.
+returned instead of distances.  It is a thin call into an engine of
+:mod:`repro.core.engines` (the paper's by default), whose tail every
+engine shares.
 
 ``solve_sssp_resilient`` wraps that in the full self-checking harness
 (DESIGN.md "Robustness & verification"): input validation, certified
@@ -40,15 +41,15 @@ from ..resilience.retry import AttemptRecord, RetryPolicy, SolveProvenance
 from ..runtime.backends import resolve_backend
 from ..runtime.metrics import CostAccumulator
 from ..runtime.model import CostModel, DEFAULT_MODEL
-from .engines import SsspResult, resolve_engine
+from .engines import REFERENCE_ENGINE, SsspResult, get_sssp_engine
 from .scaling import ScalingStats
 
 
 def solve_sssp(g: DiGraph, source: int, *,
-               mode: str = "parallel", assp_engine=None, eps: float = 0.2,
-               seed=0, acc: CostAccumulator | None = None,
+               engine: str = REFERENCE_ENGINE, assp_engine=None,
+               eps: float = 0.2, seed=0,
+               acc: CostAccumulator | None = None,
                model: CostModel = DEFAULT_MODEL,
-               check_certificates: bool = True,
                fault_plan=None, retry_policy: RetryPolicy | None = None,
                guard: BudgetGuard | None = None,
                token: CancelToken | None = None,
@@ -56,27 +57,29 @@ def solve_sssp(g: DiGraph, source: int, *,
                on_checkpoint=None, backend=None) -> SsspResult:
     """Single-source shortest paths with integer (possibly negative) weights.
 
-    A thin call into the Goldberg engine ``mode`` names
-    (:mod:`repro.core.engines`), whose tail does the rest.
+    A thin call into the engine ``engine`` names
+    (:mod:`repro.core.engines`), whose tail does the rest — including
+    the independent re-check of the feasible price or negative cycle: a
+    rejected certificate raises
+    :class:`~repro.resilience.errors.VerificationError`, so the library
+    never hands out an unchecked one.
 
     Parameters
     ----------
-    mode : "parallel" | "sequential"
-        Parallel Goldberg (the paper, engine ``goldberg_parallel``) vs
-        sequential Goldberg (the baseline, ``goldberg_sequential``).  A
-        deprecated alias of the engine names; anything else raises
-        :class:`~repro.resilience.errors.InputValidationError`.
+    engine : str
+        A registered SSSP engine: ``goldberg_parallel`` (the paper, the
+        default), ``goldberg_sequential`` (the classic baseline),
+        ``bnw_scaling`` or ``fischer_simple``.  An unknown name raises
+        :class:`~repro.resilience.errors.InputValidationError` before
+        any work.
     assp_engine, eps :
-        The §4 ASSSP black box used inside chain elimination.
-    check_certificates : bool
-        Re-validate the feasible price / negative cycle before returning
-        (cheap; on by default — the library never hands out an unchecked
-        certificate).  A rejected certificate raises
-        :class:`~repro.resilience.errors.VerificationError`.
+        The §4 ASSSP black box used inside the Goldberg engines' chain
+        elimination.
     fault_plan, retry_policy :
         Resilience hooks, threaded into every randomized stage; see
-        :mod:`repro.resilience`.  ``solve_sssp_resilient`` owns the
-        outermost retry/fallback loop around this function.
+        :mod:`repro.resilience`.  ``retry_policy`` budgets the Goldberg
+        engines' nested verified stages.  ``solve_sssp_resilient`` owns
+        the outermost retry/fallback loop around this function.
     guard :
         A :class:`~repro.resilience.guard.BudgetGuard`, installed as the
         ambient budget for the solve: ticked once per improvement and
@@ -98,24 +101,23 @@ def solve_sssp(g: DiGraph, source: int, *,
         :class:`~repro.runtime.metrics.Cost` — are bit-identical to
         ``backend=None``.
     """
-    engine = resolve_engine(mode=mode)
+    eng = get_sssp_engine(engine)
     with guard_scope(guard):
-        return engine.solve(
+        return eng.solve(
             g, source, seed=seed, acc=acc, model=model,
-            check_certificates=check_certificates, fault_plan=fault_plan,
-            token=token, backend=backend, assp_engine=assp_engine, eps=eps,
+            fault_plan=fault_plan, token=token, backend=backend,
+            assp_engine=assp_engine, eps=eps,
             retry_policy=retry_policy, checkpoint_path=checkpoint_path,
             resume=resume, on_checkpoint=on_checkpoint)
 
 
 def solve_sssp_resilient(g: DiGraph, source: int, *,
-                         mode: str = "parallel", engine: str | None = None,
+                         engine: str = REFERENCE_ENGINE,
                          assp_engine=None,
                          eps: float = 0.2, seed=0,
                          acc: CostAccumulator | None = None,
                          model: CostModel = DEFAULT_MODEL,
                          retry_policy: RetryPolicy | None = None,
-                         max_retries: int | None = None,
                          fault_plan=None,
                          max_work: float | None = None,
                          max_span: float | None = None,
@@ -128,9 +130,10 @@ def solve_sssp_resilient(g: DiGraph, source: int, *,
     """Self-checking SSSP: verify, retry with fresh randomness, degrade.
 
     The Las Vegas solve is attempted up to ``retry_policy.max_attempts``
-    times (attempt 0 with ``seed`` itself, later attempts with derived
-    seeds); any :class:`~repro.resilience.errors.VerificationError` —
-    including retry exhaustion of a nested stage — triggers the next
+    times (3 without a policy; attempt 0 with ``seed`` itself, later
+    attempts with derived seeds); any
+    :class:`~repro.resilience.errors.VerificationError` — including
+    retry exhaustion of a nested stage — triggers the next
     attempt.  ``max_work``/``max_span`` install a
     :class:`~repro.resilience.guard.BudgetGuard` over the model's cost
     accounting.  When attempts or budget run out and ``fallback`` is on,
@@ -175,9 +178,8 @@ def solve_sssp_resilient(g: DiGraph, source: int, *,
     absorbed along the way.
 
     ``engine`` selects a solver from the registry in
-    :mod:`repro.core.engines` (``goldberg_parallel``,
-    ``goldberg_sequential``, ``bnw_scaling``, ``fischer_simple``);
-    without it, the deprecated ``mode`` alias picks a Goldberg engine.
+    :mod:`repro.core.engines` (``goldberg_parallel``, the default,
+    ``goldberg_sequential``, ``bnw_scaling``, ``fischer_simple``).
     Unknown names raise
     :class:`~repro.resilience.errors.InputValidationError` before any
     work.  Every engine runs through the same attempt loop — verified
@@ -187,21 +189,18 @@ def solve_sssp_resilient(g: DiGraph, source: int, *,
     ``checkpoint_path``/``resume``; the others raise
     :class:`~repro.resilience.errors.InputValidationError`.
     """
-    eng = resolve_engine(engine, mode)
+    eng = get_sssp_engine(engine)
     if isinstance(backend, str):
         with resolve_backend(backend) as be:
             return solve_sssp_resilient(
-                g, source, mode=mode, engine=engine,
-                assp_engine=assp_engine, eps=eps,
+                g, source, engine=engine, assp_engine=assp_engine, eps=eps,
                 seed=seed, acc=acc, model=model, retry_policy=retry_policy,
-                max_retries=max_retries, fault_plan=fault_plan,
-                max_work=max_work, max_span=max_span, fallback=fallback,
+                fault_plan=fault_plan, max_work=max_work,
+                max_span=max_span, fallback=fallback,
                 raise_on_cycle=raise_on_cycle, deadline=deadline,
                 token=token, checkpoint_path=checkpoint_path,
                 resume=resume, on_checkpoint=on_checkpoint, backend=be)
     source = validate_graph(g, source)
-    if max_retries is not None and retry_policy is None:
-        retry_policy = RetryPolicy(max_attempts=max_retries + 1)
     policy = retry_policy or RetryPolicy(max_attempts=3)
     guard = (BudgetGuard(max_work=max_work, max_span=max_span)
              if (max_work is not None or max_span is not None) else None)
@@ -218,9 +217,8 @@ def solve_sssp_resilient(g: DiGraph, source: int, *,
                                attempt=attempt, seed=aseed):
                 res = eng.solve(
                     g, source, seed=aseed, acc=acc, model=model,
-                    check_certificates=True, fault_plan=fault_plan,
-                    token=token, backend=backend, assp_engine=assp_engine,
-                    eps=eps, retry_policy=policy,
+                    fault_plan=fault_plan, token=token, backend=backend,
+                    assp_engine=assp_engine, eps=eps, retry_policy=policy,
                     checkpoint_path=checkpoint_path if primary else None,
                     resume=resume and primary,
                     on_checkpoint=on_checkpoint if primary else None)

@@ -68,7 +68,6 @@ def limited_sssp(g: DiGraph, source: int, limit: int, *,
                  engine=None, eps: float = 0.2,
                  acc: CostAccumulator | None = None,
                  model: CostModel = DEFAULT_MODEL,
-                 max_retries: int = 5,
                  retry_policy: RetryPolicy | None = None,
                  fault_plan=None,
                  validate: bool = True) -> LimitedSpResult:
@@ -77,9 +76,10 @@ def limited_sssp(g: DiGraph, source: int, limit: int, *,
     ``engine`` is any ASSSP callable (default: exact); ``eps`` must be
     < 1/4 for the refinement case analysis (Lemma 11).
 
-    Resilience hooks: ``retry_policy`` overrides ``max_retries``;
-    ``fault_plan`` (site ``"assp"``) corrupts engine answers so tests can
-    prove the Lemma-10 verifier fires.  Exhausting the retry budget raises
+    Resilience hooks: ``retry_policy`` budgets the verified passes (6
+    attempts without one); ``fault_plan`` (site ``"assp"``) corrupts
+    engine answers so tests can prove the Lemma-10 verifier fires.
+    Exhausting the retry budget raises
     :class:`~repro.resilience.errors.RetryExhaustedError` (a
     ``VerificationError``) carrying the attempt log.
     """
@@ -94,7 +94,7 @@ def limited_sssp(g: DiGraph, source: int, limit: int, *,
         engine = ExactAssp()
     if fault_plan is not None:
         engine = FaultInjectingAssp(plan=fault_plan, inner=engine)
-    policy = retry_policy or RetryPolicy(max_attempts=max_retries + 1)
+    policy = retry_policy or RetryPolicy(max_attempts=6)
 
     local = CostAccumulator()
     attempts: list[AttemptRecord] = []

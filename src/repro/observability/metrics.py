@@ -6,8 +6,8 @@ solve* spend its work?"; the metrics registry answers the fleet question —
 process accumulated, and what do the distributions look like?" — in a form
 scrapable by standard tooling.  A :class:`MetricsRegistry` holds named
 metric families; each family fans out into labeled children
-(``registry.counter("repro_solves_total", labelnames=("mode",))``), and
-two exporters serialize the whole registry: a schema-versioned JSON
+(``registry.counter("repro_engine_solves_total", labelnames=("engine",))``),
+and two exporters serialize the whole registry: a schema-versioned JSON
 document (:func:`write_metrics_json` / :func:`load_metrics_json`, lossless
 roundtrip) and the Prometheus text exposition format
 (:meth:`MetricsRegistry.to_prometheus` / :func:`parse_prometheus_text`).
@@ -56,14 +56,13 @@ DEFAULT_BUCKETS = (
 # metrics HERE first, then emit them.
 METRIC_CATALOG: dict[str, tuple[str, str]] = {
     # solver-level
-    "repro_solves_total": ("counter", "Completed solves by mode"),
+    "repro_engine_solves_total":
+        ("counter", "Completed solves by engine name"),
     "repro_solve_work": ("histogram", "Model work per engine solve"),
     "repro_solve_span_model": ("histogram", "Model span per engine solve"),
     "repro_fallbacks_total": ("counter", "Fallbacks to the exact baseline"),
     "repro_retries_total": ("counter", "Certified-retry attempts"),
     # pluggable SSSP engine registry
-    "repro_engine_solves_total":
-        ("counter", "Completed solves by engine name"),
     "repro_bnw_scales_total": ("counter", "BNW ScaleDown phases by outcome"),
     "repro_bfd_rounds_total":
         ("counter", "Fischer BFD loop terminations by outcome"),

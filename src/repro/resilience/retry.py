@@ -100,7 +100,7 @@ class SolveProvenance:
     """How a resilient solve actually got its answer.
 
     ``engine`` is the registry name of the engine that answered
-    (``"goldberg_parallel"`` for a ``mode="parallel"`` call) and
+    (``"goldberg_parallel"`` unless the call named another) and
     ``"fallback:bellman_ford"`` when graceful degradation kicked in;
     ``fallback_reason`` then explains why (retry exhaustion, budget, or a
     worker-pool failure past the last ladder rung).  ``attempts`` is the

@@ -15,7 +15,8 @@ This package turns those invariants from review lore into machine-checked
 rules: :mod:`repro.statics.engine` is a small AST rule engine (per-rule
 metadata, ``# repro: noqa[RULE]`` inline suppressions, a committed
 ``statics_baseline.json`` for grandfathered findings) and
-:mod:`repro.statics.rules` holds the codebase-specific rules RS001–RS010.
+:mod:`repro.statics.rules` holds the codebase-specific rules RS001–RS005
+and RS007–RS010.
 :mod:`repro.statics.races` is the companion *dynamic* checker: it drives
 representative solves under the
 :class:`~repro.runtime.racecheck.RaceChecker` shadow-memory mode and

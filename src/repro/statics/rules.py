@@ -1,4 +1,6 @@
-"""Codebase-specific rules RS001–RS010.
+"""Codebase-specific rules RS001–RS005 and RS007–RS010.
+
+Mutable default arguments are left to ruff's B006 and B008.
 
 Each rule guards one way the reproduction's two load-bearing invariants —
 *every instrumented loop is accounted* and *model costs are
@@ -442,32 +444,6 @@ class RS005ContextLeak(Rule):
                     "exception unwinds before exit")
 
 
-class RS006MutableDefault(Rule):
-    meta = RuleMeta(
-        "RS006", "mutable default argument in a solver API",
-        "A mutable default ([] / {} / set()) is shared across calls; "
-        "state leaking between solves breaks retry determinism and the "
-        "checkpoint/resume bit-identity guarantee.")
-
-    MUTABLE_CALLS = frozenset({"list", "dict", "set", "bytearray",
-                               "CostAccumulator", "defaultdict"})
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        for fn in _functions(ctx):
-            defaults = [*fn.args.defaults,
-                        *[d for d in fn.args.kw_defaults if d is not None]]
-            for d in defaults:
-                bad = isinstance(d, (ast.List, ast.Dict, ast.Set)) or (
-                    isinstance(d, ast.Call) and
-                    (call_name(d) or "").rsplit(".", 1)[-1]
-                    in self.MUTABLE_CALLS)
-                if bad:
-                    yield ctx.finding(
-                        "RS006", d,
-                        f"mutable default argument in `{fn.name}(...)` — "
-                        "use None and construct inside the body")
-
-
 class RS007BroadExcept(Rule):
     meta = RuleMeta(
         "RS007", "bare/broad except swallowing cancellation and faults",
@@ -650,7 +626,6 @@ ALL_RULES: tuple[Rule, ...] = (
     RS003WallClockInModelPath(),
     RS004UnorderedIteration(),
     RS005ContextLeak(),
-    RS006MutableDefault(),
     RS007BroadExcept(),
     RS008UnregisteredMetric(),
     RS009IdentityOrdering(),

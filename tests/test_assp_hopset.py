@@ -14,6 +14,7 @@ from repro.graph import (
     zero_heavy_digraph,
 )
 from repro.limited import limited_sssp, weighted_bfs_limited
+from repro.resilience import RetryPolicy
 from repro.runtime import CostAccumulator
 
 
@@ -81,7 +82,7 @@ class TestHopsetContract:
     def test_inside_limited_sssp(self):
         g = zero_heavy_digraph(35, 180, p_zero=0.4, seed=4)
         res = limited_sssp(g, 0, 9, engine=HopsetAssp(seed=4),
-                           max_retries=100)
+                           retry_policy=RetryPolicy(max_attempts=101))
         np.testing.assert_array_equal(res.dist,
                                       dijkstra(g, 0, limit=9).dist)
 
@@ -89,7 +90,8 @@ class TestHopsetContract:
         """Organic hopset failures are caught by §4.2 verification."""
         g = grid_graph(6, 6, min_w=1, max_w=3, seed=5)
         engine = HopsetAssp(seed=5, oversample=0.3, beta=3)
-        res = limited_sssp(g, 0, 14, engine=engine, max_retries=2000)
+        res = limited_sssp(g, 0, 14, engine=engine,
+                           retry_policy=RetryPolicy(max_attempts=2001))
         np.testing.assert_array_equal(res.dist,
                                       dijkstra(g, 0, limit=14).dist)
 

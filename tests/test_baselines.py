@@ -132,6 +132,13 @@ class TestDijkstra:
         res = dijkstra(g, 0)
         assert res.dist.tolist() == [0, 0, 0]
 
+    def test_huge_weight_needs_no_bucket_per_distance(self):
+        # Dial's array of max_w·(n−1)+1 buckets would hold 2^41 lists here
+        g = DiGraph.from_edges(3, [(0, 1, 2 ** 40), (1, 2, 1)])
+        res = dijkstra(g, 0)
+        assert res.dist.tolist() == [0, 2 ** 40, 2 ** 40 + 1]
+        assert res.parent.tolist() == [-1, 0, 1]
+
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_bellman_ford(self, seed):
         g = random_digraph(40, 200, min_w=0, max_w=9, seed=seed)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import solve_sssp_resilient
 from repro.cli import build_parser, main
 from repro.graph import loads_dimacs
 
@@ -64,12 +65,40 @@ class TestSolve:
         assert rc == 2
         assert "out of range" in err
 
-    def test_sequential_mode(self, capsys, tmp_path):
+    def test_sequential_engine(self, capsys, tmp_path):
         p = tmp_path / "g.gr"
         p.write_text("p sp 3 2\na 1 2 -1\na 2 3 -1\n")
-        rc, out, _ = run_cli(capsys, "solve", str(p), "--mode", "sequential")
+        rc, out, _ = run_cli(capsys, "solve", str(p), "--engine",
+                             "goldberg_sequential")
         assert rc == 0
         assert "d 3 -2" in out
+
+    @pytest.mark.parametrize("command", ["solve", "profile"])
+    def test_mode_flag_is_gone(self, capsys, tmp_path, command):
+        p = tmp_path / "g.gr"
+        p.write_text("p sp 2 1\na 1 2 3\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(p), "--mode", "parallel"])
+        assert exc.value.code == 2
+        assert "--mode" in capsys.readouterr().err
+
+    def test_max_retries_is_a_retry_policy(self, capsys, tmp_path,
+                                           monkeypatch):
+        import repro.cli
+        from repro.resilience import RetryPolicy
+
+        seen = []
+
+        def spy(g, source, **kw):
+            seen.append(kw["retry_policy"])
+            return solve_sssp_resilient(g, source, **kw)
+
+        monkeypatch.setattr(repro.cli, "solve_sssp_resilient", spy)
+        p = tmp_path / "g.gr"
+        p.write_text("p sp 2 1\na 1 2 3\n")
+        assert run_cli(capsys, "solve", str(p), "--max-retries", "4")[0] == 0
+        assert run_cli(capsys, "solve", str(p))[0] == 0
+        assert seen == [RetryPolicy(max_attempts=5), RetryPolicy(max_attempts=3)]
 
     def test_negative_max_retries_exit_code(self, capsys, tmp_path):
         p = tmp_path / "g.gr"

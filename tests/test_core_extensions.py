@@ -1,5 +1,5 @@
 """Tests for the extension APIs (APSP, DAG longest paths, difference
-constraints) and the extra baselines (Dial, Bellman–Ford on threads)."""
+constraints) and the extra baseline (Bellman–Ford on threads)."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from repro.baselines import (
     bellman_ford,
     bellman_ford_parallel,
-    dial_sssp,
-    dijkstra,
 )
 from repro.core import (
     all_pairs_shortest_paths,
     dag_longest_paths,
+    engine_names,
     solve_difference_constraints,
 )
 from repro.graph import (
@@ -23,9 +22,10 @@ from repro.graph import (
     negative_chain_gadget,
     planted_negative_cycle_graph,
     random_dag,
-    random_digraph,
     validate_negative_cycle,
 )
+from repro.observability import Tracer, tracing
+from repro.resilience import InputValidationError
 from repro.runtime import CostAccumulator, ForkJoinPool
 
 
@@ -45,12 +45,28 @@ class TestAllPairs:
             np.testing.assert_array_equal(res.dist[s],
                                           bellman_ford(g, s).dist)
 
+    def test_every_engine_gives_the_same_dist(self):
+        g = hidden_potential_graph(18, 80, seed=4)
+        ref = all_pairs_shortest_paths(g, seed=4)
+        for engine in engine_names():
+            res = all_pairs_shortest_paths(g, engine=engine, seed=4)
+            np.testing.assert_array_equal(res.dist, ref.dist)
+
     def test_sources_subset(self):
         g = hidden_potential_graph(15, 60, seed=1)
         res = all_pairs_shortest_paths(g, sources=np.array([3, 7]))
         assert res.dist.shape == (2, 15)
         np.testing.assert_array_equal(res.dist[0], bellman_ford(g, 3).dist)
         np.testing.assert_array_equal(res.dist[1], bellman_ford(g, 7).dist)
+
+    @pytest.mark.parametrize("sources", [[15], [-1], [1.5], [[1, 2]], 3])
+    def test_bad_sources_rejected_before_any_work(self, sources):
+        g = hidden_potential_graph(15, 60, seed=1)
+        tr = Tracer()
+        with tracing(tr), pytest.raises(InputValidationError,
+                                        match="sources"):
+            all_pairs_shortest_paths(g, sources=sources)
+        assert not tr.spans
 
     def test_negative_cycle(self):
         g, _ = planted_negative_cycle_graph(15, 60, 3, seed=2)
@@ -147,42 +163,6 @@ class TestDifferenceConstraints:
             total = sum(lookup[(cyc[k], cyc[(k + 1) % len(cyc)])]
                         for k in range(len(cyc)))
             assert total < 0
-
-
-class TestDial:
-    def test_matches_dijkstra(self):
-        g = random_digraph(30, 150, min_w=0, max_w=6, seed=0)
-        np.testing.assert_array_equal(dial_sssp(g, 0).dist,
-                                      dijkstra(g, 0).dist)
-
-    def test_limit(self):
-        g = DiGraph.from_edges(3, [(0, 1, 2), (1, 2, 5)])
-        res = dial_sssp(g, 0, limit=4)
-        assert res.dist.tolist() == [0, 2, np.inf]
-
-    def test_rejects_negative(self):
-        g = DiGraph.from_edges(2, [(0, 1, -1)])
-        with pytest.raises(ValueError):
-            dial_sssp(g, 0)
-
-    def test_zero_weights(self):
-        g = DiGraph.from_edges(3, [(0, 1, 0), (1, 2, 0)])
-        assert dial_sssp(g, 0).dist.tolist() == [0, 0, 0]
-
-    def test_huge_weight_needs_no_bucket_per_distance(self):
-        # an array of max_w·(n−1)+1 buckets would hold 2^41 lists here
-        g = DiGraph.from_edges(3, [(0, 1, 2 ** 40), (1, 2, 1)])
-        res = dial_sssp(g, 0)
-        assert res.dist.tolist() == [0, 2 ** 40, 2 ** 40 + 1]
-        assert res.parent.tolist() == [-1, 0, 1]
-
-    @given(st.integers(0, 5000), st.integers(0, 10))
-    @settings(max_examples=25, deadline=None)
-    def test_property_limited(self, seed, limit):
-        g = random_digraph(15, 60, min_w=0, max_w=4, seed=seed)
-        got = dial_sssp(g, 0, limit=limit).dist
-        expect = dijkstra(g, 0, limit=limit).dist
-        np.testing.assert_array_equal(got, expect)
 
 
 class TestThreadedBellmanFord:

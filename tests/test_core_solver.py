@@ -13,7 +13,11 @@ from repro.core import (
     solve_sssp,
     solve_sssp_resilient,
 )
-from repro.core.engines import _PotentialEngine
+from repro.core.engines import (
+    REFERENCE_ENGINE,
+    _PotentialEngine,
+    engine_names,
+)
 from repro.graph import (
     DiGraph,
     hidden_potential_graph,
@@ -31,8 +35,8 @@ from oracles import nx_sssp_oracle
 MODES = ["parallel", "sequential"]
 
 
-def assert_solver_matches_oracle(g, source, mode, seed=0, **kw):
-    res = solve_sssp(g, source, mode=mode, seed=seed, **kw)
+def assert_solver_matches_oracle(g, source, engine, seed=0, **kw):
+    res = solve_sssp(g, source, engine=engine, seed=seed, **kw)
     oracle = johnson_potential(g)
     if oracle.negative_cycle is not None:
         assert res.has_negative_cycle
@@ -118,60 +122,60 @@ class TestScaling:
         assert validate_negative_cycle(g, res.negative_cycle)
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("engine", engine_names())
 class TestSolveSssp:
-    def test_diamond_negative(self, mode, diamond):
-        res = solve_sssp(diamond, 0, mode=mode)
+    def test_diamond_negative(self, engine, diamond):
+        res = solve_sssp(diamond, 0, engine=engine)
         assert res.dist.tolist() == [0, 1, 4, 3]
 
-    def test_unreachable(self, mode):
+    def test_unreachable(self, engine):
         g = DiGraph.from_edges(3, [(0, 1, -2)])
-        res = solve_sssp(g, 0, mode=mode)
+        res = solve_sssp(g, 0, engine=engine)
         assert res.dist.tolist() == [0, -2, np.inf]
 
-    def test_single_vertex(self, mode):
+    def test_single_vertex(self, engine):
         g = DiGraph.from_edges(1, [])
-        res = solve_sssp(g, 0, mode=mode)
+        res = solve_sssp(g, 0, engine=engine)
         assert res.dist.tolist() == [0]
 
-    def test_source_out_of_range(self, mode):
+    def test_source_out_of_range(self, engine):
         with pytest.raises(ValueError):
-            solve_sssp(DiGraph.from_edges(2, []), 5, mode=mode)
+            solve_sssp(DiGraph.from_edges(2, []), 5, engine=engine)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_hidden_potential(self, mode, seed):
+    def test_hidden_potential(self, engine, seed):
         g = hidden_potential_graph(30, 150, potential_spread=25, seed=seed)
-        assert_solver_matches_oracle(g, 0, mode, seed=seed)
+        assert_solver_matches_oracle(g, 0, engine, seed=seed)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_mixed_random(self, mode, seed):
+    def test_mixed_random(self, engine, seed):
         g = random_digraph(24, 90, min_w=-3, max_w=7, seed=seed)
-        assert_solver_matches_oracle(g, 0, mode, seed=seed)
+        assert_solver_matches_oracle(g, 0, engine, seed=seed)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_planted_cycles(self, mode, seed):
+    def test_planted_cycles(self, engine, seed):
         g, _ = planted_negative_cycle_graph(22, 90, 4, seed=seed)
-        res = solve_sssp(g, 0, mode=mode, seed=seed)
+        res = solve_sssp(g, 0, engine=engine, seed=seed)
         assert res.has_negative_cycle
         assert validate_negative_cycle(g, res.negative_cycle)
 
-    def test_deep_chain(self, mode):
+    def test_deep_chain(self, engine):
         g = negative_chain_gadget(40, tail=1)
-        res = solve_sssp(g, 0, mode=mode)
+        res = solve_sssp(g, 0, engine=engine)
         assert res.dist[40] == -40
 
-    def test_parent_tree_realises_distances(self, mode):
+    def test_parent_tree_realises_distances(self, engine):
         g = hidden_potential_graph(25, 120, seed=9)
-        res = solve_sssp(g, 0, mode=mode, seed=9)
+        res = solve_sssp(g, 0, engine=engine, seed=9)
         for v in range(g.n):
             p = int(res.parent[v])
             if p >= 0:
                 assert res.dist[v] == res.dist[p] + g.min_weight_between(p, v)
 
-    def test_matches_networkx(self, mode):
+    def test_matches_networkx(self, engine):
         g = random_digraph(20, 80, min_w=-4, max_w=9, seed=42)
         expected, has_cycle = nx_sssp_oracle(g, 0)
-        res = solve_sssp(g, 0, mode=mode, seed=42)
+        res = solve_sssp(g, 0, engine=engine, seed=42)
         if res.has_negative_cycle:
             # our detector is global; networkx's oracle is source-limited,
             # so confirm via johnson
@@ -180,10 +184,10 @@ class TestSolveSssp:
             assert not has_cycle
             np.testing.assert_array_equal(res.dist, expected)
 
-    def test_cost_charged(self, mode):
+    def test_cost_charged(self, engine):
         g = hidden_potential_graph(20, 90, seed=4)
         acc = CostAccumulator()
-        res = solve_sssp(g, 0, mode=mode, acc=acc, seed=4)
+        res = solve_sssp(g, 0, engine=engine, acc=acc, seed=4)
         assert acc.work == res.cost.work > 0
         assert res.cost.span_model > 0
 
@@ -194,14 +198,14 @@ class TestParallelSpecific:
                              ids=["perturbed", "delta-stepping"])
     def test_assp_engines(self, engine):
         g = hidden_potential_graph(25, 120, seed=6)
-        res = solve_sssp(g, 0, mode="parallel", assp_engine=engine, seed=6)
+        res = solve_sssp(g, 0, assp_engine=engine, seed=6)
         bf = bellman_ford(g, 0)
         np.testing.assert_array_equal(res.dist, bf.dist)
 
     def test_flaky_assp_still_correct(self):
         g = negative_chain_gadget(20, tail=1)
         engine = FlakyAssp(p_fail=0.2, seed=13)
-        res = solve_sssp(g, 0, mode="parallel", assp_engine=engine)
+        res = solve_sssp(g, 0, assp_engine=engine)
         bf = bellman_ford(g, 0)
         np.testing.assert_array_equal(res.dist, bf.dist)
 
@@ -235,8 +239,8 @@ class TestParallelSpecific:
     def test_modes_agree(self):
         for seed in range(5):
             g = random_digraph(18, 70, min_w=-2, max_w=5, seed=seed)
-            rp = solve_sssp(g, 0, mode="parallel", seed=seed)
-            rs = solve_sssp(g, 0, mode="sequential", seed=seed)
+            rp = solve_sssp(g, 0, seed=seed)
+            rs = solve_sssp(g, 0, engine="goldberg_sequential", seed=seed)
             assert rp.has_negative_cycle == rs.has_negative_cycle
             if not rp.has_negative_cycle:
                 np.testing.assert_array_equal(rp.dist, rs.dist)
@@ -245,14 +249,14 @@ class TestParallelSpecific:
     @settings(max_examples=25, deadline=None)
     def test_property_random_graphs(self, seed):
         g = random_digraph(14, 50, min_w=-3, max_w=6, seed=seed)
-        assert_solver_matches_oracle(g, 0, "parallel", seed=seed)
+        assert_solver_matches_oracle(g, 0, REFERENCE_ENGINE, seed=seed)
 
     @given(st.integers(0, 100_000), st.integers(1, 400))
     @settings(max_examples=20, deadline=None)
     def test_property_weight_magnitudes(self, seed, spread):
         g = hidden_potential_graph(12, 50, potential_spread=spread,
                                    seed=seed)
-        res = solve_sssp(g, 0, mode="parallel", seed=seed)
+        res = solve_sssp(g, 0, seed=seed)
         bf = bellman_ford(g, 0)
         assert not res.has_negative_cycle
         np.testing.assert_array_equal(res.dist, bf.dist)

@@ -31,8 +31,6 @@ from differential import (
 )
 from oracles import nx_sssp_oracle
 from repro.core.engines import (
-    ENGINE_TO_MODE,
-    MODE_TO_ENGINE,
     REFERENCE_ENGINE,
     SSSP_ENGINES,
     engine_names,
@@ -47,6 +45,7 @@ from repro.graph.generators import (
 from repro.graph.io import read_dimacs
 from repro.resilience.errors import InputValidationError
 from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.retry import RetryPolicy
 from repro.runtime.registry import Registry
 
 pytestmark = pytest.mark.differential
@@ -76,12 +75,6 @@ class TestRegistry:
         reg.register("x", object)
         with pytest.raises(ValueError, match="already registered"):
             reg.register("x", object)
-
-    def test_mode_engine_maps_are_inverse(self):
-        assert {MODE_TO_ENGINE[m] for m in ("parallel", "sequential")} \
-            == set(ENGINE_TO_MODE)
-        for mode, eng in MODE_TO_ENGINE.items():
-            assert ENGINE_TO_MODE[eng] == mode
 
     @pytest.mark.parametrize("engine", ALL_ENGINES)
     def test_engine_name_attribute_matches_registry_key(self, engine):
@@ -232,7 +225,8 @@ class TestFaultInjection:
         clean = run_engine(engine, g, 0, seed=4)
         plan = FaultPlan([FaultSpec("potential")], seed=11)  # every call
         res = run_engine(engine, g, 0, seed=4, fault_plan=plan,
-                         resilient=True, max_retries=1)
+                         resilient=True,
+                         retry_policy=RetryPolicy(max_attempts=2))
         assert res.provenance.used_fallback
         assert res.provenance.engine == "fallback:bellman_ford"
         np.testing.assert_array_equal(clean.dist, res.dist)
@@ -277,21 +271,6 @@ def test_checkpoint_rejected_for_non_goldberg(tmp_path, engine):
     with pytest.raises(InputValidationError, match="checkpoint"):
         run_engine(engine, g, 0, resilient=True,
                    checkpoint_path=tmp_path / "ck.bin")
-
-
-@pytest.mark.parametrize("mode", ("parallel", "sequential"))
-def test_goldberg_engine_name_equals_mode(mode):
-    """engine=goldberg_* and mode=* are the same code path — identical
-    distances, certificate kind, and cost."""
-    from repro.core import solve_sssp_resilient
-
-    g = hidden_potential_graph(32, 128, seed=8)
-    by_mode = solve_sssp_resilient(g, 0, mode=mode, seed=8)
-    by_engine = solve_sssp_resilient(g, 0, engine=MODE_TO_ENGINE[mode],
-                                     seed=8)
-    np.testing.assert_array_equal(by_mode.dist, by_engine.dist)
-    assert by_mode.cost == by_engine.cost
-    assert by_engine.provenance.engine == MODE_TO_ENGINE[mode]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """The certified tail every engine shares (``repro.core.engines``).
 
-Every entry point — ``solve_sssp`` (the ``mode=`` alias),
-``solve_sssp_resilient`` and ``engine.solve`` — reaches the same tail,
-so each check here holds for all of them: the source and the engine or
-mode name are checked before any work, checkpoint support is an engine
-capability, the ``potential`` fault hook fires once per feasible solve
-and never on a cycle answer, and ``mode=`` callers are labelled with
-their engine's name.
+Every entry point — ``solve_sssp``, ``solve_sssp_resilient`` and
+``engine.solve`` — reaches the same tail, so each check here holds for
+all of them: the source and the engine name are checked before any
+work, ``engine=`` reaches every registered engine, checkpoint support is
+an engine capability, and the ``potential`` fault hook fires once per
+feasible solve and never on a cycle answer.
 """
 
 from __future__ import annotations
@@ -16,6 +15,11 @@ import pytest
 
 from repro import solve_sssp, solve_sssp_resilient
 from repro.core.engines import get_sssp_engine
+from repro.core.extensions import (
+    all_pairs_shortest_paths,
+    find_negative_cycle,
+    solve_difference_constraints,
+)
 from repro.graph.generators import (
     hidden_potential_graph,
     random_digraph,
@@ -50,6 +54,21 @@ def _rejected_before_any_work(fn, match=None):
     assert not tr.spans
 
 
+# every public function taking ``engine=``: (graph, engine, acc) -> result
+ENGINE_CALLS = {
+    "solve_sssp": lambda g, engine, acc: solve_sssp(g, 0, engine=engine,
+                                                    acc=acc),
+    "solve_sssp_resilient": lambda g, engine, acc: solve_sssp_resilient(
+        g, 0, engine=engine, acc=acc),
+    "all_pairs_shortest_paths": lambda g, engine, acc:
+        all_pairs_shortest_paths(g, engine=engine, acc=acc),
+    "find_negative_cycle": lambda g, engine, acc: find_negative_cycle(
+        g, engine=engine),
+    "solve_difference_constraints": lambda g, engine, acc:
+        solve_difference_constraints(2, [(0, 1, -1)], engine=engine),
+}
+
+
 @pytest.fixture
 def g():
     return hidden_potential_graph(20, 60, seed=1)
@@ -81,17 +100,25 @@ class TestSourceCheck:
                 validate_graph(g, source)
 
 
-class TestUnknownNames:
-    @pytest.mark.parametrize("solve", [solve_sssp, solve_sssp_resilient])
-    def test_unknown_mode_rejected_before_any_work(self, g, solve):
+class TestEngineNames:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_solve_sssp_reaches_every_engine(self, g, engine):
+        cyclic = random_digraph(20, 50, min_w=-3, max_w=9, seed=5)
+        for graph in (g, cyclic):
+            got = solve_sssp(graph, 0, engine=engine, seed=3)
+            want = get_sssp_engine(engine).solve(graph, 0, seed=3)
+            for field in ("dist", "parent", "price"):
+                np.testing.assert_array_equal(getattr(got, field),
+                                              getattr(want, field))
+            assert got.negative_cycle == want.negative_cycle
+            assert got.cost == want.cost
+        assert got.has_negative_cycle
+
+    @pytest.mark.parametrize("call", sorted(ENGINE_CALLS))
+    def test_unknown_engine_rejected_before_any_work(self, g, call):
         for graph in (zero_heavy_digraph(50, 200, seed=1), g):
             _rejected_before_any_work(
-                lambda acc: solve(graph, 0, mode="bogus", acc=acc), "bogus")
-
-    def test_unknown_engine_rejected_before_any_work(self, g):
-        _rejected_before_any_work(
-            lambda acc: solve_sssp_resilient(g, 0, engine="nope", acc=acc),
-            "nope")
+                lambda acc: ENGINE_CALLS[call](graph, "bogus", acc), "bogus")
         with pytest.raises(InputValidationError, match="goldberg_parallel"):
             get_sssp_engine("nope")
 
@@ -119,11 +146,11 @@ def test_potential_fault_fires_once_and_never_on_a_cycle(g, engine):
     assert plan.calls["potential"] == 0
 
 
-@pytest.mark.parametrize("mode", ["parallel", "sequential"])
-def test_mode_callers_are_labelled_with_their_engine(g, mode):
+@pytest.mark.parametrize("engine", ENGINES)
+def test_solves_are_labelled_with_their_engine(g, engine):
     tr = Tracer()
     with tracing(tr):
-        res = solve_sssp_resilient(g, 0, mode=mode)
-    assert res.provenance.engine == f"goldberg_{mode}"
+        res = solve_sssp_resilient(g, 0, engine=engine)
+    assert res.provenance.engine == engine
     (solve,) = [s for s in tr.spans if s.name == "solve"]
-    assert solve.attrs["engine"] == f"goldberg_{mode}"
+    assert solve.attrs["engine"] == engine

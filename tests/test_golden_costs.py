@@ -31,7 +31,7 @@ from repro.runtime.metrics import Cost
 SEED = 7
 
 # case -> (graph factory, has_negative_cycle,
-#          parallel-mode cost, sequential-mode cost)
+#          goldberg_parallel cost, goldberg_sequential cost)
 GOLDEN = {
     "hp16": (
         lambda: hidden_potential_graph(16, 40, seed=1), False,
@@ -52,26 +52,26 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
-@pytest.mark.parametrize("mode", ["parallel", "sequential"])
-def test_golden_cost(case, mode):
+@pytest.mark.parametrize("engine", ["goldberg_parallel",
+                                    "goldberg_sequential"])
+def test_golden_cost(case, engine):
     make, neg, par_cost, seq_cost = GOLDEN[case]
-    res = solve_sssp(make(), 0, seed=SEED, mode=mode)
+    res = solve_sssp(make(), 0, seed=SEED, engine=engine)
     assert res.has_negative_cycle == neg
-    want = par_cost if mode == "parallel" else seq_cost
+    want = par_cost if engine == "goldberg_parallel" else seq_cost
     assert res.cost == want
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_cost_pool_size_independent(case):
-    """The parallel-mode model cost must not depend on the worker pool's
+    """The goldberg_parallel model cost must not depend on the worker pool's
     size — that is what makes cross-machine bit-exact gating sound."""
     from repro.runtime.executor import ForkJoinPool
 
     make, _, par_cost, _ = GOLDEN[case]
     for pool in (ForkJoinPool(1), ForkJoinPool(4, grain=8)):
         with pool:
-            res = solve_sssp(make(), 0, seed=SEED, mode="parallel",
-                             backend=pool)
+            res = solve_sssp(make(), 0, seed=SEED, backend=pool)
         assert res.cost == par_cost
 
 
@@ -109,7 +109,7 @@ def test_golden_cost_backend_invariant(case, backend):
     from repro.runtime.executor import ForkJoinPool
 
     make, neg, par_cost, _ = GOLDEN[case]
-    base = solve_sssp(make(), 0, seed=SEED, mode="parallel")
+    base = solve_sssp(make(), 0, seed=SEED)
     be = {
         "serial": lambda: SerialBackend(grain=8),
         "thread": lambda: ForkJoinPool(2, grain=8),
@@ -118,7 +118,7 @@ def test_golden_cost_backend_invariant(case, backend):
                                                liveness_timeout=1.0),
     }[backend]()
     try:
-        res = solve_sssp(make(), 0, seed=SEED, mode="parallel", backend=be)
+        res = solve_sssp(make(), 0, seed=SEED, backend=be)
     finally:
         be.shutdown()
     assert res.has_negative_cycle == neg

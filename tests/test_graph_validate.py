@@ -13,6 +13,7 @@ from repro.baselines import (
     johnson_potential,
 )
 from repro.core import (
+    all_pairs_shortest_paths,
     is_valid_improvement,
     lift_price_to_members,
     negative_vertices,
@@ -199,6 +200,8 @@ SOURCE_ENTRY_POINTS = {
                            lambda g, s: dag01_limited_sssp(g, s, 3).dist),
     "dag01_limited_sssp_naive": (
         DAG01, lambda g, s: dag01_limited_sssp_naive(g, s, 3).dist),
+    "all_pairs_shortest_paths": (
+        NONNEG, lambda g, s: all_pairs_shortest_paths(g, sources=[s]).dist),
 }
 
 

@@ -80,14 +80,14 @@ class TestEngineModeMatrix:
                              ids=["exact", "perturbed", "delta", "hopset"])
     def test_engines_parallel_mode(self, engine):
         g = hidden_potential_graph(60, 280, potential_spread=15, seed=17)
-        res = solve_sssp(g, 0, mode="parallel", assp_engine=engine, seed=17)
+        res = solve_sssp(g, 0, assp_engine=engine, seed=17)
         np.testing.assert_array_equal(res.dist, bellman_ford(g, 0).dist)
 
     def test_mode_equivalence_on_cycles(self):
         for seed in range(4):
             g = random_digraph(30, 120, min_w=-3, max_w=6, seed=100 + seed)
-            rp = solve_sssp(g, 0, mode="parallel", seed=seed)
-            rs = solve_sssp(g, 0, mode="sequential", seed=seed)
+            rp = solve_sssp(g, 0, seed=seed)
+            rs = solve_sssp(g, 0, engine="goldberg_sequential", seed=seed)
             assert rp.has_negative_cycle == rs.has_negative_cycle
             oracle = johnson_potential(g)
             assert rp.has_negative_cycle == (oracle.negative_cycle

@@ -17,6 +17,7 @@ from repro.limited import (
     verify_limited_distances,
     shortest_path_tree,
 )
+from repro.resilience import RetryPolicy
 from repro.runtime import CostAccumulator
 
 
@@ -177,7 +178,7 @@ class TestLimitedOtherEngines:
         g = zero_heavy_digraph(25, 120, p_zero=0.4, seed=4)
         engine = FlakyAssp(p_fail=0.4, seed=11)
         res = assert_limited_correct(g, 0, 8, engine=engine,
-                                     max_retries=50)
+                                     retry_policy=RetryPolicy(max_attempts=51))
         assert res.verified
 
     def test_flaky_always_fails_raises(self):
@@ -194,7 +195,8 @@ class TestLimitedOtherEngines:
                 return out
 
         with pytest.raises(VerificationError):
-            limited_sssp(g, 0, 6, engine=AlwaysWrong(), max_retries=2)
+            limited_sssp(g, 0, 6, engine=AlwaysWrong(),
+                         retry_policy=RetryPolicy(max_attempts=3))
 
 
 class TestLimitedValidation:

@@ -112,14 +112,16 @@ class TestRegistryDeclaration:
 
     def test_convenience_autodeclare(self):
         reg = MetricsRegistry()
-        reg.inc("repro_solves_total", mode="parallel")
-        reg.inc("repro_solves_total", 2, mode="sequential")
+        reg.inc("repro_engine_solves_total", engine="goldberg_parallel")
+        reg.inc("repro_engine_solves_total", 2,
+                engine="goldberg_sequential")
         reg.set("repro_scale_current", 4)
         reg.observe("repro_solve_work", 123.0)
         st = reg.state()
-        assert st["repro_solves_total"]["type"] == "counter"
-        assert st["repro_solves_total"]["samples"]["mode=parallel"] == 1.0
-        assert st["repro_solves_total"]["samples"]["mode=sequential"] == 2.0
+        solves = st["repro_engine_solves_total"]
+        assert solves["type"] == "counter"
+        assert solves["samples"]["engine=goldberg_parallel"] == 1.0
+        assert solves["samples"]["engine=goldberg_sequential"] == 2.0
         assert st["repro_scale_current"]["samples"][""] == 4.0
         assert st["repro_solve_work"]["samples"][""]["count"] == 1
 
@@ -138,9 +140,9 @@ class TestRegistryDeclaration:
 
 def _populated_registry() -> MetricsRegistry:
     reg = MetricsRegistry(run="roundtrip-test")
-    reg.inc("repro_solves_total", 3, help="solves", mode="parallel",
-            outcome="distances")
-    reg.inc("repro_solves_total", 1, mode="parallel",
+    reg.inc("repro_engine_solves_total", 3, help="solves",
+            engine="goldberg_parallel", outcome="distances")
+    reg.inc("repro_engine_solves_total", 1, engine="goldberg_parallel",
             outcome="negative_cycle")
     reg.inc("repro_checkpoint_bytes_total", 4096.5)
     reg.set("repro_scale_current", 8, help="current scale")
@@ -179,12 +181,12 @@ class TestPrometheusRoundtrip:
 
     def test_exposition_format(self):
         text = _populated_registry().to_prometheus()
-        assert "# TYPE repro_solves_total counter" in text
-        assert "# HELP repro_solves_total solves" in text
+        assert "# TYPE repro_engine_solves_total counter" in text
+        assert "# HELP repro_engine_solves_total solves" in text
         assert "# TYPE repro_scale_current gauge" in text
         assert "# TYPE repro_solve_work histogram" in text
-        assert 'repro_solves_total{mode="parallel",outcome="distances"} 3' \
-            in text
+        assert ('repro_engine_solves_total{engine="goldberg_parallel",'
+                'outcome="distances"} 3') in text
         # histogram series: cumulative buckets, +Inf, _sum, _count
         assert 'le="+Inf"' in text
         assert "repro_solve_work_sum" in text
@@ -284,8 +286,8 @@ class TestSolverMetrics:
             res = solve_sssp(g, 0, seed=7)
         assert not res.has_negative_cycle
         st = reg.state()
-        assert st["repro_solves_total"]["samples"][
-            "mode=parallel,outcome=distances"] == 1.0
+        assert st["repro_engine_solves_total"]["samples"][
+            "engine=goldberg_parallel,outcome=distances"] == 1.0
         assert st["repro_scales_total"]["samples"][""] >= 1.0
         assert st["repro_reach_calls_total"]["samples"][""] >= 1.0
         assert st["repro_reach_rounds_total"]["samples"][""] >= 1.0
@@ -302,8 +304,8 @@ class TestSolverMetrics:
         with metering(reg):
             res = solve_sssp(g, 0, seed=7)
         assert res.has_negative_cycle
-        assert reg.state()["repro_solves_total"]["samples"][
-            "mode=parallel,outcome=negative_cycle"] == 1.0
+        assert reg.state()["repro_engine_solves_total"]["samples"][
+            "engine=goldberg_parallel,outcome=negative_cycle"] == 1.0
 
     def test_checkpoint_bytes_metric(self, tmp_path):
         g = hidden_potential_graph(24, 70, seed=2)

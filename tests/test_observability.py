@@ -320,13 +320,14 @@ def test_trace_phase_table_wall_columns():
 
 def test_resilient_solve_traces_attempts_and_fallback():
     from repro.resilience.faults import FaultPlan
+    from repro.resilience.retry import RetryPolicy
 
     g = hidden_potential_graph(30, 100, seed=4)
     tr = Tracer()
     plan = FaultPlan.always("potential", seed=0)
     with tracing(tr):
         res = solve_sssp_resilient(g, 0, seed=4, fault_plan=plan,
-                                   max_retries=1)
+                                   retry_policy=RetryPolicy(max_attempts=2))
     assert res.provenance.used_fallback
     attempts = [s for s in tr.spans if s.name == "attempt"]
     assert [s.attrs["attempt"] for s in attempts] == [0, 1]

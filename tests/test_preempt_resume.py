@@ -32,6 +32,7 @@ from repro.baselines.bellman_ford import bellman_ford
 from repro.graph import generators
 from repro.resilience import (
     CHECKPOINT_VERSION,
+    RetryPolicy,
     ScaleCheckpoint,
     cancel_scope,
     checkpoint_fingerprint,
@@ -367,7 +368,7 @@ class TestDeadlineSemantics:
 
     def test_deadline_never_retries(self, g):
         res = solve_sssp_resilient(g, 0, seed=0, deadline=0.0,
-                                   max_retries=5)
+                                   retry_policy=RetryPolicy(max_attempts=6))
         # one failed attempt, then straight to fallback: elapsed time is
         # not refundable, so deadline expiry must not burn retries
         assert len(res.provenance.attempts) == 1

@@ -87,7 +87,7 @@ class TestTaxonomy:
     def test_retry_exhausted_carries_attempts(self, gpos):
         with pytest.raises(RetryExhaustedError) as ei:
             limited_sssp(gpos, 0, 30, fault_plan=FaultPlan.always("assp"),
-                         max_retries=2)
+                         retry_policy=RetryPolicy(max_attempts=3))
         exc = ei.value
         assert exc.stage == "limited_sssp"
         assert len(exc.attempts) == 3
@@ -200,7 +200,7 @@ class TestFaultCaught:
     def test_assp_caught_by_lemma10(self, gpos):
         with pytest.raises(RetryExhaustedError) as ei:
             limited_sssp(gpos, 0, 30, fault_plan=FaultPlan.always("assp"),
-                         max_retries=0)
+                         retry_policy=RetryPolicy(max_attempts=1))
         assert ei.value.stage == "limited_sssp"
 
     def test_priorities_caught_by_contract_check(self):
@@ -403,16 +403,17 @@ class TestBudgetEndsAtTheCost:
                                  fallback=False)
 
 
-@pytest.mark.parametrize("mode", ["parallel", "sequential"])
+@pytest.mark.parametrize("engine", ["goldberg_parallel",
+                                    "goldberg_sequential"])
 @pytest.mark.parametrize("n,m,seed", [(64, 256, 1), (250, 1000, 2),
                                       (160, 640, 3), (24, 70, 2),
                                       (16, 40, 1)])
-def test_solve_sssp_guard_spends_exactly_the_cost(mode, n, m, seed):
+def test_solve_sssp_guard_spends_exactly_the_cost(engine, n, m, seed):
     """``solve_sssp(guard=...)`` counts the chain-elimination work once
     and the scale-level maps and the final Dijkstra at all."""
     g = generators.hidden_potential_graph(n, m, seed=seed)
     guard = BudgetGuard(max_work=float("inf"))
-    res = solve_sssp(g, 0, seed=7, mode=mode, guard=guard)
+    res = solve_sssp(g, 0, seed=7, engine=engine, guard=guard)
     assert guard.spent_work == pytest.approx(res.cost.work, rel=1e-12)
 
 

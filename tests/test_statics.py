@@ -182,21 +182,6 @@ class TestRS005:
         assert len(findings_of(src, "RS005")) == 1
 
 
-class TestRS006:
-    def test_fires_on_list_default(self):
-        src = "def solve(g, frontier=[]):\n    return frontier\n"
-        assert len(findings_of(src, "RS006")) == 1
-
-    def test_fires_on_call_default(self):
-        src = "def solve(g, acc=CostAccumulator()):\n    return acc\n"
-        assert len(findings_of(src, "RS006")) == 1
-
-    def test_quiet_on_none_default(self):
-        src = ("def solve(g, frontier=None):\n"
-               "    frontier = [] if frontier is None else frontier\n")
-        assert findings_of(src, "RS006") == []
-
-
 class TestRS007:
     def test_fires_on_bare_except(self):
         src = "try:\n    run()\nexcept:\n    pass\n"
@@ -225,7 +210,7 @@ class TestRS008:
         assert len(findings_of(src, "RS008")) == 1
 
     def test_quiet_on_catalogued_metric(self):
-        src = "metric_inc('repro_solves_total', 1)\n"
+        src = "metric_inc('repro_engine_solves_total', 1)\n"
         assert findings_of(src, "RS008") == []
 
 
