@@ -60,7 +60,6 @@ from .resilience import (
 from .runtime import (
     Cost,
     CostAccumulator,
-    CostModel,
     DegradationLadder,
     ForkJoinPool,
     ProcessForkJoinPool,
@@ -83,7 +82,6 @@ __all__ = [
     "DiGraph",
     "Cost",
     "CostAccumulator",
-    "CostModel",
     "ReproError",
     "InputValidationError",
     "VerificationError",

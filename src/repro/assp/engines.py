@@ -31,17 +31,17 @@ import numpy as np
 
 from ..baselines.dijkstra import dijkstra
 from ..graph.csr import out_edge_slots
-from ..graph.digraph import DiGraph
+from ..graph.digraph import DiGraph, _aligned_weights
 from ..graph.validate import check_source
 from ..resilience.errors import InputValidationError
+from ..runtime import model
 from ..runtime.metrics import CostAccumulator
-from ..runtime.model import CostModel, DEFAULT_MODEL
 from ..runtime.registry import Registry
 from ..runtime.rng import make_rng
 
 
 def _charge_oracle(g: DiGraph, acc: CostAccumulator | None,
-                   model: CostModel, measured_span: float) -> None:
+                   measured_span: float) -> None:
     if acc is not None:
         acc.charge(model.oracle_work(g.n, g.m),
                    span=measured_span,
@@ -55,10 +55,9 @@ class ExactAssp:
 
     def __call__(self, g: DiGraph, source: int, eps: float,
                  acc: CostAccumulator | None = None,
-                 model: CostModel = DEFAULT_MODEL,
                  weights: np.ndarray | None = None) -> np.ndarray:
-        res = dijkstra(g, source, weights=weights, model=model)
-        _charge_oracle(g, acc, model, measured_span=res.cost.span)
+        res = dijkstra(g, source, weights=weights)
+        _charge_oracle(g, acc, measured_span=res.cost.span)
         return res.dist
 
 
@@ -78,10 +77,9 @@ class PerturbedAssp:
 
     def __call__(self, g: DiGraph, source: int, eps: float,
                  acc: CostAccumulator | None = None,
-                 model: CostModel = DEFAULT_MODEL,
                  weights: np.ndarray | None = None) -> np.ndarray:
-        res = dijkstra(g, source, weights=weights, model=model)
-        _charge_oracle(g, acc, model, measured_span=res.cost.span)
+        res = dijkstra(g, source, weights=weights)
+        _charge_oracle(g, acc, measured_span=res.cost.span)
         factor = 1.0 + eps * self._rng.random(g.n)
         out = res.dist * factor
         out[~np.isfinite(res.dist)] = np.inf
@@ -103,23 +101,21 @@ class DeltaSteppingAssp:
 
     def __call__(self, g: DiGraph, source: int, eps: float,
                  acc: CostAccumulator | None = None,
-                 model: CostModel = DEFAULT_MODEL,
                  weights: np.ndarray | None = None) -> np.ndarray:
-        w = g.w if weights is None else np.asarray(weights, dtype=np.int64)
+        w = _aligned_weights(g, weights)
         if g.m and w.min() < 0:
             raise InputValidationError(
                 "delta-stepping requires nonnegative weights")
         local = CostAccumulator()
-        dist = _delta_stepping(g, source, w, self.delta, local, model)
-        _charge_oracle(g, acc, model, measured_span=local.span)
+        dist = _delta_stepping(g, source, w, self.delta, local)
+        _charge_oracle(g, acc, measured_span=local.span)
         if acc is not None:
             acc.charge(local.work, span=0.0, span_model=0.0)
         return dist
 
 
 def _delta_stepping(g: DiGraph, source: int, w: np.ndarray,
-                    delta: int | None, acc: CostAccumulator,
-                    model: CostModel) -> np.ndarray:
+                    delta: int | None, acc: CostAccumulator) -> np.ndarray:
     source = check_source(g, source)
     if delta is None:
         positive = w[w > 0]
@@ -151,11 +147,11 @@ def _delta_stepping(g: DiGraph, source: int, w: np.ndarray,
             settled_this_bucket.extend(frontier.tolist())
             bucket_of[frontier] = -2  # settled for light phase purposes
             _relax_from(g, frontier, wf, light, dist, bucket_of, buckets,
-                        delta, acc, model)
+                        delta, acc)
         if settled_this_bucket:
             sfront = np.asarray(settled_this_bucket, dtype=np.int64)
             _relax_from(g, sfront, wf, ~light, dist, bucket_of, buckets,
-                        delta, acc, model)
+                        delta, acc)
         if i in buckets and not buckets[i]:
             del buckets[i]
         i += 1
@@ -165,8 +161,7 @@ def _delta_stepping(g: DiGraph, source: int, w: np.ndarray,
 def _relax_from(g: DiGraph, frontier: np.ndarray, wf: np.ndarray,
                 edge_mask: np.ndarray, dist: np.ndarray,
                 bucket_of: np.ndarray, buckets: dict[int, list[int]],
-                delta: int, acc: CostAccumulator,
-                model: CostModel) -> None:
+                delta: int, acc: CostAccumulator) -> None:
     slots = out_edge_slots(g, frontier)
     acc.charge(*model.bfs_round_ws(len(slots), g.n))
     if len(slots) == 0:
@@ -205,10 +200,9 @@ class FlakyAssp:
 
     def __call__(self, g: DiGraph, source: int, eps: float,
                  acc: CostAccumulator | None = None,
-                 model: CostModel = DEFAULT_MODEL,
                  weights: np.ndarray | None = None) -> np.ndarray:
         self.calls += 1
-        d = self.inner(g, source, eps, acc, model, weights)
+        d = self.inner(g, source, eps, acc, weights)
         if self._rng.random() < self.p_fail:
             self.failures += 1
             d = d.copy()
@@ -248,9 +242,8 @@ class FaultInjectingAssp:
 
     def __call__(self, g: DiGraph, source: int, eps: float,
                  acc: CostAccumulator | None = None,
-                 model: CostModel = DEFAULT_MODEL,
                  weights: np.ndarray | None = None) -> np.ndarray:
-        d = self.inner(g, source, eps, acc, model, weights)
+        d = self.inner(g, source, eps, acc, weights)
         return self.plan.corrupt_assp(d, source)
 
 

@@ -31,10 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..graph.digraph import DiGraph
+from ..graph.digraph import DiGraph, _aligned_weights
 from ..resilience.errors import InputValidationError
+from ..runtime import model
 from ..runtime.metrics import CostAccumulator
-from ..runtime.model import CostModel, DEFAULT_MODEL
 from ..runtime.rng import make_rng
 from .engines import _charge_oracle
 
@@ -59,19 +59,18 @@ class HopsetAssp:
 
     def __call__(self, g: DiGraph, source: int, eps: float,
                  acc: CostAccumulator | None = None,
-                 model: CostModel = DEFAULT_MODEL,
                  weights: np.ndarray | None = None) -> np.ndarray:
-        w = g.w if weights is None else np.asarray(weights, dtype=np.int64)
+        w = _aligned_weights(g, weights)
         if g.m and w.min() < 0:
             raise InputValidationError(
                 "hopset ASSSP requires nonnegative weights")
         local = CostAccumulator()
-        dist = self._solve(g, source, w, local, model)
-        _charge_oracle(g, acc, model, measured_span=local.span)
+        dist = self._solve(g, source, w, local)
+        _charge_oracle(g, acc, measured_span=local.span)
         return dist
 
     def _solve(self, g: DiGraph, source: int, w: np.ndarray,
-               acc: CostAccumulator, model: CostModel) -> np.ndarray:
+               acc: CostAccumulator) -> np.ndarray:
         n = g.n
         beta = self.beta if self.beta is not None else \
             max(2, math.isqrt(max(n, 1)))
@@ -88,7 +87,7 @@ class HopsetAssp:
         branch_costs = []
         for row, h in enumerate(hubs.tolist()):
             branch = acc.fork()
-            dlim[row] = _hop_limited_bf(g, h, wf, beta, branch, model)
+            dlim[row] = _hop_limited_bf(g, h, wf, beta, branch)
             branch_costs.append(branch)
         acc.join_parallel(branch_costs,
                           fork_span=math.log2(len(hubs) + 2))
@@ -109,7 +108,7 @@ class HopsetAssp:
 
 
 def _hop_limited_bf(g: DiGraph, source: int, wf: np.ndarray, hops: int,
-                    acc: CostAccumulator, model: CostModel) -> np.ndarray:
+                    acc: CostAccumulator) -> np.ndarray:
     """Exact distances over paths of at most ``hops`` edges."""
     dist = np.full(g.n, np.inf)
     dist[source] = 0.0

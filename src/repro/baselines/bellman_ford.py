@@ -28,9 +28,9 @@ import numpy as np
 from ..graph.digraph import DiGraph, _aligned_weights
 from ..graph.validate import check_source
 from ..resilience.errors import VerificationError
+from ..runtime import model
 from ..runtime.backends import resolve_backend
 from ..runtime.metrics import Cost, CostAccumulator
-from ..runtime.model import CostModel, DEFAULT_MODEL
 from ..runtime.primitives import unique_sorted
 from ..runtime.racecheck import race_read
 
@@ -55,8 +55,8 @@ class BellmanFordResult:
         return self.negative_cycle is not None
 
 
-def bellman_ford(g: DiGraph, source: int, weights: np.ndarray | None = None,
-                 model: CostModel = DEFAULT_MODEL) -> BellmanFordResult:
+def bellman_ford(g: DiGraph, source: int, weights: np.ndarray | None = None
+                 ) -> BellmanFordResult:
     """Single-source shortest paths tolerating negative integer weights.
 
     Runs at most ``n`` relaxation rounds with early exit; a relaxation in
@@ -66,7 +66,7 @@ def bellman_ford(g: DiGraph, source: int, weights: np.ndarray | None = None,
     """
     source = check_source(g, source)
     w = _aligned_weights(g, weights).astype(np.float64)
-    return _bellman_ford(g, source, w, model)
+    return _bellman_ford(g, source, w)
 
 
 def bellman_ford_parallel(g: DiGraph, source: int, backend=None,
@@ -86,13 +86,13 @@ def bellman_ford_parallel(g: DiGraph, source: int, backend=None,
     backend = resolve_backend(backend)
     w = _aligned_weights(g, weights).astype(np.float64)
     if backend is None:
-        return _bellman_ford(g, source, w, DEFAULT_MODEL)
+        return _bellman_ford(g, source, w)
 
     def relax(dist: np.ndarray) -> np.ndarray:
         return np.concatenate(backend.map_blocks(
             g.m, _relax_block, (g.src, w, dist), grain=grain))
 
-    return _bellman_ford(g, source, w, DEFAULT_MODEL, relax)
+    return _bellman_ford(g, source, w, relax)
 
 
 def _relax_block(lo: int, hi: int, src: np.ndarray, w: np.ndarray,
@@ -107,7 +107,6 @@ def _relax_block(lo: int, hi: int, src: np.ndarray, w: np.ndarray,
 
 
 def _bellman_ford(g: DiGraph, source: int, w: np.ndarray,
-                  model: CostModel,
                   relax: Callable[[np.ndarray], np.ndarray] | None = None
                   ) -> BellmanFordResult:
     acc = CostAccumulator()
@@ -117,17 +116,16 @@ def _bellman_ford(g: DiGraph, source: int, w: np.ndarray,
     rounds = 0
     changed = True
     while changed and rounds < g.n:
-        changed = _relax_round(g, w, dist, parent, acc, model, relax)
+        changed = _relax_round(g, w, dist, parent, acc, relax)
         rounds += 1
     cycle = None
     if changed:  # still relaxing after n rounds: negative cycle
-        cycle = _extract_cycle(g, w, dist, parent, acc, model)
+        cycle = _extract_cycle(g, w, dist, parent, acc)
     return BellmanFordResult(dist, parent, cycle, rounds, acc.snapshot())
 
 
 def _relax_round(g: DiGraph, w: np.ndarray, dist: np.ndarray,
                  parent: np.ndarray, acc: CostAccumulator,
-                 model: CostModel,
                  relax: Callable[[np.ndarray], np.ndarray] | None = None
                  ) -> bool:
     """One Jacobi relaxation over all edges; True if any distance improved.
@@ -152,8 +150,7 @@ def _relax_round(g: DiGraph, w: np.ndarray, dist: np.ndarray,
 
 
 def _extract_cycle(g: DiGraph, w: np.ndarray, dist: np.ndarray,
-                   parent: np.ndarray, acc: CostAccumulator,
-                   model: CostModel) -> list[int]:
+                   parent: np.ndarray, acc: CostAccumulator) -> list[int]:
     """Extract a negative cycle once one is known to exist.
 
     Fast path: walk predecessor pointers from each still-relaxing vertex with
@@ -247,6 +244,6 @@ def bellman_ford_distance_only(g: DiGraph, source: int,
     acc = CostAccumulator()
     rounds = max_rounds if max_rounds is not None else g.n
     for _ in range(rounds):
-        if not _relax_round(g, w, dist, parent, acc, DEFAULT_MODEL):
+        if not _relax_round(g, w, dist, parent, acc):
             break
     return dist

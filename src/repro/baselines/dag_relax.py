@@ -17,7 +17,6 @@ from ..graph.digraph import DiGraph, _aligned_weights
 from ..graph.validate import check_source, topological_order
 from ..resilience.errors import InputValidationError
 from ..runtime.metrics import Cost, CostAccumulator
-from ..runtime.model import CostModel, DEFAULT_MODEL
 
 
 @dataclass
@@ -27,8 +26,8 @@ class DagSsspResult:
     cost: Cost
 
 
-def dag_sssp(g: DiGraph, source: int, weights: np.ndarray | None = None,
-             model: CostModel = DEFAULT_MODEL) -> DagSsspResult:
+def dag_sssp(g: DiGraph, source: int, weights: np.ndarray | None = None
+             ) -> DagSsspResult:
     """Exact SSSP on a DAG.
 
     ``weights`` (aligned with ``g``'s edge ids) overrides ``g.w``.

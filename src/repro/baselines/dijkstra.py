@@ -40,8 +40,8 @@ import numpy as np
 from ..graph.digraph import DiGraph, _aligned_weights, _as_int64
 from ..graph.validate import check_source
 from ..resilience.errors import InputValidationError
+from ..runtime import model
 from ..runtime.metrics import Cost, CostAccumulator
-from ..runtime.model import CostModel, DEFAULT_MODEL
 
 
 @dataclass
@@ -52,8 +52,7 @@ class DijkstraResult:
 
 
 def dijkstra(g: DiGraph, source: int, weights: np.ndarray | None = None,
-             limit: float | None = None,
-             model: CostModel = DEFAULT_MODEL) -> DijkstraResult:
+             limit: float | None = None) -> DijkstraResult:
     """Exact SSSP with nonnegative integer weights.
 
     ``weights`` (aligned with ``g``'s edge ids) overrides ``g.w``.
@@ -82,7 +81,7 @@ def dijkstra(g: DiGraph, source: int, weights: np.ndarray | None = None,
     settled = bytearray(g.n)
     buckets: dict[float, list[int]] = {0.0: [source]}
     dists: list[float] = [0.0]
-    while dists:  # repro: noqa[RS001] bucket loop covered by the up-front model.dijkstra(n, m) charge
+    while dists:  # repro: noqa[RS001] bucket loop covered by the up-front model.dijkstra_ws(n, m) charge
         d = heappop(dists)
         if limit is not None and d > limit:
             break  # all still queued lie beyond the limit: masked below
@@ -115,8 +114,7 @@ def dijkstra(g: DiGraph, source: int, weights: np.ndarray | None = None,
 
 
 def dijkstra_from_labels(g: DiGraph, labels: np.ndarray,
-                         acc: CostAccumulator | None = None,
-                         model: CostModel = DEFAULT_MODEL) -> np.ndarray:
+                         acc: CostAccumulator | None = None) -> np.ndarray:
     """Close integer ``labels`` under nonnegative-edge relaxations.
 
     A multi-source Dijkstra in which *every* vertex starts at its own
@@ -124,7 +122,7 @@ def dijkstra_from_labels(g: DiGraph, labels: np.ndarray,
     ``d <= labels`` and ``d[v] <= d[u] + w(u,v)`` for every edge.  This
     is the Dijkstra half of the Bellman-Ford/Dijkstra interleave used by
     the ``fischer_simple`` engine and by BNW's ``ElimNeg`` phase; one
-    ``model.dijkstra(n, m)`` is charged per call.
+    ``model.dijkstra_ws(n, m)`` is charged per call.
 
     Raises :class:`~repro.resilience.errors.InputValidationError` (a
     ``ValueError``) when ``labels`` does not have one entry per vertex or
@@ -147,7 +145,7 @@ def dijkstra_from_labels(g: DiGraph, labels: np.ndarray,
     heappush, heappop = heapq.heappush, heapq.heappop
     indptr, indices = g.indptr.data, g.indices.data
     wf = cast("memoryview[float]", g.w.astype(np.float64).data)
-    while heap:  # repro: noqa[RS001] heap loop covered by the up-front model.dijkstra charge
+    while heap:  # repro: noqa[RS001] heap loop covered by the up-front model.dijkstra_ws charge
         du, u = heappop(heap)
         if du > dv[u]:
             continue

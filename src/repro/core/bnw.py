@@ -56,16 +56,15 @@ from ..observability.metrics import metric_inc
 from ..observability.profiler import profile_scope
 from ..observability.tracer import trace_span
 from ..resilience.guard import Meter, current_guard
+from ..runtime import model
 from ..runtime.metrics import CostAccumulator
-from ..runtime.model import CostModel, DEFAULT_MODEL
 from ..runtime.rng import make_rng
 
 __all__ = ["bnw_potential"]
 
 
 def bnw_potential(g: DiGraph, *, seed=0, acc: CostAccumulator | None = None,
-                  model: CostModel = DEFAULT_MODEL, token=None
-                  ) -> tuple[np.ndarray | None, list[int] | None]:
+                  token=None) -> tuple[np.ndarray | None, list[int] | None]:
     """Feasible potential for ``g`` (or a negative-cycle vertex list).
 
     Returns ``(price, None)`` with ``w + price[u] − price[v] ≥ 0`` for
@@ -92,8 +91,8 @@ def bnw_potential(g: DiGraph, *, seed=0, acc: CostAccumulator | None = None,
                     token.check("bnw:scale")
                 meter.tick()
                 target = b // 2
-                wr = _reduced(g, w, phi, local, model)
-                psi, cycle = _scale_down(g, wr, target, rng, local, model,
+                wr = _reduced(g, w, phi, local)
+                psi, cycle = _scale_down(g, wr, target, rng, local,
                                          token, meter)
                 if cycle is not None:
                     sp.set(negative_cycle=True)
@@ -109,7 +108,7 @@ def bnw_potential(g: DiGraph, *, seed=0, acc: CostAccumulator | None = None,
         # exact finisher: the scaling loop is guaranteed to land at a
         # feasible potential, but a Las Vegas engine never trusts its own
         # luck — re-derive exactly if any negativity survived
-        wr = _reduced(g, w, phi, local, model)
+        wr = _reduced(g, w, phi, local)
         if int(wr.min()) < 0:  # pragma: no cover - safety net
             pot = johnson_potential(g, weights=wr)
             local.charge_cost(pot.cost)
@@ -123,13 +122,13 @@ def bnw_potential(g: DiGraph, *, seed=0, acc: CostAccumulator | None = None,
 
 
 def _reduced(g: DiGraph, w: np.ndarray, phi: np.ndarray,
-             acc: CostAccumulator, model: CostModel) -> np.ndarray:
+             acc: CostAccumulator) -> np.ndarray:
     acc.charge(*model.map_ws(g.m))
     return w + phi[g.src] - phi[g.dst]
 
 
 def _scale_down(g: DiGraph, wr: np.ndarray, target: int, rng,
-                acc: CostAccumulator, model: CostModel, token, meter: Meter
+                acc: CostAccumulator, token, meter: Meter
                 ) -> tuple[np.ndarray, list[int] | None]:
     """One BNW ``ScaleDown``: a potential ``psi`` with
     ``wr + psi[u] − psi[v] ≥ −target`` everywhere, or a negative cycle."""
@@ -144,17 +143,17 @@ def _scale_down(g: DiGraph, wr: np.ndarray, target: int, rng,
                     neg_edges=int((wb < 0).sum())) as sp, \
             profile_scope("bnw-scale-down"):
         cluster = _ldd_clusters(g, np.maximum(wb, 0), max(4 * target, 4),
-                                rng, acc, model)
+                                rng, acc)
         sp.count("clusters", int(cluster.max()) + 1 if g.n else 0)
-        psi, cycle = _fix_clusters(g, wb, cluster, acc, model)
+        psi, cycle = _fix_clusters(g, wb, cluster, acc)
         if cycle is not None:
             return psi, cycle
-        return _elim_neg(g, wr, wb, psi, target, acc, model, token, meter,
+        return _elim_neg(g, wr, wb, psi, target, acc, token, meter,
                          sp)
 
 
 def _ldd_clusters(g: DiGraph, wp: np.ndarray, diameter: int, rng,
-                  acc: CostAccumulator, model: CostModel) -> np.ndarray:
+                  acc: CostAccumulator) -> np.ndarray:
     """Low-diameter decomposition by randomized ball growing.
 
     Vertices are visited in a random order; each still-unassigned vertex
@@ -201,8 +200,7 @@ def _ldd_clusters(g: DiGraph, wp: np.ndarray, diameter: int, rng,
 
 
 def _fix_clusters(g: DiGraph, wb: np.ndarray, cluster: np.ndarray,
-                  acc: CostAccumulator, model: CostModel
-                  ) -> tuple[np.ndarray, list[int] | None]:
+                  acc: CostAccumulator) -> tuple[np.ndarray, list[int] | None]:
     """Phase 1: clear ``wb``-negative edges inside each cluster exactly.
 
     The paper recurses into each cluster (SCC) with a halved Δ; here the
@@ -235,7 +233,7 @@ def _fix_clusters(g: DiGraph, wb: np.ndarray, cluster: np.ndarray,
 
 
 def _elim_neg(g: DiGraph, wr: np.ndarray, wb: np.ndarray, psi: np.ndarray,
-              target: int, acc: CostAccumulator, model: CostModel, token,
+              target: int, acc: CostAccumulator, token,
               meter: Meter, sp) -> tuple[np.ndarray, list[int] | None]:
     """Phases 2+3: ``ElimNeg`` — the Dijkstra/Bellman–Ford hybrid.
 
@@ -263,7 +261,7 @@ def _elim_neg(g: DiGraph, wr: np.ndarray, wb: np.ndarray, psi: np.ndarray,
             token.check("bnw:elim-neg")
         meter.tick()
         rounds += 1
-        d = dijkstra_from_labels(gpos, d, acc, model)
+        d = dijkstra_from_labels(gpos, d, acc)
         cand = d[nsrc] + nw
         acc.charge(*model.map_ws(len(neg)))
         improved = cand < d[ndst]

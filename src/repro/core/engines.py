@@ -24,9 +24,8 @@ differential harness (``tests/test_differential.py``) asserts.
 All engines share one interface::
 
     engine = get_sssp_engine(name)
-    res = engine.solve(g, source, seed=..., acc=..., model=...,
-                       fault_plan=..., token=...,
-                       backend=...)   # -> SsspResult
+    res = engine.solve(g, source, seed=..., acc=..., fault_plan=...,
+                       token=..., backend=...)   # -> SsspResult
 
 :func:`~repro.core.sssp.solve_sssp` and ``solve_sssp_resilient`` call it
 for every engine.  The tail threads the same Cost accumulator,
@@ -58,9 +57,9 @@ from ..resilience.errors import (
 )
 from ..resilience.guard import current_guard
 from ..resilience.retry import SolveProvenance
+from ..runtime import model
 from ..runtime.backends import resolve_backend
 from ..runtime.metrics import Cost, CostAccumulator
-from ..runtime.model import CostModel, DEFAULT_MODEL
 from ..runtime.racecheck import race_read
 from ..runtime.registry import Registry
 from .bnw import bnw_potential
@@ -150,7 +149,7 @@ class _PotentialEngine:
     #: whether ``checkpoint_path``/``resume`` are honoured
     checkpoints: bool = False
 
-    def _potential(self, g: DiGraph, *, seed, acc, model, token, backend,
+    def _potential(self, g: DiGraph, *, seed, acc, token, backend,
                    fault_plan, **options
                    ) -> tuple[np.ndarray | None, list[int] | None,
                               ScalingStats | None]:
@@ -163,9 +162,41 @@ class _PotentialEngine:
         """
         raise NotImplementedError
 
+    def _certified_potential(self, g: DiGraph, *, seed, acc, token,
+                             backend, fault_plan, **options):
+        """:meth:`_potential`'s answer with its witness checked:
+        ``(price, cycle, stats, certificate)``.
+
+        The ``potential`` fault hook corrupts a price first, and the
+        certificate is verified by the independent validators; a
+        rejected one raises
+        :class:`~repro.resilience.errors.VerificationError`.  :meth:`solve`,
+        :func:`~repro.core.extensions.all_pairs_shortest_paths` and
+        :func:`~repro.core.extensions.find_negative_cycle` read an
+        engine's potential only through here.
+        """
+        price, cycle, stats = self._potential(
+            g, seed=seed, acc=acc, token=token, backend=backend,
+            fault_plan=fault_plan, **options)
+        if cycle is not None:
+            cert = Certificate("negative_cycle", cycle=list(cycle))
+            failure = "invalid cycle certificate"
+        else:
+            if fault_plan is not None:
+                # the "potential" fault site attacks the witness before
+                # verification — corruption must be caught below, never
+                # silently change distances
+                price = fault_plan.corrupt_potential(g.src, g.dst, g.w,
+                                                     price)
+            cert = Certificate("price", price=price)
+            failure = "infeasible price function"
+        if not cert.verify(g):
+            raise VerificationError(f"{self.name}: {failure}",
+                                    stage=f"engine:{self.name}")
+        return price, cycle, stats, cert
+
     def solve(self, g: DiGraph, source: int, *, seed=0,
-              acc: CostAccumulator | None = None,
-              model: CostModel = DEFAULT_MODEL, fault_plan=None,
+              acc: CostAccumulator | None = None, fault_plan=None,
               token=None, backend=None, **options) -> SsspResult:
         """Exact distances from ``source``, or a verified negative cycle.
 
@@ -183,7 +214,7 @@ class _PotentialEngine:
         if isinstance(backend, str):
             with resolve_backend(backend) as be:
                 return self.solve(g, source, seed=seed, acc=acc,
-                                  model=model, fault_plan=fault_plan,
+                                  fault_plan=fault_plan,
                                   token=token, backend=be, **options)
         backend = resolve_backend(backend)
         source = check_source(g, source)
@@ -202,24 +233,9 @@ class _PotentialEngine:
         with trace_span("solve", acc=local, phase="solve",
                         engine=self.name, n=g.n, m=g.m, source=source,
                         seed=seed) as sp:
-            price, cycle, stats = self._potential(
-                g, seed=seed, acc=local, model=model, token=token,
+            price, cycle, stats, cert = self._certified_potential(
+                g, seed=seed, acc=local, token=token,
                 backend=backend, fault_plan=fault_plan, **options)
-            if cycle is not None:
-                cert = Certificate("negative_cycle", cycle=list(cycle))
-                failure = "invalid cycle certificate"
-            else:
-                if fault_plan is not None:
-                    # the "potential" fault site attacks the witness
-                    # before verification — corruption must be caught
-                    # below, never silently change distances
-                    price = fault_plan.corrupt_potential(g.src, g.dst, g.w,
-                                                         price)
-                cert = Certificate("price", price=price)
-                failure = "infeasible price function"
-            if not cert.verify(g):
-                raise VerificationError(f"{self.name}: {failure}",
-                                        stage=f"engine:{self.name}")
             sp.set(certificate=cert.kind)
             dist = parent = None
             if cycle is not None:
@@ -230,7 +246,7 @@ class _PotentialEngine:
                 if guard is not None:
                     guard.settle(mark, local)
                 dist, parent = _final_dijkstra(g, source, price, local,
-                                               model, token, backend)
+                                               token, backend)
             if guard is not None:
                 guard.settle(mark, local)
             outcome = "distances" if cycle is None else "negative_cycle"
@@ -247,7 +263,7 @@ class _PotentialEngine:
 
 
 def _final_dijkstra(g: DiGraph, source: int, price: np.ndarray,
-                    acc: CostAccumulator, model: CostModel, token, backend
+                    acc: CostAccumulator, token, backend
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Dijkstra on the reduced weights ``w + p(u) − p(v)``, with the
     distances mapped back: ``dist(s,v) = dist_red(s,v) + p(v) − p(s)``."""
@@ -264,7 +280,7 @@ def _final_dijkstra(g: DiGraph, source: int, price: np.ndarray,
     with acc.stage("final-dijkstra"), \
             trace_span("final-dijkstra", acc=acc, phase="solve") as dsp, \
             profile_scope("final-dijkstra"):
-        dj = dijkstra(g, source, weights=w_red, model=model)
+        dj = dijkstra(g, source, weights=w_red)
         acc.charge_cost(dj.cost)
         dsp.count("settled", int(np.isfinite(dj.dist).sum()))
     dist = dj.dist.copy()
@@ -284,11 +300,11 @@ class GoldbergParallelEngine(_PotentialEngine):
     mode = "parallel"
     checkpoints = True
 
-    def _potential(self, g, *, seed, acc, model, token, backend,
+    def _potential(self, g, *, seed, acc, token, backend,
                    fault_plan, **options):
         del backend  # scaling runs in process; only the tail's map uses it
         scal = scaled_reweighting(g, mode=self.mode, seed=seed, acc=acc,
-                                  model=model, fault_plan=fault_plan,
+                                  fault_plan=fault_plan,
                                   token=token, **options)
         return scal.price, scal.negative_cycle, scal.stats
 
@@ -308,10 +324,10 @@ class BnwScalingEngine(_PotentialEngine):
 
     name = "bnw_scaling"
 
-    def _potential(self, g, *, seed, acc, model, token, backend,
+    def _potential(self, g, *, seed, acc, token, backend,
                    fault_plan, **options):
         del backend  # BNW's ball growing is inherently sequential here
-        return (*bnw_potential(g, seed=seed, acc=acc, model=model,
+        return (*bnw_potential(g, seed=seed, acc=acc,
                                token=token), None)
 
 
@@ -322,9 +338,9 @@ class FischerSimpleEngine(_PotentialEngine):
 
     name = "fischer_simple"
 
-    def _potential(self, g, *, seed, acc, model, token, backend,
+    def _potential(self, g, *, seed, acc, token, backend,
                    fault_plan, **options):
-        return (*fischer_potential(g, seed=seed, acc=acc, model=model,
+        return (*fischer_potential(g, seed=seed, acc=acc,
                                    token=token, backend=backend), None)
 
 

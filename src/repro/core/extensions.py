@@ -26,7 +26,6 @@ from ..dag01.peeling import Dag01Result, dag01_limited_sssp
 from ..graph.digraph import DiGraph, _as_int64
 from ..resilience.errors import InputValidationError
 from ..runtime.metrics import Cost, CostAccumulator
-from ..runtime.model import CostModel, DEFAULT_MODEL
 from .engines import REFERENCE_ENGINE, get_sssp_engine
 
 
@@ -48,19 +47,19 @@ class ApspResult:
         return self.negative_cycle is not None
 
 
-def _engine_potential(g: DiGraph, engine: str, seed, acc, model):
-    """``(price, cycle)`` from the named engine's potential search,
-    without the certified tail's final Dijkstra."""
-    price, cycle, _ = get_sssp_engine(engine)._potential(
-        g, seed=seed, acc=acc, model=model, token=None, backend=None,
-        fault_plan=None)
+def _engine_potential(g: DiGraph, engine: str, seed, acc):
+    """``(price, cycle)`` from the named engine's potential search with
+    its certificate verified by the tail, without the final Dijkstra; a
+    rejected witness raises
+    :class:`~repro.resilience.errors.VerificationError`."""
+    price, cycle, _, _ = get_sssp_engine(engine)._certified_potential(
+        g, seed=seed, acc=acc, token=None, backend=None, fault_plan=None)
     return price, cycle
 
 
 def all_pairs_shortest_paths(g: DiGraph, *, engine: str = REFERENCE_ENGINE,
                              seed=0,
                              acc: CostAccumulator | None = None,
-                             model: CostModel = DEFAULT_MODEL,
                              sources: np.ndarray | None = None
                              ) -> ApspResult:
     """Johnson-style APSP on the potential of the SSSP engine ``engine``.
@@ -79,7 +78,7 @@ def all_pairs_shortest_paths(g: DiGraph, *, engine: str = REFERENCE_ENGINE,
             raise InputValidationError(
                 f"sources must be a list of vertex ids in [0, {g.n})")
     local = CostAccumulator()
-    price, cycle = _engine_potential(g, engine, seed, local, model)
+    price, cycle = _engine_potential(g, engine, seed, local)
     if cycle is not None:
         if acc is not None:
             acc.charge_cost(local.snapshot())
@@ -89,7 +88,7 @@ def all_pairs_shortest_paths(g: DiGraph, *, engine: str = REFERENCE_ENGINE,
     branches = []
     for row, s in enumerate(sources.tolist()):
         branch = local.fork()
-        res = dijkstra(g, s, weights=w_red, model=model)
+        res = dijkstra(g, s, weights=w_red)
         branch.charge_cost(res.cost)
         branches.append(branch)
         d = res.dist.copy()
@@ -114,9 +113,7 @@ class LongestPathResult:
 
 
 def dag_longest_paths(g: DiGraph, source: int, limit: int, *, seed=0,
-                      acc: CostAccumulator | None = None,
-                      model: CostModel = DEFAULT_MODEL
-                      ) -> LongestPathResult:
+                      acc: CostAccumulator | None = None) -> LongestPathResult:
     """Single-source longest paths on a DAG with ``{0, 1}`` edge weights.
 
     Exact for vertices whose longest path is ``≤ limit``; vertices with a
@@ -127,8 +124,7 @@ def dag_longest_paths(g: DiGraph, source: int, limit: int, *, seed=0,
     if g.m and not np.isin(g.w, (0, 1)).all():
         raise ValueError("dag_longest_paths requires weights in {0, 1}")
     res: Dag01Result = dag01_limited_sssp(
-        g.with_weights(-g.w), source, limit, seed=seed, acc=acc,
-        model=model)
+        g.with_weights(-g.w), source, limit, seed=seed, acc=acc)
     dist = -res.dist  # -(-k) = k; -(-inf) = +inf (beyond); -(+inf) = -inf
     return LongestPathResult(dist, res.parent_edge, limit, res.cost)
 
@@ -177,4 +173,4 @@ def find_negative_cycle(g: DiGraph, *, engine: str = REFERENCE_ENGINE,
     Thin wrapper over the engine's potential search for callers who only
     need the detection/certificate half of Theorem 17.
     """
-    return _engine_potential(g, engine, seed, None, DEFAULT_MODEL)[1]
+    return _engine_potential(g, engine, seed, None)[1]

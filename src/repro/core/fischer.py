@@ -45,9 +45,9 @@ from ..observability.profiler import profile_scope
 from ..observability.tracer import trace_span
 from ..observability.worker import worker_span
 from ..resilience.guard import Meter, current_guard
+from ..runtime import model
 from ..runtime.metrics import CostAccumulator
 from ..runtime.racecheck import race_read
-from ..runtime.model import CostModel, DEFAULT_MODEL
 
 __all__ = ["fischer_potential"]
 
@@ -72,8 +72,7 @@ def _neg_candidates_block(lo: int, hi: int, nsrc: np.ndarray,
 
 def fischer_potential(g: DiGraph, *, seed=0,
                       acc: CostAccumulator | None = None,
-                      model: CostModel = DEFAULT_MODEL, token=None,
-                      backend=None
+                      token=None, backend=None
                       ) -> tuple[np.ndarray | None, list[int] | None]:
     """Feasible potential for ``g`` (or a negative-cycle vertex list)
     via the Bellman–Ford/Dijkstra hybrid.
@@ -104,7 +103,7 @@ def fischer_potential(g: DiGraph, *, seed=0,
                 if token is not None:
                     token.check("fischer:bfd-round")
                 meter.tick()
-                d = dijkstra_from_labels(gpos, d, local, model)
+                d = dijkstra_from_labels(gpos, d, local)
                 if backend is not None and len(neg):
                     parts = backend.map_blocks(
                         len(neg), _neg_candidates_block, (nsrc, nw, d),

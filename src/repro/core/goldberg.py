@@ -22,8 +22,8 @@ from ..resilience.errors import (
 from ..observability.tracer import trace_span
 from ..resilience.guard import Meter, current_guard
 from ..resilience.retry import AttemptRecord, RetryPolicy
+from ..runtime import model
 from ..runtime.metrics import Cost, CostAccumulator
-from ..runtime.model import CostModel, DEFAULT_MODEL
 from ..runtime.rng import derive_seed
 from .improvement import sqrt_k_improvement
 from .price import count_negative_vertices, is_valid_improvement
@@ -60,7 +60,6 @@ def one_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
                     mode: str = "parallel", assp_engine=None,
                     eps: float = 0.2, seed=0,
                     acc: CostAccumulator | None = None,
-                    model: CostModel = DEFAULT_MODEL,
                     max_iterations: int | None = None,
                     fault_plan=None,
                     retry_policy: RetryPolicy | None = None,
@@ -108,7 +107,7 @@ def one_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
                          w_red: np.ndarray = w_red) -> "ImprovementOutcome":
                 out = sqrt_k_improvement(g, w_red, mode=mode,
                                          assp_engine=assp_engine, eps=eps,
-                                         seed=aseed, acc=local, model=model,
+                                         seed=aseed, acc=local,
                                          fault_plan=fault_plan,
                                          retry_policy=retry_policy)
                 if out.price_delta is not None:

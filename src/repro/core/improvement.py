@@ -40,8 +40,8 @@ from ..observability.tracer import trace_span
 from ..reach.scc import scc, scc_sequential
 from ..resilience.errors import InputValidationError
 from ..resilience.retry import RetryPolicy
+from ..runtime import model
 from ..runtime.metrics import CostAccumulator
-from ..runtime.model import CostModel, DEFAULT_MODEL
 from . import cycle as cyclemod
 from .price import lift_price_to_members, negative_vertices
 
@@ -70,7 +70,6 @@ def sqrt_k_improvement(g: DiGraph, w_red: np.ndarray, *,
                        assp_engine=None, eps: float = 0.2,
                        seed=0,
                        acc: CostAccumulator | None = None,
-                       model: CostModel = DEFAULT_MODEL,
                        fault_plan=None,
                        retry_policy: RetryPolicy | None = None
                        ) -> ImprovementOutcome:
@@ -101,7 +100,7 @@ def sqrt_k_improvement(g: DiGraph, w_red: np.ndarray, *,
             trace_span("scc", acc=local, phase="improvement",
                        n=sub0.n, m=sub0.m, mode=mode) as ssp:
         if mode == "parallel":
-            sres = scc(sub0, local, model, seed=seed)
+            sres = scc(sub0, local, seed=seed)
         else:
             sres = scc_sequential(sub0)
         comp = sres.comp
@@ -130,16 +129,15 @@ def sqrt_k_improvement(g: DiGraph, w_red: np.ndarray, *,
             trace_span("dag01", acc=local, phase="improvement",
                        k=k, limit=L, mode=mode) as dsp:
         dist_h, chain = _find_chain_or_levels(cg, L, mode, seed, local,
-                                              model, fault_plan, retry_policy)
+                                              fault_plan, retry_policy)
         dsp.set(found_chain=chain is not None)
 
     if chain is not None:
         outcome = _step3_chain(g, w_red, cond, cg, chain, dist_h, k, L, mode,
-                               assp_engine, eps, seed, local, model,
+                               assp_engine, eps, seed, local,
                                fault_plan, retry_policy)
     else:
-        outcome = _step3_independent_set(g, cond, cg, negs, dist_h, L, local,
-                                         model)
+        outcome = _step3_independent_set(g, cond, cg, negs, dist_h, L, local)
     if fault_plan is not None and outcome.price_delta is not None:
         outcome.price_delta = fault_plan.corrupt_price_delta(
             g.src, g.dst, w_red, outcome.price_delta)
@@ -155,7 +153,7 @@ def _step1_cycle(g: DiGraph, w_red: np.ndarray, comp: np.ndarray,
 
 
 def _find_chain_or_levels(cg: DiGraph, L: int, mode: str, seed,
-                          acc: CostAccumulator, model: CostModel,
+                          acc: CostAccumulator,
                           fault_plan=None,
                           retry_policy: RetryPolicy | None = None):
     """Step 2: solve the {0,−1} DAG problem with limit L on H.
@@ -178,7 +176,7 @@ def _find_chain_or_levels(cg: DiGraph, L: int, mode: str, seed,
         res = policy.run(
             "dag01_peeling", seed,
             lambda attempt, aseed: dag01_limited_sssp(
-                h, s_star, L, seed=aseed, acc=acc, model=model,
+                h, s_star, L, seed=aseed, acc=acc,
                 validate=False, fault_plan=fault_plan))
         dist_h = res.dist[:cg.n]
         deep = np.flatnonzero(res.dist == -L)
@@ -213,8 +211,7 @@ def _find_chain_or_levels(cg: DiGraph, L: int, mode: str, seed,
 
 def _step3_independent_set(g: DiGraph, cond: Condensation, cg: DiGraph,
                            negs: np.ndarray, dist_h: np.ndarray, L: int,
-                           acc: CostAccumulator, model: CostModel
-                           ) -> ImprovementOutcome:
+                           acc: CostAccumulator) -> ImprovementOutcome:
     """Improve the largest per-level independent set of negative vertices."""
     levels = (-dist_h[negs]).astype(np.int64)
     acc.charge(*model.map_ws(len(negs)))
@@ -235,7 +232,7 @@ def _step3_chain(g: DiGraph, w_red: np.ndarray, cond: Condensation,
                  cg: DiGraph, chain: list[tuple[int, int]],
                  dist_h: np.ndarray, k: int, L: int, mode: str,
                  assp_engine, eps: float, seed,
-                 acc: CostAccumulator, model: CostModel,
+                 acc: CostAccumulator,
                  fault_plan=None, retry_policy: RetryPolicy | None = None
                  ) -> ImprovementOutcome:
     """Eliminate the chain via the Ĝ reduction (§6.1 Step 3, App. A.1)."""
@@ -257,11 +254,11 @@ def _step3_chain(g: DiGraph, w_red: np.ndarray, cond: Condensation,
             # only rarely, but failure injection can need many attempts
             policy = retry_policy or RetryPolicy(max_attempts=51)
             res = limited_sssp(g_hat, s_hat, L, engine=assp_engine, eps=eps,
-                               acc=acc, model=model, validate=False,
+                               acc=acc, validate=False,
                                retry_policy=policy, fault_plan=fault_plan)
             d_hat, parent_hat = res.dist, res.parent
         else:
-            res = dijkstra(g_hat, s_hat, limit=L, model=model)
+            res = dijkstra(g_hat, s_hat, limit=L)
             acc.charge_cost(res.cost)
             d_hat, parent_hat = res.dist, res.parent
 

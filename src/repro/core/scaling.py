@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..graph.digraph import DiGraph
+from ..graph.digraph import DiGraph, _aligned_weights
 from ..resilience.checkpoint import (
     ScaleCheckpoint,
     checkpoint_fingerprint,
@@ -42,8 +42,8 @@ from ..observability.profiler import profile_scope
 from ..observability.tracer import current_tracer, trace_event, trace_span
 from ..resilience.errors import Certificate, CheckpointError
 from ..resilience.preempt import CancelToken, cancel_scope
+from ..runtime import model
 from ..runtime.metrics import Cost, CostAccumulator
-from ..runtime.model import CostModel, DEFAULT_MODEL
 from ..runtime.rng import derive_seed
 from .goldberg import ReweightingStats, one_reweighting
 
@@ -117,7 +117,6 @@ def scaled_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
                        mode: str = "parallel", assp_engine=None,
                        eps: float = 0.2, seed=0,
                        acc: CostAccumulator | None = None,
-                       model: CostModel = DEFAULT_MODEL,
                        fault_plan=None, retry_policy=None,
                        token: CancelToken | None = None,
                        checkpoint_path=None, resume: bool = False,
@@ -137,7 +136,7 @@ def scaled_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
     is called with each :class:`ScaleCheckpoint` just after its durable
     write — the fault-injection hook the kill-and-resume tests use.
     """
-    w = (g.w if weights is None else np.asarray(weights, dtype=np.int64))
+    w = _aligned_weights(g, weights)
     local = CostAccumulator()
     stats = ScalingStats()
     if token is not None:
@@ -202,7 +201,7 @@ def scaled_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
                     res = one_reweighting(g, w_eff, mode=mode,
                                           assp_engine=assp_engine, eps=eps,
                                           seed=derive_seed(seed, scale_idx),
-                                          acc=local, model=model,
+                                          acc=local,
                                           fault_plan=fault_plan,
                                           retry_policy=retry_policy,
                                           token=token)

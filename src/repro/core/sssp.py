@@ -40,7 +40,6 @@ from ..resilience.preempt import CancelToken, Deadline, cancel_scope, make_token
 from ..resilience.retry import AttemptRecord, RetryPolicy, SolveProvenance
 from ..runtime.backends import resolve_backend
 from ..runtime.metrics import CostAccumulator
-from ..runtime.model import CostModel, DEFAULT_MODEL
 from .engines import REFERENCE_ENGINE, SsspResult, get_sssp_engine
 from .scaling import ScalingStats
 
@@ -49,7 +48,6 @@ def solve_sssp(g: DiGraph, source: int, *,
                engine: str = REFERENCE_ENGINE, assp_engine=None,
                eps: float = 0.2, seed=0,
                acc: CostAccumulator | None = None,
-               model: CostModel = DEFAULT_MODEL,
                fault_plan=None, retry_policy: RetryPolicy | None = None,
                guard: BudgetGuard | None = None,
                token: CancelToken | None = None,
@@ -104,7 +102,7 @@ def solve_sssp(g: DiGraph, source: int, *,
     eng = get_sssp_engine(engine)
     with guard_scope(guard):
         return eng.solve(
-            g, source, seed=seed, acc=acc, model=model,
+            g, source, seed=seed, acc=acc,
             fault_plan=fault_plan, token=token, backend=backend,
             assp_engine=assp_engine, eps=eps,
             retry_policy=retry_policy, checkpoint_path=checkpoint_path,
@@ -116,7 +114,6 @@ def solve_sssp_resilient(g: DiGraph, source: int, *,
                          assp_engine=None,
                          eps: float = 0.2, seed=0,
                          acc: CostAccumulator | None = None,
-                         model: CostModel = DEFAULT_MODEL,
                          retry_policy: RetryPolicy | None = None,
                          fault_plan=None,
                          max_work: float | None = None,
@@ -163,8 +160,9 @@ def solve_sssp_resilient(g: DiGraph, source: int, *,
     the uninterrupted run.
 
     Every result — primary or fallback — carries a certificate (feasible
-    price or validated cycle) that is re-checked independently here before
-    being returned.  ``raise_on_cycle`` converts cycle results into
+    price or validated cycle) that the independent validators checked
+    once, where it was built: in the engine tail or in the fallback.
+    ``raise_on_cycle`` converts cycle results into
     :class:`~repro.resilience.errors.NegativeCycleError`.
 
     ``backend`` selects the execution substrate (see :func:`solve_sssp`);
@@ -194,7 +192,7 @@ def solve_sssp_resilient(g: DiGraph, source: int, *,
         with resolve_backend(backend) as be:
             return solve_sssp_resilient(
                 g, source, engine=engine, assp_engine=assp_engine, eps=eps,
-                seed=seed, acc=acc, model=model, retry_policy=retry_policy,
+                seed=seed, acc=acc, retry_policy=retry_policy,
                 fault_plan=fault_plan, max_work=max_work,
                 max_span=max_span, fallback=fallback,
                 raise_on_cycle=raise_on_cycle, deadline=deadline,
@@ -216,7 +214,7 @@ def solve_sssp_resilient(g: DiGraph, source: int, *,
                     trace_span("attempt", phase="resilience",
                                attempt=attempt, seed=aseed):
                 res = eng.solve(
-                    g, source, seed=aseed, acc=acc, model=model,
+                    g, source, seed=aseed, acc=acc,
                     fault_plan=fault_plan, token=token, backend=backend,
                     assp_engine=assp_engine, eps=eps, retry_policy=policy,
                     checkpoint_path=checkpoint_path if primary else None,
@@ -243,7 +241,7 @@ def solve_sssp_resilient(g: DiGraph, source: int, *,
             engine=eng.name, attempts=attempts,
             faults=fault_plan.summary() if fault_plan is not None else None)
         res.provenance.record_backend(backend)
-        return _finish(g, res, raise_on_cycle)
+        return _finish(res, raise_on_cycle)
 
     if not fallback:
         if isinstance(failure, (BudgetExceededError, DeadlineExceededError,
@@ -264,29 +262,30 @@ def solve_sssp_resilient(g: DiGraph, source: int, *,
     metric_inc("repro_fallbacks_total", engine="bellman_ford",
                cause=type(failure).__name__ if failure is not None
                else "retry_exhausted")
-    res = _bellman_ford_fallback(g, source, model, acc)
+    res = _bellman_ford_fallback(g, source, acc)
     res.provenance = SolveProvenance(
         engine="fallback:bellman_ford", attempts=attempts,
         fallback_reason=reason,
         faults=fault_plan.summary() if fault_plan is not None else None)
     res.provenance.record_backend(backend)
-    return _finish(g, res, raise_on_cycle)
+    return _finish(res, raise_on_cycle)
 
 
-def _bellman_ford_fallback(g: DiGraph, source: int, model: CostModel,
+def _bellman_ford_fallback(g: DiGraph, source: int,
                            acc: CostAccumulator | None) -> SsspResult:
     """Graceful degradation: deterministic O(nm) Bellman–Ford solve.
 
     Distances come from source-rooted Bellman–Ford; the price certificate
     comes from Johnson-style supersource potentials (every vertex finite),
-    so the fallback result is exactly as checkable as the primary one.
+    so the fallback result is exactly as checkable as the primary one, and
+    is checked here as the engine tail checks its own.
     """
     local = CostAccumulator()
     with local.stage("fallback-bellman-ford"), \
             trace_span("fallback-bellman-ford", acc=local,
                        phase="resilience", n=g.n, m=g.m) as sp, \
             profile_scope("fallback-bellman-ford"):
-        bf = bellman_ford(g, source, model=model)
+        bf = bellman_ford(g, source)
         local.charge_cost(bf.cost)
         if bf.negative_cycle is None:
             pot = johnson_potential(g)
@@ -301,25 +300,25 @@ def _bellman_ford_fallback(g: DiGraph, source: int, model: CostModel,
         acc.merge_stages_from(local)
     if cycle is not None:
         cert = Certificate("negative_cycle", cycle=list(cycle))
-        return SsspResult(source, None, None, None, list(cycle),
-                          ScalingStats(), local.snapshot(), certificate=cert)
-    cert = Certificate("price", price=price)
-    return SsspResult(source, bf.dist, bf.parent, price, None,
-                      ScalingStats(), local.snapshot(), certificate=cert)
+        res = SsspResult(source, None, None, None, list(cycle),
+                         ScalingStats(), local.snapshot(), certificate=cert)
+    else:
+        cert = Certificate("price", price=price)
+        res = SsspResult(source, bf.dist, bf.parent, price, None,
+                         ScalingStats(), local.snapshot(), certificate=cert)
+    if not cert.verify(g):
+        raise VerificationError("fallback certificate failed its check",
+                                stage="fallback:bellman_ford")
+    return res
 
 
-def _finish(g: DiGraph, res: SsspResult, raise_on_cycle: bool) -> SsspResult:
-    """Final gate: independently re-check the certificate, then return
-    (or raise, for cycles on request).  No unchecked result escapes."""
-    cert = res.certificate
-    if cert is None or not cert.verify(g):
-        raise VerificationError(
-            "result certificate failed its final independent re-check",
-            stage="solve_sssp_resilient")
+def _finish(res: SsspResult, raise_on_cycle: bool) -> SsspResult:
+    """Return ``res``, or raise for its cycle on request.  Its certificate
+    was verified where it was built, so no unchecked result escapes."""
     if raise_on_cycle and res.has_negative_cycle:
         raise NegativeCycleError(
             f"negative cycle of length {len(res.negative_cycle)} detected",
-            certificate=cert)
+            certificate=res.certificate)
     return res
 
 

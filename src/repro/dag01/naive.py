@@ -15,8 +15,8 @@ import numpy as np
 from ..graph.digraph import DiGraph
 from ..graph.validate import check_source
 from ..reach.multisource import multisource_reachability
+from ..runtime import model
 from ..runtime.metrics import Cost, CostAccumulator
-from ..runtime.model import CostModel, DEFAULT_MODEL
 
 
 @dataclass
@@ -29,14 +29,13 @@ class NaiveDag01Result:
 
 
 def dag01_limited_sssp_naive(g: DiGraph, source: int, limit: int, *,
-                             acc: CostAccumulator | None = None,
-                             model: CostModel = DEFAULT_MODEL
+                             acc: CostAccumulator | None = None
                              ) -> NaiveDag01Result:
     """Per-round full-reachability peeling (same output contract as
     :func:`repro.dag01.dag01_limited_sssp`, without parent edges)."""
     source = check_source(g, source)
     local = CostAccumulator()
-    reach = multisource_reachability(g, np.array([source]), local, model)
+    reach = multisource_reachability(g, np.array([source]), local)
     live = reach.pi >= 0
     dist = np.full(g.n, np.inf)
     reach_calls = 1
@@ -53,7 +52,7 @@ def dag01_limited_sssp_naive(g: DiGraph, source: int, limit: int, *,
         neg_targets = np.unique(sub.dst[sub.w == -1])
         local.charge(*model.map_ws(sub.m))
         if len(neg_targets):
-            res = multisource_reachability(sub, neg_targets, local, model)
+            res = multisource_reachability(sub, neg_targets, local)
             reach_calls += 1
             reach_node_total += sub.n
             blocked = res.pi >= 0

@@ -23,14 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.csr import in_edge_slots
-from ..graph.digraph import DiGraph
+from ..graph.digraph import DiGraph, _per_vertex
 from ..graph.validate import check_source, is_dag
 from ..observability.metrics import metric_inc
 from ..observability.tracer import trace_span
 from ..reach.multisource import multisource_reachability
 from ..resilience.errors import InputValidationError, VerificationError
+from ..runtime import model
 from ..runtime.metrics import Cost, CostAccumulator
-from ..runtime.model import CostModel, DEFAULT_MODEL
 from ..runtime.primitives import stable_argsort, unique_sorted
 from ..runtime.pset import SetVector
 from ..runtime.rng import geometric_priorities, make_rng
@@ -75,7 +75,6 @@ class _State:
     parent_eid: np.ndarray
     sent: SetVector
     acc: CostAccumulator
-    model: CostModel
     label_changes: np.ndarray
     propagate_calls: int = 0
     propagate_node_total: int = 0
@@ -85,7 +84,6 @@ class _State:
 
 def dag01_limited_sssp(g: DiGraph, source: int, limit: int, *,
                        seed=0, acc: CostAccumulator | None = None,
-                       model: CostModel = DEFAULT_MODEL,
                        validate: bool = True,
                        priorities: np.ndarray | None = None,
                        fault_plan=None) -> Dag01Result:
@@ -97,8 +95,9 @@ def dag01_limited_sssp(g: DiGraph, source: int, limit: int, *,
         The distance limit ``L``: exact distances are produced for vertices
         with ``dist(s,v) ≥ −L``; farther vertices report ``−inf``.
     priorities : optional
-        Override the random priorities (ablation A1 uses this): one per
-        vertex of ``g``, or :class:`InputValidationError`.
+        Override the random priorities (ablation A1 uses this): one
+        integer per vertex of ``g``; fractional, NaN, infinite or
+        misaligned ones raise :class:`InputValidationError`.
     validate : bool
         Check DAG-ness and the weight alphabet up front (costs O(n+m)).
     fault_plan : optional
@@ -114,8 +113,8 @@ def dag01_limited_sssp(g: DiGraph, source: int, limit: int, *,
     source = check_source(g, source)
     if limit < 0:
         raise InputValidationError("limit must be nonnegative")
-    if priorities is not None and len(priorities) != g.n:
-        raise InputValidationError("priorities must cover every vertex")
+    if priorities is not None:
+        priorities = _per_vertex(g, priorities, "priorities")
     if validate:
         if g.m and not np.isin(g.w, (0, -1)).all():
             raise InputValidationError("weights must be in {0, -1}")
@@ -128,7 +127,7 @@ def dag01_limited_sssp(g: DiGraph, source: int, limit: int, *,
         # §3 assumes every vertex is reachable from s; restrict to the
         # reachable induced subgraph (one extra black-box call, as the
         # paper suggests).
-        reach = multisource_reachability(g, np.array([source]), local, model)
+        reach = multisource_reachability(g, np.array([source]), local)
         reachable = np.flatnonzero(reach.pi >= 0)
         dist = np.full(g.n, np.inf)
         parent_edge = np.full((g.n, 2), NO_EDGE, dtype=np.int64)
@@ -147,7 +146,7 @@ def dag01_limited_sssp(g: DiGraph, source: int, limit: int, *,
         if priorities is None:
             pri = geometric_priorities(sub.n, rng)
         else:
-            pri = np.asarray(priorities, dtype=np.int64)[ids]
+            pri = priorities[ids]
         if fault_plan is not None:
             pri = fault_plan.perturb_priorities(pri)
         if sub.n and (pri.min() < 1 or pri.max() > sub.n):
@@ -166,7 +165,6 @@ def dag01_limited_sssp(g: DiGraph, source: int, limit: int, *,
             parent_eid=np.full(sub.n, NO_EDGE, dtype=np.int64),
             sent=SetVector(sub.n),
             acc=local,
-            model=model,
             label_changes=np.zeros(sub.n, dtype=np.int64),
         )
 
@@ -209,7 +207,7 @@ def dag01_limited_sssp(g: DiGraph, source: int, limit: int, *,
 
 def _peel(st: _State, source: int, limit: int) -> np.ndarray:
     """Algorithm 1 main loop on a graph fully reachable from ``source``."""
-    g, acc, model = st.g, st.acc, st.model
+    g, acc = st.g, st.acc
     dist = np.full(g.n, -np.inf)
 
     _propagate(st, np.arange(g.n, dtype=np.int64))
@@ -222,8 +220,8 @@ def _peel(st: _State, source: int, limit: int) -> np.ndarray:
         with trace_span("peel-round", acc=acc, phase="dag01",
                         d=i, frontier=len(frontier)) as rsp:
             # R = ∪_{u∈F} SentLabel(u), filtered to labels broken by F
-            candidates = st.sent.gather(frontier, acc, model)
-            st.sent.clear_many(frontier, acc, model)
+            candidates = st.sent.gather(frontier, acc)
+            st.sent.clear_many(frontier, acc)
             acc.charge(*model.map_ws(len(candidates)))
             in_f = np.zeros(g.n, dtype=bool)
             in_f[frontier] = True
@@ -256,7 +254,7 @@ def _propagate(st: _State, vprime: np.ndarray) -> None:
     ``vprime`` is the set of live vertices with invalid (⊥) labels.  After
     the call every live vertex is correctly labeled (Lemma 1).
     """
-    g, acc, model = st.g, st.acc, st.model
+    g, acc = st.g, st.acc
     vprime = vprime[st.live[vprime]] if len(vprime) else vprime
     st.propagate_calls += 1
     st.propagate_node_total += len(vprime)
@@ -279,11 +277,11 @@ def _propagate(st: _State, vprime: np.ndarray) -> None:
             sources = vprime[st.label_eid[vprime] != NO_EDGE]
             # the model charges building G[V'], which the reach restricted
             # to V' (``within=``) stands in for
-            w, s = model.pack_ws(_incident_edges(g, vprime, acc, model))
+            w, s = model.pack_ws(_incident_edges(g, vprime, acc))
             acc.charge(w, s)
             st.reach_calls += 1
             st.reach_node_total += len(vprime)
-            res = multisource_reachability(g, sources, acc, model,
+            res = multisource_reachability(g, sources, acc,
                                            within=in_vp)
             pi = res.pi[vprime]
             reached = pi >= 0
@@ -316,7 +314,7 @@ def _propagate(st: _State, vprime: np.ndarray) -> None:
         heads_s, labeled_s = heads[order], labeled[order]
         bounds = ((heads_s[1:] != heads_s[:-1]).nonzero()[0] + 1).tolist()
         for lo, hi in zip([0, *bounds], [*bounds, len(heads_s)]):
-            st.sent.add_batch(int(heads_s[lo]), labeled_s[lo:hi], acc, model)
+            st.sent.add_batch(int(heads_s[lo]), labeled_s[lo:hi], acc)
 
 
 # rows of the per-call in-edge table built by ``_in_edge_candidates``
@@ -364,7 +362,7 @@ def _nearby_labels(st: _State, near: np.ndarray, p: int) -> bool:
     priority ``p`` passes that label on.
     Returns whether any vertex got a label.
     """
-    acc, model = st.acc, st.model
+    acc = st.acc
     acc.charge(*model.map_ws(near.shape[1]))
     case_a = near[_APRI] == p
     hit = case_a | (near[_BPRI] == p)
@@ -383,7 +381,7 @@ def _nearby_labels(st: _State, near: np.ndarray, p: int) -> bool:
 
 
 def _incident_edges(g: DiGraph, nodes: np.ndarray,
-                    acc: CostAccumulator, model: CostModel) -> int:
+                    acc: CostAccumulator) -> int:
     """Number of edges incident to ``nodes`` (for subgraph-build charging)."""
     deg = (g.indptr[nodes + 1] - g.indptr[nodes]) + \
         (g.rindptr[nodes + 1] - g.rindptr[nodes])

@@ -23,11 +23,29 @@ from typing import Iterable
 
 import numpy as np
 
-from .digraph import DiGraph, _aligned_weights
+from .digraph import MAX_ABS_WEIGHT, DiGraph, _aligned_weights
 
 
 class DimacsError(ValueError):
     """Malformed DIMACS input."""
+
+
+_INT64_MIN, _INT64_MAX = -(2 ** 63), 2 ** 63 - 1
+
+
+def _integer(token: str, lineno: int, lo: int = _INT64_MIN,
+             hi: int = _INT64_MAX) -> int:
+    """``token`` as an int in ``[lo, hi]``, or a line-numbered
+    :class:`DimacsError` (a bare ``int()`` raises ``ValueError``, and a
+    value past int64 fails the array cast with ``OverflowError``)."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise DimacsError(
+            f"line {lineno}: {token!r} is not an integer") from None
+    if not lo <= value <= hi:
+        raise DimacsError(f"line {lineno}: {token} is outside [{lo}, {hi}]")
+    return value
 
 
 def _open(path_or_file, mode: str):
@@ -37,7 +55,12 @@ def _open(path_or_file, mode: str):
 
 
 def read_dimacs(path_or_file) -> DiGraph:
-    """Parse a DIMACS ``sp`` graph into a :class:`DiGraph`."""
+    """Parse a DIMACS ``sp`` graph into a :class:`DiGraph`.
+
+    Malformed input raises :class:`DimacsError` naming its line: a token
+    that is not an integer, a negative count, a vertex outside ``1..n``
+    or a weight past the graph's :data:`~repro.graph.digraph.MAX_ABS_WEIGHT`.
+    """
     f, owned = _open(path_or_file, "r")
     try:
         n = None
@@ -56,7 +79,8 @@ def read_dimacs(path_or_file) -> DiGraph:
                         f"line {lineno}: expected 'p sp <n> <m>', got {line!r}")
                 if n is not None:
                     raise DimacsError(f"line {lineno}: duplicate problem line")
-                n, m_declared = int(parts[2]), int(parts[3])
+                n = _integer(parts[2], lineno, lo=0)
+                m_declared = _integer(parts[3], lineno, lo=0)
             elif parts[0] == "a":
                 if len(parts) != 4:
                     raise DimacsError(
@@ -64,7 +88,8 @@ def read_dimacs(path_or_file) -> DiGraph:
                 if n is None:
                     raise DimacsError(
                         f"line {lineno}: arc before the problem line")
-                u, v, w = int(parts[1]), int(parts[2]), int(parts[3])
+                u, v = _integer(parts[1], lineno), _integer(parts[2], lineno)
+                w = _integer(parts[3], lineno, -MAX_ABS_WEIGHT, MAX_ABS_WEIGHT)
                 if not (1 <= u <= n and 1 <= v <= n):
                     raise DimacsError(
                         f"line {lineno}: vertex out of range 1..{n}")

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..runtime import model
 from ..runtime.metrics import CostAccumulator
-from ..runtime.model import CostModel, DEFAULT_MODEL
 
 NO_INTERVAL = -1
 
@@ -30,8 +30,7 @@ class IntervalTable:
         self.additions = np.zeros(n, dtype=np.int64)  # Lemma 13 metering
 
     def assign(self, vertices: np.ndarray, start: int, size: int,
-               acc: CostAccumulator | None = None,
-               model: CostModel = DEFAULT_MODEL) -> None:
+               acc: CostAccumulator | None = None) -> None:
         """Move ``vertices`` into the interval ``[start, start+size)``."""
         if size < 1 or start < 0:
             raise ValueError("interval must have positive size, start >= 0")
@@ -78,8 +77,7 @@ class IntervalTable:
         return keys
 
     def gather(self, keys: list[tuple[int, int]],
-               acc: CostAccumulator | None = None,
-               model: CostModel = DEFAULT_MODEL) -> np.ndarray:
+               acc: CostAccumulator | None = None) -> np.ndarray:
         """Current members of the given intervals (lazy-filtering stale
         entries, compacting the bucket lists as a side effect)."""
         out: list[int] = []

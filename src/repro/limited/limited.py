@@ -38,8 +38,9 @@ from ..observability.tracer import trace_span
 from ..resilience.errors import InputValidationError, RetryExhaustedError
 from ..resilience.errors import VerificationError  # noqa: F401 (re-export)
 from ..resilience.retry import AttemptRecord, RetryPolicy
+from ..runtime import model
 from ..runtime.metrics import Cost, CostAccumulator
-from ..runtime.model import CostModel, DEFAULT_MODEL, lg
+from ..runtime.model import lg
 from .intervals import IntervalTable, smallest_power_of_two_above
 from .verify import shortest_path_tree, verify_limited_distances
 
@@ -67,7 +68,6 @@ class LimitedSpResult:
 def limited_sssp(g: DiGraph, source: int, limit: int, *,
                  engine=None, eps: float = 0.2,
                  acc: CostAccumulator | None = None,
-                 model: CostModel = DEFAULT_MODEL,
                  retry_policy: RetryPolicy | None = None,
                  fault_plan=None,
                  validate: bool = True) -> LimitedSpResult:
@@ -102,15 +102,15 @@ def limited_sssp(g: DiGraph, source: int, limit: int, *,
                     n=g.n, m=g.m, limit=limit) as lsp:
         for attempt in range(policy.max_attempts):
             dist, table, calls, node_total = _limited_pass(
-                g, source, limit, engine, eps, local, model)
+                g, source, limit, engine, eps, local)
             ok = verify_limited_distances(g, source, dist, limit,
-                                          acc=local, model=model)
+                                          acc=local)
             attempts.append(AttemptRecord(
                 "limited_sssp", attempt, 0, bool(ok),
                 None if ok else "Lemma-10 check failed"))
             if ok:
                 parent = shortest_path_tree(g, source, dist,
-                                            acc=local, model=model)
+                                            acc=local)
                 lsp.set(retries=attempt, verified=True)
                 lsp.count("refine_calls", calls)
                 lsp.count("refine_nodes", node_total)
@@ -136,7 +136,7 @@ def limited_sssp(g: DiGraph, source: int, limit: int, *,
 
 
 def _limited_pass(g: DiGraph, source: int, limit: int, engine, eps: float,
-                  acc: CostAccumulator, model: CostModel):
+                  acc: CostAccumulator):
     """One un-verified execution of Algorithm 3."""
     D = smallest_power_of_two_above(limit)
     dist = np.full(g.n, np.inf)
@@ -146,10 +146,10 @@ def _limited_pass(g: DiGraph, source: int, limit: int, engine, eps: float,
     table = IntervalTable(g.n)
 
     # initial 2-approximation assigns everything near enough to [0, 2D)
-    d0 = engine(g, source, 1.0, acc, model)
+    d0 = engine(g, source, 1.0, acc)
     near = np.flatnonzero((d0 <= 2 * D) & (np.arange(g.n) != source))
     acc.charge(*model.pack_ws(g.n))
-    table.assign(near, 0, 2 * D, acc, model)
+    table.assign(near, 0, 2 * D, acc)
 
     calls = 0
     node_total = 0
@@ -162,7 +162,7 @@ def _limited_pass(g: DiGraph, source: int, limit: int, engine, eps: float,
             align = max(size // 2, 1)
             if d % align == 0:
                 c, nt = _refine(g, source, d, size, dist, finalized, table,
-                                engine, eps, acc, model, max_size)
+                                engine, eps, acc, max_size)
                 calls += c
                 node_total += nt
             size //= 2
@@ -173,14 +173,13 @@ def _limited_pass(g: DiGraph, source: int, limit: int, engine, eps: float,
 
 def _refine(g: DiGraph, source: int, d: int, size: int, dist: np.ndarray,
             finalized: np.ndarray, table: IntervalTable, engine, eps: float,
-            acc: CostAccumulator, model: CostModel, max_size: int
-            ) -> tuple[int, int]:
+            acc: CostAccumulator, max_size: int) -> tuple[int, int]:
     """Refine(d, size): re-estimate everything overlapping ``[d, d+size)``."""
     keys = table.overlap_keys(d, size, max_size)
     acc.charge(size, span=lg(size))  # Õ(2^i) enumeration term (Lemma 14)
     if not keys:
         return 0, 0
-    vprime = table.gather(keys, acc, model)
+    vprime = table.gather(keys, acc)
     vprime = vprime[~finalized[vprime]]
     if len(vprime) == 0:
         return 0, 0
@@ -189,7 +188,7 @@ def _refine(g: DiGraph, source: int, d: int, size: int, dist: np.ndarray,
                     d=d, size=size) as rsp:
         rsp.count("nodes", len(vprime))
         d_shift = _run_assp_on_shifted(g, d, vprime, dist, finalized,
-                                       engine, eps, acc, model)
+                                       engine, eps, acc)
 
         # finalise vertices whose shifted distance is 0 (distance d exactly)
         zero = d_shift == 0.0
@@ -211,23 +210,23 @@ def _refine(g: DiGraph, source: int, d: int, size: int, dist: np.ndarray,
                 # integer-weight collapse (see module docstring): everything
                 # unfinalised in [d, d+1) or [d, d+2) has distance d+1
                 # barring engine failure; park it in [d+1, d+2)
-                table.assign(movers, d + 1, 1, acc, model)
+                table.assign(movers, d + 1, 1, acc)
             else:
                 half = size // 2
                 quarter = size // 4
                 lo = dm < half
                 mid = ~lo & (dm < 3 * quarter)
                 hi = ~lo & ~mid
-                table.assign(movers[lo], d, half, acc, model)
-                table.assign(movers[mid], d + quarter, half, acc, model)
-                table.assign(movers[hi], d + half, half, acc, model)
+                table.assign(movers[lo], d, half, acc)
+                table.assign(movers[mid], d + quarter, half, acc)
+                table.assign(movers[hi], d + half, half, acc)
     return 1, len(vprime)
 
 
 def _run_assp_on_shifted(g: DiGraph, d: int, vprime: np.ndarray,
                          dist: np.ndarray, finalized: np.ndarray,
-                         engine, eps: float, acc: CostAccumulator,
-                         model: CostModel) -> np.ndarray:
+                         engine, eps: float, acc: CostAccumulator
+                         ) -> np.ndarray:
     """Build ``G'`` (shifted by d, fresh supersource) and run ASSSP.
 
     Returns the shifted distance estimate for each vertex of ``vprime``.
@@ -255,6 +254,6 @@ def _run_assp_on_shifted(g: DiGraph, d: int, vprime: np.ndarray,
     ew = np.maximum(entry_w[entry_targets], 0.0).astype(np.int64)
 
     gp = sub._with_source(entry_targets, ew)
-    d_prime = engine(gp, s_prime, eps, acc, model)
+    d_prime = engine(gp, s_prime, eps, acc)
     # gp's first sub.n vertices are exactly vprime, in sorted order
     return d_prime[:sub.n]

@@ -16,26 +16,25 @@ from ..graph.csr import out_edge_slots
 from ..graph.digraph import DiGraph, _aligned_weights
 from ..graph.transform import condense, edge_subgraph_mask
 from ..reach.scc import scc
+from ..runtime import model
 from ..runtime.metrics import CostAccumulator
-from ..runtime.model import CostModel, DEFAULT_MODEL
 from ..runtime.primitives import unique_sorted
 
 
 def zero_cycle_condensation(g: DiGraph, weights: np.ndarray | None = None,
                             acc: CostAccumulator | None = None,
-                            model: CostModel = DEFAULT_MODEL, seed=0):
+                            seed=0):
     """Contract strongly connected components of the 0-weight subgraph."""
     w = _aligned_weights(g, weights)
     zero_sub = edge_subgraph_mask(g, w == 0, weights=w)
-    comp = scc(zero_sub, acc, model, seed=seed).comp
+    comp = scc(zero_sub, acc, seed=seed).comp
     return condense(g, comp, weights=w)
 
 
 def verify_limited_distances(g: DiGraph, source: int, dist: np.ndarray,
                              limit: int,
                              weights: np.ndarray | None = None,
-                             acc: CostAccumulator | None = None,
-                             model: CostModel = DEFAULT_MODEL) -> bool:
+                             acc: CostAccumulator | None = None) -> bool:
     """Lemma 10 check for the distance-limited contract.
 
     ``dist[v]`` must be the exact distance when it is ``≤ limit`` and
@@ -53,7 +52,7 @@ def verify_limited_distances(g: DiGraph, source: int, dist: np.ndarray,
         return False
     if (np.isfinite(d) & (d > limit)).any():
         return False
-    cond = zero_cycle_condensation(g, w, acc, model)
+    cond = zero_cycle_condensation(g, w, acc)
     comp = cond.comp
     # all members of a component agree (0-weight cycles share distances);
     # note inf == inf holds, so one scatter + compare suffices
@@ -88,8 +87,7 @@ def verify_limited_distances(g: DiGraph, source: int, dist: np.ndarray,
 
 def shortest_path_tree(g: DiGraph, source: int, dist: np.ndarray,
                        weights: np.ndarray | None = None,
-                       acc: CostAccumulator | None = None,
-                       model: CostModel = DEFAULT_MODEL) -> np.ndarray:
+                       acc: CostAccumulator | None = None) -> np.ndarray:
     """Predecessor array realising the verified distances (§4.2).
 
     Cross-component parents are tight incoming edges on the 0-cycle
@@ -100,7 +98,7 @@ def shortest_path_tree(g: DiGraph, source: int, dist: np.ndarray,
     w = _aligned_weights(g, weights)
     d = np.asarray(dist, dtype=np.float64)
     parent = np.full(g.n, -1, dtype=np.int64)
-    cond = zero_cycle_condensation(g, w, acc, model)
+    cond = zero_cycle_condensation(g, w, acc)
     comp = cond.comp
     wf = w.astype(np.float64)
     with np.errstate(invalid="ignore"):

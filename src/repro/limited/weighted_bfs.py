@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.csr import out_edge_slots
-from ..graph.digraph import DiGraph
+from ..graph.digraph import DiGraph, _aligned_weights
 from ..graph.validate import check_source
+from ..runtime import model
 from ..runtime.metrics import Cost, CostAccumulator
-from ..runtime.model import CostModel, DEFAULT_MODEL
 
 
 @dataclass
@@ -36,8 +36,7 @@ class WeightedBfsResult:
 
 def weighted_bfs_limited(g: DiGraph, source: int, limit: int, *,
                          weights: np.ndarray | None = None,
-                         acc: CostAccumulator | None = None,
-                         model: CostModel = DEFAULT_MODEL
+                         acc: CostAccumulator | None = None
                          ) -> WeightedBfsResult:
     """Exact distances ``≤ limit`` for strictly positive integer weights.
 
@@ -50,7 +49,7 @@ def weighted_bfs_limited(g: DiGraph, source: int, limit: int, *,
     source = check_source(g, source)
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    w = g.w if weights is None else np.asarray(weights, dtype=np.int64)
+    w = _aligned_weights(g, weights)
     if g.m and w.min() <= 0:
         raise ValueError(
             "weighted_bfs_limited requires strictly positive weights "

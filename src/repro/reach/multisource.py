@@ -38,8 +38,8 @@ from ..graph.digraph import DiGraph, _as_int64
 from ..observability.metrics import metric_inc
 from ..observability.tracer import trace_span
 from ..resilience.errors import InputValidationError
+from ..runtime import model
 from ..runtime.metrics import Cost, CostAccumulator
-from ..runtime.model import CostModel, DEFAULT_MODEL
 from ..runtime.primitives import unique_sorted
 
 NO_SOURCE = -1
@@ -66,8 +66,7 @@ class ReachResult:
 
 
 def multisource_reachability(g: DiGraph, sources: np.ndarray,
-                             acc: CostAccumulator | None = None,
-                             model: CostModel = DEFAULT_MODEL, *,
+                             acc: CostAccumulator | None = None, *,
                              within: np.ndarray | None = None
                              ) -> ReachResult:
     """One reaching source per vertex, by frontier-parallel BFS.
@@ -136,8 +135,7 @@ def multisource_reachability(g: DiGraph, sources: np.ndarray,
 
 
 def multisource_reachability_min(g: DiGraph, sources: np.ndarray,
-                                 acc: CostAccumulator | None = None,
-                                 model: CostModel = DEFAULT_MODEL, *,
+                                 acc: CostAccumulator | None = None, *,
                                  edge_mask: np.ndarray | None = None
                                  ) -> ReachResult:
     """Deterministic variant: ``pi[v]`` is the *minimum* source reaching
@@ -164,11 +162,11 @@ def multisource_reachability_min(g: DiGraph, sources: np.ndarray,
         if edge_mask.shape != (g.m,):
             raise InputValidationError("edge mask must align with edge ids")
         m = int(np.count_nonzero(edge_mask))
-    return _min_search(g, _source_ids(sources, g.n), acc, model, edge_mask, m)
+    return _min_search(g, _source_ids(sources, g.n), acc, edge_mask, m)
 
 
 def _min_search(g: DiGraph, sources: np.ndarray,
-                acc: CostAccumulator | None, model: CostModel,
+                acc: CostAccumulator | None,
                 edge_mask: np.ndarray | None, m: int) -> ReachResult:
     """The search of :func:`multisource_reachability_min` on checked
     arguments: ``sources`` sorted, distinct int64 vertex ids;
@@ -321,15 +319,13 @@ def _min_round_scalar(indptr: memoryview, indices: memoryview,
 
 
 def reachable_mask(g: DiGraph, sources: np.ndarray,
-                   acc: CostAccumulator | None = None,
-                   model: CostModel = DEFAULT_MODEL) -> np.ndarray:
+                   acc: CostAccumulator | None = None) -> np.ndarray:
     """Boolean mask of vertices reachable from any source."""
-    return multisource_reachability(g, sources, acc, model).pi != NO_SOURCE
+    return multisource_reachability(g, sources, acc).pi != NO_SOURCE
 
 
 def bfs_parents(g: DiGraph, source: int,
-                acc: CostAccumulator | None = None,
-                model: CostModel = DEFAULT_MODEL) -> np.ndarray:
+                acc: CostAccumulator | None = None) -> np.ndarray:
     """Parent array of a BFS tree from ``source`` (−1 off-tree).
 
     Used by the negative-cycle reporting path (Appendix A.2), which only

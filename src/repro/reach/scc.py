@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.digraph import DiGraph
+from ..runtime import model
 from ..runtime.metrics import Cost, CostAccumulator
-from ..runtime.model import CostModel, DEFAULT_MODEL
 from ..runtime.rng import make_rng
 from .multisource import _min_search
 
@@ -34,8 +34,7 @@ class SccResult:
     trim_passes: int        # trim passes run
 
 
-def scc(g: DiGraph, acc: CostAccumulator | None = None,
-        model: CostModel = DEFAULT_MODEL, seed=0) -> SccResult:
+def scc(g: DiGraph, acc: CostAccumulator | None = None, seed=0) -> SccResult:
     """Parallel-model SCC by batched reachability partitioning.
 
     The batch-doubling form of the reachability reduction (Blelloch, Gu,
@@ -74,7 +73,7 @@ def scc(g: DiGraph, acc: CostAccumulator | None = None,
     rng = make_rng(seed)
     local = CostAccumulator()
     n = g.n
-    live, passes = _trim(g, local, model)
+    live, passes = _trim(g, local)
     comp = np.full(n, -1, dtype=np.int64)
     cut = (~live).nonzero()[0]
     comp[cut] = np.arange(len(cut), dtype=np.int64)
@@ -95,8 +94,8 @@ def scc(g: DiGraph, acc: CostAccumulator | None = None,
         w, s = model.pack_ws(g.m)
         local.charge(w, s)
         m = int(np.count_nonzero(keep))
-        fwd = _min_search(g, centers, local, model, keep, m).pi
-        bwd = _min_search(rg, centers, local, model, keep[g.reids], m).pi
+        fwd = _min_search(g, centers, local, keep, m).pi
+        bwd = _min_search(rg, centers, local, keep[g.reids], m).pi
         w, s = model.map_ws(n)
         local.charge(w, s)
         done = live & (fwd >= 0) & (fwd == bwd)
@@ -121,8 +120,7 @@ def scc(g: DiGraph, acc: CostAccumulator | None = None,
     return SccResult(comp, next_id, local.snapshot(), trimmed, passes)
 
 
-def _trim(g: DiGraph, local: CostAccumulator, model: CostModel
-          ) -> tuple[np.ndarray, int]:
+def _trim(g: DiGraph, local: CostAccumulator) -> tuple[np.ndarray, int]:
     """The vertices the trim passes leave live, as a mask, and the number
     of passes run.
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.digraph import DiGraph
+from ..runtime import model
 from ..runtime.metrics import Cost, CostAccumulator
-from ..runtime.model import CostModel, DEFAULT_MODEL
 from ..runtime.rng import make_rng
 from .multisource import ReachResult, multisource_reachability
 
@@ -45,8 +45,7 @@ class ShortcutGraph:
 
 
 def build_hub_shortcuts(g: DiGraph, n_hubs: int, *, seed=0,
-                        acc: CostAccumulator | None = None,
-                        model: CostModel = DEFAULT_MODEL) -> ShortcutGraph:
+                        acc: CostAccumulator | None = None) -> ShortcutGraph:
     """Sample ``n_hubs`` vertices and add ancestor/descendant shortcuts."""
     if n_hubs < 0:
         raise ValueError("n_hubs must be nonnegative")
@@ -61,9 +60,8 @@ def build_hub_shortcuts(g: DiGraph, n_hubs: int, *, seed=0,
     branches = []
     for h in hubs.tolist():
         branch = local.fork()
-        des = multisource_reachability(g, np.array([h]), branch, model).pi >= 0
-        anc = multisource_reachability(rev, np.array([h]), branch,
-                                       model).pi >= 0
+        des = multisource_reachability(g, np.array([h]), branch).pi >= 0
+        anc = multisource_reachability(rev, np.array([h]), branch).pi >= 0
         branches.append(branch)
         des_v = np.flatnonzero(des)
         anc_v = np.flatnonzero(anc)
@@ -87,8 +85,7 @@ def build_hub_shortcuts(g: DiGraph, n_hubs: int, *, seed=0,
 def multisource_reachability_shortcut(g: DiGraph, sources: np.ndarray,
                                       n_hubs: int | None = None, *,
                                       seed=0,
-                                      acc: CostAccumulator | None = None,
-                                      model: CostModel = DEFAULT_MODEL
+                                      acc: CostAccumulator | None = None
                                       ) -> ReachResult:
     """Multisource reachability through a freshly built shortcut graph.
 
@@ -100,8 +97,8 @@ def multisource_reachability_shortcut(g: DiGraph, sources: np.ndarray,
     if n_hubs is None:
         n_hubs = max(1, int(np.sqrt(g.n)))
     local = CostAccumulator()
-    sc = build_hub_shortcuts(g, n_hubs, seed=seed, acc=local, model=model)
-    res = multisource_reachability(sc.graph, sources, local, model)
+    sc = build_hub_shortcuts(g, n_hubs, seed=seed, acc=local)
+    res = multisource_reachability(sc.graph, sources, local)
     if acc is not None:
         acc.charge_cost(local.snapshot())
     return ReachResult(res.pi, res.rounds, local.snapshot())

@@ -5,7 +5,7 @@ See DESIGN.md ("Substitutions") for how it stands in for parallel hardware.
 """
 
 from .metrics import Cost, CostAccumulator, ZERO
-from .model import CostModel, DEFAULT_MODEL, lg
+from .model import lg
 from .pset import SetVector
 from .racecheck import (
     RaceChecker,
@@ -47,8 +47,6 @@ __all__ = [
     "Cost",
     "CostAccumulator",
     "ZERO",
-    "CostModel",
-    "DEFAULT_MODEL",
     "lg",
     "SetVector",
     "derive_seed",

@@ -3,7 +3,8 @@
 Each parallel primitive used by the paper's algorithms has a standard work
 and span in the binary-forking model; this module centralises the formulas so
 that every call site charges the same thing and EXPERIMENTS.md can state the
-model precisely.
+model precisely.  There is one model: call sites import this module
+(``from ..runtime import model``) and charge ``model.<formula>_ws(...)``.
 
 Conventions
 -----------
@@ -12,21 +13,20 @@ Conventions
 * Work is charged in units of "primitive operations"; constants are chosen to
   be 1 wherever the paper hides them in O(.) — benchmark *shapes* are what we
   reproduce, not absolute magnitudes.
-* Black-box oracle spans use exponent 1/2 for the ``n^(1/2+o(1))`` bounds of
-  Jambulapati et al. (reachability) and Cao et al. (ASSSP), times one ``lg``
-  factor standing in for the ``o(1)``/polylog terms.
+* Black-box oracle spans use exponent 1/2 (:data:`REACH_SPAN_EXPONENT`) for
+  the ``n^(1/2+o(1))`` bounds of Jambulapati et al. (reachability) and Cao
+  et al. (ASSSP), times one ``lg`` factor standing in for the
+  ``o(1)``/polylog terms (:data:`POLYLOG_SPAN_FACTOR` of them).
 
 Float forms
 -----------
-Each formula is written once, as a ``*_ws`` method returning the float pair
-``(work, span)``; the method of the plain name wraps that pair in a
-:class:`~repro.runtime.metrics.Cost`.  Every step charges the pair,
-``acc.charge(*model.pack_ws(k))``, which adds exactly the floats
-``acc.charge_cost(model.pack(k))`` adds, in the same order, without
-building a ``Cost`` (DESIGN.md, "Cost accounting").  The per-round loops
-of the reach searches, ``scc`` and Propagate unpack the pair first,
-``w, s = model.pack_ws(k)`` then ``acc.charge(w, s)``: a star call costs
-about 0.1 µs more per charge, and those loops make ~2.6k of a
+Each formula is one ``*_ws`` function returning the float pair
+``(work, span)``, and every step charges the pair,
+``acc.charge(*model.pack_ws(k))``, without building a
+:class:`~repro.runtime.metrics.Cost` (DESIGN.md, "Cost accounting").  The
+per-round loops of the reach searches, ``scc`` and Propagate unpack the
+pair first, ``w, s = model.pack_ws(k)`` then ``acc.charge(w, s)``: a star
+call costs about 0.1 µs more per charge, and those loops make ~2.6k of a
 hidden-potential solve's ~5.9k charges.  The per-step formulas write
 ``max(n, 1)`` as ``1 if n < 1 else n``, which returns the same object for
 every int, numpy integer, bool and float ``n`` without the builtin call.
@@ -35,9 +35,12 @@ every int, numpy integer, bool and float ``n`` without the builtin call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .metrics import Cost
+#: Exponent of the black-box reachability / ASSSP span bound ``n^exp``
+#: (the paper's ``1/2 + o(1)``).
+REACH_SPAN_EXPONENT = 0.5
+#: Number of ``lg`` factors standing in for the bound's ``o(1)`` terms.
+POLYLOG_SPAN_FACTOR = 1.0
 
 
 def lg(n: float) -> float:
@@ -45,120 +48,82 @@ def lg(n: float) -> float:
     return math.log2(n + 2.0)
 
 
-@dataclass(frozen=True, slots=True)
-class CostModel:
-    """Tunable constants of the cost model.
-
-    ``reach_span_exponent`` is the exponent in the black-box reachability /
-    ASSSP span bound ``n^exp`` (the paper's ``1/2 + o(1)``).
-    """
-
-    reach_span_exponent: float = 0.5
-    polylog_span_factor: float = 1.0
-
-    # ------------------------------------------------------------------
-    # Flat data-parallel primitives
-    # ------------------------------------------------------------------
-    def map_ws(self, n: int, per_item_work: float = 1.0
-               ) -> tuple[float, float]:
-        """Parallel-for over ``n`` items: work ``O(n)``, span ``O(lg n)``."""
-        return (1 if n < 1 else n) * per_item_work, lg(n)
-
-    def reduce_ws(self, n: int) -> tuple[float, float]:
-        """Parallel reduction: work ``O(n)``, span ``O(lg n)``."""
-        return (1 if n < 1 else n), lg(n)
-
-    def scan_ws(self, n: int) -> tuple[float, float]:
-        """Parallel prefix sums: work ``O(n)``, span ``O(lg n)``."""
-        return (1 if n < 1 else n), lg(n)
-
-    def pack_ws(self, n: int) -> tuple[float, float]:
-        """Filter/compact ``n`` items (scan + scatter)."""
-        return 2.0 * (1 if n < 1 else n), 2.0 * lg(n)
-
-    def sort_ws(self, n: int) -> tuple[float, float]:
-        """Parallel comparison sort: work ``O(n lg n)``, span ``O(lg^2 n)``."""
-        lgn = lg(n)
-        return (1 if n < 1 else n) * lgn, lgn ** 2
-
-    def fork_ws(self, k: int) -> tuple[float, float]:
-        """Spawning ``k`` parallel branches (binary fork tree)."""
-        return (1 if k < 1 else k), lg(k)
-
-    # ------------------------------------------------------------------
-    # Parallel ordered sets (Blelloch, Ferizovic, Sun — "Just Join")
-    # ------------------------------------------------------------------
-    def set_merge_ws(self, m_small: int, n_big: int) -> tuple[float, float]:
-        """Merging sets of sizes m <= n: work ``O(m lg(n/m + 1))``, span
-        ``O(lg m · lg n)``."""
-        m = 1 if m_small < 1 else m_small
-        n = m if n_big < m else n_big
-        return m * math.log2(n / m + 2.0), lg(m) * lg(n)
-
-    def set_enumerate_ws(self, n: int) -> tuple[float, float]:
-        """Enumerating a size-``n`` set: work ``O(n)``, span ``O(lg n)``."""
-        return (1 if n < 1 else n), lg(n)
-
-    # ------------------------------------------------------------------
-    # Graph-search building blocks
-    # ------------------------------------------------------------------
-    def bfs_round_ws(self, frontier_edges: int, n: int
-                     ) -> tuple[float, float]:
-        """One parallel BFS round touching ``frontier_edges`` edges."""
-        return (1 if frontier_edges < 1 else frontier_edges), lg(n)
-
-    def oracle_span(self, n_sub: int) -> float:
-        """Span of one black-box reachability/ASSSP call on ``n_sub`` nodes:
-        ``n^(1/2+o(1))`` modelled as ``n^exp · polylog``."""
-        n = max(n_sub, 1)
-        return (n ** self.reach_span_exponent) * lg(n) * self.polylog_span_factor
-
-    def oracle_work(self, n_sub: int, m_sub: int) -> float:
-        """Work of one black-box call: ``Õ(m)``."""
-        sz = max(n_sub + m_sub, 1)
-        return sz * lg(sz)
-
-    # ------------------------------------------------------------------
-    # Classic sequential-flavoured parallel algorithms
-    # ------------------------------------------------------------------
-    def dijkstra_ws(self, n: int, m: int) -> tuple[float, float]:
-        """Parallel Dijkstra [Brodal et al. / Driscoll et al.]:
-        work ``Õ(m)``, span ``Õ(n)``."""
-        sz = max(n + m, 1)
-        return sz * lg(sz), max(n, 1) * lg(n)
-
-    # ------------------------------------------------------------------
-    # The same formulas as Cost objects
-    # ------------------------------------------------------------------
-    def map(self, n: int, per_item_work: float = 1.0) -> Cost:
-        return Cost(*self.map_ws(n, per_item_work))
-
-    def reduce(self, n: int) -> Cost:
-        return Cost(*self.reduce_ws(n))
-
-    def scan(self, n: int) -> Cost:
-        return Cost(*self.scan_ws(n))
-
-    def pack(self, n: int) -> Cost:
-        return Cost(*self.pack_ws(n))
-
-    def sort(self, n: int) -> Cost:
-        return Cost(*self.sort_ws(n))
-
-    def fork(self, k: int) -> Cost:
-        return Cost(*self.fork_ws(k))
-
-    def set_merge(self, m_small: int, n_big: int) -> Cost:
-        return Cost(*self.set_merge_ws(m_small, n_big))
-
-    def set_enumerate(self, n: int) -> Cost:
-        return Cost(*self.set_enumerate_ws(n))
-
-    def bfs_round(self, frontier_edges: int, n: int) -> Cost:
-        return Cost(*self.bfs_round_ws(frontier_edges, n))
-
-    def dijkstra(self, n: int, m: int) -> Cost:
-        return Cost(*self.dijkstra_ws(n, m))
+# ----------------------------------------------------------------------
+# Flat data-parallel primitives
+# ----------------------------------------------------------------------
+def map_ws(n: int, per_item_work: float = 1.0) -> tuple[float, float]:
+    """Parallel-for over ``n`` items: work ``O(n)``, span ``O(lg n)``."""
+    return (1 if n < 1 else n) * per_item_work, lg(n)
 
 
-DEFAULT_MODEL = CostModel()
+def reduce_ws(n: int) -> tuple[float, float]:
+    """Parallel reduction: work ``O(n)``, span ``O(lg n)``."""
+    return (1 if n < 1 else n), lg(n)
+
+
+def scan_ws(n: int) -> tuple[float, float]:
+    """Parallel prefix sums: work ``O(n)``, span ``O(lg n)``."""
+    return (1 if n < 1 else n), lg(n)
+
+
+def pack_ws(n: int) -> tuple[float, float]:
+    """Filter/compact ``n`` items (scan + scatter)."""
+    return 2.0 * (1 if n < 1 else n), 2.0 * lg(n)
+
+
+def sort_ws(n: int) -> tuple[float, float]:
+    """Parallel comparison sort: work ``O(n lg n)``, span ``O(lg^2 n)``."""
+    lgn = lg(n)
+    return (1 if n < 1 else n) * lgn, lgn ** 2
+
+
+def fork_ws(k: int) -> tuple[float, float]:
+    """Spawning ``k`` parallel branches (binary fork tree)."""
+    return (1 if k < 1 else k), lg(k)
+
+
+# ----------------------------------------------------------------------
+# Parallel ordered sets (Blelloch, Ferizovic, Sun — "Just Join")
+# ----------------------------------------------------------------------
+def set_merge_ws(m_small: int, n_big: int) -> tuple[float, float]:
+    """Merging sets of sizes m <= n: work ``O(m lg(n/m + 1))``, span
+    ``O(lg m · lg n)``."""
+    m = 1 if m_small < 1 else m_small
+    n = m if n_big < m else n_big
+    return m * math.log2(n / m + 2.0), lg(m) * lg(n)
+
+
+def set_enumerate_ws(n: int) -> tuple[float, float]:
+    """Enumerating a size-``n`` set: work ``O(n)``, span ``O(lg n)``."""
+    return (1 if n < 1 else n), lg(n)
+
+
+# ----------------------------------------------------------------------
+# Graph-search building blocks
+# ----------------------------------------------------------------------
+def bfs_round_ws(frontier_edges: int, n: int) -> tuple[float, float]:
+    """One parallel BFS round touching ``frontier_edges`` edges."""
+    return (1 if frontier_edges < 1 else frontier_edges), lg(n)
+
+
+def oracle_span(n_sub: int) -> float:
+    """Span of one black-box reachability/ASSSP call on ``n_sub`` nodes:
+    ``n^(1/2+o(1))`` modelled as ``n^exp · polylog``."""
+    n = max(n_sub, 1)
+    return (n ** REACH_SPAN_EXPONENT) * lg(n) * POLYLOG_SPAN_FACTOR
+
+
+def oracle_work(n_sub: int, m_sub: int) -> float:
+    """Work of one black-box call: ``Õ(m)``."""
+    sz = max(n_sub + m_sub, 1)
+    return sz * lg(sz)
+
+
+# ----------------------------------------------------------------------
+# Classic sequential-flavoured parallel algorithms
+# ----------------------------------------------------------------------
+def dijkstra_ws(n: int, m: int) -> tuple[float, float]:
+    """Parallel Dijkstra [Brodal et al. / Driscoll et al.]:
+    work ``Õ(m)``, span ``Õ(n)``."""
+    sz = max(n + m, 1)
+    return sz * lg(sz), max(n, 1) * lg(n)

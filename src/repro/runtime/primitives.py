@@ -21,8 +21,8 @@ from typing import Callable, Iterable, Sequence, TypeVar
 import numpy as np
 
 from ..resilience.preempt import check_cancelled
+from . import model
 from .metrics import CostAccumulator
-from .model import CostModel, DEFAULT_MODEL
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -30,7 +30,6 @@ U = TypeVar("U")
 
 def parallel_map(values: Sequence[T], fn: Callable[[T], U],
                  acc: CostAccumulator,
-                 model: CostModel = DEFAULT_MODEL,
                  per_item_work: float = 1.0) -> list[U]:
     """Apply ``fn`` to every element (a parallel-for in the model)."""
     check_cancelled("primitives:parallel_map")
@@ -38,8 +37,7 @@ def parallel_map(values: Sequence[T], fn: Callable[[T], U],
     return [fn(v) for v in values]
 
 
-def prefix_sum(a: np.ndarray, acc: CostAccumulator,
-               model: CostModel = DEFAULT_MODEL) -> np.ndarray:
+def prefix_sum(a: np.ndarray, acc: CostAccumulator) -> np.ndarray:
     """Exclusive prefix sums (parallel scan)."""
     check_cancelled("primitives:prefix_sum")
     acc.charge(*model.scan_ws(len(a)))
@@ -48,8 +46,7 @@ def prefix_sum(a: np.ndarray, acc: CostAccumulator,
     return out
 
 
-def pack(a: np.ndarray, mask: np.ndarray, acc: CostAccumulator,
-         model: CostModel = DEFAULT_MODEL) -> np.ndarray:
+def pack(a: np.ndarray, mask: np.ndarray, acc: CostAccumulator) -> np.ndarray:
     """Compact the elements of ``a`` selected by boolean ``mask``."""
     check_cancelled("primitives:pack")
     if len(a) != len(mask):
@@ -58,16 +55,14 @@ def pack(a: np.ndarray, mask: np.ndarray, acc: CostAccumulator,
     return a[mask]
 
 
-def parallel_sort(a: np.ndarray, acc: CostAccumulator,
-                  model: CostModel = DEFAULT_MODEL) -> np.ndarray:
+def parallel_sort(a: np.ndarray, acc: CostAccumulator) -> np.ndarray:
     """Sorted copy of ``a`` (parallel comparison sort)."""
     check_cancelled("primitives:parallel_sort")
     acc.charge(*model.sort_ws(len(a)))
     return np.sort(a, kind="stable")
 
 
-def parallel_argsort(a: np.ndarray, acc: CostAccumulator,
-                     model: CostModel = DEFAULT_MODEL) -> np.ndarray:
+def parallel_argsort(a: np.ndarray, acc: CostAccumulator) -> np.ndarray:
     """Stable argsort of ``a`` (parallel comparison sort)."""
     check_cancelled("primitives:parallel_argsort")
     acc.charge(*model.sort_ws(len(a)))
@@ -75,7 +70,6 @@ def parallel_argsort(a: np.ndarray, acc: CostAccumulator,
 
 
 def parallel_reduce_max(a: np.ndarray, acc: CostAccumulator,
-                        model: CostModel = DEFAULT_MODEL,
                         default: float = -np.inf) -> float:
     """Maximum of ``a`` (parallel reduction)."""
     check_cancelled("primitives:reduce_max")
@@ -85,16 +79,14 @@ def parallel_reduce_max(a: np.ndarray, acc: CostAccumulator,
     return a.max()
 
 
-def parallel_reduce_sum(a: np.ndarray, acc: CostAccumulator,
-                        model: CostModel = DEFAULT_MODEL) -> float:
+def parallel_reduce_sum(a: np.ndarray, acc: CostAccumulator) -> float:
     """Sum of ``a`` (parallel reduction)."""
     check_cancelled("primitives:reduce_sum")
     acc.charge(*model.reduce_ws(len(a)))
     return a.sum() if len(a) else 0
 
 
-def group_by_key(keys: np.ndarray, values: np.ndarray, acc: CostAccumulator,
-                 model: CostModel = DEFAULT_MODEL
+def group_by_key(keys: np.ndarray, values: np.ndarray, acc: CostAccumulator
                  ) -> list[tuple[int, np.ndarray]]:
     """Group ``values`` by integer ``keys`` via a parallel sort.
 
@@ -106,7 +98,7 @@ def group_by_key(keys: np.ndarray, values: np.ndarray, acc: CostAccumulator,
         raise ValueError("group_by_key: keys and values lengths differ")
     if len(keys) == 0:
         return []
-    order = parallel_argsort(keys, acc, model)
+    order = parallel_argsort(keys, acc)
     sk = keys[order]
     sv = values[order]
     # boundary detection is a parallel map + pack
@@ -121,7 +113,6 @@ def group_by_key(keys: np.ndarray, values: np.ndarray, acc: CostAccumulator,
 
 
 def flatten(arrays: Iterable[np.ndarray], acc: CostAccumulator,
-            model: CostModel = DEFAULT_MODEL,
             dtype=np.int64) -> np.ndarray:
     """Concatenate arrays using prefix sums to place segments (§3.5)."""
     arrays = [np.asarray(a, dtype=dtype) for a in arrays]
@@ -172,8 +163,7 @@ def stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
-def dedupe(a: np.ndarray, acc: CostAccumulator,
-           model: CostModel = DEFAULT_MODEL) -> np.ndarray:
+def dedupe(a: np.ndarray, acc: CostAccumulator) -> np.ndarray:
     """Sorted unique elements of ``a`` (sort + adjacent-compare + pack)."""
     acc.charge(*model.sort_ws(len(a)))
     acc.charge(*model.pack_ws(len(a)))

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import model
 from .metrics import CostAccumulator
-from .model import CostModel, DEFAULT_MODEL
 from .primitives import unique_sorted
 from .racecheck import race_read, race_write
 
@@ -36,8 +36,7 @@ class SetVector:
     __slots__ = ("_sets",)
 
     def __init__(self, n_sets: int,
-                 acc: CostAccumulator | None = None,
-                 model: CostModel = DEFAULT_MODEL) -> None:
+                 acc: CostAccumulator | None = None) -> None:
         if acc is not None:
             acc.charge(*model.map_ws(n_sets))
         self._sets: list[np.ndarray] = [_EMPTY] * n_sets
@@ -46,8 +45,7 @@ class SetVector:
         return len(self._sets)
 
     def add_batch(self, ident: int, keys: np.ndarray,
-                  acc: CostAccumulator | None = None,
-                  model: CostModel = DEFAULT_MODEL) -> None:
+                  acc: CostAccumulator | None = None) -> None:
         """Union ``keys`` into set ``ident``."""
         race_write(self, ident, ident + 1, label="SetVector",
                    site="pset.add_batch")
@@ -65,8 +63,7 @@ class SetVector:
         return len(self._sets[ident])
 
     def gather(self, idents: np.ndarray | list[int],
-               acc: CostAccumulator | None = None,
-               model: CostModel = DEFAULT_MODEL) -> np.ndarray:
+               acc: CostAccumulator | None = None) -> np.ndarray:
         """Flat array of all elements across the identified sets."""
         race_read(self, label="SetVector", site="pset.gather")
         sets = self._sets
@@ -80,8 +77,7 @@ class SetVector:
         return np.concatenate(parts)
 
     def clear_many(self, idents: np.ndarray | list[int],
-                   acc: CostAccumulator | None = None,
-                   model: CostModel = DEFAULT_MODEL) -> None:
+                   acc: CostAccumulator | None = None) -> None:
         """Empty the identified sets, charging one enumeration per set."""
         race_write(self, label="SetVector", site="pset.clear_many")
         sets = self._sets

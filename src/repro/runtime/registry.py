@@ -55,11 +55,12 @@ class Registry:
 
     def create(self, name: str, **kwargs: Any) -> Any:
         """Instantiate the engine registered under ``name``; an unknown
-        name raises :class:`~repro.resilience.errors.InputValidationError`
-        (a ``ValueError``)."""
+        name, unhashable ones such as a list included, raises
+        :class:`~repro.resilience.errors.InputValidationError` (a
+        ``ValueError``)."""
         try:
             factory = self._factories[name]
-        except KeyError:
+        except (KeyError, TypeError):
             raise InputValidationError(
                 f"unknown {self.kind} {name!r}; choose from "
                 f"{self.names()}") from None

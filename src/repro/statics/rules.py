@@ -118,7 +118,7 @@ def _accumulator_names(fn: ast.FunctionDef | ast.AsyncFunctionDef
                 for tgt in node.targets:
                     if isinstance(tgt, ast.Name):
                         names.add(tgt.id)
-        # tuple unpacking: g, acc, model = st.g, st.acc, st.model
+        # tuple unpacking: g, acc = st.g, st.acc
         if isinstance(node, ast.Assign) and \
                 isinstance(node.value, ast.Tuple):
             for tgt in node.targets:

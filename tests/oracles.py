@@ -31,7 +31,6 @@ from repro.reach.multisource import (
 from repro.reach.scc import SccResult
 from repro.resilience.errors import InputValidationError
 from repro.runtime.metrics import Cost, CostAccumulator
-from repro.runtime.model import DEFAULT_MODEL, CostModel
 from repro.runtime.primitives import unique_sorted
 from repro.runtime.racecheck import race_read, race_write
 from repro.runtime.rng import make_rng
@@ -139,8 +138,7 @@ def assert_same_result(got, want, what: str = "result") -> None:
 
 def dijkstra_reference(g: DiGraph, source: int,
                        weights: np.ndarray | None = None,
-                       limit: float | None = None,
-                       model: CostModel = DEFAULT_MODEL) -> DijkstraResult:
+                       limit: float | None = None) -> DijkstraResult:
     """Reference for :func:`repro.baselines.dijkstra.dijkstra`."""
     if not (0 <= source < g.n):
         raise InputValidationError("source out of range")
@@ -184,8 +182,7 @@ def dijkstra_reference(g: DiGraph, source: int,
 
 
 def dijkstra_from_labels_reference(g: DiGraph, labels: np.ndarray,
-                                   acc: CostAccumulator | None = None,
-                                   model: CostModel = DEFAULT_MODEL
+                                   acc: CostAccumulator | None = None
                                    ) -> np.ndarray:
     """Reference for :func:`repro.baselines.dijkstra.dijkstra_from_labels`."""
     if g.m and int(g.w.min()) < 0:
@@ -212,8 +209,7 @@ def dijkstra_from_labels_reference(g: DiGraph, labels: np.ndarray,
 
 
 def dag_sssp_reference(g: DiGraph, source: int,
-                       weights: np.ndarray | None = None,
-                       model: CostModel = DEFAULT_MODEL) -> DagSsspResult:
+                       weights: np.ndarray | None = None) -> DagSsspResult:
     """Reference for :func:`repro.baselines.dag_relax.dag_sssp`."""
     if not (0 <= source < g.n):
         raise ValueError("source out of range")
@@ -294,7 +290,7 @@ def scc_sequential_reference(g: DiGraph) -> SccResult:
 
 
 def ldd_clusters_reference(g: DiGraph, wp: np.ndarray, diameter: int, rng,
-                           acc: CostAccumulator, model: CostModel
+                           acc: CostAccumulator
                            ) -> np.ndarray:
     """Reference for :func:`repro.core.bnw._ldd_clusters`."""
     cluster = np.full(g.n, -1, dtype=np.int64)
@@ -341,8 +337,7 @@ def ldd_clusters_reference(g: DiGraph, wp: np.ndarray, diameter: int, rng,
 
 
 def multisource_reachability_reference(
-        g: DiGraph, sources: np.ndarray, acc: CostAccumulator | None = None,
-        model: CostModel = DEFAULT_MODEL, *,
+        g: DiGraph, sources: np.ndarray, acc: CostAccumulator | None = None, *,
         within: np.ndarray | None = None) -> ReachResult:
     """Reference for
     :func:`repro.reach.multisource.multisource_reachability`: numpy
@@ -351,7 +346,7 @@ def multisource_reachability_reference(
     if within is not None:
         sub, nodes = g.induced_subgraph(np.asarray(within).nonzero()[0])
         res = multisource_reachability_reference(
-            sub, np.searchsorted(nodes, sources), acc, model)
+            sub, np.searchsorted(nodes, sources), acc)
         pi = np.full(g.n, NO_SOURCE, dtype=np.int64)
         reached = res.pi >= 0
         pi[nodes[reached]] = nodes[res.pi[reached]]
@@ -396,8 +391,7 @@ def multisource_reachability_reference(
 
 
 def multisource_reachability_min_reference(
-        g: DiGraph, sources: np.ndarray, acc: CostAccumulator | None = None,
-        model: CostModel = DEFAULT_MODEL, *,
+        g: DiGraph, sources: np.ndarray, acc: CostAccumulator | None = None, *,
         edge_mask: np.ndarray | None = None) -> ReachResult:
     """Reference for
     :func:`repro.reach.multisource.multisource_reachability_min`: numpy
@@ -496,7 +490,7 @@ def lex_rank(*keys: np.ndarray) -> np.ndarray:
 
 
 def scc_reference(g: DiGraph, acc: CostAccumulator | None = None,
-                  model: CostModel = DEFAULT_MODEL, seed=0) -> SccResult:
+                  seed=0) -> SccResult:
     """Reference for :func:`repro.reach.scc.scc`: each trim pass builds
     the live-edge subgraph and reads its degrees, and each round builds
     the masked subgraph and its transpose."""
@@ -536,9 +530,8 @@ def scc_reference(g: DiGraph, acc: CostAccumulator | None = None,
         keep = live[g.src] & live[g.dst] & (block[g.src] == block[g.dst])
         local.charge_cost(model.pack(g.m))
         sub = edge_subgraph_mask(g, keep, weights=zero_w)
-        fwd = multisource_reachability_min(sub, centers, local, model).pi
-        bwd = multisource_reachability_min(sub.reversed(), centers, local,
-                                           model).pi
+        fwd = multisource_reachability_min(sub, centers, local).pi
+        bwd = multisource_reachability_min(sub.reversed(), centers, local).pi
         local.charge_cost(model.map(g.n))
         done = live & (fwd >= 0) & (fwd == bwd)
         # finalise each self-min center's SCC with a fresh contiguous id
@@ -576,8 +569,7 @@ class SortedIntSet:
         return len(self._data)
 
     def merge(self, other: SortedIntSet | np.ndarray,
-              acc: CostAccumulator | None = None,
-              model: CostModel = DEFAULT_MODEL) -> None:
+              acc: CostAccumulator | None = None) -> None:
         """Union ``other`` into this set (in place)."""
         race_write(self, label="SortedIntSet", site="pset.merge")
         arr = other._data if isinstance(other, SortedIntSet) else \
@@ -593,8 +585,7 @@ class SortedIntSet:
         merged = np.union1d(self._data, arr)
         self._data = merged
 
-    def clear(self, acc: CostAccumulator | None = None,
-              model: CostModel = DEFAULT_MODEL) -> None:
+    def clear(self, acc: CostAccumulator | None = None) -> None:
         race_write(self, label="SortedIntSet", site="pset.clear")
         if acc is not None:
             acc.charge_cost(model.set_enumerate(len(self._data)))
@@ -608,8 +599,7 @@ class SetVectorReference:
     __slots__ = ("_sets",)
 
     def __init__(self, n_sets: int,
-                 acc: CostAccumulator | None = None,
-                 model: CostModel = DEFAULT_MODEL) -> None:
+                 acc: CostAccumulator | None = None) -> None:
         if acc is not None:
             acc.charge_cost(model.map(n_sets))
         self._sets: list[SortedIntSet] = [SortedIntSet() for _ in range(n_sets)]
@@ -618,16 +608,14 @@ class SetVectorReference:
         return len(self._sets)
 
     def add_batch(self, ident: int, keys: np.ndarray,
-                  acc: CostAccumulator | None = None,
-                  model: CostModel = DEFAULT_MODEL) -> None:
-        self._sets[ident].merge(np.asarray(keys, dtype=np.int64), acc, model)
+                  acc: CostAccumulator | None = None) -> None:
+        self._sets[ident].merge(np.asarray(keys, dtype=np.int64), acc)
 
     def size(self, ident: int) -> int:
         return len(self._sets[ident])
 
     def gather(self, idents: np.ndarray | list[int],
-               acc: CostAccumulator | None = None,
-               model: CostModel = DEFAULT_MODEL) -> np.ndarray:
+               acc: CostAccumulator | None = None) -> np.ndarray:
         """Flat array of all elements across the identified sets."""
         race_read(self, label="SetVector", site="pset.gather")
         parts = [self._sets[int(i)]._data for i in idents]
@@ -640,17 +628,16 @@ class SetVectorReference:
         return np.concatenate(parts)
 
     def clear_many(self, idents: np.ndarray | list[int],
-                   acc: CostAccumulator | None = None,
-                   model: CostModel = DEFAULT_MODEL) -> None:
+                   acc: CostAccumulator | None = None) -> None:
         race_write(self, label="SetVector", site="pset.clear_many")
         for i in idents:
-            self._sets[int(i)].clear(acc, model)
+            self._sets[int(i)].clear(acc)
 
 
 def propagate_reference(st: _State, vprime: np.ndarray) -> None:
     """Reference for :func:`repro.dag01.peeling._propagate`: one
     GetNearbyLabel gather per priority."""
-    g, acc, model = st.g, st.acc, st.model
+    g, acc = st.g, st.acc
     vprime = vprime[st.live[vprime]] if len(vprime) else vprime
     st.propagate_calls += 1
     st.propagate_node_total += len(vprime)
@@ -666,11 +653,11 @@ def propagate_reference(st: _State, vprime: np.ndarray) -> None:
         acc.charge_cost(model.pack(len(vprime)))
         if len(sources):
             sub, nodes = g.induced_subgraph(vprime)
-            acc.charge_cost(model.pack(_incident_edges(g, vprime, acc, model)))
+            acc.charge_cost(model.pack(_incident_edges(g, vprime, acc)))
             st.reach_calls += 1
             st.reach_node_total += sub.n
             local_sources = np.searchsorted(nodes, sources)
-            res = multisource_reachability(sub, local_sources, acc, model)
+            res = multisource_reachability(sub, local_sources, acc)
             reached = np.flatnonzero(res.pi >= 0)
             global_v = nodes[reached]
             global_pi = nodes[res.pi[reached]]
@@ -702,12 +689,12 @@ def propagate_reference(st: _State, vprime: np.ndarray) -> None:
                 stop = (bounds[idx + 1] if idx + 1 < len(bounds)
                         else len(heads_s))
                 st.sent.add_batch(int(heads_s[start]),
-                                  labeled_s[start:stop], acc, model)
+                                  labeled_s[start:stop], acc)
 
 
 def nearby_labels_reference(st: _State, vprime: np.ndarray, p: int) -> None:
     """Reference for GetNearbyLabel: gathers ``V'``'s in-edges afresh."""
-    g, acc, model = st.g, st.acc, st.model
+    g, acc = st.g, st.acc
     slots = in_edge_slots(g, vprime)
     acc.charge_cost(model.map(len(slots)))
     if len(slots) == 0:
@@ -879,6 +866,11 @@ class CostModelReference:
         sz = max(n + m, 1)
         return CostReference(sz * lg_reference(sz),
                              max(n, 1) * lg_reference(n))
+
+
+#: What the kernel references above charge: one ``CostReference`` per
+#: formula call, as the kernels did before the float forms.
+model = CostModelReference()
 
 
 class CostAccumulatorReference:

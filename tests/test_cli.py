@@ -114,6 +114,16 @@ class TestSolve:
         assert rc == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("arc", ["a 1 2 1.5", "a 1 2 x",
+                                     "a 1 2 100000000000000000000"])
+    def test_malformed_weight_exit_code(self, capsys, tmp_path, arc):
+        # a ValueError or OverflowError traceback and exit 1 before
+        p = tmp_path / "g.gr"
+        p.write_text(f"p sp 2 1\n{arc}\n")
+        rc, _, err = run_cli(capsys, "solve", str(p))
+        assert rc == 2
+        assert "error: line 2:" in err
+
     def test_missing_file_exit_code(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "solve", str(tmp_path / "nope.gr"))
         assert rc == 2

@@ -224,7 +224,7 @@ class TestParallelSpecific:
         class StagedCycleEngine(_PotentialEngine):
             name = "staged-cycle"
 
-            def _potential(self, g, *, seed, acc, model, token, backend,
+            def _potential(self, g, *, seed, acc, token, backend,
                            fault_plan, **options):
                 with acc.stage("probe"):
                     acc.charge(3.0)

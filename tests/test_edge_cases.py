@@ -8,7 +8,7 @@ from repro.core.improvement import ImprovementOutcome
 from repro.dag01 import dag01_limited_sssp
 from repro.graph import DiGraph, hidden_potential_graph
 from repro.limited import limited_sssp
-from repro.runtime import CostAccumulator, CostModel
+from repro.runtime import CostAccumulator
 
 
 class TestIterationBudget:
@@ -32,42 +32,6 @@ class TestIterationBudget:
         # one iteration suffices for this instance
         res = one_reweighting(g, max_iterations=3)
         assert res.feasible
-
-
-class TestCostModelPropagation:
-    def test_custom_exponent_raises_model_span(self):
-        g = hidden_potential_graph(40, 160, seed=0)
-        default = solve_sssp(g, 0, seed=0)
-        steep = solve_sssp(g, 0, seed=0,
-                           model=CostModel(reach_span_exponent=0.9))
-        assert steep.cost.span_model > default.cost.span_model
-        np.testing.assert_array_equal(steep.dist, default.dist)
-
-    def test_polylog_factor(self):
-        g = hidden_potential_graph(30, 120, seed=1)
-        doubled = solve_sssp(g, 0, seed=1,
-                             model=CostModel(polylog_span_factor=2.0))
-        base = solve_sssp(g, 0, seed=1)
-        assert doubled.cost.span_model > base.cost.span_model
-
-    def test_model_threads_through_dag01(self):
-        from repro.graph import negative_chain_gadget
-
-        g = negative_chain_gadget(6, tail=1)
-        a = dag01_limited_sssp(g, 0, 6)
-        b = dag01_limited_sssp(g, 0, 6,
-                               model=CostModel(reach_span_exponent=0.9))
-        assert b.cost.span_model > a.cost.span_model
-        np.testing.assert_array_equal(a.dist, b.dist)
-
-    def test_model_threads_through_limited(self):
-        from repro.graph import zero_heavy_digraph
-
-        g = zero_heavy_digraph(25, 120, seed=2)
-        a = limited_sssp(g, 0, 6)
-        b = limited_sssp(g, 0, 6,
-                         model=CostModel(reach_span_exponent=0.9))
-        assert b.cost.span_model > a.cost.span_model
 
 
 class TestDegenerateGraphs:

@@ -10,11 +10,15 @@ feasible solve and never on a cycle answer.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import repro.core.sssp as sssp_module
 from repro import solve_sssp, solve_sssp_resilient
-from repro.core.engines import get_sssp_engine
+from repro.assp import get_engine
+from repro.core.engines import SSSP_ENGINES, _PotentialEngine, get_sssp_engine
 from repro.core.extensions import (
     all_pairs_shortest_paths,
     find_negative_cycle,
@@ -25,9 +29,15 @@ from repro.graph.generators import (
     random_digraph,
     zero_heavy_digraph,
 )
+from repro.graph import DiGraph
 from repro.graph.validate import validate_graph
 from repro.observability import Tracer, tracing
-from repro.resilience import FaultPlan, InputValidationError, VerificationError
+from repro.resilience import (
+    Certificate,
+    FaultPlan,
+    InputValidationError,
+    VerificationError,
+)
 from repro.runtime import CostAccumulator
 
 ENGINES = ("goldberg_parallel", "goldberg_sequential", "bnw_scaling",
@@ -119,8 +129,16 @@ class TestEngineNames:
         for graph in (zero_heavy_digraph(50, 200, seed=1), g):
             _rejected_before_any_work(
                 lambda acc: ENGINE_CALLS[call](graph, "bogus", acc), "bogus")
+            # unhashable names were a TypeError from the registry's dict
+            for name in (["x"], {}, None, 3):
+                _rejected_before_any_work(
+                    lambda acc: ENGINE_CALLS[call](graph, name, acc),
+                    "unknown SSSP engine")
         with pytest.raises(InputValidationError, match="goldberg_parallel"):
             get_sssp_engine("nope")
+        for name in (["x"], {}):
+            with pytest.raises(InputValidationError, match="unknown ASSSP"):
+                get_engine(name)
 
 
 @pytest.mark.parametrize("engine", ("bnw_scaling", "fischer_simple"))
@@ -154,3 +172,107 @@ def test_solves_are_labelled_with_their_engine(g, engine):
     assert res.provenance.engine == engine
     (solve,) = [s for s in tr.spans if s.name == "solve"]
     assert solve.attrs["engine"] == engine
+
+
+@pytest.fixture
+def verifies(monkeypatch):
+    """The kind of every ``Certificate.verify`` call, in call order, and
+    whether it passed."""
+    calls: list[tuple[str, bool]] = []
+    real = Certificate.verify
+
+    def spy(self, graph):
+        ok = real(self, graph)
+        calls.append((self.kind, ok))
+        return ok
+
+    monkeypatch.setattr(Certificate, "verify", spy)
+    return calls
+
+
+class TestOneVerifyPerAnswer:
+    """The tail verifies an engine's certificate and the fallback verifies
+    its own, once each; ``solve_sssp_resilient`` does not check them
+    again."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_engine_answer_is_verified_once(self, g, engine, verifies):
+        cyclic = random_digraph(20, 50, min_w=-3, max_w=9, seed=5)
+        for graph, kind in ((g, "price"), (cyclic, "negative_cycle")):
+            verifies.clear()
+            res = solve_sssp_resilient(graph, 0, engine=engine, seed=7)
+            assert res.certificate.kind == kind
+            assert verifies == [(kind, True)]
+
+    def test_fallback_answer_is_verified_once(self, g, verifies):
+        res = solve_sssp_resilient(g, 0, max_work=1)
+        assert res.provenance.used_fallback
+        assert verifies == [("price", True)]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_corrupted_potential_still_fails_and_retries(self, g, engine,
+                                                         verifies):
+        plan = FaultPlan.on_calls("potential", 1)
+        res = solve_sssp_resilient(g, 0, engine=engine, fault_plan=plan)
+        assert [a.ok for a in res.provenance.attempts] == [False, True]
+        assert "VerificationError" in res.provenance.attempts[0].error
+        assert verifies == [("price", False), ("price", True)]
+        with pytest.raises(VerificationError, match="infeasible price"):
+            solve_sssp(g, 0, engine=engine,
+                       fault_plan=FaultPlan.always("potential"))
+
+    def test_corrupted_fallback_certificate_still_fails(self, g,
+                                                        monkeypatch):
+        real = sssp_module.johnson_potential
+
+        def corrupted(graph):
+            pot = real(graph)
+            price = pot.price.copy()
+            price[graph.dst[0]] += 10 ** 6   # edge 0's reduced weight < 0
+            return dataclasses.replace(pot, price=price)
+
+        monkeypatch.setattr(sssp_module, "johnson_potential", corrupted)
+        with pytest.raises(VerificationError, match="fallback"):
+            solve_sssp_resilient(g, 0, max_work=1)
+
+
+# 0 -> 1 (-2), 1 -> 2 (1), 0 -> 2 (5): feasible, with a negative edge
+FEASIBLE = DiGraph.from_edges(3, [(0, 1, -2), (1, 2, 1), (0, 2, 5)])
+
+
+class _FakeCycleEngine(_PotentialEngine):
+    """Claims the feasible ``FEASIBLE`` has the negative cycle [0, 1]."""
+
+    name = "fake-cycle"
+
+    def _potential(self, g, *, seed, acc, token, backend, fault_plan,
+                   **options):
+        return None, [0, 1], None
+
+
+class _InfeasiblePriceEngine(_PotentialEngine):
+    """Hands back the zero price, under which edge 0 -> 1 stays
+    negative."""
+
+    name = "infeasible-price"
+
+    def _potential(self, g, *, seed, acc, token, backend, fault_plan,
+                   **options):
+        return np.zeros(g.n, dtype=np.int64), None, None
+
+
+@pytest.mark.parametrize("engine", [_FakeCycleEngine,
+                                    _InfeasiblePriceEngine])
+@pytest.mark.parametrize("call", [
+    lambda g, name: find_negative_cycle(g, engine=name),
+    lambda g, name: all_pairs_shortest_paths(g, engine=name),
+    lambda g, name: solve_sssp(g, 0, engine=name)],
+    ids=["find_negative_cycle", "all_pairs_shortest_paths", "solve_sssp"])
+def test_every_potential_reader_checks_the_witness(engine, call,
+                                                   monkeypatch):
+    # find_negative_cycle and APSP read the potential past the tail's
+    # check: they returned the fake cycle, and APSP blamed the caller's
+    # weights for the bad price ("dijkstra requires nonnegative weights")
+    monkeypatch.setitem(SSSP_ENGINES._factories, engine.name, engine)
+    with pytest.raises(VerificationError, match=engine.name):
+        call(FEASIBLE, engine.name)

@@ -66,6 +66,20 @@ class TestRead:
         with pytest.raises(DimacsError):
             loads_dimacs("p max 2 1\na 1 2 3\n")
 
+    @pytest.mark.parametrize("text", [
+        "p sp 2 1\na 1 2 1.5\n", "p sp 2 1\na 1 2 x\n",
+        "p sp 2 1\na 1 2 100000000000000000000\n",
+        "p sp 2 1\na 1 2 -9007199254740993\n",
+        "p sp 2 1\na 1.0 2 3\n", "p sp 2 1\na 1 2e0 3\n",
+        "p sp 2 1\na 99999999999999999999 2 3\n",
+        "p sp x 0\n", "p sp 2 1.5\n", "p sp -1 0\n", "p sp 2 -1\n",
+        "p sp 100000000000000000000 0\n"])
+    def test_bad_number_names_its_line(self, text):
+        # was a bare ValueError or OverflowError for the arc cases
+        line = text.count("\n")
+        with pytest.raises(DimacsError, match=f"line {line}: "):
+            loads_dimacs(text)
+
 
 class TestWrite:
     def test_roundtrip_text(self):
@@ -107,9 +121,9 @@ class TestRoundTripProperty:
     @given(st.text(max_size=200))
     @settings(max_examples=60, deadline=None)
     def test_parser_never_crashes_unexpectedly(self, text):
-        """Arbitrary text either parses or raises DimacsError/ValueError —
-        never an unhandled exception type."""
+        """Arbitrary text either parses or raises DimacsError — never
+        another exception type."""
         try:
             loads_dimacs(text)
-        except (DimacsError, ValueError):
+        except DimacsError:
             pass

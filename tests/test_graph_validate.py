@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.assp.engines import DeltaSteppingAssp
+from repro.assp.hopset import HopsetAssp
 from repro.baselines import (
     bellman_ford,
     bellman_ford_distance_only,
@@ -20,6 +21,7 @@ from repro.core import (
     one_reweighting,
     sqrt_k_improvement,
 )
+from repro.core.scaling import scaled_reweighting
 from repro.dag01 import dag01_limited_sssp
 from repro.dag01.naive import dag01_limited_sssp_naive
 from oracles import assert_same_result
@@ -396,3 +398,62 @@ class TestCallerArraysAreCast:
     def test_nan_price_names_the_problem(self):
         with pytest.raises(InputValidationError, match="finite"):
             is_feasible_price(TRIANGLE, np.array([0.0, np.nan, 0.0]))
+
+
+# the path 0 -> 1 -> 2, and the same path with {0, -1} weights for the
+# peeling; edge ids 0, 1 in that order
+PATH = DiGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
+PATH01 = DiGraph.from_edges(3, [(0, 1, -1), (1, 2, 0)])
+
+# entry point -> (a valid array, call on an array); the weights are
+# aligned with PATH's edges, the priorities with PATH01's vertices
+SOLVER_ARRAY_ENTRY_POINTS = {
+    "scaled_reweighting": (
+        np.array([-1, 2]), lambda a: scaled_reweighting(PATH, a).price),
+    "DeltaSteppingAssp": (
+        np.array([1, 2]),
+        lambda a: DeltaSteppingAssp()(PATH, 0, 0.0, weights=a)),
+    "HopsetAssp": (
+        np.array([1, 2]), lambda a: HopsetAssp()(PATH, 0, 0.0, weights=a)),
+    "weighted_bfs_limited": (
+        np.array([1, 2]),
+        lambda a: weighted_bfs_limited(PATH, 0, 3, weights=a).dist),
+    "dag01_limited_sssp-priorities": (
+        np.array([1, 3, 2]),
+        lambda a: dag01_limited_sssp(PATH01, 0, 2, priorities=a).dist),
+}
+
+
+class TestSolverArraysAreCast:
+    """The solver entry points that take caller weights or priorities
+    read them like the public constructor: fractional, NaN, infinite and
+    misaligned arrays raise, integral floats are their int values."""
+
+    @pytest.mark.parametrize("kind", ["fractional", "nan", "inf", "-inf",
+                                      "short"])
+    @pytest.mark.parametrize("entry", sorted(SOLVER_ARRAY_ENTRY_POINTS))
+    def test_bad_array_raises(self, entry, kind):
+        base, call = SOLVER_ARRAY_ENTRY_POINTS[entry]
+        with pytest.raises(InputValidationError):
+            call(bad_array(base, kind))
+
+    @pytest.mark.parametrize("entry", sorted(SOLVER_ARRAY_ENTRY_POINTS))
+    def test_integral_floats_count_as_ints(self, entry):
+        base, call = SOLVER_ARRAY_ENTRY_POINTS[entry]
+        np.testing.assert_array_equal(call(base.astype(np.float64)),
+                                      call(base))
+
+    @pytest.mark.parametrize("call", [
+        lambda: scaled_reweighting(PATH, weights=[-0.9, 0.5]),
+        lambda: DeltaSteppingAssp()(PATH, 0, 0.0, weights=[0.9, 0.9]),
+        lambda: HopsetAssp()(PATH, 0, 0.0, weights=[0.9, 0.9]),
+        lambda: weighted_bfs_limited(PATH, 0, 3, weights=[0.5, 0.5]),
+        lambda: dag01_limited_sssp(PATH01, 0, 2,
+                                   priorities=[0.5, 1.7, 2.2])],
+        ids=["scaled_reweighting", "DeltaSteppingAssp", "HopsetAssp",
+             "weighted_bfs_limited", "dag01_limited_sssp"])
+    def test_fractions_are_not_truncated(self, call):
+        # were a zero price, distances [0, 0, 0], a "requires strictly
+        # positive weights" ValueError, and a VerificationError
+        with pytest.raises(InputValidationError, match="integral"):
+            call()

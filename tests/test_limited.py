@@ -187,9 +187,9 @@ class TestLimitedOtherEngines:
         class AlwaysWrong:
             name = "always-wrong"
 
-            def __call__(self, g2, s, eps, acc=None, model=None,
+            def __call__(self, g2, s, eps, acc=None,
                          weights=None):
-                d = ExactAssp()(g2, s, eps, acc, model, weights)
+                d = ExactAssp()(g2, s, eps, acc, weights)
                 out = d.copy()
                 out[np.isfinite(out) & (out > 0)] += 100  # gross inflation
                 return out

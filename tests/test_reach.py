@@ -26,7 +26,7 @@ from repro.reach import (
 )
 from repro.reach.scc import _dense_rank, _split_key
 from repro.resilience.errors import InputValidationError
-from repro.runtime import DEFAULT_MODEL, CostAccumulator
+from repro.runtime import CostAccumulator, model
 
 
 def naive_reachable(g: DiGraph, sources) -> np.ndarray:
@@ -486,13 +486,13 @@ class TestSccTrim:
         assert (res.trimmed, res.trim_passes) == (4, 2)
         want = CostAccumulator()
         for _ in range(2):
-            want.charge_cost(DEFAULT_MODEL.pack(3))
-            want.charge_cost(DEFAULT_MODEL.map(4))
-            want.charge_cost(DEFAULT_MODEL.pack(4))
+            want.charge(*model.pack_ws(3))
+            want.charge(*model.map_ws(4))
+            want.charge(*model.pack_ws(4))
         assert res.cost == want.snapshot()
 
 
-def stale_edge_mask(g, local, model):
+def stale_edge_mask(g, local):
     """A wrong trim for ``scc``: every pass reuses the first pass's
     live-edge mask, so a cut never takes an edge away from the next
     pass."""
@@ -536,11 +536,11 @@ def reuse_forward_mask(search):
     before it (the forward search's), not with its transpose's."""
     masks = []
 
-    def wrong(g, sources, acc, model, edge_mask, m):
+    def wrong(g, sources, acc, edge_mask, m):
         if len(masks) % 2:
             edge_mask = masks[-1]
         masks.append(edge_mask)
-        return search(g, sources, acc, model, edge_mask, m)
+        return search(g, sources, acc, edge_mask, m)
     return wrong
 
 

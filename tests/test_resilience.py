@@ -39,8 +39,8 @@ from repro.graph.validate import check_overflow_safety, validate_negative_cycle
 from repro.limited import limited_sssp
 from repro.observability import Tracer, tracing
 from repro.resilience import FAULT_SITES, FaultSpec, Meter, guard_scope
-from repro.runtime.metrics import CostAccumulator
-from repro.runtime.model import DEFAULT_MODEL
+from repro.runtime import model
+from repro.runtime.metrics import Cost, CostAccumulator
 
 pytestmark = pytest.mark.resilience
 
@@ -315,11 +315,11 @@ class TestBudget:
         guard = BudgetGuard(max_work=100.0)
         acc = CostAccumulator()
         meter = Meter(guard, acc)
-        acc.charge_cost(DEFAULT_MODEL.map(30))
+        acc.charge(*model.map_ws(30))
         meter.tick()
         assert guard.spent_work > 0
         assert guard.remaining_work() < 100.0
-        acc.charge_cost(DEFAULT_MODEL.map(10 ** 6))
+        acc.charge(*model.map_ws(10 ** 6))
         with pytest.raises(BudgetExceededError):
             meter.tick()
 
@@ -344,7 +344,7 @@ class TestBudget:
 
     def test_infinite_ceiling_means_no_limit(self):
         guard = BudgetGuard(max_work=float("inf"), max_span=float("inf"))
-        guard.debit(DEFAULT_MODEL.map(10 ** 12))
+        guard.debit(Cost(*model.map_ws(10 ** 12)))
         assert guard.remaining_work() == float("inf")
 
     @pytest.mark.parametrize("engine", ENGINES)

@@ -1,10 +1,8 @@
 """Tests for the cost-model formulas and stage tagging."""
 
-import math
-
 import pytest
 
-from repro.runtime import CostAccumulator, CostModel, DEFAULT_MODEL, lg
+from repro.runtime import CostAccumulator, lg, model
 
 
 class TestFormulas:
@@ -14,53 +12,48 @@ class TestFormulas:
         assert lg(14) == 4.0
 
     def test_map_linear_work_log_span(self):
-        c = DEFAULT_MODEL.map(1000)
-        assert c.work == 1000
-        assert c.span == pytest.approx(lg(1000))
+        work, span = model.map_ws(1000)
+        assert work == 1000
+        assert span == pytest.approx(lg(1000))
 
     def test_map_per_item_work(self):
-        assert DEFAULT_MODEL.map(10, per_item_work=2.5).work == 25
+        assert model.map_ws(10, per_item_work=2.5)[0] == 25
 
     def test_degenerate_sizes_cost_at_least_one(self):
-        for fn in (DEFAULT_MODEL.map, DEFAULT_MODEL.reduce,
-                   DEFAULT_MODEL.scan, DEFAULT_MODEL.sort):
-            assert fn(0).work >= 1
-            assert fn(0).span > 0
+        for fn in (model.map_ws, model.reduce_ws, model.scan_ws,
+                   model.sort_ws):
+            work, span = fn(0)
+            assert work >= 1
+            assert span > 0
 
     def test_sort_n_log_n(self):
-        c = DEFAULT_MODEL.sort(1 << 10)
-        assert c.work == pytest.approx((1 << 10) * lg(1 << 10))
-        assert c.span == pytest.approx(lg(1 << 10) ** 2)
+        work, span = model.sort_ws(1 << 10)
+        assert work == pytest.approx((1 << 10) * lg(1 << 10))
+        assert span == pytest.approx(lg(1 << 10) ** 2)
 
     def test_set_merge_small_into_big(self):
-        c = DEFAULT_MODEL.set_merge(8, 1 << 16)
+        work = model.set_merge_ws(8, 1 << 16)[0]
         # m lg(n/m) growth: merging few into many is cheap
-        assert c.work < DEFAULT_MODEL.set_merge(1 << 15, 1 << 16).work
+        assert work < model.set_merge_ws(1 << 15, 1 << 16)[0]
 
     def test_oracle_span_sqrt_shape(self):
-        m = DEFAULT_MODEL
-        assert m.oracle_span(400) / m.oracle_span(100) == pytest.approx(
-            2 * lg(400) / lg(100), rel=1e-9)
-
-    def test_oracle_span_exponent_configurable(self):
-        steep = CostModel(reach_span_exponent=1.0)
-        assert steep.oracle_span(100) > DEFAULT_MODEL.oracle_span(100)
+        assert model.oracle_span(400) / model.oracle_span(100) == \
+            pytest.approx(2 * lg(400) / lg(100), rel=1e-9)
 
     def test_dijkstra_span_linearish(self):
-        c = DEFAULT_MODEL.dijkstra(100, 500)
-        assert c.span == pytest.approx(100 * lg(100))
+        span = model.dijkstra_ws(100, 500)[1]
+        assert span == pytest.approx(100 * lg(100))
 
     def test_bfs_round(self):
-        c = DEFAULT_MODEL.bfs_round(25, 1000)
-        assert c.work == 25
-        assert c.span == pytest.approx(lg(1000))
+        work, span = model.bfs_round_ws(25, 1000)
+        assert work == 25
+        assert span == pytest.approx(lg(1000))
 
     def test_monotone_in_size(self):
-        m = DEFAULT_MODEL
-        for fn in (m.map, m.reduce, m.scan, m.pack, m.sort,
-                   m.set_enumerate):
-            assert fn(2000).work >= fn(20).work
-            assert fn(2000).span >= fn(20).span
+        for fn in (model.map_ws, model.reduce_ws, model.scan_ws,
+                   model.pack_ws, model.sort_ws, model.set_enumerate_ws):
+            assert fn(2000)[0] >= fn(20)[0]
+            assert fn(2000)[1] >= fn(20)[1]
 
 
 class TestStageTagging:

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import SetVectorReference, assert_same_result
-from repro.runtime import CostAccumulator, SetVector
-from repro.runtime.model import DEFAULT_MODEL
+from repro.runtime import Cost, CostAccumulator, SetVector, model
 
 
 class TestSetVector:
@@ -75,7 +74,7 @@ class TestSetVector:
         vs = SetVector(1)
         vs.add_batch(0, np.arange(100))
         vs.add_batch(0, np.arange(100, 110), acc)
-        assert acc.snapshot() == DEFAULT_MODEL.set_merge(10, 100)
+        assert acc.snapshot() == Cost(*model.set_merge_ws(10, 100))
 
     def test_gather_returns_a_copy(self):
         vs = SetVector(2)
@@ -94,7 +93,7 @@ class TestSetVector:
         assert [vs.size(i) for i in range(4)] == [0, 2, 0, 0]
         want = CostAccumulator()
         for k in (3, 1, 4):
-            want.charge_cost(DEFAULT_MODEL.set_enumerate(k))
+            want.charge(*model.set_enumerate_ws(k))
         assert acc.snapshot() == want.snapshot()
 
     def test_clear_many_then_add(self):

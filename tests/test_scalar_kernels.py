@@ -63,7 +63,6 @@ from repro.graph import DiGraph
 from repro.reach import multisource_reachability, multisource_reachability_min
 from repro.reach.scc import scc_sequential
 from repro.runtime.metrics import CostAccumulator
-from repro.runtime.model import DEFAULT_MODEL
 from repro.runtime.rng import make_rng
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -242,9 +241,8 @@ def test_ldd_clusters_match_reference(g, diameter, seed):
     ref_rng = copy.deepcopy(rng)
     acc, ref_acc = CostAccumulator(), CostAccumulator()
     assert_same_result(
-        bnw._ldd_clusters(g, g.w, diameter, rng, acc, DEFAULT_MODEL),
-        ldd_clusters_reference(g, g.w, diameter, ref_rng, ref_acc,
-                               DEFAULT_MODEL))
+        bnw._ldd_clusters(g, g.w, diameter, rng, acc),
+        ldd_clusters_reference(g, g.w, diameter, ref_rng, ref_acc))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert acc.snapshot() == ref_acc.snapshot()
 
@@ -376,8 +374,8 @@ def bump(field=None):
 def extra_draw(kernel):
     """A wrong ``_ldd_clusters``: right clusters, one RNG draw too many."""
     @functools.wraps(kernel)
-    def wrong(g, wp, diameter, rng, acc, model):
-        out = kernel(g, wp, diameter, rng, acc, model)
+    def wrong(g, wp, diameter, rng, acc):
+        out = kernel(g, wp, diameter, rng, acc)
         rng.random()
         return out
     return wrong
@@ -387,8 +385,8 @@ def extra_charge(kernel):
     """A wrong ``dijkstra_from_labels``: right labels, one unit of work
     charged too many."""
     @functools.wraps(kernel)
-    def wrong(g, labels, acc=None, model=DEFAULT_MODEL):
-        out = kernel(g, labels, acc, model)
+    def wrong(g, labels, acc=None):
+        out = kernel(g, labels, acc)
         acc.charge(1)
         return out
     return wrong
@@ -422,9 +420,9 @@ DAG = DiGraph.from_edges(3, [(0, 1, -1), (1, 2, 2), (0, 2, 1)])
     (improvement, "dag_sssp", bump("dist"), lambda f: f(DAG, 0)),
     (improvement, "scc_sequential", bump("comp"), lambda f: f(G)),
     (bnw, "_ldd_clusters", bump(),
-     lambda f: f(G, G.w, 2, make_rng(0), CostAccumulator(), DEFAULT_MODEL)),
+     lambda f: f(G, G.w, 2, make_rng(0), CostAccumulator())),
     (bnw, "_ldd_clusters", extra_draw,
-     lambda f: f(G, G.w, 2, make_rng(0), CostAccumulator(), DEFAULT_MODEL)),
+     lambda f: f(G, G.w, 2, make_rng(0), CostAccumulator())),
 ], ids=["dijkstra", "labels", "labels-charge", "dag_sssp", "scc_sequential",
         "ldd", "ldd-rng"])
 def test_recheck_mode_catches_a_wrong_kernel(monkeypatch, caller, name,
