@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.digraph import DiGraph
-from ..graph.validate import check_source
+from ..graph.validate import check_limit, check_source
 from ..reach.multisource import multisource_reachability
 from ..runtime import model
 from ..runtime.metrics import Cost, CostAccumulator
@@ -34,6 +34,7 @@ def dag01_limited_sssp_naive(g: DiGraph, source: int, limit: int, *,
     """Per-round full-reachability peeling (same output contract as
     :func:`repro.dag01.dag01_limited_sssp`, without parent edges)."""
     source = check_source(g, source)
+    limit = check_limit(limit)
     local = CostAccumulator()
     reach = multisource_reachability(g, np.array([source]), local)
     live = reach.pi >= 0

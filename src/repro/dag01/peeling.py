@@ -18,20 +18,20 @@ bound, for the E1–E4 experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..graph.csr import in_edge_slots
 from ..graph.digraph import DiGraph, _per_vertex
-from ..graph.validate import check_source, is_dag
+from ..graph.validate import check_limit, check_source, is_dag
 from ..observability.metrics import metric_inc
 from ..observability.tracer import trace_span
 from ..reach.multisource import multisource_reachability
 from ..resilience.errors import InputValidationError, VerificationError
 from ..runtime import model
 from ..runtime.metrics import Cost, CostAccumulator
-from ..runtime.primitives import stable_argsort, unique_sorted
+from ..runtime.primitives import stable_argsort
 from ..runtime.pset import SetVector
 from ..runtime.rng import geometric_priorities, make_rng
 
@@ -76,6 +76,9 @@ class _State:
     sent: SetVector
     acc: CostAccumulator
     label_changes: np.ndarray
+    cap: int = 1                     # the highest priority
+    indeg: list[int] = field(default_factory=list)    # per vertex
+    degree: list[int] = field(default_factory=list)   # in- plus out-degree
     propagate_calls: int = 0
     propagate_node_total: int = 0
     reach_calls: int = 0
@@ -93,26 +96,29 @@ def dag01_limited_sssp(g: DiGraph, source: int, limit: int, *,
     ----------
     limit : int
         The distance limit ``L``: exact distances are produced for vertices
-        with ``dist(s,v) ≥ −L``; farther vertices report ``−inf``.
+        with ``dist(s,v) ≥ −L``; farther vertices report ``−inf``.  Read
+        by :func:`~repro.graph.validate.check_limit`: a fractional, NaN,
+        infinite or negative limit raises :class:`InputValidationError`.
     priorities : optional
         Override the random priorities (ablation A1 uses this): one
-        integer per vertex of ``g``; fractional, NaN, infinite or
-        misaligned ones raise :class:`InputValidationError`.
+        integer per vertex of ``g``, and each of the ``k`` vertices
+        reachable from ``source`` needs one in ``[1, k]`` (§3.1).
+        Fractional, NaN, infinite, misaligned or out-of-contract ones
+        raise :class:`InputValidationError`.
     validate : bool
         Check DAG-ness and the weight alphabet up front (costs O(n+m)).
     fault_plan : optional
-        Resilience hook (site ``"priorities"``): perturbs the drawn
-        priorities so tests can prove the contract check below fires.
+        Resilience hook (site ``"priorities"``): perturbs the priorities
+        so tests can prove the contract check below fires.
 
-    The §3.1 priority contract (every priority in ``[1, n]``) is always
-    enforced — whether priorities were drawn, user-supplied, or
-    fault-perturbed — and a violation raises
+    The §3.1 priority contract (every priority in ``[1, k]``) is checked
+    again on the priorities peeling will use, drawn or fault-perturbed;
+    a violation there raises
     :class:`~repro.resilience.errors.VerificationError`, which the
     improvement layer heals by redrawing with a fresh seed.
     """
     source = check_source(g, source)
-    if limit < 0:
-        raise InputValidationError("limit must be nonnegative")
+    limit = check_limit(limit)
     if priorities is not None:
         priorities = _per_vertex(g, priorities, "priorities")
     if validate:
@@ -129,6 +135,10 @@ def dag01_limited_sssp(g: DiGraph, source: int, limit: int, *,
         # paper suggests).
         reach = multisource_reachability(g, np.array([source]), local)
         reachable = np.flatnonzero(reach.pi >= 0)
+        if priorities is not None:
+            bad = _priority_violation(priorities[reachable])
+            if bad:
+                raise InputValidationError(bad)
         dist = np.full(g.n, np.inf)
         parent_edge = np.full((g.n, 2), NO_EDGE, dtype=np.int64)
         priorities_full = np.zeros(g.n, dtype=np.int64)
@@ -149,14 +159,12 @@ def dag01_limited_sssp(g: DiGraph, source: int, limit: int, *,
             pri = priorities[ids]
         if fault_plan is not None:
             pri = fault_plan.perturb_priorities(pri)
-        if sub.n and (pri.min() < 1 or pri.max() > sub.n):
-            raise VerificationError(
-                "peeling priorities violate the §3.1 contract "
-                f"(range [{int(pri.min())}, {int(pri.max())}], "
-                f"need [1, {sub.n}])",
-                stage="dag01_peeling")
+        bad = _priority_violation(pri)
+        if bad:
+            raise VerificationError(bad, stage="dag01_peeling")
         local.charge(*model.map_ws(sub.n))
 
+        indeg = sub.rindptr[1:] - sub.rindptr[:-1]
         st = _State(
             g=sub,
             pri=pri,
@@ -166,6 +174,9 @@ def dag01_limited_sssp(g: DiGraph, source: int, limit: int, *,
             sent=SetVector(sub.n),
             acc=local,
             label_changes=np.zeros(sub.n, dtype=np.int64),
+            cap=int(pri.max(initial=1)),
+            indeg=indeg.tolist(),
+            degree=(indeg + sub.indptr[1:] - sub.indptr[:-1]).tolist(),
         )
 
         sub_dist = _peel(st, sub_source, limit)
@@ -205,13 +216,24 @@ def dag01_limited_sssp(g: DiGraph, source: int, limit: int, *,
     )
 
 
+def _priority_violation(pri: np.ndarray) -> str | None:
+    """How ``pri`` breaks the §3.1 contract, every priority in
+    ``[1, len(pri)]``, or ``None`` when it keeps it."""
+    k = len(pri)
+    if k and (pri.min() < 1 or pri.max() > k):
+        return ("peeling priorities violate the §3.1 contract "
+                f"(range [{int(pri.min())}, {int(pri.max())}], "
+                f"need [1, {k}])")
+    return None
+
+
 def _peel(st: _State, source: int, limit: int) -> np.ndarray:
     """Algorithm 1 main loop on a graph fully reachable from ``source``."""
-    g, acc = st.g, st.acc
+    g, acc, sent = st.g, st.acc, st.sent
     dist = np.full(g.n, -np.inf)
 
     _propagate(st, np.arange(g.n, dtype=np.int64))
-    frontier = np.flatnonzero(st.label_eid == NO_EDGE)
+    frontier = (st.label_eid == NO_EDGE).nonzero()[0]
     acc.charge(*model.pack_ws(g.n))
 
     for i in range(limit + 1):
@@ -220,16 +242,20 @@ def _peel(st: _State, source: int, limit: int) -> np.ndarray:
         with trace_span("peel-round", acc=acc, phase="dag01",
                         d=i, frontier=len(frontier)) as rsp:
             # R = ∪_{u∈F} SentLabel(u), filtered to labels broken by F
-            candidates = st.sent.gather(frontier, acc)
-            st.sent.clear_many(frontier, acc)
+            members = frontier.tolist()
+            candidates = sent.gather(members, acc)
+            sent.clear_many(members, acc)
             acc.charge(*model.map_ws(len(candidates)))
-            in_f = np.zeros(g.n, dtype=bool)
-            in_f[frontier] = True
             if len(candidates):
-                cand_heads = g.src[st.label_eid[candidates].clip(min=0)]
-                broken = (st.label_eid[candidates] != NO_EDGE) & \
-                    in_f[cand_heads] & st.live[candidates]
-                invalid = unique_sorted(candidates[broken])
+                labels = st.label_eid[candidates]
+                heads = g.src[np.maximum(labels, 0)].tolist()
+                peeled = set(members)
+                invalid = np.array(sorted({
+                    v for v, e, u, alive in zip(
+                        candidates.tolist(), labels.tolist(), heads,
+                        st.live[candidates].tolist())
+                    if e != NO_EDGE and u in peeled and alive}),
+                    dtype=np.int64)
             else:
                 invalid = candidates
             # invalidate labels of R
@@ -253,6 +279,16 @@ def _propagate(st: _State, vprime: np.ndarray) -> None:
 
     ``vprime`` is the set of live vertices with invalid (⊥) labels.  After
     the call every live vertex is correctly labeled (Lemma 1).
+
+    GetNearbyLabel runs at each priority from the highest down, and a
+    priority at which it labels some vertex then extends those labels
+    through ``G[V']`` by one reachability call, and the vertices it
+    labels leave ``V'``.  The work is done where labels are set:
+    :func:`_in_edge_candidates` keeps only the in-edges of ``V'`` that
+    fire, each at the one priority at which it can, so a priority with
+    no entry whose target is still in ``V'`` only charges its
+    GetNearbyLabel map over the in-edges of ``V'`` and its two packs of
+    ``V'``, whose sizes are running sums over the degree lists.
     """
     g, acc = st.g, st.acc
     vprime = vprime[st.live[vprime]] if len(vprime) else vprime
@@ -262,79 +298,95 @@ def _propagate(st: _State, vprime: np.ndarray) -> None:
         return
     in_vp = np.zeros(g.n, dtype=bool)
     in_vp[vprime] = True
-    near = _in_edge_candidates(st, vprime, in_vp)
-    newly_labeled: list[np.ndarray] = []
-    cap = int(st.pri.max(initial=1))
-    for p in range(cap, 0, -1):
-        if len(vprime) == 0:
+    keys, targets, labels, label_heads = _in_edge_candidates(st, vprime,
+                                                             in_vp)
+    members = vprime.tolist()
+    size = len(members)
+    table = sum(map(st.indeg.__getitem__, members))     # in-edges of V'
+    incident = sum(map(st.degree.__getitem__, members))
+    labeled: list[int] = []      # vertices labeled here, in labeling order
+    heads: list[int] = []        # the head of each one's label
+    left: set[int] = set()       # vertices that have left V'
+    j, k = 0, len(keys)
+    map_w, map_s = model.map_ws(table)
+    pack_w, pack_s = model.pack_ws(size)
+    for p in range(st.cap, 0, -1):
+        if not size:
             break
-        pack_w, pack_s = model.pack_ws(len(vprime))
-        # V' holds unlabeled vertices only, so when GetNearbyLabel labels
-        # none there are no sources and V' stays as it is
-        labeled_any = _nearby_labels(st, near, p)
+        # GetNearbyLabel at p: the entries keyed p whose target is still
+        # in V'; per target the last in reverse-CSR order wins, as in a
+        # numpy fancy assignment
+        hit: dict[int, int] = {}
+        while j < k and keys[j] == p:  # repro: noqa[RS001] GetNearbyLabel's scan of the entries keyed p, covered by the map(T) charge below
+            if targets[j] not in left:
+                hit[targets[j]] = j
+            j += 1
+        acc.charge(map_w, map_s)
         acc.charge(pack_w, pack_s)
-        if labeled_any:
-            sources = vprime[st.label_eid[vprime] != NO_EDGE]
-            # the model charges building G[V'], which the reach restricted
-            # to V' (``within=``) stands in for
-            w, s = model.pack_ws(_incident_edges(g, vprime, acc))
-            acc.charge(w, s)
+        if hit:
+            sources = sorted(hit)
+            acc.charge(*model.pack_ws(incident))
             st.reach_calls += 1
-            st.reach_node_total += len(vprime)
-            res = multisource_reachability(g, sources, acc,
-                                           within=in_vp)
-            pi = res.pi[vprime]
-            reached = pi >= 0
-            global_v = vprime[reached]
-            global_pi = pi[reached]
-            # inherit the label of the reaching source (π of a source is
-            # itself, so already-labeled vertices keep their label)
-            new_lab = st.label_eid[global_pi]
-            changed = st.label_eid[global_v] != new_lab
-            st.label_changes[global_v[changed]] += 1
-            st.label_eid[global_v] = new_lab
-            st.parent_eid[global_v] = new_lab
-            w, s = model.map_ws(len(global_v))
-            acc.charge(w, s)
-            # remove newly labeled vertices from V' and their in-edges
-            # from the table
-            still = st.label_eid[vprime] == NO_EDGE
-            newly_labeled.append(vprime[~still])
-            in_vp[newly_labeled[-1]] = False
-            vprime = vprime[still]
-            near = near[:, in_vp[near[_V]]]
-        acc.charge(pack_w, pack_s)
+            st.reach_node_total += size
+            res = multisource_reachability(
+                g, np.array(sources, dtype=np.int64), acc, within=in_vp)
+            # every reached vertex is new: it inherits the label of the
+            # source that reaches it (π of a source is itself)
+            reached = (res.pi >= 0).nonzero()[0]
+            entries = [hit[s] for s in res.pi[reached].tolist()]
+            new_labels = np.array([labels[e] for e in entries],
+                                  dtype=np.int64)
+            st.label_eid[reached] = new_labels
+            st.parent_eid[reached] = new_labels
+            st.label_changes[reached] += 1
+            acc.charge(*model.map_ws(len(reached)))
+            in_vp[reached] = False
+            newly = reached.tolist()
+            left.update(newly)
+            labeled += newly
+            heads += [label_heads[e] for e in entries]
+            acc.charge(pack_w, pack_s)
+            size -= len(newly)
+            table -= sum(map(st.indeg.__getitem__, newly))
+            incident -= sum(map(st.degree.__getitem__, newly))
+            map_w, map_s = model.map_ws(table)
+            pack_w, pack_s = model.pack_ws(size)
+        else:
+            acc.charge(pack_w, pack_s)
     # update SentLabel sets with all new label assignments, grouped by the
     # label head u (semisort idiom, §3.5)
-    if newly_labeled:
-        labeled = np.concatenate(newly_labeled)
-        heads = g.src[st.label_eid[labeled]]
+    if labeled:
         acc.charge(*model.sort_ws(len(labeled)))
-        order = stable_argsort(heads, g.n)
-        heads_s, labeled_s = heads[order], labeled[order]
-        bounds = ((heads_s[1:] != heads_s[:-1]).nonzero()[0] + 1).tolist()
-        for lo, hi in zip([0, *bounds], [*bounds, len(heads_s)]):
-            st.sent.add_batch(int(heads_s[lo]), labeled_s[lo:hi], acc)
+        groups: dict[int, list[int]] = {}
+        for v, u in zip(labeled, heads):  # repro: noqa[RS001] the semisort's grouping pass, covered by the sort(|labeled|) charge above
+            groups.setdefault(u, []).append(v)
+        for u in sorted(groups):
+            st.sent.add_batch(u, groups[u], acc)
 
 
-# rows of the per-call in-edge table built by ``_in_edge_candidates``
-_V, _EID, _ULABEL, _APRI, _BPRI = range(5)
+def _in_edge_candidates(st: _State, vprime: np.ndarray, in_vp: np.ndarray
+                        ) -> tuple[list[int], list[int], list[int],
+                                   list[int]]:
+    """The in-edges ``(u, v)`` of ``V'`` at which GetNearbyLabel fires, as
+    four lists: the priority at which each fires (its key), ``v``, the
+    label it gives ``v``, and that label's head.  Sorted by key
+    descending and in reverse-CSR order within one key.
 
+    Case A: a live −1 edge ``(u, v)`` labels ``v`` with itself at
+    priority(u).  Case B: a live labeled ``u ∉ V'`` passes its label on
+    at the priority of the label's head.  Both priorities are fixed for
+    the whole Propagate call.  Liveness, weights and priorities do not
+    change during it.  Labels change only inside ``V'``, and every vertex
+    labeled at priority ``q`` gets a label of priority ``q`` and leaves
+    ``V'``, so at any later priority ``p < q`` it can no more pass its
+    label on (case B) than it could while it was in ``V'``.  Case B is
+    therefore decided by the labels outside the initial ``V'``, which
+    stay put.
 
-def _in_edge_candidates(st: _State, vprime: np.ndarray,
-                        in_vp: np.ndarray) -> np.ndarray:
-    """The in-edges ``(u, v)`` of ``V'`` as a ``(5, k)`` int64 table in
-    reverse-CSR order: rows ``v``, edge id, ``u``'s label, and the
-    priority at which case A and case B of GetNearbyLabel fire on the
-    edge (0: never).
-
-    Both priorities are fixed for the whole Propagate call.  Liveness,
-    weights and priorities do not change during it.  Labels change only
-    inside ``V'``, and every vertex labeled at priority ``q`` gets a label
-    of priority ``q`` and leaves ``V'``, so at any later priority
-    ``p < q`` it can no more pass its label on (case B) than it could
-    while it was in ``V'``.  Case B is therefore decided by the labels
-    outside the initial ``V'``, which stay put.
+    An edge whose cases both fire does so at the larger priority, where
+    case A's label wins a tie.  The same argument makes that the only
+    priority at which it can label ``v``: it labels ``v`` there unless
+    ``v`` has left ``V'`` already, and ``v`` leaves ``V'`` once labeled.
     """
     g = st.g
     slots = in_edge_slots(g, vprime)
@@ -342,47 +394,16 @@ def _in_edge_candidates(st: _State, vprime: np.ndarray,
     u = g.src[eids]
     live_u = st.live[u]
     u_label = st.label_eid[u]
-    # case A: a live −1 edge (u, v) labels v with itself at priority(u)
     a_pri = np.where(live_u & (g.w[eids] == -1), st.pri[u], 0)
-    # case B: a live labeled u outside V' passes its label on at the
-    # priority of the label's head
-    head_pri = st.pri[g.src[u_label.clip(min=0)]]
+    head_pri = st.pri[g.src[np.maximum(u_label, 0)]]
     b_pri = np.where(live_u & ~in_vp[u] & (u_label != NO_EDGE), head_pri, 0)
-    return np.array((g.dst[eids], eids, u_label, a_pri, b_pri))
-
-
-def _nearby_labels(st: _State, near: np.ndarray, p: int) -> bool:
-    """GetNearbyLabel for every ``v ∈ V'`` at priority ``p`` (vectorised).
-
-    ``near`` is the table of ``V'``'s in-edges from
-    :func:`_in_edge_candidates`, restricted to the current ``V'``.
-    Case A: an incoming live edge ``(u, v)`` with weight −1 and
-    ``priority(u) = p`` labels ``v`` with that edge.
-    Case B: an incoming live neighbour ``u ∉ V'`` whose own label has
-    priority ``p`` passes that label on.
-    Returns whether any vertex got a label.
-    """
-    acc = st.acc
-    acc.charge(*model.map_ws(near.shape[1]))
-    case_a = near[_APRI] == p
-    hit = case_a | (near[_BPRI] == p)
-    if not hit.any():
-        return False
-    # candidate label per qualifying edge slot
-    tv = near[_V, hit]
-    tl = np.where(case_a[hit], near[_EID, hit], near[_ULABEL, hit])
-    old = st.label_eid[tv]
-    st.label_eid[tv] = tl          # any one candidate per v (last wins)
-    new = st.label_eid[tv]
-    # count distinct vertices whose label changed (dedupe repeated slots)
-    st.label_changes[unique_sorted(tv[new != old])] += 1
-    st.parent_eid[tv] = new
-    return True
-
-
-def _incident_edges(g: DiGraph, nodes: np.ndarray,
-                    acc: CostAccumulator) -> int:
-    """Number of edges incident to ``nodes`` (for subgraph-build charging)."""
-    deg = (g.indptr[nodes + 1] - g.indptr[nodes]) + \
-        (g.rindptr[nodes + 1] - g.rindptr[nodes])
-    return int(deg.sum())
+    key = np.maximum(a_pri, b_pri)
+    fire = key.nonzero()[0]
+    key = key[fire]
+    order = stable_argsort(st.cap - key, st.cap)
+    fire = fire[order]
+    key = key[order]
+    eids = eids[fire]
+    label = np.where(a_pri[fire] == key, eids, u_label[fire])
+    return (key.tolist(), g.dst[eids].tolist(), label.tolist(),
+            g.src[label].tolist())

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..resilience.errors import InputValidationError
-from ..runtime.primitives import unique_sorted
+from ..runtime.primitives import _as_int64, unique_sorted
 
 # Weights are kept float64-exact and far from int64 overflow: bit scaling
 # doubles prices every scale and reduced weights add two price terms, so a
@@ -23,33 +23,6 @@ from ..runtime.primitives import unique_sorted
 # any graph the whole-instance check in ``validate.check_overflow_safety``
 # accepts.
 MAX_ABS_WEIGHT = 2 ** 53
-
-
-def _as_int64(a, name: str, *, max_abs: int | None = None) -> np.ndarray:
-    """Validating cast to int64: rejects NaN/inf, fractional floats, and
-    (optionally) magnitudes with int64-overflow risk downstream."""
-    arr = np.asarray(a)
-    if arr.dtype == np.int64:
-        out = arr
-    elif arr.dtype.kind in "iub":
-        out = arr.astype(np.int64)
-    elif arr.dtype.kind == "f":
-        if arr.size and not np.isfinite(arr).all():
-            raise InputValidationError(
-                f"{name} must be finite (found NaN or inf)")
-        if arr.size and (arr != np.floor(arr)).any():
-            raise InputValidationError(
-                f"{name} must be integral (found fractional values)")
-        out = arr.astype(np.int64)
-    else:
-        raise InputValidationError(
-            f"{name} must be an integer array, got dtype {arr.dtype}")
-    if max_abs is not None and out.size and \
-            int(np.abs(out).max()) > max_abs:
-        raise InputValidationError(
-            f"{name} magnitude exceeds {max_abs} — int64 overflow risk in "
-            "scaled/reduced weights")
-    return out
 
 
 def _offsets(keys: np.ndarray, n: int) -> np.ndarray:

@@ -55,6 +55,21 @@ def check_source(g: DiGraph, source) -> int:
     return int(arr)
 
 
+def check_limit(limit) -> int:
+    """A distance limit as a nonnegative Python int, read like
+    :func:`check_source`: integral floats and bools count as their int
+    value; fractional, NaN, ±inf, negative and non-scalar values raise
+    :class:`InputValidationError`.  O(1), and a plain nonnegative ``int``
+    returns before any numpy call."""
+    if type(limit) is int and limit >= 0:  # not bool: a subclass
+        return limit
+    arr = _as_int64(limit, "limit")
+    if arr.ndim != 0 or arr < 0:
+        raise InputValidationError(
+            f"limit {limit!r} must be a nonnegative integer")
+    return int(arr)
+
+
 def validate_graph(g: DiGraph, source=None,
                    weights: np.ndarray | None = None) -> int | None:
     """Full input validation for the public solver entry points.

@@ -11,8 +11,11 @@ truth (gathers drop stale entries), plus the overlap enumeration whose
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from ..resilience.errors import InputValidationError
 from ..runtime import model
 from ..runtime.metrics import CostAccumulator
 
@@ -106,9 +109,14 @@ class IntervalTable:
 
 
 def smallest_power_of_two_above(x: int) -> int:
-    """Smallest power of 2 strictly greater than ``x`` (the paper's ``D``)."""
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    """Smallest power of 2 strictly greater than ``x`` (the paper's ``D``).
+
+    ``x`` must be finite and nonnegative; NaN and ±inf raise
+    :class:`InputValidationError` (a ``ValueError``) instead of looping.
+    """
+    if not (0 <= x < math.inf):
+        raise InputValidationError(
+            f"x must be finite and nonnegative, got {x!r}")
     d = 1
     while d <= x:
         d *= 2

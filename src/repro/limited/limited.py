@@ -32,7 +32,7 @@ import numpy as np
 from ..assp.engines import ExactAssp, FaultInjectingAssp
 from ..graph.csr import in_edge_slots
 from ..graph.digraph import DiGraph
-from ..graph.validate import check_source
+from ..graph.validate import check_limit, check_source
 from ..observability.metrics import metric_inc
 from ..observability.tracer import trace_span
 from ..resilience.errors import InputValidationError, RetryExhaustedError
@@ -84,8 +84,7 @@ def limited_sssp(g: DiGraph, source: int, limit: int, *,
     ``VerificationError``) carrying the attempt log.
     """
     source = check_source(g, source)
-    if limit < 0:
-        raise InputValidationError("limit must be nonnegative")
+    limit = check_limit(limit)
     if not (0 < eps < 0.25):
         raise InputValidationError("eps must be in (0, 1/4)")
     if validate and g.m and g.w.min() < 0:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..graph.csr import out_edge_slots
 from ..graph.digraph import DiGraph, _aligned_weights
-from ..graph.validate import check_source
+from ..graph.validate import check_limit, check_source
 from ..runtime import model
 from ..runtime.metrics import Cost, CostAccumulator
 
@@ -47,8 +47,7 @@ def weighted_bfs_limited(g: DiGraph, source: int, limit: int, *,
     ``O(limit · log n)``.
     """
     source = check_source(g, source)
-    if limit < 0:
-        raise ValueError("limit must be nonnegative")
+    limit = check_limit(limit)
     w = _aligned_weights(g, weights)
     if g.m and w.min() <= 0:
         raise ValueError(

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
+from ..resilience.errors import InputValidationError
 from ..resilience.preempt import check_cancelled
 from . import model
 from .metrics import CostAccumulator
@@ -122,6 +123,33 @@ def flatten(arrays: Iterable[np.ndarray], acc: CostAccumulator,
     if not arrays:
         return np.empty(0, dtype=dtype)
     return np.concatenate(arrays)
+
+
+def _as_int64(a, name: str, *, max_abs: int | None = None) -> np.ndarray:
+    """Validating cast to int64: rejects NaN/inf, fractional floats, and
+    (optionally) magnitudes with int64-overflow risk downstream."""
+    arr = np.asarray(a)
+    if arr.dtype == np.int64:
+        out = arr
+    elif arr.dtype.kind in "iub":
+        out = arr.astype(np.int64)
+    elif arr.dtype.kind == "f":
+        if arr.size and not np.isfinite(arr).all():
+            raise InputValidationError(
+                f"{name} must be finite (found NaN or inf)")
+        if arr.size and (arr != np.floor(arr)).any():
+            raise InputValidationError(
+                f"{name} must be integral (found fractional values)")
+        out = arr.astype(np.int64)
+    else:
+        raise InputValidationError(
+            f"{name} must be an integer array, got dtype {arr.dtype}")
+    if max_abs is not None and out.size and \
+            int(np.abs(out).max()) > max_abs:
+        raise InputValidationError(
+            f"{name} magnitude exceeds {max_abs} — int64 overflow risk in "
+            "scaled/reduced weights")
+    return out
 
 
 def unique_sorted(a: np.ndarray) -> np.ndarray:

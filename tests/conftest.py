@@ -32,8 +32,9 @@ RECHECKED_MODULES = frozenset({"test_golden_costs", "test_golden_traces"})
 #: The re-checked kernels, as (module, name, reference in
 #: ``tests/oracles.py``): the scalar kernels against their numpy-indexed
 #: loops, the two reachability searches against their numpy rounds, the
-#: batched SCC against its per-round subgraph builds, and ``condense``
-#: against its lexsort form.
+#: batched SCC against its per-round subgraph builds, ``condense``
+#: against its lexsort form, and the §3 peeling against its form that
+#: re-masks Propagate's in-edge table at every priority.
 KERNELS = (
     ("repro.baselines.dijkstra", "dijkstra", oracles.dijkstra_reference),
     ("repro.baselines.dijkstra", "dijkstra_from_labels",
@@ -47,6 +48,8 @@ KERNELS = (
      oracles.multisource_reachability_min_reference),
     ("repro.reach.scc", "scc", oracles.scc_reference),
     ("repro.graph.transform", "condense", oracles.condense_reference),
+    ("repro.dag01.peeling", "dag01_limited_sssp",
+     oracles.dag01_limited_sssp_reference),
 )
 
 
@@ -64,11 +67,13 @@ def rechecked(build):
 def rechecked_kernel(kernel, reference):
     """Wrap a kernel so that every call also runs ``reference`` on the
     same arguments and asserts equal results: arrays byte for byte, the
-    charges made on ``acc``, and the state a generator passed as ``rng``
-    or ``seed`` is left in.  The reference gets copies of ``acc`` and the
-    generator, so the caller's objects see the kernel's effects only, and
-    runs with tracing and metering off, so the caller's trace and
-    metrics see the kernel's spans and counters only."""
+    charges made on ``acc``, the state a generator passed as ``rng`` or
+    ``seed`` is left in, and the call counts and fired faults of a
+    ``fault_plan``.  The reference gets copies of ``acc``, the generator
+    and the plan, so the caller's objects see the kernel's effects only
+    (a fault fires once), and runs with tracing and metering off, so the
+    caller's trace and metrics see the kernel's spans and counters
+    only."""
     sig = inspect.signature(kernel)
 
     @functools.wraps(kernel)
@@ -83,6 +88,9 @@ def rechecked_kernel(kernel, reference):
             if isinstance(gen, np.random.Generator):
                 gens[name] = gen
                 ref.arguments[name] = copy.deepcopy(gen)
+        plan = ref.arguments.get("fault_plan")
+        if plan is not None:
+            ref.arguments["fault_plan"] = copy.deepcopy(plan)
         got = kernel(*args, **kwargs)
         with tracing(None), metering(None):
             want = reference(*ref.args, **ref.kwargs)
@@ -94,6 +102,11 @@ def rechecked_kernel(kernel, reference):
             assert gen.bit_generator.state == \
                 ref.arguments[name].bit_generator.state, \
                 f"{kernel.__name__}: RNG state differs from the reference"
+        if plan is not None:
+            ref_plan = ref.arguments["fault_plan"]
+            assert (plan.calls, plan.events) == \
+                (ref_plan.calls, ref_plan.events), \
+                f"{kernel.__name__}: fault plan differs from the reference"
         return got
     return checked
 

@@ -1,7 +1,8 @@
 """Independent test oracles (networkx-backed; tests only), the
 numpy-indexed references of the scalar kernels, and the previous forms
 of the reachability rounds, the SCC rounds and their ranks,
-``condense``, the SentLabel sets, Propagate and the cost accounting."""
+``condense``, the SentLabel sets, Propagate, the §3 peeling and the cost
+accounting."""
 
 from __future__ import annotations
 
@@ -13,12 +14,12 @@ import numpy as np
 
 from repro.baselines.dag_relax import DagSsspResult
 from repro.baselines.dijkstra import DijkstraResult
-from repro.dag01.peeling import NO_EDGE, _incident_edges, _State
+from repro.dag01.peeling import NO_EDGE, Dag01Result, _State
 from repro.graph import DiGraph
 from repro.graph.csr import in_edge_slots, out_edge_slots
 from repro.graph.digraph import _aligned_weights, _per_vertex, _validated_weights
 from repro.graph.transform import Condensation, edge_subgraph_mask
-from repro.graph.validate import topological_order
+from repro.graph.validate import check_source, is_dag, topological_order
 from repro.observability.metrics import metric_inc
 from repro.observability.tracer import trace_span
 from repro.reach.multisource import (
@@ -29,11 +30,11 @@ from repro.reach.multisource import (
     multisource_reachability_min,
 )
 from repro.reach.scc import SccResult
-from repro.resilience.errors import InputValidationError
+from repro.resilience.errors import InputValidationError, VerificationError
 from repro.runtime.metrics import Cost, CostAccumulator
-from repro.runtime.primitives import unique_sorted
+from repro.runtime.primitives import stable_argsort, unique_sorted
 from repro.runtime.racecheck import race_read, race_write
-from repro.runtime.rng import make_rng
+from repro.runtime.rng import geometric_priorities, make_rng
 
 
 def nx_sssp_oracle(g: DiGraph, source: int):
@@ -331,8 +332,9 @@ def ldd_clusters_reference(g: DiGraph, wp: np.ndarray, diameter: int, rng,
 # Previous forms of code whose rewrite must not change a result, an RNG
 # draw or a charge: multisource reachability with a numpy round whatever
 # the frontier's size, the batched SCC with one masked subgraph and its
-# transpose per round, the SortedIntSet-backed SetVector, and Propagate
-# with one in-edge gather per priority.
+# transpose per round, the SortedIntSet-backed SetVector, Propagate
+# with one in-edge gather per priority, and the §3 peeling whose
+# Propagate re-masks one in-edge table at every priority.
 # ---------------------------------------------------------------------------
 
 
@@ -653,7 +655,7 @@ def propagate_reference(st: _State, vprime: np.ndarray) -> None:
         acc.charge_cost(model.pack(len(vprime)))
         if len(sources):
             sub, nodes = g.induced_subgraph(vprime)
-            acc.charge_cost(model.pack(_incident_edges(g, vprime, acc)))
+            acc.charge_cost(model.pack(incident_edges(g, vprime)))
             st.reach_calls += 1
             st.reach_node_total += sub.n
             local_sources = np.searchsorted(nodes, sources)
@@ -722,6 +724,242 @@ def nearby_labels_reference(st: _State, vprime: np.ndarray, p: int) -> None:
     changed_v = np.unique(tv[applied & (old != st.label_eid[tv])])
     st.label_changes[changed_v] += 1
     st.parent_eid[tv] = st.label_eid[tv]
+
+
+def incident_edges(g: DiGraph, nodes: np.ndarray) -> int:
+    """Number of edges incident to ``nodes`` (for subgraph-build charging)."""
+    deg = (g.indptr[nodes + 1] - g.indptr[nodes]) + \
+        (g.rindptr[nodes + 1] - g.rindptr[nodes])
+    return int(deg.sum())
+
+
+def dag01_limited_sssp_reference(g: DiGraph, source: int, limit: int, *,
+                                 seed=0, acc: CostAccumulator | None = None,
+                                 validate: bool = True,
+                                 priorities: np.ndarray | None = None,
+                                 fault_plan=None) -> Dag01Result:
+    """Reference for :func:`repro.dag01.peeling.dag01_limited_sssp`:
+    Propagate gathers ``V'``'s in-edge table once, then steps through
+    every priority, re-masking the whole table for GetNearbyLabel and
+    filtering ``V'`` and the table after each priority that labels, and
+    the SentLabel sets are sorted arrays (:class:`SetVectorReference`)."""
+    source = check_source(g, source)
+    if limit < 0:
+        raise InputValidationError("limit must be nonnegative")
+    if priorities is not None:
+        priorities = _per_vertex(g, priorities, "priorities")
+    if validate:
+        if g.m and not np.isin(g.w, (0, -1)).all():
+            raise InputValidationError("weights must be in {0, -1}")
+        if not is_dag(g):
+            raise InputValidationError("graph must be acyclic")
+
+    local = CostAccumulator()
+    with trace_span("dag01-peeling", acc=local, phase="dag01",
+                    n=g.n, m=g.m, limit=limit) as psp:
+        reach = multisource_reachability(g, np.array([source]), local)
+        reachable = np.flatnonzero(reach.pi >= 0)
+        dist = np.full(g.n, np.inf)
+        parent_edge = np.full((g.n, 2), NO_EDGE, dtype=np.int64)
+        priorities_full = np.zeros(g.n, dtype=np.int64)
+        label_changes_full = np.zeros(g.n, dtype=np.int64)
+
+        if len(reachable) == g.n:
+            sub, ids = g, np.arange(g.n, dtype=np.int64)
+            sub_source = source
+        else:
+            sub, ids = g.induced_subgraph(reachable)
+            local.charge_cost(model.pack(g.m))
+            sub_source = int(np.searchsorted(ids, source))
+
+        rng = make_rng(seed)
+        if priorities is None:
+            pri = geometric_priorities(sub.n, rng)
+        else:
+            pri = priorities[ids]
+        if fault_plan is not None:
+            pri = fault_plan.perturb_priorities(pri)
+        if sub.n and (pri.min() < 1 or pri.max() > sub.n):
+            raise VerificationError(
+                "peeling priorities violate the §3.1 contract "
+                f"(range [{int(pri.min())}, {int(pri.max())}], "
+                f"need [1, {sub.n}])",
+                stage="dag01_peeling")
+        local.charge_cost(model.map(sub.n))
+
+        st = _State(
+            g=sub,
+            pri=pri,
+            live=np.ones(sub.n, dtype=bool),
+            label_eid=np.full(sub.n, NO_EDGE, dtype=np.int64),
+            parent_eid=np.full(sub.n, NO_EDGE, dtype=np.int64),
+            sent=SetVectorReference(sub.n),
+            acc=local,
+            label_changes=np.zeros(sub.n, dtype=np.int64),
+        )
+
+        sub_dist = peel_reference(st, sub_source, limit)
+
+        dist[ids] = sub_dist
+        has_parent = st.parent_eid != NO_EDGE
+        pe = st.parent_eid[has_parent]
+        parent_edge[ids[has_parent], 0] = ids[sub.src[pe]]
+        parent_edge[ids[has_parent], 1] = ids[sub.dst[pe]]
+        priorities_full[ids] = pri
+        label_changes_full[ids] = st.label_changes
+        rounds = int(min(limit, -sub_dist[np.isfinite(sub_dist)].min()
+                         if np.isfinite(sub_dist).any() else 0))
+        psp.set(rounds=rounds)
+    if acc is not None:
+        acc.charge_cost(local.snapshot())
+    return Dag01Result(
+        dist=dist,
+        parent_edge=parent_edge,
+        priorities=priorities_full,
+        rounds=rounds,
+        label_changes=label_changes_full,
+        propagate_calls=st.propagate_calls,
+        propagate_node_total=st.propagate_node_total,
+        reach_calls=st.reach_calls,
+        reach_node_total=st.reach_node_total,
+        cost=local.snapshot(),
+    )
+
+
+def peel_reference(st: _State, source: int, limit: int) -> np.ndarray:
+    """Algorithm 1's main loop, with :func:`propagate_table_reference`."""
+    g, acc = st.g, st.acc
+    dist = np.full(g.n, -np.inf)
+
+    propagate_table_reference(st, np.arange(g.n, dtype=np.int64))
+    frontier = np.flatnonzero(st.label_eid == NO_EDGE)
+    acc.charge_cost(model.pack(g.n))
+
+    for i in range(limit + 1):
+        if len(frontier) == 0:
+            break
+        with trace_span("peel-round", acc=acc, phase="dag01",
+                        d=i, frontier=len(frontier)) as rsp:
+            candidates = st.sent.gather(frontier, acc)
+            st.sent.clear_many(frontier, acc)
+            acc.charge_cost(model.map(len(candidates)))
+            in_f = np.zeros(g.n, dtype=bool)
+            in_f[frontier] = True
+            if len(candidates):
+                cand_heads = g.src[st.label_eid[candidates].clip(min=0)]
+                broken = (st.label_eid[candidates] != NO_EDGE) & \
+                    in_f[cand_heads] & st.live[candidates]
+                invalid = unique_sorted(candidates[broken])
+            else:
+                invalid = candidates
+            st.label_eid[invalid] = NO_EDGE
+            dist[frontier] = -i
+            st.live[frontier] = False
+            acc.charge_cost(model.map(len(frontier)))
+            rsp.count("finalized", len(frontier))
+            rsp.count("invalidated", len(invalid))
+            if i == limit:
+                break
+            propagate_table_reference(st, invalid)
+            frontier = invalid[st.label_eid[invalid] == NO_EDGE]
+            acc.charge_cost(model.pack(len(invalid)))
+    return dist
+
+
+def propagate_table_reference(st: _State, vprime: np.ndarray) -> None:
+    """Propagate with one in-edge table per call, re-masked at every
+    priority."""
+    g, acc = st.g, st.acc
+    vprime = vprime[st.live[vprime]] if len(vprime) else vprime
+    st.propagate_calls += 1
+    st.propagate_node_total += len(vprime)
+    if len(vprime) == 0:
+        return
+    in_vp = np.zeros(g.n, dtype=bool)
+    in_vp[vprime] = True
+    near = in_edge_table_reference(st, vprime, in_vp)
+    newly_labeled: list[np.ndarray] = []
+    cap = int(st.pri.max(initial=1))
+    for p in range(cap, 0, -1):
+        if len(vprime) == 0:
+            break
+        pack = model.pack(len(vprime))
+        labeled_any = nearby_labels_table_reference(st, near, p)
+        acc.charge_cost(pack)
+        if labeled_any:
+            sources = vprime[st.label_eid[vprime] != NO_EDGE]
+            acc.charge_cost(model.pack(incident_edges(g, vprime)))
+            st.reach_calls += 1
+            st.reach_node_total += len(vprime)
+            res = multisource_reachability(g, sources, acc,
+                                           within=in_vp)
+            pi = res.pi[vprime]
+            reached = pi >= 0
+            global_v = vprime[reached]
+            global_pi = pi[reached]
+            new_lab = st.label_eid[global_pi]
+            changed = st.label_eid[global_v] != new_lab
+            st.label_changes[global_v[changed]] += 1
+            st.label_eid[global_v] = new_lab
+            st.parent_eid[global_v] = new_lab
+            acc.charge_cost(model.map(len(global_v)))
+            still = st.label_eid[vprime] == NO_EDGE
+            newly_labeled.append(vprime[~still])
+            in_vp[newly_labeled[-1]] = False
+            vprime = vprime[still]
+            near = near[:, in_vp[near[_V]]]
+        acc.charge_cost(pack)
+    if newly_labeled:
+        labeled = np.concatenate(newly_labeled)
+        heads = g.src[st.label_eid[labeled]]
+        acc.charge_cost(model.sort(len(labeled)))
+        order = stable_argsort(heads, g.n)
+        heads_s, labeled_s = heads[order], labeled[order]
+        bounds = ((heads_s[1:] != heads_s[:-1]).nonzero()[0] + 1).tolist()
+        for lo, hi in zip([0, *bounds], [*bounds, len(heads_s)]):
+            st.sent.add_batch(int(heads_s[lo]), labeled_s[lo:hi], acc)
+
+
+# rows of the per-call in-edge table built by ``in_edge_table_reference``
+_V, _EID, _ULABEL, _APRI, _BPRI = range(5)
+
+
+def in_edge_table_reference(st: _State, vprime: np.ndarray,
+                            in_vp: np.ndarray) -> np.ndarray:
+    """The in-edges ``(u, v)`` of ``V'`` as a ``(5, k)`` int64 table in
+    reverse-CSR order: rows ``v``, edge id, ``u``'s label, and the
+    priority at which case A and case B of GetNearbyLabel fire on the
+    edge (0: never)."""
+    g = st.g
+    slots = in_edge_slots(g, vprime)
+    eids = g.reids[slots]
+    u = g.src[eids]
+    live_u = st.live[u]
+    u_label = st.label_eid[u]
+    a_pri = np.where(live_u & (g.w[eids] == -1), st.pri[u], 0)
+    head_pri = st.pri[g.src[u_label.clip(min=0)]]
+    b_pri = np.where(live_u & ~in_vp[u] & (u_label != NO_EDGE), head_pri, 0)
+    return np.array((g.dst[eids], eids, u_label, a_pri, b_pri))
+
+
+def nearby_labels_table_reference(st: _State, near: np.ndarray,
+                                  p: int) -> bool:
+    """GetNearbyLabel at priority ``p`` over the whole table ``near``;
+    returns whether any vertex got a label."""
+    acc = st.acc
+    acc.charge_cost(model.map(near.shape[1]))
+    case_a = near[_APRI] == p
+    hit = case_a | (near[_BPRI] == p)
+    if not hit.any():
+        return False
+    tv = near[_V, hit]
+    tl = np.where(case_a[hit], near[_EID, hit], near[_ULABEL, hit])
+    old = st.label_eid[tv]
+    st.label_eid[tv] = tl          # any one candidate per v (last wins)
+    new = st.label_eid[tv]
+    st.label_changes[unique_sorted(tv[new != old])] += 1
+    st.parent_eid[tv] = new
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from repro.graph import (
 )
 from repro.observability import Trace, Tracer, tracing
 from repro.reach import reachable_mask
-from repro.resilience.errors import InputValidationError
+from repro.resilience import FaultPlan
+from repro.resilience.errors import InputValidationError, VerificationError
 from repro.runtime import CostAccumulator
 
 
@@ -122,6 +123,30 @@ class TestValidation:
         pri = np.ones(g.n + extra, dtype=np.int64)
         with pytest.raises(InputValidationError, match="priorities"):
             dag01_limited_sssp(g, 0, 2, priorities=pri)
+
+    @pytest.mark.parametrize("pri", [[0, 1, 2], [1, 1, 4]],
+                             ids=["zero", "above-k"])
+    def test_rejects_caller_priorities_outside_the_contract(self, pri):
+        """A caller's priorities outside ``[1, k]`` are bad input, not the
+        retry signal ``VerificationError`` that a redraw can heal."""
+        g = DiGraph.from_edges(3, [(0, 1, -1), (1, 2, 0)])
+        with pytest.raises(InputValidationError, match="priorities"):
+            dag01_limited_sssp(g, 0, 2, priorities=pri)
+
+    def test_caller_priorities_are_checked_on_the_reachable_vertices(self):
+        """``k`` counts the vertices reachable from the source, and an
+        unreachable vertex's priority is not read."""
+        g = DiGraph.from_edges(4, [(0, 1, -1), (1, 2, 0)])
+        with pytest.raises(InputValidationError, match=r"need \[1, 3\]"):
+            dag01_limited_sssp(g, 0, 2, priorities=[1, 4, 1, 1])
+        res = dag01_limited_sssp(g, 0, 2, priorities=[1, 2, 3, 99])
+        assert res.dist.tolist() == [0, -1, -1, np.inf]
+
+    def test_fault_perturbed_priorities_still_signal_a_retry(self):
+        g = DiGraph.from_edges(3, [(0, 1, -1), (1, 2, 0)])
+        with pytest.raises(VerificationError, match="§3.1"):
+            dag01_limited_sssp(g, 0, 2, priorities=[1, 2, 3],
+                               fault_plan=FaultPlan.always("priorities"))
 
     def test_validate_off_skips_checks(self):
         g = DiGraph.from_edges(2, [(0, 1, 0)])
@@ -327,3 +352,54 @@ def test_propagate_matches_per_priority_reference(inst):
     assert_same_result(got[0], want[0], "Dag01Result")
     assert got[1] == want[1]
     assert got[2] == want[2]
+
+
+def skip_top_priority(propagate):
+    """A wrong Propagate: it starts one priority below the highest, so
+    when nothing fires at the highest it labels the same vertices and
+    leaves out that skipped priority's three charges."""
+    def wrong(st, vprime):
+        cap = st.cap
+        st.cap = cap - 1
+        try:
+            propagate(st, vprime)
+        finally:
+            st.cap = cap
+    return wrong
+
+
+@pytest.mark.differential
+def test_recheck_mode_catches_a_propagate_that_drops_a_skipped_priority(
+        monkeypatch):
+    """The re-check mode runs every peeling call against
+    ``oracles.dag01_limited_sssp_reference`` and fails one whose charges
+    differ, even when its result is right.  On ``0 -(−1)-> 1 -(0)-> 2``
+    with priorities ``[1, 2, 1]`` nothing fires at priority 2."""
+    g = DiGraph.from_edges(3, [(0, 1, -1), (1, 2, 0)])
+    pri = np.array([1, 2, 1])
+    good = peeling.dag01_limited_sssp(g, 0, 2, priorities=pri)
+    monkeypatch.setattr(peeling, "_propagate",
+                        skip_top_priority(peeling._propagate))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(peeling, "dag01_limited_sssp",
+                   peeling.dag01_limited_sssp.__wrapped__)
+        bad = peeling.dag01_limited_sssp(g, 0, 2, priorities=pri)
+    assert_same_result(bad.dist, good.dist)
+    assert bad.cost != good.cost
+    with pytest.raises(AssertionError,
+                       match="dag01_limited_sssp.cost.work differs"):
+        peeling.dag01_limited_sssp(g, 0, 2, priorities=pri)
+
+
+@pytest.mark.differential
+def test_recheck_mode_gives_the_reference_its_own_fault_plan():
+    """The reference runs on a copy of ``fault_plan``: the caller's plan
+    counts one ``priorities`` call per peeling call, and a fault planned
+    for the second call fires once, in the kernel."""
+    g = DiGraph.from_edges(3, [(0, 1, -1), (1, 2, 0)])
+    plan = FaultPlan.on_calls("priorities", 2)
+    peeling.dag01_limited_sssp(g, 0, 2, fault_plan=plan)
+    assert plan.calls["priorities"] == 1
+    with pytest.raises(VerificationError, match="§3.1"):
+        peeling.dag01_limited_sssp(g, 0, 2, fault_plan=plan)
+    assert plan.calls["priorities"] == 2 and plan.fired("priorities") == 1

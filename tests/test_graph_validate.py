@@ -227,6 +227,45 @@ class TestLibrarySourceCheck:
                 call(g, source)
 
 
+# distance-limited entry point -> (graph, call with the limit)
+LIMIT_ENTRY_POINTS = {
+    "limited_sssp": (NONNEG, lambda g, lim: limited_sssp(g, 0, lim).dist),
+    "weighted_bfs_limited": (
+        POSITIVE, lambda g, lim: weighted_bfs_limited(g, 0, lim).dist),
+    "dag01_limited_sssp": (
+        DAG01, lambda g, lim: dag01_limited_sssp(g, 0, lim).dist),
+    "dag01_limited_sssp_naive": (
+        DAG01, lambda g, lim: dag01_limited_sssp_naive(g, 0, lim).dist),
+}
+
+
+class TestLibraryLimitCheck:
+    """The distance-limited entry points read ``limit`` like a source
+    (``check_limit``), before any work: integral floats and bools are
+    their int value; fractional, NaN, infinite, negative and non-numeric
+    limits raise ``InputValidationError``, not a bare ``TypeError`` from
+    ``range()`` and not an endless doubling towards an infinite ``D``."""
+
+    @pytest.mark.parametrize("limit", [2.5, float("nan"), float("inf"),
+                                       -1, "2"])
+    @pytest.mark.parametrize("entry", sorted(LIMIT_ENTRY_POINTS))
+    def test_bad_limit_is_rejected(self, entry, limit):
+        g, call = LIMIT_ENTRY_POINTS[entry]
+        with pytest.raises(InputValidationError, match="limit"):
+            call(g, limit)
+
+    @pytest.mark.parametrize("limit", [3.0, np.int32(3), np.float64(3.0)])
+    @pytest.mark.parametrize("entry", sorted(LIMIT_ENTRY_POINTS))
+    def test_integral_limit_is_its_int(self, entry, limit):
+        g, call = LIMIT_ENTRY_POINTS[entry]
+        np.testing.assert_array_equal(call(g, limit), call(g, 3))
+
+    @pytest.mark.parametrize("limit", [True, False])
+    def test_bool_limit_is_its_int(self, limit):
+        g, call = LIMIT_ENTRY_POINTS["dag01_limited_sssp"]
+        np.testing.assert_array_equal(call(g, limit), call(g, int(limit)))
+
+
 # the triangle 0 -> 1 -> 2 -> 0; edge ids 0, 1, 2 in that order
 TRIANGLE = DiGraph.from_edges(3, [(0, 1, 1), (1, 2, 1), (2, 0, 0)])
 DIST = np.array([0.0, 1.0, 2.0])

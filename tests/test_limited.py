@@ -18,6 +18,7 @@ from repro.limited import (
     shortest_path_tree,
 )
 from repro.resilience import RetryPolicy
+from repro.resilience.errors import InputValidationError
 from repro.runtime import CostAccumulator
 
 
@@ -42,6 +43,12 @@ class TestSmallestPowerOfTwoAbove:
     def test_negative(self):
         with pytest.raises(ValueError):
             smallest_power_of_two_above(-1)
+
+    @pytest.mark.parametrize("x", [float("inf"), float("-inf"),
+                                   float("nan")])
+    def test_non_finite_raises_instead_of_looping(self, x):
+        with pytest.raises(InputValidationError, match="finite"):
+            smallest_power_of_two_above(x)
 
 
 class TestIntervalTable:

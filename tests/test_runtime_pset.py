@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import SetVectorReference, assert_same_result
+from repro.resilience.errors import InputValidationError
 from repro.runtime import Cost, CostAccumulator, SetVector, model
 
 
@@ -102,6 +103,60 @@ class TestSetVector:
         vs.clear_many([0])
         vs.add_batch(0, np.array([7]))
         assert vs.gather([0]).tolist() == [7]
+
+    @pytest.mark.parametrize("call", [
+        lambda vs: vs.add_batch(-1, [5]),
+        lambda vs: vs.add_batch(3, [1]),
+        lambda vs: vs.add_batch(1.5, [1]),
+        lambda vs: vs.add_batch(float("nan"), [1]),
+        lambda vs: vs.add_batch(np.array([1]), [1]),
+        lambda vs: vs.gather([0, 3]),
+        lambda vs: vs.gather(np.array([-1])),
+        lambda vs: vs.gather(np.array([1.9])),
+        lambda vs: vs.gather([1, float("inf")]),
+        lambda vs: vs.clear_many(np.array([1.5])),
+        lambda vs: vs.clear_many([-1]),
+        lambda vs: vs.clear_many(["1"]),
+        lambda vs: vs.size(3),
+    ], ids=["add-negative", "add-past-end", "add-fractional", "add-nan",
+            "add-array-id", "gather-past-end", "gather-negative",
+            "gather-fractional", "gather-inf", "clear-fractional",
+            "clear-negative", "clear-string", "size-past-end"])
+    def test_rejects_ids_outside_the_vector(self, call):
+        """An id outside ``[0, n_sets)`` or not integral raises; it does
+        not wrap round through a negative index or truncate to a set it
+        does not name (set 1 holds a key throughout)."""
+        vs = SetVector(3)
+        vs.add_batch(1, [7])
+        with pytest.raises(InputValidationError, match="set id"):
+            call(vs)
+        assert [vs.size(i) for i in range(3)] == [0, 1, 0]
+
+    @pytest.mark.parametrize("keys", [
+        np.array([1.7, 2.2]), [1, 2.5], np.array([1.0, np.nan]),
+        [np.inf], ["1"], np.array([[1, 2]]),
+    ], ids=["fractional", "fractional-in-list", "nan", "inf", "string",
+            "2-d"])
+    def test_rejects_keys_it_would_corrupt(self, keys):
+        vs = SetVector(2)
+        with pytest.raises(InputValidationError, match="set keys"):
+            vs.add_batch(1, keys)
+        assert vs.size(1) == 0
+
+    @pytest.mark.parametrize("n_sets", [2.5, -1, float("nan"), "3",
+                                        np.array([3])])
+    def test_rejects_a_bad_set_count(self, n_sets):
+        with pytest.raises(InputValidationError, match="set count"):
+            SetVector(n_sets)
+
+    def test_integral_floats_and_bools_are_their_int(self):
+        assert len(SetVector(3.0)) == 3 and len(SetVector(True)) == 1
+        vs = SetVector(3)
+        vs.add_batch(2.0, np.array([3.0, 1.0]))
+        vs.add_batch(np.int32(2), [True, np.int64(5)])
+        assert vs.gather(np.array([2.0])).tolist() == [1, 3, 5]
+        vs.clear_many([True, 2.0])
+        assert vs.size(2) == 0
 
     @given(st.lists(st.integers(0, 50), max_size=40),
            st.lists(st.integers(0, 50), max_size=40))
