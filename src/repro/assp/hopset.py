@@ -35,6 +35,7 @@ from ..graph.digraph import DiGraph, _aligned_weights
 from ..resilience.errors import InputValidationError
 from ..runtime import model
 from ..runtime.metrics import CostAccumulator
+from ..runtime.primitives import unique_sorted
 from ..runtime.rng import make_rng
 from .engines import _charge_oracle
 
@@ -77,7 +78,7 @@ class HopsetAssp:
         rate = min(1.0, self.oversample * math.log(n + 2) / beta)
         hubs = np.flatnonzero(self._rng.random(n) < rate)
         if source not in hubs:
-            hubs = np.unique(np.r_[hubs, source])
+            hubs = unique_sorted(np.r_[hubs, source])
         acc.charge(*model.map_ws(n))
 
         # β-hop-limited distances from every hub (rows of `dlim`); each

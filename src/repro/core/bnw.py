@@ -58,6 +58,7 @@ from ..observability.tracer import trace_span
 from ..resilience.guard import Meter, current_guard
 from ..runtime import model
 from ..runtime.metrics import CostAccumulator
+from ..runtime.primitives import unique_sorted
 from ..runtime.rng import make_rng
 
 __all__ = ["bnw_potential"]
@@ -214,7 +215,7 @@ def _fix_clusters(g: DiGraph, wb: np.ndarray, cluster: np.ndarray,
     bad = internal & (wb < 0)
     if not bad.any():
         return psi, None
-    for cid in np.unique(cluster[g.src[bad]]).tolist():  # repro: noqa[RS001] one exact sub-solve per negative cluster; each charges its own johnson cost below
+    for cid in unique_sorted(cluster[g.src[bad]]).tolist():  # repro: noqa[RS001] one exact sub-solve per negative cluster; each charges its own johnson cost below
         nodes = np.flatnonzero(cluster == cid)
         keep = internal & (cluster[g.src] == cid)
         new_id = np.full(g.n, -1, dtype=np.int64)

@@ -233,9 +233,17 @@ class _PotentialEngine:
         with trace_span("solve", acc=local, phase="solve",
                         engine=self.name, n=g.n, m=g.m, source=source,
                         seed=seed) as sp:
-            price, cycle, stats, cert = self._certified_potential(
-                g, seed=seed, acc=local, token=token,
-                backend=backend, fault_plan=fault_plan, **options)
+            try:
+                price, cycle, stats, cert = self._certified_potential(
+                    g, seed=seed, acc=local, token=token,
+                    backend=backend, fault_plan=fault_plan, **options)
+            except VerificationError:
+                # a failed attempt spent its work too, past the last tick;
+                # a breach here raises with the VerificationError as its
+                # context
+                if guard is not None:
+                    guard.settle(mark, local)
+                raise
             sp.set(certificate=cert.kind)
             dist = parent = None
             if cycle is not None:

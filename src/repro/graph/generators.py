@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..runtime.primitives import stable_argsort
 from ..runtime.rng import make_rng
 from .digraph import DiGraph
 
@@ -25,8 +26,9 @@ def _dedupe_edges(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     if len(src) == 0:
         return np.zeros(0, dtype=bool)
     keep = src != dst
-    key = src.astype(np.int64) * (max(int(dst.max(initial=0)), int(src.max(initial=0))) + 1) + dst
-    order = np.argsort(key, kind="stable")
+    mx = max(int(dst.max(initial=0)), int(src.max(initial=0)))
+    key = src.astype(np.int64) * (mx + 1) + dst
+    order = stable_argsort(key, (mx + 1) ** 2)
     sorted_key = key[order]
     first = np.r_[True, sorted_key[1:] != sorted_key[:-1]]
     uniq = np.zeros(len(src), dtype=bool)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..resilience.errors import InputValidationError
+from ..runtime.primitives import _as_count
 from .csr import ranges_concat as _ranges_concat
 from .digraph import DiGraph, _aligned_weights, _as_int64, _per_vertex
 
@@ -56,18 +57,12 @@ def check_source(g: DiGraph, source) -> int:
 
 
 def check_limit(limit) -> int:
-    """A distance limit as a nonnegative Python int, read like
-    :func:`check_source`: integral floats and bools count as their int
-    value; fractional, NaN, ±inf, negative and non-scalar values raise
-    :class:`InputValidationError`.  O(1), and a plain nonnegative ``int``
-    returns before any numpy call."""
-    if type(limit) is int and limit >= 0:  # not bool: a subclass
-        return limit
-    arr = _as_int64(limit, "limit")
-    if arr.ndim != 0 or arr < 0:
-        raise InputValidationError(
-            f"limit {limit!r} must be a nonnegative integer")
-    return int(arr)
+    """A distance limit as a nonnegative Python int, read like the
+    public constructor's vertex count
+    (:func:`~repro.runtime.primitives._as_count`): integral floats and
+    bools count as their int value; fractional, NaN, ±inf, negative and
+    non-scalar values raise :class:`InputValidationError`."""
+    return _as_count(limit, "limit")
 
 
 def validate_graph(g: DiGraph, source=None,

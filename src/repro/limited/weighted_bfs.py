@@ -24,6 +24,7 @@ from ..graph.digraph import DiGraph, _aligned_weights
 from ..graph.validate import check_limit, check_source
 from ..runtime import model
 from ..runtime.metrics import Cost, CostAccumulator
+from ..runtime.primitives import unique_sorted
 
 
 @dataclass
@@ -71,7 +72,7 @@ def weighted_bfs_limited(g: DiGraph, source: int, limit: int, *,
         keep = nd <= limit
         slots = slots[keep]
         nd = nd[keep]
-        for d in np.unique(nd):
+        for d in unique_sorted(nd):
             sel = nd == d
             vs = g.indices[slots[sel]]
             ps = g.src[slots[sel]]

@@ -152,6 +152,21 @@ def _as_int64(a, name: str, *, max_abs: int | None = None) -> np.ndarray:
     return out
 
 
+def _as_count(value, name: str) -> int:
+    """A count or bound as a nonnegative Python int, read like a vertex
+    id: integral floats and bools count as their int value; fractional,
+    NaN, ±inf, negative and non-scalar values raise
+    :class:`InputValidationError`.  O(1), and a plain nonnegative ``int``
+    returns before any numpy call."""
+    if type(value) is int and value >= 0:  # not bool: a subclass
+        return value
+    arr = _as_int64(value, name)
+    if arr.ndim != 0 or arr < 0:
+        raise InputValidationError(
+            f"{name} {value!r} must be a nonnegative integer")
+    return int(arr)
+
+
 def unique_sorted(a: np.ndarray) -> np.ndarray:
     """``np.unique(a)`` for an integer array, by one sort and an adjacent
     compare.
@@ -183,7 +198,11 @@ def stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
     on 24,000 (a two-key ``np.lexsort``: 114 us and 3.4 ms).  The
     combined key needs ``bound * len < 2**63``; past that the stable
     argsort runs.  Uncharged: callers charge the step in their own model
-    terms.
+    terms.  Callers: ``condense`` (its pair key and its reverse order),
+    peeling's order of the in-edges that fire, and the generators' edge
+    dedupe.  The public ``DiGraph`` constructor builds the same kind of
+    key for both its orders in one shared buffer
+    (``graph.digraph._csr_orders``).
     """
     k = len(keys)
     if int(bound) * k < 2 ** 63:

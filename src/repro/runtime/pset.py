@@ -19,7 +19,7 @@ import numpy as np
 from ..resilience.errors import InputValidationError
 from . import model
 from .metrics import CostAccumulator
-from .primitives import _as_int64
+from .primitives import _as_count, _as_int64
 from .racecheck import race_read, race_write
 
 
@@ -46,12 +46,7 @@ class SetVector:
 
     def __init__(self, n_sets: int,
                  acc: CostAccumulator | None = None) -> None:
-        if type(n_sets) is not int or n_sets < 0:
-            arr = _as_int64(n_sets, "set count")
-            if arr.ndim != 0 or arr < 0:
-                raise InputValidationError(
-                    f"set count {n_sets!r} must be a nonnegative integer")
-            n_sets = int(arr)
+        n_sets = _as_count(n_sets, "set count")
         if acc is not None:
             acc.charge(*model.map_ws(n_sets))
         self._n = n_sets

@@ -55,12 +55,25 @@ KERNELS = (
 
 def rechecked(build):
     """Wrap the trusted derived-graph constructor so that every call also
-    runs the public ``DiGraph(n, src, dst, w)`` — full validation and
-    both sorts — and asserts that all slots are equal."""
+    runs :func:`oracles.digraph_reference`, the two-lexsort form of the
+    public constructor — full validation and both sorts — and asserts
+    that all slots are equal."""
     def checked(n, src, dst, w, reids):
         g = build(n, src, dst, w, reids)
-        assert_same_graph(g, DiGraph(n, src, dst, w))
+        assert_same_graph(g, oracles.digraph_reference(n, src, dst, w))
         return g
+    return checked
+
+
+def rechecked_init(init):
+    """Wrap ``DiGraph.__init__`` so that every public build is also made
+    by :func:`oracles.digraph_reference`, on the validated vertex count,
+    and all slots are compared."""
+    @functools.wraps(init)
+    def checked(self, n, src, dst, w):
+        init(self, n, src, dst, w)
+        assert_same_graph(self, oracles.digraph_reference(self.n, src, dst,
+                                                          w))
     return checked
 
 
@@ -137,14 +150,17 @@ def recheck_kernels(monkeypatch):
 def recheck_fast_paths(request, monkeypatch):
     """Re-check mode in the differential, golden-cost and golden-trace
     tests.  Every ``DiGraph._from_sorted`` build redoes what the trusted
-    path skips (the cast, the range check, the sorts) and compares; every
-    call of a kernel in :data:`KERNELS` also runs the kernel's reference
-    and compares."""
+    path skips (the cast, the range check, the sorts) and every public
+    ``DiGraph`` build its two sorts, in the two-lexsort reference, and
+    compares; every call of a kernel in :data:`KERNELS` also runs the
+    kernel's reference and compares."""
     module = request.module.__name__.rpartition(".")[2]
     if (request.node.get_closest_marker("differential") is not None
             or module in RECHECKED_MODULES):
         monkeypatch.setattr(DiGraph, "_from_sorted",
                             staticmethod(rechecked(DiGraph._from_sorted)))
+        monkeypatch.setattr(DiGraph, "__init__",
+                            rechecked_init(DiGraph.__init__))
         recheck_kernels(monkeypatch)
 
 

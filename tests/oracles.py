@@ -1,8 +1,8 @@
 """Independent test oracles (networkx-backed; tests only), the
 numpy-indexed references of the scalar kernels, and the previous forms
-of the reachability rounds, the SCC rounds and their ranks,
-``condense``, the SentLabel sets, Propagate, the §3 peeling and the cost
-accounting."""
+of the public graph constructor, the reachability rounds, the SCC rounds
+and their ranks, ``condense``, the SentLabel sets, Propagate, the §3
+peeling and the cost accounting."""
 
 from __future__ import annotations
 
@@ -17,7 +17,12 @@ from repro.baselines.dijkstra import DijkstraResult
 from repro.dag01.peeling import NO_EDGE, Dag01Result, _State
 from repro.graph import DiGraph
 from repro.graph.csr import in_edge_slots, out_edge_slots
-from repro.graph.digraph import _aligned_weights, _per_vertex, _validated_weights
+from repro.graph.digraph import (
+    _aligned_weights,
+    _as_int64,
+    _per_vertex,
+    _validated_weights,
+)
 from repro.graph.transform import Condensation, edge_subgraph_mask
 from repro.graph.validate import check_source, is_dag, topological_order
 from repro.observability.metrics import metric_inc
@@ -91,6 +96,31 @@ def nx_limited_sssp_oracle(g: DiGraph, source: int, limit: int) -> np.ndarray:
         if d <= limit:
             dist[v] = d
     return dist
+
+
+def digraph_reference(n: int, src: np.ndarray, dst: np.ndarray,
+                      w: np.ndarray) -> DiGraph:
+    """Reference for the public ``DiGraph(n, src, dst, w)``: its body as
+    it stood with two ``np.lexsort``\\ s, the forward order by ``(src,
+    dst)`` and the reverse order by ``(dst, src)``, both stable.  It
+    fills the slots itself, not through ``DiGraph._from_sorted``, which
+    the re-check mode wraps with a call to this function."""
+    g = object.__new__(DiGraph)
+    if n < 0:
+        raise InputValidationError("vertex count must be nonnegative")
+    src = _as_int64(src, "edge sources")
+    dst = _as_int64(dst, "edge destinations")
+    w = _validated_weights(w)
+    if not (len(src) == len(dst) == len(w)):
+        raise InputValidationError("edge arrays must have equal length")
+    if len(src) and (src.min() < 0 or src.max() >= n
+                     or dst.min() < 0 or dst.max() >= n):
+        raise InputValidationError("edge endpoint out of range")
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    # reverse CSR order; lexsort keys: primary dst, secondary src
+    g._fill(n, src, dst, w[order], np.lexsort((src, dst)))
+    return g
 
 
 def assert_same_graph(got: DiGraph, want: DiGraph) -> None:

@@ -417,6 +417,41 @@ def test_solve_sssp_guard_spends_exactly_the_cost(engine, n, m, seed):
     assert guard.spent_work == pytest.approx(res.cost.work, rel=1e-12)
 
 
+def potential_cost(engine, g):
+    """The work of ``engine``'s potential on ``g`` at seed 1, the search a
+    ``potential`` fault then corrupts."""
+    acc = CostAccumulator()
+    get_sssp_engine(engine)._potential(g, seed=1, acc=acc, token=None,
+                                       backend=None, fault_plan=None)
+    return acc.work
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_failed_attempt_settles_the_guard(engine):
+    """A potential that fails its certificate has spent its work: the
+    guard reads its exact cost, not the spend at its last meter tick
+    (for goldberg_parallel 129,567.38 of 132,667.38)."""
+    g = generators.hidden_potential_graph(60, 240, seed=3)
+    guard = BudgetGuard()
+    with guard_scope(guard), pytest.raises(VerificationError):
+        get_sssp_engine(engine).solve(
+            g, 0, seed=1, fault_plan=FaultPlan.always("potential"))
+    assert guard.spent_work == pytest.approx(potential_cost(engine, g),
+                                             rel=1e-12)
+
+
+def test_failed_attempt_past_the_ceiling_raises_the_budget_error():
+    """When settling a failed attempt breaches the ceiling, the budget
+    error propagates, chained from the verification failure."""
+    g = generators.hidden_potential_graph(60, 240, seed=3)
+    work = potential_cost("goldberg_parallel", g)
+    with guard_scope(BudgetGuard(max_work=np.nextafter(work, 0))), \
+            pytest.raises(BudgetExceededError) as info:
+        get_sssp_engine("goldberg_parallel").solve(
+            g, 0, seed=1, fault_plan=FaultPlan.always("potential"))
+    assert isinstance(info.value.__context__, VerificationError)
+
+
 # ---------------------------------------------------------------------------
 # negative-cycle surfacing
 # ---------------------------------------------------------------------------
