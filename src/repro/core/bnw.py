@@ -56,6 +56,7 @@ from ..observability.metrics import metric_inc
 from ..observability.profiler import profile_scope
 from ..observability.tracer import trace_span
 from ..resilience.guard import Meter, current_guard
+from ..resilience.preempt import check_cancelled
 from ..runtime import model
 from ..runtime.metrics import CostAccumulator
 from ..runtime.primitives import unique_sorted
@@ -64,8 +65,8 @@ from ..runtime.rng import make_rng
 __all__ = ["bnw_potential"]
 
 
-def bnw_potential(g: DiGraph, *, seed=0, acc: CostAccumulator | None = None,
-                  token=None) -> tuple[np.ndarray | None, list[int] | None]:
+def bnw_potential(g: DiGraph, *, seed=0, acc: CostAccumulator | None = None
+                  ) -> tuple[np.ndarray | None, list[int] | None]:
     """Feasible potential for ``g`` (or a negative-cycle vertex list).
 
     Returns ``(price, None)`` with ``w + price[u] − price[v] ≥ 0`` for
@@ -88,13 +89,11 @@ def bnw_potential(g: DiGraph, *, seed=0, acc: CostAccumulator | None = None,
                         n=g.n, m=g.m, b0=b) as sp:
             scales = 0
             while True:
-                if token is not None:
-                    token.check("bnw:scale")
+                check_cancelled("bnw:scale")
                 meter.tick()
                 target = b // 2
                 wr = _reduced(g, w, phi, local)
-                psi, cycle = _scale_down(g, wr, target, rng, local,
-                                         token, meter)
+                psi, cycle = _scale_down(g, wr, target, rng, local, meter)
                 if cycle is not None:
                     sp.set(negative_cycle=True)
                     metric_inc("repro_bnw_scales_total", outcome="cycle")
@@ -129,7 +128,7 @@ def _reduced(g: DiGraph, w: np.ndarray, phi: np.ndarray,
 
 
 def _scale_down(g: DiGraph, wr: np.ndarray, target: int, rng,
-                acc: CostAccumulator, token, meter: Meter
+                acc: CostAccumulator, meter: Meter
                 ) -> tuple[np.ndarray, list[int] | None]:
     """One BNW ``ScaleDown``: a potential ``psi`` with
     ``wr + psi[u] − psi[v] ≥ −target`` everywhere, or a negative cycle."""
@@ -149,8 +148,7 @@ def _scale_down(g: DiGraph, wr: np.ndarray, target: int, rng,
         psi, cycle = _fix_clusters(g, wb, cluster, acc)
         if cycle is not None:
             return psi, cycle
-        return _elim_neg(g, wr, wb, psi, target, acc, token, meter,
-                         sp)
+        return _elim_neg(g, wr, wb, psi, target, acc, meter, sp)
 
 
 def _ldd_clusters(g: DiGraph, wp: np.ndarray, diameter: int, rng,
@@ -234,8 +232,8 @@ def _fix_clusters(g: DiGraph, wb: np.ndarray, cluster: np.ndarray,
 
 
 def _elim_neg(g: DiGraph, wr: np.ndarray, wb: np.ndarray, psi: np.ndarray,
-              target: int, acc: CostAccumulator, token,
-              meter: Meter, sp) -> tuple[np.ndarray, list[int] | None]:
+              target: int, acc: CostAccumulator, meter: Meter,
+              sp) -> tuple[np.ndarray, list[int] | None]:
     """Phases 2+3: ``ElimNeg`` — the Dijkstra/Bellman–Ford hybrid.
 
     Runs on the cluster-fixed weights, where only boundary edges are
@@ -258,8 +256,7 @@ def _elim_neg(g: DiGraph, wr: np.ndarray, wb: np.ndarray, psi: np.ndarray,
     cap = min(len(neg), max(g.n - 1, 1)) + 1
     rounds = 0
     for _ in range(cap):  # repro: noqa[RS001] each BFD round charges its dijkstra + map cost inside
-        if token is not None:
-            token.check("bnw:elim-neg")
+        check_cancelled("bnw:elim-neg")
         meter.tick()
         rounds += 1
         d = dijkstra_from_labels(gpos, d, acc)

@@ -30,7 +30,9 @@ All engines share one interface::
 :func:`~repro.core.sssp.solve_sssp` and ``solve_sssp_resilient`` call it
 for every engine.  The tail threads the same Cost accumulator,
 Certificate machinery, Tracer spans, metrics, budget guard and execution
-backends through every engine.  The ``potential`` fault site
+backends through every engine, and ``solve`` is the only place a solve
+installs its cancel token (:func:`~repro.resilience.preempt.cancel_scope`
+around its whole body).  The ``potential`` fault site
 (:mod:`repro.resilience.faults`) corrupts the computed potential *before*
 certificate verification, so injected faults surface as
 :class:`~repro.resilience.errors.VerificationError` and are healed by
@@ -39,6 +41,7 @@ certificate verification, so injected faults surface as
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +59,7 @@ from ..resilience.errors import (
     VerificationError,
 )
 from ..resilience.guard import current_guard
+from ..resilience.preempt import cancel_scope, check_cancelled
 from ..resilience.retry import SolveProvenance
 from ..runtime import model
 from ..runtime.backends import resolve_backend
@@ -149,21 +153,22 @@ class _PotentialEngine:
     #: whether ``checkpoint_path``/``resume`` are honoured
     checkpoints: bool = False
 
-    def _potential(self, g: DiGraph, *, seed, acc, token, backend,
+    def _potential(self, g: DiGraph, *, seed, acc, backend,
                    fault_plan, **options
                    ) -> tuple[np.ndarray | None, list[int] | None,
                               ScalingStats | None]:
         """``(price, None, stats)`` or ``(None, cycle, stats)``.
 
-        Charge ``acc``; at each loop head check ``token`` and tick a
+        Charge ``acc``; at each loop head call
+        :func:`~repro.resilience.preempt.check_cancelled` and tick a
         :class:`~repro.resilience.guard.Meter` on the ambient budget
         guard.  ``stats`` may be None; ``options`` are the keyword
         arguments of :meth:`solve` beyond the common ones.
         """
         raise NotImplementedError
 
-    def _certified_potential(self, g: DiGraph, *, seed, acc, token,
-                             backend, fault_plan, **options):
+    def _certified_potential(self, g: DiGraph, *, seed, acc, backend,
+                             fault_plan, **options):
         """:meth:`_potential`'s answer with its witness checked:
         ``(price, cycle, stats, certificate)``.
 
@@ -176,8 +181,8 @@ class _PotentialEngine:
         engine's potential only through here.
         """
         price, cycle, stats = self._potential(
-            g, seed=seed, acc=acc, token=token, backend=backend,
-            fault_plan=fault_plan, **options)
+            g, seed=seed, acc=acc, backend=backend, fault_plan=fault_plan,
+            **options)
         if cycle is not None:
             cert = Certificate("negative_cycle", cycle=list(cycle))
             failure = "invalid cycle certificate"
@@ -209,69 +214,67 @@ class _PotentialEngine:
         checkpoint request to an engine without checkpoint support raises
         :class:`~repro.resilience.errors.InputValidationError`, and so
         does a ``backend`` that is neither a name nor an object with
-        ``map_blocks`` and ``shutdown``, before any work.
+        ``map_blocks`` and ``shutdown``, before any work.  ``token`` is
+        the ambient cancel token of the whole call.
         """
-        if isinstance(backend, str):
-            with resolve_backend(backend) as be:
-                return self.solve(g, source, seed=seed, acc=acc,
-                                  fault_plan=fault_plan,
-                                  token=token, backend=be, **options)
-        backend = resolve_backend(backend)
-        source = check_source(g, source)
-        if not self.checkpoints and (
-                options.get("checkpoint_path") is not None
-                or options.get("resume")):
-            raise InputValidationError(
-                f"engine {self.name!r} does not support checkpointing; "
-                "use goldberg_parallel or goldberg_sequential")
-        if (backend is not None and fault_plan is not None
-                and hasattr(backend, "install_fault_plan")):
-            backend.install_fault_plan(fault_plan)
-        guard = current_guard()
-        mark = guard.mark() if guard is not None else None
-        local = CostAccumulator()
-        with trace_span("solve", acc=local, phase="solve",
-                        engine=self.name, n=g.n, m=g.m, source=source,
-                        seed=seed) as sp:
-            try:
-                price, cycle, stats, cert = self._certified_potential(
-                    g, seed=seed, acc=local, token=token,
-                    backend=backend, fault_plan=fault_plan, **options)
-            except VerificationError:
-                # a failed attempt spent its work too, past the last tick;
-                # a breach here raises with the VerificationError as its
-                # context
+        with cancel_scope(token), ExitStack() as owned:
+            if isinstance(backend, str):  # a ladder owned by this call
+                backend = owned.enter_context(resolve_backend(backend))
+            backend = resolve_backend(backend)
+            source = check_source(g, source)
+            if not self.checkpoints and (
+                    options.get("checkpoint_path") is not None
+                    or options.get("resume")):
+                raise InputValidationError(
+                    f"engine {self.name!r} does not support checkpointing; "
+                    "use goldberg_parallel or goldberg_sequential")
+            if (backend is not None and fault_plan is not None
+                    and hasattr(backend, "install_fault_plan")):
+                backend.install_fault_plan(fault_plan)
+            guard = current_guard()
+            mark = guard.mark() if guard is not None else None
+            local = CostAccumulator()
+            with trace_span("solve", acc=local, phase="solve",
+                            engine=self.name, n=g.n, m=g.m, source=source,
+                            seed=seed) as sp:
+                try:
+                    price, cycle, stats, cert = self._certified_potential(
+                        g, seed=seed, acc=local, backend=backend,
+                        fault_plan=fault_plan, **options)
+                except VerificationError:
+                    # a failed attempt spent its work too, past the last
+                    # tick; a breach here raises with the
+                    # VerificationError as its context
+                    if guard is not None:
+                        guard.settle(mark, local)
+                    raise
+                sp.set(certificate=cert.kind)
+                dist = parent = None
+                if cycle is not None:
+                    sp.set(cycle_length=len(cycle))
+                else:
+                    check_cancelled(f"{self.name}:final-dijkstra")
+                    if guard is not None:
+                        guard.settle(mark, local)
+                    dist, parent = _final_dijkstra(g, source, price, local,
+                                                   backend)
                 if guard is not None:
                     guard.settle(mark, local)
-                raise
-            sp.set(certificate=cert.kind)
-            dist = parent = None
-            if cycle is not None:
-                sp.set(cycle_length=len(cycle))
-            else:
-                if token is not None:
-                    token.check(f"{self.name}:final-dijkstra")
-                if guard is not None:
-                    guard.settle(mark, local)
-                dist, parent = _final_dijkstra(g, source, price, local,
-                                               token, backend)
-            if guard is not None:
-                guard.settle(mark, local)
-            outcome = "distances" if cycle is None else "negative_cycle"
-            metric_inc("repro_engine_solves_total", engine=self.name,
-                       outcome=outcome)
-            metric_observe("repro_solve_work", local.work)
-            metric_observe("repro_solve_span_model", local.span_model)
-            if acc is not None:
-                acc.charge_cost(local.snapshot())
-                acc.merge_stages_from(local)
-            return SsspResult(source, dist, parent, price, cycle,
-                              stats or ScalingStats(), local.snapshot(),
-                              certificate=cert)
+                outcome = "distances" if cycle is None else "negative_cycle"
+                metric_inc("repro_engine_solves_total", engine=self.name,
+                           outcome=outcome)
+                metric_observe("repro_solve_work", local.work)
+                metric_observe("repro_solve_span_model", local.span_model)
+                if acc is not None:
+                    acc.charge_cost(local.snapshot())
+                    acc.merge_stages_from(local)
+                return SsspResult(source, dist, parent, price, cycle,
+                                  stats or ScalingStats(), local.snapshot(),
+                                  certificate=cert)
 
 
 def _final_dijkstra(g: DiGraph, source: int, price: np.ndarray,
-                    acc: CostAccumulator, token, backend
+                    acc: CostAccumulator, backend
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Dijkstra on the reduced weights ``w + p(u) − p(v)``, with the
     distances mapped back: ``dist(s,v) = dist_red(s,v) + p(v) − p(s)``."""
@@ -280,7 +283,7 @@ def _final_dijkstra(g: DiGraph, source: int, price: np.ndarray,
         # backend; the model cost charged below is unchanged, keeping
         # golden costs bit-exact across backends
         parts = backend.map_blocks(g.m, _reduced_weights_block,
-                                   (g.src, g.dst, g.w, price), token=token)
+                                   (g.src, g.dst, g.w, price))
         w_red = np.concatenate(parts)
     else:
         w_red = g.w + price[g.src] - price[g.dst] if g.m else g.w
@@ -308,12 +311,10 @@ class GoldbergParallelEngine(_PotentialEngine):
     mode = "parallel"
     checkpoints = True
 
-    def _potential(self, g, *, seed, acc, token, backend,
-                   fault_plan, **options):
+    def _potential(self, g, *, seed, acc, backend, fault_plan, **options):
         del backend  # scaling runs in process; only the tail's map uses it
         scal = scaled_reweighting(g, mode=self.mode, seed=seed, acc=acc,
-                                  fault_plan=fault_plan,
-                                  token=token, **options)
+                                  fault_plan=fault_plan, **options)
         return scal.price, scal.negative_cycle, scal.stats
 
 
@@ -332,11 +333,9 @@ class BnwScalingEngine(_PotentialEngine):
 
     name = "bnw_scaling"
 
-    def _potential(self, g, *, seed, acc, token, backend,
-                   fault_plan, **options):
+    def _potential(self, g, *, seed, acc, backend, fault_plan, **options):
         del backend  # BNW's ball growing is inherently sequential here
-        return (*bnw_potential(g, seed=seed, acc=acc,
-                               token=token), None)
+        return (*bnw_potential(g, seed=seed, acc=acc), None)
 
 
 @SSSP_ENGINES.register("fischer_simple")
@@ -346,10 +345,9 @@ class FischerSimpleEngine(_PotentialEngine):
 
     name = "fischer_simple"
 
-    def _potential(self, g, *, seed, acc, token, backend,
-                   fault_plan, **options):
+    def _potential(self, g, *, seed, acc, backend, fault_plan, **options):
         return (*fischer_potential(g, seed=seed, acc=acc,
-                                   token=token, backend=backend), None)
+                                   backend=backend), None)
 
 
 def engine_names() -> list[str]:

@@ -45,6 +45,7 @@ from ..observability.profiler import profile_scope
 from ..observability.tracer import trace_span
 from ..observability.worker import worker_span
 from ..resilience.guard import Meter, current_guard
+from ..resilience.preempt import check_cancelled
 from ..runtime import model
 from ..runtime.metrics import CostAccumulator
 from ..runtime.racecheck import race_read
@@ -71,8 +72,7 @@ def _neg_candidates_block(lo: int, hi: int, nsrc: np.ndarray,
 
 
 def fischer_potential(g: DiGraph, *, seed=0,
-                      acc: CostAccumulator | None = None,
-                      token=None, backend=None
+                      acc: CostAccumulator | None = None, backend=None
                       ) -> tuple[np.ndarray | None, list[int] | None]:
     """Feasible potential for ``g`` (or a negative-cycle vertex list)
     via the Bellman–Ford/Dijkstra hybrid.
@@ -100,14 +100,12 @@ def fischer_potential(g: DiGraph, *, seed=0,
                         n=g.n, m=g.m, neg_edges=len(neg)) as sp, \
                 profile_scope("fischer-bfd"):
             for rounds in range(1, cap + 1):  # repro: noqa[RS001] each BFD round charges its dijkstra + map cost inside
-                if token is not None:
-                    token.check("fischer:bfd-round")
+                check_cancelled("fischer:bfd-round")
                 meter.tick()
                 d = dijkstra_from_labels(gpos, d, local)
                 if backend is not None and len(neg):
                     parts = backend.map_blocks(
-                        len(neg), _neg_candidates_block, (nsrc, nw, d),
-                        token=token)
+                        len(neg), _neg_candidates_block, (nsrc, nw, d))
                     cand = np.concatenate(parts)
                 else:
                     cand = d[nsrc] + nw

@@ -21,6 +21,7 @@ from ..resilience.errors import (
 )
 from ..observability.tracer import trace_span
 from ..resilience.guard import Meter, current_guard
+from ..resilience.preempt import check_cancelled
 from ..resilience.retry import AttemptRecord, RetryPolicy
 from ..runtime import model
 from ..runtime.metrics import Cost, CostAccumulator
@@ -62,8 +63,8 @@ def one_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
                     acc: CostAccumulator | None = None,
                     max_iterations: int | None = None,
                     fault_plan=None,
-                    retry_policy: RetryPolicy | None = None,
-                    token=None) -> ReweightingResult:
+                    retry_policy: RetryPolicy | None = None
+                    ) -> ReweightingResult:
     """Solve the 1-reweighting problem (all weights ≥ −1).
 
     ``max_iterations`` is a safety valve (default ``4·(√n + 2)``, far above
@@ -76,10 +77,10 @@ def one_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
     that fails — possible with a faulty nested stage or an injected
     ``"price"`` fault — is retried with a fresh derived seed under
     ``retry_policy``; the ambient budget guard is ticked once per
-    iteration (:func:`~repro.resilience.guard.current_guard`).  ``token``
-    (:class:`~repro.resilience.preempt.CancelToken`) is checked at every
-    iteration boundary, making long improvement loops preemptible between
-    — never inside — verified price updates.
+    iteration (:func:`~repro.resilience.guard.current_guard`).  The
+    ambient cancel token (:func:`~repro.resilience.preempt.check_cancelled`)
+    is checked at every iteration boundary, making long improvement loops
+    preemptible between — never inside — verified price updates.
     """
     w0 = _aligned_weights(g, weights)
     if g.m and w0.min() < -1:
@@ -95,8 +96,7 @@ def one_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
     with trace_span("reweighting", acc=local, phase="reweighting",
                     n=g.n, m=g.m) as rwsp:
         for it in range(max_iterations):
-            if token is not None:
-                token.check("reweighting:iteration")
+            check_cancelled("reweighting:iteration")
             w_red = w0 + price[g.src] - price[g.dst] if g.m else w0
             local.charge(*model.map_ws(g.m))
             k_now = count_negative_vertices(g, w_red)

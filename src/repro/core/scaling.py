@@ -13,9 +13,9 @@ The loop is *preemptible*: each completed scale is a verified unit of
 durable progress, so with ``checkpoint_path`` set the accumulated price,
 scale index (with the top-level seed this is the whole RNG state), model
 cost, and telemetry are serialized atomically after every scale
-(:mod:`repro.resilience.checkpoint`), and a cooperative ``token``
-(:mod:`repro.resilience.preempt`) is honoured at every scale boundary —
-plus, via the ambient cancel scope, inside the runtime primitives and
+(:mod:`repro.resilience.checkpoint`), and the ambient cancel token
+(:mod:`repro.resilience.preempt`, installed by the engine's ``solve``) is
+checked at every scale boundary — and inside the runtime primitives and
 the backends' ``map_blocks`` calls underneath.  ``resume=True`` loads the
 checkpoint, re-validates its potential with the PR-1
 :class:`~repro.resilience.errors.Certificate` machinery against the
@@ -41,7 +41,7 @@ from ..observability.metrics import metric_inc, metric_set
 from ..observability.profiler import profile_scope
 from ..observability.tracer import current_tracer, trace_event, trace_span
 from ..resilience.errors import Certificate, CheckpointError
-from ..resilience.preempt import CancelToken, cancel_scope
+from ..resilience.preempt import check_cancelled
 from ..runtime import model
 from ..runtime.metrics import Cost, CostAccumulator
 from ..runtime.rng import derive_seed
@@ -118,7 +118,6 @@ def scaled_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
                        eps: float = 0.2, seed=0,
                        acc: CostAccumulator | None = None,
                        fault_plan=None, retry_policy=None,
-                       token: CancelToken | None = None,
                        checkpoint_path=None, resume: bool = False,
                        on_checkpoint=None) -> ScalingResult:
     """Feasible price function for arbitrary integer weights, or a cycle.
@@ -128,10 +127,11 @@ def scaled_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
     engine tail (:mod:`repro.core.engines`), where only the independent
     feasibility check can catch it.
 
-    Preemption hooks: ``token`` is checked at every scale boundary (and
-    ambiently inside the primitives below); ``checkpoint_path`` persists
-    each completed scale atomically; ``resume`` restores a matching
-    checkpoint (missing file ⇒ fresh start; corrupted/mismatched file ⇒
+    Preemption hooks: the ambient cancel token is checked at entry and
+    at every scale boundary (and inside the primitives below);
+    ``checkpoint_path`` persists each completed scale atomically;
+    ``resume`` restores a matching checkpoint (missing file ⇒ fresh
+    start; corrupted/mismatched file ⇒
     :class:`~repro.resilience.errors.CheckpointError`).  ``on_checkpoint``
     is called with each :class:`ScaleCheckpoint` just after its durable
     write — the fault-injection hook the kill-and-resume tests use.
@@ -139,8 +139,7 @@ def scaled_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
     w = _aligned_weights(g, weights)
     local = CostAccumulator()
     stats = ScalingStats()
-    if token is not None:
-        token.check("scaling:entry")
+    check_cancelled("scaling:entry")
     if g.m == 0 or w.min() >= 0:
         price = np.zeros(g.n, dtype=np.int64)
         if acc is not None:
@@ -184,67 +183,64 @@ def scaled_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
             s = ck.scale // 2
             scale_idx = ck.scale_idx + 1
 
-        with cancel_scope(token):
-            while True:
-                if token is not None:
-                    token.check("scaling:scale-boundary")
-                # the "scale" span closes before the checkpoint write below
-                # so the checkpointed trace cursor covers the whole scale
-                # subtree (export.stitch_traces relies on this)
-                with trace_span("scale", acc=local, phase="scaling",
-                                scale=s, index=scale_idx) as ssp, \
-                        profile_scope("scale"):
-                    # effective weights at this scale: ceil(w/s) + price
-                    # terms; the invariant guarantees they are >= -1
-                    w_eff = _ceil_div(w, s) + price[g.src] - price[g.dst]
-                    local.charge(*model.map_ws(g.m))
-                    res = one_reweighting(g, w_eff, mode=mode,
-                                          assp_engine=assp_engine, eps=eps,
-                                          seed=derive_seed(seed, scale_idx),
-                                          acc=local,
-                                          fault_plan=fault_plan,
-                                          retry_policy=retry_policy,
-                                          token=token)
-                    stats.scales.append(s)
-                    stats.per_scale.append(res.stats)
-                    ssp.set(iterations=res.stats.iterations,
-                            negative_cycle=res.negative_cycle is not None)
-                    metric_inc("repro_scales_total")
-                    metric_inc("repro_reweighting_iterations_total",
-                               res.stats.iterations)
-                    metric_set("repro_scale_current", s)
-                    if res.negative_cycle is not None:
-                        if acc is not None:
-                            acc.charge_cost(local.snapshot())
-                            acc.merge_stages_from(local)
-                        return ScalingResult(None, res.negative_cycle,
-                                             stats, local.snapshot())
-                    price = price + res.price
-                if checkpoint_path is not None:
-                    tr = current_tracer()
-                    ck = ScaleCheckpoint(
-                        fingerprint=fingerprint, seed=int(seed), scale_b=b,
-                        scale=s, scale_idx=scale_idx, done=(s == 1),
-                        price=price, cost=(local.work, local.span,
-                                           local.span_model),
-                        scales=list(stats.scales),
-                        per_scale=[{"k_trajectory": ps.k_trajectory,
-                                    "methods": ps.methods,
-                                    "improved": ps.improved}
-                                   for ps in stats.per_scale],
-                        trace_cursor=(tr.cursor() if tr is not None else 0))
-                    nbytes = save_checkpoint(checkpoint_path, ck)
-                    metric_inc("repro_checkpoint_writes_total")
-                    metric_inc("repro_checkpoint_bytes_total", nbytes)
-                    trace_event("checkpoint", scale=s, scale_idx=scale_idx,
-                                done=(s == 1), trace_cursor=ck.trace_cursor)
-                    if on_checkpoint is not None:
-                        on_checkpoint(ck)
-                if s == 1:
-                    break
-                price = 2 * price
-                s //= 2
-                scale_idx += 1
+        while True:
+            check_cancelled("scaling:scale-boundary")
+            # the "scale" span closes before the checkpoint write below
+            # so the checkpointed trace cursor covers the whole scale
+            # subtree (export.stitch_traces relies on this)
+            with trace_span("scale", acc=local, phase="scaling",
+                            scale=s, index=scale_idx) as ssp, \
+                    profile_scope("scale"):
+                # effective weights at this scale: ceil(w/s) + price
+                # terms; the invariant guarantees they are >= -1
+                w_eff = _ceil_div(w, s) + price[g.src] - price[g.dst]
+                local.charge(*model.map_ws(g.m))
+                res = one_reweighting(g, w_eff, mode=mode,
+                                      assp_engine=assp_engine, eps=eps,
+                                      seed=derive_seed(seed, scale_idx),
+                                      acc=local,
+                                      fault_plan=fault_plan,
+                                      retry_policy=retry_policy)
+                stats.scales.append(s)
+                stats.per_scale.append(res.stats)
+                ssp.set(iterations=res.stats.iterations,
+                        negative_cycle=res.negative_cycle is not None)
+                metric_inc("repro_scales_total")
+                metric_inc("repro_reweighting_iterations_total",
+                           res.stats.iterations)
+                metric_set("repro_scale_current", s)
+                if res.negative_cycle is not None:
+                    if acc is not None:
+                        acc.charge_cost(local.snapshot())
+                        acc.merge_stages_from(local)
+                    return ScalingResult(None, res.negative_cycle,
+                                         stats, local.snapshot())
+                price = price + res.price
+            if checkpoint_path is not None:
+                tr = current_tracer()
+                ck = ScaleCheckpoint(
+                    fingerprint=fingerprint, seed=int(seed), scale_b=b,
+                    scale=s, scale_idx=scale_idx, done=(s == 1),
+                    price=price, cost=(local.work, local.span,
+                                       local.span_model),
+                    scales=list(stats.scales),
+                    per_scale=[{"k_trajectory": ps.k_trajectory,
+                                "methods": ps.methods,
+                                "improved": ps.improved}
+                               for ps in stats.per_scale],
+                    trace_cursor=(tr.cursor() if tr is not None else 0))
+                nbytes = save_checkpoint(checkpoint_path, ck)
+                metric_inc("repro_checkpoint_writes_total")
+                metric_inc("repro_checkpoint_bytes_total", nbytes)
+                trace_event("checkpoint", scale=s, scale_idx=scale_idx,
+                            done=(s == 1), trace_cursor=ck.trace_cursor)
+                if on_checkpoint is not None:
+                    on_checkpoint(ck)
+            if s == 1:
+                break
+            price = 2 * price
+            s //= 2
+            scale_idx += 1
         scsp.set(scales=len(stats.scales),
                  iterations=stats.total_iterations)
     if acc is not None:

@@ -14,7 +14,8 @@ retries with seed escalation when a verifier rejects a randomized stage's
 output, work/span budget guards, and graceful degradation to the
 Bellman–Ford baseline — with full provenance recorded on the result — when
 retries or budget run out.  Both entry points attach an independently
-re-checked :class:`~repro.resilience.errors.Certificate` to every result.
+re-checked :class:`~repro.resilience.errors.Certificate` to every result,
+and hand their token to the engine's ``solve``, which installs it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from ..observability.metrics import metric_inc
 from ..observability.profiler import profile_scope
 from ..observability.tracer import trace_event, trace_span
 from ..resilience.guard import BudgetGuard, guard_scope
-from ..resilience.preempt import CancelToken, Deadline, cancel_scope, make_token
+from ..resilience.preempt import CancelToken, Deadline, make_token
 from ..resilience.retry import AttemptRecord, RetryPolicy, SolveProvenance
 from ..runtime.backends import resolve_backend
 from ..runtime.metrics import CostAccumulator
@@ -87,8 +88,9 @@ def solve_sssp(g: DiGraph, source: int, *,
         Preemption hooks (see :mod:`repro.resilience.preempt` and
         :mod:`repro.resilience.checkpoint`): cooperative cancellation /
         deadline checks at phase boundaries and in the primitives below,
-        plus phase-level checkpointing of the scaling loop with verified
-        resume.  A resumed solve is bit-identical to an uninterrupted one.
+        up to the final Dijkstra, plus phase-level checkpointing of the
+        scaling loop with verified resume.  A resumed solve is
+        bit-identical to an uninterrupted one.
     backend :
         An :class:`~repro.runtime.backends.ExecutionBackend` (or one of
         the names ``"serial"``/``"thread"``/``"process"``, which builds a
@@ -139,10 +141,12 @@ def solve_sssp_resilient(g: DiGraph, source: int, *,
     the reason and full attempt history.  With ``fallback`` off, the
     terminal error propagates.
 
-    Preemption (PR 2): ``deadline`` (a
+    Preemption: ``deadline`` (a
     :class:`~repro.resilience.preempt.Deadline` or plain seconds) and/or
     ``token`` make the solve cooperatively preemptible — checks run at
-    phase boundaries and inside the runtime primitives.  Deadline expiry
+    phase boundaries and inside the runtime primitives; a ``deadline``
+    never changes ``token`` (:func:`~repro.resilience.preempt.make_token`
+    links a fresh token to it).  Deadline expiry
     behaves like budget exhaustion: with ``fallback`` on, the solve
     degrades to Bellman–Ford with ``fallback_reason`` prefixed
     ``"deadline"``; with ``fallback`` off,
@@ -210,7 +214,7 @@ def solve_sssp_resilient(g: DiGraph, source: int, *,
         aseed = policy.attempt_seed(seed, attempt)
         primary = attempt == 0
         try:
-            with cancel_scope(token), guard_scope(guard), \
+            with guard_scope(guard), \
                     trace_span("attempt", phase="resilience",
                                attempt=attempt, seed=aseed):
                 res = eng.solve(

@@ -33,18 +33,18 @@ class DimacsError(ValueError):
 _INT64_MIN, _INT64_MAX = -(2 ** 63), 2 ** 63 - 1
 
 
-def _integer(token: str, lineno: int, lo: int = _INT64_MIN,
+def _integer(field: str, lineno: int, lo: int = _INT64_MIN,
              hi: int = _INT64_MAX) -> int:
-    """``token`` as an int in ``[lo, hi]``, or a line-numbered
+    """The DIMACS ``field`` as an int in ``[lo, hi]``, or a line-numbered
     :class:`DimacsError` (a bare ``int()`` raises ``ValueError``, and a
     value past int64 fails the array cast with ``OverflowError``)."""
     try:
-        value = int(token)
+        value = int(field)
     except ValueError:
         raise DimacsError(
-            f"line {lineno}: {token!r} is not an integer") from None
+            f"line {lineno}: {field!r} is not an integer") from None
     if not lo <= value <= hi:
-        raise DimacsError(f"line {lineno}: {token} is outside [{lo}, {hi}]")
+        raise DimacsError(f"line {lineno}: {field} is outside [{lo}, {hi}]")
     return value
 
 

@@ -12,19 +12,19 @@ mid-write:
   every backend's :meth:`~repro.runtime.executor.BlockPool.map_blocks`
   (at entry, before each block, and at the join).
 
-A check point calls :meth:`CancelToken.check`, which raises
-:class:`~repro.resilience.errors.DeadlineExceededError` when the token's
-deadline has expired and :class:`~repro.resilience.errors.CancelledError`
-when the token was cancelled explicitly.  Nothing is ever interrupted
-asynchronously: state is always consistent when the exception fires,
-which is what makes phase-level checkpoints (:mod:`.checkpoint`) safe to
-write right before each check.
+A check point calls :func:`check_cancelled` on the ambient token, the
+token field of the run context: only the solve entry points take
+``token=``, and ``_PotentialEngine.solve`` installs it with
+:func:`cancel_scope` around its whole body.  A tripped token raises
+:class:`~repro.resilience.errors.DeadlineExceededError` past its deadline
+and :class:`~repro.resilience.errors.CancelledError` when cancelled
+explicitly.  Nothing is ever interrupted asynchronously: state is always
+consistent when the exception fires, which is what makes phase-level
+checkpoints (:mod:`.checkpoint`) safe to write right before each check.
 
 The module is import-light by design (stdlib, :mod:`.errors` and
 :mod:`repro.runcontext` only) so the runtime layer can import it without
-cycles.  ``current_token`` / ``cancel_scope`` give deep primitives access
-to the active token — the token field of the run context — without
-threading a parameter through every call signature.
+cycles.
 """
 
 from __future__ import annotations
@@ -88,16 +88,18 @@ class CancelToken:
     their next :meth:`check`.  A token trips for exactly one of two
     reasons — explicit cancellation (``CancelledError``) or deadline
     expiry (``DeadlineExceededError``); once cancelled explicitly it
-    stays cancelled.
+    stays cancelled.  A token that :func:`make_token` linked to a
+    caller's token also trips when that token does.
     """
 
-    __slots__ = ("deadline", "_cancelled", "_reason", "_lock")
+    __slots__ = ("deadline", "_cancelled", "_reason", "_lock", "_link")
 
     def __init__(self, deadline: Deadline | None = None) -> None:
         self.deadline = deadline
         self._cancelled = False
         self._reason: str | None = None
         self._lock = threading.Lock()
+        self._link: CancelToken | None = None
 
     def cancel(self, reason: str = "cancelled") -> None:
         """Request cancellation; idempotent (first reason wins)."""
@@ -106,19 +108,36 @@ class CancelToken:
                 self._cancelled = True
                 self._reason = reason
 
+    def _cancelled_by(self) -> CancelToken | None:
+        """This token or its link, whichever was cancelled explicitly."""
+        if self._cancelled:
+            return self
+        return None if self._link is None else self._link._cancelled_by()
+
+    def _expired(self) -> bool:
+        """Whether this token's deadline, or its link's, has passed."""
+        if self.deadline is not None and self.deadline.expired():
+            return True
+        return self._link is not None and self._link._expired()
+
     @property
     def cancelled(self) -> bool:
         """True once cancelled explicitly or past the deadline."""
-        return self._cancelled or (
-            self.deadline is not None and self.deadline.expired())
+        return self._cancelled_by() is not None or self._expired()
 
     @property
     def reason(self) -> str | None:
-        if self._cancelled:
-            return self._reason
-        if self.deadline is not None and self.deadline.expired():
-            return "deadline"
-        return None
+        by = self._cancelled_by()
+        if by is not None:
+            return by._reason
+        return "deadline" if self._expired() else None
+
+    def remaining(self) -> float | None:
+        """Seconds until the earliest deadline this token trips on (its
+        own or its link's); None when it has none."""
+        own = None if self.deadline is None else self.deadline.remaining()
+        up = None if self._link is None else self._link.remaining()
+        return min((t for t in (own, up) if t is not None), default=None)
 
     def check(self, where: str | None = None) -> None:
         """Raise if this token has tripped; no-op otherwise.
@@ -126,12 +145,13 @@ class CancelToken:
         Explicit cancellation wins over the deadline when both hold, so a
         caller-initiated stop is never misreported as a timeout.
         """
-        if self._cancelled:
+        by = self._cancelled_by()
+        if by is not None:
             raise CancelledError(
-                f"solve cancelled ({self._reason})"
+                f"solve cancelled ({by._reason})"
                 + (f" at {where}" if where else ""),
-                where=where, reason=self._reason)
-        if self.deadline is not None and self.deadline.expired():
+                where=where, reason=by._reason)
+        if self._expired():
             raise DeadlineExceededError(
                 "deadline exceeded" + (f" at {where}" if where else ""),
                 where=where, reason="deadline")
@@ -142,8 +162,8 @@ class CancelToken:
 
 
 # ---------------------------------------------------------------------------
-# ambient token: lets leaf primitives honour cancellation without every
-# algorithm signature growing a ``token=`` parameter
+# ambient token: the one channel by which a token reaches the code below
+# the solve entry points
 # ---------------------------------------------------------------------------
 
 def current_token() -> CancelToken | None:
@@ -170,20 +190,18 @@ def make_token(deadline: "Deadline | float | None" = None,
     """Normalise the public ``deadline=``/``token=`` kwargs to one token.
 
     ``deadline`` may be a :class:`Deadline` or plain seconds-from-now.
-    When both a token and a deadline are given, the deadline is attached
-    to the caller's token (which must not already carry a different one).
-    Returns ``None`` when neither is given, keeping the hot path free.
+    With one, the result is a fresh token that trips on the deadline or
+    on whatever trips ``token``; the caller's token is never changed.
+    Without one, ``token`` comes back as it is (``None`` when neither is
+    given, keeping the hot path free).
     """
     if deadline is None:
         return token
     if not isinstance(deadline, Deadline):
         deadline = Deadline.after(float(deadline))
-    if token is None:
-        return CancelToken(deadline)
-    if token.deadline is not None and token.deadline is not deadline:
-        raise ValueError("token already carries a different deadline")
-    token.deadline = deadline
-    return token
+    linked = CancelToken(deadline)
+    linked._link = token
+    return linked
 
 
 __all__ = [

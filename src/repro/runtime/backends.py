@@ -66,12 +66,12 @@ from ..observability.worker import (
     record_shipped_block,
     ship_flags,
 )
-from ..resilience.errors import (CancelledError, InputValidationError,
-                                 WorkerPoolError)
+from ..resilience.errors import InputValidationError, WorkerPoolError
 from ..resilience.preempt import (
     CancelToken,
     Deadline,
     cancel_scope,
+    current_token,
 )
 from .executor import BlockFn, BlockPool, ForkJoinPool, check_count
 
@@ -86,8 +86,7 @@ class ExecutionBackend(Protocol):
     n_workers: int
 
     def map_blocks(self, n: int, fn: BlockFn, args: tuple = (), *,
-                   grain: int | None = None,
-                   token: CancelToken | None = None) -> list: ...
+                   grain: int | None = None) -> list: ...
 
     def shutdown(self) -> None: ...
 
@@ -455,15 +454,14 @@ class ProcessForkJoinPool(BlockPool):
     # -- the fault-tolerant map ----------------------------------------
 
     def _map_many(self, bounds: list[tuple[int, int]], fn: BlockFn,
-                  args: tuple, token: CancelToken | None,
-                  psp: Any) -> list:
+                  args: tuple, psp: Any) -> list:
         tasks = [_Task(bid, lo, hi) for bid, (lo, hi) in enumerate(bounds)]
-        results = self._drive(tasks, fn, args, token, psp)
+        results = self._drive(tasks, fn, args, psp)
         psp.count("blocks_run", len(tasks))
         return [results[t.bid] for t in tasks]
 
     def _drive(self, tasks: list[_Task], fn: BlockFn, args: tuple,
-               token: CancelToken | None, psp: Any) -> dict[int, Any]:
+               psp: Any) -> dict[int, Any]:
         self._epoch += 1
         epoch = self._epoch
         losses_before = len(self.worker_losses)
@@ -474,6 +472,7 @@ class ProcessForkJoinPool(BlockPool):
         tracer = current_tracer()
         dispatch_sid = psp.span.sid if tracer is not None else None
         telem = ship_flags()
+        token = current_token()
 
         def record_block_span(t: _Task, wid: int, attempt: int,
                               shipped: Any) -> None:
@@ -489,9 +488,7 @@ class ProcessForkJoinPool(BlockPool):
         def dispatch(w: _Worker, t: _Task, *, cause: str) -> bool:
             t.dispatches += 1
             attempt = t.dispatches
-            remaining = None
-            if token is not None and token.deadline is not None:
-                remaining = token.deadline.remaining()
+            remaining = None if token is None else token.remaining()
             if self._fault_plan is not None:
                 self._fault_plan.note_worker_dispatch(t.lo, t.hi, attempt)
             try:
@@ -536,14 +533,11 @@ class ProcessForkJoinPool(BlockPool):
 
         first_error: tuple[int, BaseException] | None = None
         while len(results) < len(tasks):
+            # cooperative: on a cancel, in-flight blocks become stale (the
+            # epoch tag discards their results); workers stay alive and
+            # usable for the next call
             if token is not None:
-                try:
-                    token.check("map_blocks:poll")
-                except CancelledError:
-                    # cooperative: in-flight blocks become stale (their
-                    # results are discarded by the epoch tag); workers
-                    # stay alive and usable for the next call
-                    raise
+                token.check("map_blocks:poll")
             if first_error is not None and not any(
                     t.inflight for t in tasks if t.bid not in results):
                 raise first_error[1]
@@ -831,12 +825,11 @@ class DegradationLadder:
                    from_backend=old_name, to_backend=new_name)
 
     def map_blocks(self, n: int, fn: BlockFn, args: tuple = (), *,
-                   grain: int | None = None,
-                   token: CancelToken | None = None) -> list:
+                   grain: int | None = None) -> list:
         while True:
             be = self._instance()
             try:
-                return be.map_blocks(n, fn, args, grain=grain, token=token)
+                return be.map_blocks(n, fn, args, grain=grain)
             except WorkerPoolError as exc:
                 if self._rung >= len(self._rungs) - 1:
                     raise

@@ -21,13 +21,11 @@ Two failure channels are handled explicitly:
 * a block exception cancels every block not yet started, drains the ones
   already running, and re-raises the first failure (in block order) —
   later blocks never keep computing behind a doomed call;
-* a cooperative :class:`~repro.resilience.preempt.CancelToken` (passed
-  explicitly or installed ambiently via
-  :func:`~repro.resilience.preempt.cancel_scope`) is honoured at entry,
-  before each block is dispatched, at the start of each block, and at
-  the join; a cancelled call stops dispatching, drains in-flight blocks,
-  and raises :class:`~repro.resilience.errors.CancelledError` — never
-  killing a thread mid-write.
+* the ambient :class:`~repro.resilience.preempt.CancelToken` is honoured
+  at entry, before each block is dispatched, at the start of each block,
+  and at the join; a cancelled call stops dispatching, drains in-flight
+  blocks, and raises :class:`~repro.resilience.errors.CancelledError` —
+  never killing a thread mid-write.
 
 Each thread-pool block runs in its own :func:`contextvars.copy_context`
 of the submitting thread, so a block sees the run context
@@ -48,7 +46,7 @@ from typing import Any, Callable, TypeVar
 from ..observability.metrics import metric_inc
 from ..observability.tracer import current_tracer, trace_span
 from ..resilience.errors import InputValidationError
-from ..resilience.preempt import CancelToken, current_token
+from ..resilience.preempt import check_cancelled, current_token
 from .racecheck import RaceChecker, current_race_checker
 
 # fn(lo, hi, *args) -> a picklable result for the block; see map_blocks
@@ -75,8 +73,7 @@ def check_count(name: str, value: Any, minimum: int) -> int:
 
 
 def checked_map_blocks(checker: RaceChecker, n: int, fn: BlockFn,
-                       args: tuple, grain: int,
-                       token: CancelToken | None) -> list:
+                       args: tuple, grain: int) -> list:
     """Shadow-memory path of every backend's ``map_blocks``: run the
     checker's *logical* blocks sequentially under fork-tree task tags,
     so findings are identical for serial, thread, and process backends
@@ -88,13 +85,11 @@ def checked_map_blocks(checker: RaceChecker, n: int, fn: BlockFn,
     with trace_span("map-blocks", phase="runtime", n=n,
                     blocks=blocks, workers=1) as psp:
         for bi, lo in enumerate(range(0, n, step)):
-            if token is not None:
-                token.check("map_blocks:block")
+            check_cancelled("map_blocks:block")
             with checker.task(region, bi):
                 out.append(fn(lo, min(lo + step, n), *args))
         psp.count("blocks_run", len(out))
-        if token is not None:
-            token.check("map_blocks:join")
+        check_cancelled("map_blocks:join")
     return out
 
 
@@ -118,32 +113,28 @@ class BlockPool:
         return blocks <= 1
 
     def map_blocks(self, n: int, fn: BlockFn, args: tuple = (), *,
-                   grain: int | None = None,
-                   token: CancelToken | None = None) -> list:
+                   grain: int | None = None) -> list:
         """Run ``fn(lo, hi, *args)`` over a block partition of
         ``range(n)`` and return the per-block results in block order.
 
         ``fn`` must be a deterministic function of ``(lo, hi, *args)``
         with no shared-memory writes, so any backend (serial, thread,
         process) may execute, duplicate, or re-execute blocks and the
-        concatenated results stay bit-identical.  ``token`` defaults to
-        the ambient :func:`~repro.resilience.preempt.current_token`.
+        concatenated results stay bit-identical.  The ambient cancel
+        token is checked at entry, per block and at the join.
         """
         if self._closed:
             raise RuntimeError(
                 f"map_blocks on a shut-down {type(self).__name__}")
         g = self.grain if grain is None else check_count("grain", grain, 1)
-        if token is None:
-            token = current_token()
-        if token is not None:
-            token.check("map_blocks")
+        check_cancelled("map_blocks")
         if n <= 0:
             return []
         checker = current_race_checker()
         if checker is not None:
             # logical blocks, sequential, in-process: findings do not
             # depend on the backend or its pool size
-            return checked_map_blocks(checker, n, fn, args, g, token)
+            return checked_map_blocks(checker, n, fn, args, g)
         # a few blocks per worker (not one): stragglers rebalance, and a
         # failure or cancellation can cancel a queued tail
         blocks = min(max(1, n // g), 4 * self.n_workers)
@@ -160,14 +151,12 @@ class BlockPool:
             with trace_span("map-blocks", phase="runtime", n=n,
                             blocks=len(bounds), workers=self.n_workers,
                             backend=self.name) as psp:
-                out = self._map_many(bounds, fn, args, token, psp)
-        if token is not None:
-            token.check("map_blocks:join")
+                out = self._map_many(bounds, fn, args, psp)
+        check_cancelled("map_blocks:join")
         return out
 
     def _map_many(self, bounds: list[tuple[int, int]], fn: BlockFn,
-                  args: tuple, token: CancelToken | None,
-                  psp: Any) -> list:
+                  args: tuple, psp: Any) -> list:
         """Results of ``fn`` on each ``(lo, hi)`` of ``bounds``, in
         order, dispatched inside the call's ``map-blocks`` span
         ``psp``."""
@@ -205,13 +194,13 @@ class ForkJoinPool(BlockPool):
         return blocks <= 1 or self._pool is None
 
     def _map_many(self, bounds: list[tuple[int, int]], fn: BlockFn,
-                  args: tuple, token: CancelToken | None,
-                  psp: Any) -> list:
+                  args: tuple, psp: Any) -> list:
         assert self._pool is not None
+        token = current_token()
 
         def run_block(lo: int, hi: int):
-            if token is not None:
-                token.check("map_blocks:block")
+            # runs in a copy of this thread's context: the same token
+            check_cancelled("map_blocks:block")
             return fn(lo, hi, *args)
 
         tracer = current_tracer()

@@ -126,26 +126,32 @@ def flatten(arrays: Iterable[np.ndarray], acc: CostAccumulator,
 
 
 def _as_int64(a, name: str, *, max_abs: int | None = None) -> np.ndarray:
-    """Validating cast to int64: rejects NaN/inf, fractional floats, and
-    (optionally) magnitudes with int64-overflow risk downstream."""
+    """Validating cast to int64: rejects NaN/inf, fractional floats,
+    values outside int64 (which the cast would wrap), and (optionally)
+    magnitudes with int64-overflow risk downstream."""
     arr = np.asarray(a)
     if arr.dtype == np.int64:
         out = arr
-    elif arr.dtype.kind in "iub":
-        out = arr.astype(np.int64)
-    elif arr.dtype.kind == "f":
-        if arr.size and not np.isfinite(arr).all():
+    elif arr.dtype.kind in "iubf":
+        if arr.dtype.kind == "f" and arr.size:
+            if not np.isfinite(arr).all():
+                raise InputValidationError(
+                    f"{name} must be finite (found NaN or inf)")
+            if (arr != np.floor(arr)).any():
+                raise InputValidationError(
+                    f"{name} must be integral (found fractional values)")
+        # as Python ints: -2.0**63 and every float below 2.0**63 fit
+        if arr.dtype.kind in "uf" and arr.size and (
+                int(arr.max()) >= 2 ** 63 or int(arr.min()) < -2 ** 63):
             raise InputValidationError(
-                f"{name} must be finite (found NaN or inf)")
-        if arr.size and (arr != np.floor(arr)).any():
-            raise InputValidationError(
-                f"{name} must be integral (found fractional values)")
+                f"{name} must fit in int64, in [-2**63, 2**63)")
         out = arr.astype(np.int64)
     else:
         raise InputValidationError(
             f"{name} must be an integer array, got dtype {arr.dtype}")
+    # np.abs(INT64_MIN) is INT64_MIN, which reads 2**63 unsigned
     if max_abs is not None and out.size and \
-            int(np.abs(out).max()) > max_abs:
+            int(np.abs(out).view(np.uint64).max()) > max_abs:
         raise InputValidationError(
             f"{name} magnitude exceeds {max_abs} — int64 overflow risk in "
             "scaled/reduced weights")

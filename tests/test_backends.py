@@ -32,7 +32,12 @@ from repro.resilience.faults import (
     FaultSpec,
     WorkerFaults,
 )
-from repro.resilience.preempt import CancelToken, Deadline, check_cancelled
+from repro.resilience.preempt import (
+    CancelToken,
+    Deadline,
+    cancel_scope,
+    check_cancelled,
+)
 from repro.runtime.backends import (
     BACKEND_NAMES,
     DegradationLadder,
@@ -303,17 +308,17 @@ class TestCancellation:
     def test_pre_cancelled_token_raises_immediately(self):
         tok = CancelToken()
         tok.cancel("stop")
-        with fast_pool() as p:
+        with fast_pool() as p, cancel_scope(tok):
             with pytest.raises(CancelledError):
-                p.map_blocks(100, _square, (ARR,), token=tok)
+                p.map_blocks(100, _square, (ARR,))
 
     def test_mid_call_cancel_keeps_workers_alive(self):
         tok = CancelToken()
         with fast_pool() as p:
             threading.Timer(0.1, tok.cancel, ("user",)).start()
             t0 = time.monotonic()
-            with pytest.raises(CancelledError):
-                p.map_blocks(40, _slow, (0.6,), grain=5, token=tok)
+            with pytest.raises(CancelledError), cancel_scope(tok):
+                p.map_blocks(40, _slow, (0.6,), grain=5)
             assert time.monotonic() - t0 < 0.5  # did not drain all blocks
             # cooperative: workers were not killed, and stale in-flight
             # results are discarded (epoch tag) — next call is clean
@@ -325,8 +330,8 @@ class TestCancellation:
         tok = CancelToken(Deadline.after(0.15))
         with fast_pool() as p:
             t0 = time.monotonic()
-            with pytest.raises(DeadlineExceededError):
-                p.map_blocks(20, _napping, (100, 0.02), grain=5, token=tok)
+            with pytest.raises(DeadlineExceededError), cancel_scope(tok):
+                p.map_blocks(20, _napping, (100, 0.02), grain=5)
             assert time.monotonic() - t0 < 1.5  # not the full 2s sleep
 
 

@@ -11,6 +11,7 @@ from oracles import assert_same_graph, digraph_reference
 from repro.graph import DiGraph
 from repro.graph.digraph import _csr_orders
 from repro.resilience.errors import InputValidationError
+from repro.runtime.primitives import _as_int64
 
 
 def small_graph():
@@ -96,6 +97,22 @@ class TestConstruction:
         # raised numpy's "inhomogeneous shape" ValueError
         with pytest.raises(InputValidationError, match="triples"):
             DiGraph.from_edges(3, [(0, 1, 1), (1, 2)])
+
+    @pytest.mark.parametrize("w, match", [
+        # wrapped to -2**63 without a warning
+        (np.array([2 ** 63], dtype=np.uint64), "int64"),
+        # became -2**63 with only a RuntimeWarning
+        (np.array([2.0 ** 63]), "int64"),
+        # np.abs(-2**63) is -2**63, which passed the magnitude bound
+        (np.array([-2 ** 63]), "magnitude"),
+    ], ids=["uint64", "float", "int64-min"])
+    def test_weights_past_int64_or_the_bound_are_rejected(self, w, match):
+        with pytest.raises(InputValidationError, match=match):
+            DiGraph(2, np.array([0]), np.array([1]), w)
+
+    def test_the_cast_keeps_the_exact_float_ends_of_int64(self):
+        out = _as_int64(np.array([-2.0 ** 63, 2.0 ** 63 - 1024]), "w")
+        assert out.tolist() == [-2 ** 63, 2 ** 63 - 1024]
 
 
 class TestAdjacency:

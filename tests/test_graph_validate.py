@@ -332,9 +332,19 @@ def bad_array(base, kind):
         a[0] = np.inf
     elif kind == "-inf":
         a[0] = -np.inf
+    elif kind == "2.0**63":  # integral, but past int64
+        a[0] = 2.0 ** 63
+    elif kind == "uint64-2**63":  # a cast would wrap it to -2**63
+        u = np.abs(base).astype(np.uint64)
+        u[0] = 2 ** 63
+        return u
     else:  # "short"
         return base[:-1]
     return a
+
+
+BAD_KINDS = ["fractional", "nan", "inf", "-inf", "2.0**63", "uint64-2**63",
+             "short"]
 
 
 class TestCallerArraysAreCast:
@@ -344,8 +354,7 @@ class TestCallerArraysAreCast:
     NaN, infinite or misaligned arrays raise instead of being truncated
     toward zero."""
 
-    @pytest.mark.parametrize("kind", ["fractional", "nan", "inf", "-inf",
-                                      "short"])
+    @pytest.mark.parametrize("kind", BAD_KINDS)
     @pytest.mark.parametrize("entry", sorted(ARRAY_ENTRY_POINTS))
     def test_bad_array_raises(self, entry, kind):
         aligned, call = ARRAY_ENTRY_POINTS[entry]
@@ -468,8 +477,7 @@ class TestSolverArraysAreCast:
     read them like the public constructor: fractional, NaN, infinite and
     misaligned arrays raise, integral floats are their int values."""
 
-    @pytest.mark.parametrize("kind", ["fractional", "nan", "inf", "-inf",
-                                      "short"])
+    @pytest.mark.parametrize("kind", BAD_KINDS)
     @pytest.mark.parametrize("entry", sorted(SOLVER_ARRAY_ENTRY_POINTS))
     def test_bad_array_raises(self, entry, kind):
         base, call = SOLVER_ARRAY_ENTRY_POINTS[entry]

@@ -18,17 +18,21 @@ import os
 import numpy as np
 import pytest
 
+import repro.core.engines as engines
 from repro import (
     CancelledError,
     CancelToken,
+    Certificate,
     CheckpointError,
     Deadline,
     DeadlineExceededError,
+    DiGraph,
     InputValidationError,
     solve_sssp,
     solve_sssp_resilient,
 )
 from repro.baselines.bellman_ford import bellman_ford
+from repro.core.engines import engine_names
 from repro.graph import generators
 from repro.resilience import (
     CHECKPOINT_VERSION,
@@ -36,6 +40,7 @@ from repro.resilience import (
     ScaleCheckpoint,
     cancel_scope,
     checkpoint_fingerprint,
+    current_token,
     load_checkpoint,
     make_token,
     save_checkpoint,
@@ -44,6 +49,9 @@ from repro.runtime import CostAccumulator
 from repro.runtime.primitives import parallel_map
 
 pytestmark = pytest.mark.resilience
+
+# a negative edge and no cycle: distances [0, 4, -3]
+TRIANGLE = DiGraph.from_edges(3, [(0, 1, 4), (1, 2, -7), (0, 2, 1)])
 
 
 class SimulatedCrash(Exception):
@@ -152,9 +160,40 @@ class TestCancelToken:
         assert isinstance(t2, CancelToken) and t2.deadline is not None
         dl = Deadline.after(5.0)
         t3 = make_token(dl, tok)
-        assert t3 is tok and tok.deadline is dl
-        with pytest.raises(ValueError):
-            make_token(Deadline.after(1.0), t3)  # conflicting deadlines
+        # a fresh token linked to the caller's, which stays as it was
+        assert t3 is not tok and t3.deadline is dl and tok.deadline is None
+        t4 = make_token(Deadline.after(1.0), t3)  # a second deadline
+        assert t4 is not t3 and t3.deadline is dl
+
+    def test_linked_token_trips_on_the_callers_cancel(self):
+        clock = ManualClock()
+        tok = CancelToken()
+        linked = make_token(Deadline(1.0, clock), tok)
+        linked.check("loop")
+        clock.advance(2.0)
+        tok.cancel("operator stop")  # wins over the expired deadline
+        assert linked.cancelled and linked.reason == "operator stop"
+        with pytest.raises(CancelledError) as ei:
+            linked.check("loop")
+        assert not isinstance(ei.value, DeadlineExceededError)
+        assert ei.value.reason == "operator stop"
+
+    @pytest.mark.parametrize("own, given, first", [(2.0, 5.0, 2.0),
+                                                   (5.0, 2.0, 2.0),
+                                                   (None, 2.0, 2.0)])
+    def test_linked_token_trips_on_the_earliest_deadline(self, own, given,
+                                                         first):
+        clock = ManualClock()
+        tok = CancelToken(None if own is None else Deadline(own, clock))
+        linked = make_token(Deadline(given, clock), tok)
+        assert linked.remaining() == first
+        clock.advance(first - 0.5)
+        linked.check("loop")
+        clock.advance(1.0)
+        assert linked.reason == "deadline"
+        with pytest.raises(DeadlineExceededError):
+            linked.check("loop")
+        assert tok.cancelled == (own == first)
 
     def test_primitives_honour_ambient_token(self):
         tok = CancelToken()
@@ -388,6 +427,45 @@ class TestDeadlineSemantics:
         tok.cancel("stop")
         with pytest.raises(CancelledError):
             solve_sssp(g, 0, token=tok)
+
+    @pytest.mark.parametrize("engine", engine_names())
+    def test_plain_solve_keeps_the_token_to_the_end(self, g, engine,
+                                                    monkeypatch):
+        """The certificate check and the final Dijkstra run under the
+        caller's token too, on every engine."""
+        seen = {"verify": [], "dijkstra": []}
+        verify, dijkstra = Certificate.verify, engines.dijkstra
+
+        def verify_probe(self, graph):
+            seen["verify"].append(current_token())
+            return verify(self, graph)
+
+        def dijkstra_probe(*args, **kwargs):
+            seen["dijkstra"].append(current_token())
+            return dijkstra(*args, **kwargs)
+
+        monkeypatch.setattr(Certificate, "verify", verify_probe)
+        monkeypatch.setattr(engines, "dijkstra", dijkstra_probe)
+        tok = CancelToken()
+        res = solve_sssp(g, 0, engine=engine, token=tok)
+        assert not res.has_negative_cycle
+        for site, tokens in seen.items():
+            assert len(tokens) == 1 and tokens[0] is tok, site
+
+    def test_a_token_serves_two_calls_with_deadlines(self):
+        tok = CancelToken()
+        for _ in range(2):
+            res = solve_sssp_resilient(TRIANGLE, 0, token=tok, deadline=5.0)
+            assert not res.provenance.used_fallback
+        assert tok.deadline is None
+
+    def test_an_expired_deadline_ends_with_its_call(self):
+        tok = CancelToken()
+        res = solve_sssp_resilient(TRIANGLE, 0, token=tok, deadline=0.0)
+        assert res.provenance.fallback_reason.startswith("deadline")
+        res = solve_sssp_resilient(TRIANGLE, 0, token=tok)
+        assert not res.provenance.used_fallback
+        np.testing.assert_array_equal(res.dist, [0, 4, -3])
 
     def test_generous_deadline_solves_normally(self, g):
         res = solve_sssp_resilient(g, 0, seed=0, deadline=3600.0)

@@ -421,8 +421,8 @@ def potential_cost(engine, g):
     """The work of ``engine``'s potential on ``g`` at seed 1, the search a
     ``potential`` fault then corrupts."""
     acc = CostAccumulator()
-    get_sssp_engine(engine)._potential(g, seed=1, acc=acc, token=None,
-                                       backend=None, fault_plan=None)
+    get_sssp_engine(engine)._potential(g, seed=1, acc=acc, backend=None,
+                                       fault_plan=None)
     return acc.work
 
 

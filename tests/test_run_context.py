@@ -7,7 +7,7 @@ tests pin what that buys: scopes entered on two threads at once stay
 separate, concurrent solves keep separate traces and metrics, nothing a
 thread installs outlives its scope, and a thread-pool block sees what a
 serial block sees.  The last class keeps the ambient state in that one
-place.
+place, and ``token`` parameters on the solve entry points only.
 """
 
 from __future__ import annotations
@@ -321,11 +321,22 @@ class TestScopeSemantics:
 
 
 # ---------------------------------------------------------------------------
-# one mechanism: no module globals, thread-locals or other ContextVars
+# one mechanism: no module globals, thread-locals or other ContextVars,
+# and a cancel token reaches the code below the solve entry points only
+# through the run context
 # ---------------------------------------------------------------------------
 
 ALLOWED_GLOBALS: set[tuple[str, str]] = set()
 RUN_CONTEXT_MODULE = "runcontext.py"
+# the functions that take a ``token`` parameter: the solve entry points,
+# and the scope and normaliser that install and build the token
+TOKEN_ENTRY_POINTS = {
+    ("core/sssp.py", "solve_sssp"),
+    ("core/sssp.py", "solve_sssp_resilient"),
+    ("core/engines.py", "_PotentialEngine.solve"),
+    ("resilience/preempt.py", "cancel_scope"),
+    ("resilience/preempt.py", "make_token"),
+}
 
 
 def _module_level(tree):
@@ -340,9 +351,28 @@ def _module_level(tree):
         stack.extend(ast.iter_child_nodes(node))
 
 
+def _functions(tree):
+    """``(qualified name, node)`` of every function, nested ones and
+    methods included."""
+    stack = [("", node) for node in tree.body]
+    while stack:
+        prefix, node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            if not isinstance(node, ast.ClassDef):
+                yield prefix + node.name, node
+            prefix += node.name + "."
+        stack.extend((prefix, child) for child in ast.iter_child_nodes(node))
+
+
 def _ambient_state_violations(path, rel):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     out = []
+    for name, fn in _functions(tree):
+        params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        if (any(p.arg == "token" for p in params)
+                and (rel, name) not in TOKEN_ENTRY_POINTS):
+            out.append(f"{rel}:{fn.lineno}: token parameter of {name}")
     for node in ast.walk(tree):
         if isinstance(node, ast.Global):
             out += [f"{rel}:{node.lineno}: global {name}"
@@ -377,6 +407,8 @@ class TestOneMechanism:
          "threading.local"),
         ("import contextvars\nV = contextvars.ContextVar('v')\n",
          "ContextVar("),
+        ("class E:\n    def step(self, g, *, token=None):\n        pass\n",
+         "token parameter of E.step"),
     ])
     def test_detector_fires_on_each_mechanism(self, tmp_path, code, what):
         path = tmp_path / "mod.py"

@@ -125,18 +125,17 @@ class TestCancellation:
         tok = CancelToken()
         tok.cancel("stop")
         calls = []
-        with ForkJoinPool(n_workers=2) as pool:
+        with ForkJoinPool(n_workers=2) as pool, cancel_scope(tok):
             with pytest.raises(CancelledError):
                 pool.map_blocks(10_000, lambda lo, hi: calls.append(lo),
-                                grain=10, token=tok)
+                                grain=10)
         assert calls == []
 
     def test_expired_deadline_raises_deadline_error(self):
         tok = CancelToken(Deadline(0.0, clock=lambda: 1.0))
-        with ForkJoinPool(n_workers=2) as pool:
+        with ForkJoinPool(n_workers=2) as pool, cancel_scope(tok):
             with pytest.raises(DeadlineExceededError):
-                pool.map_blocks(10_000, lambda lo, hi: None,
-                                grain=10, token=tok)
+                pool.map_blocks(10_000, lambda lo, hi: None, grain=10)
 
     def test_cancel_stops_dispatch_and_raises_after_drain(self, monkeypatch):
         tok = CancelToken()
@@ -153,10 +152,9 @@ class TestCancellation:
 
         monkeypatch.setattr(pool._pool, "submit", counting_submit)
         try:
-            with pytest.raises(CancelledError):
+            with pytest.raises(CancelledError), cancel_scope(tok):
                 # 2 workers and tiny grain would normally dispatch 8 blocks
-                pool.map_blocks(4_000, lambda lo, hi: None, grain=10,
-                                token=tok)
+                pool.map_blocks(4_000, lambda lo, hi: None, grain=10)
             assert len(submitted) == 1  # dispatch stopped at the cancel
         finally:
             pool.shutdown()
@@ -169,9 +167,9 @@ class TestCancellation:
             done.append(lo)
             tok.cancel("from inside")
 
-        with ForkJoinPool(n_workers=2) as pool:
+        with ForkJoinPool(n_workers=2) as pool, cancel_scope(tok):
             with pytest.raises(CancelledError):
-                pool.map_blocks(4_000, body, grain=10, token=tok)
+                pool.map_blocks(4_000, body, grain=10)
         assert done  # blocks that started drained cleanly
 
     def test_ambient_token_via_cancel_scope(self):
@@ -243,10 +241,9 @@ class TestMapBlocksThreaded:
     def test_precancelled_token_raises(self):
         tok = CancelToken()
         tok.cancel("stop")
-        with ForkJoinPool(n_workers=2) as pool:
+        with ForkJoinPool(n_workers=2) as pool, cancel_scope(tok):
             with pytest.raises(CancelledError):
-                pool.map_blocks(1000, lambda lo, hi: None, grain=10,
-                                token=tok)
+                pool.map_blocks(1000, lambda lo, hi: None, grain=10)
 
     def test_after_shutdown_raises(self):
         pool = ForkJoinPool(n_workers=2)
