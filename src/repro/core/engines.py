@@ -31,8 +31,8 @@ All engines share one interface::
 for every engine.  The tail threads the same Cost accumulator,
 Certificate machinery, Tracer spans, metrics, budget guard and execution
 backends through every engine, and ``solve`` is the only place a solve
-installs its cancel token (:func:`~repro.resilience.preempt.cancel_scope`
-around its whole body).  The ``potential`` fault site
+installs its cancel token and fault plan (``cancel_scope`` and
+``fault_scope`` around its whole body).  The ``potential`` fault site
 (:mod:`repro.resilience.faults`) corrupts the computed potential *before*
 certificate verification, so injected faults surface as
 :class:`~repro.resilience.errors.VerificationError` and are healed by
@@ -58,6 +58,7 @@ from ..resilience.errors import (
     InputValidationError,
     VerificationError,
 )
+from ..resilience.faults import current_fault_plan, fault_scope
 from ..resilience.guard import current_guard
 from ..resilience.preempt import cancel_scope, check_cancelled
 from ..resilience.retry import SolveProvenance
@@ -141,7 +142,7 @@ class _PotentialEngine:
 
     Subclasses implement :meth:`_potential`, the search for a feasible
     potential or a negative cycle.  :meth:`solve` owns everything else,
-    once for all engines: the source check and the fault-plan install,
+    once for all engines: the source check, the cancel and fault scopes,
     the ``solve`` span and the one ``potential`` fault hook, both
     certificates, the final Dijkstra on backend-mapped reduced weights
     with the integer map-back, the budget settle, the metrics, and the
@@ -153,8 +154,7 @@ class _PotentialEngine:
     #: whether ``checkpoint_path``/``resume`` are honoured
     checkpoints: bool = False
 
-    def _potential(self, g: DiGraph, *, seed, acc, backend,
-                   fault_plan, **options
+    def _potential(self, g: DiGraph, *, seed, acc, backend, **options
                    ) -> tuple[np.ndarray | None, list[int] | None,
                               ScalingStats | None]:
         """``(price, None, stats)`` or ``(None, cycle, stats)``.
@@ -168,7 +168,7 @@ class _PotentialEngine:
         raise NotImplementedError
 
     def _certified_potential(self, g: DiGraph, *, seed, acc, backend,
-                             fault_plan, **options):
+                             **options):
         """:meth:`_potential`'s answer with its witness checked:
         ``(price, cycle, stats, certificate)``.
 
@@ -181,18 +181,17 @@ class _PotentialEngine:
         engine's potential only through here.
         """
         price, cycle, stats = self._potential(
-            g, seed=seed, acc=acc, backend=backend, fault_plan=fault_plan,
-            **options)
+            g, seed=seed, acc=acc, backend=backend, **options)
         if cycle is not None:
             cert = Certificate("negative_cycle", cycle=list(cycle))
             failure = "invalid cycle certificate"
         else:
-            if fault_plan is not None:
+            plan = current_fault_plan()
+            if plan is not None:
                 # the "potential" fault site attacks the witness before
                 # verification — corruption must be caught below, never
                 # silently change distances
-                price = fault_plan.corrupt_potential(g.src, g.dst, g.w,
-                                                     price)
+                price = plan.corrupt_potential(g.src, g.dst, g.w, price)
             cert = Certificate("price", price=price)
             failure = "infeasible price function"
         if not cert.verify(g):
@@ -214,10 +213,11 @@ class _PotentialEngine:
         checkpoint request to an engine without checkpoint support raises
         :class:`~repro.resilience.errors.InputValidationError`, and so
         does a ``backend`` that is neither a name nor an object with
-        ``map_blocks`` and ``shutdown``, before any work.  ``token`` is
-        the ambient cancel token of the whole call.
+        ``map_blocks`` and ``shutdown``, before any work.  ``token`` and
+        ``fault_plan`` are ambient for the whole call, and only for it.
         """
-        with cancel_scope(token), ExitStack() as owned:
+        with cancel_scope(token), fault_scope(fault_plan), \
+                ExitStack() as owned:
             if isinstance(backend, str):  # a ladder owned by this call
                 backend = owned.enter_context(resolve_backend(backend))
             backend = resolve_backend(backend)
@@ -228,9 +228,6 @@ class _PotentialEngine:
                 raise InputValidationError(
                     f"engine {self.name!r} does not support checkpointing; "
                     "use goldberg_parallel or goldberg_sequential")
-            if (backend is not None and fault_plan is not None
-                    and hasattr(backend, "install_fault_plan")):
-                backend.install_fault_plan(fault_plan)
             guard = current_guard()
             mark = guard.mark() if guard is not None else None
             local = CostAccumulator()
@@ -239,8 +236,7 @@ class _PotentialEngine:
                             seed=seed) as sp:
                 try:
                     price, cycle, stats, cert = self._certified_potential(
-                        g, seed=seed, acc=local, backend=backend,
-                        fault_plan=fault_plan, **options)
+                        g, seed=seed, acc=local, backend=backend, **options)
                 except VerificationError:
                     # a failed attempt spent its work too, past the last
                     # tick; a breach here raises with the
@@ -311,10 +307,10 @@ class GoldbergParallelEngine(_PotentialEngine):
     mode = "parallel"
     checkpoints = True
 
-    def _potential(self, g, *, seed, acc, backend, fault_plan, **options):
+    def _potential(self, g, *, seed, acc, backend, **options):
         del backend  # scaling runs in process; only the tail's map uses it
         scal = scaled_reweighting(g, mode=self.mode, seed=seed, acc=acc,
-                                  fault_plan=fault_plan, **options)
+                                  **options)
         return scal.price, scal.negative_cycle, scal.stats
 
 
@@ -333,7 +329,7 @@ class BnwScalingEngine(_PotentialEngine):
 
     name = "bnw_scaling"
 
-    def _potential(self, g, *, seed, acc, backend, fault_plan, **options):
+    def _potential(self, g, *, seed, acc, backend, **options):
         del backend  # BNW's ball growing is inherently sequential here
         return (*bnw_potential(g, seed=seed, acc=acc), None)
 
@@ -345,7 +341,7 @@ class FischerSimpleEngine(_PotentialEngine):
 
     name = "fischer_simple"
 
-    def _potential(self, g, *, seed, acc, backend, fault_plan, **options):
+    def _potential(self, g, *, seed, acc, backend, **options):
         return (*fischer_potential(g, seed=seed, acc=acc,
                                    backend=backend), None)
 

@@ -53,7 +53,7 @@ def _engine_potential(g: DiGraph, engine: str, seed, acc):
     rejected witness raises
     :class:`~repro.resilience.errors.VerificationError`."""
     price, cycle, _, _ = get_sssp_engine(engine)._certified_potential(
-        g, seed=seed, acc=acc, backend=None, fault_plan=None)
+        g, seed=seed, acc=acc, backend=None)
     return price, cycle
 
 

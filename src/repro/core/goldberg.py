@@ -62,7 +62,6 @@ def one_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
                     eps: float = 0.2, seed=0,
                     acc: CostAccumulator | None = None,
                     max_iterations: int | None = None,
-                    fault_plan=None,
                     retry_policy: RetryPolicy | None = None
                     ) -> ReweightingResult:
     """Solve the 1-reweighting problem (all weights ≥ −1).
@@ -108,7 +107,6 @@ def one_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
                 out = sqrt_k_improvement(g, w_red, mode=mode,
                                          assp_engine=assp_engine, eps=eps,
                                          seed=aseed, acc=local,
-                                         fault_plan=fault_plan,
                                          retry_policy=retry_policy)
                 if out.price_delta is not None:
                     local.charge(*model.map_ws(g.m))

@@ -39,6 +39,7 @@ from ..limited.limited import limited_sssp
 from ..observability.tracer import trace_span
 from ..reach.scc import scc, scc_sequential
 from ..resilience.errors import InputValidationError
+from ..resilience.faults import current_fault_plan
 from ..resilience.retry import RetryPolicy
 from ..runtime import model
 from ..runtime.metrics import CostAccumulator
@@ -70,7 +71,6 @@ def sqrt_k_improvement(g: DiGraph, w_red: np.ndarray, *,
                        assp_engine=None, eps: float = 0.2,
                        seed=0,
                        acc: CostAccumulator | None = None,
-                       fault_plan=None,
                        retry_policy: RetryPolicy | None = None
                        ) -> ImprovementOutcome:
     """One √k-improvement on reduced weights ``w_red`` (all ≥ −1).
@@ -80,11 +80,10 @@ def sqrt_k_improvement(g: DiGraph, w_red: np.ndarray, *,
     classic sequential ones (Tarjan, topological relaxation, Dijkstra) —
     that is Goldberg's original algorithm, used as the baseline.
 
-    Resilience hooks: ``fault_plan`` threads into the peeling and
-    LimitedSP stages and can off-by-one the returned price delta (site
-    ``"price"``); the caller (``one_reweighting``) owns the τ-improvement
-    verification that catches it.  ``retry_policy`` governs the nested
-    verified stages.
+    Resilience hooks: the ambient fault plan can off-by-one the returned
+    price delta (site ``"price"``); the caller (``one_reweighting``) owns
+    the τ-improvement verification that catches it.  ``retry_policy``
+    governs the nested verified stages.
     """
     if mode not in ("parallel", "sequential"):
         raise InputValidationError("mode must be 'parallel' or 'sequential'")
@@ -129,17 +128,18 @@ def sqrt_k_improvement(g: DiGraph, w_red: np.ndarray, *,
             trace_span("dag01", acc=local, phase="improvement",
                        k=k, limit=L, mode=mode) as dsp:
         dist_h, chain = _find_chain_or_levels(cg, L, mode, seed, local,
-                                              fault_plan, retry_policy)
+                                              retry_policy)
         dsp.set(found_chain=chain is not None)
 
     if chain is not None:
         outcome = _step3_chain(g, w_red, cond, cg, chain, dist_h, k, L, mode,
                                assp_engine, eps, seed, local,
-                               fault_plan, retry_policy)
+                               retry_policy)
     else:
         outcome = _step3_independent_set(g, cond, cg, negs, dist_h, L, local)
-    if fault_plan is not None and outcome.price_delta is not None:
-        outcome.price_delta = fault_plan.corrupt_price_delta(
+    plan = current_fault_plan()
+    if plan is not None and outcome.price_delta is not None:
+        outcome.price_delta = plan.corrupt_price_delta(
             g.src, g.dst, w_red, outcome.price_delta)
     return outcome
 
@@ -154,7 +154,6 @@ def _step1_cycle(g: DiGraph, w_red: np.ndarray, comp: np.ndarray,
 
 def _find_chain_or_levels(cg: DiGraph, L: int, mode: str, seed,
                           acc: CostAccumulator,
-                          fault_plan=None,
                           retry_policy: RetryPolicy | None = None):
     """Step 2: solve the {0,−1} DAG problem with limit L on H.
 
@@ -176,8 +175,7 @@ def _find_chain_or_levels(cg: DiGraph, L: int, mode: str, seed,
         res = policy.run(
             "dag01_peeling", seed,
             lambda attempt, aseed: dag01_limited_sssp(
-                h, s_star, L, seed=aseed, acc=acc,
-                validate=False, fault_plan=fault_plan))
+                h, s_star, L, seed=aseed, acc=acc, validate=False))
         dist_h = res.dist[:cg.n]
         deep = np.flatnonzero(res.dist == -L)
         if len(deep) == 0:
@@ -233,7 +231,7 @@ def _step3_chain(g: DiGraph, w_red: np.ndarray, cond: Condensation,
                  dist_h: np.ndarray, k: int, L: int, mode: str,
                  assp_engine, eps: float, seed,
                  acc: CostAccumulator,
-                 fault_plan=None, retry_policy: RetryPolicy | None = None
+                 retry_policy: RetryPolicy | None = None
                  ) -> ImprovementOutcome:
     """Eliminate the chain via the Ĝ reduction (§6.1 Step 3, App. A.1)."""
     s_hat = cg.n
@@ -255,7 +253,7 @@ def _step3_chain(g: DiGraph, w_red: np.ndarray, cond: Condensation,
             policy = retry_policy or RetryPolicy(max_attempts=51)
             res = limited_sssp(g_hat, s_hat, L, engine=assp_engine, eps=eps,
                                acc=acc, validate=False,
-                               retry_policy=policy, fault_plan=fault_plan)
+                               retry_policy=policy)
             d_hat, parent_hat = res.dist, res.parent
         else:
             res = dijkstra(g_hat, s_hat, limit=L)

@@ -117,14 +117,14 @@ def scaled_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
                        mode: str = "parallel", assp_engine=None,
                        eps: float = 0.2, seed=0,
                        acc: CostAccumulator | None = None,
-                       fault_plan=None, retry_policy=None,
+                       retry_policy=None,
                        checkpoint_path=None, resume: bool = False,
                        on_checkpoint=None) -> ScalingResult:
     """Feasible price function for arbitrary integer weights, or a cycle.
 
-    Resilience hooks thread down into every randomized stage; the
-    ``"potential"`` fault site is applied to the returned price by the
-    engine tail (:mod:`repro.core.engines`), where only the independent
+    The stages below read the ambient fault plan where they fire; its
+    ``"potential"`` site is applied to the returned price by the engine
+    tail (:mod:`repro.core.engines`), where only the independent
     feasibility check can catch it.
 
     Preemption hooks: the ambient cancel token is checked at entry and
@@ -199,7 +199,6 @@ def scaled_reweighting(g: DiGraph, weights: np.ndarray | None = None, *,
                                       assp_engine=assp_engine, eps=eps,
                                       seed=derive_seed(seed, scale_idx),
                                       acc=local,
-                                      fault_plan=fault_plan,
                                       retry_policy=retry_policy)
                 stats.scales.append(s)
                 stats.per_scale.append(res.stats)

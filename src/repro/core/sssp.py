@@ -15,7 +15,7 @@ output, work/span budget guards, and graceful degradation to the
 Bellman–Ford baseline — with full provenance recorded on the result — when
 retries or budget run out.  Both entry points attach an independently
 re-checked :class:`~repro.resilience.errors.Certificate` to every result,
-and hand their token to the engine's ``solve``, which installs it.
+and hand their token and fault plan to the engine's ``solve``.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ def solve_sssp(g: DiGraph, source: int, *,
         The §4 ASSSP black box used inside the Goldberg engines' chain
         elimination.
     fault_plan, retry_policy :
-        Resilience hooks, threaded into every randomized stage; see
-        :mod:`repro.resilience`.  ``retry_policy`` budgets the Goldberg
+        Resilience hooks; see :mod:`repro.resilience`.  ``fault_plan``
+        lasts for this solve only; ``retry_policy`` budgets the Goldberg
         engines' nested verified stages.  ``solve_sssp_resilient`` owns
         the outermost retry/fallback loop around this function.
     guard :
@@ -177,7 +177,7 @@ def solve_sssp_resilient(g: DiGraph, source: int, *,
     solve degrades to Bellman–Ford — executed in-process, the most
     reliable substrate left — instead of crashing.  The provenance
     records the final rung, every ladder demotion, and every worker loss
-    absorbed along the way.
+    absorbed along the way, in this solve only.
 
     ``engine`` selects a solver from the registry in
     :mod:`repro.core.engines` (``goldberg_parallel``, the default,
@@ -207,6 +207,7 @@ def solve_sssp_resilient(g: DiGraph, source: int, *,
     guard = (BudgetGuard(max_work=max_work, max_span=max_span)
              if (max_work is not None or max_span is not None) else None)
     token = make_token(deadline, token)
+    since = SolveProvenance.backend_marks(backend)
     attempts: list[AttemptRecord] = []
     failure: Exception | None = None
 
@@ -244,7 +245,7 @@ def solve_sssp_resilient(g: DiGraph, source: int, *,
         res.provenance = SolveProvenance(
             engine=eng.name, attempts=attempts,
             faults=fault_plan.summary() if fault_plan is not None else None)
-        res.provenance.record_backend(backend)
+        res.provenance.record_backend(backend, since)
         return _finish(res, raise_on_cycle)
 
     if not fallback:
@@ -271,7 +272,7 @@ def solve_sssp_resilient(g: DiGraph, source: int, *,
         engine="fallback:bellman_ford", attempts=attempts,
         fallback_reason=reason,
         faults=fault_plan.summary() if fault_plan is not None else None)
-    res.provenance.record_backend(backend)
+    res.provenance.record_backend(backend, since)
     return _finish(res, raise_on_cycle)
 
 

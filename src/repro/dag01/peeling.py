@@ -29,6 +29,7 @@ from ..observability.metrics import metric_inc
 from ..observability.tracer import trace_span
 from ..reach.multisource import multisource_reachability
 from ..resilience.errors import InputValidationError, VerificationError
+from ..resilience.faults import current_fault_plan
 from ..runtime import model
 from ..runtime.metrics import Cost, CostAccumulator
 from ..runtime.primitives import stable_argsort
@@ -88,8 +89,8 @@ class _State:
 def dag01_limited_sssp(g: DiGraph, source: int, limit: int, *,
                        seed=0, acc: CostAccumulator | None = None,
                        validate: bool = True,
-                       priorities: np.ndarray | None = None,
-                       fault_plan=None) -> Dag01Result:
+                       priorities: np.ndarray | None = None
+                       ) -> Dag01Result:
     """Solve distance-limited SSSP on a DAG with weights in ``{0, −1}``.
 
     Parameters
@@ -107,13 +108,11 @@ def dag01_limited_sssp(g: DiGraph, source: int, limit: int, *,
         raise :class:`InputValidationError`.
     validate : bool
         Check DAG-ness and the weight alphabet up front (costs O(n+m)).
-    fault_plan : optional
-        Resilience hook (site ``"priorities"``): perturbs the priorities
-        so tests can prove the contract check below fires.
 
     The §3.1 priority contract (every priority in ``[1, k]``) is checked
-    again on the priorities peeling will use, drawn or fault-perturbed;
-    a violation there raises
+    again on the priorities peeling will use, drawn or perturbed by the
+    ambient fault plan (:func:`~repro.resilience.faults.current_fault_plan`,
+    site ``"priorities"``); a violation there raises
     :class:`~repro.resilience.errors.VerificationError`, which the
     improvement layer heals by redrawing with a fresh seed.
     """
@@ -157,8 +156,9 @@ def dag01_limited_sssp(g: DiGraph, source: int, limit: int, *,
             pri = geometric_priorities(sub.n, rng)
         else:
             pri = priorities[ids]
-        if fault_plan is not None:
-            pri = fault_plan.perturb_priorities(pri)
+        plan = current_fault_plan()
+        if plan is not None:
+            pri = plan.perturb_priorities(pri)
         bad = _priority_violation(pri)
         if bad:
             raise VerificationError(bad, stage="dag01_peeling")

@@ -76,23 +76,23 @@ def _validated_weights(w) -> np.ndarray:
     return _as_int64(w, "edge weights", max_abs=MAX_ABS_WEIGHT)
 
 
-def _aligned_weights(g: DiGraph, weights) -> np.ndarray:
+def _aligned_weights(g: DiGraph, weights, *, max_abs=None) -> np.ndarray:
     """``weights`` (``g.w`` when ``None``) as int64 aligned with ``g``'s
     edge ids: the public constructor's integral cast and a length check,
     without the :data:`MAX_ABS_WEIGHT` cap, which bounds input weights,
     not the reduced weights a kernel is handed."""
     if weights is None:
         return g.w
-    w = _as_int64(weights, "weights")
+    w = _as_int64(weights, "weights", max_abs=max_abs)
     if w.shape != (g.m,):
         raise InputValidationError("weights must align with edge ids")
     return w
 
 
-def _per_vertex(g: DiGraph, values, name: str) -> np.ndarray:
+def _per_vertex(g: DiGraph, values, name: str, *, max_abs=None) -> np.ndarray:
     """``values`` as int64 with one entry per vertex of ``g``: the public
     constructor's integral cast and a length check."""
-    a = _as_int64(values, name)
+    a = _as_int64(values, name, max_abs=max_abs)
     if a.shape != (g.n,):
         raise InputValidationError(f"{name} must have one entry per vertex")
     return a

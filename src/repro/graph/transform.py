@@ -16,6 +16,7 @@ import numpy as np
 from ..resilience.errors import InputValidationError
 from ..runtime.primitives import stable_argsort
 from .digraph import DiGraph, _aligned_weights, _per_vertex, _validated_weights
+from .validate import _SCALED_PRODUCT_LIMIT
 
 
 def reweight(g: DiGraph, price: np.ndarray) -> np.ndarray:
@@ -24,7 +25,8 @@ def reweight(g: DiGraph, price: np.ndarray) -> np.ndarray:
     Johnson-style reweighting: around any cycle the price terms telescope,
     so cycle weights — in particular negative cycles — are invariant.
     """
-    price = _per_vertex(g, price, "price function")
+    price = _per_vertex(g, price, "price function",
+                        max_abs=_SCALED_PRODUCT_LIMIT)
     return g.w + price[g.src] - price[g.dst]
 
 

@@ -34,7 +34,8 @@ def check_overflow_safety(g: DiGraph,
     w = _aligned_weights(g, weights)
     if len(w) == 0:
         return
-    max_abs = int(np.abs(w).max())
+    # np.abs(INT64_MIN) is INT64_MIN, which reads 2**63 unsigned
+    max_abs = int(np.abs(w).view(np.uint64).max())
     if max_abs and max(g.n, 1) > _SCALED_PRODUCT_LIMIT // (4 * max_abs):
         raise InputValidationError(
             f"n·max|w| = {g.n}·{max_abs} risks int64 overflow in "
@@ -84,19 +85,17 @@ def validate_graph(g: DiGraph, source=None,
 def is_feasible_price(g: DiGraph, price: np.ndarray,
                       weights: np.ndarray | None = None) -> bool:
     """True iff all reduced weights ``w + p(u) − p(v)`` are nonnegative."""
-    w = _aligned_weights(g, weights)
-    price = _per_vertex(g, price, "price function")
-    if g.m == 0:
-        return True
-    reduced = w + price[g.src] - price[g.dst]
-    return bool((reduced >= 0).all())
+    return min_reduced_weight(g, price, weights) >= 0
 
 
 def min_reduced_weight(g: DiGraph, price: np.ndarray,
                        weights: np.ndarray | None = None) -> int:
-    """Minimum reduced weight (≥ -1 required by the 1-reweighting problem)."""
-    w = _aligned_weights(g, weights)
-    price = _per_vertex(g, price, "price function")
+    """Minimum reduced weight (≥ -1 required by the 1-reweighting problem).
+    Prices and weights above 2^60 in magnitude raise, so |w + p(u) − p(v)|
+    stays below 2^63."""
+    w = _aligned_weights(g, weights, max_abs=_SCALED_PRODUCT_LIMIT)
+    price = _per_vertex(g, price, "price function",
+                        max_abs=_SCALED_PRODUCT_LIMIT)
     if g.m == 0:
         return 0
     return int((w + price[g.src] - price[g.dst]).min())

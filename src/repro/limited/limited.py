@@ -37,6 +37,7 @@ from ..observability.metrics import metric_inc
 from ..observability.tracer import trace_span
 from ..resilience.errors import InputValidationError, RetryExhaustedError
 from ..resilience.errors import VerificationError  # noqa: F401 (re-export)
+from ..resilience.faults import current_fault_plan
 from ..resilience.retry import AttemptRecord, RetryPolicy
 from ..runtime import model
 from ..runtime.metrics import Cost, CostAccumulator
@@ -69,7 +70,6 @@ def limited_sssp(g: DiGraph, source: int, limit: int, *,
                  engine=None, eps: float = 0.2,
                  acc: CostAccumulator | None = None,
                  retry_policy: RetryPolicy | None = None,
-                 fault_plan=None,
                  validate: bool = True) -> LimitedSpResult:
     """Exact distances to all vertices within ``limit`` of ``source``.
 
@@ -77,8 +77,8 @@ def limited_sssp(g: DiGraph, source: int, limit: int, *,
     < 1/4 for the refinement case analysis (Lemma 11).
 
     Resilience hooks: ``retry_policy`` budgets the verified passes (6
-    attempts without one); ``fault_plan`` (site ``"assp"``) corrupts
-    engine answers so tests can prove the Lemma-10 verifier fires.
+    attempts without one); the ambient fault plan (site ``"assp"``)
+    corrupts engine answers so tests can prove the Lemma-10 verifier fires.
     Exhausting the retry budget raises
     :class:`~repro.resilience.errors.RetryExhaustedError` (a
     ``VerificationError``) carrying the attempt log.
@@ -91,8 +91,9 @@ def limited_sssp(g: DiGraph, source: int, limit: int, *,
         raise InputValidationError("weights must be nonnegative")
     if engine is None:
         engine = ExactAssp()
-    if fault_plan is not None:
-        engine = FaultInjectingAssp(plan=fault_plan, inner=engine)
+    plan = current_fault_plan()
+    if plan is not None:
+        engine = FaultInjectingAssp(plan=plan, inner=engine)
     policy = retry_policy or RetryPolicy(max_attempts=6)
 
     local = CostAccumulator()

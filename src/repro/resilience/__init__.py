@@ -5,8 +5,8 @@ Four pieces (DESIGN.md "Robustness & verification"):
 * :mod:`~repro.resilience.errors` — structured exception taxonomy plus the
   :class:`Certificate` attached to every public result;
 * :mod:`~repro.resilience.faults` — a deterministic fault-injection plane
-  (:class:`FaultPlan`) threaded through the solver's hook points so tests
-  can prove each verifier catches its fault class;
+  (:class:`FaultPlan`) installed by :func:`fault_scope` for the solver's
+  hook points, so tests can prove each verifier catches its fault class;
 * :mod:`~repro.resilience.retry` — :class:`RetryPolicy`, the certified
   retry loop with seed escalation and per-attempt telemetry;
 * :mod:`~repro.resilience.guard` — :class:`BudgetGuard` work/span ceilings,
@@ -43,6 +43,8 @@ from .faults import (
     FaultPlan,
     FaultSpec,
     WorkerFaults,
+    current_fault_plan,
+    fault_scope,
 )
 from .guard import BudgetGuard, Meter, current_guard, guard_scope
 from .preempt import (
@@ -93,6 +95,8 @@ __all__ = [
     "SYSTEMIC_SITES",
     "ALL_SITES",
     "WorkerFaults",
+    "current_fault_plan",
+    "fault_scope",
     "RetryPolicy",
     "AttemptRecord",
     "SolveProvenance",

@@ -1,6 +1,6 @@
 """Deterministic fault-injection plane.
 
-A :class:`FaultPlan` is threaded (optionally) through the solver's hook
+A :class:`FaultPlan` in :func:`fault_scope` is read at the solver's hook
 points so tests can *prove* that every verifier catches the fault class it
 owns, that retries heal transient faults, and that persistent faults
 degrade to the deterministic fallback:
@@ -15,8 +15,8 @@ priorities ``dag01.peeling`` after the    priority-contract check in
 price      ``core.improvement`` on the    τ-improvement properties
            returned price delta           (``core.price``) in
                                           ``core.goldberg``
-potential  ``core.scaling`` on the final  ``is_feasible_price`` in
-           potential                      ``core.sssp``
+potential  ``core.engines`` (the tail)    ``is_feasible_price`` in the
+           on the final potential         tail's certificate check
 ========== ============================== ================================
 
 Every decision a plan makes is a pure function of its seed and its
@@ -29,10 +29,12 @@ verifiers' job.
 
 from __future__ import annotations
 
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..runcontext import current_context, run_scope
 from ..runtime.rng import derive_seed, make_rng
 
 # corruption sites: fire in-process, corrupt a value, a verifier catches it
@@ -77,8 +79,8 @@ class FaultSpec:
 class WorkerFaults:
     """The systemic slice of a :class:`FaultPlan`, in picklable form.
 
-    Shipped to worker processes by
-    :meth:`~repro.runtime.backends.ProcessForkJoinPool.install_fault_plan`.
+    Shipped to worker processes with each dispatch of
+    :class:`~repro.runtime.backends.ProcessForkJoinPool`.
     Decisions are *pure* functions of ``(seed, site, block lo, dispatch
     attempt)`` — no shared rng stream, no counters — so the parent can
     recompute exactly which faults fired without a message from a worker
@@ -280,3 +282,15 @@ class FaultPlan:
         e = int(hop[np.argmin(reduced)])
         out[dst[e]] += int(reduced[np.argmin(reduced)]) + 1
         return out
+
+
+def current_fault_plan() -> FaultPlan | None:
+    """The plan installed by the innermost :func:`fault_scope`, if any."""
+    return current_context().fault_plan
+
+
+def fault_scope(plan: FaultPlan | None) -> AbstractContextManager:
+    """Install ``plan`` as the ambient fault plan for the enclosed block;
+    yields ``plan``.  ``None`` keeps the outer plan, as in
+    :func:`~repro.resilience.preempt.cancel_scope`."""
+    return nullcontext() if plan is None else run_scope(fault_plan=plan)

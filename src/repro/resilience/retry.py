@@ -132,19 +132,20 @@ class SolveProvenance:
     def used_fallback(self) -> bool:
         return self.engine.startswith("fallback:")
 
-    def record_backend(self, backend) -> None:
-        """Fold a backend's telemetry in (no-op for plain pools without
-        a ``telemetry()`` — e.g. a raw :class:`ForkJoinPool`)."""
-        if backend is None:
-            return
-        tele = getattr(backend, "telemetry", None)
-        if tele is None:
-            self.backend = getattr(backend, "name", None)
-            return
-        t = tele()
-        self.backend = t["backend"]
-        self.demotions.extend(t["demotions"])
-        self.worker_losses.extend(t["worker_losses"])
+    @staticmethod
+    def backend_marks(backend) -> tuple[int, int]:
+        """Demotion and worker-loss counts of ``backend``'s telemetry."""
+        t = getattr(backend, "telemetry", dict)()
+        return len(t.get("demotions", ())), len(t.get("worker_losses", ()))
+
+    def record_backend(self, backend, since: tuple[int, int]) -> None:
+        """Fold in a backend's telemetry past ``since``, its
+        :meth:`backend_marks` at the solve's entry (only the name for a
+        plain pool without ``telemetry()``)."""
+        t = getattr(backend, "telemetry", dict)()
+        self.backend = t.get("backend", getattr(backend, "name", None))
+        self.demotions.extend(t.get("demotions", ())[since[0]:])
+        self.worker_losses.extend(t.get("worker_losses", ())[since[1]:])
 
     def to_json(self) -> dict:
         """The provenance as one JSON-serialisable dict (the chaos CI

@@ -1,11 +1,11 @@
 """The ambient run context: all per-solve ambient state in one place.
 
-The tracer, metrics registry, profiler, cancel token, budget guard, race
-checker and worker-session flag are the fields of one immutable
+The tracer, metrics registry, profiler, cancel token, budget guard, fault
+plan, race checker and worker-session flag are the fields of one immutable
 :class:`RunContext` behind one :class:`~contextvars.ContextVar`, so they
 belong to the thread that set them: solves on several threads at once
 keep separate state.  :class:`run_scope` is the only writer; the public
-scopes (``tracing``, ``cancel_scope``, ...) are one-line spellings over
+scopes (``tracing``, ``fault_scope``, ...) are one-line spellings over
 it, and every guard reads the context once through
 :func:`current_context`.  The thread backend runs each block in its own
 copy of the submitting thread's context; a process worker's
@@ -22,6 +22,7 @@ if TYPE_CHECKING:
     from .observability.metrics import MetricsRegistry
     from .observability.profiler import PhaseProfiler
     from .observability.tracer import Tracer
+    from .resilience.faults import FaultPlan
     from .resilience.guard import BudgetGuard
     from .resilience.preempt import CancelToken
     from .runtime.racecheck import RaceChecker
@@ -37,6 +38,7 @@ class RunContext(NamedTuple):
     profiler: PhaseProfiler | None = None
     token: CancelToken | None = None
     guard: BudgetGuard | None = None
+    fault_plan: FaultPlan | None = None
     race_checker: RaceChecker | None = None
     in_session: bool = False
 

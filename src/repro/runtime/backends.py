@@ -67,6 +67,7 @@ from ..observability.worker import (
     ship_flags,
 )
 from ..resilience.errors import InputValidationError, WorkerPoolError
+from ..resilience.faults import current_fault_plan
 from ..resilience.preempt import (
     CancelToken,
     Deadline,
@@ -310,7 +311,9 @@ class ProcessForkJoinPool(BlockPool):
     :class:`~repro.resilience.errors.WorkerPoolError` so the
     degradation ladder can demote.  All telemetry (spawns, losses,
     re-dispatches) lands in the ambient metrics registry and in
-    :attr:`worker_losses` for provenance.
+    :attr:`worker_losses` for provenance.  Each call ships the ambient
+    fault plan's systemic slice with every dispatch and mirrors the
+    dispatch into the plan; the pool keeps no plan between calls.
 
     The timing settings must be finite: ``heartbeat_interval``,
     ``liveness_timeout`` and ``straggler_factor`` above 0, the backoff
@@ -365,20 +368,7 @@ class ProcessForkJoinPool(BlockPool):
         self._next_wid = 0
         self._epoch = 0
         self._closed = False
-        self._fault_plan: Any = None
-        self._worker_faults: Any = None
         self.worker_losses: list[WorkerLoss] = []
-
-    # -- fault plane ----------------------------------------------------
-
-    def install_fault_plan(self, plan: Any) -> None:
-        """Attach a :class:`~repro.resilience.faults.FaultPlan`: its
-        systemic sites (``worker_kill``/``worker_hang``/``result_drop``)
-        are shipped to workers and fire deterministically per
-        ``(block, dispatch-attempt)``."""
-        self._fault_plan = plan
-        self._worker_faults = (None if plan is None
-                               else plan.systemic())
 
     # -- worker lifecycle ----------------------------------------------
 
@@ -473,6 +463,8 @@ class ProcessForkJoinPool(BlockPool):
         dispatch_sid = psp.span.sid if tracer is not None else None
         telem = ship_flags()
         token = current_token()
+        plan = current_fault_plan()
+        faults = None if plan is None else plan.systemic()
 
         def record_block_span(t: _Task, wid: int, attempt: int,
                               shipped: Any) -> None:
@@ -489,11 +481,11 @@ class ProcessForkJoinPool(BlockPool):
             t.dispatches += 1
             attempt = t.dispatches
             remaining = None if token is None else token.remaining()
-            if self._fault_plan is not None:
-                self._fault_plan.note_worker_dispatch(t.lo, t.hi, attempt)
+            if plan is not None:
+                plan.note_worker_dispatch(t.lo, t.hi, attempt)
             try:
                 w.conn.send((epoch, t.bid, fn, t.lo, t.hi, args, attempt,
-                             self._worker_faults, remaining, telem))
+                             faults, remaining, telem))
             except (BrokenPipeError, OSError):
                 t.dispatches -= 1
                 self._reap_worker(w, "death", "pipe broke at dispatch")
@@ -656,9 +648,6 @@ class ProcessForkJoinPool(BlockPool):
                         if (b[1] not in results and not t.inflight):
                             by_bid[b[1]].not_before = 0.0
                     self._reap_worker(w, "death", "pipe EOF")
-                    if b is not None and b[0] == epoch:
-                        # re-queue handled by caller loop via pending scan
-                        pass
                 return error
             kind = msg[0]
             w.last_event = time.monotonic()
@@ -762,7 +751,6 @@ class DegradationLadder:
         self._rung = 0
         self.demotions: list[Demotion] = []
         self.worker_losses: list[WorkerLoss] = []
-        self._fault_plan: Any = None
 
     @classmethod
     def for_backend(cls, name: str, *, n_workers: int | None = None,
@@ -796,17 +784,8 @@ class DegradationLadder:
         if be is None:
             factory = self._rungs[self._rung][1]
             be = factory() if callable(factory) else factory
-            if self._fault_plan is not None and hasattr(
-                    be, "install_fault_plan"):
-                be.install_fault_plan(self._fault_plan)
             self._instances[self._rung] = be
         return be
-
-    def install_fault_plan(self, plan: Any) -> None:
-        self._fault_plan = plan
-        for be in self._instances.values():
-            if hasattr(be, "install_fault_plan"):
-                be.install_fault_plan(plan)
 
     def _demote(self, reason: str) -> None:
         old_name = self._rungs[self._rung][0]

@@ -54,7 +54,8 @@ ORDERED_ITER_CONSUMERS = frozenset({
 
 CONTEXT_FACTORY_CALLS = frozenset({
     "trace_span", "worker_span", "profile_scope", "run_scope", "tracing",
-    "metering", "profiling", "cancel_scope", "guard_scope", "race_checking",
+    "metering", "profiling", "cancel_scope", "guard_scope", "fault_scope",
+    "race_checking",
 })
 
 SET_METHODS = frozenset({"union", "intersection", "difference",
@@ -413,10 +414,10 @@ class RS005ContextLeak(Rule):
         "RS005", "context-manager factory used outside `with`",
         "The span guards (trace_span/worker_span/profile_scope) and the "
         "run-context scopes (run_scope and its spellings tracing/metering/"
-        "profiling/cancel_scope/guard_scope/race_checking) return context "
-        "managers; calling one without `with` leaks the span/scope on an "
-        "exception path (the span never closes, the ambient state never "
-        "restores).")
+        "profiling/cancel_scope/guard_scope/fault_scope/race_checking) "
+        "return context managers; calling one without `with` leaks the "
+        "span/scope on an exception path (the span never closes, the "
+        "ambient state never restores).")
 
     def check(self, ctx: ModuleContext) -> Iterable[Finding]:
         for node in ast.walk(ctx.tree):

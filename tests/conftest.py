@@ -16,6 +16,7 @@ import pytest
 
 from repro.graph import DiGraph
 from repro.observability import metering, tracing
+from repro.resilience.faults import current_fault_plan, fault_scope
 
 
 def graph_from_triples(n, triples):
@@ -81,12 +82,12 @@ def rechecked_kernel(kernel, reference):
     """Wrap a kernel so that every call also runs ``reference`` on the
     same arguments and asserts equal results: arrays byte for byte, the
     charges made on ``acc``, the state a generator passed as ``rng`` or
-    ``seed`` is left in, and the call counts and fired faults of a
-    ``fault_plan``.  The reference gets copies of ``acc``, the generator
-    and the plan, so the caller's objects see the kernel's effects only
-    (a fault fires once), and runs with tracing and metering off, so the
-    caller's trace and metrics see the kernel's spans and counters
-    only."""
+    ``seed`` is left in, and the call counts and fired faults of the
+    ambient fault plan.  The reference gets copies of ``acc`` and the
+    generator, and runs under its own ``fault_scope`` with a copy of the
+    plan, so the caller's objects see the kernel's effects only (a fault
+    fires once); it runs with tracing and metering off, so the caller's
+    trace and metrics see the kernel's spans and counters only."""
     sig = inspect.signature(kernel)
 
     @functools.wraps(kernel)
@@ -101,11 +102,10 @@ def rechecked_kernel(kernel, reference):
             if isinstance(gen, np.random.Generator):
                 gens[name] = gen
                 ref.arguments[name] = copy.deepcopy(gen)
-        plan = ref.arguments.get("fault_plan")
-        if plan is not None:
-            ref.arguments["fault_plan"] = copy.deepcopy(plan)
+        plan = current_fault_plan()
+        ref_plan = copy.deepcopy(plan)
         got = kernel(*args, **kwargs)
-        with tracing(None), metering(None):
+        with tracing(None), metering(None), fault_scope(ref_plan):
             want = reference(*ref.args, **ref.kwargs)
         oracles.assert_same_result(got, want, kernel.__name__)
         if acc is not None:
@@ -116,7 +116,6 @@ def rechecked_kernel(kernel, reference):
                 ref.arguments[name].bit_generator.state, \
                 f"{kernel.__name__}: RNG state differs from the reference"
         if plan is not None:
-            ref_plan = ref.arguments["fault_plan"]
             assert (plan.calls, plan.events) == \
                 (ref_plan.calls, ref_plan.events), \
                 f"{kernel.__name__}: fault plan differs from the reference"

@@ -36,6 +36,7 @@ from repro.reach.multisource import (
 )
 from repro.reach.scc import SccResult
 from repro.resilience.errors import InputValidationError, VerificationError
+from repro.resilience.faults import current_fault_plan
 from repro.runtime.metrics import Cost, CostAccumulator
 from repro.runtime.primitives import stable_argsort, unique_sorted
 from repro.runtime.racecheck import race_read, race_write
@@ -766,8 +767,8 @@ def incident_edges(g: DiGraph, nodes: np.ndarray) -> int:
 def dag01_limited_sssp_reference(g: DiGraph, source: int, limit: int, *,
                                  seed=0, acc: CostAccumulator | None = None,
                                  validate: bool = True,
-                                 priorities: np.ndarray | None = None,
-                                 fault_plan=None) -> Dag01Result:
+                                 priorities: np.ndarray | None = None
+                                 ) -> Dag01Result:
     """Reference for :func:`repro.dag01.peeling.dag01_limited_sssp`:
     Propagate gathers ``V'``'s in-edge table once, then steps through
     every priority, re-masking the whole table for GetNearbyLabel and
@@ -807,8 +808,9 @@ def dag01_limited_sssp_reference(g: DiGraph, source: int, limit: int, *,
             pri = geometric_priorities(sub.n, rng)
         else:
             pri = priorities[ids]
-        if fault_plan is not None:
-            pri = fault_plan.perturb_priorities(pri)
+        plan = current_fault_plan()
+        if plan is not None:
+            pri = plan.perturb_priorities(pri)
         if sub.n and (pri.min() < 1 or pri.max() > sub.n):
             raise VerificationError(
                 "peeling priorities violate the §3.1 contract "

@@ -31,6 +31,7 @@ from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,
     WorkerFaults,
+    fault_scope,
 )
 from repro.resilience.preempt import (
     CancelToken,
@@ -342,8 +343,7 @@ class TestCancellation:
 class TestSystemicFaults:
     def test_worker_kill_recovered_bit_identically(self):
         plan = FaultPlan([FaultSpec("worker_kill", calls=(1,))], seed=3)
-        with fast_pool() as p:
-            p.install_fault_plan(plan)
+        with fast_pool() as p, fault_scope(plan):
             out = p.map_blocks(100, _square, (ARR,))
             assert np.array_equal(np.concatenate(out), ARR ** 2)
             assert all(loss.kind == "death" for loss in p.worker_losses)
@@ -353,32 +353,29 @@ class TestSystemicFaults:
 
     def test_result_drop_healed_by_redispatch(self):
         plan = FaultPlan([FaultSpec("result_drop", calls=(1,))], seed=5)
-        with fast_pool(liveness_timeout=0.2) as p:
-            p.install_fault_plan(plan)
+        with fast_pool(liveness_timeout=0.2) as p, fault_scope(plan):
             out = p.map_blocks(100, _square, (ARR,))
             assert np.array_equal(np.concatenate(out), ARR ** 2)
         assert plan.fired("result_drop") >= 1
 
     def test_worker_hang_detected_and_replaced(self):
         plan = FaultPlan([FaultSpec("worker_hang", calls=(1,))], seed=7)
-        with fast_pool(liveness_timeout=0.2) as p:
-            p.install_fault_plan(plan)
+        with fast_pool(liveness_timeout=0.2) as p, fault_scope(plan):
             out = p.map_blocks(100, _square, (ARR,))
             assert np.array_equal(np.concatenate(out), ARR ** 2)
             assert any(loss.kind == "hang" for loss in p.worker_losses)
 
     def test_persistent_kill_exhausts_dispatch_budget(self):
         plan = FaultPlan([FaultSpec("worker_kill")], seed=1)
-        with fast_pool(max_dispatches=2, max_worker_losses=100) as p:
-            p.install_fault_plan(plan)
+        with fast_pool(max_dispatches=2, max_worker_losses=100) as p, \
+                fault_scope(plan):
             with pytest.raises(WorkerPoolError, match="dispatch attempts"):
                 p.map_blocks(100, _square, (ARR,))
             assert p.worker_losses  # the error carries the loss story
 
     def test_loss_budget_trips(self):
         plan = FaultPlan([FaultSpec("worker_kill")], seed=2)
-        with fast_pool(max_worker_losses=1) as p:
-            p.install_fault_plan(plan)
+        with fast_pool(max_worker_losses=1) as p, fault_scope(plan):
             with pytest.raises(WorkerPoolError, match="exceed the budget"):
                 p.map_blocks(100, _square, (ARR,))
 
@@ -403,6 +400,22 @@ class TestSystemicFaults:
         assert FaultPlan([FaultSpec("assp")]).systemic() is None
         assert set(SYSTEMIC_SITES) == {"worker_kill", "worker_hang",
                                        "result_drop"}
+
+    def test_a_plan_never_outlives_its_solve(self):
+        """A caller-owned pool keeps no plan: a later solve without one
+        kills no worker and leaves the plan as its own solve left it."""
+        g = hidden_potential_graph(300, 3000, potential_spread=8, seed=1)
+        plan = FaultPlan([FaultSpec("worker_kill", calls=(1,))])
+        with ProcessForkJoinPool(2, grain=256, liveness_timeout=1.0) as p:
+            first = solve_sssp_resilient(g, 0, backend=p, fault_plan=plan)
+            losses = len(p.worker_losses)
+            assert losses == plan.fired("worker_kill") > 0
+            calls, events = dict(plan.calls), list(plan.events)
+            second = solve_sssp_resilient(g, 0, backend=p)
+            assert len(p.worker_losses) == losses
+        assert (plan.calls, plan.events) == (calls, events)
+        assert second.provenance.faults is None
+        assert np.array_equal(first.dist, second.dist)
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +467,7 @@ class TestLadder:
             "process", n_workers=2, grain=8, heartbeat_interval=0.02,
             liveness_timeout=0.3, backoff_base=0.01, max_dispatches=2,
             max_worker_losses=3)
-        lad.install_fault_plan(plan)
-        with metering(reg), lad:
+        with metering(reg), lad, fault_scope(plan):
             out = lad.map_blocks(100, _square, (ARR,))
         assert np.array_equal(np.concatenate(out), ARR ** 2)
         assert lad.name == "thread"
@@ -471,6 +483,24 @@ class TestLadder:
         assert "repro_backend_demotions_total" in fams
         assert "repro_worker_losses_total" in fams
         assert "repro_workers_spawned_total" in fams
+
+    def test_provenance_lists_only_its_own_solve(self):
+        """Three solves on one caller-owned ladder, only the first with a
+        plan: each provenance lists the losses and demotions of its own
+        solve, not the ladder's lifetime totals."""
+        g = hidden_potential_graph(300, 3000, potential_spread=8, seed=1)
+        plan = FaultPlan([FaultSpec("worker_kill", calls=(1,))])
+        with DegradationLadder.for_backend("process", n_workers=2,
+                                           grain=256,
+                                           liveness_timeout=1.0) as lad:
+            first, *rest = [
+                solve_sssp_resilient(g, 0, backend=lad,
+                                     fault_plan=faults).provenance
+                for faults in (plan, None, None)]
+        assert len(first.worker_losses) == plan.fired("worker_kill") > 0
+        assert first.demotions == []
+        assert [(p.worker_losses, p.demotions) for p in rest] == [
+            ([], []), ([], [])]
 
     def test_thread_ladder_ends_serial(self):
         lad = DegradationLadder.for_backend("thread", n_workers=2)

@@ -224,8 +224,7 @@ class TestParallelSpecific:
         class StagedCycleEngine(_PotentialEngine):
             name = "staged-cycle"
 
-            def _potential(self, g, *, seed, acc, backend, fault_plan,
-                           **options):
+            def _potential(self, g, *, seed, acc, backend, **options):
                 with acc.stage("probe"):
                     acc.charge(3.0)
                 return None, [0, 1], None

@@ -23,7 +23,7 @@ from repro.graph import (
 )
 from repro.observability import Trace, Tracer, tracing
 from repro.reach import reachable_mask
-from repro.resilience import FaultPlan
+from repro.resilience import FaultPlan, fault_scope
 from repro.resilience.errors import InputValidationError, VerificationError
 from repro.runtime import CostAccumulator
 
@@ -144,9 +144,9 @@ class TestValidation:
 
     def test_fault_perturbed_priorities_still_signal_a_retry(self):
         g = DiGraph.from_edges(3, [(0, 1, -1), (1, 2, 0)])
-        with pytest.raises(VerificationError, match="§3.1"):
-            dag01_limited_sssp(g, 0, 2, priorities=[1, 2, 3],
-                               fault_plan=FaultPlan.always("priorities"))
+        with pytest.raises(VerificationError, match="§3.1"), \
+                fault_scope(FaultPlan.always("priorities")):
+            dag01_limited_sssp(g, 0, 2, priorities=[1, 2, 3])
 
     def test_validate_off_skips_checks(self):
         g = DiGraph.from_edges(2, [(0, 1, 0)])
@@ -393,13 +393,14 @@ def test_recheck_mode_catches_a_propagate_that_drops_a_skipped_priority(
 
 @pytest.mark.differential
 def test_recheck_mode_gives_the_reference_its_own_fault_plan():
-    """The reference runs on a copy of ``fault_plan``: the caller's plan
-    counts one ``priorities`` call per peeling call, and a fault planned
-    for the second call fires once, in the kernel."""
+    """The reference runs on a copy of the ambient fault plan: the
+    caller's plan counts one ``priorities`` call per peeling call, and a
+    fault planned for the second call fires once, in the kernel."""
     g = DiGraph.from_edges(3, [(0, 1, -1), (1, 2, 0)])
     plan = FaultPlan.on_calls("priorities", 2)
-    peeling.dag01_limited_sssp(g, 0, 2, fault_plan=plan)
-    assert plan.calls["priorities"] == 1
-    with pytest.raises(VerificationError, match="§3.1"):
-        peeling.dag01_limited_sssp(g, 0, 2, fault_plan=plan)
+    with fault_scope(plan):
+        peeling.dag01_limited_sssp(g, 0, 2)
+        assert plan.calls["priorities"] == 1
+        with pytest.raises(VerificationError, match="§3.1"):
+            peeling.dag01_limited_sssp(g, 0, 2)
     assert plan.calls["priorities"] == 2 and plan.fired("priorities") == 1

@@ -245,7 +245,7 @@ class _FakeCycleEngine(_PotentialEngine):
 
     name = "fake-cycle"
 
-    def _potential(self, g, *, seed, acc, backend, fault_plan, **options):
+    def _potential(self, g, *, seed, acc, backend, **options):
         return None, [0, 1], None
 
 
@@ -255,7 +255,7 @@ class _InfeasiblePriceEngine(_PotentialEngine):
 
     name = "infeasible-price"
 
-    def _potential(self, g, *, seed, acc, backend, fault_plan, **options):
+    def _potential(self, g, *, seed, acc, backend, **options):
         return np.zeros(g.n, dtype=np.int64), None, None
 
 

@@ -82,6 +82,33 @@ class TestFeasiblePrice:
     def test_min_reduced_weight_empty(self):
         assert min_reduced_weight(DiGraph.from_edges(1, []), np.zeros(1)) == 0
 
+    @pytest.mark.parametrize("check", [is_feasible_price, min_reduced_weight,
+                                       reweight])
+    def test_price_past_2_60_raises_instead_of_wrapping(self, check):
+        # the exact reduced weight is 2^63 + 5 >= 0, which int64 wraps
+        # to a negative number
+        g = DiGraph.from_edges(2, [(0, 1, 5)])
+        with pytest.raises(InputValidationError, match="magnitude exceeds"):
+            check(g, np.array([2 ** 62, -2 ** 62]))
+
+    @pytest.mark.parametrize("check", [is_feasible_price, min_reduced_weight])
+    def test_weights_past_2_60_raise(self, check):
+        g = DiGraph.from_edges(2, [(0, 1, 5)])
+        with pytest.raises(InputValidationError, match="magnitude exceeds"):
+            check(g, np.zeros(2), np.array([2 ** 61]))
+
+    def test_price_at_2_60_is_read_exactly(self):
+        g = DiGraph.from_edges(2, [(0, 1, 5)])
+        price = np.array([2 ** 60, -2 ** 60])
+        assert is_feasible_price(g, price)
+        assert min_reduced_weight(g, price) == 2 ** 61 + 5
+
+    def test_overflow_check_reads_int64_min_as_2_63(self):
+        g = DiGraph.from_edges(2, [(0, 1, 1)])
+        with pytest.raises(InputValidationError,
+                           match=r"= 2·9223372036854775808 risks"):
+            check_overflow_safety(g, np.array([-2 ** 63]))
+
 
 class TestCycles:
     def test_cycle_weight(self):

@@ -38,7 +38,13 @@ from repro.graph.digraph import MAX_ABS_WEIGHT
 from repro.graph.validate import check_overflow_safety, validate_negative_cycle
 from repro.limited import limited_sssp
 from repro.observability import Tracer, tracing
-from repro.resilience import FAULT_SITES, FaultSpec, Meter, guard_scope
+from repro.resilience import (
+    FAULT_SITES,
+    FaultSpec,
+    Meter,
+    fault_scope,
+    guard_scope,
+)
 from repro.runtime import model
 from repro.runtime.metrics import Cost, CostAccumulator
 
@@ -85,8 +91,9 @@ class TestTaxonomy:
         assert not issubclass(BudgetExceededError, VerificationError)
 
     def test_retry_exhausted_carries_attempts(self, gpos):
-        with pytest.raises(RetryExhaustedError) as ei:
-            limited_sssp(gpos, 0, 30, fault_plan=FaultPlan.always("assp"),
+        with pytest.raises(RetryExhaustedError) as ei, \
+                fault_scope(FaultPlan.always("assp")):
+            limited_sssp(gpos, 0, 30,
                          retry_policy=RetryPolicy(max_attempts=3))
         exc = ei.value
         assert exc.stage == "limited_sssp"
@@ -198,23 +205,24 @@ class TestFaultCaught:
     """Leg (a): each fault class trips the verifier that owns it."""
 
     def test_assp_caught_by_lemma10(self, gpos):
-        with pytest.raises(RetryExhaustedError) as ei:
-            limited_sssp(gpos, 0, 30, fault_plan=FaultPlan.always("assp"),
+        with pytest.raises(RetryExhaustedError) as ei, \
+                fault_scope(FaultPlan.always("assp")):
+            limited_sssp(gpos, 0, 30,
                          retry_policy=RetryPolicy(max_attempts=1))
         assert ei.value.stage == "limited_sssp"
 
     def test_priorities_caught_by_contract_check(self):
         dag = generators.random_dag(20, 50, weights=(0, -1), seed=1)
-        with pytest.raises(VerificationError) as ei:
-            dag01_limited_sssp(dag, 0, 10,
-                               fault_plan=FaultPlan.always("priorities"))
+        with pytest.raises(VerificationError) as ei, \
+                fault_scope(FaultPlan.always("priorities")):
+            dag01_limited_sssp(dag, 0, 10)
         assert ei.value.stage == "dag01_peeling"
 
     def test_price_caught_by_improvement_check(self, g):
         w1 = np.maximum(g.w, -1)
-        with pytest.raises(RetryExhaustedError) as ei:
+        with pytest.raises(RetryExhaustedError) as ei, \
+                fault_scope(FaultPlan.always("price")):
             one_reweighting(g, w1, mode="sequential",
-                            fault_plan=FaultPlan.always("price"),
                             retry_policy=RetryPolicy(max_attempts=2))
         assert ei.value.stage == "sqrt_k_improvement"
 
@@ -421,8 +429,7 @@ def potential_cost(engine, g):
     """The work of ``engine``'s potential on ``g`` at seed 1, the search a
     ``potential`` fault then corrupts."""
     acc = CostAccumulator()
-    get_sssp_engine(engine)._potential(g, seed=1, acc=acc, backend=None,
-                                       fault_plan=None)
+    get_sssp_engine(engine)._potential(g, seed=1, acc=acc, backend=None)
     return acc.work
 
 

@@ -1,13 +1,14 @@
 """Ambient state under threads: one run context per thread.
 
 Every piece of ambient solve state — tracer, metrics registry, profiler,
-cancel token, budget guard, race checker — is a field of one
+cancel token, budget guard, fault plan, race checker — is a field of one
 :class:`~repro.runcontext.RunContext` behind one ``ContextVar``.  These
 tests pin what that buys: scopes entered on two threads at once stay
 separate, concurrent solves keep separate traces and metrics, nothing a
 thread installs outlives its scope, and a thread-pool block sees what a
 serial block sees.  The last class keeps the ambient state in that one
-place, and ``token`` parameters on the solve entry points only.
+place, and ``token`` and ``fault_plan`` parameters on the solve entry
+points only.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from contextlib import ExitStack
 
 import pytest
 
-from repro import solve_sssp
+from repro import VerificationError, solve_sssp
 from repro.graph.generators import hidden_potential_graph
 from repro.observability import (
     MetricsRegistry,
@@ -41,9 +42,12 @@ from repro.observability.worker import WorkerSession
 from repro.resilience import (
     BudgetGuard,
     CancelToken,
+    FaultPlan,
     cancel_scope,
+    current_fault_plan,
     current_guard,
     current_token,
+    fault_scope,
     guard_scope,
 )
 from repro.runcontext import EMPTY_CONTEXT, current_context
@@ -65,6 +69,7 @@ SCOPES = {
     "race_checking": (race_checking, current_race_checker, RaceChecker),
     "cancel_scope": (cancel_scope, current_token, CancelToken),
     "guard_scope": (guard_scope, current_guard, BudgetGuard),
+    "fault_scope": (fault_scope, current_fault_plan, FaultPlan),
 }
 
 TIMEOUT = 30.0
@@ -282,7 +287,7 @@ class TestScopeSemantics:
                 assert current() is outer
 
     def test_none_keeps_the_outer_token_and_guard(self):
-        for name in ("cancel_scope", "guard_scope"):
+        for name in ("cancel_scope", "guard_scope", "fault_scope"):
             scope, current, make = SCOPES[name]
             outer = make()
             with scope(outer) as got:
@@ -312,7 +317,8 @@ class TestScopeSemantics:
 
     def test_worker_session_starts_from_the_empty_context(self):
         with tracing(Tracer()), cancel_scope(CancelToken()), \
-                guard_scope(BudgetGuard()), race_checking():
+                guard_scope(BudgetGuard()), fault_scope(FaultPlan()), \
+                race_checking():
             with WorkerSession((False, True)):
                 ctx = current_context()
                 assert isinstance(ctx.metrics, MetricsRegistry)
@@ -320,10 +326,38 @@ class TestScopeSemantics:
                     in_session=True)
 
 
+class TestFaultScope:
+    def test_scopes_nest_and_restore_on_exit(self):
+        outer, inner = FaultPlan(), FaultPlan()
+        with fault_scope(outer):
+            with fault_scope(inner) as got:
+                assert got is inner and current_fault_plan() is inner
+                with fault_scope(None):
+                    assert current_fault_plan() is inner
+            assert current_fault_plan() is outer
+            with pytest.raises(RuntimeError), fault_scope(inner):
+                raise RuntimeError("unwind")
+            assert current_fault_plan() is outer
+        assert current_fault_plan() is None
+
+    def test_a_solve_on_another_thread_does_not_see_the_plan(self):
+        g = hidden_potential_graph(120, 480, seed=1)
+        plan = FaultPlan.always("potential")
+        other = {}
+        with fault_scope(plan):
+            _run_threads(lambda: other.setdefault("res",
+                                                  solve_sssp(g, 0, seed=0)))
+            assert plan.calls["potential"] == 0
+            with pytest.raises(VerificationError, match="infeasible price"):
+                solve_sssp(g, 0, seed=0)
+        assert plan.calls["potential"] == 1
+        assert other["res"].certificate.checked
+
+
 # ---------------------------------------------------------------------------
 # one mechanism: no module globals, thread-locals or other ContextVars,
-# and a cancel token reaches the code below the solve entry points only
-# through the run context
+# and a cancel token or fault plan reaches the code below the solve entry
+# points only through the run context
 # ---------------------------------------------------------------------------
 
 ALLOWED_GLOBALS: set[tuple[str, str]] = set()
@@ -336,6 +370,13 @@ TOKEN_ENTRY_POINTS = {
     ("core/engines.py", "_PotentialEngine.solve"),
     ("resilience/preempt.py", "cancel_scope"),
     ("resilience/preempt.py", "make_token"),
+}
+# the functions that take a ``fault_plan`` parameter: the solve entry
+# points, whose ``_PotentialEngine.solve`` installs it with ``fault_scope``
+FAULT_PLAN_ENTRY_POINTS = {
+    ("core/sssp.py", "solve_sssp"),
+    ("core/sssp.py", "solve_sssp_resilient"),
+    ("core/engines.py", "_PotentialEngine.solve"),
 }
 
 
@@ -373,6 +414,9 @@ def _ambient_state_violations(path, rel):
         if (any(p.arg == "token" for p in params)
                 and (rel, name) not in TOKEN_ENTRY_POINTS):
             out.append(f"{rel}:{fn.lineno}: token parameter of {name}")
+        if (any(p.arg == "fault_plan" for p in params)
+                and (rel, name) not in FAULT_PLAN_ENTRY_POINTS):
+            out.append(f"{rel}:{fn.lineno}: fault_plan parameter of {name}")
     for node in ast.walk(tree):
         if isinstance(node, ast.Global):
             out += [f"{rel}:{node.lineno}: global {name}"
@@ -409,6 +453,8 @@ class TestOneMechanism:
          "ContextVar("),
         ("class E:\n    def step(self, g, *, token=None):\n        pass\n",
          "token parameter of E.step"),
+        ("def stage(g, *, fault_plan=None):\n    pass\n",
+         "fault_plan parameter of stage"),
     ])
     def test_detector_fires_on_each_mechanism(self, tmp_path, code, what):
         path = tmp_path / "mod.py"

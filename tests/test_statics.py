@@ -176,7 +176,7 @@ class TestRS005:
 
     @pytest.mark.parametrize("call", [
         "profiling(p)", "profile_scope('x')", "guard_scope(g)",
-        "worker_span('x')", "run_scope(tracer=t)"])
+        "fault_scope(p)", "worker_span('x')", "run_scope(tracer=t)"])
     def test_fires_on_every_scope_factory(self, call):
         src = f"def f(p, g, t):\n    cm = {call}\n    work()\n"
         assert len(findings_of(src, "RS005")) == 1

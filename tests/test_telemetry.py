@@ -50,7 +50,7 @@ from repro.observability.worker import (
     worker_event,
     worker_span,
 )
-from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.faults import FaultPlan, FaultSpec, fault_scope
 from repro.runtime.backends import ProcessForkJoinPool
 
 pytestmark = [pytest.mark.telemetry, pytest.mark.observability]
@@ -254,8 +254,7 @@ class TestProcessShipping:
         tr = Tracer()
         reg = MetricsRegistry()
         with tracing(tr), metering(reg), \
-                fast_pool(liveness_timeout=0.2) as p:
-            p.install_fault_plan(plan)
+                fast_pool(liveness_timeout=0.2) as p, fault_scope(plan):
             out = p.map_blocks(100, _instrumented_square, (ARR,))
         assert np.array_equal(np.concatenate(out), ARR ** 2)
         assert plan.fired(site) >= 1
